@@ -286,8 +286,10 @@ def _scenario_instance(scenario: Scenario) -> ProblemInstance:
 
 def _scenario_precision(scenario: Scenario, tol_flag: Optional[float]) -> Precision:
     abs_tol = tol_flag if tol_flag is not None else scenario.options.get("abs_tol", 1e-12)
-    max_iter = int(scenario.options.get("max_iter", 200))
-    return Precision(abs_tol=abs_tol, max_iter=max_iter)
+    max_iter = scenario.options.get("max_iter", 200.0)
+    if not float(max_iter).is_integer():  # also rejects nan and inf
+        raise ValidationError(f"[options] max_iter = {max_iter!r} is not a whole number")
+    return Precision(abs_tol=abs_tol, max_iter=int(max_iter))
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:

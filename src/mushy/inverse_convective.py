@@ -12,23 +12,26 @@ R3  positive gamma: the zone kernel at xi stays below the front balance;
 R4  epsilon < 1 side of the same balance (the unknown-epsilon case);
 R5  root existence for the unknown-specific-heat equation.
 
-Every solver returns the full list of evaluated reports alongside the
-recovered coefficient, the front position and the assembled solution.
+:func:`solve_case` returns the evaluated reports alongside the recovered
+coefficient, the front position and the assembled solution.  Its recovery,
+the two front-position equations and :func:`closed_form`, is written for a
+general attenuation beta = 1 - q0/(h0 d_inf); the Dirichlet face is its
+beta = 1 instance (:mod:`mushy.inverse_dirichlet`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 from . import specfun
 from .direct import (
     SQRT_PI,
     build_solution,
-    dxexp_sq,
     face_argument,
     face_factor,
     mushy_strength,
+    stefan_lhs,
     stefan_rhs,
     xexp_sq,
 )
@@ -54,12 +57,9 @@ __all__ = [
     "check_r5",
     "applicable_restrictions",
     "check_all",
-    "solve_case1_l",
-    "solve_case2_gamma",
-    "solve_case3_epsilon",
-    "solve_case4_k",
-    "solve_case5_rho",
-    "solve_case6_c",
+    "require_satisfied",
+    "FACE_CASES",
+    "closed_form",
     "solve_case",
     "xi_equation_kr",
     "xi_equation_c",
@@ -164,7 +164,16 @@ def check_all(
     (R3 and R4 need the face-determined xi, hence R1 and R2).
     """
     instance = validate(thermal, mushy, boundary, case=case, face=Face.CONVECTIVE)
-    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
+    return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)
+
+
+def _evaluate(
+    case: UnknownCase,
+    thermal: ThermalCoefficients,
+    mushy: MushyCoefficients,
+    boundary: BoundaryData,
+) -> tuple[RestrictionReport, ...]:
+    """:func:`check_all` on data that are already validated."""
     reports: list[RestrictionReport] = []
     for rid in _CASE_RESTRICTIONS[case]:
         if rid == "R1":
@@ -182,7 +191,8 @@ def check_all(
     return tuple(reports)
 
 
-def _require_satisfied(reports: tuple[RestrictionReport, ...]) -> None:
+def require_satisfied(reports: tuple[RestrictionReport, ...]) -> None:
+    """Raise RestrictionError carrying ``reports`` if any of them failed."""
     failed = [r.restriction_id for r in reports if not r.satisfied]
     if failed:
         raise RestrictionError(f"restriction(s) {', '.join(failed)} violated", reports)
@@ -207,8 +217,8 @@ def xi_equation_kr(
 
     with beta the convective attenuation.  The function vanishes at 0+ and
     grows unboundedly, so a positive target always has exactly one root;
-    only R1 (beta > 0) is needed.  ``factor`` overrides beta for reuse by
-    limit studies.
+    only R1 (beta > 0) is needed.  ``factor`` is beta when given; 1.0 gives
+    the Dirichlet face, the h0 -> infinity limit.
     """
     beta = face_factor(boundary, Face.CONVECTIVE) if factor is None else factor
     cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / (2.0 * boundary.d_inf * beta)
@@ -241,9 +251,9 @@ def xi_equation_c(
 
         (x / erf(x) + cf e**x^2) e**x^2 = q0^2 sqrt(pi) / (rho l k d_inf beta),
 
-    with the same cf as :func:`xi_equation_kr`.  x/erf(x) tends to
-    sqrt(pi)/2 at 0+, so the left side starts at sqrt(pi)/2 + cf; the target
-    exceeding that limit is restriction R5.
+    with the same cf and ``factor`` as :func:`xi_equation_kr`.  x/erf(x)
+    tends to sqrt(pi)/2 at 0+, so the left side starts at sqrt(pi)/2 + cf;
+    the target exceeding that limit is restriction R5.
     """
     beta = face_factor(boundary, Face.CONVECTIVE) if factor is None else factor
     cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / (2.0 * boundary.d_inf * beta)
@@ -264,182 +274,45 @@ def xi_equation_c(
     return MonotoneEquation(f=f, target=target, lower_limit=lower, df=df, name="xi equation (c case)")
 
 
-# --- the six case solvers --------------------------------------------------
+# --- the shared recovery ---------------------------------------------------
+
+#: Cases whose front position follows from the face equation alone.
+FACE_CASES = (UnknownCase.L, UnknownCase.GAMMA, UnknownCase.EPSILON)
 
 
-def _face_xi(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
-    return specfun.erf_inv(face_argument(thermal, boundary, Face.CONVECTIVE))
-
-
-def solve_case1_l(
+def closed_form(
+    case: UnknownCase,
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
-    prec: Precision = Precision(),
-) -> CaseResult:
-    """Recover the latent heat.  Needs R1 and R2.
+    xi: float,
+    beta: Optional[float],
+) -> float:
+    """The unknown coefficient of ``case`` once the front position xi is known.
 
-    xi follows from the face equation alone; the front balance then yields
-    l = q0 sqrt(c/(rho k)) e**(-xi^2) / (xi + strength e**xi^2) in closed form.
+    ``beta`` is the face attenuation 1 - q0/(h0 d_inf), 1 for the Dirichlet
+    face.  Only the k, rho and c forms read it, so the face-equation cases
+    may pass None; those three share amp = q0 erf(xi) / (d_inf beta), the
+    square root of k rho c / pi.  gamma and epsilon share the
+    cancellation-prone gap (q0/l) sqrt(c/(rho k)) - xi e**xi^2 that R3 (R7)
+    keeps positive.
     """
-    instance = validate(thermal, mushy, boundary, case=UnknownCase.L, face=Face.CONVECTIVE)
-    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    reports = (check_r1(boundary), check_r2(thermal, boundary))
-    _require_satisfied(reports)
-
-    xi = _face_xi(thermal, boundary)
-    strength = mushy.gamma * (1.0 - mushy.epsilon) * math.sqrt(thermal.k * thermal.rho * thermal.c) / (
-        2.0 * boundary.q0
-    )
-    e = math.exp(xi * xi)
-    l = boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / ((xi + strength * e) * e)
-
-    full = instance.with_value(l)
-    solution = build_solution(full.thermal, full.mushy, full.boundary, xi)
-    return CaseResult(case=UnknownCase.L, value=l, xi=xi, solution=solution, reports=reports)
-
-
-def _gamma_epsilon_shared(
-    thermal: ThermalCoefficients, boundary: BoundaryData
-) -> tuple[float, float]:
-    """xi from the face equation and the cancellation-prone difference
-    (q0/l) sqrt(c/(rho k)) - xi e**xi^2 shared by the gamma and epsilon cases."""
-    xi = _face_xi(thermal, boundary)
-    return xi, stefan_rhs(thermal, boundary) - xexp_sq(xi)
-
-
-def solve_case2_gamma(
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-    prec: Precision = Precision(),
-) -> CaseResult:
-    """Recover the mushy-zone gradient datum gamma.  Needs R1, R2, R3."""
-    instance = validate(thermal, mushy, boundary, case=UnknownCase.GAMMA, face=Face.CONVECTIVE)
-    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    reports = (check_r1(boundary), check_r2(thermal, boundary))
-    _require_satisfied(reports)
-    reports = reports + (check_r3(thermal, boundary),)
-    _require_satisfied(reports)
-
-    xi, gap = _gamma_epsilon_shared(thermal, boundary)
-    krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
-    gamma = (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
-
-    full = instance.with_value(gamma)
-    solution = build_solution(full.thermal, full.mushy, full.boundary, xi)
-    return CaseResult(case=UnknownCase.GAMMA, value=gamma, xi=xi, solution=solution, reports=reports)
-
-
-def solve_case3_epsilon(
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-    prec: Precision = Precision(),
-) -> CaseResult:
-    """Recover the latent-heat split epsilon.  Needs R1 through R4.
-
-    R3 keeps the recovered value below 1 and R4 above 0; each can fail on
-    its own, and the error then carries exactly the failing report.
-    """
-    instance = validate(thermal, mushy, boundary, case=UnknownCase.EPSILON, face=Face.CONVECTIVE)
-    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    reports = (check_r1(boundary), check_r2(thermal, boundary))
-    _require_satisfied(reports)
-    reports = reports + (check_r3(thermal, boundary), check_r4(thermal, mushy, boundary))
-    _require_satisfied(reports)
-
-    xi, gap = _gamma_epsilon_shared(thermal, boundary)
-    krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
-    epsilon = 1.0 - (2.0 * boundary.q0 / (mushy.gamma * krc)) * gap * math.exp(-2.0 * xi * xi)
-
-    full = instance.with_value(epsilon)
-    solution = build_solution(full.thermal, full.mushy, full.boundary, xi)
-    return CaseResult(case=UnknownCase.EPSILON, value=epsilon, xi=xi, solution=solution, reports=reports)
-
-
-def _face_amplitude(boundary: BoundaryData, xi: float) -> float:
-    """q0 erf(xi) / (d_inf beta): the square root of the recovered k rho c / pi
-    variants shared by the last three cases."""
-    return boundary.q0 * specfun.erf(xi) / (boundary.d_inf * face_factor(boundary, Face.CONVECTIVE))
-
-
-def solve_case4_k(
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-    prec: Precision = Precision(),
-) -> CaseResult:
-    """Recover the conductivity.  Needs R1 only; the xi equation always has
-    exactly one positive root."""
-    instance = validate(thermal, mushy, boundary, case=UnknownCase.K, face=Face.CONVECTIVE)
-    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    reports = (check_r1(boundary),)
-    _require_satisfied(reports)
-
-    xi = solve_increasing(xi_equation_kr(thermal, mushy, boundary), prec)
-    amp = _face_amplitude(boundary, xi)
-    k = math.pi / (thermal.rho * thermal.c) * amp * amp
-
-    full = instance.with_value(k)
-    solution = build_solution(full.thermal, full.mushy, full.boundary, xi)
-    return CaseResult(case=UnknownCase.K, value=k, xi=xi, solution=solution, reports=reports)
-
-
-def solve_case5_rho(
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-    prec: Precision = Precision(),
-) -> CaseResult:
-    """Recover the density.  Same equation and restriction set as the
-    conductivity case; only the closed form at the end differs."""
-    instance = validate(thermal, mushy, boundary, case=UnknownCase.RHO, face=Face.CONVECTIVE)
-    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    reports = (check_r1(boundary),)
-    _require_satisfied(reports)
-
-    xi = solve_increasing(xi_equation_kr(thermal, mushy, boundary), prec)
-    amp = _face_amplitude(boundary, xi)
-    rho = math.pi / (thermal.k * thermal.c) * amp * amp
-
-    full = instance.with_value(rho)
-    solution = build_solution(full.thermal, full.mushy, full.boundary, xi)
-    return CaseResult(case=UnknownCase.RHO, value=rho, xi=xi, solution=solution, reports=reports)
-
-
-def solve_case6_c(
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-    prec: Precision = Precision(),
-) -> CaseResult:
-    """Recover the specific heat.  Needs R1 and the root-existence
-    restriction R5, which is checked before any iteration starts."""
-    instance = validate(thermal, mushy, boundary, case=UnknownCase.C, face=Face.CONVECTIVE)
-    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    reports = (check_r1(boundary),)
-    _require_satisfied(reports)
-    reports = reports + (check_r5(thermal, mushy, boundary),)
-    _require_satisfied(reports)
-
-    xi = solve_increasing(xi_equation_c(thermal, mushy, boundary), prec)
-    amp = _face_amplitude(boundary, xi)
-    c = math.pi / (thermal.rho * thermal.k) * amp * amp
-
-    full = instance.with_value(c)
-    solution = build_solution(full.thermal, full.mushy, full.boundary, xi)
-    return CaseResult(case=UnknownCase.C, value=c, xi=xi, solution=solution, reports=reports)
-
-
-_SOLVERS: dict[UnknownCase, Callable[..., CaseResult]] = {
-    UnknownCase.L: solve_case1_l,
-    UnknownCase.GAMMA: solve_case2_gamma,
-    UnknownCase.EPSILON: solve_case3_epsilon,
-    UnknownCase.K: solve_case4_k,
-    UnknownCase.RHO: solve_case5_rho,
-    UnknownCase.C: solve_case6_c,
-}
+    if case is UnknownCase.L:
+        return boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / stefan_lhs(
+            xi, mushy_strength(thermal, mushy, boundary)
+        )
+    if case in (UnknownCase.GAMMA, UnknownCase.EPSILON):
+        gap = stefan_rhs(thermal, boundary) - xexp_sq(xi)
+        krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
+        if case is UnknownCase.GAMMA:
+            return (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
+        return 1.0 - (2.0 * boundary.q0 / (mushy.gamma * krc)) * gap * math.exp(-2.0 * xi * xi)
+    amp = boundary.q0 * specfun.erf(xi) / (boundary.d_inf * beta)
+    if case is UnknownCase.K:
+        return math.pi / (thermal.rho * thermal.c) * amp * amp
+    if case is UnknownCase.RHO:
+        return math.pi / (thermal.k * thermal.c) * amp * amp
+    return math.pi / (thermal.rho * thermal.k) * amp * amp
 
 
 def solve_case(
@@ -449,5 +322,28 @@ def solve_case(
     boundary: BoundaryData,
     prec: Precision = Precision(),
 ) -> CaseResult:
-    """Dispatch to the solver for ``case``."""
-    return _SOLVERS[case](thermal, mushy, boundary, prec)
+    """Recover one coefficient under the convective face.
+
+    Cases l, gamma, epsilon read xi off the face equation through the
+    inverse error function; cases k and rho solve :func:`xi_equation_kr`
+    for it and case c :func:`xi_equation_c`.  The restrictions are checked
+    first, in the order and with the early stop of :func:`check_all`, and a
+    failure raises RestrictionError with exactly those reports.
+    """
+    instance = validate(thermal, mushy, boundary, case=case, face=Face.CONVECTIVE)
+    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
+    reports = _evaluate(case, thermal, mushy, boundary)
+    require_satisfied(reports)
+
+    if case in FACE_CASES:
+        beta = None
+        xi = specfun.erf_inv(face_argument(thermal, boundary, Face.CONVECTIVE))
+    else:
+        beta = face_factor(boundary, Face.CONVECTIVE)
+        equation = xi_equation_c if case is UnknownCase.C else xi_equation_kr
+        xi = solve_increasing(equation(thermal, mushy, boundary, beta), prec)
+
+    value = closed_form(case, thermal, mushy, boundary, xi, beta)
+    full = instance.with_value(value)
+    solution = build_solution(full.thermal, full.mushy, full.boundary, xi)
+    return CaseResult(case=case, value=value, xi=xi, solution=solution, reports=reports)

@@ -1,12 +1,16 @@
 """Coefficient identification for the Dirichlet overspecification.
 
 Here the flux condition is overspecified by a prescribed face temperature
--d_inf instead of a convective exchange.  The six case formulas are the
-convective ones with the attenuation factor 1 - q0/(h0 d_inf) replaced by
-1 (its h0 -> infinity limit); they are written out literally below rather
-than shared with :mod:`mushy.inverse_convective`, so that the two code
-paths stay independent and the equality can be asserted by tests instead
-of holding by construction.
+-d_inf instead of a convective exchange.  This is the h0 -> infinity limit
+of the convective problem, where the attenuation 1 - q0/(h0 d_inf) becomes
+beta = 1, and the module solves it as that instance: the front-position
+equations and the closed forms are those of
+:mod:`mushy.inverse_convective` at beta = 1.  What the two faces do not
+share are their restrictions, below, and the face datum.  The recovery is
+checked independently of its own formulas by the consistency residuals
+(:func:`mushy.direct.consistency_residuals`) and the per-condition
+residuals (:func:`mushy.verify.condition_residuals`) that acceptance
+criteria 3 and 4 evaluate at every output of both faces.
 
 Restrictions:
 
@@ -32,10 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from . import specfun
-from .direct import SQRT_PI, build_solution, dxexp_sq, stefan_rhs, xexp_sq
+from . import inverse_convective, specfun
+from .direct import build_solution, dxexp_sq, face_argument, stefan_rhs, xexp_sq
 from .errors import NoRootError, RestrictionError
 from .model import (
     BoundaryData,
@@ -65,10 +69,6 @@ __all__ = [
     "LimitStudy",
     "limit_study",
 ]
-
-
-def _dirichlet_argument(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
-    return (boundary.d_inf / boundary.q0) * math.sqrt(thermal.k * thermal.rho * thermal.c / math.pi)
 
 
 # --- auxiliary roots and restriction checks --------------------------------
@@ -125,7 +125,7 @@ def solve_eta_r8(
 
 def check_r6(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R6: (d_inf/q0) sqrt(k rho c / pi) < 1."""
-    arg = _dirichlet_argument(thermal, boundary)
+    arg = face_argument(thermal, boundary, Face.DIRICHLET)
     return RestrictionReport(restriction_id="R6", satisfied=arg < 1.0, lhs=arg, rhs=1.0)
 
 
@@ -135,10 +135,10 @@ def check_r7(
     """R7: the face argument stays below erf(eta_r7).
 
     Implies R6 since erf(eta_r7) < 1.  Equivalent to the convective R3 in
-    the h0 -> infinity limit, but evaluated through the auxiliary root so
-    the two code paths remain distinct.
+    the h0 -> infinity limit, but evaluated through the auxiliary root as
+    the restriction is phrased in its source.
     """
-    arg = _dirichlet_argument(thermal, boundary)
+    arg = face_argument(thermal, boundary, Face.DIRICHLET)
     bound = specfun.erf(solve_eta_r7(thermal, boundary, prec))
     return RestrictionReport(restriction_id="R7", satisfied=arg < bound, lhs=arg, rhs=bound)
 
@@ -156,7 +156,7 @@ def check_r8(
     restriction is satisfied vacuously; the report says so and uses the
     degenerate limit erf(0) = 0 as the bound.
     """
-    arg = _dirichlet_argument(thermal, boundary)
+    arg = face_argument(thermal, boundary, Face.DIRICHLET)
     try:
         bound = specfun.erf(solve_eta_r8(thermal, mushy, boundary, prec))
         note = ""
@@ -245,13 +245,7 @@ def check_all(
     return tuple(reports)
 
 
-def _require_satisfied(reports: tuple[RestrictionReport, ...]) -> None:
-    failed = [r.restriction_id for r in reports if not r.satisfied]
-    if failed:
-        raise RestrictionError(f"restriction(s) {', '.join(failed)} violated", reports)
-
-
-# --- the two root-finding equations (attenuation-free forms) ---------------
+# --- the recovery at beta = 1 ----------------------------------------------
 
 
 def xi_equation_kr(
@@ -260,29 +254,12 @@ def xi_equation_kr(
     boundary: BoundaryData,
 ) -> MonotoneEquation:
     """Front-position equation for the unknown-conductivity/density cases:
+    :func:`mushy.inverse_convective.xi_equation_kr` at beta = 1.
 
-        erf(x) x e**x^2 + cf erf(x)^2 e**2x^2 = c d_inf / (l sqrt(pi)),
-        cf = gamma sqrt(pi) (1 - epsilon) / (2 d_inf).
-
-    Both summands vanish at 0+ and grow unboundedly, so the positive target
-    always has exactly one root; the case carries no restriction.
+    It vanishes at 0+ and grows unboundedly, so the positive target always
+    has exactly one root; the case carries no restriction.
     """
-    cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / (2.0 * boundary.d_inf)
-    target = thermal.c * boundary.d_inf / (thermal.l * SQRT_PI)
-
-    def f(x: float) -> float:
-        erf_x = specfun.erf(x)
-        return erf_x * xexp_sq(x) + cf * erf_x * erf_x * math.exp(2.0 * x * x)
-
-    def df(x: float) -> float:
-        erf_x = specfun.erf(x)
-        e = math.exp(x * x)
-        derf = specfun.TWO_OVER_SQRT_PI * math.exp(-x * x)
-        return (derf * x + erf_x * (1.0 + 2.0 * x * x)) * e + cf * e * e * (
-            2.0 * erf_x * derf + 4.0 * x * erf_x * erf_x
-        )
-
-    return MonotoneEquation(f=f, target=target, lower_limit=0.0, df=df, name="xi equation (k/rho case)")
+    return inverse_convective.xi_equation_kr(thermal, mushy, boundary, factor=1.0)
 
 
 def xi_equation_c(
@@ -291,59 +268,10 @@ def xi_equation_c(
     boundary: BoundaryData,
 ) -> MonotoneEquation:
     """Front-position equation for the unknown-specific-heat case:
-
-        (x / erf(x) + cf e**x^2) e**x^2 = q0^2 sqrt(pi) / (rho l k d_inf),
-
-    with the same cf as :func:`xi_equation_kr` and 0+ limit
-    sqrt(pi)/2 + cf; the target exceeding it is restriction R9.
+    :func:`mushy.inverse_convective.xi_equation_c` at beta = 1, whose
+    target exceeding its 0+ limit sqrt(pi)/2 + cf is restriction R9.
     """
-    cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / (2.0 * boundary.d_inf)
-    target = boundary.q0 * boundary.q0 * SQRT_PI / (thermal.rho * thermal.l * thermal.k * boundary.d_inf)
-    lower = 0.5 * SQRT_PI + cf
-
-    def f(x: float) -> float:
-        e = math.exp(x * x)
-        return (x / specfun.erf(x) + cf * e) * e
-
-    def df(x: float) -> float:
-        e = math.exp(x * x)
-        erf_x = specfun.erf(x)
-        ratio = x / erf_x
-        dratio = (erf_x - x * specfun.TWO_OVER_SQRT_PI * math.exp(-x * x)) / (erf_x * erf_x)
-        return e * (dratio + 2.0 * x * ratio + 4.0 * x * cf * e)
-
-    return MonotoneEquation(f=f, target=target, lower_limit=lower, df=df, name="xi equation (c case)")
-
-
-# --- case solvers -----------------------------------------------------------
-
-
-def _closed_forms(
-    case: UnknownCase,
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-    xi: float,
-) -> float:
-    """Dirichlet closed forms shared by the six cases after xi is known."""
-    if case is UnknownCase.L:
-        strength = mushy.gamma * (1.0 - mushy.epsilon) * math.sqrt(
-            thermal.k * thermal.rho * thermal.c
-        ) / (2.0 * boundary.q0)
-        e = math.exp(xi * xi)
-        return boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / ((xi + strength * e) * e)
-    if case in (UnknownCase.GAMMA, UnknownCase.EPSILON):
-        gap = stefan_rhs(thermal, boundary) - xexp_sq(xi)
-        krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
-        if case is UnknownCase.GAMMA:
-            return (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
-        return 1.0 - (2.0 * boundary.q0 / (mushy.gamma * krc)) * gap * math.exp(-2.0 * xi * xi)
-    amp = boundary.q0 * specfun.erf(xi) / boundary.d_inf
-    if case is UnknownCase.K:
-        return math.pi / (thermal.rho * thermal.c) * amp * amp
-    if case is UnknownCase.RHO:
-        return math.pi / (thermal.k * thermal.c) * amp * amp
-    return math.pi / (thermal.rho * thermal.k) * amp * amp
+    return inverse_convective.xi_equation_c(thermal, mushy, boundary, factor=1.0)
 
 
 def solve_dirichlet_case(
@@ -355,24 +283,21 @@ def solve_dirichlet_case(
 ) -> CaseResult:
     """Recover one coefficient under the prescribed-temperature face.
 
-    Cases l, gamma, epsilon read xi off the face equation through the
-    inverse error function; cases k, rho, c find xi from their respective
-    strictly increasing equation first.  All applicable restrictions are
-    checked strictly before any numerics.
+    The restrictions R6-R9 of the case are checked first; the recovery is
+    then that of :func:`mushy.inverse_convective.solve_case` at beta = 1.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=Face.DIRICHLET)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
     reports = check_all(case, thermal, mushy, boundary, prec)
-    _require_satisfied(reports)
+    inverse_convective.require_satisfied(reports)
 
-    if case in (UnknownCase.L, UnknownCase.GAMMA, UnknownCase.EPSILON):
-        xi = specfun.erf_inv(_dirichlet_argument(thermal, boundary))
-    elif case in (UnknownCase.K, UnknownCase.RHO):
-        xi = solve_increasing(xi_equation_kr(thermal, mushy, boundary), prec)
+    if case in inverse_convective.FACE_CASES:
+        xi = specfun.erf_inv(face_argument(thermal, boundary, Face.DIRICHLET))
     else:
-        xi = solve_increasing(xi_equation_c(thermal, mushy, boundary), prec)
+        equation = xi_equation_c if case is UnknownCase.C else xi_equation_kr
+        xi = solve_increasing(equation(thermal, mushy, boundary), prec)
 
-    value = _closed_forms(case, thermal, mushy, boundary, xi)
+    value = inverse_convective.closed_form(case, thermal, mushy, boundary, xi, 1.0)
     full = instance.with_value(value)
     solution = build_solution(full.thermal, full.mushy, full.boundary, xi)
     return CaseResult(case=case, value=value, xi=xi, solution=solution, reports=reports)
@@ -416,8 +341,6 @@ def limit_study(
     factor is 1 - q0/(h0 d_inf)), so the fitted slope is close to -1
     whenever the grid reaches into the asymptotic regime.
     """
-    from . import inverse_convective  # local import: the two modules are siblings
-
     dirichlet = solve_dirichlet_case(case, thermal, mushy, boundary, prec)
 
     grid = tuple(sorted(float(h) for h in h0_grid))

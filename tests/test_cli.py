@@ -266,6 +266,9 @@ def test_restriction_failure_exit_and_report(tmp_path, capsys):
         lambda text: text + "\nwhatever = 1\n",
         lambda text: text.replace("[boundary]\nq0 = 1.0\n", "[boundary]\n"),
         lambda text: "",
+        lambda text: text + "\n[options]\nmax_iter = nan\n",
+        lambda text: text + "\n[options]\nmax_iter = 1e400\n",
+        lambda text: text + "\n[options]\nmax_iter = 2.5\n",
     ],
 )
 def test_malformed_scenarios_exit_one(tmp_path, capsys, mutate):

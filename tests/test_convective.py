@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,7 @@ def test_reference_face_datum(convective_example):
 
 def test_latent_heat_recovery_frozen(convective_example):
     thermal, mushy, truth = convective_example.hide(UnknownCase.L)
-    result = conv.solve_case1_l(thermal, mushy, convective_example.boundary)
+    result = conv.solve_case(UnknownCase.L, thermal, mushy, convective_example.boundary)
     assert abs(result.xi - XI_REF) <= 1e-13
     assert math.isclose(result.value, L_REF, rel_tol=1e-13)
     assert math.isclose(result.value, truth, rel_tol=1e-13)
@@ -35,7 +36,7 @@ def test_latent_heat_recovery_frozen(convective_example):
 
 def test_latent_heat_restriction_reports(convective_example):
     thermal, mushy, _ = convective_example.hide(UnknownCase.L)
-    result = conv.solve_case1_l(thermal, mushy, convective_example.boundary)
+    result = conv.solve_case(UnknownCase.L, thermal, mushy, convective_example.boundary)
     r1 = result.reports[0]
     assert (r1.restriction_id, r1.satisfied) == ("R1", True)
     assert r1.lhs == 1.0
@@ -47,7 +48,7 @@ def test_cooling_restriction_rejects_strong_flux(convective_example):
     thermal, mushy, _ = convective_example.hide(UnknownCase.L)
     boundary = BoundaryData(q0=2.5, d_inf=1.25, h0=2.0)  # q0 == h0 d_inf exactly
     with pytest.raises(RestrictionError) as err:
-        conv.solve_case1_l(thermal, mushy, boundary)
+        conv.solve_case(UnknownCase.L, thermal, mushy, boundary)
     assert err.value.failed_ids() == ("R1",)
 
 
@@ -56,13 +57,13 @@ def test_face_argument_at_unity_rejected(convective_example):
     # datum placed so the argument of the inverse error function is 1 + 1e-9
     d_inf = 0.5 + math.sqrt(math.pi) * (1.0 + 1e-9)
     with pytest.raises(RestrictionError) as err:
-        conv.solve_case1_l(thermal, mushy, BoundaryData(q0=1.0, d_inf=d_inf, h0=2.0))
+        conv.solve_case(UnknownCase.L, thermal, mushy, BoundaryData(q0=1.0, d_inf=d_inf, h0=2.0))
     assert err.value.failed_ids() == ("R2",)
 
 
 def test_zone_growth_recovery(convective_example):
     thermal, mushy, truth = convective_example.hide(UnknownCase.GAMMA)
-    result = conv.solve_case2_gamma(thermal, mushy, convective_example.boundary)
+    result = conv.solve_case(UnknownCase.GAMMA, thermal, mushy, convective_example.boundary)
     assert math.isclose(result.value, truth, rel_tol=1e-12)
     assert [r.restriction_id for r in result.reports] == ["R1", "R2", "R3"]
 
@@ -70,10 +71,10 @@ def test_zone_growth_recovery(convective_example):
 def test_zone_growth_composes_with_latent_heat_result(convective_example):
     # feed the recovered latent heat back in and identify gamma instead
     thermal_l, mushy_l, _ = convective_example.hide(UnknownCase.L)
-    l_rec = conv.solve_case1_l(thermal_l, mushy_l, convective_example.boundary).value
+    l_rec = conv.solve_case(UnknownCase.L, thermal_l, mushy_l, convective_example.boundary).value
     thermal = ThermalCoefficients(l=l_rec, k=1.0, rho=1.0, c=1.0)
     mushy = MushyCoefficients(epsilon=0.5, gamma=None)
-    result = conv.solve_case2_gamma(thermal, mushy, convective_example.boundary)
+    result = conv.solve_case(UnknownCase.GAMMA, thermal, mushy, convective_example.boundary)
     assert math.isclose(result.value, REF_KWARGS["gamma"], rel_tol=1e-12)
 
 
@@ -83,24 +84,25 @@ def test_zero_zone_growth_boundary(convective_example):
     l_star = convective_example.boundary.q0 / xexp_sq(xi)  # unit k, rho, c
     near = ThermalCoefficients(l=l_star * (1.0 - 1e-9), k=1.0, rho=1.0, c=1.0)
     past = ThermalCoefficients(l=l_star * (1.0 + 1e-9), k=1.0, rho=1.0, c=1.0)
-    ok = conv.solve_case2_gamma(near, mushy, convective_example.boundary)
+    ok = conv.solve_case(UnknownCase.GAMMA, near, mushy, convective_example.boundary)
     assert 0.0 < ok.value < 1e-6
     with pytest.raises(RestrictionError) as err:
-        conv.solve_case2_gamma(past, mushy, convective_example.boundary)
+        conv.solve_case(UnknownCase.GAMMA, past, mushy, convective_example.boundary)
     assert err.value.failed_ids() == ("R3",)
 
 
 def test_zone_growth_scales_inversely_with_latent_fraction(convective_example):
     thermal, _, _ = convective_example.hide(UnknownCase.GAMMA)
-    lo = conv.solve_case2_gamma(thermal, MushyCoefficients(epsilon=0.5, gamma=None), convective_example.boundary)
-    hi = conv.solve_case2_gamma(thermal, MushyCoefficients(epsilon=0.75, gamma=None), convective_example.boundary)
+    b = convective_example.boundary
+    lo = conv.solve_case(UnknownCase.GAMMA, thermal, MushyCoefficients(epsilon=0.5, gamma=None), b)
+    hi = conv.solve_case(UnknownCase.GAMMA, thermal, MushyCoefficients(epsilon=0.75, gamma=None), b)
     assert math.isclose(hi.value / lo.value, 2.0, rel_tol=1e-12)
     assert hi.xi == lo.xi
 
 
 def test_latent_fraction_recovery(convective_example):
     thermal, mushy, truth = convective_example.hide(UnknownCase.EPSILON)
-    result = conv.solve_case3_epsilon(thermal, mushy, convective_example.boundary)
+    result = conv.solve_case(UnknownCase.EPSILON, thermal, mushy, convective_example.boundary)
     assert math.isclose(result.value, truth, rel_tol=1e-12)
     assert 0.0 < result.value < 1.0
     assert [r.restriction_id for r in result.reports] == ["R1", "R2", "R3", "R4"]
@@ -108,9 +110,9 @@ def test_latent_fraction_recovery(convective_example):
 
 def test_latent_fraction_composes_with_zone_growth(convective_example):
     thermal, mushy_g, _ = convective_example.hide(UnknownCase.GAMMA)
-    gamma_rec = conv.solve_case2_gamma(thermal, mushy_g, convective_example.boundary).value
-    result = conv.solve_case3_epsilon(
-        thermal, MushyCoefficients(epsilon=None, gamma=gamma_rec), convective_example.boundary
+    gamma_rec = conv.solve_case(UnknownCase.GAMMA, thermal, mushy_g, convective_example.boundary).value
+    result = conv.solve_case(
+        UnknownCase.EPSILON, thermal, MushyCoefficients(epsilon=None, gamma=gamma_rec), convective_example.boundary
     )
     assert math.isclose(result.value, REF_KWARGS["epsilon"], rel_tol=1e-12)
 
@@ -119,20 +121,20 @@ def test_latent_fraction_sign_boundary(convective_example):
     thermal, _, _ = convective_example.hide(UnknownCase.EPSILON)
     # the recovered fraction changes sign where gamma equals the lumped
     # zone strength 0.05 of the reference data
-    ok = conv.solve_case3_epsilon(
-        thermal, MushyCoefficients(epsilon=None, gamma=0.051), convective_example.boundary
+    ok = conv.solve_case(
+        UnknownCase.EPSILON, thermal, MushyCoefficients(epsilon=None, gamma=0.051), convective_example.boundary
     )
     assert 0.0 < ok.value < 0.05
     with pytest.raises(RestrictionError) as err:
-        conv.solve_case3_epsilon(
-            thermal, MushyCoefficients(epsilon=None, gamma=0.049), convective_example.boundary
+        conv.solve_case(
+            UnknownCase.EPSILON, thermal, MushyCoefficients(epsilon=None, gamma=0.049), convective_example.boundary
         )
     assert err.value.failed_ids() == ("R4",)
 
 
 def test_conductivity_recovery(convective_example):
     thermal, mushy, truth = convective_example.hide(UnknownCase.K)
-    result = conv.solve_case4_k(thermal, mushy, convective_example.boundary)
+    result = conv.solve_case(UnknownCase.K, thermal, mushy, convective_example.boundary)
     assert math.isclose(result.value, truth, rel_tol=1e-12)
     assert abs(result.xi - XI_REF) <= 1e-12
     assert [r.restriction_id for r in result.reports] == ["R1"]
@@ -155,8 +157,8 @@ def test_stronger_zone_growth_shifts_the_root_down(convective_example):
 def test_density_recovery_shares_the_front_equation(convective_example):
     thermal_k, mushy, _ = convective_example.hide(UnknownCase.K)
     thermal_rho, _, truth_rho = convective_example.hide(UnknownCase.RHO)
-    k_result = conv.solve_case4_k(thermal_k, mushy, convective_example.boundary)
-    rho_result = conv.solve_case5_rho(thermal_rho, mushy, convective_example.boundary)
+    k_result = conv.solve_case(UnknownCase.K, thermal_k, mushy, convective_example.boundary)
+    rho_result = conv.solve_case(UnknownCase.RHO, thermal_rho, mushy, convective_example.boundary)
     assert rho_result.xi == k_result.xi  # identical equation, identical root
     assert math.isclose(rho_result.value, truth_rho, rel_tol=1e-12)
 
@@ -164,16 +166,18 @@ def test_density_recovery_shares_the_front_equation(convective_example):
 def test_density_scales_with_flux_squared(convective_example):
     thermal, mushy, _ = convective_example.hide(UnknownCase.RHO)
     b = convective_example.boundary
-    base = conv.solve_case5_rho(thermal, mushy, b)
+    base = conv.solve_case(UnknownCase.RHO, thermal, mushy, b)
     # doubling q0 and h0 leaves the attenuated datum (and hence xi) fixed
-    scaled = conv.solve_case5_rho(thermal, mushy, BoundaryData(q0=2.0 * b.q0, d_inf=b.d_inf, h0=2.0 * b.h0))
+    scaled = conv.solve_case(
+        UnknownCase.RHO, thermal, mushy, BoundaryData(q0=2.0 * b.q0, d_inf=b.d_inf, h0=2.0 * b.h0)
+    )
     assert scaled.xi == base.xi
     assert math.isclose(scaled.value / base.value, 4.0, rel_tol=1e-12)
 
 
 def test_specific_heat_recovery(convective_example):
     thermal, mushy, truth = convective_example.hide(UnknownCase.C)
-    result = conv.solve_case6_c(thermal, mushy, convective_example.boundary)
+    result = conv.solve_case(UnknownCase.C, thermal, mushy, convective_example.boundary)
     assert math.isclose(result.value, truth, rel_tol=1e-12)
     assert [r.restriction_id for r in result.reports] == ["R1", "R5"]
 
@@ -192,21 +196,17 @@ def test_specific_heat_existence_boundary(convective_example):
     l_boundary = 2.0 * b.q0 * b.q0 / (beta_d_inf + 0.05)  # unit k, rho
     good = ThermalCoefficients(l=l_boundary * (1.0 - 1e-9), k=1.0, rho=1.0, c=None)
     bad = ThermalCoefficients(l=l_boundary * (1.0 + 1e-9), k=1.0, rho=1.0, c=None)
-    assert conv.solve_case6_c(good, mushy, b).value > 0.0
+    assert conv.solve_case(UnknownCase.C, good, mushy, b).value > 0.0
     with pytest.raises(RestrictionError) as err:
-        conv.solve_case6_c(bad, mushy, b)
+        conv.solve_case(UnknownCase.C, bad, mushy, b)
     assert err.value.failed_ids() == ("R5",)
 
 
 def test_face_determined_front_is_shared_bitwise(convective_example):
     results = []
-    for case, solver in (
-        (UnknownCase.L, conv.solve_case1_l),
-        (UnknownCase.GAMMA, conv.solve_case2_gamma),
-        (UnknownCase.EPSILON, conv.solve_case3_epsilon),
-    ):
+    for case in (UnknownCase.L, UnknownCase.GAMMA, UnknownCase.EPSILON):
         thermal, mushy, _ = convective_example.hide(case)
-        results.append(solver(thermal, mushy, convective_example.boundary).xi)
+        results.append(conv.solve_case(case, thermal, mushy, convective_example.boundary).xi)
     assert results[0] == results[1] == results[2]
 
 
@@ -221,7 +221,13 @@ def test_dispatcher_routes_every_case(convective_example):
 
 def test_restriction_checks_stop_at_first_failure(convective_example):
     thermal, mushy, _ = convective_example.hide(UnknownCase.EPSILON)
-    boundary = BoundaryData(q0=2.5, d_inf=1.25, h0=2.0)  # R1 fails
-    reports = conv.check_all(UnknownCase.EPSILON, thermal, mushy, boundary)
-    assert len(reports) == 1 and reports[0].restriction_id == "R1"
-    assert not reports[0].satisfied
+    for thermal, boundary, ids in (
+        (thermal, BoundaryData(q0=2.5, d_inf=1.25, h0=2.0), ("R1",)),  # R1 fails
+        (replace(thermal, l=1.5 * thermal.l), convective_example.boundary, ("R1", "R2", "R3")),  # R3 fails
+    ):
+        reports = conv.check_all(UnknownCase.EPSILON, thermal, mushy, boundary)
+        assert tuple(r.restriction_id for r in reports) == ids
+        assert not reports[-1].satisfied
+        with pytest.raises(RestrictionError) as err:
+            conv.solve_case(UnknownCase.EPSILON, thermal, mushy, boundary)
+        assert err.value.reports == reports

@@ -1,11 +1,12 @@
 import math
+import random
 
 import pytest
 
 from mushy import inverse_convective as conv
 from mushy import inverse_dirichlet as diri
 from mushy.errors import NoRootError, RestrictionError
-from mushy.manufacture import manufacture
+from mushy.manufacture import manufacture, random_problem
 from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
 from mushy.rootfind import solve_increasing
 
@@ -131,19 +132,18 @@ def test_specific_heat_front_equation_root(dirichlet_example):
 
 
 def test_infinite_transfer_reproduces_prescribed_temperature(dirichlet_example):
-    b = dirichlet_example.boundary
-    inf_boundary = BoundaryData(q0=b.q0, d_inf=b.d_inf, h0=math.inf)
-    for case in UnknownCase:
-        thermal, mushy, _ = dirichlet_example.hide(case)
-        via_limit = conv.solve_case(case, thermal, mushy, inf_boundary)
-        direct = diri.solve_dirichlet_case(case, thermal, mushy, b)
-        if case in (UnknownCase.L, UnknownCase.GAMMA, UnknownCase.EPSILON):
-            assert via_limit.xi == direct.xi  # identical inverse-erf path
-            assert math.isclose(via_limit.value, direct.value, rel_tol=1e-14)
-        else:
-            # the two sides use differently arranged front equations
-            assert math.isclose(via_limit.xi, direct.xi, rel_tol=1e-12)
-            assert math.isclose(via_limit.value, direct.value, rel_tol=1e-11)
+    # the Dirichlet recovery is the convective one at beta = 1, which h0 = inf
+    # produces exactly, so the two must agree to the last bit
+    problems = [dirichlet_example]
+    problems += [random_problem(random.Random(seed), face=Face.DIRICHLET) for seed in range(200)]
+    for prob in problems:
+        b = prob.boundary
+        inf_boundary = BoundaryData(q0=b.q0, d_inf=b.d_inf, h0=math.inf)
+        for case in UnknownCase:
+            thermal, mushy, _ = prob.hide(case)
+            via_limit = conv.solve_case(case, thermal, mushy, inf_boundary)
+            direct = diri.solve_dirichlet_case(case, thermal, mushy, b)
+            assert (via_limit.xi, via_limit.value) == (direct.xi, direct.value), (case, prob)
 
 
 def test_limit_study_converges_at_first_order(dirichlet_example):
