@@ -35,7 +35,7 @@ from .model import (
     UnknownCase,
     validate,
 )
-from .specfun import Precision, erf, erf_inv, erfc
+from .specfun import erf, erf_inv, erfc
 from .rootfind import MonotoneEquation, solve_increasing
 from .direct import (
     ConsistencyResiduals,
@@ -77,7 +77,6 @@ __all__ = [
     "ProblemInstance",
     "validate",
     # kernels and solvers
-    "Precision",
     "erf",
     "erfc",
     "erf_inv",

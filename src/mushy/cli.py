@@ -20,20 +20,19 @@ structure are accepted interchangeably)::
     h0 = 2.0
     d_inf = 1.4225620128255847
 
-    [options]                ; optional
-    abs_tol = 1e-12
-    max_iter = 200
-
 Exactly the coefficient named by ``case`` is omitted (none for ``direct``).
-Exit codes: 0 success, 1 input error, 2 restriction failure, 3 numerical
-failure, 4 verification residual failure.  Machine-readable output carries
-every number with 17 significant digits.
+Exit codes: 0 success, 1 input error (a malformed command line included),
+2 restriction failure, 3 numerical failure, 4 verification residual
+failure.  Machine-readable output carries every number with 17 significant
+digits; non-finite numbers are written as the strings "inf", "-inf" and
+"nan", also in JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import json
 import math
@@ -74,7 +73,6 @@ from .model import (
     validate,
 )
 from .rootfind import MonotoneEquation, solve_increasing
-from .specfun import Precision
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -84,7 +82,7 @@ EXIT_RESIDUAL = 4
 
 _COEFFICIENT_KEYS = ("l", "k", "rho", "c", "epsilon", "gamma")
 _BOUNDARY_KEYS = ("q0", "d_inf", "h0")
-_OPTION_KEYS = ("abs_tol", "max_iter")
+_SECTIONS = ("problem", "coefficients", "boundary")
 
 
 def _fmt(value: float) -> str:
@@ -110,7 +108,7 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return _fmt(obj) if math.isfinite(obj) else repr(obj).replace("inf", "Infinity").replace("nan", "NaN")
+        return _fmt(obj) if math.isfinite(obj) else f'"{_fmt(obj)}"'
     if isinstance(obj, int):
         return str(obj)
     if obj is None:
@@ -129,7 +127,6 @@ class Scenario:
     case: Optional[UnknownCase]
     coefficients: dict[str, float]
     boundary: dict[str, float]
-    options: dict[str, float]
 
 
 def _parse_case(token: str) -> Optional[UnknownCase]:
@@ -167,23 +164,17 @@ def parse_scenario(text: str) -> Scenario:
             doc = json.loads(text)
         except json.JSONDecodeError as err:
             raise ValidationError(f"invalid JSON scenario: {err}") from None
-        sections = {
-            name: dict(doc.get(name) or {})
-            for name in ("problem", "coefficients", "boundary", "options")
-        }
+        sections = {name: dict(doc.get(name) or {}) for name in _SECTIONS}
         doc.pop("_truth", None)  # advisory block written by `manufacture`
-        _check_keys("<top level>", doc, ("problem", "coefficients", "boundary", "options"))
+        _check_keys("<top level>", doc, _SECTIONS)
     else:
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         try:
             cp.read_string(text)
         except configparser.Error as err:
             raise ValidationError(f"invalid scenario file: {err}") from None
-        _check_keys("<top level>", cp.sections(), ("problem", "coefficients", "boundary", "options"))
-        sections = {
-            name: dict(cp[name]) if cp.has_section(name) else {}
-            for name in ("problem", "coefficients", "boundary", "options")
-        }
+        _check_keys("<top level>", cp.sections(), _SECTIONS)
+        sections = {name: dict(cp[name]) if cp.has_section(name) else {} for name in _SECTIONS}
 
     problem_sec = {str(k): v for k, v in sections["problem"].items()}
     _check_keys("problem", problem_sec, ("type", "case"))
@@ -199,7 +190,6 @@ def parse_scenario(text: str) -> Scenario:
 
     _check_keys("coefficients", sections["coefficients"], _COEFFICIENT_KEYS)
     _check_keys("boundary", sections["boundary"], _BOUNDARY_KEYS)
-    _check_keys("options", sections["options"], _OPTION_KEYS)
     coefficients = {
         key: _to_float("coefficients", key, sections["coefficients"][key])
         for key in _COEFFICIENT_KEYS
@@ -210,12 +200,7 @@ def parse_scenario(text: str) -> Scenario:
         for key in _BOUNDARY_KEYS
         if key in sections["boundary"]
     }
-    options = {
-        key: _to_float("options", key, sections["options"][key])
-        for key in _OPTION_KEYS
-        if key in sections["options"]
-    }
-    return Scenario(problem=face, case=case, coefficients=coefficients, boundary=boundary, options=options)
+    return Scenario(problem=face, case=case, coefficients=coefficients, boundary=boundary)
 
 
 def load_scenario(path: Path) -> Scenario:
@@ -240,13 +225,6 @@ def scenario_to_ini(scenario: Scenario, truth: Optional[tuple[str, float]] = Non
     for key in _BOUNDARY_KEYS:
         if key in scenario.boundary:
             lines.append(f"{key} = {_fmt(scenario.boundary[key])}")
-    if scenario.options:
-        lines.append("")
-        lines.append("[options]")
-        for key in _OPTION_KEYS:
-            if key in scenario.options:
-                value = scenario.options[key]
-                lines.append(f"{key} = {int(value) if key == 'max_iter' else _fmt(value)}")
     lines.append("")
     return "\n".join(lines)
 
@@ -260,8 +238,6 @@ def scenario_to_json(scenario: Scenario, truth: Optional[tuple[str, float]] = No
         "coefficients": {k: scenario.coefficients[k] for k in _COEFFICIENT_KEYS if k in scenario.coefficients},
         "boundary": {k: scenario.boundary[k] for k in _BOUNDARY_KEYS if k in scenario.boundary},
     }
-    if scenario.options:
-        doc["options"] = dict(scenario.options)
     if truth is not None:
         doc["_truth"] = {truth[0]: truth[1]}
     return _json_text(doc) + "\n"
@@ -284,14 +260,6 @@ def _scenario_instance(scenario: Scenario) -> ProblemInstance:
     return validate(thermal, mushy, boundary, case=scenario.case, face=scenario.problem)
 
 
-def _scenario_precision(scenario: Scenario, tol_flag: Optional[float]) -> Precision:
-    abs_tol = tol_flag if tol_flag is not None else scenario.options.get("abs_tol", 1e-12)
-    max_iter = scenario.options.get("max_iter", 200.0)
-    if not float(max_iter).is_integer():  # also rejects nan and inf
-        raise ValidationError(f"[options] max_iter = {max_iter!r} is not a whole number")
-    return Precision(abs_tol=abs_tol, max_iter=int(max_iter))
-
-
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     """--problem/--case flags override the scenario file.
 
@@ -312,7 +280,7 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
 # --- solving ----------------------------------------------------------------
 
 
-def _solve_direct_xi(instance: ProblemInstance, prec: Precision) -> float:
+def _solve_direct_xi(instance: ProblemInstance) -> float:
     """xi for a fully specified data set, from the front balance.
 
     The face condition is then a derived quantity: its residual reveals
@@ -326,23 +294,23 @@ def _solve_direct_xi(instance: ProblemInstance, prec: Precision) -> float:
         df=lambda x: stefan_lhs_derivative(x, strength),
         name="front balance",
     )
-    return solve_increasing(eq, prec)
+    return solve_increasing(eq)
 
 
-def _solve_scenario(scenario: Scenario, prec: Precision) -> tuple[ProblemInstance, Optional[CaseResult], float]:
+def _solve_scenario(scenario: Scenario) -> tuple[ProblemInstance, Optional[CaseResult], float]:
     """Returns the completed instance, the case result (None in direct mode)
     and the front position."""
     instance = _scenario_instance(scenario)
     if scenario.case is None:
-        xi = _solve_direct_xi(instance, prec)
+        xi = _solve_direct_xi(instance)
         return instance, None, xi
     if scenario.problem is Face.CONVECTIVE:
         result = inverse_convective.solve_case(
-            scenario.case, instance.thermal, instance.mushy, instance.boundary, prec
+            scenario.case, instance.thermal, instance.mushy, instance.boundary
         )
     else:
         result = inverse_dirichlet.solve_dirichlet_case(
-            scenario.case, instance.thermal, instance.mushy, instance.boundary, prec
+            scenario.case, instance.thermal, instance.mushy, instance.boundary
         )
     return instance.with_value(result.value), result, result.xi
 
@@ -411,8 +379,7 @@ def _emit_doc(doc: dict, fmt: str, out: Optional[Path]) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    prec = _scenario_precision(scenario, args.tol)
-    instance, result, xi = _solve_scenario(scenario, prec)
+    instance, result, xi = _solve_scenario(scenario)
     solution = result.solution if result is not None else build_solution(
         instance.thermal, instance.mushy, instance.boundary, xi
     )
@@ -441,8 +408,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    prec = _scenario_precision(scenario, args.tol)
-    instance, result, xi = _solve_scenario(scenario, prec)
+    instance, result, xi = _solve_scenario(scenario)
     solution = result.solution if result is not None else build_solution(
         instance.thermal, instance.mushy, instance.boundary, xi
     )
@@ -486,7 +452,6 @@ def cmd_limit(args: argparse.Namespace) -> int:
         raise ValidationError("the limit study needs a dirichlet scenario (the convective side is generated)")
     if scenario.case is None:
         raise ValidationError("the limit study needs an unknown coefficient, not a direct scenario")
-    prec = _scenario_precision(scenario, args.tol)
     instance = _scenario_instance(scenario)
 
     if args.h0_grid:
@@ -501,7 +466,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
     was_sorted = list(grid) == sorted(grid)
 
     study = inverse_dirichlet.limit_study(
-        scenario.case, instance.thermal, instance.mushy, instance.boundary, grid, prec
+        scenario.case, instance.thermal, instance.mushy, instance.boundary, grid
     )
 
     rows = [
@@ -543,8 +508,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    prec = _scenario_precision(scenario, args.tol)
-    instance, result, xi = _solve_scenario(scenario, prec)
+    instance, result, xi = _solve_scenario(scenario)
     if args.xi_perturb:
         xi += args.xi_perturb
     solution = build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
@@ -612,7 +576,7 @@ def cmd_manufacture(args: argparse.Namespace) -> int:
     boundary = {"q0": problem.boundary.q0, "d_inf": problem.boundary.d_inf}
     if face is Face.CONVECTIVE:
         boundary["h0"] = problem.boundary.h0
-    scenario = Scenario(problem=face, case=case, coefficients=coefficients, boundary=boundary, options={})
+    scenario = Scenario(problem=face, case=case, coefficients=coefficients, boundary=boundary)
     text = scenario_to_json(scenario, truth) if args.format == "json" else scenario_to_ini(scenario, truth)
     _write(text, args.out)
     return EXIT_OK
@@ -620,7 +584,6 @@ def cmd_manufacture(args: argparse.Namespace) -> int:
 
 def cmd_check_restrictions(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    prec = _scenario_precision(scenario, args.tol)
     instance = _scenario_instance(scenario)
     if scenario.case is None:
         doc = {
@@ -633,14 +596,8 @@ def cmd_check_restrictions(args: argparse.Namespace) -> int:
         _emit_doc(doc, args.format, args.out)
         return EXIT_OK
 
-    if scenario.problem is Face.CONVECTIVE:
-        reports = inverse_convective.check_all(
-            scenario.case, instance.thermal, instance.mushy, instance.boundary
-        )
-    else:
-        reports = inverse_dirichlet.check_all(
-            scenario.case, instance.thermal, instance.mushy, instance.boundary, prec
-        )
+    inverse = inverse_convective if scenario.problem is Face.CONVECTIVE else inverse_dirichlet
+    reports = inverse.check_all(scenario.case, instance.thermal, instance.mushy, instance.boundary)
     all_ok = all(r.satisfied for r in reports)
     doc = {
         "problem": scenario.problem.value,
@@ -665,7 +622,6 @@ def _add_common(sub: argparse.ArgumentParser, with_format: bool = True) -> None:
         choices=[c.value for c in UnknownCase] + ["direct"],
         help="override the scenario's case (drops that coefficient from the data)",
     )
-    sub.add_argument("--tol", type=float, default=None, help="root-finder tolerance (default 1e-12)")
     sub.add_argument("--out", type=Path, default=None, help="write output here instead of stdout")
     if with_format:
         sub.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
@@ -677,19 +633,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solidification with an isothermal mushy zone: solve, identify coefficients, verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching: an abbreviation such as --tol must not pass for --tol-residual.
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("solve", help="recover the unknown coefficient (or solve a direct scenario)")
+    p = add("solve", help="recover the unknown coefficient (or solve a direct scenario)")
     _add_common(p)
     p.set_defaults(handler=cmd_solve)
 
-    p = sub.add_parser("profile", help="temperature profiles and front positions as CSV")
+    p = add("profile", help="temperature profiles and front positions as CSV")
     _add_common(p, with_format=False)
     p.add_argument("--t", type=float, action="append", help="sample time (repeatable; default 1.0)")
     p.add_argument("--nx", type=int, default=50, help="points per profile (default 50)")
     p.add_argument("--xmax", type=float, default=None, help="profile end (default 1.1 r(t))")
     p.set_defaults(handler=cmd_profile)
 
-    p = sub.add_parser("limit", help="convective-to-prescribed-temperature limit study")
+    p = add("limit", help="convective-to-prescribed-temperature limit study")
     _add_common(p)
     p.add_argument("--h0-grid", help="comma-separated h0 values (overrides the log grid)")
     p.add_argument("--h0-min", type=float, default=1e1, help="log grid start (default 1e1)")
@@ -697,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=6, help="log grid size (default 6)")
     p.set_defaults(handler=cmd_limit)
 
-    p = sub.add_parser("verify", help="residuals of the governing equations for a solved scenario")
+    p = add("verify", help="residuals of the governing equations for a solved scenario")
     _add_common(p)
     p.add_argument("--t", type=float, action="append", help="sample time (repeatable; default 0.5 1 2)")
     p.add_argument(
@@ -712,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-perturb", type=float, default=0.0, help="offset added to xi before verification")
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("manufacture", help="emit a consistent scenario built around a chosen xi")
+    p = add("manufacture", help="emit a consistent scenario built around a chosen xi")
     p.add_argument("--problem", choices=[f.value for f in Face], default="convective")
     p.add_argument("--xi", type=float, required=True, help="dimensionless solid-front position")
     p.add_argument("--k", type=float, required=True)
@@ -728,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(handler=cmd_manufacture)
 
-    p = sub.add_parser("check-restrictions", help="evaluate the case's solvability restrictions only")
+    p = add("check-restrictions", help="evaluate the case's solvability restrictions only")
     _add_common(p)
     p.set_defaults(handler=cmd_check_restrictions)
 
@@ -736,8 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:  # argparse's usage error (2) would read as EXIT_RESTRICTION
+        return EXIT_INPUT if err.code else EXIT_OK
     try:
         return args.handler(args)
     except RestrictionError as err:

@@ -47,7 +47,6 @@ from .model import (
     validate,
 )
 from .rootfind import MonotoneEquation, solve_increasing
-from .specfun import Precision
 
 __all__ = [
     "check_r1",
@@ -320,7 +319,6 @@ def solve_case(
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
-    prec: Precision = Precision(),
 ) -> CaseResult:
     """Recover one coefficient under the convective face.
 
@@ -341,7 +339,7 @@ def solve_case(
     else:
         beta = face_factor(boundary, Face.CONVECTIVE)
         equation = xi_equation_c if case is UnknownCase.C else xi_equation_kr
-        xi = solve_increasing(equation(thermal, mushy, boundary, beta), prec)
+        xi = solve_increasing(equation(thermal, mushy, boundary, beta))
 
     value = closed_form(case, thermal, mushy, boundary, xi, beta)
     full = instance.with_value(value)

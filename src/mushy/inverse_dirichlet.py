@@ -52,7 +52,6 @@ from .model import (
     validate,
 )
 from .rootfind import MonotoneEquation, solve_increasing
-from .specfun import Precision
 
 __all__ = [
     "check_r6",
@@ -74,9 +73,7 @@ __all__ = [
 # --- auxiliary roots and restriction checks --------------------------------
 
 
-def solve_eta_r7(
-    thermal: ThermalCoefficients, boundary: BoundaryData, prec: Precision = Precision()
-) -> float:
+def solve_eta_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
     """Unique positive root of x e**x^2 = (q0/l) sqrt(c/(rho k)).
 
     The left side maps (0, inf) onto itself, so the root always exists for
@@ -89,14 +86,11 @@ def solve_eta_r7(
         df=dxexp_sq,
         name="eta equation (positive-gamma bound)",
     )
-    return solve_increasing(eq, prec)
+    return solve_increasing(eq)
 
 
 def solve_eta_r8(
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-    prec: Precision = Precision(),
+    thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData
 ) -> float:
     """Unique positive root of x e**x^2 + g e**2x^2 = (q0/l) sqrt(c/(rho k)),
     g = gamma sqrt(k rho c) / (2 q0).
@@ -120,7 +114,7 @@ def solve_eta_r8(
         df=df,
         name="eta equation (positive-epsilon bound)",
     )
-    return solve_increasing(eq, prec)
+    return solve_increasing(eq)
 
 
 def check_r6(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
@@ -129,9 +123,7 @@ def check_r6(thermal: ThermalCoefficients, boundary: BoundaryData) -> Restrictio
     return RestrictionReport(restriction_id="R6", satisfied=arg < 1.0, lhs=arg, rhs=1.0)
 
 
-def check_r7(
-    thermal: ThermalCoefficients, boundary: BoundaryData, prec: Precision = Precision()
-) -> RestrictionReport:
+def check_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R7: the face argument stays below erf(eta_r7).
 
     Implies R6 since erf(eta_r7) < 1.  Equivalent to the convective R3 in
@@ -139,15 +131,12 @@ def check_r7(
     the restriction is phrased in its source.
     """
     arg = face_argument(thermal, boundary, Face.DIRICHLET)
-    bound = specfun.erf(solve_eta_r7(thermal, boundary, prec))
+    bound = specfun.erf(solve_eta_r7(thermal, boundary))
     return RestrictionReport(restriction_id="R7", satisfied=arg < bound, lhs=arg, rhs=bound)
 
 
 def check_r8(
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-    prec: Precision = Precision(),
+    thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData
 ) -> RestrictionReport:
     """R8: the face argument exceeds erf(eta_r8); oriented as lhs < rhs.
 
@@ -158,7 +147,7 @@ def check_r8(
     """
     arg = face_argument(thermal, boundary, Face.DIRICHLET)
     try:
-        bound = specfun.erf(solve_eta_r8(thermal, mushy, boundary, prec))
+        bound = specfun.erf(solve_eta_r8(thermal, mushy, boundary))
         note = ""
     except NoRootError:
         bound = 0.0
@@ -225,7 +214,6 @@ def check_all(
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
-    prec: Precision = Precision(),
 ) -> tuple[RestrictionReport, ...]:
     """Evaluate the restrictions of one case in order."""
     instance = validate(thermal, mushy, boundary, case=case, face=Face.DIRICHLET)
@@ -235,9 +223,9 @@ def check_all(
         if rid == "R6":
             reports.append(check_r6(thermal, boundary))
         elif rid == "R7":
-            reports.append(check_r7(thermal, boundary, prec))
+            reports.append(check_r7(thermal, boundary))
         elif rid == "R8":
-            reports.append(check_r8(thermal, mushy, boundary, prec))
+            reports.append(check_r8(thermal, mushy, boundary))
         elif rid == "R9":
             reports.append(check_r9(thermal, mushy, boundary))
         if not reports[-1].satisfied:
@@ -279,7 +267,6 @@ def solve_dirichlet_case(
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
-    prec: Precision = Precision(),
 ) -> CaseResult:
     """Recover one coefficient under the prescribed-temperature face.
 
@@ -288,14 +275,14 @@ def solve_dirichlet_case(
     """
     instance = validate(thermal, mushy, boundary, case=case, face=Face.DIRICHLET)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    reports = check_all(case, thermal, mushy, boundary, prec)
+    reports = check_all(case, thermal, mushy, boundary)
     inverse_convective.require_satisfied(reports)
 
     if case in inverse_convective.FACE_CASES:
         xi = specfun.erf_inv(face_argument(thermal, boundary, Face.DIRICHLET))
     else:
         equation = xi_equation_c if case is UnknownCase.C else xi_equation_kr
-        xi = solve_increasing(equation(thermal, mushy, boundary), prec)
+        xi = solve_increasing(equation(thermal, mushy, boundary))
 
     value = inverse_convective.closed_form(case, thermal, mushy, boundary, xi, 1.0)
     full = instance.with_value(value)
@@ -333,7 +320,6 @@ def limit_study(
     mushy: MushyCoefficients,
     boundary: BoundaryData,
     h0_grid: tuple[float, ...],
-    prec: Precision = Precision(),
 ) -> LimitStudy:
     """Quantify how fast the convective problem approaches the Dirichlet one.
 
@@ -341,7 +327,7 @@ def limit_study(
     factor is 1 - q0/(h0 d_inf)), so the fitted slope is close to -1
     whenever the grid reaches into the asymptotic regime.
     """
-    dirichlet = solve_dirichlet_case(case, thermal, mushy, boundary, prec)
+    dirichlet = solve_dirichlet_case(case, thermal, mushy, boundary)
 
     grid = tuple(sorted(float(h) for h in h0_grid))
     kept: list[float] = []
@@ -351,7 +337,7 @@ def limit_study(
     for h0 in grid:
         conv_boundary = BoundaryData(q0=boundary.q0, d_inf=boundary.d_inf, h0=h0)
         try:
-            result = inverse_convective.solve_case(case, thermal, mushy, conv_boundary, prec)
+            result = inverse_convective.solve_case(case, thermal, mushy, conv_boundary)
         except RestrictionError as err:
             excluded.append((h0, err.reports))
             continue

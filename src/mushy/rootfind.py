@@ -2,7 +2,7 @@
 
 All transcendental equations in this package share one shape: a strictly
 increasing f on (0, inf) with a known limit at 0+ must hit a positive
-target.  The solver below expands a geometric bracket from a hint, then
+target.  The solver below expands a geometric bracket from 1.0, then
 mixes Newton steps (when a derivative is supplied) with bisection so the
 iterate never leaves the bracket.  Pure bisection is the worst case, so
 convergence is guaranteed; Newton only accelerates it.
@@ -15,16 +15,20 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import BracketOverflowError, ConvergenceError, NoRootError
-from .specfun import Precision
 
-__all__ = ["MonotoneEquation", "solve_increasing", "BRACKET_CAP"]
+__all__ = ["MonotoneEquation", "solve_increasing", "ABS_TOL", "MAX_EVALS", "BRACKET_CAP"]
+
+#: Certificate of every root: residual <= ABS_TOL * max(1, |target|) and a
+#: final bracket of width <= ABS_TOL * max(1, x).
+ABS_TOL = 1e-12
+
+#: Evaluations of f allowed in one solve before ConvergenceError.
+MAX_EVALS = 200
 
 #: Expansion guard: e**(x*x) overflows binary64 near x = 27, so an increasing
 #: equation of the family handled here that is still below target at 40 has
 #: no representable root.
 BRACKET_CAP = 40.0
-
-_DEFAULT_HINT = 1.0
 
 
 @dataclass(frozen=True)
@@ -32,20 +36,15 @@ class MonotoneEquation:
     """f(x) = target for strictly increasing f on (0, inf).
 
     lower_limit is the (one-sided) limit of f at 0+; a root exists iff
-    target > lower_limit.  bracket_hint seeds the bracket search.  df, when
-    given, must be the exact derivative of f; it is only ever used to
-    propose steps, never trusted for correctness.
+    target > lower_limit.  df, when given, must be the exact derivative of
+    f; it is only ever used to propose steps, never trusted for correctness.
     """
 
     f: Callable[[float], float]
     target: float
     lower_limit: float = 0.0
-    bracket_hint: Optional[float] = None
     df: Optional[Callable[[float], float]] = None
     name: str = ""
-
-    def residual(self, x: float) -> float:
-        return self.f(x) - self.target
 
 
 def _eval(f: Callable[[float], float], x: float) -> float:
@@ -57,18 +56,18 @@ def _eval(f: Callable[[float], float], x: float) -> float:
         return math.inf
 
 
-def solve_increasing(eq: MonotoneEquation, prec: Precision = Precision()) -> float:
+def solve_increasing(eq: MonotoneEquation) -> float:
     """Solve ``eq.f(x) = eq.target`` for the unique root x > 0.
 
     On success the returned root satisfies both
-    ``|f(x) - target| <= abs_tol * max(1, |target|)`` and a final bracket of
-    width ``<= abs_tol * max(1, x)``; when a derivative is available the
+    ``|f(x) - target| <= ABS_TOL * max(1, |target|)`` and a final bracket of
+    width ``<= ABS_TOL * max(1, x)``; when a derivative is available the
     iterate is additionally polished by unclamped-residual Newton steps, so
     the practical accuracy is near machine precision.
 
     Raises NoRootError when ``target <= lower_limit``, BracketOverflowError
-    when no bracket exists below ``x = 40``, and ConvergenceError when the
-    iteration budget runs out.
+    when no bracket exists below ``x = 40``, and ConvergenceError after
+    MAX_EVALS evaluations of f.
     """
     label = eq.name or "monotone equation"
     if not math.isfinite(eq.target):
@@ -85,13 +84,13 @@ def solve_increasing(eq: MonotoneEquation, prec: Precision = Precision()) -> flo
     def f_at(x: float) -> float:
         nonlocal evals
         evals += 1
-        if evals > prec.max_iter:
-            raise ConvergenceError(f"{label}: exceeded {prec.max_iter} evaluations")
+        if evals > MAX_EVALS:
+            raise ConvergenceError(f"{label}: exceeded {MAX_EVALS} evaluations")
         return _eval(eq.f, x) - eq.target
 
     # Geometric bracket expansion: keep lo below the root, push hi above it.
     lo = 0.0
-    hi = eq.bracket_hint if eq.bracket_hint else _DEFAULT_HINT
+    hi = 1.0
     fhi = f_at(hi)
     while fhi < 0.0:
         lo = hi
@@ -108,7 +107,7 @@ def solve_increasing(eq: MonotoneEquation, prec: Precision = Precision()) -> flo
     x = 0.5 * (lo + hi)
     best_x = x
     best_r = math.inf
-    res_tol = prec.abs_tol * max(1.0, abs(eq.target))
+    res_tol = ABS_TOL * max(1.0, abs(eq.target))
 
     while True:
         fx = f_at(x)
@@ -121,7 +120,7 @@ def solve_increasing(eq: MonotoneEquation, prec: Precision = Precision()) -> flo
         if abs(fx) < abs(best_r):
             best_x, best_r = x, fx
 
-        wid_tol = prec.abs_tol * max(1.0, abs(best_x))
+        wid_tol = ABS_TOL * max(1.0, abs(best_x))
         if abs(best_r) <= res_tol and (hi - lo) <= wid_tol:
             break
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from .errors import DomainError, IllConditionedWarning, ValidationError
+from .errors import DomainError, IllConditionedWarning
 
-__all__ = ["Precision", "erf", "erfc", "erf_inv", "TWO_OVER_SQRT_PI"]
+__all__ = ["erf", "erfc", "erf_inv", "TWO_OVER_SQRT_PI"]
 
 #: d/dx erf(x) at 0; also the growth rate erf(x)/x near the origin.
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -33,25 +32,6 @@ _INV_BRACKET_HIGH = 6.0
 # Winitzki's constant for the initial guess of the inverse (relative error
 # of the guess is ~2e-3, which Newton then contracts quadratically).
 _WINITZKI_A = 0.147
-
-
-@dataclass(frozen=True)
-class Precision:
-    """Tolerance bundle for the iterative solvers.
-
-    abs_tol is an absolute tolerance scaled internally by max(1, |target|)
-    for residuals and by max(1, |x|) for bracket widths; max_iter caps the
-    number of function evaluations in one solve.
-    """
-
-    abs_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.abs_tol, float) and self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValidationError(f"abs_tol must be a positive finite float, got {self.abs_tol!r}")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
-            raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 def _require_finite(name: str, x: float) -> float:

@@ -269,6 +269,7 @@ def test_restriction_failure_exit_and_report(tmp_path, capsys):
         lambda text: text + "\n[options]\nmax_iter = nan\n",
         lambda text: text + "\n[options]\nmax_iter = 1e400\n",
         lambda text: text + "\n[options]\nmax_iter = 2.5\n",
+        lambda text: text + "\n[options]\nabs_tol = 1e-13\n",
     ],
 )
 def test_malformed_scenarios_exit_one(tmp_path, capsys, mutate):
@@ -319,11 +320,54 @@ def test_json_scenario_files_are_interchangeable(case_l_path, tmp_path, capsys):
     assert math.isclose(json.loads(out)["value"], L_REF, rel_tol=1e-12)
 
 
-def test_options_section_round_trips(tmp_path, capsys):
-    text = CASE_L_INI + "\n[options]\nabs_tol = 1e-13\nmax_iter = 90\n"
-    scenario = parse_scenario(text)
-    assert scenario.options == {"abs_tol": 1e-13, "max_iter": 90.0}
-    assert parse_scenario(scenario_to_ini(scenario)) == scenario
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--tol", "1e-10"],
+        ["solve", "--bogus"],
+        ["solve", "--case", "banana"],
+        ["verify", "--tol", "1e-10"],  # no prefix match to --tol-residual
+    ],
+)
+def test_usage_errors_exit_one(case_l_path, capsys, argv):
+    code, out, err = run(argv[:1] + [str(case_l_path)] + argv[1:], capsys)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "usage:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(["--help"], capsys)
+    assert code == EXIT_OK
+    assert "usage:" in out
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_numbers_print_as_valid_json(tmp_path, capsys):
+    path = tmp_path / "limit.ini"
+    path.write_text(CASE_L_INI.replace("h0 = 2.0", "h0 = inf"))
+    code, out, _ = run(["check-restrictions", str(path)], capsys)
+    assert code == EXIT_OK
+    r1 = _strict_json(out)["restrictions"][0]
+    assert r1["id"] == "R1" and r1["rhs"] == "inf" and r1["margin"] == "inf"
+
+    scenario = tmp_path / "made.json"
+    code, out, _ = run(
+        ["manufacture", "--xi", "0.8", "--k", "2.0", "--rho", "0.7", "--c", "1.3",
+         "--epsilon", "0.35", "--gamma", "0.6", "--q0", "1.4", "--h0", "inf",
+         "--case", "rho", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert _strict_json(out)["boundary"]["h0"] == "inf"
+    scenario.write_text(out)
+    code, out, _ = run(["solve", str(scenario)], capsys)
+    assert code == EXIT_OK
+    assert math.isclose(_strict_json(out)["value"], 0.7, rel_tol=1e-10)
 
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6)
@@ -338,7 +382,6 @@ def test_serialization_is_lossless(k, rho, c, gamma, q0, d_inf, eps):
         case=UnknownCase.L,
         coefficients={"k": k, "rho": rho, "c": c, "epsilon": eps, "gamma": gamma},
         boundary={"q0": q0, "d_inf": d_inf, "h0": 2.0},
-        options={},
     )
     assert parse_scenario(scenario_to_ini(scenario)) == scenario
     assert parse_scenario(scenario_to_json(scenario)) == scenario

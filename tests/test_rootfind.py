@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from mushy.direct import xexp_sq, dxexp_sq
 from mushy.errors import BracketOverflowError, ConvergenceError, NoRootError
-from mushy.rootfind import MonotoneEquation, solve_increasing
-from mushy.specfun import Precision
+from mushy.rootfind import ABS_TOL, MAX_EVALS, MonotoneEquation, solve_increasing
 
 # Frozen by pure bisection to width 1e-14 (see test_verify).
 ROOT_XEXP_TARGET_ONE = 0.6529186404192053
@@ -30,11 +29,10 @@ def test_xexp_equation_matches_frozen_bisection_root():
 
 
 def test_residual_and_bracket_convergence_contract():
-    prec = Precision(abs_tol=1e-12)
     eq = MonotoneEquation(f=xexp_sq, target=37.5, df=dxexp_sq)
-    root = solve_increasing(eq, prec)
+    root = solve_increasing(eq)
     # residual relative to the target scale, root certified by the bracket
-    assert abs(xexp_sq(root) - 37.5) <= prec.abs_tol * max(1.0, 37.5) * 4.0
+    assert abs(xexp_sq(root) - 37.5) <= ABS_TOL * max(1.0, 37.5) * 4.0
 
 
 def test_target_at_or_below_lower_limit_rejected():
@@ -64,14 +62,18 @@ def test_overflowing_function_is_treated_as_infinite():
 
 
 def test_tiny_evaluation_budget_raises():
-    eq = MonotoneEquation(f=xexp_sq, target=1.0)
+    # An increasing step function jumps over its target at x = 0.375: the
+    # bracket collapses onto the jump but the residual never enters its band.
+    evals = 0
+
+    def step(x: float) -> float:
+        nonlocal evals
+        evals += 1
+        return float(math.floor(8.0 * x))
+
     with pytest.raises(ConvergenceError):
-        solve_increasing(eq, Precision(abs_tol=1e-12, max_iter=3))
-
-
-def test_bracket_hint_honoured():
-    eq = MonotoneEquation(f=xexp_sq, target=1.0, bracket_hint=0.125)
-    assert abs(solve_increasing(eq) - ROOT_XEXP_TARGET_ONE) <= 1e-12
+        solve_increasing(MonotoneEquation(f=step, target=2.5))
+    assert evals == MAX_EVALS
 
 
 @given(st.floats(min_value=0.05, max_value=500.0))

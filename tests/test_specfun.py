@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mushy.errors import DomainError, IllConditionedWarning, ValidationError
-from mushy.specfun import Precision, erf, erf_inv, erfc
+from mushy.errors import DomainError, IllConditionedWarning
+from mushy.specfun import erf, erf_inv, erfc
 
 # Frozen via the independent series evaluation (tests/test_verify.py checks
 # the two routes against each other on a dense grid).
@@ -90,18 +90,3 @@ def test_erf_inv_monotone():
     ys = [i / 100.0 for i in range(-99, 100)]
     xs = [erf_inv(y) for y in ys]
     assert all(a < b for a, b in zip(xs, xs[1:]))
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [dict(abs_tol=0.0), dict(abs_tol=-1e-9), dict(abs_tol=math.nan), dict(max_iter=0), dict(max_iter=-3)],
-)
-def test_precision_rejects_bad_settings(kwargs):
-    with pytest.raises(ValidationError):
-        Precision(**kwargs)
-
-
-def test_precision_defaults():
-    prec = Precision()
-    assert prec.abs_tol == 1e-12
-    assert prec.max_iter == 200
