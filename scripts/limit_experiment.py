@@ -14,6 +14,10 @@ import argparse
 import csv
 import math
 import sys
+from pathlib import Path
+
+# The package of this checkout, ahead of any installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mushy.inverse_dirichlet import limit_study
 from mushy.manufacture import manufacture

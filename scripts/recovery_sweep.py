@@ -12,7 +12,12 @@ root-finder or either inverse module; the numbers should sit far below the
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
+
+# The package of this checkout, ahead of any installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mushy import inverse_convective, inverse_dirichlet
 from mushy.manufacture import random_problem

@@ -2,10 +2,16 @@
 
 All transcendental equations in this package share one shape: a strictly
 increasing f on (0, inf) with a known limit at 0+ must hit a positive
-target.  The solver below expands a geometric bracket from 1.0, then
-mixes Newton steps (when a derivative is supplied) with bisection so the
-iterate never leaves the bracket.  Pure bisection is the worst case, so
-convergence is guaranteed; Newton only accelerates it.
+target.  The solver below expands a geometric bracket from 1.0, then runs
+Newton steps (when a derivative is supplied) inside it until Newton has
+converged, polishes once, and certifies the root with one evaluation just
+beyond it on the far side: a sign change there closes the bracket to the
+certified width.  Newton steps are safeguarded as in rtsafe (Press et al.,
+*Numerical Recipes*, sec. 9.4): a step that would leave the bracket, or
+that is not at most half the step of two iterations before, is replaced by
+bisection.  When the far-side evaluation does not change sign, Newton is
+switched off and halving finishes the solve, so convergence is guaranteed
+whatever the derivative does; Newton only accelerates it.
 """
 
 from __future__ import annotations
@@ -59,11 +65,17 @@ def _eval(f: Callable[[float], float], x: float) -> float:
 def solve_increasing(eq: MonotoneEquation) -> float:
     """Solve ``eq.f(x) = eq.target`` for the unique root x > 0.
 
-    On success the returned root satisfies both
-    ``|f(x) - target| <= ABS_TOL * max(1, |target|)`` and a final bracket of
-    width ``<= ABS_TOL * max(1, x)``; when a derivative is available the
-    iterate is additionally polished by unclamped-residual Newton steps, so
-    the practical accuracy is near machine precision.
+    The returned root is certified: ``|f(x) - target| <= ABS_TOL * max(1,
+    |target|)`` and x is an end of a final bracket of width ``<= ABS_TOL *
+    max(1, x)`` around the root, both checked before returning.  With a
+    derivative, rtsafe-safeguarded Newton steps run until the residual is
+    within its bound and the Newton correction is at most a quarter of the
+    width; one more Newton step polishes x, and one evaluation half a width
+    beyond the root on x's far side closes the bracket: a solve costs the
+    bracket expansion, the Newton steps and two more evaluations.  If that
+    evaluation does not change sign (a wrong derivative, or f flat in
+    rounding noise), Newton is switched off and halving finishes the solve;
+    without a derivative halving does all of it.
 
     Raises NoRootError when ``target <= lower_limit``, BracketOverflowError
     when no bracket exists below ``x = 40``, and ConvergenceError after
@@ -89,71 +101,66 @@ def solve_increasing(eq: MonotoneEquation) -> float:
         return _eval(eq.f, x) - eq.target
 
     # Geometric bracket expansion: keep lo below the root, push hi above it.
-    lo = 0.0
+    # r_lo and r_hi are the residuals f - target at the two ends.
+    lo, r_lo = 0.0, -math.inf
     hi = 1.0
-    fhi = f_at(hi)
-    while fhi < 0.0:
-        lo = hi
+    r_hi = f_at(hi)
+    while r_hi < 0.0:
+        lo, r_lo = hi, r_hi
         hi *= 2.0
         if hi > BRACKET_CAP:
             raise BracketOverflowError(
                 f"{label}: no sign change below x = {BRACKET_CAP}; "
-                f"f({lo}) is still {fhi + eq.target!r} against target {eq.target!r}"
+                f"f({lo}) is still {r_lo + eq.target!r} against target {eq.target!r}"
             )
-        fhi = f_at(hi)
-    if fhi == 0.0:
+        r_hi = f_at(hi)
+    if r_hi == 0.0:
         return hi
 
     x = 0.5 * (lo + hi)
-    best_x = x
-    best_r = math.inf
     res_tol = ABS_TOL * max(1.0, abs(eq.target))
+    newton = eq.df is not None
+    converged = False  # Newton has converged: x is its polishing step
+    step = step_old = hi - lo  # the last two step lengths (rtsafe's safeguard)
 
     while True:
         fx = f_at(x)
         if fx == 0.0:
             return x
         if fx > 0.0:
-            hi = x
+            hi, r_hi = x, fx
         else:
-            lo = x
-        if abs(fx) < abs(best_r):
-            best_x, best_r = x, fx
+            lo, r_lo = x, fx
 
-        wid_tol = ABS_TOL * max(1.0, abs(best_x))
-        if abs(best_r) <= res_tol and (hi - lo) <= wid_tol:
-            break
+        # The candidate is the end of the bracket nearer the target, so the
+        # bracket contains it by construction; f that is flat in rounding
+        # noise cannot leave a stale best point outside the bracket.
+        best_x, best_r = (hi, r_hi) if r_hi <= -r_lo else (lo, r_lo)
+        wid_tol = ABS_TOL * max(1.0, best_x)
+        if abs(best_r) <= res_tol and hi - lo <= wid_tol:
+            return best_x
 
-        nxt = None
-        if abs(fx) > res_tol and eq.df is not None:
+        nxt = 0.5 * (lo + hi)
+        certify = converged
+        if newton and not converged:
             d = _eval(eq.df, x)
             if math.isfinite(d) and d > 0.0:
-                cand = x - fx / d
-                if lo < cand < hi:
-                    nxt = cand
-        if nxt is None:
-            # Bisection both finishes the residual and collapses the bracket
-            # to the width criterion.  Near-degenerate roots (f' -> 0 right
-            # at a solvability boundary) enter the residual band while the
-            # bracket is still wide, so nothing finer-grained than halving
-            # can be allowed to take over there.
-            nxt = 0.5 * (lo + hi)
+                dx = fx / d
+                converged = abs(fx) <= res_tol and abs(dx) <= 0.25 * wid_tol
+                if lo < x - dx < hi and (converged or abs(dx) <= 0.5 * abs(step_old)):
+                    nxt = x - dx
+                else:
+                    # converged, but the polishing step rounds onto x itself
+                    # (or past an end of the bracket): certify x as it is
+                    certify = converged
+        if certify:
+            # One evaluation half a width beyond the root on the far side of
+            # best_x certifies it by a sign change.  If it does not, df has
+            # misled Newton (or f is flat in rounding noise): from here on
+            # halving alone collapses the bracket.
+            newton = converged = False
+            far = best_x - math.copysign(0.5 * wid_tol, best_r)
+            if lo < far < hi:
+                nxt = far
+        step_old, step = step, nxt - x
         x = nxt
-
-    # Polish: a couple of pure Newton steps clamped to the bracket drive the
-    # residual to the roundoff floor without voiding the certified bracket.
-    if eq.df is not None:
-        x, fx = best_x, best_r
-        for _ in range(2):
-            d = _eval(eq.df, x)
-            if not (math.isfinite(d) and d > 0.0):
-                break
-            cand = x - fx / d
-            if cand == x or not (lo <= cand <= hi):
-                break
-            fc = _eval(eq.f, cand) - eq.target
-            if abs(fc) >= abs(fx):
-                break
-            x, fx = cand, fc
-        best_x = x
-    return best_x

@@ -1,11 +1,18 @@
+import dataclasses
 import math
+import random
+import statistics
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mushy.direct import xexp_sq, dxexp_sq
+from mushy import inverse_convective, inverse_dirichlet, solve_convective_case, solve_dirichlet_case
+from mushy.direct import dxexp_sq, stefan_rhs, xexp_sq
 from mushy.errors import BracketOverflowError, ConvergenceError, NoRootError
+from mushy.manufacture import random_problem
+from mushy.model import Face, UnknownCase
 from mushy.rootfind import ABS_TOL, MAX_EVALS, MonotoneEquation, solve_increasing
+from mushy.verify import brute_bisect
 
 # Frozen by pure bisection to width 1e-14 (see test_verify).
 ROOT_XEXP_TARGET_ONE = 0.6529186404192053
@@ -28,11 +35,84 @@ def test_xexp_equation_matches_frozen_bisection_root():
     assert abs(xexp_sq(root) - 1.0) <= 1e-12
 
 
+def assert_certified(eq: MonotoneEquation, x: float) -> None:
+    """The certificate of solve_increasing, checked from outside: the root
+    lies within ABS_TOL * max(1, x) of x on either side, and the residual is
+    within ABS_TOL * max(1, |target|)."""
+    width = ABS_TOL * max(1.0, x)
+    assert eq.f(x - width) - eq.target <= 0.0 <= eq.f(x + width) - eq.target
+    assert abs(eq.f(x) - eq.target) <= ABS_TOL * max(1.0, abs(eq.target))
+
+
 def test_residual_and_bracket_convergence_contract():
     eq = MonotoneEquation(f=xexp_sq, target=37.5, df=dxexp_sq)
     root = solve_increasing(eq)
     # residual relative to the target scale, root certified by the bracket
-    assert abs(xexp_sq(root) - 37.5) <= ABS_TOL * max(1.0, 37.5) * 4.0
+    assert_certified(eq, root)
+
+
+@pytest.mark.parametrize("factor", [10.0, 0.1])
+def test_wrong_derivative_still_certifies(factor):
+    # df only proposes steps: Newton steps ten times too short (which never
+    # leave the bracket) or ten times too long must still end certified.
+    eq = MonotoneEquation(f=xexp_sq, target=37.5, df=lambda x: factor * dxexp_sq(x))
+    assert_certified(eq, solve_increasing(eq))
+
+
+def _draws(face: Face) -> list:
+    rng = random.Random(1)
+    return [random_problem(rng, face=face) for _ in range(200)]
+
+
+def test_root_solves_stay_within_the_evaluation_budget(monkeypatch):
+    # Every root solve of all six cases on both faces, counted through the
+    # name the inverse modules call it by.
+    evals: dict[tuple[Face, str], list[int]] = {}
+    face = Face.CONVECTIVE  # the face being solved, read by the wrapper
+
+    def counting(original):
+        def solve(eq: MonotoneEquation) -> float:
+            calls = 0
+
+            def f(x: float) -> float:
+                nonlocal calls
+                calls += 1
+                return eq.f(x)
+
+            root = original(dataclasses.replace(eq, f=f))
+            evals.setdefault((face, eq.name), []).append(calls)
+            return root
+
+        return solve
+
+    for module in (inverse_convective, inverse_dirichlet):
+        monkeypatch.setattr(module, "solve_increasing", counting(module.solve_increasing))
+    for face, solver in ((Face.CONVECTIVE, solve_convective_case), (Face.DIRICHLET, solve_dirichlet_case)):
+        for prob in _draws(face):
+            for case in UnknownCase:
+                thermal, mushy, _ = prob.hide(case)
+                solver(case, thermal, mushy, prob.boundary)
+
+    # xi k/rho and xi c on both faces, eta R7 and R8 on the Dirichlet one
+    assert len(evals) == 6
+    for key, counts in evals.items():
+        assert statistics.mean(counts) <= 12.0, key
+        assert max(counts) <= 20, key
+
+
+@pytest.mark.parametrize("face", list(Face))
+def test_certificate_holds_from_outside(face):
+    module = inverse_convective if face is Face.CONVECTIVE else inverse_dirichlet
+    for prob in _draws(face):
+        t, m, b = prob.thermal, prob.mushy, prob.boundary
+        for eq in (
+            module.xi_equation_kr(t, m, b),
+            module.xi_equation_c(t, m, b),
+            MonotoneEquation(f=xexp_sq, target=stefan_rhs(t, b), df=dxexp_sq),  # eta of R7
+        ):
+            root = solve_increasing(eq)
+            assert_certified(eq, root)
+            assert abs(root - brute_bisect(eq, 1e-8, 4.0)) <= 1e-12
 
 
 def test_target_at_or_below_lower_limit_rejected():
