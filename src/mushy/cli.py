@@ -454,11 +454,16 @@ def cmd_limit(args: argparse.Namespace) -> int:
         raise ValidationError("the limit study needs an unknown coefficient, not a direct scenario")
     instance = _scenario_instance(scenario)
 
-    if args.h0_grid:
-        grid = tuple(float(tok) for tok in args.h0_grid.split(","))
+    if args.h0_grid is not None:
+        try:
+            grid = tuple(float(tok) for tok in args.h0_grid.split(","))
+        except ValueError:
+            raise ValidationError(f"--h0-grid must be comma-separated numbers, got {args.h0_grid!r}") from None
     else:
         if args.points < 2:
             raise ValidationError("--points must be at least 2")
+        if not (args.h0_min > 0.0 and args.h0_max > 0.0):
+            raise ValidationError("--h0-min and --h0-max must be positive")
         lo, hi = math.log10(args.h0_min), math.log10(args.h0_max)
         grid = tuple(10.0 ** (lo + (hi - lo) * i / (args.points - 1)) for i in range(args.points))
     if any(not (h > 0.0 and math.isfinite(h)) for h in grid):
@@ -507,6 +512,10 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, tol in (("--tol-residual", args.tol_residual), ("--pde-tol", args.pde_tol)):
+        # a NaN bound would pass every residual: value > nan is always false
+        if not (0.0 <= tol < math.inf):
+            raise ValidationError(f"{flag} must be a finite non-negative number, got {tol!r}")
     scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
     instance, result, xi = _solve_scenario(scenario)
     if args.xi_perturb:

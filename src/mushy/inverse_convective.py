@@ -84,39 +84,33 @@ def check_r2(thermal: ThermalCoefficients, boundary: BoundaryData) -> Restrictio
     return RestrictionReport(restriction_id="R2", satisfied=arg < 1.0, lhs=arg, rhs=1.0)
 
 
-def check_r3(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
+def check_r3(thermal: ThermalCoefficients, boundary: BoundaryData, xi: float) -> RestrictionReport:
     """R3: xi e**xi^2 < (q0/l) sqrt(c/(rho k)) at the face-determined xi.
 
     Exactly the condition for the recovered gamma to come out positive.
-    Requires R1 and R2, which make the face-determined xi well defined.
+    ``xi`` is the face-determined front position, erf_inv of R2's face
+    argument, which R1 and R2 make well defined; :func:`_evaluate` computes
+    it once R2 holds.
     """
-    xi = specfun.erf_inv(face_argument(thermal, boundary, Face.CONVECTIVE))
-    return RestrictionReport(
-        restriction_id="R3",
-        satisfied=xexp_sq(xi) < stefan_rhs(thermal, boundary),
-        lhs=xexp_sq(xi),
-        rhs=stefan_rhs(thermal, boundary),
-    )
+    lhs = xexp_sq(xi)
+    rhs = stefan_rhs(thermal, boundary)
+    return RestrictionReport(restriction_id="R3", satisfied=lhs < rhs, lhs=lhs, rhs=rhs)
 
 
 def check_r4(
-    thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData
+    thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData, xi: float
 ) -> RestrictionReport:
     """R4: the full-strength front balance exceeds its right side at xi.
 
     Exactly the condition for the recovered epsilon to stay above 0; the
     inequality is oriented so that, as everywhere, satisfied == lhs < rhs.
-    Requires R1 and R2.  ``mushy.gamma`` must be known; epsilon is not used.
+    ``xi`` is the face-determined front position of :func:`check_r3`, so
+    R1 and R2 must hold.  ``mushy.gamma`` must be known; epsilon is not used.
     """
-    xi = specfun.erf_inv(face_argument(thermal, boundary, Face.CONVECTIVE))
     full = mushy.gamma * math.sqrt(thermal.k * thermal.rho * thermal.c) / (2.0 * boundary.q0)
+    lhs = stefan_rhs(thermal, boundary)
     rhs = xexp_sq(xi) + full * math.exp(2.0 * xi * xi)
-    return RestrictionReport(
-        restriction_id="R4",
-        satisfied=stefan_rhs(thermal, boundary) < rhs,
-        lhs=stefan_rhs(thermal, boundary),
-        rhs=rhs,
-    )
+    return RestrictionReport(restriction_id="R4", satisfied=lhs < rhs, lhs=lhs, rhs=rhs)
 
 
 def check_r5(
@@ -163,7 +157,7 @@ def check_all(
     (R3 and R4 need the face-determined xi, hence R1 and R2).
     """
     instance = validate(thermal, mushy, boundary, case=case, face=Face.CONVECTIVE)
-    return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)
+    return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)[0]
 
 
 def _evaluate(
@@ -171,23 +165,33 @@ def _evaluate(
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
-) -> tuple[RestrictionReport, ...]:
-    """:func:`check_all` on data that are already validated."""
+) -> tuple[tuple[RestrictionReport, ...], Optional[float]]:
+    """:func:`check_all` on data that are already validated, plus xi.
+
+    Once R2 holds, the face-determined front position xi = erf_inv(R2's
+    face argument) is computed, once, and handed to R3 and R4; it is
+    returned for the face-equation cases l, gamma and epsilon (whose
+    restrictions all include R2) and is None otherwise or when a check
+    before it failed.
+    """
     reports: list[RestrictionReport] = []
+    xi = None
     for rid in _CASE_RESTRICTIONS[case]:
         if rid == "R1":
             reports.append(check_r1(boundary))
         elif rid == "R2":
             reports.append(check_r2(thermal, boundary))
+            if reports[-1].satisfied:
+                xi = specfun.erf_inv(reports[-1].lhs)
         elif rid == "R3":
-            reports.append(check_r3(thermal, boundary))
+            reports.append(check_r3(thermal, boundary, xi))
         elif rid == "R4":
-            reports.append(check_r4(thermal, mushy, boundary))
+            reports.append(check_r4(thermal, mushy, boundary, xi))
         elif rid == "R5":
             reports.append(check_r5(thermal, mushy, boundary))
         if not reports[-1].satisfied:
             break
-    return tuple(reports)
+    return tuple(reports), xi
 
 
 def require_satisfied(reports: tuple[RestrictionReport, ...]) -> None:
@@ -322,21 +326,20 @@ def solve_case(
 ) -> CaseResult:
     """Recover one coefficient under the convective face.
 
-    Cases l, gamma, epsilon read xi off the face equation through the
-    inverse error function; cases k and rho solve :func:`xi_equation_kr`
-    for it and case c :func:`xi_equation_c`.  The restrictions are checked
-    first, in the order and with the early stop of :func:`check_all`, and a
-    failure raises RestrictionError with exactly those reports.
+    Cases l, gamma, epsilon take xi from the restriction checks, which read
+    it off the face equation through the inverse error function; cases k
+    and rho solve :func:`xi_equation_kr` for it and case c
+    :func:`xi_equation_c`.  The restrictions are checked first, in the
+    order and with the early stop of :func:`check_all`, and a failure
+    raises RestrictionError with exactly those reports.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=Face.CONVECTIVE)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    reports = _evaluate(case, thermal, mushy, boundary)
+    reports, xi = _evaluate(case, thermal, mushy, boundary)
     require_satisfied(reports)
 
-    if case in FACE_CASES:
-        beta = None
-        xi = specfun.erf_inv(face_argument(thermal, boundary, Face.CONVECTIVE))
-    else:
+    beta = None
+    if case not in FACE_CASES:
         beta = face_factor(boundary, Face.CONVECTIVE)
         equation = xi_equation_c if case is UnknownCase.C else xi_equation_kr
         xi = solve_increasing(equation(thermal, mushy, boundary, beta))

@@ -16,7 +16,7 @@ Temperatures at the face are stored through the positive magnitude
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -55,7 +55,6 @@ class UnknownCase(Enum):
 
 
 _THERMAL_FIELDS = ("l", "k", "rho", "c")
-_MUSHY_FIELDS = ("epsilon", "gamma")
 
 
 @dataclass(frozen=True)
@@ -183,9 +182,12 @@ class ProblemInstance:
         if self.case is None:
             raise ValidationError("direct instances have no unknown slot to fill")
         name = self.case.value
+        thermal, mushy = self.thermal, self.mushy
         if name in _THERMAL_FIELDS:
-            return replace(self, case=None, thermal=replace(self.thermal, **{name: value}))
-        return replace(self, case=None, mushy=replace(self.mushy, **{name: value}))
+            thermal = ThermalCoefficients(**{**vars(thermal), name: value})
+        else:
+            mushy = MushyCoefficients(**{**vars(mushy), name: value})
+        return ProblemInstance(face=self.face, case=None, thermal=thermal, mushy=mushy, boundary=self.boundary)
 
 
 def _check_positive(name: str, value: float) -> float:
@@ -193,6 +195,26 @@ def _check_positive(name: str, value: float) -> float:
     if math.isnan(value) or value <= 0.0:
         raise ValidationError(f"{name} must be positive, got {value!r}")
     return value
+
+
+def _coefficient(name: str, value: Optional[float], unknown: Optional[str]) -> Optional[float]:
+    """One thermal or mushy coefficient in normal form: None in the unknown
+    slot, an exact positive finite float everywhere else.  A value already
+    in that form is returned as the same object."""
+    if name == unknown:
+        if value is not None:
+            raise ValidationError(
+                f"coefficient {name!r} is declared unknown but a value {value!r} was supplied"
+            )
+        return None
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
+    if value is None:
+        raise ValidationError(f"coefficient {name!r} is required but missing")
+    checked = _check_positive(name, value)
+    if math.isinf(checked):
+        raise ValidationError(f"coefficient {name!r} must be finite, got {value!r}")
+    return checked
 
 
 def validate(
@@ -213,58 +235,43 @@ def validate(
     * epsilon lies strictly inside (0, 1) whenever present;
     * the convective problem carries h0 > 0; the Dirichlet problem ignores h0.
 
-    Validation is idempotent: re-validating the parts of a returned instance
-    reproduces it exactly.
+    The instance holds exact floats.  A record whose fields are already in
+    that normal form is returned as the caller's own (frozen) object; a new
+    record is built only when a field changes, e.g. an ``int`` or a float
+    subclass, or the ``h0`` that the Dirichlet face drops.  Validation is
+    idempotent: re-validating the parts of a returned instance returns them.
     """
     unknown = None if case is None else case.value
 
-    filled: dict[str, Optional[float]] = {}
-    for name in _THERMAL_FIELDS:
-        value = getattr(thermal, name)
-        if name == unknown:
-            if value is not None:
-                raise ValidationError(
-                    f"coefficient {name!r} is declared unknown but a value {value!r} was supplied"
-                )
-            filled[name] = None
-        else:
-            if value is None:
-                raise ValidationError(f"coefficient {name!r} is required but missing")
-            filled[name] = _check_positive(name, value)
-            if math.isinf(filled[name]):
-                raise ValidationError(f"coefficient {name!r} must be finite, got {value!r}")
-    thermal_n = ThermalCoefficients(**filled)
+    l = _coefficient("l", thermal.l, unknown)
+    k = _coefficient("k", thermal.k, unknown)
+    rho = _coefficient("rho", thermal.rho, unknown)
+    c = _coefficient("c", thermal.c, unknown)
+    if not (l is thermal.l and k is thermal.k and rho is thermal.rho and c is thermal.c):
+        thermal = ThermalCoefficients(l=l, k=k, rho=rho, c=c)
 
-    filled = {}
-    for name in _MUSHY_FIELDS:
-        value = getattr(mushy, name)
-        if name == unknown:
-            if value is not None:
-                raise ValidationError(
-                    f"coefficient {name!r} is declared unknown but a value {value!r} was supplied"
-                )
-            filled[name] = None
-        else:
-            if value is None:
-                raise ValidationError(f"coefficient {name!r} is required but missing")
-            filled[name] = _check_positive(name, value)
-            if math.isinf(filled[name]):
-                raise ValidationError(f"coefficient {name!r} must be finite, got {value!r}")
-    if filled["epsilon"] is not None and not filled["epsilon"] < 1.0:
+    epsilon = _coefficient("epsilon", mushy.epsilon, unknown)
+    gamma = _coefficient("gamma", mushy.gamma, unknown)
+    if epsilon is not None and not epsilon < 1.0:
         raise ValidationError(f"epsilon must lie strictly inside (0, 1), got {mushy.epsilon!r}")
-    mushy_n = MushyCoefficients(**filled)
+    if not (epsilon is mushy.epsilon and gamma is mushy.gamma):
+        mushy = MushyCoefficients(epsilon=epsilon, gamma=gamma)
 
-    q0 = _check_positive("q0", boundary.q0)
-    d_inf = _check_positive("d_inf", boundary.d_inf)
-    for name, value in (("q0", q0), ("d_inf", d_inf)):
-        if math.isinf(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+    q0, d_inf, h0 = boundary.q0, boundary.d_inf, boundary.h0
+    if not (type(q0) is float and 0.0 < q0 < math.inf and type(d_inf) is float and 0.0 < d_inf < math.inf):
+        q0 = _check_positive("q0", q0)
+        d_inf = _check_positive("d_inf", d_inf)
+        for name, value in (("q0", q0), ("d_inf", d_inf)):
+            if math.isinf(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
     if face is Face.CONVECTIVE:
-        if boundary.h0 is None:
+        if h0 is None:
             raise ValidationError("the convective problem requires h0")
-        h0 = _check_positive("h0", boundary.h0)  # +inf allowed: Dirichlet limit
+        if not (type(h0) is float and h0 > 0.0):
+            h0 = _check_positive("h0", h0)  # +inf allowed: Dirichlet limit
     else:
         h0 = None  # ignored for the Dirichlet problem
-    boundary_n = BoundaryData(q0=q0, d_inf=d_inf, h0=h0)
+    if not (q0 is boundary.q0 and d_inf is boundary.d_inf and h0 is boundary.h0):
+        boundary = BoundaryData(q0=q0, d_inf=d_inf, h0=h0)
 
-    return ProblemInstance(face=face, case=case, thermal=thermal_n, mushy=mushy_n, boundary=boundary_n)
+    return ProblemInstance(face=face, case=case, thermal=thermal, mushy=mushy, boundary=boundary)

@@ -280,6 +280,33 @@ def test_malformed_scenarios_exit_one(tmp_path, capsys, mutate):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--h0-grid", "10,abc"],
+        ["--h0-grid", ""],
+        ["--h0-min", "0"],
+        ["--h0-min", "-5"],
+        ["--h0-max", "0"],
+    ],
+)
+def test_malformed_limit_grids_exit_one(dirichlet_gamma_path, capsys, argv):
+    code, out, err = run(["limit", str(dirichlet_gamma_path)] + argv, capsys)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--tol-residual", "--pde-tol"])
+@pytest.mark.parametrize("value", ["nan", "-1e-10", "inf"])
+def test_verify_rejects_unusable_tolerances(case_l_path, capsys, flag, value):
+    # a NaN bound would pass every residual, since value > nan is false
+    code, out, err = run(["verify", str(case_l_path), f"{flag}={value}"], capsys)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_missing_file_exits_one(tmp_path, capsys):
     code, _, err = run(["solve", str(tmp_path / "nope.ini")], capsys)
     assert code == EXIT_INPUT

@@ -1,11 +1,13 @@
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
 
 from mushy import inverse_convective as conv
 from mushy.direct import face_argument, stefan_rhs, xexp_sq
-from mushy.errors import RestrictionError
+from mushy.errors import IllConditionedWarning, RestrictionError
+from mushy.manufacture import manufacture
 from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
 from mushy.rootfind import solve_increasing
 from mushy.specfun import erf_inv
@@ -231,3 +233,16 @@ def test_restriction_checks_stop_at_first_failure(convective_example):
         with pytest.raises(RestrictionError) as err:
             conv.solve_case(UnknownCase.EPSILON, thermal, mushy, boundary)
         assert err.value.reports == reports
+
+
+@pytest.mark.parametrize("xi", [5.05, 5.3])
+def test_saturated_face_warns_once_per_solve(xi):
+    # Near erf saturation the face equation is ill conditioned; each l,
+    # gamma and epsilon solve says so once, however many restrictions use xi.
+    problem = manufacture(**dict(REF_KWARGS, xi=xi), h0=2.0)
+    for case in conv.FACE_CASES:
+        thermal, mushy, _ = problem.hide(case)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            conv.solve_case(case, thermal, mushy, problem.boundary)
+        assert [w.category for w in caught] == [IllConditionedWarning], case

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -82,7 +83,8 @@ def test_infinite_h0_is_the_prescribed_temperature_limit():
 
 def test_dirichlet_face_discards_h0():
     instance = validate(THERMAL_NO_L, MUSHY, BOUNDARY, case=UnknownCase.L, face=Face.DIRICHLET)
-    assert instance.boundary.h0 is None
+    assert instance.boundary == BoundaryData(q0=BOUNDARY.q0, d_inf=BOUNDARY.d_inf, h0=None)
+    assert instance.thermal is THERMAL_NO_L and instance.mushy is MUSHY
 
 
 def test_validate_idempotent():
@@ -104,6 +106,78 @@ def test_direct_mode_requires_everything():
     full = ThermalCoefficients(l=1.0, k=1.0, rho=1.0, c=1.0)
     instance = validate(full, MUSHY, BOUNDARY, case=None)
     assert instance.case is None
+
+
+FULL_THERMAL = ThermalCoefficients(l=1.0, k=2.0, rho=3.0, c=4.0)
+COEFFICIENT_CASES = {case.value: case for case in UnknownCase}
+
+
+def _with_field(name, value):
+    """Full convective data with one field replaced by ``value``."""
+    thermal, mushy, boundary = FULL_THERMAL, MUSHY, BOUNDARY
+    if name in ("l", "k", "rho", "c"):
+        thermal = replace(thermal, **{name: value})
+    elif name in ("epsilon", "gamma"):
+        mushy = replace(mushy, **{name: value})
+    else:
+        boundary = replace(boundary, **{name: value})
+    return thermal, mushy, boundary
+
+
+def _rejections():
+    for name in ("l", "k", "rho", "c", "epsilon", "gamma", "q0", "d_inf", "h0"):
+        for value in (0.0, -1.0, math.nan, -math.inf):
+            yield name, value, f"{name} must be positive, got {value!r}"
+        if name in COEFFICIENT_CASES:
+            yield name, math.inf, f"coefficient {name!r} must be finite, got inf"
+            yield name, None, f"coefficient {name!r} is required but missing"
+        elif name != "h0":  # h0 = inf is the Dirichlet limit
+            yield name, math.inf, f"{name} must be finite, got inf"
+    yield "h0", None, "the convective problem requires h0"
+
+
+@pytest.mark.parametrize("name,value,message", list(_rejections()))
+def test_validate_rejects_each_field_with_its_message(name, value, message):
+    case = UnknownCase.K if name == "l" else UnknownCase.L
+    thermal, mushy, boundary = _with_field(name, value)
+    thermal = replace(thermal, **{case.value: None})
+    with pytest.raises(ValidationError) as err:
+        validate(thermal, mushy, boundary, case=case)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("case", list(UnknownCase))
+def test_validate_rejects_a_value_in_the_unknown_slot(case):
+    value = getattr(FULL_THERMAL, case.value, None) or getattr(MUSHY, case.value)
+    with pytest.raises(ValidationError) as err:
+        validate(FULL_THERMAL, MUSHY, BOUNDARY, case=case)
+    assert str(err.value) == f"coefficient {case.value!r} is declared unknown but a value {value!r} was supplied"
+
+
+@pytest.mark.parametrize("face", list(Face))
+def test_validate_returns_normal_records_unchanged(face):
+    boundary = BOUNDARY if face is Face.CONVECTIVE else replace(BOUNDARY, h0=None)
+    instance = validate(THERMAL_NO_L, MUSHY, boundary, case=UnknownCase.L, face=face)
+    assert instance.thermal is THERMAL_NO_L
+    assert instance.mushy is MUSHY
+    assert instance.boundary is boundary
+
+
+class _Float(float):
+    pass
+
+
+def test_validate_copies_non_float_numbers_into_exact_floats():
+    thermal = ThermalCoefficients(l=None, k=2, rho=_Float(3.0), c=4.0)
+    mushy = MushyCoefficients(epsilon=_Float(0.5), gamma=1)
+    boundary = BoundaryData(q0=1, d_inf=_Float(2.0), h0=_Float(math.inf))
+    instance = validate(thermal, mushy, boundary, case=UnknownCase.L)
+    assert instance.thermal == ThermalCoefficients(l=None, k=2.0, rho=3.0, c=4.0)
+    assert instance.mushy == MushyCoefficients(epsilon=0.5, gamma=1.0)
+    assert instance.boundary == BoundaryData(q0=1.0, d_inf=2.0, h0=math.inf)
+    records = (instance.thermal, instance.mushy, instance.boundary)
+    assert all(new is not old for new, old in zip(records, (thermal, mushy, boundary)))
+    assert all(v is None or type(v) is float for r in records for v in vars(r).values())
 
 
 def test_unknown_case_tokens():

@@ -1,9 +1,14 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mushy import solve_convective_case, solve_dirichlet_case, specfun
 from mushy.errors import DomainError, IllConditionedWarning
+from mushy.inverse_convective import FACE_CASES
+from mushy.manufacture import random_problem
+from mushy.model import Face, UnknownCase
 from mushy.specfun import erf, erf_inv, erfc
 
 # Frozen via the independent series evaluation (tests/test_verify.py checks
@@ -90,3 +95,25 @@ def test_erf_inv_monotone():
     ys = [i / 100.0 for i in range(-99, 100)]
     xs = [erf_inv(y) for y in ys]
     assert all(a < b for a, b in zip(xs, xs[1:]))
+
+
+def test_erf_inv_runs_once_per_face_case_solve(monkeypatch):
+    # l, gamma and epsilon read xi off the face equation once; k, rho and c
+    # solve a front equation and never invert erf.
+    calls = 0
+
+    def counting(y: float) -> float:
+        nonlocal calls
+        calls += 1
+        return erf_inv(y)
+
+    monkeypatch.setattr(specfun, "erf_inv", counting)
+    for face, solver in ((Face.CONVECTIVE, solve_convective_case), (Face.DIRICHLET, solve_dirichlet_case)):
+        rng = random.Random(1)
+        for _ in range(200):
+            problem = random_problem(rng, face=face)
+            for case in UnknownCase:
+                thermal, mushy, _ = problem.hide(case)
+                calls = 0
+                solver(case, thermal, mushy, problem.boundary)
+                assert calls == (1 if case in FACE_CASES else 0), (face, case)
