@@ -31,8 +31,6 @@ digits; non-finite numbers are written as the strings "inf", "-inf" and
 from __future__ import annotations
 
 import argparse
-import configparser
-import functools
 import io
 import json
 import math
@@ -41,7 +39,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import inverse_convective, inverse_dirichlet, verify
+# Only what a convective solve runs is imported here; configparser, verify,
+# manufacture and inverse_dirichlet are imported where they are used, so a
+# process loads what its subcommand needs.  perfbench's tracer rebinds
+# validate, build_solution and solve_increasing on this module, and reaches
+# the case solvers through their modules' attributes.
+from . import inverse_convective
 from .direct import (
     build_solution,
     consistency_residuals,
@@ -60,7 +63,6 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .manufacture import manufacture
 from .model import (
     BoundaryData,
     CaseResult,
@@ -79,6 +81,10 @@ EXIT_INPUT = 1
 EXIT_RESTRICTION = 2
 EXIT_NUMERICAL = 3
 EXIT_RESIDUAL = 4
+
+#: Upper bound on ``profile --nx`` and ``limit --points``: each point costs a
+#: row of output (and a convective solve in ``limit``).
+MAX_GRID_POINTS = 10_000
 
 _COEFFICIENT_KEYS = ("l", "k", "rho", "c", "epsilon", "gamma")
 _BOUNDARY_KEYS = ("q0", "d_inf", "h0")
@@ -168,6 +174,8 @@ def parse_scenario(text: str) -> Scenario:
         doc.pop("_truth", None)  # advisory block written by `manufacture`
         _check_keys("<top level>", doc, _SECTIONS)
     else:
+        import configparser
+
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         try:
             cp.read_string(text)
@@ -309,6 +317,8 @@ def _solve_scenario(scenario: Scenario) -> tuple[ProblemInstance, Optional[CaseR
             scenario.case, instance.thermal, instance.mushy, instance.boundary
         )
     else:
+        from . import inverse_dirichlet
+
         result = inverse_dirichlet.solve_dirichlet_case(
             scenario.case, instance.thermal, instance.mushy, instance.boundary
         )
@@ -417,6 +427,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         raise ValidationError("profile times must be positive")
     if args.nx < 2:
         raise ValidationError("--nx must be at least 2")
+    if args.nx > MAX_GRID_POINTS:
+        raise ValidationError(f"--nx must be at most {MAX_GRID_POINTS}")
 
     profile = io.StringIO()
     profile.write("t,x,temperature,region\n")
@@ -462,6 +474,8 @@ def cmd_limit(args: argparse.Namespace) -> int:
     else:
         if args.points < 2:
             raise ValidationError("--points must be at least 2")
+        if args.points > MAX_GRID_POINTS:
+            raise ValidationError(f"--points must be at most {MAX_GRID_POINTS}")
         if not (args.h0_min > 0.0 and args.h0_max > 0.0):
             raise ValidationError("--h0-min and --h0-max must be positive")
         lo, hi = math.log10(args.h0_min), math.log10(args.h0_max)
@@ -469,6 +483,8 @@ def cmd_limit(args: argparse.Namespace) -> int:
     if any(not (h > 0.0 and math.isfinite(h)) for h in grid):
         raise ValidationError("h0 grid entries must be positive finite numbers")
     was_sorted = list(grid) == sorted(grid)
+
+    from . import inverse_dirichlet
 
     study = inverse_dirichlet.limit_study(
         scenario.case, instance.thermal, instance.mushy, instance.boundary, grid
@@ -512,6 +528,8 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     for flag, tol in (("--tol-residual", args.tol_residual), ("--pde-tol", args.pde_tol)):
         # a NaN bound would pass every residual: value > nan is always false
         if not (0.0 <= tol < math.inf):
@@ -558,6 +576,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_manufacture(args: argparse.Namespace) -> int:
+    from .manufacture import manufacture
+
     face = Face(args.problem)
     problem = manufacture(
         xi=args.xi,
@@ -605,7 +625,10 @@ def cmd_check_restrictions(args: argparse.Namespace) -> int:
         _emit_doc(doc, args.format, args.out)
         return EXIT_OK
 
-    inverse = inverse_convective if scenario.problem is Face.CONVECTIVE else inverse_dirichlet
+    if scenario.problem is Face.CONVECTIVE:
+        inverse = inverse_convective
+    else:
+        from . import inverse_dirichlet as inverse
     reports = inverse.check_all(scenario.case, instance.thermal, instance.mushy, instance.boundary)
     all_ok = all(r.satisfied for r in reports)
     doc = {
@@ -636,35 +659,22 @@ def _add_common(sub: argparse.ArgumentParser, with_format: bool = True) -> None:
         sub.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mushy",
-        description="Solidification with an isothermal mushy zone: solve, identify coefficients, verify.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # No prefix matching: an abbreviation such as --tol must not pass for --tol-residual.
-    add = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p = add("solve", help="recover the unknown coefficient (or solve a direct scenario)")
-    _add_common(p)
-    p.set_defaults(handler=cmd_solve)
-
-    p = add("profile", help="temperature profiles and front positions as CSV")
+def _profile_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, with_format=False)
     p.add_argument("--t", type=float, action="append", help="sample time (repeatable; default 1.0)")
-    p.add_argument("--nx", type=int, default=50, help="points per profile (default 50)")
+    p.add_argument("--nx", type=int, default=50, help=f"points per profile (default 50, at most {MAX_GRID_POINTS})")
     p.add_argument("--xmax", type=float, default=None, help="profile end (default 1.1 r(t))")
-    p.set_defaults(handler=cmd_profile)
 
-    p = add("limit", help="convective-to-prescribed-temperature limit study")
+
+def _limit_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--h0-grid", help="comma-separated h0 values (overrides the log grid)")
     p.add_argument("--h0-min", type=float, default=1e1, help="log grid start (default 1e1)")
     p.add_argument("--h0-max", type=float, default=1e6, help="log grid end (default 1e6)")
-    p.add_argument("--points", type=int, default=6, help="log grid size (default 6)")
-    p.set_defaults(handler=cmd_limit)
+    p.add_argument("--points", type=int, default=6, help=f"log grid size (default 6, at most {MAX_GRID_POINTS})")
 
-    p = add("verify", help="residuals of the governing equations for a solved scenario")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--t", type=float, action="append", help="sample time (repeatable; default 0.5 1 2)")
     p.add_argument(
@@ -677,9 +687,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-residual", type=float, default=1e-10, help="condition residual bound (default 1e-10)")
     p.add_argument("--pde-tol", type=float, default=1e-6, help="PDE residual bound (default 1e-6)")
     p.add_argument("--xi-perturb", type=float, default=0.0, help="offset added to xi before verification")
-    p.set_defaults(handler=cmd_verify)
 
-    p = add("manufacture", help="emit a consistent scenario built around a chosen xi")
+
+def _manufacture_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", choices=[f.value for f in Face], default="convective")
     p.add_argument("--xi", type=float, required=True, help="dimensionless solid-front position")
     p.add_argument("--k", type=float, required=True)
@@ -693,22 +703,48 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit this coefficient from the emitted scenario (true value kept as a comment)")
     p.add_argument("--format", choices=("ini", "json"), default="ini")
     p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(handler=cmd_manufacture)
 
-    p = add("check-restrictions", help="evaluate the case's solvability restrictions only")
-    _add_common(p)
-    p.set_defaults(handler=cmd_check_restrictions)
 
+#: Subcommand name -> (help, function adding its arguments, handler).
+_COMMANDS = {
+    "solve": ("recover the unknown coefficient (or solve a direct scenario)", _add_common, cmd_solve),
+    "profile": ("temperature profiles and front positions as CSV", _profile_args, cmd_profile),
+    "limit": ("convective-to-prescribed-temperature limit study", _limit_args, cmd_limit),
+    "verify": ("residuals of the governing equations for a solved scenario", _verify_args, cmd_verify),
+    "manufacture": ("emit a consistent scenario built around a chosen xi", _manufacture_args, cmd_manufacture),
+    "check-restrictions": ("evaluate the case's solvability restrictions only", _add_common, cmd_check_restrictions),
+}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The ``mushy`` parser for the command line ``argv``.
+
+    Every subcommand is registered with its help, but only the one named by
+    ``argv[0]`` gets its arguments: a process parses one command line, and
+    building the other parsers' arguments would be wasted start-up time.
+    """
+    parser = argparse.ArgumentParser(
+        prog="mushy",
+        description="Solidification with an isothermal mushy zone: solve, identify coefficients, verify.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv else None
+    for name, (help_text, add_args, _) in _COMMANDS.items():
+        # No prefix matching: an abbreviation such as --tol must not pass for --tol-residual.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if name == named:
+            add_args(p)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as err:  # argparse's usage error (2) would read as EXIT_RESTRICTION
         return EXIT_INPUT if err.code else EXIT_OK
     try:
-        return args.handler(args)
+        return _COMMANDS[args.command][2](args)
     except RestrictionError as err:
         doc = {
             "error": "restriction failure",

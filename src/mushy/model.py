@@ -190,7 +190,9 @@ class ProblemInstance:
         return ProblemInstance(face=self.face, case=None, thermal=thermal, mushy=mushy, boundary=self.boundary)
 
 
-def _check_positive(name: str, value: float) -> float:
+def _check_positive(name: str, value: Optional[float]) -> float:
+    if value is None:
+        raise ValidationError(f"{name} is required but missing")
     value = float(value)
     if math.isnan(value) or value <= 0.0:
         raise ValidationError(f"{name} must be positive, got {value!r}")

@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -188,6 +191,14 @@ def test_profile_rejects_nonpositive_time(case_l_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("nx", ["1", "10001"])
+def test_profile_grid_size_is_bounded(case_l_path, capsys, nx):
+    code, out, err = run(["profile", str(case_l_path), "--nx", nx], capsys)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.fixture()
 def dirichlet_gamma_path(tmp_path, capsys):
     path = tmp_path / "diri_gamma.ini"
@@ -288,6 +299,7 @@ def test_malformed_scenarios_exit_one(tmp_path, capsys, mutate):
         ["--h0-min", "0"],
         ["--h0-min", "-5"],
         ["--h0-max", "0"],
+        ["--points", "10001"],
     ],
 )
 def test_malformed_limit_grids_exit_one(dirichlet_gamma_path, capsys, argv):
@@ -363,10 +375,31 @@ def test_usage_errors_exit_one(case_l_path, capsys, argv):
     assert "usage:" in err
 
 
+SUBCOMMAND_OPTIONS = {
+    "solve": ["--case", "--format", "--out", "--problem"],
+    "profile": ["--case", "--nx", "--out", "--problem", "--t", "--xmax"],
+    "limit": ["--case", "--format", "--h0-grid", "--h0-max", "--h0-min", "--out", "--points", "--problem"],
+    "verify": ["--case", "--fd-step", "--format", "--out", "--pde-tol", "--problem", "--t", "--tol-residual",
+               "--x-fracs", "--xi-perturb"],
+    "manufacture": ["--c", "--case", "--epsilon", "--format", "--gamma", "--h0", "--k", "--out", "--problem",
+                    "--q0", "--rho", "--xi"],
+    "check-restrictions": ["--case", "--format", "--out", "--problem"],
+}
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(["--help"], capsys)
     assert code == EXIT_OK
     assert "usage:" in out
+    assert all(sub in out for sub in SUBCOMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("sub", list(SUBCOMMAND_OPTIONS))
+def test_subcommand_help_lists_its_options(capsys, sub):
+    code, out, _ = run([sub, "--help"], capsys)
+    assert code == EXIT_OK
+    options = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", out)) - {"-h", "--help"}
+    assert sorted(options) == SUBCOMMAND_OPTIONS[sub]
 
 
 def _strict_json(text):
@@ -420,3 +453,83 @@ def test_module_entry_point(case_l_path, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["case"] == "l"
+
+
+def _run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter importing this ``mushy``; its
+    last stdout line is JSON."""
+    import mushy
+
+    env = dict(os.environ, PYTHONPATH=str(Path(mushy.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADS_PER_COMMAND = """
+import contextlib, io, json, sys
+from mushy.cli import main
+
+WATCHED = ("mushy.verify", "mushy.manufacture", "mushy.inverse_dirichlet", "configparser")
+loaded = {}
+for label, argv in [
+    ("import", None),
+    ("solve-json", ["solve", "case_l.json"]),
+    ("solve-ini", ["solve", "case_l.ini"]),
+    ("solve-dirichlet", ["solve", "case_l.json", "--problem", "dirichlet"]),
+    ("verify", ["verify", "case_l.json"]),
+    ("manufacture", ["manufacture", "--xi", "0.5", "--k", "1", "--rho", "1", "--c", "1",
+                     "--epsilon", "0.5", "--gamma", "0.1", "--q0", "1", "--h0", "2"]),
+]:
+    if argv is not None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    loaded[label] = [name for name in WATCHED if name in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_each_subcommand_imports_only_what_it_runs(case_l_path, tmp_path):
+    (tmp_path / "case_l.json").write_text(scenario_to_json(parse_scenario(case_l_path.read_text())))
+    (tmp_path / "case_l.ini").write_text(case_l_path.read_text())
+    loaded = _run_python(LOADS_PER_COMMAND, tmp_path)
+    assert loaded["import"] == []
+    assert loaded["solve-json"] == []
+    assert loaded["solve-ini"] == ["configparser"]
+    assert loaded["solve-dirichlet"] == ["mushy.inverse_dirichlet", "configparser"]
+    assert loaded["verify"] == ["mushy.verify", "mushy.inverse_dirichlet", "configparser"]
+    assert loaded["manufacture"] == ["mushy.verify", "mushy.manufacture", "mushy.inverse_dirichlet", "configparser"]
+
+
+PACKAGE_NAMES = """
+import json, sys, types
+import mushy
+from mushy.manufacture import random_problem  # binds the module mushy.manufacture onto the package
+
+
+def defined(value):  # the object of that name in the module that defines value
+    if isinstance(value, types.ModuleType):
+        return sys.modules[value.__name__]
+    return getattr(sys.modules[value.__module__], value.__name__)
+
+
+names = {}
+exec("from mushy import *", names)
+print(json.dumps({
+    "public": sorted(n for n in names if n != "__builtins__"),
+    "same": all(names[n] is getattr(mushy, n) is defined(names[n]) for n in mushy.__all__ if n != "__version__"),
+    "convective": mushy.solve_convective_case is mushy.inverse_convective.solve_case,
+    "manufacture": mushy.manufacture is sys.modules["mushy.manufacture"].manufacture,
+    "specfun": mushy.specfun is sys.modules["mushy.specfun"],
+    "dir": set(mushy.__all__) <= set(dir(mushy)),
+    "unknown": not hasattr(mushy, "no_such_name"),
+}))
+"""
+
+
+def test_package_names_resolve_on_first_use(tmp_path):
+    import mushy
+
+    result = _run_python(PACKAGE_NAMES, tmp_path)
+    assert result.pop("public") == sorted(mushy.__all__)
+    assert result == dict.fromkeys(result, True)

@@ -133,6 +133,7 @@ def _rejections():
             yield name, None, f"coefficient {name!r} is required but missing"
         elif name != "h0":  # h0 = inf is the Dirichlet limit
             yield name, math.inf, f"{name} must be finite, got inf"
+            yield name, None, f"{name} is required but missing"
     yield "h0", None, "the convective problem requires h0"
 
 
