@@ -13,112 +13,35 @@ restriction, and verifies results against the governing equations.
 
 Importing the package imports none of its modules.  Each public name is
 resolved on first use (PEP 562) from the module that defines it and then
-cached here, so ``import mushy.cli`` loads only what the CLI imports.
+cached here, so ``import mushy.cli`` loads only what the CLI imports.  The
+package re-exports the records, the errors and the two case solvers; every
+other name is imported from its module (``from mushy import verify`` and
+the like import the module itself).
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "SolverError",
-    "DomainError",
-    "ValidationError",
-    "RestrictionError",
-    "NumericalError",
-    "NoRootError",
-    "BracketOverflowError",
-    "ConvergenceError",
-    "IllConditionedWarning",
-    # model
-    "Face",
-    "UnknownCase",
-    "ThermalCoefficients",
-    "MushyCoefficients",
-    "BoundaryData",
-    "SimilaritySolution",
-    "RestrictionReport",
-    "CaseResult",
-    "ProblemInstance",
-    "validate",
-    # kernels and solvers
-    "erf",
-    "erfc",
-    "erf_inv",
-    "MonotoneEquation",
-    "solve_increasing",
-    "Region",
-    "ConsistencyResiduals",
-    "build_solution",
-    "temperature",
-    "front_s",
-    "front_r",
-    "consistency_residuals",
-    "ManufacturedProblem",
-    "manufacture",
-    "random_problem",
-    "solve_convective_case",
-    "solve_dirichlet_case",
-    "LimitStudy",
-    "limit_study",
-    "inverse_convective",
-    "inverse_dirichlet",
-    "verify",
-]
-
-#: The public names, by the module that defines them; ``None`` stands for
-#: the module itself.  The package's modules are reachable as attributes, as
-#: when they were all imported eagerly (except ``cli``, and ``manufacture``,
-#: which is the function).
-_EXPORTS = {
-    "errors": (
-        None,
-        "SolverError",
-        "DomainError",
-        "ValidationError",
-        "RestrictionError",
-        "NumericalError",
-        "NoRootError",
-        "BracketOverflowError",
-        "ConvergenceError",
-        "IllConditionedWarning",
-    ),
-    "model": (
-        None,
-        "Face",
-        "UnknownCase",
-        "ThermalCoefficients",
-        "MushyCoefficients",
-        "BoundaryData",
-        "SimilaritySolution",
-        "RestrictionReport",
-        "CaseResult",
-        "ProblemInstance",
-        "validate",
-    ),
-    "specfun": (None, "erf", "erfc", "erf_inv"),
-    "rootfind": (None, "MonotoneEquation", "solve_increasing"),
-    "direct": (
-        None,
-        "Region",
-        "ConsistencyResiduals",
-        "build_solution",
-        "temperature",
-        "front_s",
-        "front_r",
-        "consistency_residuals",
-    ),
-    "manufacture": ("ManufacturedProblem", "manufacture", "random_problem"),
-    "inverse_convective": (None,),
-    "inverse_dirichlet": (None, "LimitStudy", "limit_study", "solve_dirichlet_case"),
-    "verify": (None,),
+#: Public name -> (defining module, attribute there).
+_ORIGIN = {
+    "Face": ("model", "Face"),
+    "UnknownCase": ("model", "UnknownCase"),
+    "ThermalCoefficients": ("model", "ThermalCoefficients"),
+    "MushyCoefficients": ("model", "MushyCoefficients"),
+    "BoundaryData": ("model", "BoundaryData"),
+    "CaseResult": ("model", "CaseResult"),
+    "SolverError": ("errors", "SolverError"),
+    "ValidationError": ("errors", "ValidationError"),
+    "DomainError": ("errors", "DomainError"),
+    "RestrictionError": ("errors", "RestrictionError"),
+    "NumericalError": ("errors", "NumericalError"),
+    "random_problem": ("manufacture", "random_problem"),
+    "solve_convective_case": ("inverse_convective", "solve_case"),
+    "solve_dirichlet_case": ("inverse_dirichlet", "solve_dirichlet_case"),
 }
-_ORIGIN = {attr or module: (module, attr) for module, attrs in _EXPORTS.items() for attr in attrs}
-_ORIGIN["solve_convective_case"] = ("inverse_convective", "solve_case")
+
+__all__ = ["__version__", *_ORIGIN]
 
 
 def __getattr__(name: str):
@@ -127,24 +50,10 @@ def __getattr__(name: str):
         module, attr = _ORIGIN[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = importlib.import_module(f"{__name__}.{module}")
-    if attr is not None:
-        value = getattr(value, attr)
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), attr)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_ORIGIN})
-
-
-class _Package(types.ModuleType):
-    def __setattr__(self, name: str, value) -> None:
-        # Importing a module binds it onto the package under its own name;
-        # ``mushy.manufacture`` stays the function of that name.
-        if name == "manufacture" and isinstance(value, types.ModuleType):
-            value = value.manufacture
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

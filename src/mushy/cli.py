@@ -23,9 +23,9 @@ structure are accepted interchangeably)::
 Exactly the coefficient named by ``case`` is omitted (none for ``direct``).
 Exit codes: 0 success, 1 input error (a malformed command line included),
 2 restriction failure, 3 numerical failure, 4 verification residual
-failure.  Machine-readable output carries every number with 17 significant
-digits; non-finite numbers are written as the strings "inf", "-inf" and
-"nan", also in JSON.
+failure.  Machine-readable output writes every float as Python's repr, the
+shortest string that reads back as the same double; non-finite numbers are
+written as the strings "inf", "-inf" and "nan", also in JSON.
 """
 
 from __future__ import annotations
@@ -91,35 +91,20 @@ _BOUNDARY_KEYS = ("q0", "d_inf", "h0")
 _SECTIONS = ("problem", "coefficients", "boundary")
 
 
-def _fmt(value: float) -> str:
-    """17 significant digits: enough to reproduce any binary64 exactly."""
-    return format(float(value), ".17g")
-
-
-def _json_text(obj, indent: int = 0) -> str:
-    """JSON with floats rendered by :func:`_fmt` (json.dumps cannot)."""
-    pad = "  " * indent
+def _strict(obj):
+    """``obj`` with each non-finite float replaced by its repr, "inf", "-inf"
+    or "nan", which strict JSON can carry and the scenario parser reads back."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ",\n".join(
-            f'{pad}  "{key}": {_json_text(val, indent + 1)}' for key, val in obj.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
+        return {key: _strict(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ",\n".join(f"{pad}  {_json_text(val, indent + 1)}" for val in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt(obj) if math.isfinite(obj) else f'"{_fmt(obj)}"'
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
+        return [_strict(value) for value in obj]
+    return obj
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(_strict(doc), indent=2, allow_nan=False)
 
 
 # --- scenario files ---------------------------------------------------------
@@ -225,14 +210,14 @@ def scenario_to_ini(scenario: Scenario, truth: Optional[tuple[str, float]] = Non
              f"case = {scenario.case.value if scenario.case else 'direct'}", "", "[coefficients]"]
     for key in _COEFFICIENT_KEYS:
         if key in scenario.coefficients:
-            lines.append(f"{key} = {_fmt(scenario.coefficients[key])}")
+            lines.append(f"{key} = {scenario.coefficients[key]!r}")
     if truth is not None:
-        lines.append(f"; true {truth[0]} = {_fmt(truth[1])}")
+        lines.append(f"; true {truth[0]} = {truth[1]!r}")
     lines.append("")
     lines.append("[boundary]")
     for key in _BOUNDARY_KEYS:
         if key in scenario.boundary:
-            lines.append(f"{key} = {_fmt(scenario.boundary[key])}")
+            lines.append(f"{key} = {scenario.boundary[key]!r}")
     lines.append("")
     return "\n".join(lines)
 
@@ -368,20 +353,20 @@ def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, str]]:
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
+    return str(value)  # a float's str is its repr
 
 
 def _emit_doc(doc: dict, fmt: str, out: Optional[Path]) -> None:
-    if fmt == "json":
-        _write(_json_text(doc), out)
+    if fmt == "csv":
+        _write("key,value\n" + "".join(f"{key},{value}\n" for key, value in _flatten(doc)), out)
     else:
-        buf = io.StringIO()
-        buf.write("key,value\n")
-        for key, value in _flatten(doc):
-            buf.write(f"{key},{value}\n")
-        _write(buf.getvalue(), out)
+        _write(_json_text(doc), out)
+
+
+def _check_positive(flag: str, *values: float) -> None:
+    for value in values:
+        if not 0.0 < value < math.inf:
+            raise ValidationError(f"{flag} must be a positive finite number, got {value!r}")
 
 
 # --- subcommands ------------------------------------------------------------
@@ -417,18 +402,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    times = sorted(args.t or [1.0])
+    _check_positive("--t", *times)
+    if args.xmax is not None:
+        _check_positive("--xmax", args.xmax)
+    if args.nx < 2:
+        raise ValidationError("--nx must be at least 2")
+    if args.nx > MAX_GRID_POINTS:
+        raise ValidationError(f"--nx must be at most {MAX_GRID_POINTS}")
     scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
     instance, result, xi = _solve_scenario(scenario)
     solution = result.solution if result is not None else build_solution(
         instance.thermal, instance.mushy, instance.boundary, xi
     )
-    times = sorted(args.t or [1.0])
-    if any(t <= 0.0 for t in times):
-        raise ValidationError("profile times must be positive")
-    if args.nx < 2:
-        raise ValidationError("--nx must be at least 2")
-    if args.nx > MAX_GRID_POINTS:
-        raise ValidationError(f"--nx must be at most {MAX_GRID_POINTS}")
 
     profile = io.StringIO()
     profile.write("t,x,temperature,region\n")
@@ -438,12 +424,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
         for i in range(args.nx):
             x = i * step
             value, region = temperature(solution, x, t)
-            profile.write(f"{_fmt(t)},{_fmt(x)},{_fmt(value)},{region.value}\n")
+            profile.write(f"{t!r},{x!r},{value!r},{region.value}\n")
 
     fronts = io.StringIO()
     fronts.write("t,s,r\n")
     for t in times:
-        fronts.write(f"{_fmt(t)},{_fmt(front_s(solution, t))},{_fmt(front_r(solution, t))}\n")
+        fronts.write(f"{t!r},{front_s(solution, t)!r},{front_r(solution, t)!r}\n")
 
     if args.out is None:
         sys.stdout.write(profile.getvalue())
@@ -513,14 +499,14 @@ def cmd_limit(args: argparse.Namespace) -> int:
         buf = io.StringIO()
         buf.write("h0,xi_conv,delta_xi,coefficient\n")
         for row in rows:
-            buf.write(",".join(_fmt(row[k]) for k in ("h0", "xi_conv", "delta_xi", "coefficient")) + "\n")
-        buf.write(f"# xi_dirichlet = {_fmt(study.xi_dirichlet)}\n")
-        buf.write(f"# coefficient_dirichlet = {_fmt(study.coeff_dirichlet)}\n")
-        slope = "undefined (fewer than two usable grid points)" if study.fitted_slope is None else _fmt(study.fitted_slope)
+            buf.write(",".join(repr(row[k]) for k in ("h0", "xi_conv", "delta_xi", "coefficient")) + "\n")
+        buf.write(f"# xi_dirichlet = {study.xi_dirichlet!r}\n")
+        buf.write(f"# coefficient_dirichlet = {study.coeff_dirichlet!r}\n")
+        slope = "undefined (fewer than two usable grid points)" if study.fitted_slope is None else repr(study.fitted_slope)
         buf.write(f"# fitted_slope = {slope}\n")
         for h0, reports in study.excluded:
             failed = ",".join(r.restriction_id for r in reports if not r.satisfied)
-            buf.write(f"# excluded h0 = {_fmt(h0)} ({failed})\n")
+            buf.write(f"# excluded h0 = {h0!r} ({failed})\n")
         if not was_sorted:
             buf.write("# note: h0 grid was unsorted; processed in ascending order\n")
         _write(buf.getvalue(), args.out)
@@ -534,18 +520,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # a NaN bound would pass every residual: value > nan is always false
         if not (0.0 <= tol < math.inf):
             raise ValidationError(f"{flag} must be a finite non-negative number, got {tol!r}")
+    times = sorted(args.t or [0.5, 1.0, 2.0])
+    _check_positive("--t", *times)
+    fracs = args.x_fracs or [0.3, 0.5, 0.7]
+    if any(not 0.0 < f < 1.0 for f in fracs):
+        raise ValidationError("x fractions must lie strictly inside (0, 1)")
     scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
     instance, result, xi = _solve_scenario(scenario)
     if args.xi_perturb:
         xi += args.xi_perturb
     solution = build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
-
-    times = sorted(args.t or [0.5, 1.0, 2.0])
-    if any(t <= 0.0 for t in times):
-        raise ValidationError("verification times must be positive")
-    fracs = args.x_fracs or [0.3, 0.5, 0.7]
-    if any(not 0.0 < f < 1.0 for f in fracs):
-        raise ValidationError("x fractions must lie strictly inside (0, 1)")
     xs = [f * front_s(solution, min(times)) for f in fracs]
 
     conditions = verify.condition_residuals(
@@ -751,7 +735,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "detail": str(err),
             "restrictions": [_report_doc(r) for r in err.reports],
         }
-        sys.stdout.write(_json_text(doc) + "\n")
+        _emit_doc(doc, getattr(args, "format", "json"), None)
         sys.stderr.write(f"error: {err}\n")
         return EXIT_RESTRICTION
     except (ValidationError, DomainError) as err:

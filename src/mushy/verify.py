@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .direct import (
     front_r,
@@ -35,7 +35,8 @@ from .model import (
 from .rootfind import MonotoneEquation
 
 __all__ = [
-    "ResidualGrid",
+    "PdeResidual",
+    "ConditionResiduals",
     "reference_erf",
     "brute_bisect",
     "pde_residual",
@@ -120,20 +121,22 @@ def brute_bisect(eq: MonotoneEquation, lo: float, hi: float, width: float = 1e-1
 
 
 @dataclass(frozen=True)
-class ResidualGrid:
-    """Residual report over a space-time sample.
+class PdeResidual:
+    """:func:`pde_residual`'s report: the largest finite-difference
+    heat-equation residual over the sample, normalized by the natural scale
+    (peak temperature magnitude over smallest sampled time), and the
+    relative step it was taken with."""
 
-    ``pde_residual_max`` is the largest finite-difference heat-equation
-    residual, normalized by the natural scale (peak temperature magnitude
-    over smallest sampled time); None when the finite-difference pass was
-    not run.  ``condition_residuals`` maps condition identifiers to their
-    largest relative residual over the sample.
-    """
+    pde_residual_max: float
+    fd_step: float
 
-    x_points: tuple[float, ...]
-    t_points: tuple[float, ...]
-    fd_step: Optional[float]
-    pde_residual_max: Optional[float]
+
+@dataclass(frozen=True)
+class ConditionResiduals:
+    """:func:`condition_residuals`' report: each condition identifier of
+    :data:`CONDITION_IDS` after ``pde`` mapped to its largest relative
+    residual over the sampled times."""
+
     condition_residuals: dict[str, float]
 
 
@@ -142,7 +145,7 @@ def pde_residual(
     x_points: Sequence[float],
     t_points: Sequence[float],
     fd_step: float = 1e-4,
-) -> ResidualGrid:
+) -> PdeResidual:
     """Finite-difference residual of the heat equation inside the solid.
 
     Central second differences in x and central first differences in t,
@@ -181,13 +184,7 @@ def pde_residual(
             d2_dx2 = (t_xp - 2.0 * t_c + t_xm) / (dx * dx)
             worst = max(worst, abs(d_dt - sol.alpha * d2_dx2))
 
-    return ResidualGrid(
-        x_points=tuple(float(x) for x in x_points),
-        t_points=tuple(float(t) for t in t_points),
-        fd_step=fd_step,
-        pde_residual_max=worst / scale,
-        condition_residuals={},
-    )
+    return PdeResidual(pde_residual_max=worst / scale, fd_step=fd_step)
 
 
 def condition_residuals(
@@ -197,7 +194,7 @@ def condition_residuals(
     boundary: BoundaryData,
     t_points: Sequence[float],
     face: Face,
-) -> ResidualGrid:
+) -> ConditionResiduals:
     """Relative residuals of the five pointwise conditions at sampled times.
 
     Checked with the analytic derivative formulas (no differencing):
@@ -244,10 +241,4 @@ def condition_residuals(
             # the product h0 (T(0,t) + d_inf) would be inf times roundoff
             res["face"] = max(res["face"], abs(t_face + boundary.d_inf) / boundary.d_inf)
 
-    return ResidualGrid(
-        x_points=(),
-        t_points=tuple(float(t) for t in t_points),
-        fd_step=None,
-        pde_residual_max=None,
-        condition_residuals=res,
-    )
+    return ConditionResiduals(condition_residuals=res)

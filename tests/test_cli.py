@@ -187,8 +187,12 @@ def test_profile_files(case_l_path, tmp_path, capsys):
 
 
 def test_profile_rejects_nonpositive_time(case_l_path, capsys):
-    code, _, err = run(["profile", str(case_l_path), "--t", "0"], capsys)
-    assert code == EXIT_INPUT
+    for flag, value in [("--t", "0"), ("--t", "nan"), ("--t", "inf"),
+                        ("--xmax", "-1"), ("--xmax", "nan"), ("--xmax", "inf")]:
+        code, out, err = run(["profile", str(case_l_path), f"{flag}={value}"], capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be a positive finite number")
 
 
 @pytest.mark.parametrize("nx", ["1", "10001"])
@@ -268,6 +272,18 @@ def test_restriction_failure_exit_and_report(tmp_path, capsys):
     assert doc["restrictions"][0]["id"] == "R1"
 
 
+def test_restriction_failure_follows_format(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(CASE_L_INI.replace("h0 = 2.0", "h0 = 0.5"))
+    code, out, err = run(["solve", str(path), "--format", "csv"], capsys)
+    assert code == EXIT_RESTRICTION
+    assert err.startswith("error:")
+    lines = out.splitlines()
+    assert lines[0] == "key,value"
+    assert "error,restriction failure" in lines
+    assert "restrictions.R1.satisfied,false" in lines
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -309,14 +325,14 @@ def test_malformed_limit_grids_exit_one(dirichlet_gamma_path, capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("flag", ["--tol-residual", "--pde-tol"])
+@pytest.mark.parametrize("flag", ["--tol-residual", "--pde-tol", "--t"])
 @pytest.mark.parametrize("value", ["nan", "-1e-10", "inf"])
 def test_verify_rejects_unusable_tolerances(case_l_path, capsys, flag, value):
     # a NaN bound would pass every residual, since value > nan is false
     code, out, err = run(["verify", str(case_l_path), f"{flag}={value}"], capsys)
     assert code == EXIT_INPUT
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {flag} must be a ")
 
 
 def test_missing_file_exits_one(tmp_path, capsys):
@@ -447,10 +463,17 @@ def test_serialization_is_lossless(k, rho, c, gamma, q0, d_inf, eps):
     assert parse_scenario(scenario_to_json(scenario)) == scenario
 
 
+def _python_env():
+    """The environment of a fresh interpreter that imports this ``mushy``."""
+    import mushy
+
+    return dict(os.environ, PYTHONPATH=str(Path(mushy.__file__).parents[1]))
+
+
 def test_module_entry_point(case_l_path, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mushy", "solve", str(case_l_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_python_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["case"] == "l"
 
@@ -458,10 +481,8 @@ def test_module_entry_point(case_l_path, tmp_path):
 def _run_python(code, cwd):
     """Run ``code`` in a fresh interpreter importing this ``mushy``; its
     last stdout line is JSON."""
-    import mushy
-
-    env = dict(os.environ, PYTHONPATH=str(Path(mushy.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+                          env=_python_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -501,28 +522,34 @@ def test_each_subcommand_imports_only_what_it_runs(case_l_path, tmp_path):
     assert loaded["manufacture"] == ["mushy.verify", "mushy.manufacture", "mushy.inverse_dirichlet", "configparser"]
 
 
+PUBLIC_NAMES = [
+    "__version__",
+    "Face", "UnknownCase", "ThermalCoefficients", "MushyCoefficients", "BoundaryData", "CaseResult",
+    "SolverError", "ValidationError", "DomainError", "RestrictionError", "NumericalError",
+    "random_problem", "solve_convective_case", "solve_dirichlet_case",
+]
+
 PACKAGE_NAMES = """
-import json, sys, types
+import json, sys
 import mushy
-from mushy.manufacture import random_problem  # binds the module mushy.manufacture onto the package
+
+unknown = [name for name in ("no_such_name", "validate", "erf_inv", "limit_study") if hasattr(mushy, name)]
+names = {}
+exec("from mushy import *", names)
+import mushy.manufacture
 
 
 def defined(value):  # the object of that name in the module that defines value
-    if isinstance(value, types.ModuleType):
-        return sys.modules[value.__name__]
     return getattr(sys.modules[value.__module__], value.__name__)
 
 
-names = {}
-exec("from mushy import *", names)
 print(json.dumps({
     "public": sorted(n for n in names if n != "__builtins__"),
-    "same": all(names[n] is getattr(mushy, n) is defined(names[n]) for n in mushy.__all__ if n != "__version__"),
-    "convective": mushy.solve_convective_case is mushy.inverse_convective.solve_case,
-    "manufacture": mushy.manufacture is sys.modules["mushy.manufacture"].manufacture,
-    "specfun": mushy.specfun is sys.modules["mushy.specfun"],
+    "same": all(names[n] is getattr(mushy, n) is defined(names[n]) for n in names if n[0] != "_"),
+    "convective": mushy.solve_convective_case is sys.modules["mushy.inverse_convective"].solve_case,
+    "manufacture": mushy.manufacture is sys.modules["mushy.manufacture"],
     "dir": set(mushy.__all__) <= set(dir(mushy)),
-    "unknown": not hasattr(mushy, "no_such_name"),
+    "unknown": unknown == [],
 }))
 """
 
@@ -530,6 +557,40 @@ print(json.dumps({
 def test_package_names_resolve_on_first_use(tmp_path):
     import mushy
 
+    assert sorted(mushy.__all__) == sorted(PUBLIC_NAMES)
     result = _run_python(PACKAGE_NAMES, tmp_path)
-    assert result.pop("public") == sorted(mushy.__all__)
+    assert result.pop("public") == sorted(PUBLIC_NAMES)
     assert result == dict.fromkeys(result, True)
+
+
+def _assert_repr_numbers(tokens):
+    for tok in tokens:
+        try:
+            value = float(tok)
+        except ValueError:
+            continue  # a label, a verdict or a region name
+        assert tok == repr(value)
+
+
+def test_output_numbers_are_shortest_round_trip(case_l_path, dirichlet_gamma_path, capsys):
+    manufacture = ["manufacture", "--xi", "0.8", "--k", "2.0", "--rho", "0.7", "--c", "1.3",
+                   "--epsilon", "0.35", "--gamma", "0.1", "--q0", "1.4", "--h0", "3.0", "--case", "rho"]
+    for argv in (["solve", str(case_l_path)], ["check-restrictions", str(case_l_path)],
+                 manufacture + ["--format", "json"]):
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    for argv in (["solve", str(case_l_path), "--format", "csv"],
+                 ["check-restrictions", str(case_l_path), "--format", "csv"],
+                 ["profile", str(case_l_path), "--nx", "5"],
+                 ["limit", str(dirichlet_gamma_path), "--format", "csv"]):
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        _assert_repr_numbers(re.split(r"[,\n]| = ", out))
+
+    code, out, _ = run(manufacture, capsys)
+    assert code == EXIT_OK
+    values = [line.split(" = ")[1] for line in out.splitlines() if " = " in line]
+    assert "0.1" in values  # gamma
+    _assert_repr_numbers(values)
