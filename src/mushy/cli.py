@@ -35,7 +35,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -58,7 +58,6 @@ from .direct import (
 )
 from .errors import (
     DomainError,
-    NumericalError,
     RestrictionError,
     SolverError,
     ValidationError,
@@ -70,9 +69,11 @@ from .model import (
     MushyCoefficients,
     ProblemInstance,
     RestrictionReport,
+    SimilaritySolution,
     ThermalCoefficients,
     UnknownCase,
     validate,
+    with_coefficient,
 )
 from .rootfind import MonotoneEquation, solve_increasing
 
@@ -86,8 +87,6 @@ EXIT_RESIDUAL = 4
 #: row of output (and a convective solve in ``limit``).
 MAX_GRID_POINTS = 10_000
 
-_COEFFICIENT_KEYS = ("l", "k", "rho", "c", "epsilon", "gamma")
-_BOUNDARY_KEYS = ("q0", "d_inf", "h0")
 _SECTIONS = ("problem", "coefficients", "boundary")
 
 
@@ -112,12 +111,14 @@ def _json_text(doc: dict) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario file, prior to physical validation."""
+    """Parsed scenario file, prior to physical validation: a key the file
+    leaves out is None in its record."""
 
     problem: Face
     case: Optional[UnknownCase]
-    coefficients: dict[str, float]
-    boundary: dict[str, float]
+    thermal: ThermalCoefficients
+    mushy: MushyCoefficients
+    boundary: BoundaryData
 
 
 def _parse_case(token: str) -> Optional[UnknownCase]:
@@ -131,18 +132,32 @@ def _parse_case(token: str) -> Optional[UnknownCase]:
         ) from None
 
 
+def _case_name(case: Optional[UnknownCase]) -> str:
+    return case.value if case else "direct"
+
+
 def _to_float(section: str, key: str, raw) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except (TypeError, ValueError):
         raise ValidationError(f"[{section}] {key} = {raw!r} is not a number") from None
-    return value
 
 
 def _check_keys(section: str, present, allowed: tuple[str, ...]) -> None:
     extra = sorted(set(present) - set(allowed))
     if extra:
         raise ValidationError(f"unknown key(s) {', '.join(extra)} in [{section}]")
+
+
+def _keys(*records: type) -> tuple[str, ...]:
+    return tuple(f.name for record in records for f in fields(record))
+
+
+def _record(record: type, section: str, values: dict):
+    """``record`` with its fields read from one scenario section."""
+    return record(**{
+        key: _to_float(section, key, values[key]) if key in values else None for key in _keys(record)
+    })
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -181,19 +196,16 @@ def parse_scenario(text: str) -> Scenario:
         ) from None
     case = _parse_case(str(problem_sec.get("case", "direct")).strip().lower())
 
-    _check_keys("coefficients", sections["coefficients"], _COEFFICIENT_KEYS)
-    _check_keys("boundary", sections["boundary"], _BOUNDARY_KEYS)
-    coefficients = {
-        key: _to_float("coefficients", key, sections["coefficients"][key])
-        for key in _COEFFICIENT_KEYS
-        if key in sections["coefficients"]
-    }
-    boundary = {
-        key: _to_float("boundary", key, sections["boundary"][key])
-        for key in _BOUNDARY_KEYS
-        if key in sections["boundary"]
-    }
-    return Scenario(problem=face, case=case, coefficients=coefficients, boundary=boundary)
+    coefficients = sections["coefficients"]
+    _check_keys("coefficients", coefficients, _keys(ThermalCoefficients, MushyCoefficients))
+    _check_keys("boundary", sections["boundary"], _keys(BoundaryData))
+    return Scenario(
+        problem=face,
+        case=case,
+        thermal=_record(ThermalCoefficients, "coefficients", coefficients),
+        mushy=_record(MushyCoefficients, "coefficients", coefficients),
+        boundary=_record(BoundaryData, "boundary", sections["boundary"]),
+    )
 
 
 def load_scenario(path: Path) -> Scenario:
@@ -204,53 +216,37 @@ def load_scenario(path: Path) -> Scenario:
     return parse_scenario(text)
 
 
+def _given(record) -> dict:
+    return {key: value for key, value in vars(record).items() if value is not None}
+
+
+def _scenario_doc(scenario: Scenario) -> dict:
+    """The scenario's sections, each with the keys it sets, in field order."""
+    return {
+        "problem": {"type": scenario.problem.value, "case": _case_name(scenario.case)},
+        "coefficients": {**_given(scenario.thermal), **_given(scenario.mushy)},
+        "boundary": _given(scenario.boundary),
+    }
+
+
 def scenario_to_ini(scenario: Scenario, truth: Optional[tuple[str, float]] = None) -> str:
-    """Canonical INI serialization; parsing it back reproduces the scenario."""
-    lines = ["[problem]", f"type = {scenario.problem.value}",
-             f"case = {scenario.case.value if scenario.case else 'direct'}", "", "[coefficients]"]
-    for key in _COEFFICIENT_KEYS:
-        if key in scenario.coefficients:
-            lines.append(f"{key} = {scenario.coefficients[key]!r}")
-    if truth is not None:
-        lines.append(f"; true {truth[0]} = {truth[1]!r}")
-    lines.append("")
-    lines.append("[boundary]")
-    for key in _BOUNDARY_KEYS:
-        if key in scenario.boundary:
-            lines.append(f"{key} = {scenario.boundary[key]!r}")
-    lines.append("")
+    """Canonical INI serialization; parsing it back reproduces the scenario.
+    ``truth`` is written as a comment that closes the coefficients."""
+    lines = []
+    for section, values in _scenario_doc(scenario).items():
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {value}" for key, value in values.items())  # a float's str is its repr
+        if section == "coefficients" and truth is not None:
+            lines.append(f"; true {truth[0]} = {truth[1]!r}")
+        lines.append("")
     return "\n".join(lines)
 
 
 def scenario_to_json(scenario: Scenario, truth: Optional[tuple[str, float]] = None) -> str:
-    doc: dict = {
-        "problem": {
-            "type": scenario.problem.value,
-            "case": scenario.case.value if scenario.case else "direct",
-        },
-        "coefficients": {k: scenario.coefficients[k] for k in _COEFFICIENT_KEYS if k in scenario.coefficients},
-        "boundary": {k: scenario.boundary[k] for k in _BOUNDARY_KEYS if k in scenario.boundary},
-    }
+    doc = _scenario_doc(scenario)
     if truth is not None:
         doc["_truth"] = {truth[0]: truth[1]}
     return _json_text(doc) + "\n"
-
-
-def _scenario_instance(scenario: Scenario) -> ProblemInstance:
-    thermal = ThermalCoefficients(**{k: scenario.coefficients.get(k) for k in ("l", "k", "rho", "c")})
-    mushy = MushyCoefficients(
-        epsilon=scenario.coefficients.get("epsilon"), gamma=scenario.coefficients.get("gamma")
-    )
-    boundary = BoundaryData(
-        q0=scenario.boundary.get("q0", math.nan),
-        d_inf=scenario.boundary.get("d_inf", math.nan),
-        h0=scenario.boundary.get("h0"),
-    )
-    if "q0" not in scenario.boundary:
-        raise ValidationError("[boundary] section must set q0")
-    if "d_inf" not in scenario.boundary:
-        raise ValidationError("[boundary] section must set d_inf")
-    return validate(thermal, mushy, boundary, case=scenario.case, face=scenario.problem)
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
@@ -263,11 +259,15 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         scenario = replace(scenario, problem=Face(args.problem))
     if getattr(args, "case", None):
         case = _parse_case(args.case)
-        coefficients = dict(scenario.coefficients)
+        thermal, mushy = scenario.thermal, scenario.mushy
         if case is not None:
-            coefficients.pop(case.value, None)
-        scenario = replace(scenario, case=case, coefficients=coefficients)
+            thermal, mushy = with_coefficient(thermal, mushy, case, None)
+        scenario = replace(scenario, case=case, thermal=thermal, mushy=mushy)
     return scenario
+
+
+def _validated(scenario: Scenario) -> ProblemInstance:
+    return validate(scenario.thermal, scenario.mushy, scenario.boundary, case=scenario.case, face=scenario.problem)
 
 
 # --- solving ----------------------------------------------------------------
@@ -290,24 +290,30 @@ def _solve_direct_xi(instance: ProblemInstance) -> float:
     return solve_increasing(eq)
 
 
-def _solve_scenario(scenario: Scenario) -> tuple[ProblemInstance, Optional[CaseResult], float]:
-    """Returns the completed instance, the case result (None in direct mode)
-    and the front position."""
-    instance = _scenario_instance(scenario)
+def _solve(
+    args: argparse.Namespace,
+) -> tuple[Scenario, ProblemInstance, Optional[CaseResult], SimilaritySolution]:
+    """The scenario of ``args`` (overrides applied), solved.
+
+    Returns the scenario, the completed direct instance (the recovered
+    value filled in), the case result (None in direct mode) and the
+    solution.
+    """
+    scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
+    instance = _validated(scenario)
     if scenario.case is None:
         xi = _solve_direct_xi(instance)
-        return instance, None, xi
+        return scenario, instance, None, build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
     if scenario.problem is Face.CONVECTIVE:
-        result = inverse_convective.solve_case(
-            scenario.case, instance.thermal, instance.mushy, instance.boundary
-        )
+        solve_case = inverse_convective.solve_case
     else:
         from . import inverse_dirichlet
 
-        result = inverse_dirichlet.solve_dirichlet_case(
-            scenario.case, instance.thermal, instance.mushy, instance.boundary
-        )
-    return instance.with_value(result.value), result, result.xi
+        solve_case = inverse_dirichlet.solve_dirichlet_case
+    result = solve_case(scenario.case, instance.thermal, instance.mushy, instance.boundary)
+    thermal, mushy = with_coefficient(instance.thermal, instance.mushy, scenario.case, result.value)
+    instance = replace(instance, case=None, thermal=thermal, mushy=mushy)
+    return scenario, instance, result, result.solution
 
 
 def _report_doc(report: RestrictionReport) -> dict:
@@ -373,23 +379,16 @@ def _check_positive(flag: str, *values: float) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    instance, result, xi = _solve_scenario(scenario)
-    solution = result.solution if result is not None else build_solution(
-        instance.thermal, instance.mushy, instance.boundary, xi
-    )
+    scenario, instance, result, solution = _solve(args)
     residuals = consistency_residuals(
-        instance.thermal, instance.mushy, instance.boundary, xi, scenario.problem
+        instance.thermal, instance.mushy, instance.boundary, solution.xi, instance.face
     )
-    doc: dict = {
-        "problem": scenario.problem.value,
-        "case": scenario.case.value if scenario.case else "direct",
-    }
+    doc: dict = {"problem": scenario.problem.value, "case": _case_name(scenario.case)}
     if result is not None:
         doc["coefficient"] = result.case.value
         doc["value"] = result.value
     doc.update(
-        xi=xi,
+        xi=solution.xi,
         mu=solution.mu,
         alpha=solution.alpha,
         a_coef=solution.a_coef,
@@ -410,11 +409,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         raise ValidationError("--nx must be at least 2")
     if args.nx > MAX_GRID_POINTS:
         raise ValidationError(f"--nx must be at most {MAX_GRID_POINTS}")
-    scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    instance, result, xi = _solve_scenario(scenario)
-    solution = result.solution if result is not None else build_solution(
-        instance.thermal, instance.mushy, instance.boundary, xi
-    )
+    solution = _solve(args)[3]
 
     profile = io.StringIO()
     profile.write("t,x,temperature,region\n")
@@ -450,7 +445,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
         raise ValidationError("the limit study needs a dirichlet scenario (the convective side is generated)")
     if scenario.case is None:
         raise ValidationError("the limit study needs an unknown coefficient, not a direct scenario")
-    instance = _scenario_instance(scenario)
+    instance = _validated(scenario)
 
     if args.h0_grid is not None:
         try:
@@ -524,16 +519,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_positive("--t", *times)
     fracs = args.x_fracs or [0.3, 0.5, 0.7]
     if any(not 0.0 < f < 1.0 for f in fracs):
-        raise ValidationError("x fractions must lie strictly inside (0, 1)")
-    scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    instance, result, xi = _solve_scenario(scenario)
+        raise ValidationError(f"--x-fracs must be fractions strictly inside (0, 1), got {fracs!r}")
+    if not 0.0 < args.fd_step < 0.5:
+        raise ValidationError(f"--fd-step must be a number inside (0, 0.5), got {args.fd_step!r}")
+    if not math.isfinite(args.xi_perturb):
+        raise ValidationError(f"--xi-perturb must be a finite number, got {args.xi_perturb!r}")
+    scenario, instance, _, solution = _solve(args)
+    xi = solution.xi
     if args.xi_perturb:
+        if not xi + args.xi_perturb > 0.0:
+            raise ValidationError(f"--xi-perturb must be greater than -xi = {-xi!r}, got {args.xi_perturb!r}")
         xi += args.xi_perturb
-    solution = build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
+        solution = build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
     xs = [f * front_s(solution, min(times)) for f in fracs]
 
     conditions = verify.condition_residuals(
-        solution, instance.thermal, instance.mushy, instance.boundary, times, scenario.problem
+        solution, instance.thermal, instance.mushy, instance.boundary, times, instance.face
     )
     fd = verify.pde_residual(solution, xs, times, fd_step=args.fd_step)
 
@@ -544,7 +545,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failures.insert(0, "pde")
     doc = {
         "problem": scenario.problem.value,
-        "case": scenario.case.value if scenario.case else "direct",
+        "case": _case_name(scenario.case),
         "xi": xi,
         "xi_perturbation": args.xi_perturb,
         "condition_residuals": dict(sorted(conditions.condition_residuals.items())),
@@ -562,7 +563,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_manufacture(args: argparse.Namespace) -> int:
     from .manufacture import manufacture
 
-    face = Face(args.problem)
     problem = manufacture(
         xi=args.xi,
         k=args.k,
@@ -572,24 +572,14 @@ def cmd_manufacture(args: argparse.Namespace) -> int:
         gamma=args.gamma,
         q0=args.q0,
         h0=args.h0,
-        face=face,
+        face=Face(args.problem),
     )
     case = _parse_case(args.case) if args.case else None
-    coefficients = {
-        "l": problem.thermal.l,
-        "k": problem.thermal.k,
-        "rho": problem.thermal.rho,
-        "c": problem.thermal.c,
-        "epsilon": problem.mushy.epsilon,
-        "gamma": problem.mushy.gamma,
-    }
-    truth = None
+    thermal, mushy, truth = problem.thermal, problem.mushy, None
     if case is not None:
-        truth = (case.value, coefficients.pop(case.value))
-    boundary = {"q0": problem.boundary.q0, "d_inf": problem.boundary.d_inf}
-    if face is Face.CONVECTIVE:
-        boundary["h0"] = problem.boundary.h0
-    scenario = Scenario(problem=face, case=case, coefficients=coefficients, boundary=boundary)
+        thermal, mushy, value = problem.hide(case)
+        truth = (case.value, value)
+    scenario = Scenario(problem=problem.face, case=case, thermal=thermal, mushy=mushy, boundary=problem.boundary)
     text = scenario_to_json(scenario, truth) if args.format == "json" else scenario_to_ini(scenario, truth)
     _write(text, args.out)
     return EXIT_OK
@@ -597,31 +587,24 @@ def cmd_manufacture(args: argparse.Namespace) -> int:
 
 def cmd_check_restrictions(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    instance = _scenario_instance(scenario)
-    if scenario.case is None:
-        doc = {
-            "problem": scenario.problem.value,
-            "case": "direct",
-            "restrictions": [],
-            "note": "no restrictions apply to a fully specified data set",
-            "all_satisfied": True,
-        }
-        _emit_doc(doc, args.format, args.out)
-        return EXIT_OK
-
-    if scenario.problem is Face.CONVECTIVE:
-        inverse = inverse_convective
-    else:
-        from . import inverse_dirichlet as inverse
-    reports = inverse.check_all(scenario.case, instance.thermal, instance.mushy, instance.boundary)
+    instance = _validated(scenario)
+    reports: tuple[RestrictionReport, ...] = ()
+    if scenario.case is not None:
+        if scenario.problem is Face.CONVECTIVE:
+            inverse = inverse_convective
+        else:
+            from . import inverse_dirichlet as inverse
+        reports = inverse.check_all(scenario.case, instance.thermal, instance.mushy, instance.boundary)
     all_ok = all(r.satisfied for r in reports)
     doc = {
         "problem": scenario.problem.value,
-        "case": scenario.case.value,
+        "case": _case_name(scenario.case),
         "restrictions": [_report_doc(r) for r in reports],
-        "all_satisfied": all_ok,
     }
-    if not reports:
+    if scenario.case is None:  # key order is output: here the note precedes the verdict
+        doc["note"] = "no restrictions apply to a fully specified data set"
+    doc["all_satisfied"] = all_ok
+    if scenario.case is not None and not reports:
         doc["note"] = "this case carries no solvability restriction"
     _emit_doc(doc, args.format, args.out)
     return EXIT_OK if all_ok else EXIT_RESTRICTION
@@ -741,9 +724,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValidationError, DomainError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT
-    except NumericalError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_NUMERICAL
     except SolverError as err:  # any remaining package error is a numerical one
         sys.stderr.write(f"error: {err}\n")
         return EXIT_NUMERICAL

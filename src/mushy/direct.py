@@ -40,7 +40,6 @@ __all__ = [
     "build_solution",
     "temperature",
     "temperature_gradient",
-    "temperature_time_derivative",
     "front_s",
     "front_r",
     "front_s_velocity",
@@ -167,14 +166,6 @@ def temperature_gradient(sol: SimilaritySolution, x: float, t: float) -> float:
     if eta > sol.xi:
         return 0.0
     return sol.b_coef * math.exp(-eta * eta) / math.sqrt(math.pi * sol.alpha * t)
-
-
-def temperature_time_derivative(sol: SimilaritySolution, x: float, t: float) -> float:
-    """Analytic dT/dt; solid-side value on 0 <= x <= s(t), 0 beyond."""
-    eta = _similarity_variable(sol, x, t)
-    if eta > sol.xi:
-        return 0.0
-    return -sol.b_coef * eta * math.exp(-eta * eta) / (SQRT_PI * t)
 
 
 def front_s(sol: SimilaritySolution, t: float) -> float:

@@ -45,6 +45,7 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     validate,
+    with_coefficient,
 )
 from .rootfind import MonotoneEquation, solve_increasing
 
@@ -345,6 +346,5 @@ def solve_case(
         xi = solve_increasing(equation(thermal, mushy, boundary, beta))
 
     value = closed_form(case, thermal, mushy, boundary, xi, beta)
-    full = instance.with_value(value)
-    solution = build_solution(full.thermal, full.mushy, full.boundary, xi)
+    solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
     return CaseResult(case=case, value=value, xi=xi, solution=solution, reports=reports)

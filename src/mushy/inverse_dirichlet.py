@@ -50,6 +50,7 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     validate,
+    with_coefficient,
 )
 from .rootfind import MonotoneEquation, solve_increasing
 
@@ -285,8 +286,7 @@ def solve_dirichlet_case(
         xi = solve_increasing(equation(thermal, mushy, boundary))
 
     value = inverse_convective.closed_form(case, thermal, mushy, boundary, xi, 1.0)
-    full = instance.with_value(value)
-    solution = build_solution(full.thermal, full.mushy, full.boundary, xi)
+    solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
     return CaseResult(case=case, value=value, xi=xi, solution=solution, reports=reports)
 
 

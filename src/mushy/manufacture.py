@@ -24,6 +24,7 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     validate,
+    with_coefficient,
 )
 
 __all__ = ["ManufacturedProblem", "manufacture", "random_problem"]
@@ -41,18 +42,8 @@ class ManufacturedProblem:
 
     def hide(self, case: UnknownCase) -> tuple[ThermalCoefficients, MushyCoefficients, float]:
         """Blank out one coefficient; returns the partial data and the truth."""
-        name = case.value
-        if name in ("l", "k", "rho", "c"):
-            truth = getattr(self.thermal, name)
-            thermal = ThermalCoefficients(
-                **{f: (None if f == name else getattr(self.thermal, f)) for f in ("l", "k", "rho", "c")}
-            )
-            return thermal, self.mushy, truth
-        truth = getattr(self.mushy, name)
-        mushy = MushyCoefficients(
-            **{f: (None if f == name else getattr(self.mushy, f)) for f in ("epsilon", "gamma")}
-        )
-        return self.thermal, mushy, truth
+        thermal, mushy = with_coefficient(self.thermal, self.mushy, case, None)
+        return thermal, mushy, getattr(self.thermal if mushy is self.mushy else self.mushy, case.value)
 
 
 def manufacture(

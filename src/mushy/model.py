@@ -33,6 +33,7 @@ __all__ = [
     "CaseResult",
     "ProblemInstance",
     "validate",
+    "with_coefficient",
 ]
 
 
@@ -52,9 +53,6 @@ class UnknownCase(Enum):
     K = "k"  # thermal conductivity
     RHO = "rho"  # density
     C = "c"  # specific heat
-
-
-_THERMAL_FIELDS = ("l", "k", "rho", "c")
 
 
 @dataclass(frozen=True)
@@ -177,17 +175,21 @@ class ProblemInstance:
     mushy: MushyCoefficients
     boundary: BoundaryData
 
-    def with_value(self, value: float) -> "ProblemInstance":
-        """Return a copy with the unknown slot filled by ``value``."""
-        if self.case is None:
-            raise ValidationError("direct instances have no unknown slot to fill")
-        name = self.case.value
-        thermal, mushy = self.thermal, self.mushy
-        if name in _THERMAL_FIELDS:
-            thermal = ThermalCoefficients(**{**vars(thermal), name: value})
-        else:
-            mushy = MushyCoefficients(**{**vars(mushy), name: value})
-        return ProblemInstance(face=self.face, case=None, thermal=thermal, mushy=mushy, boundary=self.boundary)
+
+def with_coefficient(
+    thermal: ThermalCoefficients,
+    mushy: MushyCoefficients,
+    case: UnknownCase,
+    value: Optional[float],
+) -> tuple[ThermalCoefficients, MushyCoefficients]:
+    """The coefficient records with the slot of ``case`` set to ``value``
+    (None blanks it).  The one place that maps a case to its record: the
+    record that has a field of that name, l, k, rho and c thermal, epsilon
+    and gamma mushy."""
+    name = case.value
+    if name in vars(thermal):
+        return ThermalCoefficients(**{**vars(thermal), name: value}), mushy
+    return thermal, MushyCoefficients(**{**vars(mushy), name: value})
 
 
 def _check_positive(name: str, value: Optional[float]) -> float:

@@ -1,4 +1,4 @@
-"""Error-function kernel: erf, erfc and a bracketed-Newton inverse.
+"""Error-function kernel: erf and a bracketed-Newton inverse.
 
 Every other module evaluates the Gaussian error function through this one.
 The forward functions delegate to the C library via :mod:`math`, which is
@@ -15,7 +15,7 @@ import warnings
 
 from .errors import DomainError, IllConditionedWarning
 
-__all__ = ["erf", "erfc", "erf_inv", "TWO_OVER_SQRT_PI"]
+__all__ = ["erf", "erf_inv", "TWO_OVER_SQRT_PI"]
 
 #: d/dx erf(x) at 0; also the growth rate erf(x)/x near the origin.
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -44,11 +44,6 @@ def _require_finite(name: str, x: float) -> float:
 def erf(x: float) -> float:
     """Gaussian error function, odd and strictly increasing on the reals."""
     return math.erf(_require_finite("x", x))
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x), computed without cancellation."""
-    return math.erfc(_require_finite("x", x))
 
 
 def _erf_inv_guess(a: float) -> float:

@@ -21,7 +21,7 @@ from mushy.cli import (
     scenario_to_ini,
     scenario_to_json,
 )
-from mushy.model import Face, UnknownCase
+from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
 
 L_REF = 1.4636343789756727
 
@@ -110,6 +110,60 @@ def test_manufacture_then_solve_round_trip(tmp_path, capsys):
     doc = json.loads(out)
     assert math.isclose(doc["value"], 0.7, rel_tol=1e-11)
     assert abs(doc["xi"] - 0.8) <= 1e-12
+
+
+MANUFACTURED_GAMMA_INI = """\
+[problem]
+type = convective
+case = gamma
+
+[coefficients]
+l = 0.6151678272588941
+k = 2.0
+rho = 0.7
+c = 1.3
+epsilon = 0.35
+; true gamma = 0.6
+
+[boundary]
+q0 = 1.4
+d_inf = 1.8316591951243444
+h0 = 3.0
+"""
+
+MANUFACTURED_GAMMA_JSON = """\
+{
+  "problem": {
+    "type": "convective",
+    "case": "gamma"
+  },
+  "coefficients": {
+    "l": 0.6151678272588941,
+    "k": 2.0,
+    "rho": 0.7,
+    "c": 1.3,
+    "epsilon": 0.35
+  },
+  "boundary": {
+    "q0": 1.4,
+    "d_inf": 1.8316591951243444,
+    "h0": 3.0
+  },
+  "_truth": {
+    "gamma": 0.6
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("fmt, expected", [("ini", MANUFACTURED_GAMMA_INI), ("json", MANUFACTURED_GAMMA_JSON)])
+def test_manufacture_output_bytes(capsys, fmt, expected):
+    code, out, _ = run(
+        ["manufacture", "--xi", "0.8", "--k", "2.0", "--rho", "0.7", "--c", "1.3",
+         "--epsilon", "0.35", "--gamma", "0.6", "--q0", "1.4", "--h0", "3.0",
+         "--case", "gamma", "--format", fmt], capsys)
+    assert code == EXIT_OK
+    assert out == expected
 
 
 def test_manufacture_requires_h0_for_convective(capsys):
@@ -325,7 +379,7 @@ def test_malformed_limit_grids_exit_one(dirichlet_gamma_path, capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("flag", ["--tol-residual", "--pde-tol", "--t"])
+@pytest.mark.parametrize("flag", ["--tol-residual", "--pde-tol", "--t", "--fd-step"])
 @pytest.mark.parametrize("value", ["nan", "-1e-10", "inf"])
 def test_verify_rejects_unusable_tolerances(case_l_path, capsys, flag, value):
     # a NaN bound would pass every residual, since value > nan is false
@@ -333,6 +387,18 @@ def test_verify_rejects_unusable_tolerances(case_l_path, capsys, flag, value):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith(f"error: {flag} must be a ")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    # xi = 0.5 here, so a perturbation of -1 moves it below zero
+    [("--xi-perturb", "nan"), ("--xi-perturb", "inf"), ("--xi-perturb", "-1"), ("--x-fracs", "0,1.5")],
+)
+def test_verify_names_the_flag_of_a_bad_sample(case_l_path, capsys, flag, value):
+    code, out, err = run(["verify", str(case_l_path), f"{flag}={value}"], capsys)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be ")
 
 
 def test_missing_file_exits_one(tmp_path, capsys):
@@ -349,11 +415,13 @@ def test_unsolvable_direct_data_exit_numerical(direct_path, tmp_path, capsys):
 
 
 def test_case_override_reuses_direct_scenario(direct_path, capsys):
-    code, out, _ = run(["solve", str(direct_path), "--case", "l"], capsys)
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc["case"] == "l"
-    assert math.isclose(doc["value"], L_REF, rel_tol=1e-12)
+    # l is a bulk coefficient, gamma and epsilon belong to the mushy zone
+    for case, truth in (("l", L_REF), ("gamma", 0.1), ("epsilon", 0.5)):
+        code, out, _ = run(["solve", str(direct_path), "--case", case], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["case"] == case
+        assert math.isclose(doc["value"], truth, rel_tol=1e-12)
 
 
 def test_problem_override_to_dirichlet(case_l_path, capsys):
@@ -456,8 +524,9 @@ def test_serialization_is_lossless(k, rho, c, gamma, q0, d_inf, eps):
     scenario = Scenario(
         problem=Face.CONVECTIVE,
         case=UnknownCase.L,
-        coefficients={"k": k, "rho": rho, "c": c, "epsilon": eps, "gamma": gamma},
-        boundary={"q0": q0, "d_inf": d_inf, "h0": 2.0},
+        thermal=ThermalCoefficients(k=k, rho=rho, c=c),
+        mushy=MushyCoefficients(epsilon=eps, gamma=gamma),
+        boundary=BoundaryData(q0=q0, d_inf=d_inf, h0=2.0),
     )
     assert parse_scenario(scenario_to_ini(scenario)) == scenario
     assert parse_scenario(scenario_to_json(scenario)) == scenario

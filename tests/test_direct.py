@@ -16,7 +16,6 @@ from mushy.direct import (
     front_s_velocity,
     temperature,
     temperature_gradient,
-    temperature_time_derivative,
     xexp_sq,
 )
 from mushy.errors import DomainError, ValidationError
@@ -137,7 +136,7 @@ def test_front_velocities_reject_t_zero(op, ref_solution):
 
 
 def test_profile_operations_reject_t_zero(ref_solution):
-    for op in (temperature, temperature_gradient, temperature_time_derivative):
+    for op in (temperature, temperature_gradient):
         with pytest.raises(DomainError):
             op(ref_solution, 0.1, 0.0)
 
@@ -147,11 +146,10 @@ def test_temperature_rejects_negative_position(ref_solution):
         temperature(ref_solution, -0.1, 1.0)
 
 
-def test_gradient_and_time_derivative_vanish_beyond_the_solid(ref_solution):
+def test_gradient_vanishes_beyond_the_solid(ref_solution):
     t = 1.0
     x = 1.5 * front_s(ref_solution, t)
     assert temperature_gradient(ref_solution, x, t) == 0.0
-    assert temperature_time_derivative(ref_solution, x, t) == 0.0
 
 
 def test_imposed_flux_identity():

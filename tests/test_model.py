@@ -13,6 +13,7 @@ from mushy.model import (
     ThermalCoefficients,
     UnknownCase,
     validate,
+    with_coefficient,
 )
 
 THERMAL_NO_L = ThermalCoefficients(l=None, k=1.0, rho=1.0, c=1.0)
@@ -93,11 +94,16 @@ def test_validate_idempotent():
     assert first == second
 
 
-def test_with_value_fills_the_unknown_slot():
-    instance = validate(THERMAL_NO_L, MUSHY, BOUNDARY, case=UnknownCase.L)
-    full = instance.with_value(1.5)
-    assert full.thermal.l == 1.5
-    assert full.case is None
+def test_with_coefficient_sets_one_slot_of_one_record():
+    thermal, mushy = with_coefficient(THERMAL_NO_L, MUSHY, UnknownCase.L, 1.5)
+    assert thermal == ThermalCoefficients(l=1.5, k=1.0, rho=1.0, c=1.0)
+    assert mushy is MUSHY
+    for case in UnknownCase:
+        thermal, mushy = with_coefficient(FULL_THERMAL, MUSHY, case, None)
+        blanked = [name for name, value in {**vars(thermal), **vars(mushy)}.items() if value is None]
+        assert blanked == [case.value]
+    _, mushy = with_coefficient(THERMAL_NO_L, MUSHY, UnknownCase.GAMMA, 0.25)
+    assert mushy == MushyCoefficients(epsilon=0.5, gamma=0.25)
 
 
 def test_direct_mode_requires_everything():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,16 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(script, args, cwd):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -18,12 +29,17 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ],
 )
 def test_script_runs_from_a_checkout(script, args, header, rows, tmp_path):
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    table = proc.stdout.split("\n\n")[0].splitlines()
+    table = _run(script, args, tmp_path).split("\n\n")[0].splitlines()
     assert header in table[0]
     assert len(table) == 1 + rows
+
+
+def test_recovery_sweep_digest_follows_the_seed(tmp_path):
+    def digest(seed):
+        last = _run("recovery_sweep.py", ["--n", "3", "--seed", seed], tmp_path).splitlines()[-1]
+        assert re.fullmatch(r"sha256 [0-9a-f]{64} \(0 raised\)", last), last
+        return last
+
+    first = digest("1")
+    assert digest("1") == first
+    assert digest("2") != first

@@ -9,7 +9,7 @@ from mushy.errors import DomainError, IllConditionedWarning
 from mushy.inverse_convective import FACE_CASES
 from mushy.manufacture import random_problem
 from mushy.model import Face, UnknownCase
-from mushy.specfun import erf, erf_inv, erfc
+from mushy.specfun import erf, erf_inv
 
 # Frozen via the independent series evaluation (tests/test_verify.py checks
 # the two routes against each other on a dense grid).
@@ -31,17 +31,10 @@ def test_erf_odd_symmetry_frozen_point():
     assert erf(-0.5) == -erf(0.5) == -ERF_HALF
 
 
-def test_erfc_complements_erf():
-    for x in (0.0, 0.3, 1.0, 2.5, -1.7):
-        assert math.isclose(erfc(x), 1.0 - erf(x), rel_tol=0, abs_tol=1e-15)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_erf_rejects_non_finite(bad):
     with pytest.raises(DomainError):
         erf(bad)
-    with pytest.raises(DomainError):
-        erfc(bad)
 
 
 def test_erf_inv_at_origin():
