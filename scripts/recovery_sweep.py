@@ -33,7 +33,8 @@ from mushy.model import CaseResult, Face, UnknownCase
 
 def _fingerprint(result: CaseResult) -> str:
     """Every number of one recovery, exactly, and its restriction reports."""
-    numbers = (result.value, result.xi, *vars(result.solution).values())
+    sol = result.solution
+    numbers = (result.value, result.xi, sol.a_coef, sol.b_coef, sol.xi, sol.mu, sol.alpha)
     reports = (
         f"{r.restriction_id} {r.satisfied} {float(r.lhs).hex()} {float(r.rhs).hex()} {r.note}"
         for r in result.reports

@@ -35,9 +35,9 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 # Only what a convective solve runs is imported here; configparser, verify,
 # manufacture and inverse_dirichlet are imported where they are used, so a
@@ -109,8 +109,7 @@ def _json_text(doc: dict) -> str:
 # --- scenario files ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Parsed scenario file, prior to physical validation: a key the file
     leaves out is None in its record."""
 
@@ -170,7 +169,10 @@ def parse_scenario(text: str) -> Scenario:
             doc = json.loads(text)
         except json.JSONDecodeError as err:
             raise ValidationError(f"invalid JSON scenario: {err}") from None
-        sections = {name: dict(doc.get(name) or {}) for name in _SECTIONS}
+        sections = {name: {} if doc.get(name) is None else doc[name] for name in _SECTIONS}
+        for name, section in sections.items():
+            if not isinstance(section, dict):
+                raise ValidationError(f"[{name}] section must be a JSON object, got {section!r}")
         doc.pop("_truth", None)  # advisory block written by `manufacture`
         _check_keys("<top level>", doc, _SECTIONS)
     else:
@@ -256,13 +258,13 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     fully specified (direct) scenario can be re-solved for any unknown.
     """
     if getattr(args, "problem", None):
-        scenario = replace(scenario, problem=Face(args.problem))
+        scenario = scenario._replace(problem=Face(args.problem))
     if getattr(args, "case", None):
         case = _parse_case(args.case)
         thermal, mushy = scenario.thermal, scenario.mushy
         if case is not None:
             thermal, mushy = with_coefficient(thermal, mushy, case, None)
-        scenario = replace(scenario, case=case, thermal=thermal, mushy=mushy)
+        scenario = scenario._replace(case=case, thermal=thermal, mushy=mushy)
     return scenario
 
 
@@ -312,7 +314,7 @@ def _solve(
         solve_case = inverse_dirichlet.solve_dirichlet_case
     result = solve_case(scenario.case, instance.thermal, instance.mushy, instance.boundary)
     thermal, mushy = with_coefficient(instance.thermal, instance.mushy, scenario.case, result.value)
-    instance = replace(instance, case=None, thermal=thermal, mushy=mushy)
+    instance = instance._replace(case=None, thermal=thermal, mushy=mushy)
     return scenario, instance, result, result.solution
 
 

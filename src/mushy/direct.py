@@ -13,8 +13,8 @@ equations that a solution of the full free-boundary problem must satisfy:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import specfun
 from .errors import DomainError
@@ -196,8 +196,7 @@ def front_r_velocity(sol: SimilaritySolution, t: float) -> float:
     return sol.mu * math.sqrt(sol.alpha / t)
 
 
-@dataclass(frozen=True)
-class ConsistencyResiduals:
+class ConsistencyResiduals(NamedTuple):
     """Residuals of the two consistency equations.
 
     res_stefan is the front balance residual scaled by the magnitude of its

@@ -35,8 +35,7 @@ condition for the specific-heat equation's target to exceed its 0+ limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import inverse_convective, specfun
 from .direct import build_solution, dxexp_sq, face_argument, stefan_rhs, xexp_sq
@@ -293,8 +292,7 @@ def solve_dirichlet_case(
 # --- convective-to-Dirichlet limit study ------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitStudy:
+class LimitStudy(NamedTuple):
     """Convergence record of convective solutions toward the Dirichlet one.
 
     The same data (q0, d_inf, known coefficients) are solved convectively

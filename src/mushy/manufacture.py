@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import specfun
 from .errors import ValidationError
@@ -30,8 +29,7 @@ from .model import (
 __all__ = ["ManufacturedProblem", "manufacture", "random_problem"]
 
 
-@dataclass(frozen=True)
-class ManufacturedProblem:
+class ManufacturedProblem(NamedTuple):
     """A complete, consistent data set together with the xi that built it."""
 
     face: Face
@@ -87,9 +85,7 @@ def manufacture(
     mushy = MushyCoefficients(epsilon=epsilon, gamma=gamma)
     boundary = BoundaryData(q0=q0, d_inf=d_inf, h0=h0)
     instance = validate(thermal, mushy, boundary, case=None, face=face)
-    return ManufacturedProblem(
-        face=face, thermal=instance.thermal, mushy=instance.mushy, boundary=instance.boundary, xi=xi
-    )
+    return ManufacturedProblem(face, instance.thermal, instance.mushy, instance.boundary, xi)
 
 
 def _log_uniform(rng: random.Random, low: float, high: float) -> float:

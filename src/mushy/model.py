@@ -11,6 +11,9 @@ coefficient be recovered instead of prescribed.
 
 Temperatures at the face are stored through the positive magnitude
 ``d_inf``: the physical face datum is ``-d_inf`` (degrees below fusion).
+
+Input records, which callers build (coefficients, boundary data), are frozen
+dataclasses; output records, which the library builds, are ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ValidationError
 
@@ -102,8 +105,15 @@ class BoundaryData:
     h0: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class SimilaritySolution:
+class _SolutionFields(NamedTuple):
+    a_coef: float
+    b_coef: float
+    xi: float
+    mu: float
+    alpha: float
+
+
+class SimilaritySolution(_SolutionFields):
     """Closed-form solution of the one-phase problem.
 
     The solid temperature is T(x, t) = a_coef + b_coef * erf(x / (2 sqrt(alpha t)))
@@ -112,25 +122,25 @@ class SimilaritySolution:
     dimensionless front positions must satisfy 0 < xi < mu.
     """
 
-    a_coef: float
-    b_coef: float
-    xi: float
-    mu: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.xi > 0.0 and math.isfinite(self.xi)):
-            raise ValidationError(f"xi must be positive and finite, got {self.xi!r}")
-        if not self.mu > self.xi:
-            raise ValidationError(f"mu must exceed xi, got mu={self.mu!r} xi={self.xi!r}")
-        if not (self.b_coef > 0.0 and math.isfinite(self.b_coef)):
-            raise ValidationError(f"b_coef must be positive and finite, got {self.b_coef!r}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
+    def __new__(cls, a_coef: float, b_coef: float, xi: float, mu: float, alpha: float) -> SimilaritySolution:
+        if not (xi > 0.0 and math.isfinite(xi)):
+            raise ValidationError(f"xi must be positive and finite, got {xi!r}")
+        if not mu > xi:
+            raise ValidationError(f"mu must exceed xi, got mu={mu!r} xi={xi!r}")
+        if not (b_coef > 0.0 and math.isfinite(b_coef)):
+            raise ValidationError(f"b_coef must be positive and finite, got {b_coef!r}")
+        if not (alpha > 0.0 and math.isfinite(alpha)):
+            raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
+        return tuple.__new__(cls, (a_coef, b_coef, xi, mu, alpha))
+
+    @classmethod
+    def _make(cls, iterable) -> SimilaritySolution:  # _replace builds through _make, so it is checked too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(NamedTuple):
     """Outcome of one solvability restriction, oriented as ``lhs < rhs``.
 
     ``margin = rhs - lhs`` is positive exactly when the restriction is
@@ -150,8 +160,7 @@ class RestrictionReport:
         return self.rhs - self.lhs
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     """Recovered coefficient together with the full solution and diagnostics."""
 
     case: UnknownCase
@@ -161,8 +170,7 @@ class CaseResult:
     reports: tuple[RestrictionReport, ...]
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(NamedTuple):
     """A validated problem description.
 
     Exactly the slot named by ``case`` is None among the six coefficients

@@ -13,8 +13,7 @@ the free-boundary problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .direct import (
     front_r,
@@ -120,8 +119,7 @@ def brute_bisect(eq: MonotoneEquation, lo: float, hi: float, width: float = 1e-1
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class PdeResidual:
+class PdeResidual(NamedTuple):
     """:func:`pde_residual`'s report: the largest finite-difference
     heat-equation residual over the sample, normalized by the natural scale
     (peak temperature magnitude over smallest sampled time), and the
@@ -131,8 +129,7 @@ class PdeResidual:
     fd_step: float
 
 
-@dataclass(frozen=True)
-class ConditionResiduals:
+class ConditionResiduals(NamedTuple):
     """:func:`condition_residuals`' report: each condition identifier of
     :data:`CONDITION_IDS` after ``pde`` mapped to its largest relative
     residual over the sampled times."""

@@ -21,6 +21,7 @@ from mushy.cli import (
     scenario_to_ini,
     scenario_to_json,
 )
+from mushy.errors import ValidationError
 from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
 
 L_REF = 1.4636343789756727
@@ -338,6 +339,10 @@ def test_restriction_failure_follows_format(tmp_path, capsys):
     assert "restrictions.R1.satisfied,false" in lines
 
 
+JSON_COEFFICIENTS_LIST = '{"problem": {"type": "convective", "case": "l"}, "coefficients": [1, 2]}'
+JSON_PROBLEM_STRING = '{"problem": "convective"}'
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -351,6 +356,8 @@ def test_restriction_failure_follows_format(tmp_path, capsys):
         lambda text: text + "\n[options]\nmax_iter = 1e400\n",
         lambda text: text + "\n[options]\nmax_iter = 2.5\n",
         lambda text: text + "\n[options]\nabs_tol = 1e-13\n",
+        lambda text: JSON_COEFFICIENTS_LIST,
+        lambda text: JSON_PROBLEM_STRING,
     ],
 )
 def test_malformed_scenarios_exit_one(tmp_path, capsys, mutate):
@@ -359,6 +366,16 @@ def test_malformed_scenarios_exit_one(tmp_path, capsys, mutate):
     code, _, err = run(["solve", str(path)], capsys)
     assert code == EXIT_INPUT
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text,section",
+    [(JSON_COEFFICIENTS_LIST, "coefficients"), (JSON_PROBLEM_STRING, "problem")],
+    ids=["coefficients-list", "problem-string"],
+)
+def test_json_section_must_be_an_object(text, section):
+    with pytest.raises(ValidationError, match=rf"^\[{section}\] section must be a JSON object"):
+        parse_scenario(text)
 
 
 @pytest.mark.parametrize(

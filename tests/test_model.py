@@ -3,11 +3,17 @@ from dataclasses import replace
 
 import pytest
 
+from mushy.cli import Scenario
+from mushy.direct import ConsistencyResiduals
 from mushy.errors import ValidationError
+from mushy.inverse_dirichlet import LimitStudy
+from mushy.manufacture import ManufacturedProblem
 from mushy.model import (
     BoundaryData,
+    CaseResult,
     Face,
     MushyCoefficients,
+    ProblemInstance,
     RestrictionReport,
     SimilaritySolution,
     ThermalCoefficients,
@@ -15,6 +21,7 @@ from mushy.model import (
     validate,
     with_coefficient,
 )
+from mushy.verify import ConditionResiduals, PdeResidual
 
 THERMAL_NO_L = ThermalCoefficients(l=None, k=1.0, rho=1.0, c=1.0)
 MUSHY = MushyCoefficients(epsilon=0.5, gamma=0.1)
@@ -208,5 +215,80 @@ def test_restriction_report_margin_orientation():
     ],
 )
 def test_similarity_solution_shape_checks(kwargs):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as built:
         SimilaritySolution(**kwargs)
+    with pytest.raises(ValidationError) as replaced:
+        SOLUTION._replace(**kwargs)
+    assert str(replaced.value) == str(built.value)
+
+
+SOLUTION = SimilaritySolution(a_coef=-1.0, b_coef=1.0, xi=0.5, mu=0.6, alpha=1.0)
+REPORT = RestrictionReport(restriction_id="R1", satisfied=True, lhs=1.0, rhs=2.0)
+_SOLUTION_REPR = "SimilaritySolution(a_coef=-1.0, b_coef=1.0, xi=0.5, mu=0.6, alpha=1.0)"
+_REPORT_REPR = "RestrictionReport(restriction_id='R1', satisfied=True, lhs=1.0, rhs=2.0, note='')"
+_DATA_REPR = (
+    "thermal=ThermalCoefficients(l=1.0, k=2.0, rho=3.0, c=4.0), mushy=MushyCoefficients(epsilon=0.5, gamma=0.1), "
+    "boundary=BoundaryData(q0=1.0, d_inf=1.4226, h0=2.0)"
+)
+
+#: Every output record: an example, its field names and its repr, each as
+#: the record had it as a frozen dataclass.
+OUTPUT_RECORDS = [
+    (SOLUTION, ("a_coef", "b_coef", "xi", "mu", "alpha"), _SOLUTION_REPR),
+    (REPORT, ("restriction_id", "satisfied", "lhs", "rhs", "note"), _REPORT_REPR),
+    (
+        CaseResult(case=UnknownCase.L, value=1.5, xi=0.5, solution=SOLUTION, reports=(REPORT,)),
+        ("case", "value", "xi", "solution", "reports"),
+        f"CaseResult(case=<UnknownCase.L: 'l'>, value=1.5, xi=0.5, solution={_SOLUTION_REPR}, reports=({_REPORT_REPR},))",
+    ),
+    (
+        ProblemInstance(face=Face.CONVECTIVE, case=None, thermal=FULL_THERMAL, mushy=MUSHY, boundary=BOUNDARY),
+        ("face", "case", "thermal", "mushy", "boundary"),
+        f"ProblemInstance(face=<Face.CONVECTIVE: 'convective'>, case=None, {_DATA_REPR})",
+    ),
+    (
+        ConsistencyResiduals(res_stefan=1e-16, res_face=-2e-16),
+        ("res_stefan", "res_face"),
+        "ConsistencyResiduals(res_stefan=1e-16, res_face=-2e-16)",
+    ),
+    (
+        PdeResidual(pde_residual_max=1e-09, fd_step=0.0001),
+        ("pde_residual_max", "fd_step"),
+        "PdeResidual(pde_residual_max=1e-09, fd_step=0.0001)",
+    ),
+    (
+        ConditionResiduals(condition_residuals={"flux": 0.0}),
+        ("condition_residuals",),
+        "ConditionResiduals(condition_residuals={'flux': 0.0})",
+    ),
+    (
+        LimitStudy(h0_grid=(10.0,), xi_conv=(0.4,), coeff_conv=(1.5,), xi_dirichlet=0.5, coeff_dirichlet=1.25,
+                   fitted_slope=None, excluded=((1.0, (REPORT,)),)),
+        ("h0_grid", "xi_conv", "coeff_conv", "xi_dirichlet", "coeff_dirichlet", "fitted_slope", "excluded"),
+        "LimitStudy(h0_grid=(10.0,), xi_conv=(0.4,), coeff_conv=(1.5,), xi_dirichlet=0.5, coeff_dirichlet=1.25, "
+        f"fitted_slope=None, excluded=((1.0, ({_REPORT_REPR},)),))",
+    ),
+    (
+        ManufacturedProblem(face=Face.CONVECTIVE, thermal=FULL_THERMAL, mushy=MUSHY, boundary=BOUNDARY, xi=0.5),
+        ("face", "thermal", "mushy", "boundary", "xi"),
+        f"ManufacturedProblem(face=<Face.CONVECTIVE: 'convective'>, {_DATA_REPR}, xi=0.5)",
+    ),
+    (
+        Scenario(problem=Face.CONVECTIVE, case=UnknownCase.L, thermal=FULL_THERMAL, mushy=MUSHY, boundary=BOUNDARY),
+        ("problem", "case", "thermal", "mushy", "boundary"),
+        f"Scenario(problem=<Face.CONVECTIVE: 'convective'>, case=<UnknownCase.L: 'l'>, {_DATA_REPR})",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record,names,text", OUTPUT_RECORDS, ids=[type(record).__name__ for record, _, _ in OUTPUT_RECORDS]
+)
+def test_output_records_keep_their_contract(record, names, text):
+    assert record._fields == names
+    assert tuple(record) == tuple(getattr(record, name) for name in names)
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], getattr(record, names[0]))
+    with pytest.raises(AttributeError):
+        record.extra = 1.0
