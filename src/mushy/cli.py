@@ -21,6 +21,8 @@ structure are accepted interchangeably)::
     d_inf = 1.4225620128255847
 
 Exactly the coefficient named by ``case`` is omitted (none for ``direct``).
+``verify`` checks the solution at fixed points with fixed bounds (the
+``VERIFY_*`` constants below); ``limit`` sweeps h0 over ``--h0-grid``.
 Exit codes: 0 success, 1 input error (a malformed command line included),
 2 restriction failure, 3 numerical failure, 4 verification residual
 failure.  Machine-readable output writes every float as Python's repr, the
@@ -34,6 +36,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -83,9 +86,21 @@ EXIT_RESTRICTION = 2
 EXIT_NUMERICAL = 3
 EXIT_RESIDUAL = 4
 
-#: Upper bound on ``profile --nx`` and ``limit --points``: each point costs a
-#: row of output (and a convective solve in ``limit``).
+#: Upper bound on ``profile --nx`` and on the length of ``limit --h0-grid``:
+#: each point costs a row of output (and a convective solve in ``limit``).
 MAX_GRID_POINTS = 10_000
+
+#: ``limit``'s default h0 grid, one point per decade.
+LIMIT_H0_GRID = "1e1,1e2,1e3,1e4,1e5,1e6"
+
+#: ``verify``'s fixed check: the sample times, the interior sample positions
+#: as fractions of s at the first time, the relative finite-difference step,
+#: and the bounds on the condition residuals and on the PDE residual.
+VERIFY_TIMES = (0.5, 1.0, 2.0)
+VERIFY_X_FRACS = (0.3, 0.5, 0.7)
+VERIFY_FD_STEP = 1e-4
+VERIFY_CONDITION_TOL = 1e-10
+VERIFY_PDE_TOL = 1e-6
 
 _SECTIONS = ("problem", "coefficients", "boundary")
 
@@ -136,10 +151,12 @@ def _case_name(case: Optional[UnknownCase]) -> str:
 
 
 def _to_float(section: str, key: str, raw) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(f"[{section}] {key} = {raw!r} is not a number") from None
+    if not isinstance(raw, bool):  # float(true) would be 1.0
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"[{section}] {key} = {raw!r} is not a number")
 
 
 def _check_keys(section: str, present, allowed: tuple[str, ...]) -> None:
@@ -332,12 +349,24 @@ def _report_doc(report: RestrictionReport) -> dict:
 
 
 def _write(text: str, out: Optional[Path]) -> None:
-    if out is None:
+    """Write ``text``, newline-terminated, to ``out`` or to stdout.
+
+    A reader that stops early (``mushy solve s.json | head -1``) is not an
+    error: the rest of the output, and the flush at exit, go to the null
+    device, and the subcommand keeps its exit code.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
+    if out is not None:
+        out.write_text(text)
+        return
+    try:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        out.write_text(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, str]]:
@@ -429,9 +458,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         fronts.write(f"{t!r},{front_s(solution, t)!r},{front_r(solution, t)!r}\n")
 
     if args.out is None:
-        sys.stdout.write(profile.getvalue())
-        sys.stdout.write("\n")
-        sys.stdout.write(fronts.getvalue())
+        _write(profile.getvalue() + "\n" + fronts.getvalue(), None)
     else:
         out = Path(args.out)
         out.write_text(profile.getvalue())
@@ -449,20 +476,12 @@ def cmd_limit(args: argparse.Namespace) -> int:
         raise ValidationError("the limit study needs an unknown coefficient, not a direct scenario")
     instance = _validated(scenario)
 
-    if args.h0_grid is not None:
-        try:
-            grid = tuple(float(tok) for tok in args.h0_grid.split(","))
-        except ValueError:
-            raise ValidationError(f"--h0-grid must be comma-separated numbers, got {args.h0_grid!r}") from None
-    else:
-        if args.points < 2:
-            raise ValidationError("--points must be at least 2")
-        if args.points > MAX_GRID_POINTS:
-            raise ValidationError(f"--points must be at most {MAX_GRID_POINTS}")
-        if not (args.h0_min > 0.0 and args.h0_max > 0.0):
-            raise ValidationError("--h0-min and --h0-max must be positive")
-        lo, hi = math.log10(args.h0_min), math.log10(args.h0_max)
-        grid = tuple(10.0 ** (lo + (hi - lo) * i / (args.points - 1)) for i in range(args.points))
+    try:
+        grid = tuple(float(tok) for tok in args.h0_grid.split(","))
+    except ValueError:
+        raise ValidationError(f"--h0-grid must be comma-separated numbers, got {args.h0_grid!r}") from None
+    if len(grid) > MAX_GRID_POINTS:
+        raise ValidationError(f"--h0-grid must have at most {MAX_GRID_POINTS} entries, got {len(grid)}")
     if any(not (h > 0.0 and math.isfinite(h)) for h in grid):
         raise ValidationError("h0 grid entries must be positive finite numbers")
     was_sorted = list(grid) == sorted(grid)
@@ -513,48 +532,28 @@ def cmd_limit(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    for flag, tol in (("--tol-residual", args.tol_residual), ("--pde-tol", args.pde_tol)):
-        # a NaN bound would pass every residual: value > nan is always false
-        if not (0.0 <= tol < math.inf):
-            raise ValidationError(f"{flag} must be a finite non-negative number, got {tol!r}")
-    times = sorted(args.t or [0.5, 1.0, 2.0])
-    _check_positive("--t", *times)
-    fracs = args.x_fracs or [0.3, 0.5, 0.7]
-    if any(not 0.0 < f < 1.0 for f in fracs):
-        raise ValidationError(f"--x-fracs must be fractions strictly inside (0, 1), got {fracs!r}")
-    if not 0.0 < args.fd_step < 0.5:
-        raise ValidationError(f"--fd-step must be a number inside (0, 0.5), got {args.fd_step!r}")
-    if not math.isfinite(args.xi_perturb):
-        raise ValidationError(f"--xi-perturb must be a finite number, got {args.xi_perturb!r}")
     scenario, instance, _, solution = _solve(args)
-    xi = solution.xi
-    if args.xi_perturb:
-        if not xi + args.xi_perturb > 0.0:
-            raise ValidationError(f"--xi-perturb must be greater than -xi = {-xi!r}, got {args.xi_perturb!r}")
-        xi += args.xi_perturb
-        solution = build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
-    xs = [f * front_s(solution, min(times)) for f in fracs]
-
+    xs = [f * front_s(solution, VERIFY_TIMES[0]) for f in VERIFY_X_FRACS]
     conditions = verify.condition_residuals(
-        solution, instance.thermal, instance.mushy, instance.boundary, times, instance.face
+        solution, instance.thermal, instance.mushy, instance.boundary, VERIFY_TIMES, instance.face
     )
-    fd = verify.pde_residual(solution, xs, times, fd_step=args.fd_step)
+    fd = verify.pde_residual(solution, xs, VERIFY_TIMES, fd_step=VERIFY_FD_STEP)
 
     failures = sorted(
-        name for name, value in conditions.condition_residuals.items() if value > args.tol_residual
+        name for name, value in conditions.condition_residuals.items() if value > VERIFY_CONDITION_TOL
     )
-    if fd.pde_residual_max > args.pde_tol:
+    if fd.pde_residual_max > VERIFY_PDE_TOL:
         failures.insert(0, "pde")
     doc = {
         "problem": scenario.problem.value,
         "case": _case_name(scenario.case),
-        "xi": xi,
-        "xi_perturbation": args.xi_perturb,
+        "xi": solution.xi,
+        "xi_perturbation": 0.0,
         "condition_residuals": dict(sorted(conditions.condition_residuals.items())),
         "pde_residual_max": fd.pde_residual_max,
-        "fd_step": args.fd_step,
-        "condition_tolerance": args.tol_residual,
-        "pde_tolerance": args.pde_tol,
+        "fd_step": VERIFY_FD_STEP,
+        "condition_tolerance": VERIFY_CONDITION_TOL,
+        "pde_tolerance": VERIFY_PDE_TOL,
         "failures": failures,
         "passed": not failures,
     }
@@ -637,25 +636,11 @@ def _profile_args(p: argparse.ArgumentParser) -> None:
 
 def _limit_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
-    p.add_argument("--h0-grid", help="comma-separated h0 values (overrides the log grid)")
-    p.add_argument("--h0-min", type=float, default=1e1, help="log grid start (default 1e1)")
-    p.add_argument("--h0-max", type=float, default=1e6, help="log grid end (default 1e6)")
-    p.add_argument("--points", type=int, default=6, help=f"log grid size (default 6, at most {MAX_GRID_POINTS})")
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--t", type=float, action="append", help="sample time (repeatable; default 0.5 1 2)")
     p.add_argument(
-        "--x-fracs",
-        type=lambda s: [float(tok) for tok in s.split(",")],
-        default=None,
-        help="interior sample positions as fractions of s(t_min), comma separated (default 0.3,0.5,0.7)",
+        "--h0-grid",
+        default=LIMIT_H0_GRID,
+        help=f"comma-separated h0 values (default {LIMIT_H0_GRID}, at most {MAX_GRID_POINTS})",
     )
-    p.add_argument("--fd-step", type=float, default=1e-4, help="relative finite-difference step (default 1e-4)")
-    p.add_argument("--tol-residual", type=float, default=1e-10, help="condition residual bound (default 1e-10)")
-    p.add_argument("--pde-tol", type=float, default=1e-6, help="PDE residual bound (default 1e-6)")
-    p.add_argument("--xi-perturb", type=float, default=0.0, help="offset added to xi before verification")
 
 
 def _manufacture_args(p: argparse.ArgumentParser) -> None:
@@ -679,7 +664,7 @@ _COMMANDS = {
     "solve": ("recover the unknown coefficient (or solve a direct scenario)", _add_common, cmd_solve),
     "profile": ("temperature profiles and front positions as CSV", _profile_args, cmd_profile),
     "limit": ("convective-to-prescribed-temperature limit study", _limit_args, cmd_limit),
-    "verify": ("residuals of the governing equations for a solved scenario", _verify_args, cmd_verify),
+    "verify": ("residuals of the governing equations for a solved scenario", _add_common, cmd_verify),
     "manufacture": ("emit a consistent scenario built around a chosen xi", _manufacture_args, cmd_manufacture),
     "check-restrictions": ("evaluate the case's solvability restrictions only", _add_common, cmd_check_restrictions),
 }
@@ -699,7 +684,7 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     named = argv[0] if argv else None
     for name, (help_text, add_args, _) in _COMMANDS.items():
-        # No prefix matching: an abbreviation such as --tol must not pass for --tol-residual.
+        # No prefix matching: an abbreviation such as --h0 must not pass for --h0-grid.
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if name == named:
             add_args(p)

@@ -150,7 +150,8 @@ def pde_residual(
     dx = fd_step * 2 sqrt(alpha t) and dt = fd_step * t.  Every stencil
     point must stay strictly inside the solid region, otherwise the profile
     is not smooth across it and the difference quotients are meaningless;
-    violating points raise DomainError.  The reported maximum of
+    violating points raise DomainError, as does a step that underflows to
+    zero.  The reported maximum of
     |dT/dt - alpha d2T/dx2| is normalized by |T|_max / t_min, so it is
     dimensionless and scale-invariant; it shrinks at second order in
     fd_step until roundoff takes over.
@@ -166,6 +167,8 @@ def pde_residual(
     for t in t_points:
         dt = fd_step * t
         dx = fd_step * 2.0 * math.sqrt(sol.alpha * t)
+        if dt == 0.0 or dx * dx == 0.0:
+            raise DomainError(f"finite-difference step underflows to zero at t={t!r}")
         for x in x_points:
             for xx, tt in ((x - dx, t), (x + dx, t), (x, t - dt), (x, t + dt), (x, t)):
                 if xx < 0.0 or front_s(sol, tt) <= xx:

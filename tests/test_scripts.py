@@ -24,8 +24,6 @@ def _run(script, args, cwd):
     [
         # one row per face and case
         ("recovery_sweep.py", ["--n", "20", "--seed", "1"], "worst rel error", 12),
-        # one row per case and h0 decade
-        ("limit_experiment.py", ["--decades", "2"], "coeff rel gap", 12),
     ],
 )
 def test_script_runs_from_a_checkout(script, args, header, rows, tmp_path):

@@ -93,9 +93,12 @@ def test_stencils_must_stay_inside_the_solid(ref_solution):
         pde_residual(ref_solution, [1.5 * s1], [1.0])
     with pytest.raises(DomainError):
         pde_residual(ref_solution, [0.001 * s1], [1.0], fd_step=1e-2)  # x - dx < 0
+    tiny = 1e-320  # t * fd_step and the squared space step underflow to zero
+    with pytest.raises(DomainError):
+        pde_residual(ref_solution, [0.5 * front_s(ref_solution, tiny)], [tiny])
 
 
-@pytest.mark.parametrize("fd", [0.0, -1e-3, 0.5, 0.7])
+@pytest.mark.parametrize("fd", [0.0, -1e-3, 0.5, 0.7, 1e-300])  # 1e-300: dx * dx underflows
 def test_step_fraction_domain(ref_solution, fd):
     with pytest.raises(DomainError):
         pde_residual(ref_solution, [0.5], [1.0], fd_step=fd)
