@@ -129,11 +129,12 @@ def build_solution(
     """
     if not (xi > 0.0 and math.isfinite(xi)):
         raise DomainError(f"xi must be positive and finite, got {xi!r}")
-    alpha = thermal.alpha
-    b_coef = boundary.q0 * math.sqrt(math.pi * alpha) / thermal.k
-    a_coef = -b_coef * specfun.erf(xi)
-    mu = xi + mushy.gamma * math.sqrt(thermal.k * thermal.rho * thermal.c) * math.exp(xi * xi) / (2.0 * boundary.q0)
-    return SimilaritySolution(a_coef=a_coef, b_coef=b_coef, xi=xi, mu=mu, alpha=alpha)
+    k, rho, c, q0 = thermal.k, thermal.rho, thermal.c, boundary.q0
+    alpha = k / (rho * c)  # the expression of ThermalCoefficients.alpha
+    b_coef = q0 * math.sqrt(math.pi * alpha) / k
+    a_coef = -b_coef * math.erf(xi)  # xi is checked above
+    mu = xi + mushy.gamma * math.sqrt(k * rho * c) * math.exp(xi * xi) / (2.0 * q0)
+    return SimilaritySolution(a_coef, b_coef, xi, mu, alpha)
 
 
 def _similarity_variable(sol: SimilaritySolution, x: float, t: float) -> float:

@@ -48,6 +48,7 @@ from .model import (
     with_coefficient,
 )
 from .rootfind import MonotoneEquation, solve_increasing
+from .specfun import TWO_OVER_SQRT_PI
 
 __all__ = [
     "check_r1",
@@ -71,18 +72,14 @@ __all__ = [
 
 def check_r1(boundary: BoundaryData) -> RestrictionReport:
     """R1: q0 < h0 d_inf, i.e. the face actually cools below the datum."""
-    return RestrictionReport(
-        restriction_id="R1",
-        satisfied=boundary.q0 < boundary.h0 * boundary.d_inf,
-        lhs=boundary.q0,
-        rhs=boundary.h0 * boundary.d_inf,
-    )
+    q0, rhs = boundary.q0, boundary.h0 * boundary.d_inf
+    return RestrictionReport("R1", q0 < rhs, q0, rhs)
 
 
 def check_r2(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R2: the face argument (d_inf/q0) sqrt(k rho c/pi) (1 - q0/(h0 d_inf)) < 1."""
     arg = face_argument(thermal, boundary, Face.CONVECTIVE)
-    return RestrictionReport(restriction_id="R2", satisfied=arg < 1.0, lhs=arg, rhs=1.0)
+    return RestrictionReport("R2", arg < 1.0, arg, 1.0)
 
 
 def check_r3(thermal: ThermalCoefficients, boundary: BoundaryData, xi: float) -> RestrictionReport:
@@ -95,7 +92,7 @@ def check_r3(thermal: ThermalCoefficients, boundary: BoundaryData, xi: float) ->
     """
     lhs = xexp_sq(xi)
     rhs = stefan_rhs(thermal, boundary)
-    return RestrictionReport(restriction_id="R3", satisfied=lhs < rhs, lhs=lhs, rhs=rhs)
+    return RestrictionReport("R3", lhs < rhs, lhs, rhs)
 
 
 def check_r4(
@@ -111,7 +108,7 @@ def check_r4(
     full = mushy.gamma * math.sqrt(thermal.k * thermal.rho * thermal.c) / (2.0 * boundary.q0)
     lhs = stefan_rhs(thermal, boundary)
     rhs = xexp_sq(xi) + full * math.exp(2.0 * xi * xi)
-    return RestrictionReport(restriction_id="R4", satisfied=lhs < rhs, lhs=lhs, rhs=rhs)
+    return RestrictionReport("R4", lhs < rhs, lhs, rhs)
 
 
 def check_r5(
@@ -128,7 +125,7 @@ def check_r5(
         2.0 * boundary.q0 * boundary.q0 / (thermal.rho * thermal.l * thermal.k)
         - mushy.gamma * (1.0 - mushy.epsilon)
     ) / boundary.d_inf
-    return RestrictionReport(restriction_id="R5", satisfied=lhs < rhs, lhs=lhs, rhs=rhs)
+    return RestrictionReport("R5", lhs < rhs, lhs, rhs)
 
 
 _CASE_RESTRICTIONS = {
@@ -228,15 +225,17 @@ def xi_equation_kr(
     cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / (2.0 * boundary.d_inf * beta)
     target = thermal.c * boundary.d_inf * beta / (thermal.l * SQRT_PI)
 
+    # f and df are evaluated at finite x > 0 (the root finder's iterates lie
+    # in (0, 40]), so they call math.erf directly.
     def f(x: float) -> float:
         e = math.exp(x * x)
-        erf_x = specfun.erf(x)
+        erf_x = math.erf(x)
         return (x + cf * erf_x * e) * erf_x * e
 
     def df(x: float) -> float:
         e = math.exp(x * x)
-        erf_x = specfun.erf(x)
-        derf = specfun.TWO_OVER_SQRT_PI * math.exp(-x * x)
+        erf_x = math.erf(x)
+        derf = TWO_OVER_SQRT_PI * math.exp(-x * x)
         inner = derf + 2.0 * x * erf_x
         return e * ((1.0 + cf * e * inner) * erf_x + (x + cf * erf_x * e) * inner)
 
@@ -264,15 +263,15 @@ def xi_equation_c(
     target = boundary.q0 * boundary.q0 * SQRT_PI / (thermal.rho * thermal.l * thermal.k * boundary.d_inf * beta)
     lower = 0.5 * SQRT_PI + cf
 
-    def f(x: float) -> float:
+    def f(x: float) -> float:  # math.erf: as in xi_equation_kr
         e = math.exp(x * x)
-        return (x / specfun.erf(x) + cf * e) * e
+        return (x / math.erf(x) + cf * e) * e
 
     def df(x: float) -> float:
         e = math.exp(x * x)
-        erf_x = specfun.erf(x)
+        erf_x = math.erf(x)
         ratio = x / erf_x
-        dratio = (erf_x - x * specfun.TWO_OVER_SQRT_PI * math.exp(-x * x)) / (erf_x * erf_x)
+        dratio = (erf_x - x * TWO_OVER_SQRT_PI * math.exp(-x * x)) / (erf_x * erf_x)
         return e * (dratio + 2.0 * x * ratio + 4.0 * x * cf * e)
 
     return MonotoneEquation(f=f, target=target, lower_limit=lower, df=df, name="xi equation (c case)")
@@ -299,7 +298,8 @@ def closed_form(
     may pass None; those three share amp = q0 erf(xi) / (d_inf beta), the
     square root of k rho c / pi.  gamma and epsilon share the
     cancellation-prone gap (q0/l) sqrt(c/(rho k)) - xi e**xi^2 that R3 (R7)
-    keeps positive.
+    keeps positive.  ``xi`` is a front position the recovery computed,
+    positive and finite, so erf is taken by math.erf without a check.
     """
     if case is UnknownCase.L:
         return boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / stefan_lhs(
@@ -311,7 +311,7 @@ def closed_form(
         if case is UnknownCase.GAMMA:
             return (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
         return 1.0 - (2.0 * boundary.q0 / (mushy.gamma * krc)) * gap * math.exp(-2.0 * xi * xi)
-    amp = boundary.q0 * specfun.erf(xi) / (boundary.d_inf * beta)
+    amp = boundary.q0 * math.erf(xi) / (boundary.d_inf * beta)
     if case is UnknownCase.K:
         return math.pi / (thermal.rho * thermal.c) * amp * amp
     if case is UnknownCase.RHO:
@@ -347,4 +347,4 @@ def solve_case(
 
     value = closed_form(case, thermal, mushy, boundary, xi, beta)
     solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
-    return CaseResult(case=case, value=value, xi=xi, solution=solution, reports=reports)
+    return CaseResult(case, value, xi, solution, reports)

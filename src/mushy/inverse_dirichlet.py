@@ -120,7 +120,7 @@ def solve_eta_r8(
 def check_r6(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R6: (d_inf/q0) sqrt(k rho c / pi) < 1."""
     arg = face_argument(thermal, boundary, Face.DIRICHLET)
-    return RestrictionReport(restriction_id="R6", satisfied=arg < 1.0, lhs=arg, rhs=1.0)
+    return RestrictionReport("R6", arg < 1.0, arg, 1.0)
 
 
 def check_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
@@ -131,8 +131,8 @@ def check_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> Restrictio
     the restriction is phrased in its source.
     """
     arg = face_argument(thermal, boundary, Face.DIRICHLET)
-    bound = specfun.erf(solve_eta_r7(thermal, boundary))
-    return RestrictionReport(restriction_id="R7", satisfied=arg < bound, lhs=arg, rhs=bound)
+    bound = math.erf(solve_eta_r7(thermal, boundary))  # a certified root: finite
+    return RestrictionReport("R7", arg < bound, arg, bound)
 
 
 def check_r8(
@@ -147,7 +147,7 @@ def check_r8(
     """
     arg = face_argument(thermal, boundary, Face.DIRICHLET)
     try:
-        bound = specfun.erf(solve_eta_r8(thermal, mushy, boundary))
+        bound = math.erf(solve_eta_r8(thermal, mushy, boundary))
         note = ""
     except NoRootError:
         bound = 0.0
@@ -156,14 +156,14 @@ def check_r8(
             "(gamma sqrt(k rho c)/(2 q0) already reaches the front balance), "
             "so the bound holds for every xi"
         )
-    return RestrictionReport(restriction_id="R8", satisfied=bound < arg, lhs=bound, rhs=arg, note=note)
+    return RestrictionReport("R8", bound < arg, bound, arg, note)
 
 
-#: How the unknown-specific-heat existence condition was printed in its
-#: source; kept verbatim in diagnostics.  The symbol D_0 is undefined there
-#: and the flux scale appears unsquared, which is dimensionally impossible,
-#: so the implemented form is the h0 -> infinity limit of R5 instead.
-_R9_AS_PRINTED = "(l k rho D_inf / (2 q0)) (1 + gamma (1 - epsilon) / D_0) < 1"
+#: R9's note: how the unknown-specific-heat existence condition was printed
+#: in its source, kept verbatim.  The symbol D_0 is undefined there and the
+#: flux scale appears unsquared, which is dimensionally impossible, so the
+#: implemented form is the h0 -> infinity limit of R5 instead.
+_R9_NOTE = "repaired form; printed as (l k rho D_inf / (2 q0)) (1 + gamma (1 - epsilon) / D_0) < 1"
 
 
 def check_r9(
@@ -181,13 +181,7 @@ def check_r9(
         * (boundary.d_inf + mushy.gamma * (1.0 - mushy.epsilon))
         / (2.0 * boundary.q0 * boundary.q0)
     )
-    return RestrictionReport(
-        restriction_id="R9",
-        satisfied=lhs < 1.0,
-        lhs=lhs,
-        rhs=1.0,
-        note=f"repaired form; printed as {_R9_AS_PRINTED}",
-    )
+    return RestrictionReport("R9", lhs < 1.0, lhs, 1.0, _R9_NOTE)
 
 
 _CASE_RESTRICTIONS = {
@@ -286,7 +280,7 @@ def solve_dirichlet_case(
 
     value = inverse_convective.closed_form(case, thermal, mushy, boundary, xi, 1.0)
     solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
-    return CaseResult(case=case, value=value, xi=xi, solution=solution, reports=reports)
+    return CaseResult(case, value, xi, solution, reports)
 
 
 # --- convective-to-Dirichlet limit study ------------------------------------

@@ -195,9 +195,15 @@ def with_coefficient(
     record that has a field of that name, l, k, rho and c thermal, epsilon
     and gamma mushy."""
     name = case.value
-    if name in vars(thermal):
-        return ThermalCoefficients(**{**vars(thermal), name: value}), mushy
-    return thermal, MushyCoefficients(**{**vars(mushy), name: value})
+    record = thermal if name in thermal.__dict__ else mushy
+    # An equal, frozen copy without re-running the dataclass __init__: the
+    # copy holds the caller's fields plus ``value``, and neither record
+    # defines a __post_init__ that such a copy would skip.
+    new = object.__new__(type(record))
+    fields = new.__dict__
+    fields.update(record.__dict__)
+    fields[name] = value
+    return (new, mushy) if record is thermal else (thermal, new)
 
 
 def _check_positive(name: str, value: Optional[float]) -> float:
@@ -286,4 +292,4 @@ def validate(
     if not (q0 is boundary.q0 and d_inf is boundary.d_inf and h0 is boundary.h0):
         boundary = BoundaryData(q0=q0, d_inf=d_inf, h0=h0)
 
-    return ProblemInstance(face=face, case=case, thermal=thermal, mushy=mushy, boundary=boundary)
+    return ProblemInstance(face, case, thermal, mushy, boundary)

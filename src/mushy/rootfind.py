@@ -53,15 +53,6 @@ class MonotoneEquation:
     name: str = ""
 
 
-def _eval(f: Callable[[float], float], x: float) -> float:
-    # math.exp raises OverflowError instead of returning inf; for an
-    # increasing function +inf is a perfectly usable bracketing value.
-    try:
-        return f(x)
-    except OverflowError:
-        return math.inf
-
-
 def solve_increasing(eq: MonotoneEquation) -> float:
     """Solve ``eq.f(x) = eq.target`` for the unique root x > 0.
 
@@ -91,14 +82,21 @@ def solve_increasing(eq: MonotoneEquation) -> float:
             eq.target,
         )
 
+    f, df, target = eq.f, eq.df, eq.target
     evals = 0
 
     def f_at(x: float) -> float:
+        """The residual f(x) - target, counted against MAX_EVALS."""
         nonlocal evals
         evals += 1
         if evals > MAX_EVALS:
             raise ConvergenceError(f"{label}: exceeded {MAX_EVALS} evaluations")
-        return _eval(eq.f, x) - eq.target
+        # math.exp raises OverflowError instead of returning inf; for an
+        # increasing function +inf is a perfectly usable bracketing value.
+        try:
+            return f(x) - target
+        except OverflowError:
+            return math.inf
 
     # Geometric bracket expansion: keep lo below the root, push hi above it.
     # r_lo and r_hi are the residuals f - target at the two ends.
@@ -111,15 +109,15 @@ def solve_increasing(eq: MonotoneEquation) -> float:
         if hi > BRACKET_CAP:
             raise BracketOverflowError(
                 f"{label}: no sign change below x = {BRACKET_CAP}; "
-                f"f({lo}) is still {r_lo + eq.target!r} against target {eq.target!r}"
+                f"f({lo}) is still {r_lo + target!r} against target {target!r}"
             )
         r_hi = f_at(hi)
     if r_hi == 0.0:
         return hi
 
     x = 0.5 * (lo + hi)
-    res_tol = ABS_TOL * max(1.0, abs(eq.target))
-    newton = eq.df is not None
+    res_tol = ABS_TOL * max(1.0, abs(target))
+    newton = df is not None
     converged = False  # Newton has converged: x is its polishing step
     step = step_old = hi - lo  # the last two step lengths (rtsafe's safeguard)
 
@@ -143,7 +141,10 @@ def solve_increasing(eq: MonotoneEquation) -> float:
         nxt = 0.5 * (lo + hi)
         certify = converged
         if newton and not converged:
-            d = _eval(eq.df, x)
+            try:
+                d = df(x)
+            except OverflowError:
+                d = math.inf  # no Newton step from an overflowing derivative
             if math.isfinite(d) and d > 0.0:
                 dx = fx / d
                 converged = abs(fx) <= res_tol and abs(dx) <= 0.25 * wid_tol

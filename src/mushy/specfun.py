@@ -1,11 +1,14 @@
 """Error-function kernel: erf and a bracketed-Newton inverse.
 
-Every other module evaluates the Gaussian error function through this one.
-The forward functions delegate to the C library via :mod:`math`, which is
-accurate to within one unit in the last place; an independent series
-evaluation lives in :mod:`mushy.verify` and the test suite cross-checks the
-two paths.  The inverse is computed here by a safeguarded Newton iteration
-because the standard library has no ``erfinv``.
+:func:`erf` is the checked entry for values that come from a caller: it
+rejects a non-finite argument.  An argument the package has already checked
+(a validated or computed front position, a root finder's finite iterate)
+goes to :func:`math.erf` directly, which gives the same value without the
+check's cost.  :func:`erf` delegates to the C library via :mod:`math`,
+which is accurate to within one unit in the last place; an independent
+series evaluation lives in :mod:`mushy.verify` and the test suite
+cross-checks the two paths.  The inverse is computed here by a safeguarded
+Newton iteration because the standard library has no ``erfinv``.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def erf_inv(y: float) -> float:
     if abs(y) >= 1.0:
         raise DomainError(f"erf_inv argument must satisfy |y| < 1, got {y!r}")
     if y == 0.0:
-        return 0.0
+        return y  # erf is odd: erf_inv(-0.0) is -0.0
     a = abs(y)
     if a > _SATURATION_EDGE:
         warnings.warn(

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -111,6 +111,30 @@ def test_with_coefficient_sets_one_slot_of_one_record():
         assert blanked == [case.value]
     _, mushy = with_coefficient(THERMAL_NO_L, MUSHY, UnknownCase.GAMMA, 0.25)
     assert mushy == MushyCoefficients(epsilon=0.5, gamma=0.25)
+
+
+@pytest.mark.parametrize("value", [2.5, None])
+@pytest.mark.parametrize("case", list(UnknownCase))
+def test_with_coefficient_copy_is_the_record_replace_builds(case, value):
+    # with_coefficient copies the record without running its __init__, so
+    # the copy must match what dataclasses.replace builds through it, and
+    # no input record may grow a __post_init__ that the copy would skip.
+    before = (replace(FULL_THERMAL), replace(MUSHY))
+    thermal, mushy = with_coefficient(FULL_THERMAL, MUSHY, case, value)
+    assert (FULL_THERMAL, MUSHY) == before
+    if case.value in ("l", "k", "rho", "c"):
+        assert mushy is MUSHY
+        new, old = thermal, FULL_THERMAL
+    else:
+        assert thermal is FULL_THERMAL
+        new, old = mushy, MUSHY
+    assert not hasattr(type(old), "__post_init__")
+    expected = replace(old, **{case.value: value})
+    assert type(new) is type(old)
+    assert new == expected and hash(new) == hash(expected)
+    assert new is not old
+    with pytest.raises(FrozenInstanceError):
+        setattr(new, case.value, 1.0)
 
 
 def test_direct_mode_requires_everything():

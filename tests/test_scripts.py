@@ -41,3 +41,10 @@ def test_recovery_sweep_digest_follows_the_seed(tmp_path):
     first = digest("1")
     assert digest("1") == first
     assert digest("2") != first
+
+
+def test_recovery_sweep_digest_is_pinned(tmp_path):
+    # Every result of 12 000 recoveries, bit for bit: a change to any number
+    # a solve returns, or to its reports, changes this digest.
+    last = _run("recovery_sweep.py", ["--n", "1000", "--seed", "7", "--xi-max", "3.0"], tmp_path).splitlines()[-1]
+    assert last == "sha256 cc07bb25d875438484f4ba9d697ebf7a82efd1f6a66493b6198a84072612e21f (0 raised)"

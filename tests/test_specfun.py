@@ -39,6 +39,9 @@ def test_erf_rejects_non_finite(bad):
 
 def test_erf_inv_at_origin():
     assert erf_inv(0.0) == 0.0
+    # erf is odd and erf(-0.0) is -0.0, so the inverse keeps the sign of zero
+    assert math.copysign(1.0, erf_inv(0.0)) == 1.0
+    assert math.copysign(1.0, erf_inv(-0.0)) == -1.0
 
 
 def test_erf_inv_frozen_points():
