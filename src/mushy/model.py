@@ -194,7 +194,7 @@ def with_coefficient(
     (None blanks it).  The one place that maps a case to its record: the
     record that has a field of that name, l, k, rho and c thermal, epsilon
     and gamma mushy."""
-    name = case.value
+    name = case._value_  # the member's value without the enum property's cost
     record = thermal if name in thermal.__dict__ else mushy
     # An equal, frozen copy without re-running the dataclass __init__: the
     # copy holds the caller's fields plus ``value``, and neither record
@@ -259,7 +259,7 @@ def validate(
     subclass, or the ``h0`` that the Dirichlet face drops.  Validation is
     idempotent: re-validating the parts of a returned instance returns them.
     """
-    unknown = None if case is None else case.value
+    unknown = None if case is None else case._value_  # as in with_coefficient
 
     l = _coefficient("l", thermal.l, unknown)
     k = _coefficient("k", thermal.k, unknown)

@@ -73,37 +73,39 @@ def solve_increasing(eq: MonotoneEquation) -> float:
     MAX_EVALS evaluations of f.
     """
     label = eq.name or "monotone equation"
-    if not math.isfinite(eq.target):
-        raise NoRootError(f"{label}: target must be finite, got {eq.target!r}", eq.lower_limit, eq.target)
-    if eq.target <= eq.lower_limit:
+    f, df, target = eq.f, eq.df, eq.target
+    if not math.isfinite(target):
+        raise NoRootError(f"{label}: target must be finite, got {target!r}", eq.lower_limit, target)
+    if target <= eq.lower_limit:
         raise NoRootError(
-            f"{label}: target {eq.target!r} does not exceed the lower limit {eq.lower_limit!r}",
+            f"{label}: target {target!r} does not exceed the lower limit {eq.lower_limit!r}",
             eq.lower_limit,
-            eq.target,
+            target,
         )
 
-    f, df, target = eq.f, eq.df, eq.target
+    # The loops below run once per evaluation, so they read only locals and
+    # evaluate f inline.  Each evaluation is the residual f(x) - target,
+    # counted against MAX_EVALS; math.exp raises OverflowError instead of
+    # returning inf, and for an increasing function +inf is a perfectly
+    # usable bracketing value.  Plain comparisons stand in for abs, max and
+    # math.isfinite: they select the same values.
+    inf, tol, max_evals = math.inf, ABS_TOL, MAX_EVALS
     evals = 0
-
-    def f_at(x: float) -> float:
-        """The residual f(x) - target, counted against MAX_EVALS."""
-        nonlocal evals
-        evals += 1
-        if evals > MAX_EVALS:
-            raise ConvergenceError(f"{label}: exceeded {MAX_EVALS} evaluations")
-        # math.exp raises OverflowError instead of returning inf; for an
-        # increasing function +inf is a perfectly usable bracketing value.
-        try:
-            return f(x) - target
-        except OverflowError:
-            return math.inf
 
     # Geometric bracket expansion: keep lo below the root, push hi above it.
     # r_lo and r_hi are the residuals f - target at the two ends.
-    lo, r_lo = 0.0, -math.inf
+    lo, r_lo = 0.0, -inf
     hi = 1.0
-    r_hi = f_at(hi)
-    while r_hi < 0.0:
+    while True:
+        evals += 1
+        if evals > max_evals:
+            raise ConvergenceError(f"{label}: exceeded {MAX_EVALS} evaluations")
+        try:
+            r_hi = f(hi) - target
+        except OverflowError:
+            r_hi = inf
+        if not r_hi < 0.0:
+            break
         lo, r_lo = hi, r_hi
         hi *= 2.0
         if hi > BRACKET_CAP:
@@ -111,18 +113,24 @@ def solve_increasing(eq: MonotoneEquation) -> float:
                 f"{label}: no sign change below x = {BRACKET_CAP}; "
                 f"f({lo}) is still {r_lo + target!r} against target {target!r}"
             )
-        r_hi = f_at(hi)
     if r_hi == 0.0:
         return hi
 
     x = 0.5 * (lo + hi)
-    res_tol = ABS_TOL * max(1.0, abs(target))
+    res_tol = tol * max(1.0, abs(target))
+    neg_res_tol = -res_tol
     newton = df is not None
     converged = False  # Newton has converged: x is its polishing step
     step = step_old = hi - lo  # the last two step lengths (rtsafe's safeguard)
 
     while True:
-        fx = f_at(x)
+        evals += 1
+        if evals > max_evals:
+            raise ConvergenceError(f"{label}: exceeded {MAX_EVALS} evaluations")
+        try:
+            fx = f(x) - target
+        except OverflowError:
+            fx = inf
         if fx == 0.0:
             return x
         if fx > 0.0:
@@ -133,9 +141,14 @@ def solve_increasing(eq: MonotoneEquation) -> float:
         # The candidate is the end of the bracket nearer the target, so the
         # bracket contains it by construction; f that is flat in rounding
         # noise cannot leave a stale best point outside the bracket.
-        best_x, best_r = (hi, r_hi) if r_hi <= -r_lo else (lo, r_lo)
-        wid_tol = ABS_TOL * max(1.0, best_x)
-        if abs(best_r) <= res_tol and hi - lo <= wid_tol:
+        if r_hi <= -r_lo:
+            best_x = hi
+            best_r = r_hi
+        else:
+            best_x = lo
+            best_r = r_lo
+        wid_tol = tol * best_x if best_x > 1.0 else tol
+        if neg_res_tol <= best_r <= res_tol and hi - lo <= wid_tol:
             return best_x
 
         nxt = 0.5 * (lo + hi)
@@ -144,12 +157,15 @@ def solve_increasing(eq: MonotoneEquation) -> float:
             try:
                 d = df(x)
             except OverflowError:
-                d = math.inf  # no Newton step from an overflowing derivative
-            if math.isfinite(d) and d > 0.0:
+                d = inf  # no Newton step from an overflowing derivative
+            if 0.0 < d < inf:
                 dx = fx / d
-                converged = abs(fx) <= res_tol and abs(dx) <= 0.25 * wid_tol
-                if lo < x - dx < hi and (converged or abs(dx) <= 0.5 * abs(step_old)):
-                    nxt = x - dx
+                dx_tol = 0.25 * wid_tol
+                converged = neg_res_tol <= fx <= res_tol and -dx_tol <= dx <= dx_tol
+                y = x - dx
+                half_old = 0.5 * step_old
+                if lo < y < hi and (converged or -half_old <= dx <= half_old):
+                    nxt = y
                 else:
                     # converged, but the polishing step rounds onto x itself
                     # (or past an end of the bracket): certify x as it is
@@ -163,5 +179,8 @@ def solve_increasing(eq: MonotoneEquation) -> float:
             far = best_x - math.copysign(0.5 * wid_tol, best_r)
             if lo < far < hi:
                 nxt = far
-        step_old, step = step, nxt - x
+        step_old = step
+        step = nxt - x
+        if step < 0.0:
+            step = -step
         x = nxt

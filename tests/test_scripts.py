@@ -48,3 +48,10 @@ def test_recovery_sweep_digest_is_pinned(tmp_path):
     # a solve returns, or to its reports, changes this digest.
     last = _run("recovery_sweep.py", ["--n", "1000", "--seed", "7", "--xi-max", "3.0"], tmp_path).splitlines()[-1]
     assert last == "sha256 cc07bb25d875438484f4ba9d697ebf7a82efd1f6a66493b6198a84072612e21f (0 raised)"
+
+
+def test_recovery_sweep_digest_at_large_xi_is_pinned(tmp_path):
+    # 3600 recoveries with xi up to 5.5, where the root solves take the most
+    # Newton steps: pins the iterates that the xi <= 3 digest never reaches.
+    last = _run("recovery_sweep.py", ["--n", "300", "--seed", "3", "--xi-max", "5.5"], tmp_path).splitlines()[-1]
+    assert last == "sha256 8f4fbfe26b101cf7b8e4745756cd4cbc0f023e800f8f9afa7ca34163062b92f9 (0 raised)"
