@@ -25,9 +25,11 @@ Exactly the coefficient named by ``case`` is omitted (none for ``direct``).
 ``VERIFY_*`` constants below); ``limit`` sweeps h0 over ``--h0-grid``.
 Exit codes: 0 success, 1 input error (a malformed command line included),
 2 restriction failure, 3 numerical failure, 4 verification residual
-failure.  Machine-readable output writes every float as Python's repr, the
-shortest string that reads back as the same double; non-finite numbers are
-written as the strings "inf", "-inf" and "nan", also in JSON.
+failure.  solve, verify, check-restrictions and limit write one JSON
+document; profile writes two CSV tables separated by a blank line.  Every
+float is written as Python's repr, the shortest string that reads back as
+the same double; in JSON a non-finite number is the string "inf", "-inf" or
+"nan".
 """
 
 from __future__ import annotations
@@ -195,7 +197,7 @@ def parse_scenario(text: str) -> Scenario:
     else:
         import configparser
 
-        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
         try:
             cp.read_string(text)
         except configparser.Error as err:
@@ -230,7 +232,7 @@ def parse_scenario(text: str) -> Scenario:
 def load_scenario(path: Path) -> Scenario:
     try:
         text = path.read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"cannot read scenario {path}: {err}") from None
     return parse_scenario(text)
 
@@ -369,37 +371,6 @@ def _write(text: str, out: Optional[Path]) -> None:
         os.close(devnull)
 
 
-def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, str]]:
-    rows: list[tuple[str, str]] = []
-    for key, value in doc.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            rows.extend(_flatten(value, name + "."))
-        elif isinstance(value, (list, tuple)):
-            for i, item in enumerate(value):
-                if isinstance(item, dict):
-                    label = item.get("id", str(i))
-                    rows.extend(_flatten({k: v for k, v in item.items() if k != "id"}, f"{name}.{label}."))
-                else:
-                    rows.append((f"{name}.{i}", _csv_cell(item)))
-        else:
-            rows.append((name, _csv_cell(value)))
-    return rows
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)  # a float's str is its repr
-
-
-def _emit_doc(doc: dict, fmt: str, out: Optional[Path]) -> None:
-    if fmt == "csv":
-        _write("key,value\n" + "".join(f"{key},{value}\n" for key, value in _flatten(doc)), out)
-    else:
-        _write(_json_text(doc), out)
-
-
 def _check_positive(flag: str, *values: float) -> None:
     for value in values:
         if not 0.0 < value < math.inf:
@@ -427,7 +398,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         restrictions=[_report_doc(r) for r in (result.reports if result else ())],
         residuals={"stefan": residuals.res_stefan, "face": residuals.res_face},
     )
-    _emit_doc(doc, args.format, args.out)
+    _write(_json_text(doc), args.out)
     return EXIT_OK
 
 
@@ -442,29 +413,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
         raise ValidationError(f"--nx must be at most {MAX_GRID_POINTS}")
     solution = _solve(args)[3]
 
-    profile = io.StringIO()
-    profile.write("t,x,temperature,region\n")
+    buf = io.StringIO()
+    buf.write("t,x,temperature,region\n")
     for t in times:
         xmax = args.xmax if args.xmax is not None else 1.1 * front_r(solution, t)
         step = xmax / (args.nx - 1)
         for i in range(args.nx):
             x = i * step
             value, region = temperature(solution, x, t)
-            profile.write(f"{t!r},{x!r},{value!r},{region.value}\n")
-
-    fronts = io.StringIO()
-    fronts.write("t,s,r\n")
+            buf.write(f"{t!r},{x!r},{value!r},{region.value}\n")
+    buf.write("\nt,s,r\n")
     for t in times:
-        fronts.write(f"{t!r},{front_s(solution, t)!r},{front_r(solution, t)!r}\n")
-
-    if args.out is None:
-        _write(profile.getvalue() + "\n" + fronts.getvalue(), None)
-    else:
-        out = Path(args.out)
-        out.write_text(profile.getvalue())
-        fronts_path = out.with_name(out.stem + ".fronts.csv")
-        fronts_path.write_text(fronts.getvalue())
-        sys.stderr.write(f"wrote {out} and {fronts_path}\n")
+        buf.write(f"{t!r},{front_s(solution, t)!r},{front_r(solution, t)!r}\n")
+    _write(buf.getvalue(), args.out)
     return EXIT_OK
 
 
@@ -492,40 +453,23 @@ def cmd_limit(args: argparse.Namespace) -> int:
         scenario.case, instance.thermal, instance.mushy, instance.boundary, grid
     )
 
-    rows = [
-        {"h0": h0, "xi_conv": xc, "delta_xi": abs(xc - study.xi_dirichlet), "coefficient": cc}
-        for h0, xc, cc in zip(study.h0_grid, study.xi_conv, study.coeff_conv)
-    ]
-    if args.format == "json":
-        doc = {
-            "case": scenario.case.value,
-            "xi_dirichlet": study.xi_dirichlet,
-            "coefficient_dirichlet": study.coeff_dirichlet,
-            "fitted_slope": study.fitted_slope,
-            "rows": rows,
-            "excluded": [
-                {"h0": h0, "failed": [r.restriction_id for r in reports if not r.satisfied]}
-                for h0, reports in study.excluded
-            ],
-        }
-        if not was_sorted:
-            doc["note"] = "h0 grid was unsorted; processed in ascending order"
-        _emit_doc(doc, "json", args.out)
-    else:
-        buf = io.StringIO()
-        buf.write("h0,xi_conv,delta_xi,coefficient\n")
-        for row in rows:
-            buf.write(",".join(repr(row[k]) for k in ("h0", "xi_conv", "delta_xi", "coefficient")) + "\n")
-        buf.write(f"# xi_dirichlet = {study.xi_dirichlet!r}\n")
-        buf.write(f"# coefficient_dirichlet = {study.coeff_dirichlet!r}\n")
-        slope = "undefined (fewer than two usable grid points)" if study.fitted_slope is None else repr(study.fitted_slope)
-        buf.write(f"# fitted_slope = {slope}\n")
-        for h0, reports in study.excluded:
-            failed = ",".join(r.restriction_id for r in reports if not r.satisfied)
-            buf.write(f"# excluded h0 = {h0!r} ({failed})\n")
-        if not was_sorted:
-            buf.write("# note: h0 grid was unsorted; processed in ascending order\n")
-        _write(buf.getvalue(), args.out)
+    doc = {
+        "case": scenario.case.value,
+        "xi_dirichlet": study.xi_dirichlet,
+        "coefficient_dirichlet": study.coeff_dirichlet,
+        "fitted_slope": study.fitted_slope,
+        "rows": [
+            {"h0": h0, "xi_conv": xc, "delta_xi": abs(xc - study.xi_dirichlet), "coefficient": cc}
+            for h0, xc, cc in zip(study.h0_grid, study.xi_conv, study.coeff_conv)
+        ],
+        "excluded": [
+            {"h0": h0, "failed": [r.restriction_id for r in reports if not r.satisfied]}
+            for h0, reports in study.excluded
+        ],
+    }
+    if not was_sorted:
+        doc["note"] = "h0 grid was unsorted; processed in ascending order"
+    _write(_json_text(doc), args.out)
     return EXIT_OK
 
 
@@ -557,7 +501,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "failures": failures,
         "passed": not failures,
     }
-    _emit_doc(doc, args.format, args.out)
+    _write(_json_text(doc), args.out)
     return EXIT_OK if not failures else EXIT_RESIDUAL
 
 
@@ -607,14 +551,14 @@ def cmd_check_restrictions(args: argparse.Namespace) -> int:
     doc["all_satisfied"] = all_ok
     if scenario.case is not None and not reports:
         doc["note"] = "this case carries no solvability restriction"
-    _emit_doc(doc, args.format, args.out)
+    _write(_json_text(doc), args.out)
     return EXIT_OK if all_ok else EXIT_RESTRICTION
 
 
 # --- argument parsing --------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, with_format: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("scenario", help="scenario file (INI key-value sections or JSON)")
     sub.add_argument("--problem", choices=[f.value for f in Face], help="override the scenario's problem type")
     sub.add_argument(
@@ -623,12 +567,10 @@ def _add_common(sub: argparse.ArgumentParser, with_format: bool = True) -> None:
         help="override the scenario's case (drops that coefficient from the data)",
     )
     sub.add_argument("--out", type=Path, default=None, help="write output here instead of stdout")
-    if with_format:
-        sub.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
 
 def _profile_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p, with_format=False)
+    _add_common(p)
     p.add_argument("--t", type=float, action="append", help="sample time (repeatable; default 1.0)")
     p.add_argument("--nx", type=int, default=50, help=f"points per profile (default 50, at most {MAX_GRID_POINTS})")
     p.add_argument("--xmax", type=float, default=None, help="profile end (default 1.1 r(t))")
@@ -705,7 +647,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "detail": str(err),
             "restrictions": [_report_doc(r) for r in err.reports],
         }
-        _emit_doc(doc, getattr(args, "format", "json"), None)
+        _write(_json_text(doc), None)
         sys.stderr.write(f"error: {err}\n")
         return EXIT_RESTRICTION
     except (ValidationError, DomainError) as err:

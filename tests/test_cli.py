@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -77,16 +78,6 @@ def test_solve_recovers_latent_heat(case_l_path, capsys):
     assert [r["id"] for r in doc["restrictions"]] == ["R1", "R2"]
     assert abs(doc["residuals"]["stefan"]) <= 1e-14
     assert abs(doc["residuals"]["face"]) <= 1e-14
-
-
-def test_solve_csv_format(case_l_path, capsys):
-    code, out, _ = run(["solve", str(case_l_path), "--format", "csv"], capsys)
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[0] == "key,value"
-    table = dict(line.split(",", 1) for line in lines[1:])
-    assert math.isclose(float(table["value"]), L_REF, rel_tol=1e-12)
-    assert table["restrictions.R1.satisfied"] == "true"
 
 
 def test_solve_writes_output_file(case_l_path, tmp_path, capsys):
@@ -224,15 +215,14 @@ def test_profile_stdout_contains_both_tables(case_l_path, capsys):
     assert r1 > s1
 
 
-def test_profile_files(case_l_path, tmp_path, capsys):
-    out_path = tmp_path / "profile.csv"
-    code, _, err = run(["profile", str(case_l_path), "--out", str(out_path)], capsys)
+def test_profile_out_file_holds_the_stdout_bytes(case_l_path, tmp_path, capsys):
+    code, stdout, _ = run(["profile", str(case_l_path)], capsys)
     assert code == EXIT_OK
-    fronts = tmp_path / "profile.fronts.csv"
-    assert out_path.exists() and fronts.exists()
-    assert str(fronts) in err
-    body = out_path.read_text().splitlines()
-    assert len(body) == 51  # header + default 50 points
+    assert len(stdout.split("\n\n")[0].splitlines()) == 51  # header + default 50 points
+    out_path = tmp_path / "profile.csv"
+    assert run(["profile", str(case_l_path), "--out", str(out_path)], capsys) == (EXIT_OK, "", "")
+    assert out_path.read_text() == stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == [case_l_path.name, out_path.name]
 
 
 def test_profile_rejects_nonpositive_time(case_l_path, capsys):
@@ -263,16 +253,13 @@ def dirichlet_gamma_path(tmp_path, capsys):
     return path
 
 
-def test_limit_study_csv(dirichlet_gamma_path, capsys):
-    code, out, _ = run(
-        ["limit", str(dirichlet_gamma_path), "--format", "csv", "--h0-grid", "10,100,1000,10000"],
-        capsys)
+def test_limit_study_fits_a_first_order_slope(dirichlet_gamma_path, capsys):
+    code, out, _ = run(["limit", str(dirichlet_gamma_path), "--h0-grid", "10,100,1000,10000"], capsys)
     assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[0] == "h0,xi_conv,delta_xi,coefficient"
-    assert len([l for l in lines if not l.startswith("#")]) == 5
-    slope_line = next(l for l in lines if l.startswith("# fitted_slope"))
-    assert abs(float(slope_line.split("=")[1]) + 1.0) < 0.1
+    doc = json.loads(out)
+    assert [row["h0"] for row in doc["rows"]] == [10.0, 100.0, 1000.0, 10000.0]
+    assert doc["excluded"] == [] and "note" not in doc
+    assert abs(doc["fitted_slope"] + 1.0) < 0.1
 
 
 def test_limit_study_json_reports_exclusions(dirichlet_gamma_path, capsys):
@@ -321,18 +308,6 @@ def test_restriction_failure_exit_and_report(tmp_path, capsys):
     assert doc["restrictions"][0]["id"] == "R1"
 
 
-def test_restriction_failure_follows_format(tmp_path, capsys):
-    path = tmp_path / "bad.ini"
-    path.write_text(CASE_L_INI.replace("h0 = 2.0", "h0 = 0.5"))
-    code, out, err = run(["solve", str(path), "--format", "csv"], capsys)
-    assert code == EXIT_RESTRICTION
-    assert err.startswith("error:")
-    lines = out.splitlines()
-    assert lines[0] == "key,value"
-    assert "error,restriction failure" in lines
-    assert "restrictions.R1.satisfied,false" in lines
-
-
 JSON_COEFFICIENTS_LIST = '{"problem": {"type": "convective", "case": "l"}, "coefficients": [1, 2]}'
 JSON_PROBLEM_STRING = '{"problem": "convective"}'
 JSON_BOOLEAN_K = (
@@ -358,11 +333,15 @@ JSON_BOOLEAN_K = (
         lambda text: JSON_COEFFICIENTS_LIST,
         lambda text: JSON_PROBLEM_STRING,
         lambda text: JSON_BOOLEAN_K,
+        lambda text: text.replace("k = 1.0", "k = 1%"),
+        lambda text: text.replace("k = 1.0", "k = %(rho)s"),  # not read as rho's value
+        lambda text: b"\xff\xfe" + text.encode(),  # not UTF-8
     ],
 )
 def test_malformed_scenarios_exit_one(tmp_path, capsys, mutate):
     path = tmp_path / "broken.ini"
-    path.write_text(mutate(CASE_L_INI))
+    data = mutate(CASE_L_INI)
+    path.write_bytes(data.encode() if isinstance(data, str) else data)
     code, _, err = run(["solve", str(path)], capsys)
     assert code == EXIT_INPUT
     assert err.startswith("error:")
@@ -407,12 +386,14 @@ def test_malformed_limit_grids_exit_one(dirichlet_gamma_path, capsys, argv):
     "sub, flag",
     [("verify", "--t=1"), ("verify", "--x-fracs=0.5"), ("verify", "--fd-step=1e-4"),
      ("verify", "--tol-residual=1e-10"), ("verify", "--pde-tol=1e-6"), ("verify", "--xi-perturb=0"),
-     ("limit", "--h0-min=10"), ("limit", "--h0-max=1e6"), ("limit", "--points=6")],
+     ("limit", "--h0-min=10"), ("limit", "--h0-max=1e6"), ("limit", "--points=6"),
+     ("solve", "--format=json"), ("verify", "--format=json"), ("check-restrictions", "--format=json"),
+     ("limit", "--format=csv")],
 )
 def test_removed_flags_are_usage_errors(case_l_path, dirichlet_gamma_path, capsys, sub, flag):
-    # verify's sample and bounds are fixed, and limit takes only --h0-grid:
-    # even a removed flag's former default is rejected
-    path = case_l_path if sub == "verify" else dirichlet_gamma_path
+    # verify's sample and bounds are fixed, limit takes only --h0-grid, and a
+    # report is JSON only: even a removed flag's former default is rejected
+    path = dirichlet_gamma_path if sub == "limit" else case_l_path
     code, out, err = run([sub, str(path), flag], capsys)
     assert code == EXIT_INPUT
     assert out == ""
@@ -478,13 +459,13 @@ def test_usage_errors_exit_one(case_l_path, capsys, argv):
 
 
 SUBCOMMAND_OPTIONS = {
-    "solve": ["--case", "--format", "--out", "--problem"],
+    "solve": ["--case", "--out", "--problem"],
     "profile": ["--case", "--nx", "--out", "--problem", "--t", "--xmax"],
-    "limit": ["--case", "--format", "--h0-grid", "--out", "--problem"],
-    "verify": ["--case", "--format", "--out", "--problem"],
+    "limit": ["--case", "--h0-grid", "--out", "--problem"],
+    "verify": ["--case", "--out", "--problem"],
     "manufacture": ["--c", "--case", "--epsilon", "--format", "--gamma", "--h0", "--k", "--out", "--problem",
                     "--q0", "--rho", "--xi"],
-    "check-restrictions": ["--case", "--format", "--out", "--problem"],
+    "check-restrictions": ["--case", "--out", "--problem"],
 }
 
 
@@ -684,21 +665,65 @@ def test_output_numbers_are_shortest_round_trip(case_l_path, dirichlet_gamma_pat
     manufacture = ["manufacture", "--xi", "0.8", "--k", "2.0", "--rho", "0.7", "--c", "1.3",
                    "--epsilon", "0.35", "--gamma", "0.1", "--q0", "1.4", "--h0", "3.0", "--case", "rho"]
     for argv in (["solve", str(case_l_path)], ["check-restrictions", str(case_l_path)],
-                 manufacture + ["--format", "json"]):
+                 ["limit", str(dirichlet_gamma_path)], manufacture + ["--format", "json"]):
         code, out, _ = run(argv, capsys)
         assert code == EXIT_OK
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
-    for argv in (["solve", str(case_l_path), "--format", "csv"],
-                 ["check-restrictions", str(case_l_path), "--format", "csv"],
-                 ["profile", str(case_l_path), "--nx", "5"],
-                 ["limit", str(dirichlet_gamma_path), "--format", "csv"]):
-        code, out, _ = run(argv, capsys)
-        assert code == EXIT_OK
-        _assert_repr_numbers(re.split(r"[,\n]| = ", out))
+    code, out, _ = run(["profile", str(case_l_path), "--nx", "5"], capsys)
+    assert code == EXIT_OK
+    _assert_repr_numbers(re.split(r"[,\n]", out))
 
     code, out, _ = run(manufacture, capsys)
     assert code == EXIT_OK
     values = [line.split(" = ")[1] for line in out.splitlines() if " = " in line]
     assert "0.1" in values  # gamma
     _assert_repr_numbers(values)
+
+
+# sha256 of stdout, and the exit code, of each report on two scenarios under
+# each override: a change to any byte these commands print changes a digest.
+REPORT_DIGESTS = {
+    "solve case-l": (0, "9e324b0425992f8cf467ed3be1cd8a230b3b1c3da0a2a048865db23de066c911"),
+    "check-restrictions case-l": (0, "31c997a646b21e328ae88a733ecb1c9527b2327f5ac077a1393cc33ffa3e5799"),
+    "verify case-l": (0, "dfae2f1ac7ece647b14cd1c4def80f2da59f11db9b0036d9401b62c7121ec837"),
+    "limit case-l": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "profile case-l": (0, "4ede6c5d647b42af5fe24b96fae994c6252eb15c199d6458332298a479b8523e"),
+    "solve case-l --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check-restrictions case-l --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify case-l --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "limit case-l --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "profile case-l --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "solve case-l --problem dirichlet": (0, "a63fa5e5f1593933ca0dfd45fcca74f04f696cf6ab3365e136f04f5cee2c8c6d"),
+    "check-restrictions case-l --problem dirichlet": (0, "5c54fa26a232f31a0ed90592710f7d56b7174562c6580b41265d941cfdaedcd4"),
+    "verify case-l --problem dirichlet": (0, "6d895d3482ac6e9934ad10e8497783e95739c8fdc7d31a9cb0908b45f02daf76"),
+    "limit case-l --problem dirichlet": (0, "ce7638003e9046dfb0dbde580194bd26176590f737273689447debd9391a83ff"),
+    "profile case-l --problem dirichlet": (0, "0fa033ca7a812984769a4dbf29be6d59a071995ffe9d5c4ae25f84b798ff027e"),
+    "solve dirichlet-gamma": (0, "1ac261044c004afcaae4aab6b0e89bdf6bf5504c9e0c96914ec273729e42134c"),
+    "check-restrictions dirichlet-gamma": (0, "5ab038914f8e1350d4f441c4177d90c5213a2439cf8ea43fe8bf2b8b550ba18c"),
+    "verify dirichlet-gamma": (0, "14f507b1623edc3cd20870bfe598a0a8b7f036314d420ca83eded9f7111fd872"),
+    "limit dirichlet-gamma": (0, "7c85c053017c5610385238b4da56b55789396da9bf4d28b10b2d2ce4578a4a61"),
+    "profile dirichlet-gamma": (0, "b514797ab174452b8714788424dffa7fd932125aa6610ed63e8ea390abace83a"),
+    "solve dirichlet-gamma --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check-restrictions dirichlet-gamma --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify dirichlet-gamma --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "limit dirichlet-gamma --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "profile dirichlet-gamma --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "solve dirichlet-gamma --problem dirichlet": (0, "1ac261044c004afcaae4aab6b0e89bdf6bf5504c9e0c96914ec273729e42134c"),
+    "check-restrictions dirichlet-gamma --problem dirichlet": (0, "5ab038914f8e1350d4f441c4177d90c5213a2439cf8ea43fe8bf2b8b550ba18c"),
+    "verify dirichlet-gamma --problem dirichlet": (0, "14f507b1623edc3cd20870bfe598a0a8b7f036314d420ca83eded9f7111fd872"),
+    "limit dirichlet-gamma --problem dirichlet": (0, "7c85c053017c5610385238b4da56b55789396da9bf4d28b10b2d2ce4578a4a61"),
+    "profile dirichlet-gamma --problem dirichlet": (0, "b514797ab174452b8714788424dffa7fd932125aa6610ed63e8ea390abace83a"),
+}
+
+
+def test_report_bytes_are_pinned(case_l_path, dirichlet_gamma_path, capsys):
+    digests = {}
+    for label, path in (("case-l", case_l_path), ("dirichlet-gamma", dirichlet_gamma_path)):
+        for override in ([], ["--case", "k"], ["--problem", "dirichlet"]):
+            for sub, options in (("solve", []), ("check-restrictions", []), ("verify", []),
+                                 ("limit", []), ("profile", ["--nx", "5"])):
+                code, out, _ = run([sub, str(path), *override, *options], capsys)
+                key = " ".join([sub, label, *override])
+                digests[key] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert digests == REPORT_DIGESTS

@@ -1,5 +1,7 @@
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -55,3 +57,17 @@ def test_recovery_sweep_digest_at_large_xi_is_pinned(tmp_path):
     # Newton steps: pins the iterates that the xi <= 3 digest never reaches.
     last = _run("recovery_sweep.py", ["--n", "300", "--seed", "3", "--xi-max", "5.5"], tmp_path).splitlines()[-1]
     assert last == "sha256 8f4fbfe26b101cf7b8e4745756cd4cbc0f023e800f8f9afa7ca34163062b92f9 (0 raised)"
+
+
+def test_readme_limit_recipe_runs(tmp_path):
+    # The commands of the README's Experiments block, as a user would paste them.
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    block = readme.split("## Experiments", 1)[1].split("```\n", 2)[1]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert [argv[:2] for argv in commands] == [["mushy", "manufacture"], ["mushy", "limit"]]
+    env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert abs(json.loads(proc.stdout)["fitted_slope"] + 1.0) < 0.005
