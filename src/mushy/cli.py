@@ -42,7 +42,7 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 # Only what a convective solve runs is imported here; configparser, verify,
 # manufacture and inverse_dirichlet are imported where they are used, so a
@@ -126,17 +126,6 @@ def _json_text(doc: dict) -> str:
 # --- scenario files ---------------------------------------------------------
 
 
-class Scenario(NamedTuple):
-    """Parsed scenario file, prior to physical validation: a key the file
-    leaves out is None in its record."""
-
-    problem: Face
-    case: Optional[UnknownCase]
-    thermal: ThermalCoefficients
-    mushy: MushyCoefficients
-    boundary: BoundaryData
-
-
 def _parse_case(token: str) -> Optional[UnknownCase]:
     if token == "direct":
         return None
@@ -156,7 +145,7 @@ def _to_float(section: str, key: str, raw) -> float:
     if not isinstance(raw, bool):  # float(true) would be 1.0
         try:
             return float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int no double holds
             pass
     raise ValidationError(f"[{section}] {key} = {raw!r} is not a number")
 
@@ -178,15 +167,17 @@ def _record(record: type, section: str, values: dict):
     })
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse a scenario from INI or JSON text (sniffed by the first byte)."""
+def parse_scenario(text: str) -> ProblemInstance:
+    """Parse a scenario from INI or JSON text (sniffed by the first byte) and
+    validate it: the file's ``[problem]`` section names the face and the
+    unknown, and exactly that coefficient is left out."""
     stripped = text.lstrip()
     if not stripped:
         raise ValidationError("scenario file is empty")
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # a JSONDecodeError, or an int past the digit limit
             raise ValidationError(f"invalid JSON scenario: {err}") from None
         sections = {name: {} if doc.get(name) is None else doc[name] for name in _SECTIONS}
         for name, section in sections.items():
@@ -220,16 +211,16 @@ def parse_scenario(text: str) -> Scenario:
     coefficients = sections["coefficients"]
     _check_keys("coefficients", coefficients, _keys(ThermalCoefficients, MushyCoefficients))
     _check_keys("boundary", sections["boundary"], _keys(BoundaryData))
-    return Scenario(
-        problem=face,
+    return validate(
+        _record(ThermalCoefficients, "coefficients", coefficients),
+        _record(MushyCoefficients, "coefficients", coefficients),
+        _record(BoundaryData, "boundary", sections["boundary"]),
         case=case,
-        thermal=_record(ThermalCoefficients, "coefficients", coefficients),
-        mushy=_record(MushyCoefficients, "coefficients", coefficients),
-        boundary=_record(BoundaryData, "boundary", sections["boundary"]),
+        face=face,
     )
 
 
-def load_scenario(path: Path) -> Scenario:
+def load_scenario(path: Path) -> ProblemInstance:
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as err:
@@ -241,20 +232,20 @@ def _given(record) -> dict:
     return {key: value for key, value in vars(record).items() if value is not None}
 
 
-def _scenario_doc(scenario: Scenario) -> dict:
+def _scenario_doc(instance: ProblemInstance) -> dict:
     """The scenario's sections, each with the keys it sets, in field order."""
     return {
-        "problem": {"type": scenario.problem.value, "case": _case_name(scenario.case)},
-        "coefficients": {**_given(scenario.thermal), **_given(scenario.mushy)},
-        "boundary": _given(scenario.boundary),
+        "problem": {"type": instance.face.value, "case": _case_name(instance.case)},
+        "coefficients": {**_given(instance.thermal), **_given(instance.mushy)},
+        "boundary": _given(instance.boundary),
     }
 
 
-def scenario_to_ini(scenario: Scenario, truth: Optional[tuple[str, float]] = None) -> str:
-    """Canonical INI serialization; parsing it back reproduces the scenario.
+def scenario_to_ini(instance: ProblemInstance, truth: Optional[tuple[str, float]] = None) -> str:
+    """Canonical INI serialization; parsing it back reproduces the instance.
     ``truth`` is written as a comment that closes the coefficients."""
     lines = []
-    for section, values in _scenario_doc(scenario).items():
+    for section, values in _scenario_doc(instance).items():
         lines.append(f"[{section}]")
         lines.extend(f"{key} = {value}" for key, value in values.items())  # a float's str is its repr
         if section == "coefficients" and truth is not None:
@@ -263,32 +254,11 @@ def scenario_to_ini(scenario: Scenario, truth: Optional[tuple[str, float]] = Non
     return "\n".join(lines)
 
 
-def scenario_to_json(scenario: Scenario, truth: Optional[tuple[str, float]] = None) -> str:
-    doc = _scenario_doc(scenario)
+def scenario_to_json(instance: ProblemInstance, truth: Optional[tuple[str, float]] = None) -> str:
+    doc = _scenario_doc(instance)
     if truth is not None:
         doc["_truth"] = {truth[0]: truth[1]}
     return _json_text(doc) + "\n"
-
-
-def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    """--problem/--case flags override the scenario file.
-
-    Overriding the case drops the matching coefficient from the data, so a
-    fully specified (direct) scenario can be re-solved for any unknown.
-    """
-    if getattr(args, "problem", None):
-        scenario = scenario._replace(problem=Face(args.problem))
-    if getattr(args, "case", None):
-        case = _parse_case(args.case)
-        thermal, mushy = scenario.thermal, scenario.mushy
-        if case is not None:
-            thermal, mushy = with_coefficient(thermal, mushy, case, None)
-        scenario = scenario._replace(case=case, thermal=thermal, mushy=mushy)
-    return scenario
-
-
-def _validated(scenario: Scenario) -> ProblemInstance:
-    return validate(scenario.thermal, scenario.mushy, scenario.boundary, case=scenario.case, face=scenario.problem)
 
 
 # --- solving ----------------------------------------------------------------
@@ -311,30 +281,26 @@ def _solve_direct_xi(instance: ProblemInstance) -> float:
     return solve_increasing(eq)
 
 
-def _solve(
-    args: argparse.Namespace,
-) -> tuple[Scenario, ProblemInstance, Optional[CaseResult], SimilaritySolution]:
-    """The scenario of ``args`` (overrides applied), solved.
+def _solve(args: argparse.Namespace) -> tuple[ProblemInstance, Optional[CaseResult], SimilaritySolution]:
+    """The scenario of ``args``, solved.
 
-    Returns the scenario, the completed direct instance (the recovered
-    value filled in), the case result (None in direct mode) and the
-    solution.
+    Returns the completed direct instance (the recovered value filled in),
+    the case result (None in direct mode) and the solution.
     """
-    scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    instance = _validated(scenario)
-    if scenario.case is None:
+    instance = load_scenario(Path(args.scenario))
+    case = instance.case
+    if case is None:
         xi = _solve_direct_xi(instance)
-        return scenario, instance, None, build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
-    if scenario.problem is Face.CONVECTIVE:
+        return instance, None, build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
+    if instance.face is Face.CONVECTIVE:
         solve_case = inverse_convective.solve_case
     else:
         from . import inverse_dirichlet
 
         solve_case = inverse_dirichlet.solve_dirichlet_case
-    result = solve_case(scenario.case, instance.thermal, instance.mushy, instance.boundary)
-    thermal, mushy = with_coefficient(instance.thermal, instance.mushy, scenario.case, result.value)
-    instance = instance._replace(case=None, thermal=thermal, mushy=mushy)
-    return scenario, instance, result, result.solution
+    result = solve_case(case, instance.thermal, instance.mushy, instance.boundary)
+    thermal, mushy = with_coefficient(instance.thermal, instance.mushy, case, result.value)
+    return instance._replace(case=None, thermal=thermal, mushy=mushy), result, result.solution
 
 
 def _report_doc(report: RestrictionReport) -> dict:
@@ -360,7 +326,10 @@ def _write(text: str, out: Optional[Path]) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out is not None:
-        out.write_text(text)
+        try:
+            out.write_text(text)
+        except OSError as err:
+            raise ValidationError(f"cannot write {out}: {err}") from None
         return
     try:
         sys.stdout.write(text)
@@ -381,14 +350,13 @@ def _check_positive(flag: str, *values: float) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    scenario, instance, result, solution = _solve(args)
+    instance, result, solution = _solve(args)
     residuals = consistency_residuals(
         instance.thermal, instance.mushy, instance.boundary, solution.xi, instance.face
     )
-    doc: dict = {"problem": scenario.problem.value, "case": _case_name(scenario.case)}
+    doc: dict = {"problem": instance.face.value, "case": "direct"}
     if result is not None:
-        doc["coefficient"] = result.case.value
-        doc["value"] = result.value
+        doc.update(case=result.case.value, coefficient=result.case.value, value=result.value)
     doc.update(
         xi=solution.xi,
         mu=solution.mu,
@@ -411,7 +379,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         raise ValidationError("--nx must be at least 2")
     if args.nx > MAX_GRID_POINTS:
         raise ValidationError(f"--nx must be at most {MAX_GRID_POINTS}")
-    solution = _solve(args)[3]
+    solution = _solve(args)[2]
 
     buf = io.StringIO()
     buf.write("t,x,temperature,region\n")
@@ -430,12 +398,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_limit(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    if scenario.problem is not Face.DIRICHLET:
+    instance = load_scenario(Path(args.scenario))
+    if instance.face is not Face.DIRICHLET:
         raise ValidationError("the limit study needs a dirichlet scenario (the convective side is generated)")
-    if scenario.case is None:
+    if instance.case is None:
         raise ValidationError("the limit study needs an unknown coefficient, not a direct scenario")
-    instance = _validated(scenario)
 
     try:
         grid = tuple(float(tok) for tok in args.h0_grid.split(","))
@@ -450,11 +417,11 @@ def cmd_limit(args: argparse.Namespace) -> int:
     from . import inverse_dirichlet
 
     study = inverse_dirichlet.limit_study(
-        scenario.case, instance.thermal, instance.mushy, instance.boundary, grid
+        instance.case, instance.thermal, instance.mushy, instance.boundary, grid
     )
 
     doc = {
-        "case": scenario.case.value,
+        "case": instance.case.value,
         "xi_dirichlet": study.xi_dirichlet,
         "coefficient_dirichlet": study.coeff_dirichlet,
         "fitted_slope": study.fitted_slope,
@@ -476,7 +443,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    scenario, instance, _, solution = _solve(args)
+    instance, result, solution = _solve(args)
     xs = [f * front_s(solution, VERIFY_TIMES[0]) for f in VERIFY_X_FRACS]
     conditions = verify.condition_residuals(
         solution, instance.thermal, instance.mushy, instance.boundary, VERIFY_TIMES, instance.face
@@ -489,8 +456,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if fd.pde_residual_max > VERIFY_PDE_TOL:
         failures.insert(0, "pde")
     doc = {
-        "problem": scenario.problem.value,
-        "case": _case_name(scenario.case),
+        "problem": instance.face.value,
+        "case": _case_name(result.case if result else None),
         "xi": solution.xi,
         "xi_perturbation": 0.0,
         "condition_residuals": dict(sorted(conditions.condition_residuals.items())),
@@ -519,37 +486,36 @@ def cmd_manufacture(args: argparse.Namespace) -> int:
         h0=args.h0,
         face=Face(args.problem),
     )
-    case = _parse_case(args.case) if args.case else None
+    case = UnknownCase(args.case) if args.case else None
     thermal, mushy, truth = problem.thermal, problem.mushy, None
     if case is not None:
         thermal, mushy, value = problem.hide(case)
         truth = (case.value, value)
-    scenario = Scenario(problem=problem.face, case=case, thermal=thermal, mushy=mushy, boundary=problem.boundary)
-    text = scenario_to_json(scenario, truth) if args.format == "json" else scenario_to_ini(scenario, truth)
+    instance = ProblemInstance(problem.face, case, thermal, mushy, problem.boundary)
+    text = scenario_to_json(instance, truth) if args.format == "json" else scenario_to_ini(instance, truth)
     _write(text, args.out)
     return EXIT_OK
 
 
 def cmd_check_restrictions(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    instance = _validated(scenario)
+    instance = load_scenario(Path(args.scenario))
     reports: tuple[RestrictionReport, ...] = ()
-    if scenario.case is not None:
-        if scenario.problem is Face.CONVECTIVE:
+    if instance.case is not None:
+        if instance.face is Face.CONVECTIVE:
             inverse = inverse_convective
         else:
             from . import inverse_dirichlet as inverse
-        reports = inverse.check_all(scenario.case, instance.thermal, instance.mushy, instance.boundary)
+        reports = inverse.check_all(instance.case, instance.thermal, instance.mushy, instance.boundary)
     all_ok = all(r.satisfied for r in reports)
     doc = {
-        "problem": scenario.problem.value,
-        "case": _case_name(scenario.case),
+        "problem": instance.face.value,
+        "case": _case_name(instance.case),
         "restrictions": [_report_doc(r) for r in reports],
     }
-    if scenario.case is None:  # key order is output: here the note precedes the verdict
+    if instance.case is None:  # key order is output: here the note precedes the verdict
         doc["note"] = "no restrictions apply to a fully specified data set"
     doc["all_satisfied"] = all_ok
-    if scenario.case is not None and not reports:
+    if instance.case is not None and not reports:
         doc["note"] = "this case carries no solvability restriction"
     _write(_json_text(doc), args.out)
     return EXIT_OK if all_ok else EXIT_RESTRICTION
@@ -560,12 +526,6 @@ def cmd_check_restrictions(args: argparse.Namespace) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("scenario", help="scenario file (INI key-value sections or JSON)")
-    sub.add_argument("--problem", choices=[f.value for f in Face], help="override the scenario's problem type")
-    sub.add_argument(
-        "--case",
-        choices=[c.value for c in UnknownCase] + ["direct"],
-        help="override the scenario's case (drops that coefficient from the data)",
-    )
     sub.add_argument("--out", type=Path, default=None, help="write output here instead of stdout")
 
 

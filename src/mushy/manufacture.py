@@ -62,24 +62,36 @@ def manufacture(
     term for the Dirichlet problem), and the latent heat from the front
     balance, ``l = q0 sqrt(c / (rho k)) e**(-xi^2) / (xi + strength e**xi^2)``.
     Every solvability restriction of every case holds automatically for the
-    returned data.
+    returned data.  The given values are checked, by ``validate``'s rules,
+    before any arithmetic; a ``ValidationError`` names the offending input.
     """
     if not (xi > 0.0 and math.isfinite(xi)):
         raise ValidationError(f"xi must be positive and finite, got {xi!r}")
-    if face is Face.CONVECTIVE:
-        if h0 is None:
-            raise ValidationError("the convective problem requires h0")
-    else:
+    inf = math.inf
+    if not (0.0 < k < inf and 0.0 < rho < inf and 0.0 < c < inf and 0.0 < epsilon < 1.0 and 0.0 < gamma < inf
+            and 0.0 < q0 < inf and (face is not Face.CONVECTIVE or (h0 is not None and h0 > 0.0))):
+        # validate's error names the value at fault; d_inf, computed below, is a stand-in here
+        validate(ThermalCoefficients(k=k, rho=rho, c=c), MushyCoefficients(epsilon=epsilon, gamma=gamma),
+                 BoundaryData(q0=q0, d_inf=1.0, h0=h0), case=UnknownCase.L, face=face)
+    if face is not Face.CONVECTIVE:
         h0 = None
 
     krc = math.sqrt(k * rho * c)
+    if not 0.0 < krc < inf:
+        raise ValidationError(f"the product k rho c = {k * rho * c!r} must be a positive finite number")
     d_inf = q0 * specfun.erf(xi) * math.sqrt(math.pi) / krc
     if h0 is not None:
         d_inf += q0 / h0
 
     strength = gamma * (1.0 - epsilon) * krc / (2.0 * q0)
-    e = math.exp(xi * xi)
+    try:
+        e = math.exp(xi * xi)
+    except OverflowError:  # xi past ≈26.6; l is then 0 and rejected below
+        e = inf
     l = q0 * math.sqrt(c / (rho * k)) / ((xi + strength * e) * e)
+    if not 0.0 < l < inf:
+        raise ValidationError(f"xi = {xi!r} and the given coefficients make the latent heat l = {l!r}, "
+                              "not a positive finite number")
 
     thermal = ThermalCoefficients(l=l, k=k, rho=rho, c=c)
     mushy = MushyCoefficients(epsilon=epsilon, gamma=gamma)

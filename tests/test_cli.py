@@ -16,14 +16,13 @@ from mushy.cli import (
     EXIT_OK,
     EXIT_RESIDUAL,
     EXIT_RESTRICTION,
-    Scenario,
     main,
     parse_scenario,
     scenario_to_ini,
     scenario_to_json,
 )
 from mushy.errors import ValidationError
-from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
+from mushy.model import BoundaryData, Face, MushyCoefficients, ProblemInstance, ThermalCoefficients, UnknownCase
 
 L_REF = 1.4636343789756727
 
@@ -50,6 +49,21 @@ def run(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+MANUFACTURE_ARGV = ["manufacture", "--xi", "0.5", "--k", "1", "--rho", "1", "--c", "1",
+                    "--epsilon", "0.5", "--gamma", "0.1", "--q0", "1", "--h0", "2"]
+
+
+def restate(text, problem=None, case=None):
+    """INI scenario ``text`` with another ``[problem]`` type or case; a new
+    case also leaves that coefficient out."""
+    if problem:
+        text = re.sub(r"(?m)^type = \w+$", f"type = {problem}", text)
+    if case:
+        text = re.sub(r"(?m)^case = \w+$", f"case = {case}", text)
+        text = re.sub(rf"(?m)^{case} = .*\n", "", text)
+    return text
 
 
 @pytest.fixture()
@@ -85,6 +99,16 @@ def test_solve_writes_output_file(case_l_path, tmp_path, capsys):
     code, out, _ = run(["solve", str(case_l_path), "--out", str(out_path)], capsys)
     assert code == EXIT_OK and out == ""
     assert math.isclose(json.loads(out_path.read_text())["value"], L_REF, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("sub", ["solve", "profile", "manufacture"])
+@pytest.mark.parametrize("target", ["nodir/x.json", "."], ids=["missing-directory", "a-directory"])
+def test_unwritable_out_path_exits_one(case_l_path, tmp_path, monkeypatch, capsys, sub, target):
+    monkeypatch.chdir(tmp_path)
+    argv = MANUFACTURE_ARGV if sub == "manufacture" else [sub, str(case_l_path)]
+    code, out, err = run([*argv, "--out", target], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_manufacture_then_solve_round_trip(tmp_path, capsys):
@@ -164,6 +188,21 @@ def test_manufacture_requires_h0_for_convective(capsys):
          "--epsilon", "0.5", "--gamma", "0.1", "--q0", "1"], capsys)
     assert code == EXIT_INPUT
     assert "h0" in err
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--k", "-1"], ["--k", "0"], ["--q0", "0"], ["--xi", "30"], ["--k", "nan"], ["--k", "inf"], ["--xi", "20"],
+     ["--epsilon", "1"], ["--h0", "0"], ["--gamma", "nan"], ["--k", "1e-120", "--rho", "1e-120", "--c", "1e-120"]],
+    ids=" ".join,
+)
+def test_manufacture_rejects_what_it_cannot_compute_with(capsys, options):
+    # a later flag overrides the value in MANUFACTURE_ARGV; the error names
+    # the value given (the first flag), not a coefficient computed from it
+    code, out, err = run([*MANUFACTURE_ARGV, *options], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(rf"\b{options[0][2:]}\b", err.split("error: ", 1)[1].split(",")[0])
 
 
 def test_direct_mode_consistent_data(direct_path, capsys):
@@ -336,6 +375,8 @@ JSON_BOOLEAN_K = (
         lambda text: text.replace("k = 1.0", "k = 1%"),
         lambda text: text.replace("k = 1.0", "k = %(rho)s"),  # not read as rho's value
         lambda text: b"\xff\xfe" + text.encode(),  # not UTF-8
+        lambda text: JSON_BOOLEAN_K.replace("true", "1" * 400),  # an int no double holds
+        lambda text: JSON_BOOLEAN_K.replace("true", "1" * 5001),  # past the int-digit limit
     ],
 )
 def test_malformed_scenarios_exit_one(tmp_path, capsys, mutate):
@@ -388,11 +429,14 @@ def test_malformed_limit_grids_exit_one(dirichlet_gamma_path, capsys, argv):
      ("verify", "--tol-residual=1e-10"), ("verify", "--pde-tol=1e-6"), ("verify", "--xi-perturb=0"),
      ("limit", "--h0-min=10"), ("limit", "--h0-max=1e6"), ("limit", "--points=6"),
      ("solve", "--format=json"), ("verify", "--format=json"), ("check-restrictions", "--format=json"),
-     ("limit", "--format=csv")],
+     ("limit", "--format=csv")]
+    + [(sub, flag) for sub in ("solve", "profile", "limit", "verify", "check-restrictions")
+       for flag in ("--problem=dirichlet", "--case=k")],
 )
 def test_removed_flags_are_usage_errors(case_l_path, dirichlet_gamma_path, capsys, sub, flag):
-    # verify's sample and bounds are fixed, limit takes only --h0-grid, and a
-    # report is JSON only: even a removed flag's former default is rejected
+    # verify's sample and bounds are fixed, limit takes only --h0-grid, a
+    # report is JSON only, and the scenario file alone names the face and the
+    # unknown: even a removed flag's former default is rejected
     path = dirichlet_gamma_path if sub == "limit" else case_l_path
     code, out, err = run([sub, str(path), flag], capsys)
     assert code == EXIT_INPUT
@@ -413,19 +457,22 @@ def test_unsolvable_direct_data_exit_numerical(direct_path, tmp_path, capsys):
     assert code == EXIT_NUMERICAL
 
 
-def test_case_override_reuses_direct_scenario(direct_path, capsys):
+def test_direct_scenario_restated_for_each_unknown(direct_path, tmp_path, capsys):
     # l is a bulk coefficient, gamma and epsilon belong to the mushy zone
     for case, truth in (("l", L_REF), ("gamma", 0.1), ("epsilon", 0.5)):
-        code, out, _ = run(["solve", str(direct_path), "--case", case], capsys)
+        path = tmp_path / f"{case}.ini"
+        path.write_text(restate(direct_path.read_text(), case=case))
+        code, out, _ = run(["solve", str(path)], capsys)
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["case"] == case
         assert math.isclose(doc["value"], truth, rel_tol=1e-12)
 
 
-def test_problem_override_to_dirichlet(case_l_path, capsys):
-    code, out, _ = run(
-        ["solve", str(case_l_path), "--problem", "dirichlet"], capsys)
+def test_scenario_restated_as_dirichlet(case_l_path, tmp_path, capsys):
+    path = tmp_path / "dirichlet.ini"
+    path.write_text(restate(case_l_path.read_text(), problem="dirichlet"))
+    code, out, _ = run(["solve", str(path)], capsys)
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["problem"] == "dirichlet"
@@ -459,13 +506,13 @@ def test_usage_errors_exit_one(case_l_path, capsys, argv):
 
 
 SUBCOMMAND_OPTIONS = {
-    "solve": ["--case", "--out", "--problem"],
-    "profile": ["--case", "--nx", "--out", "--problem", "--t", "--xmax"],
-    "limit": ["--case", "--h0-grid", "--out", "--problem"],
-    "verify": ["--case", "--out", "--problem"],
+    "solve": ["--out"],
+    "profile": ["--nx", "--out", "--t", "--xmax"],
+    "limit": ["--h0-grid", "--out"],
+    "verify": ["--out"],
     "manufacture": ["--c", "--case", "--epsilon", "--format", "--gamma", "--h0", "--k", "--out", "--problem",
                     "--q0", "--rho", "--xi"],
-    "check-restrictions": ["--case", "--out", "--problem"],
+    "check-restrictions": ["--out"],
 }
 
 
@@ -519,15 +566,15 @@ positive_floats = st.floats(min_value=1e-6, max_value=1e6)
        gamma=positive_floats, q0=positive_floats, d_inf=positive_floats,
        eps=st.floats(min_value=1e-3, max_value=0.999))
 def test_serialization_is_lossless(k, rho, c, gamma, q0, d_inf, eps):
-    scenario = Scenario(
-        problem=Face.CONVECTIVE,
+    instance = ProblemInstance(
+        face=Face.CONVECTIVE,
         case=UnknownCase.L,
         thermal=ThermalCoefficients(k=k, rho=rho, c=c),
         mushy=MushyCoefficients(epsilon=eps, gamma=gamma),
         boundary=BoundaryData(q0=q0, d_inf=d_inf, h0=2.0),
     )
-    assert parse_scenario(scenario_to_ini(scenario)) == scenario
-    assert parse_scenario(scenario_to_json(scenario)) == scenario
+    assert parse_scenario(scenario_to_ini(instance)) == instance
+    assert parse_scenario(scenario_to_json(instance)) == instance
 
 
 def _python_env():
@@ -586,7 +633,7 @@ for label, argv in [
     ("import", None),
     ("solve-json", ["solve", "case_l.json"]),
     ("solve-ini", ["solve", "case_l.ini"]),
-    ("solve-dirichlet", ["solve", "case_l.json", "--problem", "dirichlet"]),
+    ("solve-dirichlet", ["solve", "case_l_dirichlet.json"]),
     ("verify", ["verify", "case_l.json"]),
     ("manufacture", ["manufacture", "--xi", "0.5", "--k", "1", "--rho", "1", "--c", "1",
                      "--epsilon", "0.5", "--gamma", "0.1", "--q0", "1", "--h0", "2"]),
@@ -601,6 +648,8 @@ print(json.dumps(loaded))
 
 def test_each_subcommand_imports_only_what_it_runs(case_l_path, tmp_path):
     (tmp_path / "case_l.json").write_text(scenario_to_json(parse_scenario(case_l_path.read_text())))
+    dirichlet = parse_scenario(restate(case_l_path.read_text(), problem="dirichlet"))
+    (tmp_path / "case_l_dirichlet.json").write_text(scenario_to_json(dirichlet))
     (tmp_path / "case_l.ini").write_text(case_l_path.read_text())
     loaded = _run_python(LOADS_PER_COMMAND, tmp_path)
     assert loaded["import"] == []
@@ -681,49 +730,52 @@ def test_output_numbers_are_shortest_round_trip(case_l_path, dirichlet_gamma_pat
     _assert_repr_numbers(values)
 
 
-# sha256 of stdout, and the exit code, of each report on two scenarios under
-# each override: a change to any byte these commands print changes a digest.
+# sha256 of stdout, and the exit code, of each report on five scenarios: the
+# README case-l scenario and a manufactured Dirichlet gamma one, each also
+# restated for the unknown k, and case-l restated for the Dirichlet face.  A
+# change to any byte these commands print changes a digest.
 REPORT_DIGESTS = {
     "solve case-l": (0, "9e324b0425992f8cf467ed3be1cd8a230b3b1c3da0a2a048865db23de066c911"),
     "check-restrictions case-l": (0, "31c997a646b21e328ae88a733ecb1c9527b2327f5ac077a1393cc33ffa3e5799"),
     "verify case-l": (0, "dfae2f1ac7ece647b14cd1c4def80f2da59f11db9b0036d9401b62c7121ec837"),
     "limit case-l": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "profile case-l": (0, "4ede6c5d647b42af5fe24b96fae994c6252eb15c199d6458332298a479b8523e"),
-    "solve case-l --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "check-restrictions case-l --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "verify case-l --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "limit case-l --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "profile case-l --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "solve case-l --problem dirichlet": (0, "a63fa5e5f1593933ca0dfd45fcca74f04f696cf6ab3365e136f04f5cee2c8c6d"),
-    "check-restrictions case-l --problem dirichlet": (0, "5c54fa26a232f31a0ed90592710f7d56b7174562c6580b41265d941cfdaedcd4"),
-    "verify case-l --problem dirichlet": (0, "6d895d3482ac6e9934ad10e8497783e95739c8fdc7d31a9cb0908b45f02daf76"),
-    "limit case-l --problem dirichlet": (0, "ce7638003e9046dfb0dbde580194bd26176590f737273689447debd9391a83ff"),
-    "profile case-l --problem dirichlet": (0, "0fa033ca7a812984769a4dbf29be6d59a071995ffe9d5c4ae25f84b798ff027e"),
+    "solve case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check-restrictions case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "limit case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "profile case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "solve case-l-dirichlet": (0, "a63fa5e5f1593933ca0dfd45fcca74f04f696cf6ab3365e136f04f5cee2c8c6d"),
+    "check-restrictions case-l-dirichlet": (0, "5c54fa26a232f31a0ed90592710f7d56b7174562c6580b41265d941cfdaedcd4"),
+    "verify case-l-dirichlet": (0, "6d895d3482ac6e9934ad10e8497783e95739c8fdc7d31a9cb0908b45f02daf76"),
+    "limit case-l-dirichlet": (0, "ce7638003e9046dfb0dbde580194bd26176590f737273689447debd9391a83ff"),
+    "profile case-l-dirichlet": (0, "0fa033ca7a812984769a4dbf29be6d59a071995ffe9d5c4ae25f84b798ff027e"),
     "solve dirichlet-gamma": (0, "1ac261044c004afcaae4aab6b0e89bdf6bf5504c9e0c96914ec273729e42134c"),
     "check-restrictions dirichlet-gamma": (0, "5ab038914f8e1350d4f441c4177d90c5213a2439cf8ea43fe8bf2b8b550ba18c"),
     "verify dirichlet-gamma": (0, "14f507b1623edc3cd20870bfe598a0a8b7f036314d420ca83eded9f7111fd872"),
     "limit dirichlet-gamma": (0, "7c85c053017c5610385238b4da56b55789396da9bf4d28b10b2d2ce4578a4a61"),
     "profile dirichlet-gamma": (0, "b514797ab174452b8714788424dffa7fd932125aa6610ed63e8ea390abace83a"),
-    "solve dirichlet-gamma --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "check-restrictions dirichlet-gamma --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "verify dirichlet-gamma --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "limit dirichlet-gamma --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "profile dirichlet-gamma --case k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "solve dirichlet-gamma --problem dirichlet": (0, "1ac261044c004afcaae4aab6b0e89bdf6bf5504c9e0c96914ec273729e42134c"),
-    "check-restrictions dirichlet-gamma --problem dirichlet": (0, "5ab038914f8e1350d4f441c4177d90c5213a2439cf8ea43fe8bf2b8b550ba18c"),
-    "verify dirichlet-gamma --problem dirichlet": (0, "14f507b1623edc3cd20870bfe598a0a8b7f036314d420ca83eded9f7111fd872"),
-    "limit dirichlet-gamma --problem dirichlet": (0, "7c85c053017c5610385238b4da56b55789396da9bf4d28b10b2d2ce4578a4a61"),
-    "profile dirichlet-gamma --problem dirichlet": (0, "b514797ab174452b8714788424dffa7fd932125aa6610ed63e8ea390abace83a"),
+    "solve dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check-restrictions dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "limit dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "profile dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
-def test_report_bytes_are_pinned(case_l_path, dirichlet_gamma_path, capsys):
-    digests = {}
+def test_report_bytes_are_pinned(case_l_path, dirichlet_gamma_path, tmp_path, capsys):
+    scenarios = {}
     for label, path in (("case-l", case_l_path), ("dirichlet-gamma", dirichlet_gamma_path)):
-        for override in ([], ["--case", "k"], ["--problem", "dirichlet"]):
-            for sub, options in (("solve", []), ("check-restrictions", []), ("verify", []),
-                                 ("limit", []), ("profile", ["--nx", "5"])):
-                code, out, _ = run([sub, str(path), *override, *options], capsys)
-                key = " ".join([sub, label, *override])
-                digests[key] = (code, hashlib.sha256(out.encode()).hexdigest())
+        text = path.read_text()
+        scenarios[label] = text
+        scenarios[f"{label}-k"] = restate(text, case="k")
+    scenarios["case-l-dirichlet"] = restate(case_l_path.read_text(), problem="dirichlet")
+    digests = {}
+    for label, text in scenarios.items():
+        path = tmp_path / f"{label}.ini"
+        path.write_text(text)
+        for sub, options in (("solve", []), ("check-restrictions", []), ("verify", []),
+                             ("limit", []), ("profile", ["--nx", "5"])):
+            code, out, _ = run([sub, str(path), *options], capsys)
+            digests[f"{sub} {label}"] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert digests == REPORT_DIGESTS

@@ -3,7 +3,6 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from mushy.cli import Scenario
 from mushy.direct import ConsistencyResiduals
 from mushy.errors import ValidationError
 from mushy.inverse_dirichlet import LimitStudy
@@ -296,11 +295,6 @@ OUTPUT_RECORDS = [
         ManufacturedProblem(face=Face.CONVECTIVE, thermal=FULL_THERMAL, mushy=MUSHY, boundary=BOUNDARY, xi=0.5),
         ("face", "thermal", "mushy", "boundary", "xi"),
         f"ManufacturedProblem(face=<Face.CONVECTIVE: 'convective'>, {_DATA_REPR}, xi=0.5)",
-    ),
-    (
-        Scenario(problem=Face.CONVECTIVE, case=UnknownCase.L, thermal=FULL_THERMAL, mushy=MUSHY, boundary=BOUNDARY),
-        ("problem", "case", "thermal", "mushy", "boundary"),
-        f"Scenario(problem=<Face.CONVECTIVE: 'convective'>, case=<UnknownCase.L: 'l'>, {_DATA_REPR})",
     ),
 ]
 

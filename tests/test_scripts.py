@@ -71,3 +71,50 @@ def test_readme_limit_recipe_runs(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
     assert abs(json.loads(proc.stdout)["fitted_slope"] + 1.0) < 0.005
+
+
+
+FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+
+
+def _code_units(text):
+    """Each line of a fenced block (continuations joined) and each inline
+    code span of markdown ``text``."""
+    units = []
+    for i, block in enumerate(re.split(r"(?m)^ *```.*$", text)):
+        units += block.replace("\\\n", " ").splitlines() if i % 2 else re.findall(r"`([^`]+)`", block)
+    return units
+
+
+def test_readme_names_only_flags_that_exist(capsys):
+    # Outside the install commands and the list of removed options, every
+    # --flag the README mentions is an option of some mushy subcommand or of
+    # a script under scripts/, and a flag written after a subcommand's name
+    # in one command line or code span is an option of that subcommand.
+    from mushy.cli import _COMMANDS, main
+
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    parts = re.split(r"(?m)^(#+ .*)$", readme)
+    skipped = {"## Install", "### Removed options"}
+    text = parts[0] + "".join(body for heading, body in zip(parts[1::2], parts[2::2]) if heading not in skipped)
+
+    options = {}
+    for sub in _COMMANDS:
+        assert main([sub, "--help"]) == 0
+        options[sub] = set(FLAG.findall(capsys.readouterr().out))
+    known = set().union(*options.values())
+    for script in sorted(SCRIPTS.glob("*.py")):
+        known |= set(FLAG.findall(_run(script.name, ["--help"], SCRIPTS)))
+
+    misplaced = []
+    for unit in _code_units(text):
+        sub = None
+        for token in unit.split():
+            if token in options:
+                sub = token
+            elif sub is not None:
+                misplaced += [f"{sub} {flag}" for flag in FLAG.findall(token) if flag not in options[sub]]
+    mentioned = set(FLAG.findall(text))
+    assert {"--problem", "--case", "--h0-grid", "--nx"} <= mentioned  # the scan reads the README's text
+    assert sorted(mentioned - known) == []
+    assert misplaced == []
