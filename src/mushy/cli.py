@@ -53,12 +53,9 @@ from . import inverse_convective
 from .direct import (
     build_solution,
     consistency_residuals,
+    front_balance,
     front_r,
     front_s,
-    mushy_strength,
-    stefan_lhs,
-    stefan_lhs_derivative,
-    stefan_rhs,
     temperature,
 )
 from .errors import (
@@ -80,7 +77,7 @@ from .model import (
     validate,
     with_coefficient,
 )
-from .rootfind import MonotoneEquation, solve_increasing
+from .rootfind import solve_increasing
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -95,9 +92,10 @@ MAX_GRID_POINTS = 10_000
 #: ``limit``'s default h0 grid, one point per decade.
 LIMIT_H0_GRID = "1e1,1e2,1e3,1e4,1e5,1e6"
 
-#: ``verify``'s fixed check: the sample times, the interior sample positions
-#: as fractions of s at the first time, the relative finite-difference step,
-#: and the bounds on the condition residuals and on the PDE residual.
+#: ``verify``'s fixed check: the sample times (ascending), the interior
+#: sample positions (ascending) as fractions of s at the first time, the
+#: relative finite-difference step, and the bounds on the condition
+#: residuals and on the PDE residual.
 VERIFY_TIMES = (0.5, 1.0, 2.0)
 VERIFY_X_FRACS = (0.3, 0.5, 0.7)
 VERIFY_FD_STEP = 1e-4
@@ -264,23 +262,6 @@ def scenario_to_json(instance: ProblemInstance, truth: Optional[tuple[str, float
 # --- solving ----------------------------------------------------------------
 
 
-def _solve_direct_xi(instance: ProblemInstance) -> float:
-    """xi for a fully specified data set, from the front balance.
-
-    The face condition is then a derived quantity: its residual reveals
-    whether the data are actually consistent.
-    """
-    strength = mushy_strength(instance.thermal, instance.mushy, instance.boundary)
-    eq = MonotoneEquation(
-        f=lambda x: stefan_lhs(x, strength),
-        target=stefan_rhs(instance.thermal, instance.boundary),
-        lower_limit=strength,
-        df=lambda x: stefan_lhs_derivative(x, strength),
-        name="front balance",
-    )
-    return solve_increasing(eq)
-
-
 def _solve(args: argparse.Namespace) -> tuple[ProblemInstance, Optional[CaseResult], SimilaritySolution]:
     """The scenario of ``args``, solved.
 
@@ -290,7 +271,7 @@ def _solve(args: argparse.Namespace) -> tuple[ProblemInstance, Optional[CaseResu
     instance = load_scenario(Path(args.scenario))
     case = instance.case
     if case is None:
-        xi = _solve_direct_xi(instance)
+        xi = solve_increasing(front_balance(instance.thermal, instance.mushy, instance.boundary))
         return instance, None, build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
     if instance.face is Face.CONVECTIVE:
         solve_case = inverse_convective.solve_case
@@ -356,7 +337,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     doc: dict = {"problem": instance.face.value, "case": "direct"}
     if result is not None:
-        doc.update(case=result.case.value, coefficient=result.case.value, value=result.value)
+        doc.update(case=result.case.value, value=result.value)
     doc.update(
         xi=solution.xi,
         mu=solution.mu,
@@ -448,7 +429,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     conditions = verify.condition_residuals(
         solution, instance.thermal, instance.mushy, instance.boundary, VERIFY_TIMES, instance.face
     )
-    fd = verify.pde_residual(solution, xs, VERIFY_TIMES, fd_step=VERIFY_FD_STEP)
+    # The space step is widest at the last time, and the stencil around the
+    # nearest point must stay in the solid there.  Below xi of about 6.7e-4
+    # the fixed step would leave it, so half the widest step that stays is used.
+    reach = 2.0 * math.sqrt(solution.alpha * VERIFY_TIMES[-1])
+    fd_step = VERIFY_FD_STEP if VERIFY_FD_STEP * reach <= xs[0] else 0.5 * xs[0] / reach
+    fd = verify.pde_residual(solution, xs, VERIFY_TIMES, fd_step=fd_step)
 
     failures = sorted(
         name for name, value in conditions.condition_residuals.items() if value > VERIFY_CONDITION_TOL
@@ -459,10 +445,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "problem": instance.face.value,
         "case": _case_name(result.case if result else None),
         "xi": solution.xi,
-        "xi_perturbation": 0.0,
         "condition_residuals": dict(sorted(conditions.condition_residuals.items())),
         "pde_residual_max": fd.pde_residual_max,
-        "fd_step": VERIFY_FD_STEP,
+        "fd_step": fd_step,
         "condition_tolerance": VERIFY_CONDITION_TOL,
         "pde_tolerance": VERIFY_PDE_TOL,
         "failures": failures,

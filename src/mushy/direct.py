@@ -25,6 +25,7 @@ from .model import (
     SimilaritySolution,
     ThermalCoefficients,
 )
+from .rootfind import MonotoneEquation
 
 __all__ = [
     "Region",
@@ -35,6 +36,7 @@ __all__ = [
     "stefan_lhs_derivative",
     "stefan_rhs",
     "mushy_strength",
+    "front_balance",
     "face_factor",
     "face_argument",
     "build_solution",
@@ -91,6 +93,20 @@ def stefan_lhs_derivative(xi: float, strength: float) -> float:
 def stefan_rhs(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
     """Right side (q0 / l) sqrt(c / (rho k)) of the front balance."""
     return (boundary.q0 / thermal.l) * math.sqrt(thermal.c / (thermal.rho * thermal.k))
+
+
+def front_balance(thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData) -> MonotoneEquation:
+    """The direct problem's equation for xi: the front balance, whose left
+    side starts at the mushy strength at 0+.  The face condition is then a
+    derived quantity, whose residual shows whether the data are consistent."""
+    strength = mushy_strength(thermal, mushy, boundary)
+    return MonotoneEquation(
+        f=lambda x: stefan_lhs(x, strength),
+        target=stefan_rhs(thermal, boundary),
+        lower_limit=strength,
+        df=lambda x: stefan_lhs_derivative(x, strength),
+        name="front balance",
+    )
 
 
 def face_factor(boundary: BoundaryData, face: Face) -> float:

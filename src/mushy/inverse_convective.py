@@ -35,7 +35,7 @@ from .direct import (
     stefan_rhs,
     xexp_sq,
 )
-from .errors import RestrictionError
+from .errors import NumericalError, RestrictionError
 from .model import (
     BoundaryData,
     CaseResult,
@@ -56,7 +56,6 @@ __all__ = [
     "check_r3",
     "check_r4",
     "check_r5",
-    "applicable_restrictions",
     "check_all",
     "require_satisfied",
     "FACE_CASES",
@@ -137,10 +136,8 @@ _CASE_RESTRICTIONS = {
     UnknownCase.C: ("R1", "R5"),
 }
 
-
-def applicable_restrictions(case: UnknownCase) -> tuple[str, ...]:
-    """Identifiers of the restrictions governing one convective case."""
-    return _CASE_RESTRICTIONS[case]
+#: Why valid data can still fail: a product of them leaves the double range.
+UNDERFLOW = "a product of the data underflows to 0, outside the range of a double"
 
 
 def check_all(
@@ -152,10 +149,14 @@ def check_all(
     """Evaluate the restrictions of one case in dependency order.
 
     Stops early when a failed restriction makes the later ones undefined
-    (R3 and R4 need the face-determined xi, hence R1 and R2).
+    (R3 and R4 need the face-determined xi, hence R1 and R2).  Data whose
+    products underflow to 0 raise NumericalError.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=Face.CONVECTIVE)
-    return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)[0]
+    try:
+        return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)[0]
+    except ZeroDivisionError:
+        raise NumericalError(f"case {case.value}: {UNDERFLOW}") from None
 
 
 def _evaluate(
@@ -299,24 +300,33 @@ def closed_form(
     square root of k rho c / pi.  gamma and epsilon share the
     cancellation-prone gap (q0/l) sqrt(c/(rho k)) - xi e**xi^2 that R3 (R7)
     keeps positive.  ``xi`` is a front position the recovery computed,
-    positive and finite, so erf is taken by math.erf without a check.
+    positive and finite, so erf is taken by math.erf without a check.  A
+    value that is not a positive finite double raises NumericalError: the
+    data, each valid, leave the double range together.
     """
     if case is UnknownCase.L:
-        return boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / stefan_lhs(
+        value = boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / stefan_lhs(
             xi, mushy_strength(thermal, mushy, boundary)
         )
-    if case in (UnknownCase.GAMMA, UnknownCase.EPSILON):
+    elif case in (UnknownCase.GAMMA, UnknownCase.EPSILON):
         gap = stefan_rhs(thermal, boundary) - xexp_sq(xi)
         krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
         if case is UnknownCase.GAMMA:
-            return (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
-        return 1.0 - (2.0 * boundary.q0 / (mushy.gamma * krc)) * gap * math.exp(-2.0 * xi * xi)
-    amp = boundary.q0 * math.erf(xi) / (boundary.d_inf * beta)
-    if case is UnknownCase.K:
-        return math.pi / (thermal.rho * thermal.c) * amp * amp
-    if case is UnknownCase.RHO:
-        return math.pi / (thermal.k * thermal.c) * amp * amp
-    return math.pi / (thermal.rho * thermal.k) * amp * amp
+            value = (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
+        else:
+            value = 1.0 - (2.0 * boundary.q0 / (mushy.gamma * krc)) * gap * math.exp(-2.0 * xi * xi)
+    else:
+        amp = boundary.q0 * math.erf(xi) / (boundary.d_inf * beta)
+        if case is UnknownCase.K:
+            value = math.pi / (thermal.rho * thermal.c) * amp * amp
+        elif case is UnknownCase.RHO:
+            value = math.pi / (thermal.k * thermal.c) * amp * amp
+        else:
+            value = math.pi / (thermal.rho * thermal.k) * amp * amp
+    if not 0.0 < value < math.inf:
+        raise NumericalError(f"the recovered {case.value} = {value!r} is not a positive finite number; "
+                             "the data leave the range of a double")
+    return value
 
 
 def solve_case(
@@ -332,19 +342,23 @@ def solve_case(
     and rho solve :func:`xi_equation_kr` for it and case c
     :func:`xi_equation_c`.  The restrictions are checked first, in the
     order and with the early stop of :func:`check_all`, and a failure
-    raises RestrictionError with exactly those reports.
+    raises RestrictionError with exactly those reports.  Data whose
+    arithmetic leaves the double range raise NumericalError.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=Face.CONVECTIVE)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    reports, xi = _evaluate(case, thermal, mushy, boundary)
-    require_satisfied(reports)
+    try:
+        reports, xi = _evaluate(case, thermal, mushy, boundary)
+        require_satisfied(reports)
 
-    beta = None
-    if case not in FACE_CASES:
-        beta = face_factor(boundary, Face.CONVECTIVE)
-        equation = xi_equation_c if case is UnknownCase.C else xi_equation_kr
-        xi = solve_increasing(equation(thermal, mushy, boundary, beta))
+        beta = None
+        if case not in FACE_CASES:
+            beta = face_factor(boundary, Face.CONVECTIVE)
+            equation = xi_equation_c if case is UnknownCase.C else xi_equation_kr
+            xi = solve_increasing(equation(thermal, mushy, boundary, beta))
 
-    value = closed_form(case, thermal, mushy, boundary, xi, beta)
-    solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
+        value = closed_form(case, thermal, mushy, boundary, xi, beta)
+        solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
+    except ZeroDivisionError:
+        raise NumericalError(f"case {case.value}: {UNDERFLOW}") from None
     return CaseResult(case, value, xi, solution, reports)

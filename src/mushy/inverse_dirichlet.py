@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 
 from . import inverse_convective, specfun
 from .direct import build_solution, dxexp_sq, face_argument, stefan_rhs, xexp_sq
-from .errors import NoRootError, RestrictionError
+from .errors import NoRootError, NumericalError, RestrictionError
 from .model import (
     BoundaryData,
     CaseResult,
@@ -60,7 +60,6 @@ __all__ = [
     "check_r9",
     "solve_eta_r7",
     "solve_eta_r8",
-    "applicable_restrictions",
     "check_all",
     "solve_dirichlet_case",
     "xi_equation_kr",
@@ -184,6 +183,9 @@ def check_r9(
     return RestrictionReport("R9", lhs < 1.0, lhs, 1.0, _R9_NOTE)
 
 
+#: The restrictions of each case.  The unknown-conductivity and
+#: unknown-density cases have none: their xi equation has exactly one
+#: positive root for every admissible data set.
 _CASE_RESTRICTIONS = {
     UnknownCase.L: ("R6",),
     UnknownCase.GAMMA: ("R7",),
@@ -194,36 +196,31 @@ _CASE_RESTRICTIONS = {
 }
 
 
-def applicable_restrictions(case: UnknownCase) -> tuple[str, ...]:
-    """Identifiers of the restrictions governing one Dirichlet case.
-
-    The unknown-conductivity and unknown-density cases have none: their xi
-    equation has exactly one positive root for every admissible data set.
-    """
-    return _CASE_RESTRICTIONS[case]
-
-
 def check_all(
     case: UnknownCase,
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
 ) -> tuple[RestrictionReport, ...]:
-    """Evaluate the restrictions of one case in order."""
+    """Evaluate the restrictions of one case in order; data whose products
+    underflow to 0 raise NumericalError."""
     instance = validate(thermal, mushy, boundary, case=case, face=Face.DIRICHLET)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
     reports: list[RestrictionReport] = []
-    for rid in _CASE_RESTRICTIONS[case]:
-        if rid == "R6":
-            reports.append(check_r6(thermal, boundary))
-        elif rid == "R7":
-            reports.append(check_r7(thermal, boundary))
-        elif rid == "R8":
-            reports.append(check_r8(thermal, mushy, boundary))
-        elif rid == "R9":
-            reports.append(check_r9(thermal, mushy, boundary))
-        if not reports[-1].satisfied:
-            break
+    try:
+        for rid in _CASE_RESTRICTIONS[case]:
+            if rid == "R6":
+                reports.append(check_r6(thermal, boundary))
+            elif rid == "R7":
+                reports.append(check_r7(thermal, boundary))
+            elif rid == "R8":
+                reports.append(check_r8(thermal, mushy, boundary))
+            elif rid == "R9":
+                reports.append(check_r9(thermal, mushy, boundary))
+            if not reports[-1].satisfied:
+                break
+    except ZeroDivisionError:
+        raise NumericalError(f"case {case.value}: {inverse_convective.UNDERFLOW}") from None
     return tuple(reports)
 
 
@@ -265,21 +262,25 @@ def solve_dirichlet_case(
     """Recover one coefficient under the prescribed-temperature face.
 
     The restrictions R6-R9 of the case are checked first; the recovery is
-    then that of :func:`mushy.inverse_convective.solve_case` at beta = 1.
+    then that of :func:`mushy.inverse_convective.solve_case` at beta = 1,
+    NumericalError included.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=Face.DIRICHLET)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
     reports = check_all(case, thermal, mushy, boundary)
     inverse_convective.require_satisfied(reports)
 
-    if case in inverse_convective.FACE_CASES:
-        xi = specfun.erf_inv(face_argument(thermal, boundary, Face.DIRICHLET))
-    else:
-        equation = xi_equation_c if case is UnknownCase.C else xi_equation_kr
-        xi = solve_increasing(equation(thermal, mushy, boundary))
+    try:
+        if case in inverse_convective.FACE_CASES:
+            xi = specfun.erf_inv(face_argument(thermal, boundary, Face.DIRICHLET))
+        else:
+            equation = xi_equation_c if case is UnknownCase.C else xi_equation_kr
+            xi = solve_increasing(equation(thermal, mushy, boundary))
 
-    value = inverse_convective.closed_form(case, thermal, mushy, boundary, xi, 1.0)
-    solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
+        value = inverse_convective.closed_form(case, thermal, mushy, boundary, xi, 1.0)
+        solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
+    except ZeroDivisionError:
+        raise NumericalError(f"case {case.value}: {inverse_convective.UNDERFLOW}") from None
     return CaseResult(case, value, xi, solution, reports)
 
 

@@ -82,6 +82,10 @@ def manufacture(
     d_inf = q0 * specfun.erf(xi) * math.sqrt(math.pi) / krc
     if h0 is not None:
         d_inf += q0 / h0
+    if not 0.0 < d_inf < inf:  # validate would name d_inf, a value the caller did not give
+        other = f"h0 = {h0!r}" if h0 is not None and q0 / h0 == inf else f"k rho c = {k * rho * c!r}"
+        raise ValidationError(f"q0 = {q0!r} and {other} make the face datum d_inf = {d_inf!r}, "
+                              "not a positive finite number")
 
     strength = gamma * (1.0 - epsilon) * krc / (2.0 * q0)
     try:
@@ -108,14 +112,13 @@ def random_problem(
     rng: random.Random,
     face: Face = Face.CONVECTIVE,
     xi_range: tuple[float, float] = (0.05, 2.0),
-    coefficient_range: tuple[float, float] = (1e-2, 1e2),
 ) -> ManufacturedProblem:
     """Draw a random consistent problem with well-posed identification.
 
-    k, rho, c and q0 are drawn log-uniformly over ``coefficient_range``
-    (four decades by default) and epsilon uniformly inside (0, 1).  The
-    remaining two inputs are drawn through dimensionless groups, each again
-    log-uniform over four decades:
+    k, rho, c and q0 are drawn log-uniformly over the four decades
+    [1e-2, 1e2] and epsilon uniformly inside (0, 1).  The remaining two
+    inputs are drawn through dimensionless groups, each again log-uniform
+    over four decades:
 
     * the mushy-strength ratio w = strength e**xi^2 / xi fixes gamma, and
     * the face-transfer ratio fixes h0 relative to 1 / (erf(xi)
@@ -128,10 +131,10 @@ def random_problem(
     groups, not the raw values, are what must span the decades.
     """
     xi = rng.uniform(*xi_range)
-    k = _log_uniform(rng, *coefficient_range)
-    rho = _log_uniform(rng, *coefficient_range)
-    c = _log_uniform(rng, *coefficient_range)
-    q0 = _log_uniform(rng, *coefficient_range)
+    k = _log_uniform(rng, 1e-2, 1e2)
+    rho = _log_uniform(rng, 1e-2, 1e2)
+    c = _log_uniform(rng, 1e-2, 1e2)
+    q0 = _log_uniform(rng, 1e-2, 1e2)
     epsilon = rng.uniform(0.05, 0.95)
 
     krc = math.sqrt(k * rho * c)

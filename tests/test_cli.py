@@ -16,6 +16,7 @@ from mushy.cli import (
     EXIT_OK,
     EXIT_RESIDUAL,
     EXIT_RESTRICTION,
+    VERIFY_FD_STEP,
     main,
     parse_scenario,
     scenario_to_ini,
@@ -23,6 +24,8 @@ from mushy.cli import (
 )
 from mushy.errors import ValidationError
 from mushy.model import BoundaryData, Face, MushyCoefficients, ProblemInstance, ThermalCoefficients, UnknownCase
+
+from conftest import OUT_OF_RANGE_ROWS
 
 L_REF = 1.4636343789756727
 
@@ -193,7 +196,8 @@ def test_manufacture_requires_h0_for_convective(capsys):
 @pytest.mark.parametrize(
     "options",
     [["--k", "-1"], ["--k", "0"], ["--q0", "0"], ["--xi", "30"], ["--k", "nan"], ["--k", "inf"], ["--xi", "20"],
-     ["--epsilon", "1"], ["--h0", "0"], ["--gamma", "nan"], ["--k", "1e-120", "--rho", "1e-120", "--c", "1e-120"]],
+     ["--epsilon", "1"], ["--h0", "0"], ["--gamma", "nan"], ["--k", "1e-120", "--rho", "1e-120", "--c", "1e-120"],
+     ["--q0", "1e300", "--h0", "1e-10"]],
     ids=" ".join,
 )
 def test_manufacture_rejects_what_it_cannot_compute_with(capsys, options):
@@ -236,6 +240,21 @@ def test_verify_consistent_scenario_passes(case_l_path, capsys):
     assert doc["passed"] is True
     assert doc["pde_residual_max"] < 1e-6
     assert set(doc["condition_residuals"]) == {"fusion_at_s", "stefan", "mushy_width", "flux", "face"}
+
+
+@pytest.mark.parametrize("problem", ["convective", "dirichlet"])
+@pytest.mark.parametrize("xi", [6.6e-4, 3e-4])
+def test_verify_takes_a_smaller_step_at_small_xi(problem, xi, tmp_path, capsys):
+    # Below xi of about 6.7e-4 the fixed step would leave the solid.
+    path = tmp_path / "small.ini"
+    argv = ["manufacture", "--problem", problem, "--xi", str(xi), "--k", "1", "--rho", "1", "--c", "1",
+            "--epsilon", "0.5", "--gamma", "0.1", "--q0", "1", "--h0", "2", "--case", "l", "--out", str(path)]
+    assert run(argv, capsys)[0] == EXIT_OK
+    code, out, err = run(["verify", str(path)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert 0.0 < doc["fd_step"] < VERIFY_FD_STEP
 
 
 def test_profile_stdout_contains_both_tables(case_l_path, capsys):
@@ -455,6 +474,16 @@ def test_unsolvable_direct_data_exit_numerical(direct_path, tmp_path, capsys):
     path.write_text(text)
     code, _, err = run(["solve", str(path)], capsys)
     assert code == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("row", OUT_OF_RANGE_ROWS, ids=["value-inf", "rho-k-underflow"])
+def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
+    path = tmp_path / "range.ini"
+    path.write_text(scenario_to_ini(ProblemInstance(*row)))
+    for sub in ("solve", "verify", "profile"):
+        code, out, err = run([sub, str(path)], capsys)
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "range of a double" in err
 
 
 def test_direct_scenario_restated_for_each_unknown(direct_path, tmp_path, capsys):
@@ -735,9 +764,9 @@ def test_output_numbers_are_shortest_round_trip(case_l_path, dirichlet_gamma_pat
 # restated for the unknown k, and case-l restated for the Dirichlet face.  A
 # change to any byte these commands print changes a digest.
 REPORT_DIGESTS = {
-    "solve case-l": (0, "9e324b0425992f8cf467ed3be1cd8a230b3b1c3da0a2a048865db23de066c911"),
+    "solve case-l": (0, "d24ee871b6c0d246fabfa6778db2f37a693b14c02ef58126927d67b66a620d09"),
     "check-restrictions case-l": (0, "31c997a646b21e328ae88a733ecb1c9527b2327f5ac077a1393cc33ffa3e5799"),
-    "verify case-l": (0, "dfae2f1ac7ece647b14cd1c4def80f2da59f11db9b0036d9401b62c7121ec837"),
+    "verify case-l": (0, "57fdf954b74df4af7e2710696ef1a5d2b6f03e11767bf12322102ff0f488ddda"),
     "limit case-l": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "profile case-l": (0, "4ede6c5d647b42af5fe24b96fae994c6252eb15c199d6458332298a479b8523e"),
     "solve case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -745,14 +774,14 @@ REPORT_DIGESTS = {
     "verify case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "limit case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "profile case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "solve case-l-dirichlet": (0, "a63fa5e5f1593933ca0dfd45fcca74f04f696cf6ab3365e136f04f5cee2c8c6d"),
+    "solve case-l-dirichlet": (0, "1e793290c3ddd0f6a4c61ba8446c1a1537feafa83cf6c13d650c8f818cd982b5"),
     "check-restrictions case-l-dirichlet": (0, "5c54fa26a232f31a0ed90592710f7d56b7174562c6580b41265d941cfdaedcd4"),
-    "verify case-l-dirichlet": (0, "6d895d3482ac6e9934ad10e8497783e95739c8fdc7d31a9cb0908b45f02daf76"),
+    "verify case-l-dirichlet": (0, "9f602fe49e7a9b3352b9caea8928003523274b9aded38fd554eab5985ffcf3ff"),
     "limit case-l-dirichlet": (0, "ce7638003e9046dfb0dbde580194bd26176590f737273689447debd9391a83ff"),
     "profile case-l-dirichlet": (0, "0fa033ca7a812984769a4dbf29be6d59a071995ffe9d5c4ae25f84b798ff027e"),
-    "solve dirichlet-gamma": (0, "1ac261044c004afcaae4aab6b0e89bdf6bf5504c9e0c96914ec273729e42134c"),
+    "solve dirichlet-gamma": (0, "be14e415b282ba43a7ca600a9345bc341e61a5ace977e0cad01bb975919c9308"),
     "check-restrictions dirichlet-gamma": (0, "5ab038914f8e1350d4f441c4177d90c5213a2439cf8ea43fe8bf2b8b550ba18c"),
-    "verify dirichlet-gamma": (0, "14f507b1623edc3cd20870bfe598a0a8b7f036314d420ca83eded9f7111fd872"),
+    "verify dirichlet-gamma": (0, "0a79b671a1d21450edcb54f159b331b7d5121c89c16391ae218abc5626b9b6b9"),
     "limit dirichlet-gamma": (0, "7c85c053017c5610385238b4da56b55789396da9bf4d28b10b2d2ce4578a4a61"),
     "profile dirichlet-gamma": (0, "b514797ab174452b8714788424dffa7fd932125aa6610ed63e8ea390abace83a"),
     "solve dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -10,6 +10,7 @@ from mushy.direct import (
     consistency_residuals,
     face_argument,
     face_factor,
+    front_balance,
     front_r,
     front_r_velocity,
     front_s,
@@ -21,6 +22,7 @@ from mushy.direct import (
 from mushy.errors import DomainError, ValidationError
 from mushy.manufacture import random_problem
 from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients
+from mushy.rootfind import solve_increasing
 from mushy.specfun import erf
 
 from conftest import REF_KWARGS, XI_REF
@@ -68,6 +70,13 @@ def test_amplitude_ratio_identity():
     for prob in _random_cases(20):
         sol = build_solution(prob.thermal, prob.mushy, prob.boundary, prob.xi)
         assert math.isclose(sol.a_coef / sol.b_coef, -erf(sol.xi), rel_tol=1e-14)
+
+
+def test_front_balance_recovers_the_manufactured_front():
+    # The direct problem: xi from the front balance alone, the face datum unused.
+    for prob in _random_cases(500, seed=3):
+        xi = solve_increasing(front_balance(prob.thermal, prob.mushy, prob.boundary))
+        assert abs(xi - prob.xi) <= 1e-12, prob
 
 
 @pytest.mark.parametrize("xi", [0.0, -0.5, math.nan, math.inf])

@@ -1,16 +1,17 @@
 import math
 import random
+import warnings
 
 import pytest
 
 from mushy import inverse_convective as conv
 from mushy import inverse_dirichlet as diri
-from mushy.errors import NoRootError, RestrictionError
+from mushy.errors import IllConditionedWarning, NoRootError, RestrictionError, SolverError
 from mushy.manufacture import manufacture, random_problem
-from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
+from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase, with_coefficient
 from mushy.rootfind import solve_increasing
 
-from conftest import XI_REF
+from conftest import OUT_OF_RANGE_ROWS, XI_REF
 
 D_INF_REF = 0.9225620128255848      # sqrt(pi) erf(0.5): unit coefficients
 ETA_UNIT_TARGET = 0.6529186404192053  # root of x e**x^2 = 1, frozen by bisection
@@ -23,13 +24,25 @@ def test_reference_face_datum(dirichlet_example):
     assert dirichlet_example.boundary.h0 is None
 
 
+# The restrictions of each Dirichlet case, as the paper lists them; k and
+# rho carry none.
+CASE_RESTRICTIONS = {
+    UnknownCase.L: ("R6",),
+    UnknownCase.GAMMA: ("R7",),
+    UnknownCase.EPSILON: ("R7", "R8"),
+    UnknownCase.K: (),
+    UnknownCase.RHO: (),
+    UnknownCase.C: ("R9",),
+}
+
+
 def test_all_cases_round_trip(dirichlet_example):
     for case in UnknownCase:
         thermal, mushy, truth = dirichlet_example.hide(case)
         result = diri.solve_dirichlet_case(case, thermal, mushy, dirichlet_example.boundary)
         assert math.isclose(result.value, truth, rel_tol=1e-11), case
         assert abs(result.xi - XI_REF) <= 1e-12
-        assert tuple(r.restriction_id for r in result.reports) == diri.applicable_restrictions(case)
+        assert tuple(r.restriction_id for r in result.reports) == CASE_RESTRICTIONS[case]
 
 
 def test_datum_too_large_rejected(dirichlet_example):
@@ -168,3 +181,42 @@ def test_limit_study_excludes_insufficient_transfer(dirichlet_example):
     assert h0 == 0.5
     assert [r.restriction_id for r in reports if not r.satisfied] == ["R1"]
     assert len(study.h0_grid) == 3
+
+
+def _wide_draws(n, seed):
+    """``n`` data sets, both faces and every case, each coefficient and
+    boundary value log-uniform over [1e-200, 1e200]."""
+    rng = random.Random(seed)
+
+    def wide():
+        return math.exp(rng.uniform(math.log(1e-200), math.log(1e200)))
+
+    rows = []
+    for _ in range(n):
+        face, case = rng.choice(list(Face)), rng.choice(list(UnknownCase))
+        thermal = ThermalCoefficients(l=wide(), k=wide(), rho=wide(), c=wide())
+        mushy = MushyCoefficients(epsilon=rng.uniform(0.01, 0.99), gamma=wide())
+        boundary = BoundaryData(q0=wide(), d_inf=wide(), h0=wide() if face is Face.CONVECTIVE else None)
+        rows.append((face, case, *with_coefficient(thermal, mushy, case, None), boundary))
+    return rows
+
+
+def test_a_solve_returns_a_positive_finite_value_or_raises():
+    # Over two hundred decades each way, a solve and a restriction check either
+    # succeed, with a positive finite coefficient, or raise a SolverError;
+    # no ZeroDivisionError escapes and no inf is returned.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for face, case, thermal, mushy, boundary in OUT_OF_RANGE_ROWS + _wide_draws(400, 1):
+            inverse = conv if face is Face.CONVECTIVE else diri
+            solve = conv.solve_case if face is Face.CONVECTIVE else diri.solve_dirichlet_case
+            try:
+                value = solve(case, thermal, mushy, boundary).value
+            except SolverError:
+                pass
+            else:
+                assert 0.0 < value < math.inf, (face, case, thermal, mushy, boundary)
+            try:
+                inverse.check_all(case, thermal, mushy, boundary)
+            except SolverError:
+                pass

@@ -73,6 +73,16 @@ def test_readme_limit_recipe_runs(tmp_path):
     assert abs(json.loads(proc.stdout)["fitted_slope"] + 1.0) < 0.005
 
 
+def test_readme_library_example_runs(tmp_path):
+    # The README's python block, run as a user would paste it.
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    (block,) = re.findall(r"(?ms)^```python\n(.*?)^```$", readme)
+    env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "solve_case(" in block  # the block is the Library example
+
 
 FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
 
