@@ -23,6 +23,15 @@ structure are accepted interchangeably)::
 Exactly the coefficient named by ``case`` is omitted (none for ``direct``).
 ``verify`` checks the solution at fixed points with fixed bounds (the
 ``VERIFY_*`` constants below); ``limit`` sweeps h0 over ``--h0-grid``.
+
+The command line is read against ``_COMMANDS``, the one table of the
+subcommands, their options and their handlers.  Options are exact long
+flags, each taking one value as ``--flag value`` or ``--flag=value``; the
+value is the next token taken verbatim, even when it starts with ``-``, and
+the option's own check rejects a bad one.  The last occurrence of an option
+wins, except ``profile --t``, whose values are all kept.  The scenario may
+come anywhere among the options.  ``-h``/``--help`` prints help and exits 0.
+
 Exit codes: 0 success, 1 input error (a malformed command line included),
 2 restriction failure, 3 numerical failure, 4 verification residual
 failure.  solve, verify, check-restrictions and limit write one JSON
@@ -34,7 +43,6 @@ the same double; in JSON a non-finite number is the string "inf", "-inf" or
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import math
@@ -42,6 +50,7 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 # Only what a convective solve runs is imported here; configparser, verify,
@@ -60,6 +69,7 @@ from .direct import (
 )
 from .errors import (
     DomainError,
+    NumericalError,
     RestrictionError,
     SolverError,
     ValidationError,
@@ -139,6 +149,12 @@ def _case_name(case: Optional[UnknownCase]) -> str:
     return case.value if case else "direct"
 
 
+def _to_str(key: str, raw) -> str:
+    if not isinstance(raw, str):  # a JSON null or number; str(None) would read as "none"
+        raise ValidationError(f"[problem] {key} = {raw!r} is not a string")
+    return raw.strip().lower()
+
+
 def _to_float(section: str, key: str, raw) -> float:
     if not isinstance(raw, bool):  # float(true) would be 1.0
         try:
@@ -198,13 +214,14 @@ def parse_scenario(text: str) -> ProblemInstance:
     _check_keys("problem", problem_sec, ("type", "case"))
     if "type" not in problem_sec:
         raise ValidationError("[problem] section must set `type`")
+    kind = _to_str("type", problem_sec["type"])  # outside the try: a ValidationError is a ValueError
     try:
-        face = Face(str(problem_sec["type"]).strip().lower())
+        face = Face(kind)
     except ValueError:
         raise ValidationError(
             f"unknown problem type {problem_sec['type']!r}; expected convective or dirichlet"
         ) from None
-    case = _parse_case(str(problem_sec.get("case", "direct")).strip().lower())
+    case = _parse_case(_to_str("case", problem_sec.get("case", "direct")))
 
     coefficients = sections["coefficients"]
     _check_keys("coefficients", coefficients, _keys(ThermalCoefficients, MushyCoefficients))
@@ -262,17 +279,21 @@ def scenario_to_json(instance: ProblemInstance, truth: Optional[tuple[str, float
 # --- solving ----------------------------------------------------------------
 
 
-def _solve(args: argparse.Namespace) -> tuple[ProblemInstance, Optional[CaseResult], SimilaritySolution]:
+def _solve(args: SimpleNamespace) -> tuple[ProblemInstance, Optional[CaseResult], SimilaritySolution]:
     """The scenario of ``args``, solved.
 
     Returns the completed direct instance (the recovered value filled in),
     the case result (None in direct mode) and the solution.
     """
-    instance = load_scenario(Path(args.scenario))
+    instance = load_scenario(args.scenario)
     case = instance.case
     if case is None:
-        xi = solve_increasing(front_balance(instance.thermal, instance.mushy, instance.boundary))
-        return instance, None, build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
+        try:
+            xi = solve_increasing(front_balance(instance.thermal, instance.mushy, instance.boundary))
+            solution = build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
+        except ZeroDivisionError:  # as in the case solvers: a product of valid data underflowed
+            raise NumericalError(f"case direct: {inverse_convective.UNDERFLOW}") from None
+        return instance, None, solution
     if instance.face is Face.CONVECTIVE:
         solve_case = inverse_convective.solve_case
     else:
@@ -330,7 +351,7 @@ def _check_positive(flag: str, *values: float) -> None:
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: SimpleNamespace) -> int:
     instance, result, solution = _solve(args)
     residuals = consistency_residuals(
         instance.thermal, instance.mushy, instance.boundary, solution.xi, instance.face
@@ -351,7 +372,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
+def cmd_profile(args: SimpleNamespace) -> int:
     times = sorted(args.t or [1.0])
     _check_positive("--t", *times)
     if args.xmax is not None:
@@ -378,8 +399,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_limit(args: argparse.Namespace) -> int:
-    instance = load_scenario(Path(args.scenario))
+def cmd_limit(args: SimpleNamespace) -> int:
+    instance = load_scenario(args.scenario)
     if instance.face is not Face.DIRICHLET:
         raise ValidationError("the limit study needs a dirichlet scenario (the convective side is generated)")
     if instance.case is None:
@@ -421,7 +442,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from . import verify
 
     instance, result, solution = _solve(args)
@@ -457,7 +478,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if not failures else EXIT_RESIDUAL
 
 
-def cmd_manufacture(args: argparse.Namespace) -> int:
+def cmd_manufacture(args: SimpleNamespace) -> int:
     from .manufacture import manufacture
 
     problem = manufacture(
@@ -482,8 +503,8 @@ def cmd_manufacture(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_check_restrictions(args: argparse.Namespace) -> int:
-    instance = load_scenario(Path(args.scenario))
+def cmd_check_restrictions(args: SimpleNamespace) -> int:
+    instance = load_scenario(args.scenario)
     reports: tuple[RestrictionReport, ...] = ()
     if instance.case is not None:
         if instance.face is Face.CONVECTIVE:
@@ -506,86 +527,174 @@ def cmd_check_restrictions(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_RESTRICTION
 
 
-# --- argument parsing --------------------------------------------------------
+# --- command line ------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("scenario", help="scenario file (INI key-value sections or JSON)")
-    sub.add_argument("--out", type=Path, default=None, help="write output here instead of stdout")
+class _Option:
+    """One argument of a subcommand: a ``--flag VALUE`` option, or the
+    positional named by a ``flag`` without dashes.  ``convert`` reads the
+    value into the handler's attribute ``dest``; ``repeat`` keeps every
+    value, in order, where otherwise the last one given wins."""
+
+    __slots__ = ("flag", "dest", "convert", "default", "help", "required", "choices", "repeat")
+
+    def __init__(self, flag, convert=str, default=None, help="", *, required=False, choices=None, repeat=False):
+        self.flag, self.convert, self.default, self.help = flag, convert, default, help
+        self.dest = flag.lstrip("-").replace("-", "_")
+        self.required, self.choices, self.repeat = required, choices, repeat
+
+    @property
+    def positional(self) -> bool:
+        return not self.flag.startswith("-")
+
+    def invocation(self) -> str:
+        metavar = "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper()
+        return f"{self.flag} {metavar}"
+
+    def read(self, value: str):
+        try:
+            converted = self.convert(value)
+        except ValueError:
+            raise _UsageError(f"argument {self.flag}: invalid {self.convert.__name__} value: {value!r}") from None
+        if self.choices and converted not in self.choices:
+            choices = ", ".join(map(repr, self.choices))
+            raise _UsageError(f"argument {self.flag}: invalid choice: {value!r} (choose from {choices})")
+        return converted
 
 
-def _profile_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--t", type=float, action="append", help="sample time (repeatable; default 1.0)")
-    p.add_argument("--nx", type=int, default=50, help=f"points per profile (default 50, at most {MAX_GRID_POINTS})")
-    p.add_argument("--xmax", type=float, default=None, help="profile end (default 1.1 r(t))")
+class _UsageError(Exception):
+    """A malformed command line; ``main`` prints the usage and exits 1."""
 
 
-def _limit_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument(
-        "--h0-grid",
-        default=LIMIT_H0_GRID,
-        help=f"comma-separated h0 values (default {LIMIT_H0_GRID}, at most {MAX_GRID_POINTS})",
-    )
+_SCENARIO = _Option("scenario", Path, help="scenario file (INI key-value sections or JSON)", required=True)
+_OUT = _Option("--out", Path, help="write output here instead of stdout")
 
-
-def _manufacture_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", choices=[f.value for f in Face], default="convective")
-    p.add_argument("--xi", type=float, required=True, help="dimensionless solid-front position")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--q0", type=float, required=True)
-    p.add_argument("--h0", type=float, default=None, help="required for the convective problem")
-    p.add_argument("--case", choices=[c.value for c in UnknownCase], default=None,
-                   help="omit this coefficient from the emitted scenario (true value kept as a comment)")
-    p.add_argument("--format", choices=("ini", "json"), default="ini")
-    p.add_argument("--out", type=Path, default=None)
-
-
-#: Subcommand name -> (help, function adding its arguments, handler).
+#: Subcommand name -> (help, arguments, handler).
 _COMMANDS = {
-    "solve": ("recover the unknown coefficient (or solve a direct scenario)", _add_common, cmd_solve),
-    "profile": ("temperature profiles and front positions as CSV", _profile_args, cmd_profile),
-    "limit": ("convective-to-prescribed-temperature limit study", _limit_args, cmd_limit),
-    "verify": ("residuals of the governing equations for a solved scenario", _add_common, cmd_verify),
-    "manufacture": ("emit a consistent scenario built around a chosen xi", _manufacture_args, cmd_manufacture),
-    "check-restrictions": ("evaluate the case's solvability restrictions only", _add_common, cmd_check_restrictions),
+    "solve": ("recover the unknown coefficient (or solve a direct scenario)", (_SCENARIO, _OUT), cmd_solve),
+    "profile": ("temperature profiles and front positions as CSV", (
+        _SCENARIO,
+        _OUT,
+        _Option("--t", float, help="sample time (repeatable; default 1.0)", repeat=True),
+        _Option("--nx", int, 50, f"points per profile (default 50, at most {MAX_GRID_POINTS})"),
+        _Option("--xmax", float, help="profile end (default 1.1 r(t))"),
+    ), cmd_profile),
+    "limit": ("convective-to-prescribed-temperature limit study", (
+        _SCENARIO,
+        _OUT,
+        _Option("--h0-grid", str, LIMIT_H0_GRID,
+                f"comma-separated h0 values (default {LIMIT_H0_GRID}, at most {MAX_GRID_POINTS})"),
+    ), cmd_limit),
+    "verify": ("residuals of the governing equations for a solved scenario", (_SCENARIO, _OUT), cmd_verify),
+    "manufacture": ("emit a consistent scenario built around a chosen xi", (
+        _Option("--problem", default="convective", choices=tuple(f.value for f in Face)),
+        _Option("--xi", float, help="dimensionless solid-front position", required=True),
+        *(_Option(f"--{name}", float, required=True) for name in ("k", "rho", "c", "epsilon", "gamma", "q0")),
+        _Option("--h0", float, help="required for the convective problem"),
+        _Option("--case", choices=tuple(c.value for c in UnknownCase),
+                help="omit this coefficient from the emitted scenario (true value kept as a comment)"),
+        _Option("--format", default="ini", choices=("ini", "json")),
+        _OUT,
+    ), cmd_manufacture),
+    "check-restrictions": ("evaluate the case's solvability restrictions only", (_SCENARIO, _OUT),
+                           cmd_check_restrictions),
 }
 
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: mushy [-h] {{{','.join(_COMMANDS)}}} ..."
+    specs = _COMMANDS[command][1]
+    words = ["[-h]"]
+    words += [s.invocation() if s.required else f"[{s.invocation()}]" for s in specs if not s.positional]
+    words += [s.flag for s in specs if s.positional]
+    return f"usage: mushy {command} {' '.join(words)}"
 
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The ``mushy`` parser for the command line ``argv``.
 
-    Every subcommand is registered with its help, but only the one named by
-    ``argv[0]`` gets its arguments: a process parses one command line, and
-    building the other parsers' arguments would be wasted start-up time.
-    """
-    parser = argparse.ArgumentParser(
-        prog="mushy",
-        description="Solidification with an isothermal mushy zone: solve, identify coefficients, verify.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv else None
-    for name, (help_text, add_args, _) in _COMMANDS.items():
-        # No prefix matching: an abbreviation such as --h0 must not pass for --h0-grid.
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if name == named:
-            add_args(p)
-    return parser
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        rows = {"subcommands:": [(name, entry[0]) for name, entry in _COMMANDS.items()]}
+        intro = "Solidification with an isothermal mushy zone: solve, identify coefficients, verify."
+    else:
+        intro, specs = _COMMANDS[command][:2]
+        rows = {
+            "positional arguments:": [(s.flag, s.help) for s in specs if s.positional],
+            "options:": [("-h, --help", "show this help message and exit")]
+            + [(s.invocation(), s.help) for s in specs if not s.positional],
+        }
+    width = max(len(left) for section in rows.values() for left, _ in section) + 2
+    text = [_usage(command), "", intro]
+    for title, section in rows.items():
+        if not section:
+            continue
+        text += ["", title]
+        text += [f"  {left:<{width}}{right}".rstrip() for left, right in section]
+    return "\n".join(text) + "\n"
+
+
+def _parse(argv: Sequence[str]) -> Optional[tuple]:
+    """The handler and the arguments of the command line ``argv``, or None
+    when it asks for help (which is then printed)."""
+    if not argv:
+        raise _UsageError("a subcommand is required")
+    if argv[0] in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        return None
+    command = argv[0]
+    if command not in _COMMANDS:
+        raise _UsageError(f"invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
+    specs = _COMMANDS[command][1]
+    options = {spec.flag: spec for spec in specs if not spec.positional}
+    positionals = [spec for spec in specs if spec.positional]
+    values: dict = {}
+    unrecognized = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            return None
+        if not token.startswith("-"):
+            if positionals:
+                spec = positionals.pop(0)
+                values[spec.dest] = spec.read(token)
+            else:
+                unrecognized.append(token)
+            continue
+        flag, inline, value = token.partition("=")
+        spec = options.get(flag)
+        if spec is None:  # no prefix matching: --h0 must not pass for --h0-grid
+            unrecognized.append(token)
+            continue
+        if not inline:
+            value = next(tokens, None)
+            if value is None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+        if spec.repeat:
+            values.setdefault(spec.dest, []).append(spec.read(value))
+        else:
+            values[spec.dest] = spec.read(value)
+    missing = [spec.flag for spec in specs if spec.required and spec.dest not in values]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unrecognized)}")
+    args = SimpleNamespace(**{spec.dest: values.get(spec.dest, spec.default) for spec in specs})
+    return _COMMANDS[command][2], args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv).parse_args(argv)
-    except SystemExit as err:  # argparse's usage error (2) would read as EXIT_RESTRICTION
-        return EXIT_INPUT if err.code else EXIT_OK
+        parsed = _parse(argv)
+    except _UsageError as err:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        prog = f"mushy {command}" if command else "mushy"
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {err}\n")
+        return EXIT_INPUT
+    if parsed is None:
+        return EXIT_OK
+    handler, args = parsed
     try:
-        return _COMMANDS[args.command][2](args)
+        return handler(args)
     except RestrictionError as err:
         doc = {
             "error": "restriction failure",

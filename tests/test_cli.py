@@ -396,6 +396,8 @@ JSON_BOOLEAN_K = (
         lambda text: b"\xff\xfe" + text.encode(),  # not UTF-8
         lambda text: JSON_BOOLEAN_K.replace("true", "1" * 400),  # an int no double holds
         lambda text: JSON_BOOLEAN_K.replace("true", "1" * 5001),  # past the int-digit limit
+        lambda text: JSON_BOOLEAN_K.replace('"case": "l"', '"case": null'),
+        lambda text: JSON_BOOLEAN_K.replace('"type": "convective"', '"type": null'),
     ],
 )
 def test_malformed_scenarios_exit_one(tmp_path, capsys, mutate):
@@ -412,6 +414,15 @@ def test_json_boolean_is_not_a_number(tmp_path, capsys):
     path.write_text(JSON_BOOLEAN_K)
     code, out, err = run(["solve", str(path)], capsys)
     assert (code, out, err) == (EXIT_INPUT, "", "error: [coefficients] k = True is not a number\n")
+
+
+@pytest.mark.parametrize("key", ["type", "case"])
+def test_json_null_in_problem_is_not_a_string(tmp_path, capsys, key):
+    # str(None) would report a case 'none' or a type None that the file does not hold
+    path = tmp_path / "null.json"
+    path.write_text(re.sub(rf'"{key}": "\w+"', f'"{key}": null', JSON_BOOLEAN_K))
+    code, out, err = run(["solve", str(path)], capsys)
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: [problem] {key} = None is not a string\n")
 
 
 @pytest.mark.parametrize(
@@ -476,7 +487,13 @@ def test_unsolvable_direct_data_exit_numerical(direct_path, tmp_path, capsys):
     assert code == EXIT_NUMERICAL
 
 
-@pytest.mark.parametrize("row", OUT_OF_RANGE_ROWS, ids=["value-inf", "rho-k-underflow"])
+# A direct scenario whose rho k underflows to 0 in the front balance.
+DIRECT_UNDERFLOW_ROW = (Face.CONVECTIVE, None, ThermalCoefficients(l=1.0, k=1e-300, rho=1e-300, c=1.0),
+                        MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1.0, d_inf=1.0, h0=2.0))
+
+
+@pytest.mark.parametrize("row", [*OUT_OF_RANGE_ROWS, DIRECT_UNDERFLOW_ROW],
+                         ids=["value-inf", "rho-k-underflow", "direct-underflow"])
 def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
     path = tmp_path / "range.ini"
     path.write_text(scenario_to_ini(ProblemInstance(*row)))
@@ -518,20 +535,47 @@ def test_json_scenario_files_are_interchangeable(case_l_path, tmp_path, capsys):
     assert math.isclose(json.loads(out)["value"], L_REF, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["solve", "--tol", "1e-10"],
-        ["solve", "--bogus"],
-        ["solve", "--case", "banana"],
-        ["limit", "--h0", "10"],  # no prefix match to --h0-grid
-    ],
-)
-def test_usage_errors_exit_one(case_l_path, capsys, argv):
-    code, out, err = run(argv[:1] + [str(case_l_path)] + argv[1:], capsys)
-    assert code == EXIT_INPUT
-    assert out == ""
-    assert "usage:" in err
+# Malformed command lines and the error each prints; S stands for a scenario path.
+USAGE_ERRORS = [
+    (["solve", "S", "--tol", "1e-10"], "unrecognized arguments: --tol 1e-10"),
+    (["solve", "S", "--bogus"], "unrecognized arguments: --bogus"),
+    (["solve", "S", "--case", "banana"], "unrecognized arguments: --case banana"),
+    (["limit", "S", "--h0", "10"], "unrecognized arguments: --h0 10"),  # no prefix match to --h0-grid
+    (["solve", "S", "--out"], "argument --out: expected one argument"),
+    (["profile", "S", "--nx", "abc"], "argument --nx: invalid int value: 'abc'"),
+    ([*MANUFACTURE_ARGV, "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (MANUFACTURE_ARGV[:1] + MANUFACTURE_ARGV[3:], "the following arguments are required: --xi"),
+    (["solve", "S", "second.ini"], "unrecognized arguments: second.ini"),
+    (["resolve", "S"], "invalid choice: 'resolve'"),
+    ([], "a subcommand is required"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+def test_usage_errors_exit_one(case_l_path, capsys, argv, message):
+    # a usage line, then "mushy <subcommand>: error: ..."
+    argv = [str(case_l_path) if token == "S" else token for token in argv]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    usage, error = err.splitlines()
+    prog = " ".join(["mushy", *argv[:1]]) if argv and argv[0] in SUBCOMMAND_OPTIONS else "mushy"
+    assert usage.startswith(f"usage: {prog} [-h] ")
+    assert error.startswith(f"{prog}: error: {message}")
+
+
+def test_option_spellings_are_one_option(case_l_path, tmp_path, capsys):
+    # --out=F, --out F and --out F before the scenario write the same bytes
+    scenario, paths = str(case_l_path), [tmp_path / f"{i}.json" for i in range(3)]
+    for argv in ([scenario, f"--out={paths[0]}"], [scenario, "--out", str(paths[1])],
+                 ["--out", str(paths[2]), scenario]):
+        assert run(["solve", *argv], capsys) == (EXIT_OK, "", "")
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes() != b""
+    # --t is kept at each occurrence; any other option's last value wins
+    code, out, _ = run(["profile", str(case_l_path), "--t", "2", "--t", "1", "--nx", "9", "--nx", "3"], capsys)
+    assert code == EXIT_OK
+    profile, fronts = out.split("\n\n")
+    assert [line.split(",")[0] for line in fronts.splitlines()[1:]] == ["1.0", "2.0"]
+    assert len(profile.splitlines()) == 1 + 2 * 3
 
 
 SUBCOMMAND_OPTIONS = {
@@ -656,7 +700,7 @@ LOADS_PER_COMMAND = """
 import contextlib, io, json, sys
 from mushy.cli import main
 
-WATCHED = ("mushy.verify", "mushy.manufacture", "mushy.inverse_dirichlet", "configparser")
+WATCHED = ("mushy.verify", "mushy.manufacture", "mushy.inverse_dirichlet", "configparser", "argparse", "gettext")
 loaded = {}
 for label, argv in [
     ("import", None),
