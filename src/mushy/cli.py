@@ -323,7 +323,10 @@ def _write(text: str, out: Optional[Path]) -> None:
 
     A reader that stops early (``mushy solve s.json | head -1``) is not an
     error: the rest of the output, and the flush at exit, go to the null
-    device, and the subcommand keeps its exit code.
+    device, and the subcommand keeps its exit code.  Any other failed write
+    to stdout (a full disk) raises ValidationError, as one to ``out`` does;
+    what is left unwritten goes to the null device, so that the flush at
+    exit does not fail again.
     """
     if not text.endswith("\n"):
         text += "\n"
@@ -336,10 +339,12 @@ def _write(text: str, out: Optional[Path]) -> None:
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as err:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(err, BrokenPipeError):
+            raise ValidationError(f"cannot write <stdout>: {err}") from None
 
 
 def _check_positive(flag: str, *values: float) -> None:
@@ -387,6 +392,9 @@ def cmd_profile(args: SimpleNamespace) -> int:
     buf.write("t,x,temperature,region\n")
     for t in times:
         xmax = args.xmax if args.xmax is not None else 1.1 * front_r(solution, t)
+        if xmax == math.inf:
+            raise ValidationError(f"--t {t!r} puts the profile end 1.1 r(t) past the range of a double; "
+                                  "give --xmax")
         step = xmax / (args.nx - 1)
         for i in range(args.nx):
             x = i * step
@@ -694,16 +702,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK
     handler, args = parsed
     try:
-        return handler(args)
-    except RestrictionError as err:
-        doc = {
-            "error": "restriction failure",
-            "detail": str(err),
-            "restrictions": [_report_doc(r) for r in err.reports],
-        }
-        _write(_json_text(doc), None)
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_RESTRICTION
+        try:
+            return handler(args)
+        except RestrictionError as err:
+            doc = {
+                "error": "restriction failure",
+                "detail": str(err),
+                "restrictions": [_report_doc(r) for r in err.reports],
+            }
+            _write(_json_text(doc), None)  # a failed write is reported below
+            sys.stderr.write(f"error: {err}\n")
+            return EXIT_RESTRICTION
     except (ValidationError, DomainError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT

@@ -72,13 +72,13 @@ __all__ = [
 def check_r1(boundary: BoundaryData) -> RestrictionReport:
     """R1: q0 < h0 d_inf, i.e. the face actually cools below the datum."""
     q0, rhs = boundary.q0, boundary.h0 * boundary.d_inf
-    return RestrictionReport("R1", q0 < rhs, q0, rhs)
+    return tuple.__new__(RestrictionReport, ("R1", q0 < rhs, q0, rhs, ""))
 
 
 def check_r2(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R2: the face argument (d_inf/q0) sqrt(k rho c/pi) (1 - q0/(h0 d_inf)) < 1."""
     arg = face_argument(thermal, boundary, Face.CONVECTIVE)
-    return RestrictionReport("R2", arg < 1.0, arg, 1.0)
+    return tuple.__new__(RestrictionReport, ("R2", arg < 1.0, arg, 1.0, ""))
 
 
 def check_r3(thermal: ThermalCoefficients, boundary: BoundaryData, xi: float) -> RestrictionReport:
@@ -91,7 +91,7 @@ def check_r3(thermal: ThermalCoefficients, boundary: BoundaryData, xi: float) ->
     """
     lhs = xexp_sq(xi)
     rhs = stefan_rhs(thermal, boundary)
-    return RestrictionReport("R3", lhs < rhs, lhs, rhs)
+    return tuple.__new__(RestrictionReport, ("R3", lhs < rhs, lhs, rhs, ""))
 
 
 def check_r4(
@@ -107,7 +107,7 @@ def check_r4(
     full = mushy.gamma * math.sqrt(thermal.k * thermal.rho * thermal.c) / (2.0 * boundary.q0)
     lhs = stefan_rhs(thermal, boundary)
     rhs = xexp_sq(xi) + full * math.exp(2.0 * xi * xi)
-    return RestrictionReport("R4", lhs < rhs, lhs, rhs)
+    return tuple.__new__(RestrictionReport, ("R4", lhs < rhs, lhs, rhs, ""))
 
 
 def check_r5(
@@ -124,7 +124,7 @@ def check_r5(
         2.0 * boundary.q0 * boundary.q0 / (thermal.rho * thermal.l * thermal.k)
         - mushy.gamma * (1.0 - mushy.epsilon)
     ) / boundary.d_inf
-    return RestrictionReport("R5", lhs < rhs, lhs, rhs)
+    return tuple.__new__(RestrictionReport, ("R5", lhs < rhs, lhs, rhs, ""))
 
 
 _CASE_RESTRICTIONS = {
@@ -361,4 +361,4 @@ def solve_case(
         solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
     except ZeroDivisionError:
         raise NumericalError(f"case {case.value}: {UNDERFLOW}") from None
-    return CaseResult(case, value, xi, solution, reports)
+    return tuple.__new__(CaseResult, (case, value, xi, solution, reports))

@@ -119,7 +119,7 @@ def solve_eta_r8(
 def check_r6(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R6: (d_inf/q0) sqrt(k rho c / pi) < 1."""
     arg = face_argument(thermal, boundary, Face.DIRICHLET)
-    return RestrictionReport("R6", arg < 1.0, arg, 1.0)
+    return tuple.__new__(RestrictionReport, ("R6", arg < 1.0, arg, 1.0, ""))
 
 
 def check_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
@@ -131,7 +131,7 @@ def check_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> Restrictio
     """
     arg = face_argument(thermal, boundary, Face.DIRICHLET)
     bound = math.erf(solve_eta_r7(thermal, boundary))  # a certified root: finite
-    return RestrictionReport("R7", arg < bound, arg, bound)
+    return tuple.__new__(RestrictionReport, ("R7", arg < bound, arg, bound, ""))
 
 
 def check_r8(
@@ -155,7 +155,7 @@ def check_r8(
             "(gamma sqrt(k rho c)/(2 q0) already reaches the front balance), "
             "so the bound holds for every xi"
         )
-    return RestrictionReport("R8", bound < arg, bound, arg, note)
+    return tuple.__new__(RestrictionReport, ("R8", bound < arg, bound, arg, note))
 
 
 #: R9's note: how the unknown-specific-heat existence condition was printed
@@ -180,7 +180,7 @@ def check_r9(
         * (boundary.d_inf + mushy.gamma * (1.0 - mushy.epsilon))
         / (2.0 * boundary.q0 * boundary.q0)
     )
-    return RestrictionReport("R9", lhs < 1.0, lhs, 1.0, _R9_NOTE)
+    return tuple.__new__(RestrictionReport, ("R9", lhs < 1.0, lhs, 1.0, _R9_NOTE))
 
 
 #: The restrictions of each case.  The unknown-conductivity and
@@ -281,7 +281,7 @@ def solve_dirichlet_case(
         solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
     except ZeroDivisionError:
         raise NumericalError(f"case {case.value}: {inverse_convective.UNDERFLOW}") from None
-    return CaseResult(case, value, xi, solution, reports)
+    return tuple.__new__(CaseResult, (case, value, xi, solution, reports))
 
 
 # --- convective-to-Dirichlet limit study ------------------------------------

@@ -260,22 +260,41 @@ def validate(
     idempotent: re-validating the parts of a returned instance returns them.
     """
     unknown = None if case is None else case._value_  # as in with_coefficient
+    l, k, rho, c = thermal.l, thermal.k, thermal.rho, thermal.c
+    epsilon, gamma = mushy.epsilon, mushy.gamma
+    q0, d_inf, h0 = boundary.q0, boundary.d_inf, boundary.h0
 
-    l = _coefficient("l", thermal.l, unknown)
-    k = _coefficient("k", thermal.k, unknown)
-    rho = _coefficient("rho", thermal.rho, unknown)
-    c = _coefficient("c", thermal.c, unknown)
+    # The normal form in one pass: the caller's records, untouched.  Any
+    # other input takes the per-field path below, which owns the messages,
+    # their order and the normalisation.
+    inf = math.inf
+    if (
+        (l is None if unknown == "l" else type(l) is float and 0.0 < l < inf)
+        and (k is None if unknown == "k" else type(k) is float and 0.0 < k < inf)
+        and (rho is None if unknown == "rho" else type(rho) is float and 0.0 < rho < inf)
+        and (c is None if unknown == "c" else type(c) is float and 0.0 < c < inf)
+        and (epsilon is None if unknown == "epsilon" else type(epsilon) is float and 0.0 < epsilon < 1.0)
+        and (gamma is None if unknown == "gamma" else type(gamma) is float and 0.0 < gamma < inf)
+        and type(q0) is float and 0.0 < q0 < inf
+        and type(d_inf) is float and 0.0 < d_inf < inf
+        and (type(h0) is float and h0 > 0.0 if face is Face.CONVECTIVE else h0 is None)
+    ):
+        return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))
+
+    l = _coefficient("l", l, unknown)
+    k = _coefficient("k", k, unknown)
+    rho = _coefficient("rho", rho, unknown)
+    c = _coefficient("c", c, unknown)
     if not (l is thermal.l and k is thermal.k and rho is thermal.rho and c is thermal.c):
         thermal = ThermalCoefficients(l=l, k=k, rho=rho, c=c)
 
-    epsilon = _coefficient("epsilon", mushy.epsilon, unknown)
-    gamma = _coefficient("gamma", mushy.gamma, unknown)
+    epsilon = _coefficient("epsilon", epsilon, unknown)
+    gamma = _coefficient("gamma", gamma, unknown)
     if epsilon is not None and not epsilon < 1.0:
         raise ValidationError(f"epsilon must lie strictly inside (0, 1), got {mushy.epsilon!r}")
     if not (epsilon is mushy.epsilon and gamma is mushy.gamma):
         mushy = MushyCoefficients(epsilon=epsilon, gamma=gamma)
 
-    q0, d_inf, h0 = boundary.q0, boundary.d_inf, boundary.h0
     if not (type(q0) is float and 0.0 < q0 < math.inf and type(d_inf) is float and 0.0 < d_inf < math.inf):
         q0 = _check_positive("q0", q0)
         d_inf = _check_positive("d_inf", d_inf)
@@ -292,4 +311,4 @@ def validate(
     if not (q0 is boundary.q0 and d_inf is boundary.d_inf and h0 is boundary.h0):
         boundary = BoundaryData(q0=q0, d_inf=d_inf, h0=h0)
 
-    return ProblemInstance(face, case, thermal, mushy, boundary)
+    return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))

@@ -32,6 +32,12 @@ _SATURATION_EDGE = 1.0 - 1e-12
 # safe upper bracket for the inverse over the whole accepted input range.
 _INV_BRACKET_HIGH = 6.0
 
+# Below this |y|, erf(x) = 2x/sqrt(pi) to far under half an ulp, so the
+# inverse is one product; the Newton polish, whose steps stop at an absolute
+# 1e-16, would end there many ulps off.  The polish starts no lower.
+_LINEAR_EDGE = 1e-300
+_SQRT_PI_OVER_2 = 0.886226925452758  # sqrt(pi)/2 correctly rounded; 0.5*sqrt(math.pi) is an ulp low
+
 # Winitzki's constant for the initial guess of the inverse (relative error
 # of the guess is ~2e-3, which Newton then contracts quadratically).
 _WINITZKI_A = 0.147
@@ -61,16 +67,21 @@ def erf_inv(y: float) -> float:
 
     A Winitzki starting guess is polished by Newton steps safeguarded by a
     bisection bracket, so the iteration cannot escape [0, 6] and converges
-    for every representable ``|y| < 1``.  Inputs with ``|y| >= 1`` raise
-    :class:`~mushy.errors.DomainError`; inputs closer to saturation than
-    1 - 1e-12 are accepted but emit :class:`IllConditionedWarning`.
+    for every representable ``|y| < 1``.  Below ``|y| = 1e-300`` erf is
+    linear to far under half an ulp and the inverse is ``y sqrt(pi)/2``,
+    within one ulp down to the smallest subnormal.  Inputs with
+    ``|y| >= 1`` raise :class:`~mushy.errors.DomainError`; inputs closer to
+    saturation than 1 - 1e-12 are accepted but emit
+    :class:`IllConditionedWarning`.
     """
-    y = _require_finite("y", y)
-    if abs(y) >= 1.0:
+    y = float(y)
+    if not -1.0 < y < 1.0:
+        if not math.isfinite(y):
+            raise DomainError(f"y must be finite, got {y!r}")
         raise DomainError(f"erf_inv argument must satisfy |y| < 1, got {y!r}")
-    if y == 0.0:
-        return y  # erf is odd: erf_inv(-0.0) is -0.0
-    a = abs(y)
+    a = y if y > 0.0 else -y
+    if a < _LINEAR_EDGE:
+        return y * _SQRT_PI_OVER_2  # erf_inv(-0.0) is -0.0, as erf is odd
     if a > _SATURATION_EDGE:
         warnings.warn(
             f"erf_inv argument {y!r} is within 1e-12 of saturation; "
@@ -80,7 +91,11 @@ def erf_inv(y: float) -> float:
         )
 
     lo, hi = 0.0, _INV_BRACKET_HIGH  # erf(lo) - a < 0 < erf(hi) - a
-    x = min(max(_erf_inv_guess(a), 1e-300), hi)
+    x = _erf_inv_guess(a)
+    if x < _LINEAR_EDGE:
+        x = _LINEAR_EDGE
+    elif x > hi:
+        x = hi
     for _ in range(80):
         r = math.erf(x) - a
         if r == 0.0:
@@ -89,13 +104,14 @@ def erf_inv(y: float) -> float:
             hi = x
         else:
             lo = x
-        deriv = TWO_OVER_SQRT_PI * math.exp(-x * x)
-        step = r / deriv if deriv > 0.0 else math.nan
-        x_next = x - step
-        if not math.isfinite(x_next) or not (lo < x_next < hi):
+        # x lies in [1e-300, 6], where the derivative of erf is positive;
+        # the bracket's ends are finite, so it also rejects a NaN or
+        # infinite step.
+        x_next = x - r / (TWO_OVER_SQRT_PI * math.exp(-x * x))
+        if not lo < x_next < hi:
             x_next = 0.5 * (lo + hi)
         if abs(x_next - x) <= 1e-16 * (1.0 + abs(x_next)):
             x = x_next
             break
         x = x_next
-    return math.copysign(x, y)
+    return x if y > 0.0 else -x

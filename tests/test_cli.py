@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -284,12 +285,18 @@ def test_profile_out_file_holds_the_stdout_bytes(case_l_path, tmp_path, capsys):
 
 
 def test_profile_rejects_nonpositive_time(case_l_path, capsys):
-    for flag, value in [("--t", "0"), ("--t", "nan"), ("--t", "inf"),
-                        ("--xmax", "-1"), ("--xmax", "nan"), ("--xmax", "inf")]:
+    # case l's data with alpha = 4 (k rho c unchanged): alpha t overflows at t = 1e308
+    case_l_path.write_text(CASE_L_INI.replace("k = 1.0\nrho = 1.0", "k = 2.0\nrho = 0.5"))
+    bad = "must be a positive finite number"
+    for flag, value, message in [
+        ("--t", "0", bad), ("--t", "nan", bad), ("--t", "inf", bad),
+        ("--xmax", "-1", bad), ("--xmax", "nan", bad), ("--xmax", "inf", bad),
+        ("--t", "1e308", "1e+308 puts the profile end 1.1 r(t) past the range of a double; give --xmax\n"),
+    ]:
         code, out, err = run(["profile", str(case_l_path), f"{flag}={value}"], capsys)
         assert code == EXIT_INPUT
         assert out == ""
-        assert err.startswith(f"error: {flag} must be a positive finite number")
+        assert err.startswith(f"error: {flag} {message}")
 
 
 @pytest.mark.parametrize("nx", ["1", "10001"])
@@ -685,6 +692,22 @@ def _read_then_close(argv, lines):
 def test_closed_stdout_exits_quietly(case_l_path, sub, options, lines):
     # as in `mushy solve s.json | head -1`
     assert _read_then_close([sub, str(case_l_path), *options], lines) == (EXIT_OK, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("sub, scenario", [("solve", CASE_L_INI), ("profile", CASE_L_INI),
+                                           ("solve", CASE_L_INI.replace("q0 = 1.0", "q0 = 99.0"))],
+                         ids=["solve", "profile", "solve-restriction-failure"])
+def test_full_stdout_is_an_input_error(tmp_path, sub, scenario):
+    # as in `mushy solve s.json > /dev/full`: one error line, and no second
+    # report from the flush at exit
+    path = tmp_path / "s.ini"
+    path.write_text(scenario)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "mushy", sub, str(path)], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=_python_env(), timeout=60)
+    message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert (proc.returncode, proc.stderr) == (EXIT_INPUT, f"error: cannot write <stdout>: {message}\n")
 
 
 def _run_python(code, cwd):

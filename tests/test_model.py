@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import FrozenInstanceError, replace
 
@@ -215,6 +216,48 @@ def test_validate_copies_non_float_numbers_into_exact_floats():
     records = (instance.thermal, instance.mushy, instance.boundary)
     assert all(new is not old for new, old in zip(records, (thermal, mushy, boundary)))
     assert all(v is None or type(v) is float for r in records for v in vars(r).values())
+
+
+GRID_VALUES = (None, 0.0, -0.0, 1, True, 0.5, _Float(0.5), 1.0, math.nan, math.inf, -math.inf,
+               5e-324, 1e308, 10**400, "1")
+
+
+def _validate_outcomes():
+    """One line per input of the grid: both faces, ``case`` None or each
+    unknown, and each of the nine fields set in turn to each of
+    GRID_VALUES; the exception's type and message, or the returned
+    instance's repr, the types of its fields and, per record, whether it is
+    the caller's own object."""
+    for face in Face:
+        base = _with_field("h0", None) if face is Face.DIRICHLET else _with_field("h0", BOUNDARY.h0)
+        for case in (None, *UnknownCase):
+            thermal, mushy, boundary = base
+            if case is not None:
+                thermal, mushy = with_coefficient(thermal, mushy, case, None)
+            for name in ("l", "k", "rho", "c", "epsilon", "gamma", "q0", "d_inf", "h0"):
+                for value in GRID_VALUES:
+                    given = [thermal, mushy, boundary]
+                    index = 0 if name in ("l", "k", "rho", "c") else 1 if name in ("epsilon", "gamma") else 2
+                    given[index] = replace(given[index], **{name: value})
+                    try:
+                        instance = validate(*given, case=case, face=face)
+                    except Exception as err:
+                        yield f"{face} {case} {name}={value!r}: {type(err).__name__} {err}"
+                        continue
+                    records = (instance.thermal, instance.mushy, instance.boundary)
+                    kinds = [type(v).__name__ for r in records for v in vars(r).values()]
+                    own = [new is old for new, old in zip(records, given)]
+                    yield f"{face} {case} {name}={value!r}: {instance!r} {kinds} {own}"
+
+
+def test_validate_outcome_grid_is_pinned():
+    # 2 faces x 7 cases x 9 fields x 15 values: every message, its order of
+    # checks, every normalised record and every record returned as the
+    # caller's own, bit for bit.
+    lines = list(_validate_outcomes())
+    assert len(lines) == 2 * 7 * 9 * len(GRID_VALUES)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "57d88cd7eeb6426722c2cab1c205caca671e2bc03ae03548a4db948ab2891350"
 
 
 def test_unknown_case_tokens():

@@ -59,6 +59,15 @@ def test_recovery_sweep_digest_at_large_xi_is_pinned(tmp_path):
     assert last == "sha256 8f4fbfe26b101cf7b8e4745756cd4cbc0f023e800f8f9afa7ca34163062b92f9 (0 raised)"
 
 
+def test_recovery_sweep_digest_near_erf_saturation_is_pinned(tmp_path):
+    # 18 000 recoveries with xi up to 5.8, the only sweep that reaches
+    # xi in (5.5, 5.8], where erf_inv works within 1e-12 of saturation and
+    # rounding decides 61 restriction verdicts: pins the kernel's values
+    # there and the reports of every restriction failure.
+    last = _run("recovery_sweep.py", ["--n", "1500", "--seed", "5", "--xi-max", "5.8"], tmp_path).splitlines()[-1]
+    assert last == "sha256 ff38f7db7603b43774a60aa366a4bf3b147ab0cf13c1c16477b71c763e3d935f (61 raised)"
+
+
 def test_readme_limit_recipe_runs(tmp_path):
     # The commands of the README's Experiments block, as a user would paste them.
     readme = (SCRIPTS.parent / "README.md").read_text()

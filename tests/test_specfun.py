@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -75,6 +76,25 @@ def test_erf_inv_warns_near_saturation():
 @example(1e-300)
 def test_erf_inv_round_trip(y):
     assert abs(erf(erf_inv(y)) - y) <= 1e-13
+
+
+#: erfinv to 50 digits (mpmath), rounded, from the smallest subnormal to just
+#: below 1e-300, where erf is linear to far under half an ulp.
+ERF_INV_TINY = [
+    (5e-324, 5e-324),
+    (1e-320, 8.864e-321),
+    (1e-310, 8.8622692545277e-311),
+    (sys.float_info.min, 1.9719203645301425e-308),
+    (1e-305, 8.86226925452758e-306),
+    (1e-302, 8.86226925452758e-303),
+]
+
+
+@pytest.mark.parametrize("y, expected", ERF_INV_TINY)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_erf_inv_is_within_an_ulp_down_to_the_smallest_subnormal(y, expected, sign):
+    # the round trip's absolute 1e-13 cannot see an error of 1e20 ulps here
+    assert abs(erf_inv(sign * y) - sign * expected) <= math.ulp(expected)
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0))
