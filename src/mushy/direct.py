@@ -13,6 +13,7 @@ equations that a solution of the full free-boundary problem must satisfy:
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -50,6 +51,11 @@ __all__ = [
 ]
 
 SQRT_PI = math.sqrt(math.pi)
+
+_DIRICHLET = Face.DIRICHLET  # bound once: a read through the enum class costs ~10x
+
+#: The least positive normal double: below it a product has lost digits.
+_NORMAL_MIN = sys.float_info.min
 
 
 class Region(Enum):
@@ -115,7 +121,7 @@ def face_factor(boundary: BoundaryData, face: Face) -> float:
     Positive exactly when the convective data admit a cooling face; the
     Dirichlet problem is its h0 -> inf limit.
     """
-    if face is Face.DIRICHLET:
+    if face is _DIRICHLET:
         return 1.0
     return 1.0 - boundary.q0 / (boundary.h0 * boundary.d_inf)
 
@@ -158,7 +164,26 @@ def _similarity_variable(sol: SimilaritySolution, x: float, t: float) -> float:
         raise DomainError(f"t must be positive and finite, got {t!r}")
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"x must be nonnegative and finite, got {x!r}")
-    return x / (2.0 * math.sqrt(sol.alpha * t))
+    return x / (2.0 * _sqrt_product(sol.alpha, t))
+
+
+def _sqrt_product(alpha: float, t: float) -> float:
+    """sqrt(alpha t) for positive alpha and t >= 0.  Where the product
+    leaves the normal double range (an overflow at very large t, an
+    underflow at very small), the roots are taken apart; elsewhere the
+    product's root, which is the correctly rounded one."""
+    product = alpha * t
+    if _NORMAL_MIN <= product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(alpha) * math.sqrt(t)
+
+
+def _sqrt_quotient(alpha: float, t: float) -> float:
+    """sqrt(alpha / t) for positive alpha and t, as :func:`_sqrt_product`."""
+    quotient = alpha / t
+    if _NORMAL_MIN <= quotient < math.inf:
+        return math.sqrt(quotient)
+    return math.sqrt(alpha) / math.sqrt(t)
 
 
 def temperature(sol: SimilaritySolution, x: float, t: float) -> tuple[float, Region]:
@@ -182,35 +207,35 @@ def temperature_gradient(sol: SimilaritySolution, x: float, t: float) -> float:
     eta = _similarity_variable(sol, x, t)
     if eta > sol.xi:
         return 0.0
-    return sol.b_coef * math.exp(-eta * eta) / math.sqrt(math.pi * sol.alpha * t)
+    return sol.b_coef * math.exp(-eta * eta) / _sqrt_product(math.pi * sol.alpha, t)
 
 
 def front_s(sol: SimilaritySolution, t: float) -> float:
     """Solid front s(t) = 2 xi sqrt(alpha t); s(0) = 0."""
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be nonnegative and finite, got {t!r}")
-    return 2.0 * sol.xi * math.sqrt(sol.alpha * t)
+    return 2.0 * sol.xi * _sqrt_product(sol.alpha, t)
 
 
 def front_r(sol: SimilaritySolution, t: float) -> float:
     """Liquid front r(t) = 2 mu sqrt(alpha t) > s(t) for t > 0."""
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be nonnegative and finite, got {t!r}")
-    return 2.0 * sol.mu * math.sqrt(sol.alpha * t)
+    return 2.0 * sol.mu * _sqrt_product(sol.alpha, t)
 
 
 def front_s_velocity(sol: SimilaritySolution, t: float) -> float:
     """ds/dt = xi sqrt(alpha / t); singular at t = 0."""
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t!r}")
-    return sol.xi * math.sqrt(sol.alpha / t)
+    return sol.xi * _sqrt_quotient(sol.alpha, t)
 
 
 def front_r_velocity(sol: SimilaritySolution, t: float) -> float:
     """dr/dt = mu sqrt(alpha / t); singular at t = 0."""
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t!r}")
-    return sol.mu * math.sqrt(sol.alpha / t)
+    return sol.mu * _sqrt_quotient(sol.alpha, t)
 
 
 class ConsistencyResiduals(NamedTuple):

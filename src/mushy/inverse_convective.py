@@ -66,6 +66,13 @@ __all__ = [
 ]
 
 
+# The members the solve path compares against, bound once: a read through
+# the enum class costs about ten times a module global's.
+_CONVECTIVE = Face.CONVECTIVE
+_L, _GAMMA, _EPSILON = UnknownCase.L, UnknownCase.GAMMA, UnknownCase.EPSILON
+_K, _RHO, _C = UnknownCase.K, UnknownCase.RHO, UnknownCase.C
+
+
 # --- restriction checks ----------------------------------------------------
 
 
@@ -77,7 +84,7 @@ def check_r1(boundary: BoundaryData) -> RestrictionReport:
 
 def check_r2(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R2: the face argument (d_inf/q0) sqrt(k rho c/pi) (1 - q0/(h0 d_inf)) < 1."""
-    arg = face_argument(thermal, boundary, Face.CONVECTIVE)
+    arg = face_argument(thermal, boundary, _CONVECTIVE)
     return tuple.__new__(RestrictionReport, ("R2", arg < 1.0, arg, 1.0, ""))
 
 
@@ -119,7 +126,7 @@ def check_r5(
     algebraically equivalent to the equation's target exceeding its value
     at xi -> 0+.
     """
-    lhs = face_factor(boundary, Face.CONVECTIVE)
+    lhs = face_factor(boundary, _CONVECTIVE)
     rhs = (
         2.0 * boundary.q0 * boundary.q0 / (thermal.rho * thermal.l * thermal.k)
         - mushy.gamma * (1.0 - mushy.epsilon)
@@ -127,13 +134,15 @@ def check_r5(
     return tuple.__new__(RestrictionReport, ("R5", lhs < rhs, lhs, rhs, ""))
 
 
+#: The restrictions of each case, keyed by ``case._value_`` (a member as a
+#: key would be hashed by ``Enum.__hash__``, Python code, on every lookup).
 _CASE_RESTRICTIONS = {
-    UnknownCase.L: ("R1", "R2"),
-    UnknownCase.GAMMA: ("R1", "R2", "R3"),
-    UnknownCase.EPSILON: ("R1", "R2", "R3", "R4"),
-    UnknownCase.K: ("R1",),
-    UnknownCase.RHO: ("R1",),
-    UnknownCase.C: ("R1", "R5"),
+    "l": ("R1", "R2"),
+    "gamma": ("R1", "R2", "R3"),
+    "epsilon": ("R1", "R2", "R3", "R4"),
+    "k": ("R1",),
+    "rho": ("R1",),
+    "c": ("R1", "R5"),
 }
 
 #: Why valid data can still fail: a product of them leaves the double range.
@@ -152,7 +161,7 @@ def check_all(
     (R3 and R4 need the face-determined xi, hence R1 and R2).  Data whose
     products underflow to 0 raise NumericalError.
     """
-    instance = validate(thermal, mushy, boundary, case=case, face=Face.CONVECTIVE)
+    instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
     try:
         return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)[0]
     except ZeroDivisionError:
@@ -175,7 +184,7 @@ def _evaluate(
     """
     reports: list[RestrictionReport] = []
     xi = None
-    for rid in _CASE_RESTRICTIONS[case]:
+    for rid in _CASE_RESTRICTIONS[case._value_]:
         if rid == "R1":
             reports.append(check_r1(boundary))
         elif rid == "R2":
@@ -222,7 +231,7 @@ def xi_equation_kr(
     only R1 (beta > 0) is needed.  ``factor`` is beta when given; 1.0 gives
     the Dirichlet face, the h0 -> infinity limit.
     """
-    beta = face_factor(boundary, Face.CONVECTIVE) if factor is None else factor
+    beta = face_factor(boundary, _CONVECTIVE) if factor is None else factor
     cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / (2.0 * boundary.d_inf * beta)
     target = thermal.c * boundary.d_inf * beta / (thermal.l * SQRT_PI)
 
@@ -259,7 +268,7 @@ def xi_equation_c(
     tends to sqrt(pi)/2 at 0+, so the left side starts at sqrt(pi)/2 + cf;
     the target exceeding that limit is restriction R5.
     """
-    beta = face_factor(boundary, Face.CONVECTIVE) if factor is None else factor
+    beta = face_factor(boundary, _CONVECTIVE) if factor is None else factor
     cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / (2.0 * boundary.d_inf * beta)
     target = boundary.q0 * boundary.q0 * SQRT_PI / (thermal.rho * thermal.l * thermal.k * boundary.d_inf * beta)
     lower = 0.5 * SQRT_PI + cf
@@ -281,7 +290,7 @@ def xi_equation_c(
 # --- the shared recovery ---------------------------------------------------
 
 #: Cases whose front position follows from the face equation alone.
-FACE_CASES = (UnknownCase.L, UnknownCase.GAMMA, UnknownCase.EPSILON)
+FACE_CASES = (_L, _GAMMA, _EPSILON)
 
 
 def closed_form(
@@ -304,22 +313,22 @@ def closed_form(
     value that is not a positive finite double raises NumericalError: the
     data, each valid, leave the double range together.
     """
-    if case is UnknownCase.L:
+    if case is _L:
         value = boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / stefan_lhs(
             xi, mushy_strength(thermal, mushy, boundary)
         )
-    elif case in (UnknownCase.GAMMA, UnknownCase.EPSILON):
+    elif case is _GAMMA or case is _EPSILON:
         gap = stefan_rhs(thermal, boundary) - xexp_sq(xi)
         krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
-        if case is UnknownCase.GAMMA:
+        if case is _GAMMA:
             value = (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
         else:
             value = 1.0 - (2.0 * boundary.q0 / (mushy.gamma * krc)) * gap * math.exp(-2.0 * xi * xi)
     else:
         amp = boundary.q0 * math.erf(xi) / (boundary.d_inf * beta)
-        if case is UnknownCase.K:
+        if case is _K:
             value = math.pi / (thermal.rho * thermal.c) * amp * amp
-        elif case is UnknownCase.RHO:
+        elif case is _RHO:
             value = math.pi / (thermal.k * thermal.c) * amp * amp
         else:
             value = math.pi / (thermal.rho * thermal.k) * amp * amp
@@ -345,16 +354,16 @@ def solve_case(
     raises RestrictionError with exactly those reports.  Data whose
     arithmetic leaves the double range raise NumericalError.
     """
-    instance = validate(thermal, mushy, boundary, case=case, face=Face.CONVECTIVE)
+    instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
     try:
         reports, xi = _evaluate(case, thermal, mushy, boundary)
         require_satisfied(reports)
 
         beta = None
-        if case not in FACE_CASES:
-            beta = face_factor(boundary, Face.CONVECTIVE)
-            equation = xi_equation_c if case is UnknownCase.C else xi_equation_kr
+        if xi is None:  # k, rho or c: every restriction held, none of them R2
+            beta = face_factor(boundary, _CONVECTIVE)
+            equation = xi_equation_c if case is _C else xi_equation_kr
             xi = solve_increasing(equation(thermal, mushy, boundary, beta))
 
         value = closed_form(case, thermal, mushy, boundary, xi, beta)

@@ -69,6 +69,12 @@ __all__ = [
 ]
 
 
+# The members the solve path compares against, bound once: a read through
+# the enum class costs about ten times a module global's.
+_DIRICHLET = Face.DIRICHLET
+_K, _RHO, _C = UnknownCase.K, UnknownCase.RHO, UnknownCase.C
+
+
 # --- auxiliary roots and restriction checks --------------------------------
 
 
@@ -118,7 +124,7 @@ def solve_eta_r8(
 
 def check_r6(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R6: (d_inf/q0) sqrt(k rho c / pi) < 1."""
-    arg = face_argument(thermal, boundary, Face.DIRICHLET)
+    arg = face_argument(thermal, boundary, _DIRICHLET)
     return tuple.__new__(RestrictionReport, ("R6", arg < 1.0, arg, 1.0, ""))
 
 
@@ -129,7 +135,7 @@ def check_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> Restrictio
     the h0 -> infinity limit, but evaluated through the auxiliary root as
     the restriction is phrased in its source.
     """
-    arg = face_argument(thermal, boundary, Face.DIRICHLET)
+    arg = face_argument(thermal, boundary, _DIRICHLET)
     bound = math.erf(solve_eta_r7(thermal, boundary))  # a certified root: finite
     return tuple.__new__(RestrictionReport, ("R7", arg < bound, arg, bound, ""))
 
@@ -144,7 +150,7 @@ def check_r8(
     restriction is satisfied vacuously; the report says so and uses the
     degenerate limit erf(0) = 0 as the bound.
     """
-    arg = face_argument(thermal, boundary, Face.DIRICHLET)
+    arg = face_argument(thermal, boundary, _DIRICHLET)
     try:
         bound = math.erf(solve_eta_r8(thermal, mushy, boundary))
         note = ""
@@ -183,16 +189,17 @@ def check_r9(
     return tuple.__new__(RestrictionReport, ("R9", lhs < 1.0, lhs, 1.0, _R9_NOTE))
 
 
-#: The restrictions of each case.  The unknown-conductivity and
+#: The restrictions of each case, keyed by ``case._value_`` as in
+#: :mod:`mushy.inverse_convective`.  The unknown-conductivity and
 #: unknown-density cases have none: their xi equation has exactly one
 #: positive root for every admissible data set.
 _CASE_RESTRICTIONS = {
-    UnknownCase.L: ("R6",),
-    UnknownCase.GAMMA: ("R7",),
-    UnknownCase.EPSILON: ("R7", "R8"),
-    UnknownCase.K: (),
-    UnknownCase.RHO: (),
-    UnknownCase.C: ("R9",),
+    "l": ("R6",),
+    "gamma": ("R7",),
+    "epsilon": ("R7", "R8"),
+    "k": (),
+    "rho": (),
+    "c": ("R9",),
 }
 
 
@@ -204,11 +211,11 @@ def check_all(
 ) -> tuple[RestrictionReport, ...]:
     """Evaluate the restrictions of one case in order; data whose products
     underflow to 0 raise NumericalError."""
-    instance = validate(thermal, mushy, boundary, case=case, face=Face.DIRICHLET)
+    instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
     reports: list[RestrictionReport] = []
     try:
-        for rid in _CASE_RESTRICTIONS[case]:
+        for rid in _CASE_RESTRICTIONS[case._value_]:
             if rid == "R6":
                 reports.append(check_r6(thermal, boundary))
             elif rid == "R7":
@@ -265,17 +272,17 @@ def solve_dirichlet_case(
     then that of :func:`mushy.inverse_convective.solve_case` at beta = 1,
     NumericalError included.
     """
-    instance = validate(thermal, mushy, boundary, case=case, face=Face.DIRICHLET)
+    instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
     reports = check_all(case, thermal, mushy, boundary)
     inverse_convective.require_satisfied(reports)
 
     try:
-        if case in inverse_convective.FACE_CASES:
-            xi = specfun.erf_inv(face_argument(thermal, boundary, Face.DIRICHLET))
-        else:
-            equation = xi_equation_c if case is UnknownCase.C else xi_equation_kr
+        if case is _K or case is _RHO or case is _C:
+            equation = xi_equation_c if case is _C else xi_equation_kr
             xi = solve_increasing(equation(thermal, mushy, boundary))
+        else:  # l, gamma, epsilon: the face equation alone
+            xi = specfun.erf_inv(face_argument(thermal, boundary, _DIRICHLET))
 
         value = inverse_convective.closed_form(case, thermal, mushy, boundary, xi, 1.0)
         solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)

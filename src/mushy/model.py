@@ -47,6 +47,12 @@ class Face(Enum):
     DIRICHLET = "dirichlet"
 
 
+# A member read through its class goes through the enum metaclass, about ten
+# times the cost of reading a module global, so the solve path compares
+# against members bound here once.
+_CONVECTIVE = Face.CONVECTIVE
+
+
 class UnknownCase(Enum):
     """Which single coefficient is treated as unknown."""
 
@@ -209,7 +215,14 @@ def with_coefficient(
 def _check_positive(name: str, value: Optional[float]) -> float:
     if value is None:
         raise ValidationError(f"{name} is required but missing")
-    value = float(value)
+    # float() would also take text ("1") and a bool; a number is anything
+    # with a float or an integer value, bool excepted.
+    if isinstance(value, bool) or not (hasattr(value, "__float__") or hasattr(value, "__index__")):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the double range
+        raise ValidationError(f"{name} must fit in a double, got an integer outside its range") from None
     if math.isnan(value) or value <= 0.0:
         raise ValidationError(f"{name} must be positive, got {value!r}")
     return value
@@ -277,7 +290,7 @@ def validate(
         and (gamma is None if unknown == "gamma" else type(gamma) is float and 0.0 < gamma < inf)
         and type(q0) is float and 0.0 < q0 < inf
         and type(d_inf) is float and 0.0 < d_inf < inf
-        and (type(h0) is float and h0 > 0.0 if face is Face.CONVECTIVE else h0 is None)
+        and (type(h0) is float and h0 > 0.0 if face is _CONVECTIVE else h0 is None)
     ):
         return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))
 
@@ -301,7 +314,7 @@ def validate(
         for name, value in (("q0", q0), ("d_inf", d_inf)):
             if math.isinf(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
-    if face is Face.CONVECTIVE:
+    if face is _CONVECTIVE:
         if h0 is None:
             raise ValidationError("the convective problem requires h0")
         if not (type(h0) is float and h0 > 0.0):

@@ -37,7 +37,7 @@ MAX_EVALS = 200
 BRACKET_CAP = 40.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonotoneEquation:
     """f(x) = target for strictly increasing f on (0, inf).
 
@@ -51,6 +51,19 @@ class MonotoneEquation:
     lower_limit: float = 0.0
     df: Optional[Callable[[float], float]] = None
     name: str = ""
+
+    def __init__(
+        self,
+        f: Callable[[float], float],
+        target: float,
+        lower_limit: float = 0.0,
+        df: Optional[Callable[[float], float]] = None,
+        name: str = "",
+    ) -> None:
+        # Every root solve builds one, so the fields go straight into the
+        # instance dict: the generated frozen __init__ pays one
+        # object.__setattr__ call per field for the same record.
+        self.__dict__.update(f=f, target=target, lower_limit=lower_limit, df=df, name=name)
 
 
 def solve_increasing(eq: MonotoneEquation) -> float:

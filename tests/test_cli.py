@@ -285,8 +285,10 @@ def test_profile_out_file_holds_the_stdout_bytes(case_l_path, tmp_path, capsys):
 
 
 def test_profile_rejects_nonpositive_time(case_l_path, capsys):
-    # case l's data with alpha = 4 (k rho c unchanged): alpha t overflows at t = 1e308
-    case_l_path.write_text(CASE_L_INI.replace("k = 1.0\nrho = 1.0", "k = 2.0\nrho = 0.5"))
+    # case l's data with alpha = 1e306 (k rho c unchanged) and gamma = 100, so
+    # mu is about 65: r(t) = 2 mu sqrt(alpha) sqrt(t) itself overflows at t = 1e308
+    case_l_path.write_text(CASE_L_INI.replace("k = 1.0\nrho = 1.0", "k = 1e153\nrho = 1e-153")
+                           .replace("gamma = 0.1", "gamma = 100.0"))
     bad = "must be a positive finite number"
     for flag, value, message in [
         ("--t", "0", bad), ("--t", "nan", bad), ("--t", "inf", bad),
@@ -297,6 +299,21 @@ def test_profile_rejects_nonpositive_time(case_l_path, capsys):
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith(f"error: {flag} {message}")
+
+
+def test_profile_fronts_stay_finite_at_extreme_time(case_l_path, capsys):
+    # case l's data with alpha = 4 (k rho c unchanged): alpha t overflows at
+    # t = 1e308, while s(t) = 2 xi sqrt(alpha) sqrt(t) = 2e154 does not
+    case_l_path.write_text(CASE_L_INI.replace("k = 1.0\nrho = 1.0", "k = 2.0\nrho = 0.5"))
+    code, out, err = run(["profile", str(case_l_path), "--t", "1e308", "--xmax", "4e154", "--nx", "5"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    profile, fronts = out.split("\n\n")
+    assert fronts.splitlines()[1] == "1e+308,2e+154,2.2568050833375486e+154"
+    # T depends on x / sqrt(t) only: the rows are those of t = 1 on [0, 4]
+    code, out, _ = run(["profile", str(case_l_path), "--t", "1", "--xmax", "4", "--nx", "5"], capsys)
+    expected = [row.split(",")[2:] for row in out.split("\n\n")[0].splitlines()[1:]]
+    assert [row.split(",")[2:] for row in profile.splitlines()[1:]] == expected
+    assert [row[1] for row in expected] == ["solid", "solid", "solid", "liquid", "liquid"]
 
 
 @pytest.mark.parametrize("nx", ["1", "10001"])

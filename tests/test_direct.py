@@ -132,6 +132,22 @@ def test_front_velocities_differentiate_the_fronts(ref_solution):
         assert math.isclose(2.0 * t * front_r_velocity(ref_solution, t), front_r(ref_solution, t), rel_tol=1e-14)
 
 
+def test_fronts_and_profile_stay_finite_where_alpha_t_leaves_the_double_range(ref_solution):
+    # alpha = 4: alpha t overflows at t = 1e308 and alpha / t at t = 5e-324,
+    # and alpha t underflows for alpha = t = 1e-300; the roots do not
+    sol = ref_solution._replace(alpha=4.0)
+    assert front_s(sol, 1e308) == 2e154
+    assert front_r(sol, 1e308) == 4.0 * sol.mu * 1e154
+    assert front_s_velocity(sol, 5e-324) == sol.xi * 2.0 / math.sqrt(5e-324)
+    assert front_r_velocity(sol, 5e-324) == sol.mu * 2.0 / math.sqrt(5e-324)
+    # T and dT/dx depend on x / sqrt(t): (1e154, 1e308) is (1, 1) rescaled
+    assert temperature(sol, 1e154, 1e308) == temperature(sol, 1.0, 1.0)
+    assert temperature_gradient(sol, 1e154, 1e308) == temperature_gradient(sol, 1.0, 1.0) / 1e154
+    tiny = ref_solution._replace(alpha=1e-300)
+    assert front_s(tiny, 1e-300) == 2.0 * XI_REF * 1e-300
+    assert temperature(tiny, 0.5e-300, 1e-300) == temperature(ref_solution, 0.5, 1.0)
+
+
 @pytest.mark.parametrize("op", [front_s, front_r])
 def test_fronts_reject_negative_time(op, ref_solution):
     with pytest.raises(DomainError):

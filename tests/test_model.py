@@ -1,13 +1,17 @@
+import enum
 import hashlib
 import math
+import random
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from mushy import solve_convective_case, solve_dirichlet_case
 from mushy.direct import ConsistencyResiduals
 from mushy.errors import ValidationError
 from mushy.inverse_dirichlet import LimitStudy
-from mushy.manufacture import ManufacturedProblem
+from mushy.manufacture import ManufacturedProblem, random_problem
 from mushy.model import (
     BoundaryData,
     CaseResult,
@@ -253,11 +257,58 @@ def _validate_outcomes():
 def test_validate_outcome_grid_is_pinned():
     # 2 faces x 7 cases x 9 fields x 15 values: every message, its order of
     # checks, every normalised record and every record returned as the
-    # caller's own, bit for bit.
+    # caller's own, bit for bit.  The 10**400, "1" and True rows outside the
+    # unknown slot and the ignored Dirichlet h0 (107 each) raise
+    # ValidationError; every other row is as it was before they did.
     lines = list(_validate_outcomes())
     assert len(lines) == 2 * 7 * 9 * len(GRID_VALUES)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "57d88cd7eeb6426722c2cab1c205caca671e2bc03ae03548a4db948ab2891350"
+    assert digest == "cbab137ccb27350be547bb66fbdf802ab5edb0f1a1652751fb679a4b0c18037f"
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("k", 10**400, "k must fit in a double, got an integer outside its range"),
+        ("c", -(10**400), "c must fit in a double, got an integer outside its range"),
+        ("gamma", "1", "gamma must be a number, got '1'"),
+        ("epsilon", True, "epsilon must be a number, got True"),
+        ("q0", b"1", "q0 must be a number, got b'1'"),
+        ("d_inf", False, "d_inf must be a number, got False"),
+        ("h0", 10**400, "h0 must fit in a double, got an integer outside its range"),
+        ("h0", "inf", "h0 must be a number, got 'inf'"),
+    ],
+    ids=["k-int", "c-negative-int", "gamma-str", "epsilon-true", "q0-bytes", "d_inf-false", "h0-int", "h0-str"],
+)
+def test_validate_rejects_text_bool_and_out_of_range_integers(name, value, message):
+    with pytest.raises(ValidationError) as err:
+        validate(*_with_field(name, value))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("face", list(Face))
+def test_case_solves_run_no_enum_code(face):
+    # Members are compared by identity and restriction tables keyed by the
+    # member's value: no Python frame of the enum module (Enum.__hash__, the
+    # ``value`` property) runs in any of the twelve cells.
+    solver = solve_convective_case if face is Face.CONVECTIVE else solve_dirichlet_case
+    rng = random.Random(3)
+    problems = [random_problem(rng, face=face) for _ in range(5)]
+    ran = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == enum.__file__:
+            ran.append(frame.f_code.co_name)
+
+    for case in UnknownCase:
+        hidden = [(*problem.hide(case)[:2], problem.boundary) for problem in problems]
+        sys.setprofile(profile)
+        try:
+            for thermal, mushy, boundary in hidden:
+                solver(case, thermal, mushy, boundary)
+        finally:
+            sys.setprofile(None)
+        assert ran == [], (face, case)
 
 
 def test_unknown_case_tokens():

@@ -116,6 +116,25 @@ def test_certificate_holds_from_outside(face):
             assert abs(root - brute_bisect(eq, 1e-8, 4.0)) <= 1e-12
 
 
+def test_equation_record_is_a_frozen_dataclass():
+    # the hand-written __init__ builds the record the generated one did
+    eq = MonotoneEquation(xexp_sq, 2.0, 0.5, dxexp_sq, "x e^x^2")
+    copy = dataclasses.replace(eq)
+    assert copy is not eq and copy == eq and hash(copy) == hash(eq)
+    assert eq == MonotoneEquation(f=xexp_sq, target=2.0, lower_limit=0.5, df=dxexp_sq, name="x e^x^2")
+    assert dataclasses.replace(eq, target=3.0) == MonotoneEquation(xexp_sq, 3.0, 0.5, dxexp_sq, "x e^x^2")
+    assert [field.name for field in dataclasses.fields(eq)] == ["f", "target", "lower_limit", "df", "name"]
+    assert repr(MonotoneEquation(abs, 1.0)) == (
+        "MonotoneEquation(f=<built-in function abs>, target=1.0, lower_limit=0.0, df=None, name='')"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        eq.target = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del eq.name
+    with pytest.raises(TypeError):
+        MonotoneEquation(f=xexp_sq)
+
+
 def test_target_at_or_below_lower_limit_rejected():
     eq = MonotoneEquation(f=lambda x: 1.0 + x, target=0.5, lower_limit=1.0)
     with pytest.raises(NoRootError):
