@@ -48,7 +48,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -60,6 +59,7 @@ from typing import Optional, Sequence
 # the case solvers through their modules' attributes.
 from . import inverse_convective
 from .direct import (
+    _sqrt_product,
     build_solution,
     consistency_residuals,
     front_balance,
@@ -171,7 +171,7 @@ def _check_keys(section: str, present, allowed: tuple[str, ...]) -> None:
 
 
 def _keys(*records: type) -> tuple[str, ...]:
-    return tuple(f.name for record in records for f in fields(record))
+    return tuple(name for record in records for name in record.__match_args__)
 
 
 def _record(record: type, section: str, values: dict):
@@ -461,7 +461,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     # The space step is widest at the last time, and the stencil around the
     # nearest point must stay in the solid there.  Below xi of about 6.7e-4
     # the fixed step would leave it, so half the widest step that stays is used.
-    reach = 2.0 * math.sqrt(solution.alpha * VERIFY_TIMES[-1])
+    reach = 2.0 * _sqrt_product(solution.alpha, VERIFY_TIMES[-1])
     fd_step = VERIFY_FD_STEP if VERIFY_FD_STEP * reach <= xs[0] else 0.5 * xs[0] / reach
     fd = verify.pde_residual(solution, xs, VERIFY_TIMES, fd_step=fd_step)
 

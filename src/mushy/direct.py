@@ -153,7 +153,7 @@ def build_solution(
         raise DomainError(f"xi must be positive and finite, got {xi!r}")
     k, rho, c, q0 = thermal.k, thermal.rho, thermal.c, boundary.q0
     alpha = k / (rho * c)  # the expression of ThermalCoefficients.alpha
-    b_coef = q0 * math.sqrt(math.pi * alpha) / k
+    b_coef = q0 * _sqrt_product(math.pi, alpha) / k
     a_coef = -b_coef * math.erf(xi)  # xi is checked above
     mu = xi + mushy.gamma * math.sqrt(k * rho * c) * math.exp(xi * xi) / (2.0 * q0)
     return SimilaritySolution(a_coef, b_coef, xi, mu, alpha)
@@ -176,6 +176,16 @@ def _sqrt_product(alpha: float, t: float) -> float:
     if _NORMAL_MIN <= product < math.inf:
         return math.sqrt(product)
     return math.sqrt(alpha) * math.sqrt(t)
+
+
+def _sqrt_pi_product(alpha: float, t: float) -> float:
+    """sqrt(pi alpha t) for positive alpha and t: :func:`_sqrt_product` of
+    pi alpha and t, or, where pi alpha itself leaves the normal range,
+    sqrt(pi) times the root of alpha t."""
+    pi_alpha = math.pi * alpha
+    if _NORMAL_MIN <= pi_alpha < math.inf:
+        return _sqrt_product(pi_alpha, t)
+    return SQRT_PI * _sqrt_product(alpha, t)
 
 
 def _sqrt_quotient(alpha: float, t: float) -> float:
@@ -207,7 +217,7 @@ def temperature_gradient(sol: SimilaritySolution, x: float, t: float) -> float:
     eta = _similarity_variable(sol, x, t)
     if eta > sol.xi:
         return 0.0
-    return sol.b_coef * math.exp(-eta * eta) / _sqrt_product(math.pi * sol.alpha, t)
+    return sol.b_coef * math.exp(-eta * eta) / _sqrt_pi_product(sol.alpha, t)
 
 
 def front_s(sol: SimilaritySolution, t: float) -> float:

@@ -13,13 +13,15 @@ Temperatures at the face are stored through the positive magnitude
 ``d_inf``: the physical face datum is ``-d_inf`` (degrees below fusion).
 
 Input records, which callers build (coefficients, boundary data), are frozen
-dataclasses; output records, which the library builds, are ``NamedTuple``s.
+values with a written ``__init__`` on one base, :class:`FrozenRecord`; the
+``dataclasses`` functions accept them, and a process that does not call
+those never imports ``dataclasses``.  Output records, which the library
+builds, are ``NamedTuple``s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -64,14 +66,85 @@ class UnknownCase(Enum):
     C = "c"  # specific heat
 
 
-@dataclass(frozen=True)
-class ThermalCoefficients:
+class _DataclassFields:
+    """``__dataclass_fields__`` of a record class, filled in on first read.
+
+    The ``dataclasses`` functions (``fields``, ``replace``, ``is_dataclass``)
+    know a dataclass by this attribute.  Its first read from a record class
+    applies ``dataclass`` to that class with every generated method switched
+    off, which stores the class's field table over this descriptor; the
+    record methods stay those of :class:`FrozenRecord`.
+    """
+
+    def __get__(self, instance, owner):
+        if owner is FrozenRecord:  # so that dataclass(), reading each base with getattr(..., None), skips it
+            raise AttributeError("__dataclass_fields__")
+        from dataclasses import dataclass
+
+        dataclass(owner, init=False, repr=False, eq=False, match_args=False)
+        return owner.__dict__["__dataclass_fields__"]
+
+
+class FrozenRecord:
+    """Base of the input records: the value semantics of a frozen dataclass.
+
+    A subclass annotates its fields, with their defaults, and writes an
+    ``__init__`` that stores them with one ``self.__dict__.update`` in field
+    order.  A record so built and the copy :func:`with_coefficient` makes
+    then hold the same kind of instance dict, so CPython specialises a field
+    read on either alike.  Equality, hash and repr are those ``@dataclass(frozen=True)``
+    generates, computed from the instance ``__dict__``; assignment and
+    deletion raise ``dataclasses.FrozenInstanceError``.
+    """
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls) -> None:
+        # Positional class patterns, in field order; a subclass that adds
+        # no field keeps its base's.
+        if "__annotations__" in cls.__dict__:
+            cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple(self.__dict__.values()) == tuple(other.__dict__.values())
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ThermalCoefficients(FrozenRecord):
     """Bulk material coefficients; any field may be None while unknown."""
 
     l: Optional[float] = None
     k: Optional[float] = None
     rho: Optional[float] = None
     c: Optional[float] = None
+
+    def __init__(
+        self,
+        l: Optional[float] = None,
+        k: Optional[float] = None,
+        rho: Optional[float] = None,
+        c: Optional[float] = None,
+    ) -> None:
+        self.__dict__.update(l=l, k=k, rho=rho, c=c)
 
     @property
     def alpha(self) -> Optional[float]:
@@ -81,8 +154,7 @@ class ThermalCoefficients:
         return self.k / (self.rho * self.c)
 
 
-@dataclass(frozen=True)
-class MushyCoefficients:
+class MushyCoefficients(FrozenRecord):
     """Structure of the mushy zone.
 
     epsilon is the fraction of the latent heat released at the solid front
@@ -94,9 +166,11 @@ class MushyCoefficients:
     epsilon: Optional[float] = None
     gamma: Optional[float] = None
 
+    def __init__(self, epsilon: Optional[float] = None, gamma: Optional[float] = None) -> None:
+        self.__dict__.update(epsilon=epsilon, gamma=gamma)
 
-@dataclass(frozen=True)
-class BoundaryData:
+
+class BoundaryData(FrozenRecord):
     """Data of the overspecified fixed-face condition.
 
     q0 scales the imposed flux q0/sqrt(t); d_inf > 0 is the magnitude of the
@@ -109,6 +183,9 @@ class BoundaryData:
     q0: float
     d_inf: float
     h0: Optional[float] = None
+
+    def __init__(self, q0: float, d_inf: float, h0: Optional[float] = None) -> None:
+        self.__dict__.update(q0=q0, d_inf=d_inf, h0=h0)
 
 
 class _SolutionFields(NamedTuple):
@@ -202,9 +279,8 @@ def with_coefficient(
     and gamma mushy."""
     name = case._value_  # the member's value without the enum property's cost
     record = thermal if name in thermal.__dict__ else mushy
-    # An equal, frozen copy without re-running the dataclass __init__: the
-    # copy holds the caller's fields plus ``value``, and neither record
-    # defines a __post_init__ that such a copy would skip.
+    # An equal, frozen copy without re-running the record's __init__: the
+    # copy holds the caller's fields, in field order, plus ``value``.
     new = object.__new__(type(record))
     fields = new.__dict__
     fields.update(record.__dict__)

@@ -17,10 +17,10 @@ whatever the derivative does; Newton only accelerates it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import BracketOverflowError, ConvergenceError, NoRootError
+from .model import FrozenRecord
 
 __all__ = ["MonotoneEquation", "solve_increasing", "ABS_TOL", "MAX_EVALS", "BRACKET_CAP"]
 
@@ -37,8 +37,7 @@ MAX_EVALS = 200
 BRACKET_CAP = 40.0
 
 
-@dataclass(frozen=True, init=False)
-class MonotoneEquation:
+class MonotoneEquation(FrozenRecord):
     """f(x) = target for strictly increasing f on (0, inf).
 
     lower_limit is the (one-sided) limit of f at 0+; a root exists iff
@@ -60,9 +59,6 @@ class MonotoneEquation:
         df: Optional[Callable[[float], float]] = None,
         name: str = "",
     ) -> None:
-        # Every root solve builds one, so the fields go straight into the
-        # instance dict: the generated frozen __init__ pays one
-        # object.__setattr__ call per field for the same record.
         self.__dict__.update(f=f, target=target, lower_limit=lower_limit, df=df, name=name)
 
 

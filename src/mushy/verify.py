@@ -16,6 +16,8 @@ import math
 from typing import NamedTuple, Sequence
 
 from .direct import (
+    _sqrt_pi_product,
+    _sqrt_product,
     front_r,
     front_s,
     front_r_velocity,
@@ -166,7 +168,7 @@ def pde_residual(
     worst = 0.0
     for t in t_points:
         dt = fd_step * t
-        dx = fd_step * 2.0 * math.sqrt(sol.alpha * t)
+        dx = fd_step * 2.0 * _sqrt_product(sol.alpha, t)
         if dt == 0.0 or dx * dx == 0.0:
             raise DomainError(f"finite-difference step underflows to zero at t={t!r}")
         for x in x_points:
@@ -219,7 +221,7 @@ def condition_residuals(
         r_t = front_r(sol, t)
         # solid-side limit of dT/dx at the front; evaluating at the rounded
         # s_t can land an ulp past xi, where the gradient is the mushy-zone 0
-        grad_s = sol.b_coef * math.exp(-sol.xi * sol.xi) / math.sqrt(math.pi * sol.alpha * t)
+        grad_s = sol.b_coef * math.exp(-sol.xi * sol.xi) / _sqrt_pi_product(sol.alpha, t)
         grad_0 = temperature_gradient(sol, 0.0, t)
         t_face, _ = temperature(sol, 0.0, t)
         t_s, _ = temperature(sol, s_t, t)

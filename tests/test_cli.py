@@ -527,6 +527,39 @@ def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "range of a double" in err
 
 
+# alpha = k / (rho c) = 1e308 while k rho c = 1, so pi alpha overflows while
+# every figure but alpha and the lengths is that of the unit scenario.
+LARGE_ALPHA_INI = CASE_L_INI.replace("k = 1.0", "k = 1e154").replace("rho = 1.0", "rho = 1e-154")
+
+
+@pytest.mark.parametrize("problem", ["convective", "dirichlet"])
+def test_large_diffusivity_is_the_unit_scenario_rescaled(tmp_path, capsys, problem):
+    docs = {}
+    for name, text in (("unit", CASE_L_INI), ("large", LARGE_ALPHA_INI)):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(restate(text, problem=problem))
+        code, out, err = run(["solve", str(path)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        docs[name] = json.loads(out)
+        code, out, err = run(["profile", str(path), "--nx", "5"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        rows = [line.split(",") for line in out.split("\n\n")[0].splitlines()[1:]]
+        docs[name]["regions"] = [region for _, _, _, region in rows]
+        docs[name]["temperatures"] = [float(temperature) for _, _, temperature, _ in rows]
+        code, out, err = run(["verify", str(path)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["passed"] is True
+    assert docs["large"].pop("alpha") == 1e308
+    assert docs["unit"].pop("alpha") == 1.0
+    assert docs["large"]["b_coef"] == 1.7724538509055159  # sqrt(pi)
+    # l comes from sqrt(c / (rho k)) = 1e-154 times 1e154, one ulp off
+    assert math.isclose(docs["large"].pop("value"), docs["unit"].pop("value"), rel_tol=4e-16)
+    # the profile's x grid is the unit one times 1e154, rounded
+    for large, unit in zip(docs["large"].pop("temperatures"), docs["unit"].pop("temperatures"), strict=True):
+        assert math.isclose(large, unit, rel_tol=1e-14, abs_tol=1e-15)
+    assert docs["large"] == docs["unit"]
+
+
 def test_direct_scenario_restated_for_each_unknown(direct_path, tmp_path, capsys):
     # l is a bulk coefficient, gamma and epsilon belong to the mushy zone
     for case, truth in (("l", L_REF), ("gamma", 0.1), ("epsilon", 0.5)):
@@ -740,7 +773,8 @@ LOADS_PER_COMMAND = """
 import contextlib, io, json, sys
 from mushy.cli import main
 
-WATCHED = ("mushy.verify", "mushy.manufacture", "mushy.inverse_dirichlet", "configparser", "argparse", "gettext")
+WATCHED = ("mushy.verify", "mushy.manufacture", "mushy.inverse_dirichlet", "configparser", "argparse", "gettext",
+           "dataclasses", "inspect")
 loaded = {}
 for label, argv in [
     ("import", None),

@@ -1,9 +1,12 @@
 import enum
 import hashlib
 import math
+import os
 import random
+import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import pytest
 
@@ -404,3 +407,119 @@ def test_output_records_keep_their_contract(record, names, text):
         setattr(record, names[0], getattr(record, names[0]))
     with pytest.raises(AttributeError):
         record.extra = 1.0
+
+
+INPUT_RECORD_CONTRACT = """
+import copy, pickle, sys
+from mushy.model import BoundaryData, FrozenRecord, MushyCoefficients, ThermalCoefficients
+from mushy.rootfind import MonotoneEquation
+
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, "imported with the records"
+
+# (class, positional build, the same by keyword, its repr, default build,
+# its repr, the field names and defaults, the required field left out)
+MISSING = object()
+RECORDS = [
+    (ThermalCoefficients, ThermalCoefficients(1.5, 2.0, 3, None),
+     ThermalCoefficients(l=1.5, k=2.0, rho=3, c=None),
+     "ThermalCoefficients(l=1.5, k=2.0, rho=3, c=None)",
+     ThermalCoefficients(), "ThermalCoefficients(l=None, k=None, rho=None, c=None)",
+     [("l", None), ("k", None), ("rho", None), ("c", None)], None),
+    (MushyCoefficients, MushyCoefficients(0.5, 0.1), MushyCoefficients(epsilon=0.5, gamma=0.1),
+     "MushyCoefficients(epsilon=0.5, gamma=0.1)",
+     MushyCoefficients(), "MushyCoefficients(epsilon=None, gamma=None)",
+     [("epsilon", None), ("gamma", None)], None),
+    (BoundaryData, BoundaryData(1.0, 1.4226, 2.0), BoundaryData(q0=1.0, d_inf=1.4226, h0=2.0),
+     "BoundaryData(q0=1.0, d_inf=1.4226, h0=2.0)",
+     BoundaryData(1.0, 2.0), "BoundaryData(q0=1.0, d_inf=2.0, h0=None)",
+     [("q0", MISSING), ("d_inf", MISSING), ("h0", None)], ("d_inf", "q0")),
+    (MonotoneEquation, MonotoneEquation(abs, 2.0, 1.0, abs, "eq"),
+     MonotoneEquation(f=abs, target=2.0, lower_limit=1.0, df=abs, name="eq"),
+     "MonotoneEquation(f=<built-in function abs>, target=2.0, lower_limit=1.0, df=<built-in function abs>, name='eq')",
+     MonotoneEquation(abs, 2.0), "MonotoneEquation(f=<built-in function abs>, target=2.0, lower_limit=0.0, df=None, name='')",
+     [("f", MISSING), ("target", MISSING), ("lower_limit", 0.0), ("df", None), ("name", "")], ("target",)),
+]
+
+
+# The value semantics of each record, against the equal copy that twin
+# builds from it.
+def check_values(twin):
+    for cls, built, by_keyword, text, default, default_text, fields, required in RECORDS:
+        names = [name for name, _ in fields]
+        assert type(built) is cls and built == by_keyword, cls
+        assert cls.__match_args__ == tuple(names), cls
+        match built:
+            case cls(first) if first is getattr(built, names[0]):
+                pass
+            case _:
+                raise AssertionError(f"{cls.__name__} fails its positional class pattern")
+        assert (repr(built), repr(default)) == (text, default_text), cls
+        assert list(vars(built)) == names, cls
+        for other in (twin(built), pickle.loads(pickle.dumps(built)), copy.deepcopy(built), copy.copy(built)):
+            assert type(other) is cls and other is not built, cls
+            assert other == built and not other != built and hash(other) == hash(built), cls
+        assert hash(built) == hash(tuple(getattr(built, name) for name in names)), cls
+        assert built != default and built != tuple(vars(built).values()), cls
+        subclass = type("Sub", (cls,), {})
+        assert subclass.__match_args__ == cls.__match_args__, cls
+        assert built != subclass(**vars(built)) and subclass(**vars(built)) != built, cls
+        for field in required or ():
+            kwargs = {name: getattr(built, name) for name in names if name != field}
+            try:
+                cls(**kwargs)
+            except TypeError as err:
+                assert repr(field) in str(err), (cls, err)
+            else:
+                raise AssertionError(f"{cls.__name__} built without {field}")
+
+
+def check_frozen():
+    for cls, built, *_, fields, _ in RECORDS:
+        first, last = fields[0][0], fields[-1][0]
+        for attempt, message in ((lambda: setattr(built, first, None), f"cannot assign to field {first!r}"),
+                                 (lambda: setattr(built, "extra", None), "cannot assign to field 'extra'"),
+                                 (lambda: delattr(built, last), f"cannot delete field {last!r}")):
+            try:
+                attempt()
+            except Exception as err:
+                assert type(err).__qualname__ == "FrozenInstanceError", (cls, err)
+                assert type(err).__module__ == "dataclasses" and str(err) == message, (cls, err)
+            else:
+                raise AssertionError(f"{cls.__name__} is not frozen")
+        assert vars(built)[first] is not None and last in vars(built), cls
+
+
+def rebuilt(record):
+    return type(record)(**vars(record))
+
+
+check_values(rebuilt)
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, "imported by the value semantics"
+check_frozen()  # the error's class is dataclasses.FrozenInstanceError, so this imports dataclasses
+assert not any("__dataclass_fields__" in cls.__dict__ for cls, *_ in RECORDS), "registered before use"
+
+import dataclasses
+
+assert not dataclasses.is_dataclass(FrozenRecord)
+for cls, built, *_, fields, _ in RECORDS:
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(built), cls
+    for method in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        assert getattr(cls, method) is getattr(FrozenRecord, method), (cls, method)  # none generated
+    default = {name: dataclasses.MISSING if value is MISSING else value for name, value in fields}
+    assert [(f.name, f.default) for f in dataclasses.fields(built)] == list(default.items()), cls
+    name = fields[-1][0]
+    changed = dataclasses.replace(built, **{name: 7.0})
+    assert type(changed) is cls and getattr(changed, name) == 7.0 and changed != built, cls
+check_values(dataclasses.replace)
+check_frozen()
+print("ok")
+"""
+
+
+def test_input_records_are_frozen_values_before_and_after_dataclasses(tmp_path):
+    # A fresh interpreter, so that dataclasses is loaded only where the
+    # script imports it and no record class has been registered yet.
+    env = dict(os.environ, PYTHONPATH=str(Path(sys.modules["mushy"].__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", INPUT_RECORD_CONTRACT], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "ok\n")
