@@ -48,6 +48,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -701,6 +702,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if parsed is None:
         return EXIT_OK
     handler, args = parsed
+    # a library warning is one line on stderr, as an error is
+    warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
     try:
         try:
             return handler(args)

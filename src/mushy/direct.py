@@ -37,6 +37,8 @@ __all__ = [
     "stefan_lhs_derivative",
     "stefan_rhs",
     "mushy_strength",
+    "zone_strength",
+    "balance_equation",
     "front_balance",
     "face_factor",
     "face_argument",
@@ -85,6 +87,12 @@ def mushy_strength(thermal: ThermalCoefficients, mushy: MushyCoefficients, bound
     return mushy.gamma * (1.0 - mushy.epsilon) * math.sqrt(thermal.k * thermal.rho * thermal.c) / (2.0 * boundary.q0)
 
 
+def zone_strength(thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData) -> float:
+    """Full zone strength g = gamma sqrt(k rho c) / (2 q0), the mushy
+    strength at epsilon = 0, at which R4 and R8 evaluate the front balance."""
+    return mushy.gamma * math.sqrt(thermal.k * thermal.rho * thermal.c) / (2.0 * boundary.q0)
+
+
 def stefan_lhs(xi: float, strength: float) -> float:
     """Left side (xi + strength e**xi^2) e**xi^2 of the front balance."""
     e = math.exp(xi * xi)
@@ -101,18 +109,18 @@ def stefan_rhs(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
     return (boundary.q0 / thermal.l) * math.sqrt(thermal.c / (thermal.rho * thermal.k))
 
 
+def balance_equation(strength: float, target: float, name: str) -> MonotoneEquation:
+    """The front balance stefan_lhs(x, strength) = target as an equation
+    for x; its left side starts at the strength at 0+."""
+    return MonotoneEquation(f=lambda x: stefan_lhs(x, strength), target=target, lower_limit=strength,
+                            df=lambda x: stefan_lhs_derivative(x, strength), name=name)
+
+
 def front_balance(thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData) -> MonotoneEquation:
-    """The direct problem's equation for xi: the front balance, whose left
-    side starts at the mushy strength at 0+.  The face condition is then a
-    derived quantity, whose residual shows whether the data are consistent."""
-    strength = mushy_strength(thermal, mushy, boundary)
-    return MonotoneEquation(
-        f=lambda x: stefan_lhs(x, strength),
-        target=stefan_rhs(thermal, boundary),
-        lower_limit=strength,
-        df=lambda x: stefan_lhs_derivative(x, strength),
-        name="front balance",
-    )
+    """The direct problem's equation for xi: the front balance at the mushy
+    strength.  The face condition is then a derived quantity, whose
+    residual shows whether the data are consistent."""
+    return balance_equation(mushy_strength(thermal, mushy, boundary), stefan_rhs(thermal, boundary), "front balance")
 
 
 def face_factor(boundary: BoundaryData, face: Face) -> float:

@@ -34,6 +34,7 @@ from .direct import (
     stefan_lhs,
     stefan_rhs,
     xexp_sq,
+    zone_strength,
 )
 from .errors import NumericalError, RestrictionError
 from .model import (
@@ -104,16 +105,15 @@ def check_r3(thermal: ThermalCoefficients, boundary: BoundaryData, xi: float) ->
 def check_r4(
     thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData, xi: float
 ) -> RestrictionReport:
-    """R4: the full-strength front balance exceeds its right side at xi.
+    """R4: the front balance at the full zone strength exceeds its right side at xi.
 
     Exactly the condition for the recovered epsilon to stay above 0; the
     inequality is oriented so that, as everywhere, satisfied == lhs < rhs.
     ``xi`` is the face-determined front position of :func:`check_r3`, so
     R1 and R2 must hold.  ``mushy.gamma`` must be known; epsilon is not used.
     """
-    full = mushy.gamma * math.sqrt(thermal.k * thermal.rho * thermal.c) / (2.0 * boundary.q0)
     lhs = stefan_rhs(thermal, boundary)
-    rhs = xexp_sq(xi) + full * math.exp(2.0 * xi * xi)
+    rhs = stefan_lhs(xi, zone_strength(thermal, mushy, boundary))
     return tuple.__new__(RestrictionReport, ("R4", lhs < rhs, lhs, rhs, ""))
 
 

@@ -15,17 +15,17 @@ criteria 3 and 4 evaluate at every output of both faces.
 Restrictions:
 
 R6  face equation attainable: (d_inf/q0) sqrt(k rho c / pi) < 1;
-R7  positive gamma, phrased through the auxiliary root eta of
-    x e**x^2 = (q0/l) sqrt(c/(rho k));
-R8  epsilon < 1 ... > 0 bound, phrased through the root eta of
-    x e**x^2 + (gamma sqrt(k rho c)/(2 q0)) e**2x^2 = (q0/l) sqrt(c/(rho k));
+R7  positive gamma: the face argument stays below erf(eta_r7);
+R8  positive epsilon: the face argument exceeds erf(eta_r8);
 R9  root existence for the unknown-specific-heat equation.
 
-The two auxiliary equations of R7 and R8 use distinct roots; they are kept
-apart here as eta_r7 and eta_r8.  R8's equation can be rootless (its left
-side may exceed the right side already at 0+); the bound it encodes then
-holds for every xi, so the restriction is reported as satisfied with an
-explanatory note.
+eta_r7 and eta_r8 are the roots of the front balance
+(x + s e**x^2) e**x^2 = (q0/l) sqrt(c/(rho k)) (:func:`mushy.direct.stefan_lhs`)
+at zero strength and at the full zone strength s = g = gamma sqrt(k rho c)/(2 q0)
+(:func:`mushy.direct.zone_strength`), so R7 and R8 are the convective R3
+and R4 phrased through roots.  R8's equation is rootless when g already
+reaches the right side; the bound it encodes then holds for every xi, so
+the restriction is reported as satisfied with an explanatory note.
 
 R9 is implemented as the h0 -> infinity limit of the convective R5:
 rho l k (d_inf + gamma (1 - epsilon)) / (2 q0^2) < 1.  This is exactly the
@@ -38,7 +38,7 @@ import math
 from typing import NamedTuple, Optional
 
 from . import inverse_convective, specfun
-from .direct import build_solution, dxexp_sq, face_argument, stefan_rhs, xexp_sq
+from .direct import balance_equation, build_solution, dxexp_sq, face_argument, stefan_rhs, xexp_sq, zone_strength
 from .errors import NoRootError, NumericalError, RestrictionError
 from .model import (
     BoundaryData,
@@ -97,29 +97,15 @@ def solve_eta_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
 def solve_eta_r8(
     thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData
 ) -> float:
-    """Unique positive root of x e**x^2 + g e**2x^2 = (q0/l) sqrt(c/(rho k)),
-    g = gamma sqrt(k rho c) / (2 q0).
+    """Unique positive root of (x + g e**x^2) e**x^2 = (q0/l) sqrt(c/(rho k)),
+    the front balance at the full zone strength g = gamma sqrt(k rho c) / (2 q0).
 
     The left side starts at g for x -> 0+, so no positive root exists when
     g already reaches the right side; NoRootError is raised then.
     ``mushy.gamma`` must be known; epsilon is not used.
     """
-    g = mushy.gamma * math.sqrt(thermal.k * thermal.rho * thermal.c) / (2.0 * boundary.q0)
-
-    def f(x: float) -> float:
-        return xexp_sq(x) + g * math.exp(2.0 * x * x)
-
-    def df(x: float) -> float:
-        return dxexp_sq(x) + 4.0 * x * g * math.exp(2.0 * x * x)
-
-    eq = MonotoneEquation(
-        f=f,
-        target=stefan_rhs(thermal, boundary),
-        lower_limit=g,
-        df=df,
-        name="eta equation (positive-epsilon bound)",
-    )
-    return solve_increasing(eq)
+    g, target = zone_strength(thermal, mushy, boundary), stefan_rhs(thermal, boundary)
+    return solve_increasing(balance_equation(g, target, "eta equation (positive-epsilon bound)"))
 
 
 def check_r6(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
@@ -145,22 +131,22 @@ def check_r8(
 ) -> RestrictionReport:
     """R8: the face argument exceeds erf(eta_r8); oriented as lhs < rhs.
 
-    When the eta_r8 equation has no positive root, the bound it encodes
-    (recovered epsilon > 0) holds for every admissible xi, so the
-    restriction is satisfied vacuously; the report says so and uses the
-    degenerate limit erf(0) = 0 as the bound.
+    When the eta_r8 equation has no positive root because g already
+    reaches its target, the bound it encodes (recovered epsilon > 0) holds
+    for every admissible xi, so the restriction is satisfied vacuously; the
+    report says so and uses the degenerate limit erf(0) = 0 as the bound.
+    Any other NoRootError (a target that is not finite) propagates, as R7's.
     """
     arg = face_argument(thermal, boundary, _DIRICHLET)
     try:
         bound = math.erf(solve_eta_r8(thermal, mushy, boundary))
         note = ""
-    except NoRootError:
+    except NoRootError as err:
+        if not err.target <= err.lower_limit:
+            raise
         bound = 0.0
-        note = (
-            "the auxiliary equation has no positive root "
-            "(gamma sqrt(k rho c)/(2 q0) already reaches the front balance), "
-            "so the bound holds for every xi"
-        )
+        note = ("the auxiliary equation has no positive root (gamma sqrt(k rho c)/(2 q0) already reaches "
+                "the front balance), so the bound holds for every xi")
     return tuple.__new__(RestrictionReport, ("R8", bound < arg, bound, arg, note))
 
 

@@ -15,6 +15,7 @@ import random
 from typing import NamedTuple, Optional
 
 from . import specfun
+from .direct import stefan_lhs
 from .errors import ValidationError
 from .model import (
     BoundaryData,
@@ -89,10 +90,10 @@ def manufacture(
 
     strength = gamma * (1.0 - epsilon) * krc / (2.0 * q0)
     try:
-        e = math.exp(xi * xi)
+        balance = stefan_lhs(xi, strength)
     except OverflowError:  # xi past ≈26.6; l is then 0 and rejected below
-        e = inf
-    l = q0 * math.sqrt(c / (rho * k)) / ((xi + strength * e) * e)
+        balance = inf
+    l = q0 * math.sqrt(c / (rho * k)) / balance
     if not 0.0 < l < inf:
         raise ValidationError(f"xi = {xi!r} and the given coefficients make the latent heat l = {l!r}, "
                               "not a positive finite number")

@@ -722,6 +722,22 @@ def test_module_entry_point(case_l_path, tmp_path):
     assert json.loads(proc.stdout)["case"] == "l"
 
 
+def test_library_warning_is_one_stderr_line(tmp_path):
+    # erf_inv warns near saturation: the CLI writes one `warning:` line, as
+    # it writes `error:` lines, not the warning's source location and line.
+    mushy = [sys.executable, "-m", "mushy"]
+    scenario = tmp_path / "s.json"
+    subprocess.run([*mushy, "manufacture", "--xi", "5.3", "--k", "1", "--rho", "1", "--c", "1", "--epsilon", "0.5",
+                    "--gamma", "1", "--q0", "1", "--h0", "2", "--case", "l", "--format", "json", "--out", str(scenario)],
+                   check=True, env=_python_env(), timeout=60)
+    proc = subprocess.run([*mushy, "solve", str(scenario)], capture_output=True, text=True, env=_python_env(),
+                          timeout=60)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ("warning: erf_inv argument 0.9999999999999338 is within 1e-12 of saturation; "
+                           "the result is ill conditioned\n")
+    assert json.loads(proc.stdout)["case"] == "l"
+
+
 def _read_then_close(argv, lines):
     """Exit code and stderr of ``mushy argv`` whose stdout reader takes
     ``lines`` lines and then closes the pipe."""

@@ -6,6 +6,8 @@ import pytest
 
 from mushy import inverse_convective as conv
 from mushy import inverse_dirichlet as diri
+from mushy import specfun
+from mushy.direct import face_argument
 from mushy.errors import IllConditionedWarning, NoRootError, RestrictionError, SolverError
 from mushy.manufacture import manufacture, random_problem
 from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase, with_coefficient
@@ -15,6 +17,7 @@ from conftest import OUT_OF_RANGE_ROWS, XI_REF
 
 D_INF_REF = 0.9225620128255848      # sqrt(pi) erf(0.5): unit coefficients
 ETA_UNIT_TARGET = 0.6529186404192053  # root of x e**x^2 = 1, frozen by bisection
+ETA_R8_FAR = 20.082304769727949912  # root of (x + 5e-151 e**x^2) e**x^2 = 1e200, 50 digits (mpmath), rounded
 
 UNIT_THERMAL = ThermalCoefficients(l=1.0, k=1.0, rho=1.0, c=1.0)
 
@@ -81,6 +84,70 @@ def test_vacuous_fraction_bound_is_satisfied_with_note():
     assert report.satisfied
     assert report.lhs == 0.0
     assert "no positive root" in report.note
+
+
+def test_positive_fraction_bound_root_past_the_doubled_exponent():
+    # g e**(2 x^2) overflows past x = 18.84, yet the front balance
+    # (x + g e**x^2) e**x^2 is finite up to x = 26.6: the root at 20.08 is found.
+    thermal = ThermalCoefficients(l=1e-200, k=1.0, rho=1.0, c=1.0)
+    mushy = MushyCoefficients(epsilon=0.5, gamma=1e-150)
+    eta = diri.solve_eta_r8(thermal, mushy, BoundaryData(q0=1.0, d_inf=1.0, h0=None))
+    assert math.isclose(eta, ETA_R8_FAR, rel_tol=1e-15)
+
+
+def test_fraction_bound_raises_for_a_target_that_is_not_finite():
+    # (q0/l) sqrt(c/(rho k)) = 1e10/1e-300 overflows: the equation has no
+    # root, but not because g reaches the target, so R8 raises as R7 does.
+    thermal = ThermalCoefficients(l=1e-300, k=1.0, rho=1.0, c=1.0)
+    mushy = MushyCoefficients(epsilon=0.5, gamma=1e-150)
+    boundary = BoundaryData(q0=1e10, d_inf=1.0, h0=None)
+    with pytest.raises(NoRootError, match="target must be finite"):
+        diri.check_r7(thermal, boundary)
+    with pytest.raises(NoRootError, match="target must be finite"):
+        diri.check_r8(thermal, mushy, boundary)
+
+
+def _stressed_draws(n, seed):
+    """Dirichlet data with q0 and gamma scaled off consistency, kept where
+    the face equation is attainable, with the face-determined xi."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        prob = random_problem(rng, face=Face.DIRICHLET, xi_range=(0.01, 5.0))
+        boundary = BoundaryData(q0=prob.boundary.q0 * rng.choice((0.3, 0.7, 1.0, 1.5, 3.0)), d_inf=prob.boundary.d_inf)
+        mushy = MushyCoefficients(epsilon=prob.mushy.epsilon, gamma=prob.mushy.gamma * rng.choice((0.1, 1.0, 10.0)))
+        arg = face_argument(prob.thermal, boundary, Face.DIRICHLET)
+        if arg < 1.0:
+            yield prob.thermal, mushy, boundary, specfun.erf_inv(arg)
+
+
+def test_auxiliary_roots_decide_as_the_balance_at_the_face_front():
+    # R7 (through eta_r7) and R8 (through eta_r8) are R3 and R4 at
+    # xi = erf_inv(face argument): the same verdict on every draw, and each
+    # verdict occurs.
+    verdicts = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for thermal, mushy, boundary, xi in _stressed_draws(3000, 7):
+            r7 = diri.check_r7(thermal, boundary).satisfied
+            r8 = diri.check_r8(thermal, mushy, boundary).satisfied
+            assert r7 == conv.check_r3(thermal, boundary, xi).satisfied, (thermal, boundary, xi)
+            assert r8 == conv.check_r4(thermal, mushy, boundary, xi).satisfied, (thermal, mushy, boundary, xi)
+            verdicts.update((("R7", r7), ("R8", r8)))
+    assert len(verdicts) == 4
+
+
+def test_specific_heat_restriction_is_the_dirichlet_limit_of_r5():
+    # R5's margin rhs - lhs at h0 -> inf is R9's margin 1 - lhs times the
+    # positive 2 q0^2 / (rho l k d_inf), evaluated on the checks' own formulas.
+    sympy = pytest.importorskip("sympy")
+    l, k, rho, c, eps, gamma, q0, d_inf, h0 = sympy.symbols("l k rho c epsilon gamma q0 d_inf h0", positive=True)
+    thermal = ThermalCoefficients(l=l, k=k, rho=rho, c=c)
+    mushy = MushyCoefficients(epsilon=eps, gamma=gamma)
+    r5 = conv.check_r5(thermal, mushy, BoundaryData(q0=q0, d_inf=d_inf, h0=h0))
+    r9 = diri.check_r9(thermal, mushy, BoundaryData(q0=q0, d_inf=d_inf, h0=None))
+    margin5 = sympy.limit(sympy.nsimplify(r5.rhs - r5.lhs), h0, sympy.oo)
+    margin9 = 1 - sympy.nsimplify(r9.lhs)
+    assert sympy.cancel(margin5 - margin9 * 2 * q0**2 / (rho * l * k * d_inf)) == 0
 
 
 def test_round_trip_through_the_vacuous_regime():

@@ -249,7 +249,7 @@ EDGE_EQUATIONS = (
 )
 
 #: sha256 of every f and df evaluation and every outcome of the solves below.
-ITERATE_DIGEST = "1da1c99c50249e0e12ea3c80f78c60a86d1749df63f42e637566466adb64f9f1"
+ITERATE_DIGEST = "fcd9faa5c6813c5c443e6a0eafca045251a5fc018debf63022fd318ac293e0c7"
 
 
 # erf_inv near saturation warns for some l/gamma/epsilon draws at large xi
