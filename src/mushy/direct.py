@@ -18,7 +18,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .model import (
     BoundaryData,
     Face,
@@ -105,8 +105,14 @@ def stefan_lhs_derivative(xi: float, strength: float) -> float:
 
 
 def stefan_rhs(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
-    """Right side (q0 / l) sqrt(c / (rho k)) of the front balance."""
-    return (boundary.q0 / thermal.l) * math.sqrt(thermal.c / (thermal.rho * thermal.k))
+    """Right side (q0 / l) sqrt(c / (rho k)) of the front balance.
+
+    Valid data whose rho k underflows to 0 raise NumericalError.
+    """
+    rho_k = thermal.rho * thermal.k
+    if rho_k == 0.0:
+        raise NumericalError("rho k underflows to 0, outside the range of a double")
+    return (boundary.q0 / thermal.l) * math.sqrt(thermal.c / rho_k)
 
 
 def balance_equation(strength: float, target: float, name: str) -> MonotoneEquation:
@@ -127,11 +133,15 @@ def face_factor(boundary: BoundaryData, face: Face) -> float:
     """Convective attenuation 1 - q0 / (h0 d_inf); exactly 1 for Dirichlet.
 
     Positive exactly when the convective data admit a cooling face; the
-    Dirichlet problem is its h0 -> inf limit.
+    Dirichlet problem is its h0 -> inf limit.  Valid data whose h0 d_inf
+    underflows to 0 raise NumericalError.
     """
     if face is _DIRICHLET:
         return 1.0
-    return 1.0 - boundary.q0 / (boundary.h0 * boundary.d_inf)
+    h0_d_inf = boundary.h0 * boundary.d_inf
+    if h0_d_inf == 0.0:
+        raise NumericalError("h0 d_inf underflows to 0, outside the range of a double")
+    return 1.0 - boundary.q0 / h0_d_inf
 
 
 def face_argument(thermal: ThermalCoefficients, boundary: BoundaryData, face: Face) -> float:

@@ -124,28 +124,19 @@ def check_r5(
 
     Root-existence condition for the unknown-specific-heat equation: it is
     algebraically equivalent to the equation's target exceeding its value
-    at xi -> 0+.
+    at xi -> 0+.  Valid data whose rho l k underflows to 0 raise
+    NumericalError.
     """
     lhs = face_factor(boundary, _CONVECTIVE)
-    rhs = (
-        2.0 * boundary.q0 * boundary.q0 / (thermal.rho * thermal.l * thermal.k)
-        - mushy.gamma * (1.0 - mushy.epsilon)
-    ) / boundary.d_inf
+    rho_l_k = thermal.rho * thermal.l * thermal.k
+    if rho_l_k == 0.0:
+        raise NumericalError("rho l k underflows to 0, outside the range of a double")
+    rhs = (2.0 * boundary.q0 * boundary.q0 / rho_l_k - mushy.gamma * (1.0 - mushy.epsilon)) / boundary.d_inf
     return tuple.__new__(RestrictionReport, ("R5", lhs < rhs, lhs, rhs, ""))
 
 
-#: The restrictions of each case, keyed by ``case._value_`` (a member as a
-#: key would be hashed by ``Enum.__hash__``, Python code, on every lookup).
-_CASE_RESTRICTIONS = {
-    "l": ("R1", "R2"),
-    "gamma": ("R1", "R2", "R3"),
-    "epsilon": ("R1", "R2", "R3", "R4"),
-    "k": ("R1",),
-    "rho": ("R1",),
-    "c": ("R1", "R5"),
-}
-
-#: Why valid data can still fail: a product of them leaves the double range.
+#: Why a solve of valid data can still fail: a product of them leaves the
+#: double range.  The restriction checks name the product they meet.
 UNDERFLOW = "a product of the data underflows to 0, outside the range of a double"
 
 
@@ -157,15 +148,12 @@ def check_all(
 ) -> tuple[RestrictionReport, ...]:
     """Evaluate the restrictions of one case in dependency order.
 
-    Stops early when a failed restriction makes the later ones undefined
-    (R3 and R4 need the face-determined xi, hence R1 and R2).  Data whose
+    Stops at the first failure, which makes the later ones undefined (R3
+    and R4 need the face-determined xi, hence R1 and R2).  Data whose
     products underflow to 0 raise NumericalError.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
-    try:
-        return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)[0]
-    except ZeroDivisionError:
-        raise NumericalError(f"case {case.value}: {UNDERFLOW}") from None
+    return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)[0]
 
 
 def _evaluate(
@@ -176,30 +164,35 @@ def _evaluate(
 ) -> tuple[tuple[RestrictionReport, ...], Optional[float]]:
     """:func:`check_all` on data that are already validated, plus xi.
 
+    The restrictions of each case, run in this order up to the first
+    failure:
+
+    * k, rho: R1;
+    * c: R1, R5;
+    * l: R1, R2;
+    * gamma: R1, R2, R3;
+    * epsilon: R1, R2, R3, R4.
+
     Once R2 holds, the face-determined front position xi = erf_inv(R2's
-    face argument) is computed, once, and handed to R3 and R4; it is
-    returned for the face-equation cases l, gamma and epsilon (whose
-    restrictions all include R2) and is None otherwise or when a check
-    before it failed.
+    face argument) is computed, once, and handed to R3 and R4.  It is
+    returned for the face-equation cases l, gamma and epsilon, and is None
+    for k, rho and c or when R1 or R2 failed.
     """
-    reports: list[RestrictionReport] = []
-    xi = None
-    for rid in _CASE_RESTRICTIONS[case._value_]:
-        if rid == "R1":
-            reports.append(check_r1(boundary))
-        elif rid == "R2":
-            reports.append(check_r2(thermal, boundary))
-            if reports[-1].satisfied:
-                xi = specfun.erf_inv(reports[-1].lhs)
-        elif rid == "R3":
-            reports.append(check_r3(thermal, boundary, xi))
-        elif rid == "R4":
-            reports.append(check_r4(thermal, mushy, boundary, xi))
-        elif rid == "R5":
-            reports.append(check_r5(thermal, mushy, boundary))
-        if not reports[-1].satisfied:
-            break
-    return tuple(reports), xi
+    r1 = check_r1(boundary)
+    if not r1.satisfied or case is _K or case is _RHO:
+        return (r1,), None
+    if case is _C:
+        return (r1, check_r5(thermal, mushy, boundary)), None
+    r2 = check_r2(thermal, boundary)
+    if not r2.satisfied:
+        return (r1, r2), None
+    xi = specfun.erf_inv(r2.lhs)
+    if case is _L:
+        return (r1, r2), xi
+    r3 = check_r3(thermal, boundary, xi)
+    if not r3.satisfied or case is _GAMMA:
+        return (r1, r2, r3), xi
+    return (r1, r2, r3, check_r4(thermal, mushy, boundary, xi)), xi
 
 
 def require_satisfied(reports: tuple[RestrictionReport, ...]) -> None:
@@ -356,11 +349,11 @@ def solve_case(
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    try:
-        reports, xi = _evaluate(case, thermal, mushy, boundary)
-        require_satisfied(reports)
+    reports, xi = _evaluate(case, thermal, mushy, boundary)
+    require_satisfied(reports)
 
-        beta = None
+    beta = None
+    try:
         if xi is None:  # k, rho or c: every restriction held, none of them R2
             beta = face_factor(boundary, _CONVECTIVE)
             equation = xi_equation_c if case is _C else xi_equation_kr

@@ -72,6 +72,7 @@ __all__ = [
 # The members the solve path compares against, bound once: a read through
 # the enum class costs about ten times a module global's.
 _DIRICHLET = Face.DIRICHLET
+_L, _GAMMA = UnknownCase.L, UnknownCase.GAMMA
 _K, _RHO, _C = UnknownCase.K, UnknownCase.RHO, UnknownCase.C
 
 
@@ -163,30 +164,14 @@ def check_r9(
     """R9: rho l k (d_inf + gamma (1 - epsilon)) / (2 q0^2) < 1.
 
     Exactly the condition for the specific-heat equation's target to exceed
-    its 0+ limit, and the h0 -> infinity limit of the convective R5.
+    its 0+ limit, and the h0 -> infinity limit of the convective R5.  Valid
+    data whose 2 q0^2 underflows to 0 raise NumericalError.
     """
-    lhs = (
-        thermal.rho
-        * thermal.l
-        * thermal.k
-        * (boundary.d_inf + mushy.gamma * (1.0 - mushy.epsilon))
-        / (2.0 * boundary.q0 * boundary.q0)
-    )
+    two_q0_sq = 2.0 * boundary.q0 * boundary.q0
+    if two_q0_sq == 0.0:
+        raise NumericalError("2 q0^2 underflows to 0, outside the range of a double")
+    lhs = thermal.rho * thermal.l * thermal.k * (boundary.d_inf + mushy.gamma * (1.0 - mushy.epsilon)) / two_q0_sq
     return tuple.__new__(RestrictionReport, ("R9", lhs < 1.0, lhs, 1.0, _R9_NOTE))
-
-
-#: The restrictions of each case, keyed by ``case._value_`` as in
-#: :mod:`mushy.inverse_convective`.  The unknown-conductivity and
-#: unknown-density cases have none: their xi equation has exactly one
-#: positive root for every admissible data set.
-_CASE_RESTRICTIONS = {
-    "l": ("R6",),
-    "gamma": ("R7",),
-    "epsilon": ("R7", "R8"),
-    "k": (),
-    "rho": (),
-    "c": ("R9",),
-}
 
 
 def check_all(
@@ -195,26 +180,29 @@ def check_all(
     mushy: MushyCoefficients,
     boundary: BoundaryData,
 ) -> tuple[RestrictionReport, ...]:
-    """Evaluate the restrictions of one case in order; data whose products
-    underflow to 0 raise NumericalError."""
+    """Evaluate the restrictions of one case in order, up to the first failure:
+
+    * l: R6;
+    * c: R9;
+    * k, rho: none, since their xi equation has exactly one positive root
+      for every admissible data set;
+    * gamma: R7;
+    * epsilon: R7, R8.
+
+    Data whose products underflow to 0 raise NumericalError.
+    """
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    reports: list[RestrictionReport] = []
-    try:
-        for rid in _CASE_RESTRICTIONS[case._value_]:
-            if rid == "R6":
-                reports.append(check_r6(thermal, boundary))
-            elif rid == "R7":
-                reports.append(check_r7(thermal, boundary))
-            elif rid == "R8":
-                reports.append(check_r8(thermal, mushy, boundary))
-            elif rid == "R9":
-                reports.append(check_r9(thermal, mushy, boundary))
-            if not reports[-1].satisfied:
-                break
-    except ZeroDivisionError:
-        raise NumericalError(f"case {case.value}: {inverse_convective.UNDERFLOW}") from None
-    return tuple(reports)
+    if case is _L:
+        return (check_r6(thermal, boundary),)
+    if case is _C:
+        return (check_r9(thermal, mushy, boundary),)
+    if case is _K or case is _RHO:
+        return ()
+    r7 = check_r7(thermal, boundary)
+    if not r7.satisfied or case is _GAMMA:
+        return (r7,)
+    return (r7, check_r8(thermal, mushy, boundary))
 
 
 # --- the recovery at beta = 1 ----------------------------------------------
@@ -260,6 +248,7 @@ def solve_dirichlet_case(
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
+    # check_all validates a second time; the benchmark pins that count
     reports = check_all(case, thermal, mushy, boundary)
     inverse_convective.require_satisfied(reports)
 
@@ -267,8 +256,8 @@ def solve_dirichlet_case(
         if case is _K or case is _RHO or case is _C:
             equation = xi_equation_c if case is _C else xi_equation_kr
             xi = solve_increasing(equation(thermal, mushy, boundary))
-        else:  # l, gamma, epsilon: the face equation alone
-            xi = specfun.erf_inv(face_argument(thermal, boundary, _DIRICHLET))
+        else:  # l, gamma, epsilon: R6's or R7's lhs is the face argument
+            xi = specfun.erf_inv(reports[0].lhs)
 
         value = inverse_convective.closed_form(case, thermal, mushy, boundary, xi, 1.0)
         solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)

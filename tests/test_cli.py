@@ -516,12 +516,24 @@ DIRECT_UNDERFLOW_ROW = (Face.CONVECTIVE, None, ThermalCoefficients(l=1.0, k=1e-3
                         MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1.0, d_inf=1.0, h0=2.0))
 
 
-@pytest.mark.parametrize("row", [*OUT_OF_RANGE_ROWS, DIRECT_UNDERFLOW_ROW],
-                         ids=["value-inf", "rho-k-underflow", "direct-underflow"])
+# Scenarios whose restriction checks underflow: rho k in R3, 2 q0^2 in R9.
+RESTRICTION_UNDERFLOW_ROWS = [
+    (Face.CONVECTIVE, UnknownCase.GAMMA, ThermalCoefficients(l=1.0, k=1e-300, rho=1e-300, c=1.0),
+     MushyCoefficients(epsilon=0.5), BoundaryData(q0=1.0, d_inf=1.0, h0=2.0)),
+    (Face.DIRICHLET, UnknownCase.C, ThermalCoefficients(l=1.0, k=1.0, rho=1.0),
+     MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1e-200, d_inf=1.0)),
+]
+
+
+@pytest.mark.parametrize("row", [*OUT_OF_RANGE_ROWS, DIRECT_UNDERFLOW_ROW, *RESTRICTION_UNDERFLOW_ROWS],
+                         ids=["value-inf", "rho-k-underflow", "direct-underflow", "r3-rho-k-underflow",
+                              "r9-q0-squared-underflow"])
 def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
     path = tmp_path / "range.ini"
     path.write_text(scenario_to_ini(ProblemInstance(*row)))
-    for sub in ("solve", "verify", "profile"):
+    # check-restrictions fails only where a restriction's own product underflows
+    checks = ("check-restrictions",) if row in RESTRICTION_UNDERFLOW_ROWS else ()
+    for sub in ("solve", "verify", "profile", *checks):
         code, out, err = run([sub, str(path)], capsys)
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "range of a double" in err
