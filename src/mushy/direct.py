@@ -146,8 +146,14 @@ def face_factor(boundary: BoundaryData, face: Face) -> float:
 
 def face_argument(thermal: ThermalCoefficients, boundary: BoundaryData, face: Face) -> float:
     """The value erf(xi) must take to meet the fixed-face condition:
-    (d_inf / q0) sqrt(k rho c / pi) scaled by the convective attenuation."""
-    base = (boundary.d_inf / boundary.q0) * math.sqrt(thermal.k * thermal.rho * thermal.c / math.pi)
+    (d_inf / q0) sqrt(k rho c / pi) scaled by the convective attenuation.
+
+    Valid data whose k rho c underflows to 0 raise NumericalError.
+    """
+    k_rho_c = thermal.k * thermal.rho * thermal.c
+    if k_rho_c == 0.0:
+        raise NumericalError("k rho c underflows to 0, outside the range of a double")
+    base = (boundary.d_inf / boundary.q0) * math.sqrt(k_rho_c / math.pi)
     return base * face_factor(boundary, face)
 
 

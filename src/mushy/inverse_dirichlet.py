@@ -122,8 +122,8 @@ def check_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> Restrictio
     the h0 -> infinity limit, but evaluated through the auxiliary root as
     the restriction is phrased in its source.
     """
-    arg = face_argument(thermal, boundary, _DIRICHLET)
     bound = math.erf(solve_eta_r7(thermal, boundary))  # a certified root: finite
+    arg = face_argument(thermal, boundary, _DIRICHLET)
     return tuple.__new__(RestrictionReport, ("R7", arg < bound, arg, bound, ""))
 
 
@@ -138,7 +138,6 @@ def check_r8(
     report says so and uses the degenerate limit erf(0) = 0 as the bound.
     Any other NoRootError (a target that is not finite) propagates, as R7's.
     """
-    arg = face_argument(thermal, boundary, _DIRICHLET)
     try:
         bound = math.erf(solve_eta_r8(thermal, mushy, boundary))
         note = ""
@@ -148,6 +147,7 @@ def check_r8(
         bound = 0.0
         note = ("the auxiliary equation has no positive root (gamma sqrt(k rho c)/(2 q0) already reaches "
                 "the front balance), so the bound holds for every xi")
+    arg = face_argument(thermal, boundary, _DIRICHLET)
     return tuple.__new__(RestrictionReport, ("R8", bound < arg, bound, arg, note))
 
 

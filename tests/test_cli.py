@@ -303,17 +303,19 @@ def test_profile_rejects_nonpositive_time(case_l_path, capsys):
 
 def test_profile_fronts_stay_finite_at_extreme_time(case_l_path, capsys):
     # case l's data with alpha = 4 (k rho c unchanged): alpha t overflows at
-    # t = 1e308, while s(t) = 2 xi sqrt(alpha) sqrt(t) = 2e154 does not
+    # t = 1e308, while s(t) = 2 xi sqrt(alpha) sqrt(t) ~ 2e154 does not (xi
+    # is 0.49999999999999994, an ulp under 0.5, within erf_inv's floor)
     case_l_path.write_text(CASE_L_INI.replace("k = 1.0\nrho = 1.0", "k = 2.0\nrho = 0.5"))
     code, out, err = run(["profile", str(case_l_path), "--t", "1e308", "--xmax", "4e154", "--nx", "5"], capsys)
     assert (code, err) == (EXIT_OK, "")
     profile, fronts = out.split("\n\n")
-    assert fronts.splitlines()[1] == "1e+308,2e+154,2.2568050833375486e+154"
+    assert fronts.splitlines()[1] == "1e+308,1.9999999999999998e+154,2.256805083337548e+154"
     # T depends on x / sqrt(t) only: the rows are those of t = 1 on [0, 4]
     code, out, _ = run(["profile", str(case_l_path), "--t", "1", "--xmax", "4", "--nx", "5"], capsys)
     expected = [row.split(",")[2:] for row in out.split("\n\n")[0].splitlines()[1:]]
     assert [row.split(",")[2:] for row in profile.splitlines()[1:]] == expected
-    assert [row[1] for row in expected] == ["solid", "solid", "solid", "liquid", "liquid"]
+    # x = 2 is s(1) = 4 xi to an ulp, so it falls just past the solid front
+    assert [row[1] for row in expected] == ["solid", "solid", "mushy", "liquid", "liquid"]
 
 
 @pytest.mark.parametrize("nx", ["1", "10001"])
@@ -516,10 +518,15 @@ DIRECT_UNDERFLOW_ROW = (Face.CONVECTIVE, None, ThermalCoefficients(l=1.0, k=1e-3
                         MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1.0, d_inf=1.0, h0=2.0))
 
 
-# Scenarios whose restriction checks underflow: rho k in R3, 2 q0^2 in R9.
+# Scenarios whose restriction checks underflow: rho k in R3, 2 q0^2 in R9,
+# k rho c in R2 and R6 (rho k stays in range).
 RESTRICTION_UNDERFLOW_ROWS = [
     (Face.CONVECTIVE, UnknownCase.GAMMA, ThermalCoefficients(l=1.0, k=1e-300, rho=1e-300, c=1.0),
      MushyCoefficients(epsilon=0.5), BoundaryData(q0=1.0, d_inf=1.0, h0=2.0)),
+    (Face.CONVECTIVE, UnknownCase.L, ThermalCoefficients(k=1.0, rho=1e-30, c=1e-300),
+     MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1.0, d_inf=1.0, h0=2.0)),
+    (Face.DIRICHLET, UnknownCase.L, ThermalCoefficients(k=1.0, rho=1e-30, c=1e-300),
+     MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1.0, d_inf=1.0)),
     (Face.DIRICHLET, UnknownCase.C, ThermalCoefficients(l=1.0, k=1.0, rho=1.0),
      MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1e-200, d_inf=1.0)),
 ]
@@ -527,7 +534,7 @@ RESTRICTION_UNDERFLOW_ROWS = [
 
 @pytest.mark.parametrize("row", [*OUT_OF_RANGE_ROWS, DIRECT_UNDERFLOW_ROW, *RESTRICTION_UNDERFLOW_ROWS],
                          ids=["value-inf", "rho-k-underflow", "direct-underflow", "r3-rho-k-underflow",
-                              "r9-q0-squared-underflow"])
+                              "r2-k-rho-c-underflow", "r6-k-rho-c-underflow", "r9-q0-squared-underflow"])
 def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
     path = tmp_path / "range.ini"
     path.write_text(scenario_to_ini(ProblemInstance(*row)))
@@ -802,7 +809,7 @@ import contextlib, io, json, sys
 from mushy.cli import main
 
 WATCHED = ("mushy.verify", "mushy.manufacture", "mushy.inverse_dirichlet", "configparser", "argparse", "gettext",
-           "dataclasses", "inspect")
+           "dataclasses", "inspect", "mpmath")
 loaded = {}
 for label, argv in [
     ("import", None),
@@ -910,11 +917,11 @@ def test_output_numbers_are_shortest_round_trip(case_l_path, dirichlet_gamma_pat
 # restated for the unknown k, and case-l restated for the Dirichlet face.  A
 # change to any byte these commands print changes a digest.
 REPORT_DIGESTS = {
-    "solve case-l": (0, "d24ee871b6c0d246fabfa6778db2f37a693b14c02ef58126927d67b66a620d09"),
+    "solve case-l": (0, "cd0e5d71f3d3880803adee7f844d7a06dc4d0b929789fc8103acdeac98c68193"),
     "check-restrictions case-l": (0, "31c997a646b21e328ae88a733ecb1c9527b2327f5ac077a1393cc33ffa3e5799"),
-    "verify case-l": (0, "57fdf954b74df4af7e2710696ef1a5d2b6f03e11767bf12322102ff0f488ddda"),
+    "verify case-l": (0, "6da89943fc38fbc83c1df292da9612158a5da0c5ad73a7d3c5a17141fb06a9cc"),
     "limit case-l": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "profile case-l": (0, "4ede6c5d647b42af5fe24b96fae994c6252eb15c199d6458332298a479b8523e"),
+    "profile case-l": (0, "8f51d992d615da74eba2c1dc3fa3b9e096459c4c250705858b83d4b349640dbf"),
     "solve case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "check-restrictions case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "verify case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -923,13 +930,13 @@ REPORT_DIGESTS = {
     "solve case-l-dirichlet": (0, "1e793290c3ddd0f6a4c61ba8446c1a1537feafa83cf6c13d650c8f818cd982b5"),
     "check-restrictions case-l-dirichlet": (0, "5c54fa26a232f31a0ed90592710f7d56b7174562c6580b41265d941cfdaedcd4"),
     "verify case-l-dirichlet": (0, "9f602fe49e7a9b3352b9caea8928003523274b9aded38fd554eab5985ffcf3ff"),
-    "limit case-l-dirichlet": (0, "ce7638003e9046dfb0dbde580194bd26176590f737273689447debd9391a83ff"),
+    "limit case-l-dirichlet": (0, "9791fb1e2764f0635b52a693344c774e5e9d229d717c5b80bd181de5568df21a"),
     "profile case-l-dirichlet": (0, "0fa033ca7a812984769a4dbf29be6d59a071995ffe9d5c4ae25f84b798ff027e"),
-    "solve dirichlet-gamma": (0, "be14e415b282ba43a7ca600a9345bc341e61a5ace977e0cad01bb975919c9308"),
+    "solve dirichlet-gamma": (0, "8c7cc4b202caa7fbc26f08c4b352fd72fd4be5342dd0e900a0a306a57296442a"),
     "check-restrictions dirichlet-gamma": (0, "5ab038914f8e1350d4f441c4177d90c5213a2439cf8ea43fe8bf2b8b550ba18c"),
-    "verify dirichlet-gamma": (0, "0a79b671a1d21450edcb54f159b331b7d5121c89c16391ae218abc5626b9b6b9"),
-    "limit dirichlet-gamma": (0, "7c85c053017c5610385238b4da56b55789396da9bf4d28b10b2d2ce4578a4a61"),
-    "profile dirichlet-gamma": (0, "b514797ab174452b8714788424dffa7fd932125aa6610ed63e8ea390abace83a"),
+    "verify dirichlet-gamma": (0, "1b83f02f0708c581af803996d780acb0816b2d2679c34e854402e4c7c7d586c2"),
+    "limit dirichlet-gamma": (0, "4d5b377864bdccc017d2fe7059074dba24d36bf63ed5bce36979c328d0b556dd"),
+    "profile dirichlet-gamma": (0, "348b5afc7f8afc430931f4084d373ec0e847522a78c07fa076d06f31ce209793"),
     "solve dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "check-restrictions dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "verify dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -58,7 +58,7 @@ def _outcome(check_all, case, thermal, mushy, boundary):
 
 
 # sha256 over the outcome of every check_all call below, one repr a line.
-CHECK_ALL_DIGEST = "cd9829b6d1fb71be11a595f1873e1e25274c307255156603d30b89bab4d0eaa5"
+CHECK_ALL_DIGEST = "96597a0c7f1513732b46045ec6430a6a5e65a85cce6743152e2ccc20672d5061"
 
 
 def test_check_all_outcomes_are_pinned():
@@ -87,11 +87,13 @@ XI = 0.5  # a face-determined front position, for R3 and R4
 
 # Each public check or auxiliary root on data whose named product underflows.
 UNDERFLOW_CALLS = {
+    "check_r2 k rho c": lambda: conv.check_r2(TINY_RHO_K, UNIT_BOUNDARY),
     "check_r2 h0 d_inf": lambda: conv.check_r2(UNIT_THERMAL, TINY_H0_D_INF),
     "check_r3 rho k": lambda: conv.check_r3(TINY_RHO_K, UNIT_BOUNDARY, XI),
     "check_r4 rho k": lambda: conv.check_r4(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY, XI),
     "check_r5 rho l k": lambda: conv.check_r5(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
     "check_r5 h0 d_inf": lambda: conv.check_r5(UNIT_THERMAL, UNIT_MUSHY, TINY_H0_D_INF),
+    "check_r6 k rho c": lambda: diri.check_r6(TINY_RHO_K, UNIT_BOUNDARY),
     "check_r7 rho k": lambda: diri.check_r7(TINY_RHO_K, UNIT_BOUNDARY),
     "check_r8 rho k": lambda: diri.check_r8(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
     "check_r9 2 q0^2": lambda: diri.check_r9(UNIT_THERMAL, UNIT_MUSHY, TINY_Q0),

@@ -50,7 +50,7 @@ def test_recovery_sweep_digest_is_pinned(tmp_path):
     # Every result of 12 000 recoveries, bit for bit: a change to any number
     # a solve returns, or to its reports, changes this digest.
     last = _run("recovery_sweep.py", ["--n", "1000", "--seed", "7", "--xi-max", "3.0"], tmp_path).splitlines()[-1]
-    assert last == "sha256 2c9f842893181acc1c01af2d91cd9bb1cfb1e8a2e047f164817fe9a6699a4da9 (0 raised)"
+    assert last == "sha256 44f98eb20fcdce2de66a71dc196978e96f2992553fdb64dd12c1d9565d081a86 (0 raised)"
 
 
 def test_recovery_sweep_digest_at_large_xi_is_pinned(tmp_path):
@@ -59,7 +59,7 @@ def test_recovery_sweep_digest_at_large_xi_is_pinned(tmp_path):
     # erf_inv warns in 153 of them; the sweep counts the warnings.
     lines = _run("recovery_sweep.py", ["--n", "300", "--seed", "3", "--xi-max", "5.5"], tmp_path).splitlines()
     assert lines[-2].endswith("/s; 153 ill-conditioned warnings)"), lines[-2]
-    assert lines[-1] == "sha256 ccdaff6c1d09f6b09360aa2c5f1d6a9b3a39ad48e9ecee3885af46f23c71596e (0 raised)"
+    assert lines[-1] == "sha256 b83548a23fa1f7f62cd70ec47fb7593fc6ee9347ce072b4ea100e3738ef8048a (0 raised)"
 
 
 def test_recovery_sweep_digest_near_erf_saturation_is_pinned(tmp_path):
@@ -69,7 +69,7 @@ def test_recovery_sweep_digest_near_erf_saturation_is_pinned(tmp_path):
     # there and the reports of every restriction failure.
     lines = _run("recovery_sweep.py", ["--n", "1500", "--seed", "5", "--xi-max", "5.8"], tmp_path).splitlines()
     assert lines[-2].endswith("/s; 1217 ill-conditioned warnings)"), lines[-2]
-    assert lines[-1] == "sha256 d5eeafa10d33cda1a63292b1bc5d855de0c42235e4f3df11480b34da81183029 (61 raised)"
+    assert lines[-1] == "sha256 d423807424afc497395422e7c2a68d0657a0843f83457d0e2dec11c0a2c54fc6 (61 raised)"
 
 
 def test_readme_limit_recipe_runs(tmp_path):

@@ -1,16 +1,20 @@
 import math
 import random
 import sys
+import warnings
+from fractions import Fraction
 
+import oracle
 import pytest
 from hypothesis import example, given, strategies as st
 
 from mushy import solve_convective_case, solve_dirichlet_case, specfun
+from mushy.direct import face_argument
 from mushy.errors import DomainError, IllConditionedWarning
 from mushy.inverse_convective import FACE_CASES
 from mushy.manufacture import random_problem
 from mushy.model import Face, UnknownCase
-from mushy.specfun import erf, erf_inv
+from mushy.specfun import TWO_OVER_SQRT_PI, erf, erf_inv
 
 # Frozen via the independent series evaluation (tests/test_verify.py checks
 # the two routes against each other on a dense grid).
@@ -36,6 +40,28 @@ def test_erf_odd_symmetry_frozen_point():
 def test_erf_rejects_non_finite(bad):
     with pytest.raises(DomainError):
         erf(bad)
+
+
+# Not a number, or a number no double holds: each is a DomainError naming
+# the argument, as validate's ValidationError is for a coefficient.
+NOT_A_DOUBLE = {"text": ("0.5", "must be a number"), "bytes": (b"0.5", "must be a number"),
+                "true": (True, "must be a number"), "false": (False, "must be a number"),
+                "none": (None, "must be a number"), "complex": (1j, "must be a number"),
+                "int-above": (10**400, "must fit in a double"), "int-below": (-10**400, "must fit in a double")}
+
+
+@pytest.mark.parametrize("value, message", NOT_A_DOUBLE.values(), ids=NOT_A_DOUBLE)
+@pytest.mark.parametrize("function, name", [(erf, "x"), (erf_inv, "y")])
+def test_public_kernels_take_only_a_number_in_double_range(function, name, value, message):
+    with pytest.raises(DomainError, match=f"^{name} {message}"):
+        function(value)
+
+
+def test_public_kernels_take_an_int_or_a_real_number_type():
+    assert erf(1) == erf(1.0) == ERF_ONE
+    assert erf(Fraction(1, 2)) == ERF_HALF
+    assert erf_inv(0) == 0.0
+    assert erf_inv(Fraction(ERF_HALF)) == erf_inv(ERF_HALF)
 
 
 def test_erf_inv_at_origin():
@@ -135,3 +161,100 @@ def test_erf_inv_runs_once_per_face_case_solve(monkeypatch):
                 calls = 0
                 solver(case, thermal, mushy, problem.boundary)
                 assert calls == (1 if case in FACE_CASES else 0), (face, case)
+
+
+# The kernel against 50 digits (tests/oracle.py).  The rounding floor of a
+# double answer x to erf(x) = y is ulp(y)/erf'(x) + ulp(x): the spread of
+# the x whose erf rounds to y, plus x's own rounding.  Measured worst over
+# the 1e5 points below: 0.69 of the floor, with 40% of the answers within
+# half an ulp.
+
+
+def _floor(y, x):
+    return math.ulp(y) / (TWO_OVER_SQRT_PI * math.exp(-x * x)) + math.ulp(x)
+
+
+#: math.erf's worst error against 50 digits, in ulps: the libm allowance a
+#: certified bound takes as given.  Measured on the points below with glibc
+#: 2.36: 1.04 ulp, at x = 0.0486 (erf 0.0548).
+LIBM_ERF_ULPS = 2.0
+
+
+def test_erf_inv_is_within_the_rounding_floor_of_50_digits():
+    # 1e5 points: 5e4 uniform in x in (0, 5.9] (erf rounds to 1 a little
+    # above 5.86), which reach the saturation that uniform y almost never
+    # does, and 5e4 uniform in y in (0, 1).
+    rng = random.Random(22)
+    ys = [y for y in (math.erf(rng.uniform(0.0, 5.9)) for _ in range(50_000)) if y < 1.0]
+    ys += [y for y in (rng.random() for _ in range(50_000)) if y >= 2.0**-100]
+    assert len(ys) > 99_000
+    worst, worst_erf = 0.0, 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for y in ys:
+            x = erf_inv(y)
+            worst = max(worst, abs(oracle.erf_inv_error(y, x)) / _floor(y, x))
+            e = math.erf(x)
+            worst_erf = max(worst_erf, abs(oracle.scaled(e) - oracle.erf_scaled(x)) / oracle.scaled(math.ulp(e)))
+    assert worst <= 1.0, worst
+    assert worst_erf <= LIBM_ERF_ULPS, worst_erf
+
+
+def test_erf_inv_is_within_the_rounding_floor_over_the_tiny_decades():
+    # Three points in each decade from 1e-300 to 1e-1, against mpmath's
+    # 50-digit erf directly; below 1e-300 the inverse is one product.
+    rng = random.Random(23)
+    for decade in range(-300, 0):
+        for _ in range(3):
+            y = rng.uniform(1.0, 10.0) * 10.0**decade
+            x = erf_inv(y)
+            assert abs(float(x - oracle.erf_inv(y, start=x))) <= _floor(y, x), y
+
+
+def test_oracle_fast_paths_agree_with_mpmath():
+    # erf_scaled against mpmath's erf to its 50 digits, and erf_inv_error
+    # against mpmath's erfinv, on points up to erf's saturation.
+    rng = random.Random(24)
+    xs = [rng.uniform(0.0, 5.86) for _ in range(150)] + [0.0, 1.0 / 128, 6.0]
+    for x in xs:
+        unit = 2**oracle.FRACTION_BITS
+        assert abs(oracle.erf_scaled(x) - oracle.erf(x) * unit) <= 1e-49 * unit, x
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for y in [math.erf(x) for x in xs[:100] if 0.0 < math.erf(x) < 1.0]:
+            x = erf_inv(y)
+            exact = float(x - oracle.erf_inv(y))
+            assert math.isclose(oracle.erf_inv_error(y, x), exact, rel_tol=1e-6, abs_tol=1e-30), y
+
+
+class _CountingMath:
+    """The math module, counting erf calls."""
+
+    def __init__(self):
+        self.erf_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def erf(self, x):
+        self.erf_calls += 1
+        return math.erf(x)
+
+
+def test_erf_inv_evaluation_budget_on_face_arguments(monkeypatch):
+    # Giles' start is within ~1e-7 below x = 3.5, so one Halley step, one
+    # erf evaluation, meets the stop rule on the face arguments every
+    # face-determined solve inverts.
+    counting = _CountingMath()
+    monkeypatch.setattr(specfun, "math", counting)
+    calls = []
+    for face in Face:
+        rng = random.Random(1)
+        for _ in range(200):
+            problem = random_problem(rng, face=face)
+            y = face_argument(problem.thermal, problem.boundary, face)
+            counting.erf_calls = 0
+            erf_inv(y)
+            calls.append(counting.erf_calls)
+    assert sum(calls) / len(calls) <= 1.5, sum(calls) / len(calls)
+    assert max(calls) <= 3, max(calls)
