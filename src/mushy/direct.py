@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from . import specfun
 from .errors import DomainError, NumericalError
@@ -107,12 +107,17 @@ def stefan_lhs_derivative(xi: float, strength: float) -> float:
 def stefan_rhs(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
     """Right side (q0 / l) sqrt(c / (rho k)) of the front balance.
 
-    Valid data whose rho k underflows to 0 raise NumericalError.
+    Valid data whose rho k underflows to 0, or whose factors are 0 and inf,
+    raise NumericalError.
     """
     rho_k = thermal.rho * thermal.k
     if rho_k == 0.0:
         raise NumericalError("rho k underflows to 0, outside the range of a double")
-    return (boundary.q0 / thermal.l) * math.sqrt(thermal.c / rho_k)
+    rhs = (boundary.q0 / thermal.l) * math.sqrt(thermal.c / rho_k)
+    if rhs != rhs:
+        raise NumericalError("the Stefan target (q0 / l) sqrt(c / (rho k)) is 0 times inf, "
+                             "outside the range of a double")
+    return rhs
 
 
 def balance_equation(strength: float, target: float, name: str) -> MonotoneEquation:
@@ -148,13 +153,18 @@ def face_argument(thermal: ThermalCoefficients, boundary: BoundaryData, face: Fa
     """The value erf(xi) must take to meet the fixed-face condition:
     (d_inf / q0) sqrt(k rho c / pi) scaled by the convective attenuation.
 
-    Valid data whose k rho c underflows to 0 raise NumericalError.
+    Valid data whose k rho c underflows to 0, or whose factors are 0 and
+    inf, raise NumericalError.
     """
     k_rho_c = thermal.k * thermal.rho * thermal.c
     if k_rho_c == 0.0:
         raise NumericalError("k rho c underflows to 0, outside the range of a double")
     base = (boundary.d_inf / boundary.q0) * math.sqrt(k_rho_c / math.pi)
-    return base * face_factor(boundary, face)
+    arg = base * face_factor(boundary, face)
+    if arg != arg:
+        raise NumericalError("the face argument (d_inf / q0) sqrt(k rho c / pi) is 0 times inf, "
+                             "outside the range of a double")
+    return arg
 
 
 def build_solution(
@@ -162,6 +172,7 @@ def build_solution(
     mushy: MushyCoefficients,
     boundary: BoundaryData,
     xi: float,
+    value: Optional[float] = None,
 ) -> SimilaritySolution:
     """Assemble the explicit solution for a complete coefficient set.
 
@@ -172,14 +183,28 @@ def build_solution(
     mushy-width condition identically.  Whether xi itself is consistent
     with the remaining conditions is reported by
     :func:`consistency_residuals`, not enforced here.
+
+    ``value`` completes the records of a case solve: it fills the one of
+    k, rho, c and gamma that is None, the case's unknown, so a solver need
+    not copy a record to hand its recovered value in.  The solution reads
+    no other coefficient, so for the l and epsilon cases it is unused.
     """
     if not (xi > 0.0 and math.isfinite(xi)):
         raise DomainError(f"xi must be positive and finite, got {xi!r}")
-    k, rho, c, q0 = thermal.k, thermal.rho, thermal.c, boundary.q0
+    k, rho, c, gamma, q0 = thermal.k, thermal.rho, thermal.c, mushy.gamma, boundary.q0
+    if value is not None:
+        if k is None:
+            k = value
+        elif rho is None:
+            rho = value
+        elif c is None:
+            c = value
+        elif gamma is None:
+            gamma = value
     alpha = k / (rho * c)  # the expression of ThermalCoefficients.alpha
     b_coef = q0 * _sqrt_product(math.pi, alpha) / k
     a_coef = -b_coef * math.erf(xi)  # xi is checked above
-    mu = xi + mushy.gamma * math.sqrt(k * rho * c) * math.exp(xi * xi) / (2.0 * q0)
+    mu = xi + gamma * math.sqrt(k * rho * c) * math.exp(xi * xi) / (2.0 * q0)
     return SimilaritySolution(a_coef, b_coef, xi, mu, alpha)
 
 

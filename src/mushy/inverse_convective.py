@@ -46,7 +46,6 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     validate,
-    with_coefficient,
 )
 from .rootfind import MonotoneEquation, solve_increasing
 from .specfun import TWO_OVER_SQRT_PI
@@ -124,14 +123,17 @@ def check_r5(
 
     Root-existence condition for the unknown-specific-heat equation: it is
     algebraically equivalent to the equation's target exceeding its value
-    at xi -> 0+.  Valid data whose rho l k underflows to 0 raise
+    at xi -> 0+.  Valid data whose rho l k or 2 q0^2 underflows to 0 raise
     NumericalError.
     """
     lhs = face_factor(boundary, _CONVECTIVE)
     rho_l_k = thermal.rho * thermal.l * thermal.k
     if rho_l_k == 0.0:
         raise NumericalError("rho l k underflows to 0, outside the range of a double")
-    rhs = (2.0 * boundary.q0 * boundary.q0 / rho_l_k - mushy.gamma * (1.0 - mushy.epsilon)) / boundary.d_inf
+    two_q0_sq = 2.0 * boundary.q0 * boundary.q0
+    if two_q0_sq == 0.0:
+        raise NumericalError("2 q0^2 underflows to 0, outside the range of a double")
+    rhs = (two_q0_sq / rho_l_k - mushy.gamma * (1.0 - mushy.epsilon)) / boundary.d_inf
     return tuple.__new__(RestrictionReport, ("R5", lhs < rhs, lhs, rhs, ""))
 
 
@@ -197,9 +199,10 @@ def _evaluate(
 
 def require_satisfied(reports: tuple[RestrictionReport, ...]) -> None:
     """Raise RestrictionError carrying ``reports`` if any of them failed."""
-    failed = [r.restriction_id for r in reports if not r.satisfied]
-    if failed:
-        raise RestrictionError(f"restriction(s) {', '.join(failed)} violated", reports)
+    for report in reports:  # a passing solve allocates nothing here
+        if not report.satisfied:
+            failed = ", ".join([r.restriction_id for r in reports if not r.satisfied])
+            raise RestrictionError(f"restriction(s) {failed} violated", reports)
 
 
 # --- the two root-finding equations ---------------------------------------
@@ -360,7 +363,7 @@ def solve_case(
             xi = solve_increasing(equation(thermal, mushy, boundary, beta))
 
         value = closed_form(case, thermal, mushy, boundary, xi, beta)
-        solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
+        solution = build_solution(thermal, mushy, boundary, xi, value)
     except ZeroDivisionError:
         raise NumericalError(f"case {case.value}: {UNDERFLOW}") from None
     return tuple.__new__(CaseResult, (case, value, xi, solution, reports))

@@ -49,7 +49,6 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     validate,
-    with_coefficient,
 )
 from .rootfind import MonotoneEquation, solve_increasing
 
@@ -165,12 +164,15 @@ def check_r9(
 
     Exactly the condition for the specific-heat equation's target to exceed
     its 0+ limit, and the h0 -> infinity limit of the convective R5.  Valid
-    data whose 2 q0^2 underflows to 0 raise NumericalError.
+    data whose rho l k or 2 q0^2 underflows to 0 raise NumericalError.
     """
+    rho_l_k = thermal.rho * thermal.l * thermal.k
+    if rho_l_k == 0.0:
+        raise NumericalError("rho l k underflows to 0, outside the range of a double")
     two_q0_sq = 2.0 * boundary.q0 * boundary.q0
     if two_q0_sq == 0.0:
         raise NumericalError("2 q0^2 underflows to 0, outside the range of a double")
-    lhs = thermal.rho * thermal.l * thermal.k * (boundary.d_inf + mushy.gamma * (1.0 - mushy.epsilon)) / two_q0_sq
+    lhs = rho_l_k * (boundary.d_inf + mushy.gamma * (1.0 - mushy.epsilon)) / two_q0_sq
     return tuple.__new__(RestrictionReport, ("R9", lhs < 1.0, lhs, 1.0, _R9_NOTE))
 
 
@@ -260,7 +262,7 @@ def solve_dirichlet_case(
             xi = specfun.erf_inv(reports[0].lhs)
 
         value = inverse_convective.closed_form(case, thermal, mushy, boundary, xi, 1.0)
-        solution = build_solution(*with_coefficient(thermal, mushy, case, value), boundary, xi)
+        solution = build_solution(thermal, mushy, boundary, xi, value)
     except ZeroDivisionError:
         raise NumericalError(f"case {case.value}: {inverse_convective.UNDERFLOW}") from None
     return tuple.__new__(CaseResult, (case, value, xi, solution, reports))

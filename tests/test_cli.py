@@ -518,8 +518,9 @@ DIRECT_UNDERFLOW_ROW = (Face.CONVECTIVE, None, ThermalCoefficients(l=1.0, k=1e-3
                         MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1.0, d_inf=1.0, h0=2.0))
 
 
-# Scenarios whose restriction checks underflow: rho k in R3, 2 q0^2 in R9,
-# k rho c in R2 and R6 (rho k stays in range).
+# Scenarios whose restriction checks leave the double range: rho k in R3,
+# 2 q0^2 in R9 and R5, k rho c in R2 and R6 (rho k stays in range), rho l k
+# in R9; the face argument in R6 and the Stefan target in R7 are 0 times inf.
 RESTRICTION_UNDERFLOW_ROWS = [
     (Face.CONVECTIVE, UnknownCase.GAMMA, ThermalCoefficients(l=1.0, k=1e-300, rho=1e-300, c=1.0),
      MushyCoefficients(epsilon=0.5), BoundaryData(q0=1.0, d_inf=1.0, h0=2.0)),
@@ -529,12 +530,22 @@ RESTRICTION_UNDERFLOW_ROWS = [
      MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1.0, d_inf=1.0)),
     (Face.DIRICHLET, UnknownCase.C, ThermalCoefficients(l=1.0, k=1.0, rho=1.0),
      MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1e-200, d_inf=1.0)),
+    (Face.CONVECTIVE, UnknownCase.C, ThermalCoefficients(l=1e-100, k=1e-100, rho=1e-110),
+     MushyCoefficients(epsilon=0.5, gamma=2e-17), BoundaryData(q0=1e-163, d_inf=1e-16, h0=1e300)),
+    (Face.DIRICHLET, UnknownCase.C, ThermalCoefficients(l=1e-110, k=1e-110, rho=1e-110),
+     MushyCoefficients(epsilon=0.5, gamma=1.0), BoundaryData(q0=1e-161, d_inf=1e9)),
+    (Face.DIRICHLET, UnknownCase.L, ThermalCoefficients(k=1e150, rho=1e150, c=1e150),
+     MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1e200, d_inf=1e-200)),
+    (Face.DIRICHLET, UnknownCase.GAMMA, ThermalCoefficients(l=1e200, k=1e-100, rho=1e-100, c=1e200),
+     MushyCoefficients(epsilon=0.5), BoundaryData(q0=1e-200, d_inf=1.0)),
 ]
 
 
 @pytest.mark.parametrize("row", [*OUT_OF_RANGE_ROWS, DIRECT_UNDERFLOW_ROW, *RESTRICTION_UNDERFLOW_ROWS],
                          ids=["value-inf", "rho-k-underflow", "direct-underflow", "r3-rho-k-underflow",
-                              "r2-k-rho-c-underflow", "r6-k-rho-c-underflow", "r9-q0-squared-underflow"])
+                              "r2-k-rho-c-underflow", "r6-k-rho-c-underflow", "r9-q0-squared-underflow",
+                              "r5-q0-squared-underflow", "r9-rho-l-k-underflow", "r6-face-argument-nan",
+                              "r7-stefan-target-nan"])
 def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
     path = tmp_path / "range.ini"
     path.write_text(scenario_to_ini(ProblemInstance(*row)))

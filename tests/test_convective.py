@@ -8,7 +8,7 @@ from mushy import inverse_convective as conv
 from mushy.direct import face_argument, stefan_rhs, xexp_sq
 from mushy.errors import IllConditionedWarning, RestrictionError
 from mushy.manufacture import manufacture
-from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
+from mushy.model import BoundaryData, Face, MushyCoefficients, RestrictionReport, ThermalCoefficients, UnknownCase
 from mushy.rootfind import solve_increasing
 from mushy.specfun import erf_inv
 
@@ -244,6 +244,21 @@ def test_restriction_checks_stop_at_first_failure(convective_example):
         with pytest.raises(RestrictionError) as err:
             conv.solve_case(UnknownCase.EPSILON, thermal, mushy, boundary)
         assert err.value.reports == reports
+
+
+@pytest.mark.parametrize("verdicts, message", [
+    ((True, False), "restriction(s) R2 violated"),
+    ((False, True, False), "restriction(s) R1, R3 violated"),
+])
+def test_require_satisfied_names_every_failed_restriction(verdicts, message):
+    reports = tuple(RestrictionReport(f"R{i}", ok, 1.0, 2.0) for i, ok in enumerate(verdicts, 1))
+    with pytest.raises(RestrictionError) as err:
+        conv.require_satisfied(reports)
+    assert type(err.value) is RestrictionError
+    assert str(err.value) == message
+    assert err.value.reports == reports
+    assert err.value.failed_ids() == tuple(r.restriction_id for r in reports if not r.satisfied)
+    assert conv.require_satisfied(reports[:1] if verdicts[0] else ()) is None
 
 
 @pytest.mark.parametrize("xi", [5.05, 5.3])

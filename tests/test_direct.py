@@ -21,7 +21,7 @@ from mushy.direct import (
 )
 from mushy.errors import DomainError, ValidationError
 from mushy.manufacture import random_problem
-from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients
+from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase, with_coefficient
 from mushy.rootfind import solve_increasing
 from mushy.specfun import erf
 
@@ -77,6 +77,17 @@ def test_front_balance_recovers_the_manufactured_front():
     for prob in _random_cases(500, seed=3):
         xi = solve_increasing(front_balance(prob.thermal, prob.mushy, prob.boundary))
         assert abs(xi - prob.xi) <= 1e-12, prob
+
+
+def test_value_fills_the_unknown_as_the_completed_record_does():
+    # In every face x case cell, the value handed to build_solution gives the
+    # solution of the records completed with it, field for field, bit for bit.
+    for prob in _random_cases(100, seed=23):
+        for case in UnknownCase:
+            thermal, mushy, value = prob.hide(case)
+            filled = build_solution(thermal, mushy, prob.boundary, prob.xi, value)
+            completed = build_solution(*with_coefficient(thermal, mushy, case, value), prob.boundary, prob.xi)
+            assert [x.hex() for x in filled] == [x.hex() for x in completed], (prob, case)
 
 
 @pytest.mark.parametrize("xi", [0.0, -0.5, math.nan, math.inf])

@@ -250,6 +250,26 @@ def test_limit_study_excludes_insufficient_transfer(dirichlet_example):
     assert len(study.h0_grid) == 3
 
 
+def test_no_case_solve_copies_a_coefficient_record(monkeypatch):
+    # Every face x case cell hands its recovered value to build_solution; a
+    # with_coefficient that raises is never reached.
+    rng = random.Random(29)
+    cells = []
+    for face in Face:
+        for _ in range(10):
+            prob = random_problem(rng, face=face)
+            cells += [(face, case, *prob.hide(case), prob.boundary) for case in UnknownCase]
+
+    def copy(*args):
+        raise AssertionError("a case solve copied a coefficient record")
+
+    monkeypatch.setattr("mushy.model.with_coefficient", copy)
+    assert not hasattr(conv, "with_coefficient") and not hasattr(diri, "with_coefficient")
+    for face, case, thermal, mushy, truth, boundary in cells:
+        solve = conv.solve_case if face is Face.CONVECTIVE else diri.solve_dirichlet_case
+        assert math.isclose(solve(case, thermal, mushy, boundary).value, truth, rel_tol=1e-10)
+
+
 def _wide_draws(n, seed):
     """``n`` data sets, both faces and every case, each coefficient and
     boundary value log-uniform over [1e-200, 1e200]."""

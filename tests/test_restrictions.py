@@ -24,6 +24,12 @@ TINY_H0_D_INF = BoundaryData(q0=1.0, d_inf=1e-200, h0=1e-200)
 TINY_Q0 = BoundaryData(q0=1e-200, d_inf=1.0, h0=2.0)
 UNDERFLOWING = [(TINY_RHO_K, UNIT_BOUNDARY), (UNIT_THERMAL, TINY_H0_D_INF), (UNIT_THERMAL, TINY_Q0)]
 
+# Data on which a group is 0 times inf: d_inf/q0 underflows where k rho c
+# overflows (the face argument), and q0/l where c/(rho k) does (the Stefan
+# target).  At 50 digits both groups are positive doubles.
+ZERO_INF_FACE = (ThermalCoefficients(k=1e150, rho=1e150, c=1e150), BoundaryData(q0=1e200, d_inf=1e-200))
+ZERO_INF_STEFAN = (ThermalCoefficients(l=1e200, k=1e-100, rho=1e-100, c=1e200), BoundaryData(q0=1e-200, d_inf=1.0))
+
 
 def _stressed(face, n, seed):
     """``n`` random_problem data sets of ``face`` with q0, gamma, l, d_inf
@@ -58,7 +64,7 @@ def _outcome(check_all, case, thermal, mushy, boundary):
 
 
 # sha256 over the outcome of every check_all call below, one repr a line.
-CHECK_ALL_DIGEST = "96597a0c7f1513732b46045ec6430a6a5e65a85cce6743152e2ccc20672d5061"
+CHECK_ALL_DIGEST = "99f9a974add3aecc2d2ae33242e91c8c3b6ab68effe09fec9e52d3d2c2fa25c6"
 
 
 def test_check_all_outcomes_are_pinned():
@@ -85,7 +91,8 @@ def test_check_all_outcomes_are_pinned():
 
 XI = 0.5  # a face-determined front position, for R3 and R4
 
-# Each public check or auxiliary root on data whose named product underflows.
+# Each public check or auxiliary root on data whose named product underflows,
+# or whose named group is 0 times inf.
 UNDERFLOW_CALLS = {
     "check_r2 k rho c": lambda: conv.check_r2(TINY_RHO_K, UNIT_BOUNDARY),
     "check_r2 h0 d_inf": lambda: conv.check_r2(UNIT_THERMAL, TINY_H0_D_INF),
@@ -93,10 +100,15 @@ UNDERFLOW_CALLS = {
     "check_r4 rho k": lambda: conv.check_r4(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY, XI),
     "check_r5 rho l k": lambda: conv.check_r5(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
     "check_r5 h0 d_inf": lambda: conv.check_r5(UNIT_THERMAL, UNIT_MUSHY, TINY_H0_D_INF),
+    "check_r5 2 q0^2": lambda: conv.check_r5(UNIT_THERMAL, UNIT_MUSHY, TINY_Q0),
     "check_r6 k rho c": lambda: diri.check_r6(TINY_RHO_K, UNIT_BOUNDARY),
     "check_r7 rho k": lambda: diri.check_r7(TINY_RHO_K, UNIT_BOUNDARY),
     "check_r8 rho k": lambda: diri.check_r8(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
     "check_r9 2 q0^2": lambda: diri.check_r9(UNIT_THERMAL, UNIT_MUSHY, TINY_Q0),
+    "check_r9 rho l k": lambda: diri.check_r9(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
+    "check_r6 face argument": lambda: diri.check_r6(*ZERO_INF_FACE),
+    "check_r3 Stefan target": lambda: conv.check_r3(*ZERO_INF_STEFAN, XI),
+    "check_r7 Stefan target": lambda: diri.check_r7(*ZERO_INF_STEFAN),
     "solve_eta_r7 rho k": lambda: diri.solve_eta_r7(TINY_RHO_K, UNIT_BOUNDARY),
     "solve_eta_r8 rho k": lambda: diri.solve_eta_r8(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
 }
