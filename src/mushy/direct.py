@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional
 from . import specfun
 from .errors import DomainError, NumericalError
 from .model import (
+    _DIRICHLET,
     BoundaryData,
     Face,
     MushyCoefficients,
@@ -36,6 +37,7 @@ __all__ = [
     "stefan_lhs",
     "stefan_lhs_derivative",
     "stefan_rhs",
+    "specific_heat_products",
     "mushy_strength",
     "zone_strength",
     "balance_equation",
@@ -54,10 +56,10 @@ __all__ = [
 
 SQRT_PI = math.sqrt(math.pi)
 
-_DIRICHLET = Face.DIRICHLET  # bound once: a read through the enum class costs ~10x
-
 #: The least positive normal double: below it a product has lost digits.
 _NORMAL_MIN = sys.float_info.min
+
+_INF = math.inf  # a module global: cheaper to read than math.inf on every solve
 
 
 class Region(Enum):
@@ -118,6 +120,22 @@ def stefan_rhs(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
         raise NumericalError("the Stefan target (q0 / l) sqrt(c / (rho k)) is 0 times inf, "
                              "outside the range of a double")
     return rhs
+
+
+def specific_heat_products(thermal: ThermalCoefficients, boundary: BoundaryData) -> tuple[float, float]:
+    """The products rho l k and 2 q0^2 that R5 and R9, the root-existence
+    conditions of the specific-heat equation, compare.
+
+    Valid data whose rho l k or 2 q0^2 underflows to 0 raise
+    NumericalError, in that order.
+    """
+    rho_l_k = thermal.rho * thermal.l * thermal.k
+    if rho_l_k == 0.0:
+        raise NumericalError("rho l k underflows to 0, outside the range of a double")
+    two_q0_sq = 2.0 * boundary.q0 * boundary.q0
+    if two_q0_sq == 0.0:
+        raise NumericalError("2 q0^2 underflows to 0, outside the range of a double")
+    return rho_l_k, two_q0_sq
 
 
 def balance_equation(strength: float, target: float, name: str) -> MonotoneEquation:
@@ -205,7 +223,10 @@ def build_solution(
     b_coef = q0 * _sqrt_product(math.pi, alpha) / k
     a_coef = -b_coef * math.erf(xi)  # xi is checked above
     mu = xi + gamma * math.sqrt(k * rho * c) * math.exp(xi * xi) / (2.0 * q0)
-    return SimilaritySolution(a_coef, b_coef, xi, mu, alpha)
+    solution = SimilaritySolution(a_coef, b_coef, xi, mu, alpha)
+    if mu == _INF:  # after the record's checks, whose ValidationErrors (a NaN mu's too) come first
+        raise NumericalError("the liquid front mu leaves the range of a double")
+    return solution
 
 
 def _similarity_variable(sol: SimilaritySolution, x: float, t: float) -> float:

@@ -2,7 +2,8 @@
 
 Kept at the bottom of the dependency graph so that the special-function
 kernel, the root finder and the domain types can all raise through a
-common set of errors without importing each other.
+common set of errors without importing each other.  The one test of what
+counts as a number, :func:`as_number`, lives here for the same reason.
 """
 
 from __future__ import annotations
@@ -75,3 +76,17 @@ class ConvergenceError(NumericalError):
 
 class IllConditionedWarning(UserWarning):
     """Diagnostic for inputs that are accepted but numerically delicate."""
+
+
+def as_number(name: str, value, error: type[SolverError]) -> float:
+    """``value`` as a float, for an argument that is not one already: an int
+    or another real number that fits in a double.  A bool, text and an int
+    outside the double range raise ``error`` naming ``name``."""
+    # float() would also take text ("1") and a bool; a number is anything
+    # with a float or an integer value, bool excepted.
+    if isinstance(value, bool) or not (hasattr(value, "__float__") or hasattr(value, "__index__")):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the double range
+        raise error(f"{name} must fit in a double, got an integer outside its range") from None

@@ -31,6 +31,7 @@ from .direct import (
     face_argument,
     face_factor,
     mushy_strength,
+    specific_heat_products,
     stefan_lhs,
     stefan_rhs,
     xexp_sq,
@@ -38,9 +39,15 @@ from .direct import (
 )
 from .errors import NumericalError, RestrictionError
 from .model import (
+    _C,
+    _CONVECTIVE,
+    _EPSILON,
+    _GAMMA,
+    _K,
+    _L,
+    _RHO,
     BoundaryData,
     CaseResult,
-    Face,
     MushyCoefficients,
     RestrictionReport,
     ThermalCoefficients,
@@ -64,13 +71,6 @@ __all__ = [
     "xi_equation_kr",
     "xi_equation_c",
 ]
-
-
-# The members the solve path compares against, bound once: a read through
-# the enum class costs about ten times a module global's.
-_CONVECTIVE = Face.CONVECTIVE
-_L, _GAMMA, _EPSILON = UnknownCase.L, UnknownCase.GAMMA, UnknownCase.EPSILON
-_K, _RHO, _C = UnknownCase.K, UnknownCase.RHO, UnknownCase.C
 
 
 # --- restriction checks ----------------------------------------------------
@@ -123,16 +123,12 @@ def check_r5(
 
     Root-existence condition for the unknown-specific-heat equation: it is
     algebraically equivalent to the equation's target exceeding its value
-    at xi -> 0+.  Valid data whose rho l k or 2 q0^2 underflows to 0 raise
-    NumericalError.
+    at xi -> 0+.  Valid data that underflow h0 d_inf (in
+    :func:`~mushy.direct.face_factor`), then rho l k or 2 q0^2 (in
+    :func:`~mushy.direct.specific_heat_products`) raise NumericalError.
     """
     lhs = face_factor(boundary, _CONVECTIVE)
-    rho_l_k = thermal.rho * thermal.l * thermal.k
-    if rho_l_k == 0.0:
-        raise NumericalError("rho l k underflows to 0, outside the range of a double")
-    two_q0_sq = 2.0 * boundary.q0 * boundary.q0
-    if two_q0_sq == 0.0:
-        raise NumericalError("2 q0^2 underflows to 0, outside the range of a double")
+    rho_l_k, two_q0_sq = specific_heat_products(thermal, boundary)
     rhs = (two_q0_sq / rho_l_k - mushy.gamma * (1.0 - mushy.epsilon)) / boundary.d_inf
     return tuple.__new__(RestrictionReport, ("R5", lhs < rhs, lhs, rhs, ""))
 

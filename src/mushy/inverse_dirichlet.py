@@ -38,12 +38,26 @@ import math
 from typing import NamedTuple, Optional
 
 from . import inverse_convective, specfun
-from .direct import balance_equation, build_solution, dxexp_sq, face_argument, stefan_rhs, xexp_sq, zone_strength
+from .direct import (
+    balance_equation,
+    build_solution,
+    dxexp_sq,
+    face_argument,
+    specific_heat_products,
+    stefan_rhs,
+    xexp_sq,
+    zone_strength,
+)
 from .errors import NoRootError, NumericalError, RestrictionError
 from .model import (
+    _C,
+    _DIRICHLET,
+    _GAMMA,
+    _K,
+    _L,
+    _RHO,
     BoundaryData,
     CaseResult,
-    Face,
     MushyCoefficients,
     RestrictionReport,
     ThermalCoefficients,
@@ -66,13 +80,6 @@ __all__ = [
     "LimitStudy",
     "limit_study",
 ]
-
-
-# The members the solve path compares against, bound once: a read through
-# the enum class costs about ten times a module global's.
-_DIRICHLET = Face.DIRICHLET
-_L, _GAMMA = UnknownCase.L, UnknownCase.GAMMA
-_K, _RHO, _C = UnknownCase.K, UnknownCase.RHO, UnknownCase.C
 
 
 # --- auxiliary roots and restriction checks --------------------------------
@@ -164,14 +171,10 @@ def check_r9(
 
     Exactly the condition for the specific-heat equation's target to exceed
     its 0+ limit, and the h0 -> infinity limit of the convective R5.  Valid
-    data whose rho l k or 2 q0^2 underflows to 0 raise NumericalError.
+    data that underflow rho l k or 2 q0^2 raise NumericalError, from R5's
+    guard :func:`~mushy.direct.specific_heat_products`.
     """
-    rho_l_k = thermal.rho * thermal.l * thermal.k
-    if rho_l_k == 0.0:
-        raise NumericalError("rho l k underflows to 0, outside the range of a double")
-    two_q0_sq = 2.0 * boundary.q0 * boundary.q0
-    if two_q0_sq == 0.0:
-        raise NumericalError("2 q0^2 underflows to 0, outside the range of a double")
+    rho_l_k, two_q0_sq = specific_heat_products(thermal, boundary)
     lhs = rho_l_k * (boundary.d_inf + mushy.gamma * (1.0 - mushy.epsilon)) / two_q0_sq
     return tuple.__new__(RestrictionReport, ("R9", lhs < 1.0, lhs, 1.0, _R9_NOTE))
 

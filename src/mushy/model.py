@@ -25,7 +25,7 @@ import math
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import ValidationError
+from .errors import ValidationError, as_number
 
 __all__ = [
     "Face",
@@ -49,12 +49,6 @@ class Face(Enum):
     DIRICHLET = "dirichlet"
 
 
-# A member read through its class goes through the enum metaclass, about ten
-# times the cost of reading a module global, so the solve path compares
-# against members bound here once.
-_CONVECTIVE = Face.CONVECTIVE
-
-
 class UnknownCase(Enum):
     """Which single coefficient is treated as unknown."""
 
@@ -64,6 +58,14 @@ class UnknownCase(Enum):
     K = "k"  # thermal conductivity
     RHO = "rho"  # density
     C = "c"  # specific heat
+
+
+# A member read through its class goes through the enum metaclass, about ten
+# times the cost of reading a module global, so the solve path (here,
+# direct and both inverse modules) compares against members bound here once.
+_CONVECTIVE, _DIRICHLET = Face.CONVECTIVE, Face.DIRICHLET
+_L, _GAMMA, _EPSILON = UnknownCase.L, UnknownCase.GAMMA, UnknownCase.EPSILON
+_K, _RHO, _C = UnknownCase.K, UnknownCase.RHO, UnknownCase.C
 
 
 class _DataclassFields:
@@ -291,14 +293,7 @@ def with_coefficient(
 def _check_positive(name: str, value: Optional[float]) -> float:
     if value is None:
         raise ValidationError(f"{name} is required but missing")
-    # float() would also take text ("1") and a bool; a number is anything
-    # with a float or an integer value, bool excepted.
-    if isinstance(value, bool) or not (hasattr(value, "__float__") or hasattr(value, "__index__")):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an int past the double range
-        raise ValidationError(f"{name} must fit in a double, got an integer outside its range") from None
+    value = as_number(name, value, ValidationError)
     if math.isnan(value) or value <= 0.0:
         raise ValidationError(f"{name} must be positive, got {value!r}")
     return value

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .errors import DomainError, IllConditionedWarning
+from .errors import DomainError, IllConditionedWarning, as_number
 
 __all__ = ["erf", "erf_inv", "TWO_OVER_SQRT_PI"]
 
@@ -52,22 +52,10 @@ _SQRT_PI_OVER_2 = 0.886226925452758  # sqrt(pi)/2 correctly rounded; 0.5*sqrt(ma
 _HALLEY_STOP = 0.375 * 2.0**-53
 
 
-def _number(name: str, value) -> float:
-    """``value`` as a float, for an argument that is not one already: an int
-    or another real number that fits in a double.  A bool, text and an int
-    outside the double range raise DomainError."""
-    if isinstance(value, bool) or not (hasattr(value, "__float__") or hasattr(value, "__index__")):
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int past the double range
-        raise DomainError(f"{name} must fit in a double, got an integer outside its range") from None
-
-
 def erf(x: float) -> float:
     """Gaussian error function, odd and strictly increasing on the reals."""
     if type(x) is not float:
-        x = _number("x", x)
+        x = as_number("x", x, DomainError)
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     return math.erf(x)
@@ -96,7 +84,7 @@ def erf_inv(y: float) -> float:
     1 - 1e-12 are accepted but emit :class:`IllConditionedWarning`.
     """
     if type(y) is not float:
-        y = _number("y", y)
+        y = as_number("y", y, DomainError)
     if not -1.0 < y < 1.0:
         if not math.isfinite(y):
             raise DomainError(f"y must be finite, got {y!r}")

@@ -25,7 +25,7 @@ from .direct import (
     temperature,
     temperature_gradient,
 )
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .model import (
     BoundaryData,
     Face,
@@ -208,7 +208,10 @@ def condition_residuals(
     * face:         convective exchange or prescribed temperature at x = 0.
 
     Each residual is divided by the magnitude of its dominant term at the
-    same t, so the map is dimensionless and unit-system independent.
+    same t, so the map is dimensionless and unit-system independent.  A
+    conducted flux k dT/dx at s(t) that underflows to 0 (it carries the
+    factor e**-xi^2) leaves the Stefan residual without a scale and
+    raises NumericalError.
     """
     if not t_points:
         raise DomainError("t_points must be nonempty")
@@ -232,7 +235,11 @@ def condition_residuals(
             mushy.epsilon * front_s_velocity(sol, t)
             + (1.0 - mushy.epsilon) * front_r_velocity(sol, t)
         )
-        res["stefan"] = max(res["stefan"], abs(thermal.k * grad_s - melt) / abs(thermal.k * grad_s))
+        conducted = thermal.k * grad_s
+        if conducted == 0.0:
+            raise NumericalError("the conducted flux k dT/dx at s(t) underflows to 0, "
+                                 "outside the range of a double")
+        res["stefan"] = max(res["stefan"], abs(conducted - melt) / abs(conducted))
         res["mushy_width"] = max(res["mushy_width"], abs(grad_s * (r_t - s_t) - mushy.gamma) / mushy.gamma)
         res["flux"] = max(res["flux"], abs(thermal.k * grad_0 - flux_scale) / flux_scale)
         if face is Face.CONVECTIVE and boundary.h0 != math.inf:

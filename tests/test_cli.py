@@ -3,9 +3,11 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -541,20 +543,100 @@ RESTRICTION_UNDERFLOW_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("row", [*OUT_OF_RANGE_ROWS, DIRECT_UNDERFLOW_ROW, *RESTRICTION_UNDERFLOW_ROWS],
+# A Dirichlet k scenario whose k rho c overflows although sqrt(k rho c) is
+# finite, so the liquid front mu is inf.
+INFINITE_MU_ROW = (Face.DIRICHLET, UnknownCase.K,
+                   ThermalCoefficients(l=4.793954489598483e-94, rho=1.668299896274269e-208, c=1.7e308),
+                   MushyCoefficients(epsilon=0.17541148807025056, gamma=4.858041955922482e-209),
+                   BoundaryData(q0=59.68649591507172, d_inf=1.83137070194321e-171))
+
+# A direct scenario that solves (xi = 23.87), whose conducted flux
+# k dT/dx at s(t) underflows to 0 with e^{-xi^2}: only verify forms it.
+CONDUCTED_FLUX_UNDERFLOW_ROW = (
+    Face.DIRICHLET, None,
+    ThermalCoefficients(l=5e-324, k=2.9929541669233957e24, rho=947425611.8290899, c=4959.6611156499075),
+    MushyCoefficients(epsilon=0.4821750452202234, gamma=5e-324),
+    BoundaryData(q0=7.965444514700714e-60, d_inf=3.161757674811056e-110))
+
+
+@pytest.mark.parametrize("row", [*OUT_OF_RANGE_ROWS, DIRECT_UNDERFLOW_ROW, *RESTRICTION_UNDERFLOW_ROWS,
+                                 INFINITE_MU_ROW, CONDUCTED_FLUX_UNDERFLOW_ROW],
                          ids=["value-inf", "rho-k-underflow", "direct-underflow", "r3-rho-k-underflow",
                               "r2-k-rho-c-underflow", "r6-k-rho-c-underflow", "r9-q0-squared-underflow",
                               "r5-q0-squared-underflow", "r9-rho-l-k-underflow", "r6-face-argument-nan",
-                              "r7-stefan-target-nan"])
+                              "r7-stefan-target-nan", "mu-inf", "conducted-flux-underflow"])
 def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
     path = tmp_path / "range.ini"
     path.write_text(scenario_to_ini(ProblemInstance(*row)))
     # check-restrictions fails only where a restriction's own product underflows
     checks = ("check-restrictions",) if row in RESTRICTION_UNDERFLOW_ROWS else ()
-    for sub in ("solve", "verify", "profile", *checks):
+    subs = ("solve", "verify", "profile", *checks)
+    if row == CONDUCTED_FLUX_UNDERFLOW_ROW:
+        code, _, err = run(["solve", str(path)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        subs = ("verify",)
+    for sub in subs:
         code, out, err = run([sub, str(path)], capsys)
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "range of a double" in err
+
+
+#: The edge values of a wide-range draw; see :func:`wide_range_scenario`.
+WIDE_RANGE_EDGES = (5e-324, 1.7e308, 1e-310, 1.0, 2.0)
+
+
+def wide_range_scenario(rng):
+    """A scenario document whose data span the double range: each of l, k,
+    rho, c, gamma, q0, d_inf (and h0 on the convective face) is 10^U(-300,
+    300) with probability 0.7, 10^U(-5, 5) with probability 0.15, and an
+    edge value otherwise; epsilon is U(0.001, 0.999).  The face and the
+    case (direct included) are uniform."""
+
+    def datum():
+        u = rng.random()
+        if u < 0.7:
+            return 10.0 ** rng.uniform(-300.0, 300.0)
+        if u < 0.85:
+            return 10.0 ** rng.uniform(-5.0, 5.0)
+        return rng.choice(WIDE_RANGE_EDGES)
+
+    face = rng.choice(("convective", "dirichlet"))
+    case = rng.choice(("l", "gamma", "epsilon", "k", "rho", "c", "direct"))
+    coefficients = {name: datum() for name in ("l", "k", "rho", "c", "gamma")}
+    coefficients["epsilon"] = rng.uniform(0.001, 0.999)
+    coefficients.pop(case, None)
+    boundary = {"q0": datum(), "d_inf": datum()}
+    if face == "convective":
+        boundary["h0"] = datum()
+    return {"problem": {"type": face, "case": case}, "coefficients": coefficients, "boundary": boundary}
+
+
+def test_wide_range_data_keep_the_exit_code_contract(tmp_path, capsys):
+    # Valid data anywhere in the double range get an exit code, never a
+    # traceback, and a solve that exits 0 prints finite numbers.  Whether
+    # the numbers are accurate is not checked here.
+    rng = random.Random(1)
+    path = tmp_path / "wide.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # as in a mushy process: a warning is a stderr line
+        for _ in range(2000):
+            scenario = wide_range_scenario(rng)
+            path.write_text(json.dumps(scenario))
+            commands = [["solve"], ["check-restrictions"], ["verify"], ["profile", "--nx", "3"]]
+            if scenario["problem"]["type"] == "dirichlet" and scenario["problem"]["case"] != "direct":
+                commands.append(["limit"])  # limit studies a Dirichlet unknown
+            for argv in commands:
+                try:
+                    code, out, _ = run([*argv, str(path)], capsys)
+                except Exception as err:
+                    pytest.fail(f"{argv[0]} raised {err!r} on {json.dumps(scenario)}")
+                if argv[0] == "solve" and code == EXIT_OK:
+                    doc = json.loads(out)
+                    # a non-finite number prints as a string; a direct solve has no value
+                    numbers = {key: doc[key] for key in ("value", "xi", "mu", "alpha", "a_coef", "b_coef")
+                               if key in doc}
+                    assert all(type(v) is float and math.isfinite(v) for v in numbers.values()), (
+                        json.dumps(scenario), numbers)
 
 
 # alpha = k / (rho c) = 1e308 while k rho c = 1, so pi alpha overflows while

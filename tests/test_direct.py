@@ -19,7 +19,7 @@ from mushy.direct import (
     temperature_gradient,
     xexp_sq,
 )
-from mushy.errors import DomainError, ValidationError
+from mushy.errors import DomainError, NumericalError, ValidationError
 from mushy.manufacture import random_problem
 from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase, with_coefficient
 from mushy.rootfind import solve_increasing
@@ -64,6 +64,15 @@ def test_vanishing_zone_strength_collapses_the_zone():
     mushy = MushyCoefficients(epsilon=0.5, gamma=1e-300)
     with pytest.raises(ValidationError):
         build_solution(thermal, mushy, boundary, 0.5)
+
+
+def test_an_infinite_liquid_front_is_a_numerical_error():
+    # k rho c overflows, so mu = xi + gamma sqrt(k rho c) e^{xi^2} / (2 q0)
+    # is inf although alpha and b_coef are doubles.
+    thermal = ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1.0)
+    boundary = BoundaryData(q0=1.0, d_inf=1.0)
+    with pytest.raises(NumericalError, match="the liquid front mu leaves the range of a double"):
+        build_solution(thermal, MushyCoefficients(epsilon=0.5, gamma=1.0), boundary, 0.5)
 
 
 def test_amplitude_ratio_identity():

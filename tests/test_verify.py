@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mushy.direct import build_solution, front_s, xexp_sq
-from mushy.errors import DomainError
-from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients
+from mushy.errors import DomainError, NumericalError
+from mushy.model import BoundaryData, Face, MushyCoefficients, SimilaritySolution, ThermalCoefficients
 from mushy.rootfind import MonotoneEquation
 from mushy.verify import (
     CONDITION_IDS,
@@ -154,6 +154,15 @@ def test_infinite_exchange_uses_the_limit_face_form(dirichlet_example):
     diri = condition_residuals(sol, p.thermal, p.mushy, p.boundary, [1.0], Face.DIRICHLET)
     assert conv.condition_residuals["face"] == diri.condition_residuals["face"]
     assert math.isfinite(conv.condition_residuals["face"])
+
+
+def test_an_underflowing_conducted_flux_is_a_numerical_error(convective_example):
+    # At xi = 30, e^{-xi^2} underflows to 0 and so does k dT/dx at s(t), the
+    # Stefan residual's scale: a NumericalError, not a ZeroDivisionError.
+    p = convective_example
+    sol = SimilaritySolution(a_coef=-1.0, b_coef=1.0, xi=30.0, mu=31.0, alpha=1.0)
+    with pytest.raises(NumericalError, match="conducted flux .* range of a double"):
+        condition_residuals(sol, p.thermal, p.mushy, p.boundary, [1.0], Face.CONVECTIVE)
 
 
 @given(st.floats(min_value=0.05, max_value=2.9))
