@@ -32,10 +32,14 @@ the option's own check rejects a bad one.  The last occurrence of an option
 wins, except ``profile --t``, whose values are all kept.  The scenario may
 come anywhere among the options.  ``-h``/``--help`` prints help and exits 0.
 
-Exit codes: 0 success, 1 input error (a malformed command line included),
-2 restriction failure, 3 numerical failure, 4 verification residual
-failure.  solve, verify, check-restrictions and limit write one JSON
-document; profile writes two CSV tables separated by a blank line.  Every
+Exit codes: 0 success, 1 input error (a malformed command line, a scenario
+that does not validate, an output that cannot be written), 2 restriction
+failure, 3 numerical failure (valid data whose solution leaves the double
+range included), 4 verification residual failure.  Each handler returns
+its result and exit code, and ``main`` writes the result: solve, verify,
+check-restrictions and limit write one JSON document, whose last key is
+the ``"warnings"`` the library raised, when it raised any; profile writes
+two CSV tables separated by a blank line.  Every
 float is written as Python's repr, the shortest string that reads back as
 the same double; in JSON a non-finite number is the string "inf", "-inf" or
 "nan".
@@ -294,6 +298,8 @@ def _solve(args: SimpleNamespace) -> tuple[ProblemInstance, Optional[CaseResult]
             solution = build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
         except ZeroDivisionError:  # as in the case solvers: a product of valid data underflowed
             raise NumericalError(f"case direct: {inverse_convective.UNDERFLOW}") from None
+        except (ValidationError, DomainError) as err:  # as in the case solvers: the solution left the range
+            raise NumericalError(f"case direct: {inverse_convective.SOLUTION_OUT_OF_RANGE}: {err}") from None
         return instance, None, solution
     if instance.face is Face.CONVECTIVE:
         solve_case = inverse_convective.solve_case
@@ -357,7 +363,7 @@ def _check_positive(flag: str, *values: float) -> None:
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_solve(args: SimpleNamespace) -> int:
+def cmd_solve(args: SimpleNamespace) -> tuple[dict, int]:
     instance, result, solution = _solve(args)
     residuals = consistency_residuals(
         instance.thermal, instance.mushy, instance.boundary, solution.xi, instance.face
@@ -374,11 +380,10 @@ def cmd_solve(args: SimpleNamespace) -> int:
         restrictions=[_report_doc(r) for r in (result.reports if result else ())],
         residuals={"stefan": residuals.res_stefan, "face": residuals.res_face},
     )
-    _write(_json_text(doc), args.out)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_profile(args: SimpleNamespace) -> int:
+def cmd_profile(args: SimpleNamespace) -> tuple[str, int]:
     times = sorted(args.t or [1.0])
     _check_positive("--t", *times)
     if args.xmax is not None:
@@ -404,11 +409,10 @@ def cmd_profile(args: SimpleNamespace) -> int:
     buf.write("\nt,s,r\n")
     for t in times:
         buf.write(f"{t!r},{front_s(solution, t)!r},{front_r(solution, t)!r}\n")
-    _write(buf.getvalue(), args.out)
-    return EXIT_OK
+    return buf.getvalue(), EXIT_OK
 
 
-def cmd_limit(args: SimpleNamespace) -> int:
+def cmd_limit(args: SimpleNamespace) -> tuple[dict, int]:
     instance = load_scenario(args.scenario)
     if instance.face is not Face.DIRICHLET:
         raise ValidationError("the limit study needs a dirichlet scenario (the convective side is generated)")
@@ -447,11 +451,10 @@ def cmd_limit(args: SimpleNamespace) -> int:
     }
     if not was_sorted:
         doc["note"] = "h0 grid was unsorted; processed in ascending order"
-    _write(_json_text(doc), args.out)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_verify(args: SimpleNamespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
     from . import verify
 
     instance, result, solution = _solve(args)
@@ -464,7 +467,10 @@ def cmd_verify(args: SimpleNamespace) -> int:
     # the fixed step would leave it, so half the widest step that stays is used.
     reach = 2.0 * _sqrt_product(solution.alpha, VERIFY_TIMES[-1])
     fd_step = VERIFY_FD_STEP if VERIFY_FD_STEP * reach <= xs[0] else 0.5 * xs[0] / reach
-    fd = verify.pde_residual(solution, xs, VERIFY_TIMES, fd_step=fd_step)
+    try:
+        fd = verify.pde_residual(solution, xs, VERIFY_TIMES, fd_step=fd_step)
+    except DomainError as err:  # the step or the stencil left the double range with the solution's scales
+        raise NumericalError(f"the finite-difference check leaves the range of a double: {err}") from None
 
     failures = sorted(
         name for name, value in conditions.condition_residuals.items() if value > VERIFY_CONDITION_TOL
@@ -483,11 +489,10 @@ def cmd_verify(args: SimpleNamespace) -> int:
         "failures": failures,
         "passed": not failures,
     }
-    _write(_json_text(doc), args.out)
-    return EXIT_OK if not failures else EXIT_RESIDUAL
+    return doc, EXIT_OK if not failures else EXIT_RESIDUAL
 
 
-def cmd_manufacture(args: SimpleNamespace) -> int:
+def cmd_manufacture(args: SimpleNamespace) -> tuple[str, int]:
     from .manufacture import manufacture
 
     problem = manufacture(
@@ -508,11 +513,10 @@ def cmd_manufacture(args: SimpleNamespace) -> int:
         truth = (case.value, value)
     instance = ProblemInstance(problem.face, case, thermal, mushy, problem.boundary)
     text = scenario_to_json(instance, truth) if args.format == "json" else scenario_to_ini(instance, truth)
-    _write(text, args.out)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def cmd_check_restrictions(args: SimpleNamespace) -> int:
+def cmd_check_restrictions(args: SimpleNamespace) -> tuple[dict, int]:
     instance = load_scenario(args.scenario)
     reports: tuple[RestrictionReport, ...] = ()
     if instance.case is not None:
@@ -532,8 +536,7 @@ def cmd_check_restrictions(args: SimpleNamespace) -> int:
     doc["all_satisfied"] = all_ok
     if instance.case is not None and not reports:
         doc["note"] = "this case carries no solvability restriction"
-    _write(_json_text(doc), args.out)
-    return EXIT_OK if all_ok else EXIT_RESTRICTION
+    return doc, EXIT_OK if all_ok else EXIT_RESTRICTION
 
 
 # --- command line ------------------------------------------------------------
@@ -702,26 +705,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if parsed is None:
         return EXIT_OK
     handler, args = parsed
-    # a library warning is one line on stderr, as an error is
-    warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
-    try:
+    out, error = args.out, None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")  # each warning once per place, as in a fresh process
         try:
-            return handler(args)
-        except RestrictionError as err:
-            doc = {
+            output, code = handler(args)
+        except RestrictionError as err:  # its document goes to stdout
+            output = {
                 "error": "restriction failure",
                 "detail": str(err),
                 "restrictions": [_report_doc(r) for r in err.reports],
             }
-            _write(_json_text(doc), None)  # a failed write is reported below
-            sys.stderr.write(f"error: {err}\n")
-            return EXIT_RESTRICTION
-    except (ValidationError, DomainError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_INPUT
-    except SolverError as err:  # any remaining package error is a numerical one
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_NUMERICAL
+            out, code, error = None, EXIT_RESTRICTION, err
+        except SolverError as err:  # any package error but an input one is a numerical one
+            output, error = None, err
+            code = EXIT_INPUT if isinstance(err, (ValidationError, DomainError)) else EXIT_NUMERICAL
+    # a library warning is one line on stderr, as an error is, and an entry of the JSON document
+    notes = [str(w.message) for w in caught]
+    sys.stderr.writelines(f"warning: {note}\n" for note in notes)
+    if isinstance(output, dict):
+        output = _json_text({**output, "warnings": notes} if notes else output)
+    try:
+        if output is not None:
+            _write(output, out)
+    except ValidationError as err:  # a failed write replaces the subcommand's error and exit code
+        code, error = EXIT_INPUT, err
+    if error is not None:
+        sys.stderr.write(f"error: {error}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -248,24 +248,6 @@ def _sqrt_product(alpha: float, t: float) -> float:
     return math.sqrt(alpha) * math.sqrt(t)
 
 
-def _sqrt_pi_product(alpha: float, t: float) -> float:
-    """sqrt(pi alpha t) for positive alpha and t: :func:`_sqrt_product` of
-    pi alpha and t, or, where pi alpha itself leaves the normal range,
-    sqrt(pi) times the root of alpha t."""
-    pi_alpha = math.pi * alpha
-    if _NORMAL_MIN <= pi_alpha < math.inf:
-        return _sqrt_product(pi_alpha, t)
-    return SQRT_PI * _sqrt_product(alpha, t)
-
-
-def _sqrt_quotient(alpha: float, t: float) -> float:
-    """sqrt(alpha / t) for positive alpha and t, as :func:`_sqrt_product`."""
-    quotient = alpha / t
-    if _NORMAL_MIN <= quotient < math.inf:
-        return math.sqrt(quotient)
-    return math.sqrt(alpha) / math.sqrt(t)
-
-
 def temperature(sol: SimilaritySolution, x: float, t: float) -> tuple[float, Region]:
     """Temperature and region tag at (x, t), t > 0.
 
@@ -287,7 +269,7 @@ def temperature_gradient(sol: SimilaritySolution, x: float, t: float) -> float:
     eta = _similarity_variable(sol, x, t)
     if eta > sol.xi:
         return 0.0
-    return sol.b_coef * math.exp(-eta * eta) / _sqrt_pi_product(sol.alpha, t)
+    return sol.b_coef * math.exp(-eta * eta) / (SQRT_PI * _sqrt_product(sol.alpha, t))
 
 
 def front_s(sol: SimilaritySolution, t: float) -> float:
@@ -305,17 +287,17 @@ def front_r(sol: SimilaritySolution, t: float) -> float:
 
 
 def front_s_velocity(sol: SimilaritySolution, t: float) -> float:
-    """ds/dt = xi sqrt(alpha / t); singular at t = 0."""
+    """ds/dt = s(t) / (2 t) = xi sqrt(alpha / t); singular at t = 0."""
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t!r}")
-    return sol.xi * _sqrt_quotient(sol.alpha, t)
+    return front_s(sol, t) / (2.0 * t)
 
 
 def front_r_velocity(sol: SimilaritySolution, t: float) -> float:
-    """dr/dt = mu sqrt(alpha / t); singular at t = 0."""
+    """dr/dt = r(t) / (2 t) = mu sqrt(alpha / t); singular at t = 0."""
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t!r}")
-    return sol.mu * _sqrt_quotient(sol.alpha, t)
+    return front_r(sol, t) / (2.0 * t)
 
 
 class ConsistencyResiduals(NamedTuple):

@@ -37,7 +37,7 @@ from .direct import (
     xexp_sq,
     zone_strength,
 )
-from .errors import NumericalError, RestrictionError
+from .errors import DomainError, NumericalError, RestrictionError, ValidationError
 from .model import (
     _C,
     _CONVECTIVE,
@@ -134,8 +134,11 @@ def check_r5(
 
 
 #: Why a solve of valid data can still fail: a product of them leaves the
-#: double range.  The restriction checks name the product they meet.
+#: double range, or a figure of the solution built from them does (an xi,
+#: b_coef or mu the solution record refuses).  The restriction checks name
+#: the product they meet.
 UNDERFLOW = "a product of the data underflows to 0, outside the range of a double"
+SOLUTION_OUT_OF_RANGE = "the solution leaves the range of a double"
 
 
 def check_all(
@@ -362,4 +365,6 @@ def solve_case(
         solution = build_solution(thermal, mushy, boundary, xi, value)
     except ZeroDivisionError:
         raise NumericalError(f"case {case.value}: {UNDERFLOW}") from None
+    except (ValidationError, DomainError) as err:  # build_solution's checks of xi and the record
+        raise NumericalError(f"case {case.value}: {SOLUTION_OUT_OF_RANGE}: {err}") from None
     return tuple.__new__(CaseResult, (case, value, xi, solution, reports))

@@ -48,7 +48,7 @@ from .direct import (
     xexp_sq,
     zone_strength,
 )
-from .errors import NoRootError, NumericalError, RestrictionError
+from .errors import DomainError, NoRootError, NumericalError, RestrictionError, ValidationError
 from .model import (
     _C,
     _DIRICHLET,
@@ -268,6 +268,8 @@ def solve_dirichlet_case(
         solution = build_solution(thermal, mushy, boundary, xi, value)
     except ZeroDivisionError:
         raise NumericalError(f"case {case.value}: {inverse_convective.UNDERFLOW}") from None
+    except (ValidationError, DomainError) as err:  # build_solution's checks of xi and the record
+        raise NumericalError(f"case {case.value}: {inverse_convective.SOLUTION_OUT_OF_RANGE}: {err}") from None
     return tuple.__new__(CaseResult, (case, value, xi, solution, reports))
 
 

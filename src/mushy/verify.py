@@ -16,7 +16,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .direct import (
-    _sqrt_pi_product,
+    SQRT_PI,
     _sqrt_product,
     front_r,
     front_s,
@@ -224,7 +224,7 @@ def condition_residuals(
         r_t = front_r(sol, t)
         # solid-side limit of dT/dx at the front; evaluating at the rounded
         # s_t can land an ulp past xi, where the gradient is the mushy-zone 0
-        grad_s = sol.b_coef * math.exp(-sol.xi * sol.xi) / _sqrt_pi_product(sol.alpha, t)
+        grad_s = sol.b_coef * math.exp(-sol.xi * sol.xi) / (SQRT_PI * _sqrt_product(sol.alpha, t))
         grad_0 = temperature_gradient(sol, 0.0, t)
         t_face, _ = temperature(sol, 0.0, t)
         t_s, _ = temperature(sol, s_t, t)

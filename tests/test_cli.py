@@ -558,20 +558,47 @@ CONDUCTED_FLUX_UNDERFLOW_ROW = (
     MushyCoefficients(epsilon=0.4821750452202234, gamma=5e-324),
     BoundaryData(q0=7.965444514700714e-60, d_inf=3.161757674811056e-110))
 
+# Valid data whose solution record the double range cannot hold: b_coef
+# underflows to 0; d_inf / q0 underflows, so the face argument and xi are
+# 0; the zone width is below an ulp of xi, so mu = xi.
+SOLUTION_OUT_OF_RANGE_ROWS = [
+    (Face.DIRICHLET, UnknownCase.K,
+     ThermalCoefficients(l=3.7126539620620064e-89, rho=4753772345872347.0, c=4.475086668190959e+248),
+     MushyCoefficients(epsilon=0.06970844741843737, gamma=3.4567775510753537e-104),
+     BoundaryData(q0=1.0, d_inf=3.1567916276458684e-82)),
+    (Face.DIRICHLET, UnknownCase.GAMMA,
+     ThermalCoefficients(l=3.985716307894161e+96, k=1.5362730209334724e+118, rho=0.0008453645108408014,
+                         c=28.119181699172245),
+     MushyCoefficients(epsilon=0.0692452985407008), BoundaryData(q0=4.377958488297406e+138, d_inf=1e-310)),
+    (Face.CONVECTIVE, UnknownCase.K, ThermalCoefficients(l=1.5576015661428098, rho=1.0, c=1.0),
+     MushyCoefficients(epsilon=0.5, gamma=1e-20), BoundaryData(q0=1.0, d_inf=1.4225620128255847, h0=2.0)),
+]
+
+# A Dirichlet gamma scenario that solves, whose verify step 0.5 x / reach
+# underflows to 0 at the nearest sample point: only verify fails.
+FD_STEP_UNDERFLOW_ROW = (
+    Face.DIRICHLET, UnknownCase.GAMMA,
+    ThermalCoefficients(l=78830074411186.88, k=4.0882466212144997e-91, rho=0.002846980799529645,
+                        c=1.1273698198813088e-38),
+    MushyCoefficients(epsilon=0.13065986204265423),
+    BoundaryData(q0=2.624098373972576e-17, d_inf=1.9146477759761452e-260))
+
 
 @pytest.mark.parametrize("row", [*OUT_OF_RANGE_ROWS, DIRECT_UNDERFLOW_ROW, *RESTRICTION_UNDERFLOW_ROWS,
-                                 INFINITE_MU_ROW, CONDUCTED_FLUX_UNDERFLOW_ROW],
+                                 INFINITE_MU_ROW, CONDUCTED_FLUX_UNDERFLOW_ROW, *SOLUTION_OUT_OF_RANGE_ROWS,
+                                 FD_STEP_UNDERFLOW_ROW],
                          ids=["value-inf", "rho-k-underflow", "direct-underflow", "r3-rho-k-underflow",
                               "r2-k-rho-c-underflow", "r6-k-rho-c-underflow", "r9-q0-squared-underflow",
                               "r5-q0-squared-underflow", "r9-rho-l-k-underflow", "r6-face-argument-nan",
-                              "r7-stefan-target-nan", "mu-inf", "conducted-flux-underflow"])
+                              "r7-stefan-target-nan", "mu-inf", "conducted-flux-underflow", "b-coef-underflow",
+                              "face-argument-underflow", "mu-equals-xi", "fd-step-underflow"])
 def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
     path = tmp_path / "range.ini"
     path.write_text(scenario_to_ini(ProblemInstance(*row)))
     # check-restrictions fails only where a restriction's own product underflows
     checks = ("check-restrictions",) if row in RESTRICTION_UNDERFLOW_ROWS else ()
     subs = ("solve", "verify", "profile", *checks)
-    if row == CONDUCTED_FLUX_UNDERFLOW_ROW:
+    if row in (CONDUCTED_FLUX_UNDERFLOW_ROW, FD_STEP_UNDERFLOW_ROW):
         code, _, err = run(["solve", str(path)], capsys)
         assert (code, err) == (EXIT_OK, "")
         subs = ("verify",)
@@ -614,29 +641,33 @@ def wide_range_scenario(rng):
 def test_wide_range_data_keep_the_exit_code_contract(tmp_path, capsys):
     # Valid data anywhere in the double range get an exit code, never a
     # traceback, and a solve that exits 0 prints finite numbers.  Whether
-    # the numbers are accurate is not checked here.
+    # the numbers are accurate is not checked here.  Every draw parses, so
+    # exit 1 (bad input) is never right, but for profile's hint to give
+    # --xmax where 1.1 r(t) overflows: a value derived from valid data that
+    # leaves the double range is a numerical failure.
     rng = random.Random(1)
     path = tmp_path / "wide.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("default")  # as in a mushy process: a warning is a stderr line
-        for _ in range(2000):
-            scenario = wide_range_scenario(rng)
-            path.write_text(json.dumps(scenario))
-            commands = [["solve"], ["check-restrictions"], ["verify"], ["profile", "--nx", "3"]]
-            if scenario["problem"]["type"] == "dirichlet" and scenario["problem"]["case"] != "direct":
-                commands.append(["limit"])  # limit studies a Dirichlet unknown
-            for argv in commands:
-                try:
-                    code, out, _ = run([*argv, str(path)], capsys)
-                except Exception as err:
-                    pytest.fail(f"{argv[0]} raised {err!r} on {json.dumps(scenario)}")
-                if argv[0] == "solve" and code == EXIT_OK:
-                    doc = json.loads(out)
-                    # a non-finite number prints as a string; a direct solve has no value
-                    numbers = {key: doc[key] for key in ("value", "xi", "mu", "alpha", "a_coef", "b_coef")
-                               if key in doc}
-                    assert all(type(v) is float and math.isfinite(v) for v in numbers.values()), (
-                        json.dumps(scenario), numbers)
+    for _ in range(2000):
+        scenario = wide_range_scenario(rng)
+        path.write_text(json.dumps(scenario))
+        commands = [["solve"], ["check-restrictions"], ["verify"], ["profile", "--nx", "3"]]
+        if scenario["problem"]["type"] == "dirichlet" and scenario["problem"]["case"] != "direct":
+            commands.append(["limit"])  # limit studies a Dirichlet unknown
+        for argv in commands:
+            try:
+                code, out, err = run([*argv, str(path)], capsys)
+            except Exception as exc:
+                pytest.fail(f"{argv[0]} raised {exc!r} on {json.dumps(scenario)}")
+            if code == EXIT_INPUT:
+                assert argv[0] == "profile" and err.endswith("give --xmax\n"), (
+                    argv[0], err, json.dumps(scenario))
+            if argv[0] == "solve" and code == EXIT_OK:
+                doc = json.loads(out)
+                # a non-finite number prints as a string; a direct solve has no value
+                numbers = {key: doc[key] for key in ("value", "xi", "mu", "alpha", "a_coef", "b_coef")
+                           if key in doc}
+                assert all(type(v) is float and math.isfinite(v) for v in numbers.values()), (
+                    json.dumps(scenario), numbers)
 
 
 # alpha = k / (rho c) = 1e308 while k rho c = 1, so pi alpha overflows while
@@ -845,9 +876,27 @@ def test_library_warning_is_one_stderr_line(tmp_path):
     proc = subprocess.run([*mushy, "solve", str(scenario)], capture_output=True, text=True, env=_python_env(),
                           timeout=60)
     assert proc.returncode == EXIT_OK
-    assert proc.stderr == ("warning: erf_inv argument 0.9999999999999338 is within 1e-12 of saturation; "
-                           "the result is ill conditioned\n")
-    assert json.loads(proc.stdout)["case"] == "l"
+    message = "erf_inv argument 0.9999999999999338 is within 1e-12 of saturation; the result is ill conditioned"
+    assert proc.stderr == f"warning: {message}\n"
+    doc = json.loads(proc.stdout)
+    assert doc["case"] == "l"
+    assert list(doc)[-1] == "warnings" and doc["warnings"] == [message]
+
+
+def test_main_records_warnings_without_touching_the_process_hook(tmp_path, capsys):
+    # In-process, main reports a warning as a mushy process does, under the
+    # error filter of this suite too, and leaves warnings.showwarning as is.
+    scenario = tmp_path / "s.json"
+    code, _, _ = run(["manufacture", "--xi", "5.3", "--k", "1", "--rho", "1", "--c", "1", "--epsilon", "0.5",
+                      "--gamma", "1", "--q0", "1", "--h0", "2", "--case", "l", "--format", "json",
+                      "--out", str(scenario)], capsys)
+    assert code == EXIT_OK
+    hook = warnings.showwarning
+    for _ in range(2):  # each call reports its own warning, as a fresh process would
+        code, out, err = run(["solve", str(scenario)], capsys)
+        assert code == EXIT_OK and err.startswith("warning: erf_inv argument ") and err.count("\n") == 1
+        assert json.loads(out)["warnings"] == [err[len("warning: "):-1]]
+    assert warnings.showwarning is hook
 
 
 def _read_then_close(argv, lines):
@@ -1012,7 +1061,7 @@ def test_output_numbers_are_shortest_round_trip(case_l_path, dirichlet_gamma_pat
 REPORT_DIGESTS = {
     "solve case-l": (0, "cd0e5d71f3d3880803adee7f844d7a06dc4d0b929789fc8103acdeac98c68193"),
     "check-restrictions case-l": (0, "31c997a646b21e328ae88a733ecb1c9527b2327f5ac077a1393cc33ffa3e5799"),
-    "verify case-l": (0, "6da89943fc38fbc83c1df292da9612158a5da0c5ad73a7d3c5a17141fb06a9cc"),
+    "verify case-l": (0, "ef89e11f036e8e8cb6627fc17b24798b85591034921b25f93ad8a7b23b6d1000"),
     "limit case-l": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "profile case-l": (0, "8f51d992d615da74eba2c1dc3fa3b9e096459c4c250705858b83d4b349640dbf"),
     "solve case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -1022,12 +1071,12 @@ REPORT_DIGESTS = {
     "profile case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "solve case-l-dirichlet": (0, "1e793290c3ddd0f6a4c61ba8446c1a1537feafa83cf6c13d650c8f818cd982b5"),
     "check-restrictions case-l-dirichlet": (0, "5c54fa26a232f31a0ed90592710f7d56b7174562c6580b41265d941cfdaedcd4"),
-    "verify case-l-dirichlet": (0, "9f602fe49e7a9b3352b9caea8928003523274b9aded38fd554eab5985ffcf3ff"),
+    "verify case-l-dirichlet": (0, "a7bf9b6e282da27ede68217cef2d648c717d58295513d8b437ebeee86e99d306"),
     "limit case-l-dirichlet": (0, "9791fb1e2764f0635b52a693344c774e5e9d229d717c5b80bd181de5568df21a"),
     "profile case-l-dirichlet": (0, "0fa033ca7a812984769a4dbf29be6d59a071995ffe9d5c4ae25f84b798ff027e"),
     "solve dirichlet-gamma": (0, "8c7cc4b202caa7fbc26f08c4b352fd72fd4be5342dd0e900a0a306a57296442a"),
     "check-restrictions dirichlet-gamma": (0, "5ab038914f8e1350d4f441c4177d90c5213a2439cf8ea43fe8bf2b8b550ba18c"),
-    "verify dirichlet-gamma": (0, "1b83f02f0708c581af803996d780acb0816b2d2679c34e854402e4c7c7d586c2"),
+    "verify dirichlet-gamma": (0, "5813d865addd9623dc3339679cc05ee785ea17d48b30dfdc2e959640feb42556"),
     "limit dirichlet-gamma": (0, "4d5b377864bdccc017d2fe7059074dba24d36bf63ed5bce36979c328d0b556dd"),
     "profile dirichlet-gamma": (0, "348b5afc7f8afc430931f4084d373ec0e847522a78c07fa076d06f31ce209793"),
     "solve dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
