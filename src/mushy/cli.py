@@ -51,11 +51,11 @@ import io
 import json
 import math
 import os
+import reprlib
 import sys
 import warnings
-from pathlib import Path
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import Optional, Sequence
 
 # Only what a convective solve runs is imported here; configparser, verify,
 # manufacture and inverse_dirichlet are imported where they are used, so a
@@ -139,7 +139,7 @@ def _json_text(doc: dict) -> str:
 # --- scenario files ---------------------------------------------------------
 
 
-def _parse_case(token: str) -> Optional[UnknownCase]:
+def _parse_case(token: str) -> UnknownCase | None:
     if token == "direct":
         return None
     try:
@@ -150,13 +150,13 @@ def _parse_case(token: str) -> Optional[UnknownCase]:
         ) from None
 
 
-def _case_name(case: Optional[UnknownCase]) -> str:
+def _case_name(case: UnknownCase | None) -> str:
     return case.value if case else "direct"
 
 
 def _to_str(key: str, raw) -> str:
     if not isinstance(raw, str):  # a JSON null or number; str(None) would read as "none"
-        raise ValidationError(f"[problem] {key} = {raw!r} is not a string")
+        raise ValidationError(f"[problem] {key} = {reprlib.repr(raw)} is not a string")
     return raw.strip().lower()
 
 
@@ -166,7 +166,7 @@ def _to_float(section: str, key: str, raw) -> float:
             return float(raw)
         except (TypeError, ValueError, OverflowError):  # OverflowError: an int no double holds
             pass
-    raise ValidationError(f"[{section}] {key} = {raw!r} is not a number")
+    raise ValidationError(f"[{section}] {key} = {reprlib.repr(raw)} is not a number")
 
 
 def _check_keys(section: str, present, allowed: tuple[str, ...]) -> None:
@@ -187,21 +187,24 @@ def _record(record: type, section: str, values: dict):
 
 
 def parse_scenario(text: str) -> ProblemInstance:
-    """Parse a scenario from INI or JSON text (sniffed by the first byte) and
-    validate it: the file's ``[problem]`` section names the face and the
-    unknown, and exactly that coefficient is left out."""
+    """Parse a scenario from INI or JSON text (sniffed by the first byte
+    after one leading byte order mark) and validate it: the file's
+    ``[problem]`` section names the face and the unknown, and exactly that
+    coefficient is left out.  Values are shown in errors by ``reprlib``,
+    which stops at a depth that ``repr`` could not reach."""
+    text = text.removeprefix("\ufeff")
     stripped = text.lstrip()
     if not stripped:
         raise ValidationError("scenario file is empty")
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except ValueError as err:  # a JSONDecodeError, or an int past the digit limit
+        except (ValueError, RecursionError) as err:  # a JSONDecodeError, an int past the digit limit, or nesting
             raise ValidationError(f"invalid JSON scenario: {err}") from None
         sections = {name: {} if doc.get(name) is None else doc[name] for name in _SECTIONS}
         for name, section in sections.items():
             if not isinstance(section, dict):
-                raise ValidationError(f"[{name}] section must be a JSON object, got {section!r}")
+                raise ValidationError(f"[{name}] section must be a JSON object, got {reprlib.repr(section)}")
         doc.pop("_truth", None)  # advisory block written by `manufacture`
         _check_keys("<top level>", doc, _SECTIONS)
     else:
@@ -240,10 +243,11 @@ def parse_scenario(text: str) -> ProblemInstance:
     )
 
 
-def load_scenario(path: Path) -> ProblemInstance:
+def load_scenario(path: str) -> ProblemInstance:
     try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as err:
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+    except (OSError, ValueError) as err:  # ValueError: text that is not UTF-8, or a NUL in the path
         raise ValidationError(f"cannot read scenario {path}: {err}") from None
     return parse_scenario(text)
 
@@ -261,7 +265,7 @@ def _scenario_doc(instance: ProblemInstance) -> dict:
     }
 
 
-def scenario_to_ini(instance: ProblemInstance, truth: Optional[tuple[str, float]] = None) -> str:
+def scenario_to_ini(instance: ProblemInstance, truth: tuple[str, float] | None = None) -> str:
     """Canonical INI serialization; parsing it back reproduces the instance.
     ``truth`` is written as a comment that closes the coefficients."""
     lines = []
@@ -274,7 +278,7 @@ def scenario_to_ini(instance: ProblemInstance, truth: Optional[tuple[str, float]
     return "\n".join(lines)
 
 
-def scenario_to_json(instance: ProblemInstance, truth: Optional[tuple[str, float]] = None) -> str:
+def scenario_to_json(instance: ProblemInstance, truth: tuple[str, float] | None = None) -> str:
     doc = _scenario_doc(instance)
     if truth is not None:
         doc["_truth"] = {truth[0]: truth[1]}
@@ -284,7 +288,7 @@ def scenario_to_json(instance: ProblemInstance, truth: Optional[tuple[str, float
 # --- solving ----------------------------------------------------------------
 
 
-def _solve(args: SimpleNamespace) -> tuple[ProblemInstance, Optional[CaseResult], SimilaritySolution]:
+def _solve(args: SimpleNamespace) -> tuple[ProblemInstance, CaseResult | None, SimilaritySolution]:
     """The scenario of ``args``, solved.
 
     Returns the completed direct instance (the recovered value filled in),
@@ -325,7 +329,7 @@ def _report_doc(report: RestrictionReport) -> dict:
     return doc
 
 
-def _write(text: str, out: Optional[Path]) -> None:
+def _write(text: str, out: str | None) -> None:
     """Write ``text``, newline-terminated, to ``out`` or to stdout.
 
     A reader that stops early (``mushy solve s.json | head -1``) is not an
@@ -339,8 +343,9 @@ def _write(text: str, out: Optional[Path]) -> None:
         text += "\n"
     if out is not None:
         try:
-            out.write_text(text)
-        except OSError as err:
+            with open(out, "w", encoding="utf-8") as file:
+                file.write(text)
+        except (OSError, ValueError) as err:  # ValueError: a NUL in the path
             raise ValidationError(f"cannot write {out}: {err}") from None
         return
     try:
@@ -578,8 +583,8 @@ class _UsageError(Exception):
     """A malformed command line; ``main`` prints the usage and exits 1."""
 
 
-_SCENARIO = _Option("scenario", Path, help="scenario file (INI key-value sections or JSON)", required=True)
-_OUT = _Option("--out", Path, help="write output here instead of stdout")
+_SCENARIO = _Option("scenario", help="scenario file (INI key-value sections or JSON)", required=True)
+_OUT = _Option("--out", help="write output here instead of stdout")
 
 #: Subcommand name -> (help, arguments, handler).
 _COMMANDS = {
@@ -612,7 +617,7 @@ _COMMANDS = {
                            cmd_check_restrictions),
 }
 
-def _usage(command: Optional[str]) -> str:
+def _usage(command: str | None) -> str:
     if command is None:
         return f"usage: mushy [-h] {{{','.join(_COMMANDS)}}} ..."
     specs = _COMMANDS[command][1]
@@ -622,7 +627,7 @@ def _usage(command: Optional[str]) -> str:
     return f"usage: mushy {command} {' '.join(words)}"
 
 
-def _help(command: Optional[str]) -> str:
+def _help(command: str | None) -> str:
     if command is None:
         rows = {"subcommands:": [(name, entry[0]) for name, entry in _COMMANDS.items()]}
         intro = "Solidification with an isothermal mushy zone: solve, identify coefficients, verify."
@@ -643,7 +648,7 @@ def _help(command: Optional[str]) -> str:
     return "\n".join(text) + "\n"
 
 
-def _parse(argv: Sequence[str]) -> Optional[tuple]:
+def _parse(argv: Sequence[str]) -> tuple | None:
     """The handler and the arguments of the command line ``argv``, or None
     when it asks for help (which is then printed)."""
     if not argv:
@@ -693,14 +698,21 @@ def _parse(argv: Sequence[str]) -> Optional[tuple]:
     return _COMMANDS[command][2], args
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _line(message) -> str:
+    """``message`` as one stderr line: each line break, with the indentation
+    around it, becomes a space.  configparser's messages span three lines,
+    and a path or a JSON key may hold a line break."""
+    return " ".join(part.strip() for part in str(message).splitlines())
+
+
+def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         parsed = _parse(argv)
     except _UsageError as err:
         command = argv[0] if argv and argv[0] in _COMMANDS else None
         prog = f"mushy {command}" if command else "mushy"
-        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {err}\n")
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {_line(err)}\n")
         return EXIT_INPUT
     if parsed is None:
         return EXIT_OK
@@ -731,7 +743,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationError as err:  # a failed write replaces the subcommand's error and exit code
         code, error = EXIT_INPUT, err
     if error is not None:
-        sys.stderr.write(f"error: {error}\n")
+        sys.stderr.write(f"error: {_line(error)}\n")
     return code
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple, Optional
 
 from . import specfun
 from .errors import DomainError, NumericalError
@@ -190,7 +190,7 @@ def build_solution(
     mushy: MushyCoefficients,
     boundary: BoundaryData,
     xi: float,
-    value: Optional[float] = None,
+    value: float | None = None,
 ) -> SimilaritySolution:
     """Assemble the explicit solution for a complete coefficient set.
 
@@ -300,7 +300,7 @@ def front_r_velocity(sol: SimilaritySolution, t: float) -> float:
     return front_r(sol, t) / (2.0 * t)
 
 
-class ConsistencyResiduals(NamedTuple):
+class ConsistencyResiduals(namedtuple("ConsistencyResiduals", "res_stefan res_face")):
     """Residuals of the two consistency equations.
 
     res_stefan is the front balance residual scaled by the magnitude of its
@@ -311,8 +311,7 @@ class ConsistencyResiduals(NamedTuple):
     scaling is needed there.
     """
 
-    res_stefan: float
-    res_face: float
+    __slots__ = ()
 
 
 def consistency_residuals(

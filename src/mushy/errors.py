@@ -8,11 +8,6 @@ counts as a number, :func:`as_number`, lives here for the same reason.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - only for annotations
-    from .model import RestrictionReport
-
 
 class SolverError(Exception):
     """Base class for every error raised by this package."""

@@ -22,7 +22,6 @@ beta = 1 instance (:mod:`mushy.inverse_dirichlet`).
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from . import specfun
 from .direct import (
@@ -162,7 +161,7 @@ def _evaluate(
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
-) -> tuple[tuple[RestrictionReport, ...], Optional[float]]:
+) -> tuple[tuple[RestrictionReport, ...], float | None]:
     """:func:`check_all` on data that are already validated, plus xi.
 
     The restrictions of each case, run in this order up to the first
@@ -211,7 +210,7 @@ def xi_equation_kr(
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
-    factor: Optional[float] = None,
+    factor: float | None = None,
 ) -> MonotoneEquation:
     """Front-position equation for the unknown-conductivity/density cases.
 
@@ -251,7 +250,7 @@ def xi_equation_c(
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
-    factor: Optional[float] = None,
+    factor: float | None = None,
 ) -> MonotoneEquation:
     """Front-position equation for the unknown-specific-heat case.
 
@@ -294,7 +293,7 @@ def closed_form(
     mushy: MushyCoefficients,
     boundary: BoundaryData,
     xi: float,
-    beta: Optional[float],
+    beta: float | None,
 ) -> float:
     """The unknown coefficient of ``case`` once the front position xi is known.
 

@@ -35,7 +35,7 @@ condition for the specific-heat equation's target to exceed its 0+ limit.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from . import inverse_convective, specfun
 from .direct import (
@@ -276,24 +276,21 @@ def solve_dirichlet_case(
 # --- convective-to-Dirichlet limit study ------------------------------------
 
 
-class LimitStudy(NamedTuple):
+class LimitStudy(namedtuple(
+    "LimitStudy", "h0_grid xi_conv coeff_conv xi_dirichlet coeff_dirichlet fitted_slope excluded"
+)):
     """Convergence record of convective solutions toward the Dirichlet one.
 
     The same data (q0, d_inf, known coefficients) are solved convectively
     for each h0 of the grid and once with the prescribed-temperature face.
     Entries whose convective restrictions fail (small h0 cannot cool the
-    face below the datum) are excluded and reported.  fitted_slope is the
-    least-squares slope of log |xi_conv - xi_dirichlet| against log h0 and
-    is None when fewer than two usable grid points remain.
+    face below the datum) are excluded and reported as (h0, reports) pairs;
+    h0_grid, xi_conv and coeff_conv are parallel tuples over the rest.
+    fitted_slope is the least-squares slope of log |xi_conv - xi_dirichlet|
+    against log h0 and is None when fewer than two usable grid points remain.
     """
 
-    h0_grid: tuple[float, ...]
-    xi_conv: tuple[float, ...]
-    coeff_conv: tuple[float, ...]
-    xi_dirichlet: float
-    coeff_dirichlet: float
-    fitted_slope: Optional[float]
-    excluded: tuple[tuple[float, tuple[RestrictionReport, ...]], ...]
+    __slots__ = ()
 
 
 def limit_study(
@@ -332,7 +329,7 @@ def limit_study(
         for h0, xi in zip(kept, xi_conv)
         if abs(xi - dirichlet.xi) > 0.0
     ]
-    slope: Optional[float] = None
+    slope: float | None = None
     if len(points) >= 2:
         mean_u = sum(u for u, _ in points) / len(points)
         mean_v = sum(v for _, v in points) / len(points)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from . import specfun
 from .direct import stefan_lhs
@@ -30,14 +30,10 @@ from .model import (
 __all__ = ["ManufacturedProblem", "manufacture", "random_problem"]
 
 
-class ManufacturedProblem(NamedTuple):
+class ManufacturedProblem(namedtuple("ManufacturedProblem", "face thermal mushy boundary xi")):
     """A complete, consistent data set together with the xi that built it."""
 
-    face: Face
-    thermal: ThermalCoefficients
-    mushy: MushyCoefficients
-    boundary: BoundaryData
-    xi: float
+    __slots__ = ()
 
     def hide(self, case: UnknownCase) -> tuple[ThermalCoefficients, MushyCoefficients, float]:
         """Blank out one coefficient; returns the partial data and the truth."""
@@ -53,7 +49,7 @@ def manufacture(
     epsilon: float,
     gamma: float,
     q0: float,
-    h0: Optional[float] = None,
+    h0: float | None = None,
     face: Face = Face.CONVECTIVE,
 ) -> ManufacturedProblem:
     """Build consistent data around a chosen xi > 0.

@@ -16,14 +16,14 @@ Input records, which callers build (coefficients, boundary data), are frozen
 values with a written ``__init__`` on one base, :class:`FrozenRecord`; the
 ``dataclasses`` functions accept them, and a process that does not call
 those never imports ``dataclasses``.  Output records, which the library
-builds, are ``NamedTuple``s.
+builds, are ``collections.namedtuple`` subclasses.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple, Optional
 
 from .errors import ValidationError, as_number
 
@@ -134,22 +134,22 @@ class FrozenRecord:
 class ThermalCoefficients(FrozenRecord):
     """Bulk material coefficients; any field may be None while unknown."""
 
-    l: Optional[float] = None
-    k: Optional[float] = None
-    rho: Optional[float] = None
-    c: Optional[float] = None
+    l: float | None = None
+    k: float | None = None
+    rho: float | None = None
+    c: float | None = None
 
     def __init__(
         self,
-        l: Optional[float] = None,
-        k: Optional[float] = None,
-        rho: Optional[float] = None,
-        c: Optional[float] = None,
+        l: float | None = None,
+        k: float | None = None,
+        rho: float | None = None,
+        c: float | None = None,
     ) -> None:
         self.__dict__.update(l=l, k=k, rho=rho, c=c)
 
     @property
-    def alpha(self) -> Optional[float]:
+    def alpha(self) -> float | None:
         """Thermal diffusivity k / (rho c); None until k, rho, c are all set."""
         if self.k is None or self.rho is None or self.c is None:
             return None
@@ -165,10 +165,10 @@ class MushyCoefficients(FrozenRecord):
     gradient at s(t) with the zone width r(t) - s(t).
     """
 
-    epsilon: Optional[float] = None
-    gamma: Optional[float] = None
+    epsilon: float | None = None
+    gamma: float | None = None
 
-    def __init__(self, epsilon: Optional[float] = None, gamma: Optional[float] = None) -> None:
+    def __init__(self, epsilon: float | None = None, gamma: float | None = None) -> None:
         self.__dict__.update(epsilon=epsilon, gamma=gamma)
 
 
@@ -184,21 +184,13 @@ class BoundaryData(FrozenRecord):
 
     q0: float
     d_inf: float
-    h0: Optional[float] = None
+    h0: float | None = None
 
-    def __init__(self, q0: float, d_inf: float, h0: Optional[float] = None) -> None:
+    def __init__(self, q0: float, d_inf: float, h0: float | None = None) -> None:
         self.__dict__.update(q0=q0, d_inf=d_inf, h0=h0)
 
 
-class _SolutionFields(NamedTuple):
-    a_coef: float
-    b_coef: float
-    xi: float
-    mu: float
-    alpha: float
-
-
-class SimilaritySolution(_SolutionFields):
+class SimilaritySolution(namedtuple("SimilaritySolution", "a_coef b_coef xi mu alpha")):
     """Closed-form solution of the one-phase problem.
 
     The solid temperature is T(x, t) = a_coef + b_coef * erf(x / (2 sqrt(alpha t)))
@@ -225,7 +217,7 @@ class SimilaritySolution(_SolutionFields):
         return cls(*iterable)
 
 
-class RestrictionReport(NamedTuple):
+class RestrictionReport(namedtuple("RestrictionReport", "restriction_id satisfied lhs rhs note", defaults=("",))):
     """Outcome of one solvability restriction, oriented as ``lhs < rhs``.
 
     ``margin = rhs - lhs`` is positive exactly when the restriction is
@@ -234,46 +226,35 @@ class RestrictionReport(NamedTuple):
     diagnostics, e.g. for degenerate auxiliary equations.
     """
 
-    restriction_id: str
-    satisfied: bool
-    lhs: float
-    rhs: float
-    note: str = ""
+    __slots__ = ()
 
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
 
 
-class CaseResult(NamedTuple):
-    """Recovered coefficient together with the full solution and diagnostics."""
+class CaseResult(namedtuple("CaseResult", "case value xi solution reports")):
+    """Recovered coefficient (``value``, for the unknown ``case``) together
+    with ``xi``, the full solution and the restriction reports."""
 
-    case: UnknownCase
-    value: float
-    xi: float
-    solution: SimilaritySolution
-    reports: tuple[RestrictionReport, ...]
+    __slots__ = ()
 
 
-class ProblemInstance(NamedTuple):
+class ProblemInstance(namedtuple("ProblemInstance", "face case thermal mushy boundary")):
     """A validated problem description.
 
     Exactly the slot named by ``case`` is None among the six coefficients
     (or none of them for ``case=None``, the fully specified direct mode).
     """
 
-    face: Face
-    case: Optional[UnknownCase]
-    thermal: ThermalCoefficients
-    mushy: MushyCoefficients
-    boundary: BoundaryData
+    __slots__ = ()
 
 
 def with_coefficient(
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     case: UnknownCase,
-    value: Optional[float],
+    value: float | None,
 ) -> tuple[ThermalCoefficients, MushyCoefficients]:
     """The coefficient records with the slot of ``case`` set to ``value``
     (None blanks it).  The one place that maps a case to its record: the
@@ -290,7 +271,7 @@ def with_coefficient(
     return (new, mushy) if record is thermal else (thermal, new)
 
 
-def _check_positive(name: str, value: Optional[float]) -> float:
+def _check_positive(name: str, value: float | None) -> float:
     if value is None:
         raise ValidationError(f"{name} is required but missing")
     value = as_number(name, value, ValidationError)
@@ -299,7 +280,7 @@ def _check_positive(name: str, value: Optional[float]) -> float:
     return value
 
 
-def _coefficient(name: str, value: Optional[float], unknown: Optional[str]) -> Optional[float]:
+def _coefficient(name: str, value: float | None, unknown: str | None) -> float | None:
     """One thermal or mushy coefficient in normal form: None in the unknown
     slot, an exact positive finite float everywhere else.  A value already
     in that form is returned as the same object."""
@@ -323,7 +304,7 @@ def validate(
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
-    case: Optional[UnknownCase] = None,
+    case: UnknownCase | None = None,
     face: Face = Face.CONVECTIVE,
 ) -> ProblemInstance:
     """Check a problem description and return the normalized instance.

@@ -17,7 +17,7 @@ whatever the derivative does; Newton only accelerates it.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .errors import BracketOverflowError, ConvergenceError, NoRootError
 from .model import FrozenRecord
@@ -48,7 +48,7 @@ class MonotoneEquation(FrozenRecord):
     f: Callable[[float], float]
     target: float
     lower_limit: float = 0.0
-    df: Optional[Callable[[float], float]] = None
+    df: Callable[[float], float] | None = None
     name: str = ""
 
     def __init__(
@@ -56,7 +56,7 @@ class MonotoneEquation(FrozenRecord):
         f: Callable[[float], float],
         target: float,
         lower_limit: float = 0.0,
-        df: Optional[Callable[[float], float]] = None,
+        df: Callable[[float], float] | None = None,
         name: str = "",
     ) -> None:
         self.__dict__.update(f=f, target=target, lower_limit=lower_limit, df=df, name=name)

@@ -13,7 +13,8 @@ the free-boundary problem.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .direct import (
     SQRT_PI,
@@ -121,22 +122,21 @@ def brute_bisect(eq: MonotoneEquation, lo: float, hi: float, width: float = 1e-1
     return 0.5 * (lo + hi)
 
 
-class PdeResidual(NamedTuple):
+class PdeResidual(namedtuple("PdeResidual", "pde_residual_max fd_step")):
     """:func:`pde_residual`'s report: the largest finite-difference
     heat-equation residual over the sample, normalized by the natural scale
     (peak temperature magnitude over smallest sampled time), and the
     relative step it was taken with."""
 
-    pde_residual_max: float
-    fd_step: float
+    __slots__ = ()
 
 
-class ConditionResiduals(NamedTuple):
+class ConditionResiduals(namedtuple("ConditionResiduals", "condition_residuals")):
     """:func:`condition_residuals`' report: each condition identifier of
     :data:`CONDITION_IDS` after ``pde`` mapped to its largest relative
     residual over the sampled times."""
 
-    condition_residuals: dict[str, float]
+    __slots__ = ()
 
 
 def pde_residual(

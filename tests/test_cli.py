@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mushy.cli import (
     EXIT_INPUT,
@@ -26,9 +28,10 @@ from mushy.cli import (
     scenario_to_json,
 )
 from mushy.errors import ValidationError
+from mushy.manufacture import manufacture
 from mushy.model import BoundaryData, Face, MushyCoefficients, ProblemInstance, ThermalCoefficients, UnknownCase
 
-from conftest import OUT_OF_RANGE_ROWS
+from conftest import OUT_OF_RANGE_ROWS, REF_KWARGS
 
 L_REF = 1.4636343789756727
 
@@ -434,7 +437,114 @@ def test_malformed_scenarios_exit_one(tmp_path, capsys, mutate):
     path.write_bytes(data.encode() if isinstance(data, str) else data)
     code, _, err = run(["solve", str(path)], capsys)
     assert code == EXIT_INPUT
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _error_lines(err):
+    """The ``error:`` lines of stderr ``err``, after checking that each of
+    its lines is an ``error:`` or a ``warning:`` one."""
+    lines = err.splitlines()
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), err
+    return [line for line in lines if line.startswith("error: ")]
+
+
+@pytest.mark.parametrize("fmt", ["ini", "json"])
+def test_leading_byte_order_mark_is_ignored(case_l_path, tmp_path, capsys, fmt):
+    text = case_l_path.read_text()
+    if fmt == "json":
+        text = scenario_to_json(parse_scenario(text))
+    path = tmp_path / f"plain.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    expected = run(["solve", str(path)], capsys)
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert run(["solve", str(path)], capsys) == expected
+    assert expected[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"problem": ' + "[" * 100_000 + "]" * 100_000 + "}", "invalid JSON scenario: maximum recursion depth"),
+        ('{"problem": ' + "[" * 900 + "]" * 900 + "}", "[problem] section must be a JSON object, got [[[[[[[...]]]]]]]"),
+        ("garbage\n", "invalid scenario file: File contains no section headers. file: '<string>', line: 1"),
+        (CASE_L_INI + "k = 2.0\n[broken\n", "invalid scenario file: Source contains parsing errors: '<string>' "),
+    ],
+    ids=["nested-past-the-recursion-limit", "nested-below-it", "no-section-header", "parsing-errors"],
+)
+def test_malformed_scenario_is_one_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "malformed"
+    path.write_text(text)
+    code, out, err = run(["solve", str(path)], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert _error_lines(err) == [err.rstrip("\n")]
+    assert err.startswith(f"error: {message}")
+
+
+def test_null_byte_in_a_path_is_an_input_error(case_l_path, capsys):
+    code, out, err = run(["solve", "case\0l.ini"], capsys)
+    assert (code, out, err) == (EXIT_INPUT, "", "error: cannot read scenario case\0l.ini: embedded null byte\n")
+    code, out, err = run(["solve", str(case_l_path), "--out", "out\0.json"], capsys)
+    assert (code, out, err) == (EXIT_INPUT, "", "error: cannot write out\0.json: embedded null byte\n")
+
+
+def _manufactured_scenario(face, case, fmt):
+    """The reference data on ``face`` as a scenario with ``case`` unknown."""
+    problem = manufacture(face=face, h0=2.0 if face is Face.CONVECTIVE else None, **REF_KWARGS)
+    thermal, mushy, value = problem.hide(case)
+    instance = ProblemInstance(face, case, thermal, mushy, problem.boundary)
+    write = scenario_to_json if fmt == "json" else scenario_to_ini
+    return write(instance, (case.value, value)).encode()
+
+
+SCENARIO_BYTES = [
+    _manufactured_scenario(face, case, fmt) for face in Face for case in UnknownCase for fmt in ("ini", "json")
+]
+
+# What a mutation puts in place of a number, or inserts: the numbers past
+# the double range, other JSON values, nesting below and past the parser's
+# recursion limit, and bytes that are not UTF-8 or that a path cannot hold.
+NUMBER_STANDINS = [b"1e999", b"-1e999", b"1" + b"0" * 400, b"nan", b"true", b"null", b'"1"', b"{}", b"[1]"] + [
+    b"[" * depth + b"1" + b"]" * depth for depth in (50, 900, 100_000)
+]
+INSERTED_BYTES = [b"\x00", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\n", b"{", b"[", b"\r"]
+NUMBER = re.compile(rb"-?\d[\d.e+-]*")
+
+
+@st.composite
+def mutated_scenarios(draw):
+    data = draw(st.sampled_from(SCENARIO_BYTES))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "number", "insert", "byte-order-mark", "duplicate-line"]))
+        if kind == "truncate":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif kind == "number":
+            numbers = list(NUMBER.finditer(data))
+            if numbers:
+                match = draw(st.sampled_from(numbers))
+                data = data[:match.start()] + draw(st.sampled_from(NUMBER_STANDINS)) + data[match.end():]
+        elif kind == "insert":
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.sampled_from(INSERTED_BYTES)) + data[at:]
+        elif kind == "byte-order-mark":
+            data = b"\xef\xbb\xbf" + data
+        else:  # a repeated INI key or section, or a repeated JSON key
+            lines = data.splitlines(keepends=True)
+            if lines:
+                at = draw(st.integers(0, len(lines) - 1))
+                data = b"".join(lines[:at + 1] + lines[at:])
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_scenarios())
+def test_any_scenario_bytes_give_an_exit_code_and_one_error_line(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated-scenario"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", str(path)])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_RESTRICTION, EXIT_NUMERICAL, EXIT_RESIDUAL)
+    assert len(_error_lines(err.getvalue())) == (code != EXIT_OK)
 
 
 def test_json_boolean_is_not_a_number(tmp_path, capsys):
@@ -982,6 +1092,29 @@ def test_each_subcommand_imports_only_what_it_runs(case_l_path, tmp_path):
     assert loaded["solve-dirichlet"] == ["mushy.inverse_dirichlet", "configparser"]
     assert loaded["verify"] == ["mushy.verify", "mushy.inverse_dirichlet", "configparser"]
     assert loaded["manufacture"] == ["mushy.verify", "mushy.manufacture", "mushy.inverse_dirichlet", "configparser"]
+
+
+def _modules_imported_by(argv, cwd):
+    """The modules that the process ``python -S -m mushy *argv`` imports.
+    Without ``-S``, ``site`` may import typing or pathlib through ``.pth``
+    files before mushy starts, and hide what mushy itself imports."""
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "mushy", *argv], capture_output=True,
+                          text=True, cwd=cwd, env=_python_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_no_subcommand_imports_typing_or_pathlib(case_l_path, tmp_path):
+    for face in ("convective", "dirichlet"):
+        instance = parse_scenario(restate(case_l_path.read_text(), problem=face))
+        (tmp_path / f"{face}.ini").write_text(scenario_to_ini(instance))
+        (tmp_path / f"{face}.json").write_text(scenario_to_json(instance))
+    runs = [["solve", f"{face}.{fmt}"] for face in ("convective", "dirichlet") for fmt in ("ini", "json")]
+    runs += [["verify", "convective.ini"], ["profile", "dirichlet.json", "--nx", "5"], ["limit", "dirichlet.ini"],
+             ["check-restrictions", "convective.json"], MANUFACTURE_ARGV]
+    for argv in runs:
+        imported = _modules_imported_by(argv, tmp_path)
+        assert "mushy.cli" in imported and not {"typing", "pathlib"} & imported, argv
 
 
 PUBLIC_NAMES = [
