@@ -117,6 +117,10 @@ VERIFY_FD_STEP = 1e-4
 VERIFY_CONDITION_TOL = 1e-10
 VERIFY_PDE_TOL = 1e-6
 
+#: The longest line ``main`` writes to stderr, in characters: a message
+#: that echoes a key, a path or a flag of any length is cut to it.
+MAX_STDERR_LINE = 1_000
+
 _SECTIONS = ("problem", "coefficients", "boundary")
 
 
@@ -698,11 +702,15 @@ def _parse(argv: Sequence[str]) -> tuple | None:
     return _COMMANDS[command][2], args
 
 
-def _line(message) -> str:
-    """``message`` as one stderr line: each line break, with the indentation
-    around it, becomes a space.  configparser's messages span three lines,
-    and a path or a JSON key may hold a line break."""
-    return " ".join(part.strip() for part in str(message).splitlines())
+def _line(text) -> str:
+    """``text`` as one printable stderr line of at most ``MAX_STDERR_LINE``
+    characters.  Each line break, with the indentation around it, becomes a
+    space (configparser's messages span three lines, and a path or a JSON
+    key may hold a line break); any other character that is not printable
+    becomes its escape, ``\\x1b``; a longer line is cut, ending in ``…``."""
+    line = " ".join(part.strip() for part in str(text).splitlines())
+    line = "".join(char if char.isprintable() else repr(char)[1:-1] for char in line)
+    return (line[:MAX_STDERR_LINE - 1] + "…" if len(line) > MAX_STDERR_LINE else line) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -712,7 +720,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as err:
         command = argv[0] if argv and argv[0] in _COMMANDS else None
         prog = f"mushy {command}" if command else "mushy"
-        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {_line(err)}\n")
+        sys.stderr.write(f"{_usage(command)}\n{_line(f'{prog}: error: {err}')}")
         return EXIT_INPUT
     if parsed is None:
         return EXIT_OK
@@ -734,7 +742,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = EXIT_INPUT if isinstance(err, (ValidationError, DomainError)) else EXIT_NUMERICAL
     # a library warning is one line on stderr, as an error is, and an entry of the JSON document
     notes = [str(w.message) for w in caught]
-    sys.stderr.writelines(f"warning: {note}\n" for note in notes)
+    sys.stderr.writelines(_line(f"warning: {note}") for note in notes)
     if isinstance(output, dict):
         output = _json_text({**output, "warnings": notes} if notes else output)
     try:
@@ -743,7 +751,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as err:  # a failed write replaces the subcommand's error and exit code
         code, error = EXIT_INPUT, err
     if error is not None:
-        sys.stderr.write(f"error: {_line(error)}\n")
+        sys.stderr.write(_line(f"error: {error}"))
     return code
 
 

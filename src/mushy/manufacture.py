@@ -64,15 +64,14 @@ def manufacture(
     """
     if not (xi > 0.0 and math.isfinite(xi)):
         raise ValidationError(f"xi must be positive and finite, got {xi!r}")
-    inf = math.inf
-    if not (0.0 < k < inf and 0.0 < rho < inf and 0.0 < c < inf and 0.0 < epsilon < 1.0 and 0.0 < gamma < inf
-            and 0.0 < q0 < inf and (face is not Face.CONVECTIVE or (h0 is not None and h0 > 0.0))):
-        # validate's error names the value at fault; d_inf, computed below, is a stand-in here
-        validate(ThermalCoefficients(k=k, rho=rho, c=c), MushyCoefficients(epsilon=epsilon, gamma=gamma),
-                 BoundaryData(q0=q0, d_inf=1.0, h0=h0), case=UnknownCase.L, face=face)
-    if face is not Face.CONVECTIVE:
-        h0 = None
+    # validate's rules on the given values; d_inf and l, computed below, are left to the checks here
+    given = validate(ThermalCoefficients(k=k, rho=rho, c=c), MushyCoefficients(epsilon=epsilon, gamma=gamma),
+                     BoundaryData(q0=q0, d_inf=1.0, h0=h0), case=UnknownCase.L, face=face)
+    k, rho, c = given.thermal.k, given.thermal.rho, given.thermal.c
+    epsilon, gamma = given.mushy.epsilon, given.mushy.gamma
+    q0, h0 = given.boundary.q0, given.boundary.h0  # h0 is None on the Dirichlet face
 
+    inf = math.inf
     krc = math.sqrt(k * rho * c)
     if not 0.0 < krc < inf:
         raise ValidationError(f"the product k rho c = {k * rho * c!r} must be a positive finite number")
@@ -94,11 +93,8 @@ def manufacture(
         raise ValidationError(f"xi = {xi!r} and the given coefficients make the latent heat l = {l!r}, "
                               "not a positive finite number")
 
-    thermal = ThermalCoefficients(l=l, k=k, rho=rho, c=c)
-    mushy = MushyCoefficients(epsilon=epsilon, gamma=gamma)
-    boundary = BoundaryData(q0=q0, d_inf=d_inf, h0=h0)
-    instance = validate(thermal, mushy, boundary, case=None, face=face)
-    return ManufacturedProblem(face, instance.thermal, instance.mushy, instance.boundary, xi)
+    thermal, mushy = with_coefficient(given.thermal, given.mushy, UnknownCase.L, l)
+    return ManufacturedProblem(face, thermal, mushy, BoundaryData(q0=q0, d_inf=d_inf, h0=h0), xi)
 
 
 def _log_uniform(rng: random.Random, low: float, high: float) -> float:

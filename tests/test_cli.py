@@ -21,6 +21,7 @@ from mushy.cli import (
     EXIT_OK,
     EXIT_RESIDUAL,
     EXIT_RESTRICTION,
+    MAX_STDERR_LINE,
     VERIFY_FD_STEP,
     main,
     parse_scenario,
@@ -481,10 +482,47 @@ def test_malformed_scenario_is_one_error_line(tmp_path, capsys, text, message):
 
 
 def test_null_byte_in_a_path_is_an_input_error(case_l_path, capsys):
+    # the NUL reaches stderr as its escape, a backslash and x00
     code, out, err = run(["solve", "case\0l.ini"], capsys)
-    assert (code, out, err) == (EXIT_INPUT, "", "error: cannot read scenario case\0l.ini: embedded null byte\n")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: cannot read scenario case\\x00l.ini: embedded null byte\n")
     code, out, err = run(["solve", str(case_l_path), "--out", "out\0.json"], capsys)
-    assert (code, out, err) == (EXIT_INPUT, "", "error: cannot write out\0.json: embedded null byte\n")
+    assert (code, out, err) == (EXIT_INPUT, "", "error: cannot write out\\x00.json: embedded null byte\n")
+
+
+LONG = 100_000
+
+
+def _cut(line):
+    return line[:MAX_STDERR_LINE - 1] + "…"
+
+
+@pytest.mark.parametrize(
+    "argv, scenario, expected",
+    [
+        (["solve"], CASE_L_INI + "[" * LONG + " = 1\n", _cut("error: unknown key(s) " + "[" * LONG)),
+        (["solve"], JSON_BOOLEAN_K.replace('"k": true', '"' + "k" * LONG + '": 1.0'),
+         _cut("error: unknown key(s) " + "k" * LONG)),
+        (["solve"], "x" * LONG + "\n", _cut("error: invalid scenario file: File contains no section headers. "
+                                            "file: '<string>', line: 1 '" + "x" * LONG)),
+        (["solve"], CASE_L_INI.replace("case = l", "case = " + "l" * LONG), _cut("error: unknown case '" + "l" * LONG)),
+        (["solve", "p" * 5_000], None, _cut("error: cannot read scenario " + "p" * 5_000)),
+        (["solve", "--" + "x" * LONG], CASE_L_INI, _cut("mushy solve: error: unrecognized arguments: --" + "x" * LONG)),
+        (["solve"], CASE_L_INI.replace("k = 1.0", "\x1b[31mk = 1.0"),
+         "error: unknown key(s) \\x1b[31mk in [coefficients]"),
+        (["solve", "case\x1bl.ini"], None,
+         "error: cannot read scenario case\\x1bl.ini: [Errno 2] No such file or directory: 'case\\x1bl.ini'"),
+    ],
+    ids=["long-ini-key", "long-json-key", "long-first-line", "long-case", "long-path", "long-flag", "escape-in-key",
+         "escape-in-path"],
+)
+def test_stderr_lines_are_bounded_and_printable(tmp_path, capsys, argv, scenario, expected):
+    if scenario is not None:
+        path = tmp_path / "scenario"
+        path.write_text(scenario)
+        argv = [*argv, str(path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err.splitlines()[-1]) == (EXIT_INPUT, "", expected)
+    assert all(len(line) <= MAX_STDERR_LINE and line.isprintable() for line in err.splitlines())
 
 
 def _manufactured_scenario(face, case, fmt):
@@ -502,11 +540,13 @@ SCENARIO_BYTES = [
 
 # What a mutation puts in place of a number, or inserts: the numbers past
 # the double range, other JSON values, nesting below and past the parser's
-# recursion limit, and bytes that are not UTF-8 or that a path cannot hold.
+# recursion limit, bytes that are not UTF-8 or that a path cannot hold, and
+# a 100 kB run and an escape byte, which make a key too long or unprintable.
 NUMBER_STANDINS = [b"1e999", b"-1e999", b"1" + b"0" * 400, b"nan", b"true", b"null", b'"1"', b"{}", b"[1]"] + [
     b"[" * depth + b"1" + b"]" * depth for depth in (50, 900, 100_000)
 ]
-INSERTED_BYTES = [b"\x00", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\n", b"{", b"[", b"\r"]
+INSERTED_BYTES = [b"\x00", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\n", b"{", b"[", b"\r",
+                  b"k" * 100_000, b"\x1b"]
 NUMBER = re.compile(rb"-?\d[\d.e+-]*")
 
 
@@ -545,6 +585,7 @@ def test_any_scenario_bytes_give_an_exit_code_and_one_error_line(tmp_path_factor
         code = main(["solve", str(path)])
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_RESTRICTION, EXIT_NUMERICAL, EXIT_RESIDUAL)
     assert len(_error_lines(err.getvalue())) == (code != EXIT_OK)
+    assert all(len(line) <= MAX_STDERR_LINE and line.isprintable() for line in err.getvalue().splitlines())
 
 
 def test_json_boolean_is_not_a_number(tmp_path, capsys):
@@ -1056,65 +1097,51 @@ def _run_python(code, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-LOADS_PER_COMMAND = """
-import contextlib, io, json, sys
-from mushy.cli import main
+#: What no mushy process imports: typing and pathlib, argparse and its
+#: gettext, dataclasses and its inspect.
+FORBIDDEN_IMPORTS = {"typing", "pathlib", "argparse", "gettext", "dataclasses", "inspect"}
 
-WATCHED = ("mushy.verify", "mushy.manufacture", "mushy.inverse_dirichlet", "configparser", "argparse", "gettext",
-           "dataclasses", "inspect", "mpmath")
-loaded = {}
-for label, argv in [
-    ("import", None),
-    ("solve-json", ["solve", "case_l.json"]),
-    ("solve-ini", ["solve", "case_l.ini"]),
-    ("solve-dirichlet", ["solve", "case_l_dirichlet.json"]),
-    ("verify", ["verify", "case_l.json"]),
-    ("manufacture", ["manufacture", "--xi", "0.5", "--k", "1", "--rho", "1", "--c", "1",
-                     "--epsilon", "0.5", "--gamma", "0.1", "--q0", "1", "--h0", "2"]),
-]:
-    if argv is not None:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0, argv
-    loaded[label] = [name for name in WATCHED if name in sys.modules]
-print(json.dumps(loaded))
-"""
+#: What a mushy process imports only when its subcommand or scenario needs it.
+LAZY_IMPORTS = {"configparser", "mushy.inverse_dirichlet", "mushy.verify", "mushy.manufacture"}
+
+STDLIB_OR_MUSHY = sys.stdlib_module_names | {"mushy"}
 
 
-def test_each_subcommand_imports_only_what_it_runs(case_l_path, tmp_path):
-    (tmp_path / "case_l.json").write_text(scenario_to_json(parse_scenario(case_l_path.read_text())))
-    dirichlet = parse_scenario(restate(case_l_path.read_text(), problem="dirichlet"))
-    (tmp_path / "case_l_dirichlet.json").write_text(scenario_to_json(dirichlet))
-    (tmp_path / "case_l.ini").write_text(case_l_path.read_text())
-    loaded = _run_python(LOADS_PER_COMMAND, tmp_path)
-    assert loaded["import"] == []
-    assert loaded["solve-json"] == []
-    assert loaded["solve-ini"] == ["configparser"]
-    assert loaded["solve-dirichlet"] == ["mushy.inverse_dirichlet", "configparser"]
-    assert loaded["verify"] == ["mushy.verify", "mushy.inverse_dirichlet", "configparser"]
-    assert loaded["manufacture"] == ["mushy.verify", "mushy.manufacture", "mushy.inverse_dirichlet", "configparser"]
+def _modules_imported_by(args, cwd):
+    """The modules that the process ``python -S *args`` imports, once it
+    has exited 0.  Without ``site`` no installed package is importable, and
+    no ``.pth`` file imports typing or pathlib before mushy starts."""
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *args], capture_output=True, text=True,
+                          cwd=cwd, env=_python_env(), timeout=60)
+    assert proc.returncode == 0, (args, proc.stderr)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return names - {"imported package"}  # importtime's header line
 
 
-def _modules_imported_by(argv, cwd):
-    """The modules that the process ``python -S -m mushy *argv`` imports.
-    Without ``-S``, ``site`` may import typing or pathlib through ``.pth``
-    files before mushy starts, and hide what mushy itself imports."""
-    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "mushy", *argv], capture_output=True,
-                          text=True, cwd=cwd, env=_python_env(), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
-
-
-def test_no_subcommand_imports_typing_or_pathlib(case_l_path, tmp_path):
-    for face in ("convective", "dirichlet"):
-        instance = parse_scenario(restate(case_l_path.read_text(), problem=face))
-        (tmp_path / f"{face}.ini").write_text(scenario_to_ini(instance))
-        (tmp_path / f"{face}.json").write_text(scenario_to_json(instance))
-    runs = [["solve", f"{face}.{fmt}"] for face in ("convective", "dirichlet") for fmt in ("ini", "json")]
-    runs += [["verify", "convective.ini"], ["profile", "dirichlet.json", "--nx", "5"], ["limit", "dirichlet.ini"],
-             ["check-restrictions", "convective.json"], MANUFACTURE_ARGV]
-    for argv in runs:
-        imported = _modules_imported_by(argv, tmp_path)
-        assert "mushy.cli" in imported and not {"typing", "pathlib"} & imported, argv
+def test_no_subcommand_imports_typing_or_pathlib(tmp_path):
+    # Every subcommand on manufactured scenarios of both faces, in INI and
+    # JSON, and the bare import: 23 processes, each with its own lazy set.
+    runs = [(["-c", "import mushy.cli"], set())]
+    for fmt in ("ini", "json"):
+        for face, case in (("convective", "l"), ("dirichlet", "k")):
+            options = ["--problem", face, "--case", case, "--format", fmt, "--out", f"{face}.{fmt}"]
+            runs.append((["-m", "mushy", *MANUFACTURE_ARGV, *options], {"mushy.manufacture"}))
+        for face in ("convective", "dirichlet"):
+            reads = {"configparser"} if fmt == "ini" else set()
+            subcommands = [["solve"], ["check-restrictions"], ["verify"], ["profile", "--nx", "5"]]
+            if face == "dirichlet":
+                reads.add("mushy.inverse_dirichlet")
+                subcommands.append(["limit"])
+            for sub, *options in subcommands:
+                lazy = reads | {"mushy.verify"} if sub == "verify" else reads
+                runs.append((["-m", "mushy", sub, f"{face}.{fmt}", *options], lazy))
+    assert len(runs) == 23
+    for args, lazy in runs:
+        imported = _modules_imported_by(args, tmp_path)
+        assert "mushy.cli" in imported, args
+        assert sorted(name for name in imported if name.partition(".")[0] not in STDLIB_OR_MUSHY) == [], args
+        assert not FORBIDDEN_IMPORTS & imported, args
+        assert LAZY_IMPORTS & imported == lazy, args
 
 
 PUBLIC_NAMES = [

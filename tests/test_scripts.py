@@ -110,16 +110,15 @@ def _code_units(text):
 
 
 def test_readme_names_only_flags_that_exist(capsys):
-    # Outside the install commands and the list of removed options, every
-    # --flag the README mentions is an option of some mushy subcommand or of
-    # a script under scripts/, and a flag written after a subcommand's name
-    # in one command line or code span is an option of that subcommand.
+    # Outside the install commands, every --flag the README mentions is an
+    # option of some mushy subcommand or of a script under scripts/, and a
+    # flag written after a subcommand's name in one command line or code
+    # span is an option of that subcommand.
     from mushy.cli import _COMMANDS, main
 
     readme = (SCRIPTS.parent / "README.md").read_text()
     parts = re.split(r"(?m)^(#+ .*)$", readme)
-    skipped = {"## Install", "### Removed options"}
-    text = parts[0] + "".join(body for heading, body in zip(parts[1::2], parts[2::2]) if heading not in skipped)
+    text = parts[0] + "".join(body for heading, body in zip(parts[1::2], parts[2::2]) if heading != "## Install")
 
     options = {}
     for sub in _COMMANDS:
