@@ -34,6 +34,7 @@ __all__ = [
     "ConsistencyResiduals",
     "xexp_sq",
     "dxexp_sq",
+    "xexp_sq_start",
     "stefan_lhs",
     "stefan_lhs_derivative",
     "stefan_rhs",
@@ -55,6 +56,9 @@ __all__ = [
 ]
 
 SQRT_PI = math.sqrt(math.pi)
+#: ln 2.  The starts take ln v as ln 2 log2(v): math.log parses an optional
+#: base and costs three times what math.log2 does.
+_LN2 = math.log(2.0)
 
 #: The least positive normal double: below it a product has lost digits.
 _NORMAL_MIN = sys.float_info.min
@@ -78,6 +82,28 @@ def xexp_sq(x: float) -> float:
 def dxexp_sq(x: float) -> float:
     """Derivative (1 + 2 x**2) exp(x**2) of :func:`xexp_sq`."""
     return (1.0 + 2.0 * x * x) * math.exp(x * x)
+
+
+def xexp_sq_start(s: float) -> float:
+    """A root finder's start for x e**x^2 = s, within 6e-5 of the root.
+
+    The root is sqrt(W(2 s^2) / 2), W the Lambert W function.  Winitzki's
+    closed form W(z) ~ L (1 - ln(1 + L) / (2 + L)), L = ln(1 + z), is
+    within 2%; one Newton step on w + ln w = ln z takes it to below the
+    root by under 6e-5, and the factor 1 + 1e-5 lifts most starts just
+    above it (lifting all of them costs more Newton steps than the
+    expansion steps it saves).  Where 2 s^2 would underflow the root is
+    s (1 - s^2) and s is taken; where it would overflow, L is ln z.  A
+    start for s that is 0, not finite or not a number comes out 0 or NaN,
+    which the solver reads as its default.
+    """
+    if s < 1e-150:
+        return s
+    ln_z = _LN2 * (1.0 + 2.0 * math.log2(s))
+    big_l = math.log1p(2.0 * s * s) if s < 1e150 else ln_z
+    w = big_l * (1.0 - math.log1p(big_l) / (2.0 + big_l))
+    w -= (w + _LN2 * math.log2(w) - ln_z) * w / (1.0 + w)
+    return 1.00001 * math.sqrt(0.5 * w)
 
 
 def mushy_strength(thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData) -> float:
@@ -142,7 +168,32 @@ def balance_equation(strength: float, target: float, name: str) -> MonotoneEquat
     """The front balance stefan_lhs(x, strength) = target as an equation
     for x; its left side starts at the strength at 0+."""
     return MonotoneEquation(f=lambda x: stefan_lhs(x, strength), target=target, lower_limit=strength,
-                            df=lambda x: stefan_lhs_derivative(x, strength), name=name)
+                            df=lambda x: stefan_lhs_derivative(x, strength), name=name,
+                            start=_balance_start(strength, target))
+
+
+def _balance_start(g: float, s: float) -> float:
+    """A start for (x + g e**x^2) e**x^2 = s, g >= 0.
+
+    Dropping either term of the left side leaves an equation whose root
+    lies above this one: x e**x^2 = s (:func:`xexp_sq_start`) and
+    g e**2x^2 = s, root sqrt(ln(s/g) / 2); so does keeping only the terms
+    of degree <= 2 of its series, g + x + 2 g x^2 = s.  One Newton step
+    on ln(x + g e**x^2) + x^2 = ln s from the least of the three lands
+    within 2% of the root (200 random_problem draws).
+    """
+    x = xexp_sq_start(s)
+    if s > g > 0.0:
+        d = s - g
+        small = 2.0 * d / (1.0 + math.sqrt(1.0 + 8.0 * g * d))
+        large = math.sqrt(0.5 * _LN2 * math.log2(s / g))
+        x = small if small < x else x
+        x = large if large < x else x
+        if 0.0 < x < 26.0:
+            e = math.exp(x * x)
+            h = g * e
+            x -= (_LN2 * math.log2((x + h) / s) + x * x) / ((1.0 + 2.0 * x * h) / (x + h) + 2.0 * x)
+    return x
 
 
 def front_balance(thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData) -> MonotoneEquation:

@@ -25,6 +25,8 @@ import math
 
 from . import specfun
 from .direct import (
+    _LN2,
+    _NORMAL_MIN,
     SQRT_PI,
     build_solution,
     face_argument,
@@ -55,6 +57,9 @@ from .model import (
 )
 from .rootfind import MonotoneEquation, solve_increasing
 from .specfun import TWO_OVER_SQRT_PI
+
+_FOUR_OVER_PI = 4.0 / math.pi
+_R_AT_ONE = 1.0 / math.erf(1.0)  # x / erf(x) at x = 1
 
 __all__ = [
     "check_r1",
@@ -206,6 +211,16 @@ def require_satisfied(reports: tuple[RestrictionReport, ...]) -> None:
 # --- the two root-finding equations ---------------------------------------
 
 
+def _zone_weight(mushy: MushyCoefficients, boundary: BoundaryData, beta: float) -> float:
+    """cf = gamma sqrt(pi) (1 - epsilon) / (2 d_inf beta), the weight of the
+    zone term in both xi equations.  Valid data whose cf overflows raise
+    NumericalError: no x makes the equation finite."""
+    cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / (2.0 * boundary.d_inf * beta)
+    if cf == math.inf:
+        raise NumericalError("gamma sqrt(pi) (1 - epsilon) / (2 d_inf beta) overflows, outside the range of a double")
+    return cf
+
+
 def xi_equation_kr(
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
@@ -226,24 +241,63 @@ def xi_equation_kr(
     the Dirichlet face, the h0 -> infinity limit.
     """
     beta = face_factor(boundary, _CONVECTIVE) if factor is None else factor
-    cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / (2.0 * boundary.d_inf * beta)
+    cf = _zone_weight(mushy, boundary, beta)
     target = thermal.c * boundary.d_inf * beta / (thermal.l * SQRT_PI)
 
     # f and df are evaluated at finite x > 0 (the root finder's iterates lie
     # in (0, 40]), so they call math.erf directly.
     def f(x: float) -> float:
-        e = math.exp(x * x)
-        erf_x = math.erf(x)
-        return (x + cf * erf_x * e) * erf_x * e
+        d = math.erf(x) * math.exp(x * x)
+        return (x + cf * d) * d
 
     def df(x: float) -> float:
         e = math.exp(x * x)
         erf_x = math.erf(x)
-        derf = TWO_OVER_SQRT_PI * math.exp(-x * x)
+        derf = TWO_OVER_SQRT_PI / e
         inner = derf + 2.0 * x * erf_x
         return e * ((1.0 + cf * e * inner) * erf_x + (x + cf * erf_x * e) * inner)
 
-    return MonotoneEquation(f=f, target=target, lower_limit=0.0, df=df, name="xi equation (k/rho case)")
+    return MonotoneEquation(f=f, target=target, lower_limit=0.0, df=df, name="xi equation (k/rho case)",
+                            start=_kr_start(cf, target))
+
+
+def _kr_start(cf: float, target: float) -> float:
+    """A start for (x + cf D) D = T, D = erf(x) e**x^2.
+
+    The series of D = (2/sqrt(pi)) (x + 2x^3/3 + ...) has positive terms,
+    so the root of the leading term, (2/sqrt(pi)) (1 + 2 cf/sqrt(pi)) x^2
+    = T, lies above the root, within x^2 of it; below x = 1e-4 it is the
+    start.  Above, the terms to x^4 give a closer bound.  D is also the
+    positive root of the quadratic cf D^2 + x D = T: at that bound it is
+    smaller than at the root, and sqrt(ln D) is below the root, as
+    erf < 1; the quadratic at that lower bound, with erf, gives a second
+    bound above.  One Newton step on ln((x + cf D) D) = ln T from the
+    lesser bound lands within 1e-3 of the root (200 random_problem draws
+    per face).  Data that admit no root (T or cf
+    negative) get the solver's default start.
+    """
+    if not (target > 0.0 and cf >= 0.0):
+        return 1.0
+    a = TWO_OVER_SQRT_PI + _FOUR_OVER_PI * cf
+    x = math.sqrt(target) / math.sqrt(a)
+    if not x > 1e-4:
+        return x
+    if x < 26.0:
+        # the terms to x^4: a x^2 + b x^4 = T, b = (2/3) (2a - 2/sqrt(pi))
+        x *= math.sqrt(2.0 / (1.0 + math.sqrt(1.0 + 8.0 / 3.0 * (2.0 - TWO_OVER_SQRT_PI / a) * x * x)))
+    q = 4.0 * cf * target
+    d = 2.0 * target / (x + math.sqrt(x * x + q))
+    if d > 1.0:
+        lower = math.sqrt(_LN2 * math.log2(d))
+        d = 2.0 * target / (lower + math.sqrt(lower * lower + q))
+        upper = math.sqrt(_LN2 * math.log2(d / math.erf(lower)))
+        x = upper if upper < x else x
+    if not x < 26.0:
+        return x
+    d = math.erf(x) * math.exp(x * x)
+    dd = TWO_OVER_SQRT_PI + 2.0 * x * d
+    inner = x + cf * d
+    return x - _LN2 * math.log2(inner * d / target) / ((1.0 + cf * dd) / inner + dd / d)
 
 
 def xi_equation_c(
@@ -263,7 +317,7 @@ def xi_equation_c(
     the target exceeding that limit is restriction R5.
     """
     beta = face_factor(boundary, _CONVECTIVE) if factor is None else factor
-    cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / (2.0 * boundary.d_inf * beta)
+    cf = _zone_weight(mushy, boundary, beta)
     target = boundary.q0 * boundary.q0 * SQRT_PI / (thermal.rho * thermal.l * thermal.k * boundary.d_inf * beta)
     lower = 0.5 * SQRT_PI + cf
 
@@ -275,10 +329,49 @@ def xi_equation_c(
         e = math.exp(x * x)
         erf_x = math.erf(x)
         ratio = x / erf_x
-        dratio = (erf_x - x * TWO_OVER_SQRT_PI * math.exp(-x * x)) / (erf_x * erf_x)
+        dratio = (erf_x - x * TWO_OVER_SQRT_PI / e) / (erf_x * erf_x)
         return e * (dratio + 2.0 * x * ratio + 4.0 * x * cf * e)
 
-    return MonotoneEquation(f=f, target=target, lower_limit=lower, df=df, name="xi equation (c case)")
+    return MonotoneEquation(f=f, target=target, lower_limit=lower, df=df, name="xi equation (c case)",
+                            start=_c_start(cf, target, lower))
+
+
+def _c_start(cf: float, target: float, lower: float) -> float:
+    """A start for (r + cf e**x^2) e**x^2 = T, r = x / erf(x).
+
+    Near 0 the left side is lower + (2 sqrt(pi)/3 + 2 cf) x^2 to within
+    x^4; below x = 0.01 that root is the start.  Above, e**x^2 is the
+    positive root of the quadratic cf E^2 + r E = T, and r varies slowly
+    in x, so two sweeps x <- sqrt(ln E(r(x))) from that root, or from
+    x = 1 (r = 1/erf(1)) when it lies above 1, land within a few percent
+    of the root, and one Newton step on ln((r + cf E) E) = ln T within
+    2e-4 (200 random_problem draws per face).  Data that admit no root
+    (T or cf negative) get the solver's default start.
+    """
+    if not (target > 0.0 and cf >= 0.0):
+        return 1.0
+    y = (target - lower) / (2.0 / 3.0 * SQRT_PI + 2.0 * cf)
+    if not y > 1e-4:
+        return math.sqrt(y) if y > 0.0 else y
+    q = 4.0 * cf * target
+    if y < 1.0:
+        x = math.sqrt(y)
+        r = x / math.erf(x)
+    else:
+        r = _R_AT_ONE
+    for _ in range(2):
+        e = 2.0 * target / (r + math.sqrt(r * r + q))
+        if not e > 1.0001:
+            return math.sqrt(y)
+        x = math.sqrt(_LN2 * math.log2(e))
+        r = x / math.erf(x)
+    if not x < 26.0:
+        return x
+    erf_x = x / r
+    e = math.exp(x * x)
+    inner = r + cf * e
+    dr = (erf_x - x * TWO_OVER_SQRT_PI / e) / (erf_x * erf_x)
+    return x - _LN2 * math.log2(inner * e / target) / ((dr + 2.0 * x * cf * e) / inner + 2.0 * x)
 
 
 # --- the shared recovery ---------------------------------------------------
@@ -319,7 +412,12 @@ def closed_form(
         else:
             value = 1.0 - (2.0 * boundary.q0 / (mushy.gamma * krc)) * gap * math.exp(-2.0 * xi * xi)
     else:
-        amp = boundary.q0 * math.erf(xi) / (boundary.d_inf * beta)
+        erf_xi = math.erf(xi)
+        amp = boundary.q0 * erf_xi
+        if amp >= _NORMAL_MIN:
+            amp /= boundary.d_inf * beta
+        else:  # below the normal range q0 erf(xi) has lost digits: divide first
+            amp = boundary.q0 / (boundary.d_inf * beta) * erf_xi
         if case is _K:
             value = math.pi / (thermal.rho * thermal.c) * amp * amp
         elif case is _RHO:

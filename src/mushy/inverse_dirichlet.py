@@ -46,6 +46,7 @@ from .direct import (
     specific_heat_products,
     stefan_rhs,
     xexp_sq,
+    xexp_sq_start,
     zone_strength,
 )
 from .errors import DomainError, NoRootError, NumericalError, RestrictionError, ValidationError
@@ -91,12 +92,14 @@ def solve_eta_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
     The left side maps (0, inf) onto itself, so the root always exists for
     positive data.
     """
+    target = stefan_rhs(thermal, boundary)
     eq = MonotoneEquation(
         f=xexp_sq,
-        target=stefan_rhs(thermal, boundary),
+        target=target,
         lower_limit=0.0,
         df=dxexp_sq,
         name="eta equation (positive-gamma bound)",
+        start=xexp_sq_start(target),
     )
     return solve_increasing(eq)
 

@@ -2,39 +2,46 @@
 
 All transcendental equations in this package share one shape: a strictly
 increasing f on (0, inf) with a known limit at 0+ must hit a positive
-target.  The solver below expands a geometric bracket from 1.0, then runs
-Newton steps (when a derivative is supplied) inside it until Newton has
-converged, polishes once, and certifies the root with one evaluation just
-beyond it on the far side: a sign change there closes the bracket to the
-certified width.  Newton steps are safeguarded as in rtsafe (Press et al.,
-*Numerical Recipes*, sec. 9.4): a step that would leave the bracket, or
-that is not at most half the step of two iterations before, is replaced by
-bisection.  When the far-side evaluation does not change sign, Newton is
-switched off and halving finishes the solve, so convergence is guaranteed
-whatever the derivative does; Newton only accelerates it.
+target.  Each equation carries a start, an estimate of its root from its
+own asymptotics.  The solver below expands a geometric bracket from the
+start, then runs Newton steps (when a derivative is supplied) from the
+bracket end nearer the target until Newton has converged, polishes once,
+and certifies the root with one evaluation just beyond it on the far side:
+a sign change there closes the bracket to the certified width.  Newton
+steps are safeguarded as in rtsafe (Press et al., *Numerical Recipes*,
+sec. 9.4): a step that would leave the bracket, or that is not at most half
+the step of two iterations before, is replaced by bisection.  When the
+far-side evaluation does not change sign, Newton is switched off and
+halving finishes the solve, so convergence is guaranteed whatever the
+derivative or the start does; both only accelerate it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 
-from .errors import BracketOverflowError, ConvergenceError, NoRootError
+from .errors import BracketOverflowError, ConvergenceError, NoRootError, NumericalError
 from .model import FrozenRecord
 
-__all__ = ["MonotoneEquation", "solve_increasing", "ABS_TOL", "MAX_EVALS", "BRACKET_CAP"]
+__all__ = ["MonotoneEquation", "solve_increasing", "REL_TOL", "MAX_EVALS", "BRACKET_CAP"]
 
-#: Certificate of every root: residual <= ABS_TOL * max(1, |target|) and a
-#: final bracket of width <= ABS_TOL * max(1, x).
-ABS_TOL = 1e-12
+#: Certificate of every root, relative at every scale: residual <= REL_TOL *
+#: |target| and a final bracket of width <= REL_TOL * x.
+REL_TOL = 1e-12
 
 #: Evaluations of f allowed in one solve before ConvergenceError.
 MAX_EVALS = 200
 
 #: Expansion guard: e**(x*x) overflows binary64 near x = 27, so an increasing
 #: equation of the family handled here that is still below target at 40 has
-#: no representable root.
+#: no representable root.  A start must lie below it.
 BRACKET_CAP = 40.0
+
+#: The least positive normal double.  A target or root below it cannot meet
+#: a relative certificate: its own spacing is coarser than REL_TOL of it.
+_NORMAL_MIN = sys.float_info.min
 
 
 class MonotoneEquation(FrozenRecord):
@@ -43,6 +50,9 @@ class MonotoneEquation(FrozenRecord):
     lower_limit is the (one-sided) limit of f at 0+; a root exists iff
     target > lower_limit.  df, when given, must be the exact derivative of
     f; it is only ever used to propose steps, never trusted for correctness.
+    start is where the solve takes its first evaluation, best a little
+    above the root; any value in (0, 40) is valid, and any other value (a
+    NaN, an inf) is read as 1.0.
     """
 
     f: Callable[[float], float]
@@ -50,6 +60,7 @@ class MonotoneEquation(FrozenRecord):
     lower_limit: float = 0.0
     df: Callable[[float], float] | None = None
     name: str = ""
+    start: float = 1.0
 
     def __init__(
         self,
@@ -58,28 +69,35 @@ class MonotoneEquation(FrozenRecord):
         lower_limit: float = 0.0,
         df: Callable[[float], float] | None = None,
         name: str = "",
+        start: float = 1.0,
     ) -> None:
-        self.__dict__.update(f=f, target=target, lower_limit=lower_limit, df=df, name=name)
+        self.__dict__.update(f=f, target=target, lower_limit=lower_limit, df=df, name=name, start=start)
 
 
 def solve_increasing(eq: MonotoneEquation) -> float:
     """Solve ``eq.f(x) = eq.target`` for the unique root x > 0.
 
-    The returned root is certified: ``|f(x) - target| <= ABS_TOL * max(1,
-    |target|)`` and x is an end of a final bracket of width ``<= ABS_TOL *
-    max(1, x)`` around the root, both checked before returning.  With a
-    derivative, rtsafe-safeguarded Newton steps run until the residual is
-    within its bound and the Newton correction is at most a quarter of the
-    width; one more Newton step polishes x, and one evaluation half a width
-    beyond the root on x's far side closes the bracket: a solve costs the
-    bracket expansion, the Newton steps and two more evaluations.  If that
-    evaluation does not change sign (a wrong derivative, or f flat in
-    rounding noise), Newton is switched off and halving finishes the solve;
-    without a derivative halving does all of it.
+    The returned root is certified relative to its own scale: ``|f(x) -
+    target| <= REL_TOL * |target|`` and x is an end of a final bracket of
+    width ``<= REL_TOL * x`` around the root, both checked before
+    returning.  The bracket is [0, start] when f(start) reaches the target;
+    otherwise its upper end grows from the start, doubling from 0.25 up
+    and taking the square root below, until f reaches the target.  With a
+    derivative, rtsafe-safeguarded Newton steps run from the bracket end
+    nearer the target until the residual is within its bound and the
+    Newton correction is at most a quarter of the width; one more Newton
+    step polishes x, and one evaluation half a width beyond the root on x's
+    far side closes the bracket: a solve costs the bracket, the Newton
+    steps and two more evaluations.  If that evaluation does not change
+    sign (a wrong derivative, or f flat in rounding noise), Newton is
+    switched off and halving finishes the solve; without a derivative
+    halving does all of it.
 
-    Raises NoRootError when ``target <= lower_limit``, BracketOverflowError
-    when no bracket exists below ``x = 40``, and ConvergenceError after
-    MAX_EVALS evaluations of f.
+    Raises NoRootError when the target is not finite or ``target <=
+    lower_limit``; NumericalError naming the equation when the target, or
+    the root, is not a normal double; BracketOverflowError when no bracket
+    exists below ``x = 40``; and ConvergenceError after MAX_EVALS
+    evaluations of f.
     """
     label = eq.name or "monotone equation"
     f, df, target = eq.f, eq.df, eq.target
@@ -91,6 +109,8 @@ def solve_increasing(eq: MonotoneEquation) -> float:
             eq.lower_limit,
             target,
         )
+    if not (target >= _NORMAL_MIN or target <= -_NORMAL_MIN):
+        raise NumericalError(f"{label}: target {target!r} is not a normal double")
 
     # The loops below run once per evaluation, so they read only locals and
     # evaluate f inline.  Each evaluation is the residual f(x) - target,
@@ -98,13 +118,15 @@ def solve_increasing(eq: MonotoneEquation) -> float:
     # returning inf, and for an increasing function +inf is a perfectly
     # usable bracketing value.  Plain comparisons stand in for abs, max and
     # math.isfinite: they select the same values.
-    inf, tol, max_evals = math.inf, ABS_TOL, MAX_EVALS
+    inf, tol, max_evals, normal_min = math.inf, REL_TOL, MAX_EVALS, _NORMAL_MIN
     evals = 0
 
     # Geometric bracket expansion: keep lo below the root, push hi above it.
     # r_lo and r_hi are the residuals f - target at the two ends.
     lo, r_lo = 0.0, -inf
-    hi = 1.0
+    hi = eq.start
+    if not 0.0 < hi < BRACKET_CAP:
+        hi = 1.0
     while True:
         evals += 1
         if evals > max_evals:
@@ -115,53 +137,47 @@ def solve_increasing(eq: MonotoneEquation) -> float:
             r_hi = inf
         if not r_hi < 0.0:
             break
-        lo, r_lo = hi, r_hi
-        hi *= 2.0
-        if hi > BRACKET_CAP:
+        if hi == BRACKET_CAP:
             raise BracketOverflowError(
                 f"{label}: no sign change below x = {BRACKET_CAP}; "
-                f"f({lo}) is still {r_lo + target!r} against target {target!r}"
+                f"f({hi}) is still {r_hi + target!r} against target {target!r}"
             )
+        lo, r_lo = hi, r_hi
+        hi = hi + hi if hi >= 0.25 else math.sqrt(hi)
+        if hi > BRACKET_CAP:
+            hi = BRACKET_CAP
+    if hi < normal_min:
+        raise NumericalError(f"{label}: the root lies below {hi!r}, not a normal double")
     if r_hi == 0.0:
         return hi
 
-    x = 0.5 * (lo + hi)
-    res_tol = tol * max(1.0, abs(target))
+    # Newton starts from the end nearer the target (the start, unless the
+    # expansion passed the root by more than the start fell short of it).
+    if r_hi <= -r_lo:
+        x, fx = hi, r_hi
+    else:
+        x, fx = lo, r_lo
+    res_tol = tol * (target if target > 0.0 else -target)
     neg_res_tol = -res_tol
+    newton_tol = 0.25 * tol  # of x: the largest correction that ends Newton
     newton = df is not None
     converged = False  # Newton has converged: x is its polishing step
     step = step_old = hi - lo  # the last two step lengths (rtsafe's safeguard)
 
     while True:
-        evals += 1
-        if evals > max_evals:
-            raise ConvergenceError(f"{label}: exceeded {MAX_EVALS} evaluations")
-        try:
-            fx = f(x) - target
-        except OverflowError:
-            fx = inf
-        if fx == 0.0:
-            return x
-        if fx > 0.0:
-            hi, r_hi = x, fx
-        else:
-            lo, r_lo = x, fx
-
-        # The candidate is the end of the bracket nearer the target, so the
+        # The certificate can hold only once the bracket is this narrow.
+        # Its candidate is the end of the bracket nearer the target, so the
         # bracket contains it by construction; f that is flat in rounding
         # noise cannot leave a stale best point outside the bracket.
-        if r_hi <= -r_lo:
-            best_x = hi
-            best_r = r_hi
-        else:
-            best_x = lo
-            best_r = r_lo
-        wid_tol = tol * best_x if best_x > 1.0 else tol
-        if neg_res_tol <= best_r <= res_tol and hi - lo <= wid_tol:
-            return best_x
+        if hi - lo <= tol * hi:
+            if r_hi <= -r_lo:
+                best_x, best_r = hi, r_hi
+            else:
+                best_x, best_r = lo, r_lo
+            if neg_res_tol <= best_r <= res_tol and hi - lo <= tol * best_x:
+                return best_x
 
-        nxt = 0.5 * (lo + hi)
-        certify = converged
+        nxt = 0.0  # no step yet; 0 lies outside every bracket's interior
         if newton and not converged:
             try:
                 d = df(x)
@@ -169,27 +185,48 @@ def solve_increasing(eq: MonotoneEquation) -> float:
                 d = inf  # no Newton step from an overflowing derivative
             if 0.0 < d < inf:
                 dx = fx / d
-                dx_tol = 0.25 * wid_tol
-                converged = neg_res_tol <= fx <= res_tol and -dx_tol <= dx <= dx_tol
+                dx_abs = dx if dx >= 0.0 else -dx
                 y = x - dx
-                half_old = 0.5 * step_old
-                if lo < y < hi and (converged or -half_old <= dx <= half_old):
+                if dx_abs <= newton_tol * x and neg_res_tol <= fx <= res_tol:
+                    converged = True
+                    if lo < y < hi:
+                        nxt = y  # the polishing step
+                elif dx_abs + dx_abs <= step_old and lo < y < hi:
                     nxt = y
-                else:
-                    # converged, but the polishing step rounds onto x itself
-                    # (or past an end of the bracket): certify x as it is
-                    certify = converged
-        if certify:
-            # One evaluation half a width beyond the root on the far side of
-            # best_x certifies it by a sign change.  If it does not, df has
-            # misled Newton (or f is flat in rounding noise): from here on
-            # halving alone collapses the bracket.
+        if converged and not nxt:
+            # x is polished, or its polishing step rounds onto x: one
+            # evaluation half a width beyond the root on the far side of the
+            # nearer end certifies it by a sign change.  If it does not, df
+            # has misled Newton (or f is flat in rounding noise): from here
+            # on halving alone collapses the bracket.
             newton = converged = False
-            far = best_x - math.copysign(0.5 * wid_tol, best_r)
+            if r_hi <= -r_lo:
+                best_x, best_r = hi, r_hi
+            else:
+                best_x, best_r = lo, r_lo
+            far = best_x - math.copysign(0.5 * tol * best_x, best_r)
             if lo < far < hi:
                 nxt = far
+        if not nxt:
+            nxt = 0.5 * (lo + hi)
         step_old = step
         step = nxt - x
         if step < 0.0:
             step = -step
         x = nxt
+
+        evals += 1
+        if evals > max_evals:
+            raise ConvergenceError(f"{label}: exceeded {MAX_EVALS} evaluations")
+        try:
+            fx = f(x) - target
+        except OverflowError:
+            fx = inf
+        if fx >= 0.0:
+            if x < normal_min:
+                raise NumericalError(f"{label}: the root lies below {x!r}, not a normal double")
+            if fx == 0.0:
+                return x
+            hi, r_hi = x, fx
+        else:
+            lo, r_lo = x, fx

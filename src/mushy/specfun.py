@@ -9,8 +9,9 @@ which is accurate to about one unit in the last place; an independent
 series evaluation lives in :mod:`mushy.verify` and the test suite
 cross-checks the two paths.  The standard library has no ``erfinv``, so
 the inverse is computed here: M. Giles' single-precision polynomial
-("Approximating the erfinv function", GPU Computing Gems, 2011) starts a
-Halley iteration kept inside a bisection bracket.  Below x = 3.5 the start
+("Approximating the erfinv function", GPU Computing Gems, 2011), or above
+x ~ 4.1 the asymptotic inverse of erfc, starts a Halley iteration kept
+inside a bisection bracket.  Below x = 3.5 the start
 is within ~1e-7 relatively, and one Halley step, one erf evaluation, ends
 within the rounding floor ulp(y)/erf'(x) + ulp(x).
 
@@ -43,6 +44,7 @@ _INV_BRACKET_HIGH = 6.0
 # Below this |y|, erf(x) = 2x/sqrt(pi) to far under half an ulp, so the
 # inverse is one product; the iteration starts no lower.
 _LINEAR_EDGE = 1e-300
+_SQRT_PI = math.sqrt(math.pi)
 _SQRT_PI_OVER_2 = 0.886226925452758  # sqrt(pi)/2 correctly rounded; 0.5*sqrt(math.pi) is an ulp low
 
 # A Halley step d taken from x leaves an error of about (x^2 + 1)/3 d^3, the
@@ -65,9 +67,10 @@ def erf_inv(y: float) -> float:
     """Inverse of :func:`erf` on (-1, 1).
 
     Giles' single-precision polynomial in w = -log(1 - y^2), one branch
-    below w = 5 and one above, gives the start: below x = 3.5 it is within
-    ~1e-7 relatively; above x ~ 3.8, the end of single precision's range,
-    it is the polynomial's extrapolation (12% off at x = 5.8).
+    below w = 5 and one up to w = 18 (x ~ 4.1), gives the start: below
+    x = 3.5 it is within ~1e-7 relatively, and up to x = 4.1 within 0.5%.
+    Above, where the polynomial would extrapolate, the start is the
+    asymptotic inverse of erfc, within 3e-4.
     Halley steps x - q / (1 + x q), with q = (erf(x) - |y|) / erf'(x),
     refine it at no evaluation beyond erf's, as erf''/erf' = -2x.  A step
     that would leave the bisection bracket [0, 6] falls back to the
@@ -101,7 +104,16 @@ def erf_inv(y: float) -> float:
         )
 
     w = -math.log1p(-a * a)
-    if w < 5.0:
+    if w >= 18.0:
+        # x > 4.1, past the polynomials' range: the asymptotic inverse of
+        # erfc(x) = e**-x^2 / (x sqrt(pi)) (1 - 1/(2x^2) + 3/(4x^4)), two
+        # sweeps from x^2 = L = -ln((1 - a) sqrt(pi)), within 3e-4.
+        big_l = -math.log((1.0 - a) * _SQRT_PI)
+        x = math.sqrt(big_l)
+        for _ in range(2):
+            s = 0.5 / (x * x)
+            x = math.sqrt(big_l - math.log(x) + math.log1p(s * (3.0 * s - 1.0)))
+    elif w < 5.0:
         w -= 2.5
         x = a * ((((((((2.81022636e-08 * w + 3.43273939e-07) * w - 3.5233877e-06) * w - 4.39150654e-06) * w
                       + 0.00021858087) * w - 0.00125372503) * w - 0.00417768164) * w + 0.246640727) * w

@@ -1,4 +1,5 @@
-"""50-digit references for the tests: erf and erf_inv from mpmath.
+"""50-digit references for the tests: erf and erf_inv from mpmath, and the
+roots of the package's four equation families.
 
 Test-only: mpmath never enters ``src/``, and the runtime stays stdlib-only.
 The module works in its own mpmath context, so it leaves ``mpmath.mp``'s
@@ -19,6 +20,11 @@ import mpmath
 
 _CTX = mpmath.MPContext()
 _CTX.dps = 50
+
+#: A 60-digit context: the root oracles' own, and the tests' for formulas
+#: around them.
+MP60 = mpmath.MPContext()
+MP60.dps = 60
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -136,3 +142,73 @@ def erf_inv_error(y: float, x: float) -> float:
         if abs(step) <= math.ulp(t):
             return (x - t) + step
     raise ArithmeticError(f"Newton's method for erf_inv({y!r}) did not converge from {x!r}")
+
+
+# --- roots of the package's monotone equations -------------------------------
+#
+# Each takes the double parameters of one equation family, as its builder
+# computed them, and returns the exact root of that double-valued equation
+# to about 40 digits: Newton's method at 60 digits from the double root
+# under test.  The left sides are increasing, so from a start within a few
+# ulps Newton converges in two or three steps.
+
+
+def _newton_root(lhs, dlhs, target, start: float):
+    ctx = MP60
+    t = ctx.mpf(target)
+    x = ctx.mpf(start)
+    for _ in range(100):
+        step = (lhs(ctx, x) - t) / dlhs(ctx, x)
+        x -= step
+        if abs(step) <= ctx.mpf(10) ** -45 * abs(x):
+            return x
+    raise ArithmeticError(f"Newton's method did not converge from {start!r}")
+
+
+def kr_root(cf: float, target: float, start: float):
+    """The root of (x + cf D) D = target, D = erf(x) e**x^2: the k/rho
+    xi equation."""
+
+    def lhs(ctx, x):
+        d = ctx.erf(x) * ctx.exp(x * x)
+        return (x + cf * d) * d
+
+    def dlhs(ctx, x):
+        d = ctx.erf(x) * ctx.exp(x * x)
+        dd = 2 / ctx.sqrt(ctx.pi) + 2 * x * d
+        return (1 + cf * dd) * d + (x + cf * d) * dd
+
+    return _newton_root(lhs, dlhs, target, start)
+
+
+def c_root(cf: float, target: float, start: float):
+    """The root of (x/erf(x) + cf E) E = target, E = e**x^2: the c xi
+    equation."""
+
+    def lhs(ctx, x):
+        e = ctx.exp(x * x)
+        return (x / ctx.erf(x) + cf * e) * e
+
+    def dlhs(ctx, x):
+        e = ctx.exp(x * x)
+        erf_x = ctx.erf(x)
+        r = x / erf_x
+        dr = (erf_x - x * 2 / ctx.sqrt(ctx.pi) / e) / (erf_x * erf_x)
+        return (dr + 2 * x * cf * e) * e + (r + cf * e) * 2 * x * e
+
+    return _newton_root(lhs, dlhs, target, start)
+
+
+def balance_root(strength: float, target: float, start: float):
+    """The root of (x + strength E) E = target, E = e**x^2: the front
+    balance; at strength 0 the eta_r7 equation x e**x^2 = target."""
+
+    def lhs(ctx, x):
+        e = ctx.exp(x * x)
+        return (x + strength * e) * e
+
+    def dlhs(ctx, x):
+        e = ctx.exp(x * x)
+        return e * (1 + 2 * x * x + 4 * x * strength * e)
+
+    return _newton_root(lhs, dlhs, target, start)

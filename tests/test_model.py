@@ -433,11 +433,14 @@ RECORDS = [
      "BoundaryData(q0=1.0, d_inf=1.4226, h0=2.0)",
      BoundaryData(1.0, 2.0), "BoundaryData(q0=1.0, d_inf=2.0, h0=None)",
      [("q0", MISSING), ("d_inf", MISSING), ("h0", None)], ("d_inf", "q0")),
-    (MonotoneEquation, MonotoneEquation(abs, 2.0, 1.0, abs, "eq"),
-     MonotoneEquation(f=abs, target=2.0, lower_limit=1.0, df=abs, name="eq"),
-     "MonotoneEquation(f=<built-in function abs>, target=2.0, lower_limit=1.0, df=<built-in function abs>, name='eq')",
-     MonotoneEquation(abs, 2.0), "MonotoneEquation(f=<built-in function abs>, target=2.0, lower_limit=0.0, df=None, name='')",
-     [("f", MISSING), ("target", MISSING), ("lower_limit", 0.0), ("df", None), ("name", "")], ("target",)),
+    (MonotoneEquation, MonotoneEquation(abs, 2.0, 1.0, abs, "eq", 0.5),
+     MonotoneEquation(f=abs, target=2.0, lower_limit=1.0, df=abs, name="eq", start=0.5),
+     "MonotoneEquation(f=<built-in function abs>, target=2.0, lower_limit=1.0, df=<built-in function abs>, name='eq', "
+     "start=0.5)",
+     MonotoneEquation(abs, 2.0),
+     "MonotoneEquation(f=<built-in function abs>, target=2.0, lower_limit=0.0, df=None, name='', start=1.0)",
+     [("f", MISSING), ("target", MISSING), ("lower_limit", 0.0), ("df", None), ("name", ""), ("start", 1.0)],
+     ("target",)),
 ]
 
 
