@@ -59,6 +59,9 @@ SQRT_PI = math.sqrt(math.pi)
 #: ln 2.  The starts take ln v as ln 2 log2(v): math.log parses an optional
 #: base and costs three times what math.log2 does.
 _LN2 = math.log(2.0)
+_LN_PI = math.log(math.pi)
+#: ln of the largest double: math.exp raises OverflowError above it.
+_LN_MAX = math.log(sys.float_info.max)
 
 #: The least positive normal double: below it a product has lost digits.
 _NORMAL_MIN = sys.float_info.min
@@ -372,9 +375,68 @@ def consistency_residuals(
     xi: float,
     face: Face,
 ) -> ConsistencyResiduals:
-    """Evaluate both consistency equations at xi for a complete data set."""
-    lhs = stefan_lhs(xi, mushy_strength(thermal, mushy, boundary))
-    rhs = stefan_rhs(thermal, boundary)
-    res_stefan = (lhs - rhs) / max(abs(lhs), abs(rhs))
-    res_face = specfun.erf(xi) - face_argument(thermal, boundary, face)
+    """Evaluate both consistency equations at xi for a complete data set.
+
+    Where a product that a residual forms (rho k, k rho c, the mushy
+    strength, the Stefan target, either side of the front balance, or the
+    face argument) leaves the range of a positive normal double, that
+    residual comes from the logarithms of the data instead, so that it
+    stays right at the ends of the double range.  A face residual that
+    itself leaves the range of a double raises NumericalError.
+    """
+    res_stefan = res_face = math.nan
+    if _NORMAL_MIN <= thermal.k * thermal.rho * thermal.c < _INF:
+        res_face = specfun.erf(xi) - face_argument(thermal, boundary, face)
+        if _NORMAL_MIN <= thermal.rho * thermal.k < _INF:
+            strength = mushy_strength(thermal, mushy, boundary)
+            lhs = stefan_lhs(xi, strength)
+            rhs = stefan_rhs(thermal, boundary)
+            if _NORMAL_MIN <= strength < _INF and _NORMAL_MIN <= lhs < _INF and _NORMAL_MIN <= rhs < _INF:
+                res_stefan = (lhs - rhs) / max(abs(lhs), abs(rhs))
+    if not -_INF < res_stefan < _INF:
+        res_stefan = _stefan_residual_from_logs(thermal, mushy, boundary, xi)
+    if not -_INF < res_face < _INF:
+        res_face = specfun.erf(xi) - _face_argument_from_logs(thermal, boundary, face)
     return ConsistencyResiduals(res_stefan=res_stefan, res_face=res_face)
+
+
+def _stefan_residual_from_logs(
+    thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData, xi: float
+) -> float:
+    """(lhs - rhs) / max(lhs, rhs) of the front balance from ln lhs - ln rhs,
+    lhs = (xi + strength e**xi^2) e**xi^2 and rhs = (q0 / l) sqrt(c / (rho k))."""
+    ln_k, ln_rho, ln_c, ln_q0 = (math.log(v) for v in (thermal.k, thermal.rho, thermal.c, boundary.q0))
+    x2 = xi * xi
+    ln_rhs = ln_q0 - math.log(thermal.l) + 0.5 * (ln_c - ln_rho - ln_k)
+    # The first factor of lhs is its larger term times 1 + the ratio of the
+    # two.  A recovered epsilon can round to 1, and the zone term is then 0.
+    ln_xi, ln_zone = math.log(xi), -_INF
+    if mushy.epsilon < 1.0:
+        ln_zone = math.log(mushy.gamma) + math.log1p(-mushy.epsilon) + 0.5 * (ln_k + ln_rho + ln_c) - _LN2 - ln_q0 + x2
+    big, small = max(ln_xi, ln_zone), min(ln_xi, ln_zone)
+    ln_ratio = big + math.log1p(math.exp(small - big)) + x2 - ln_rhs
+    # 1 - rhs / lhs where lhs is the larger side, lhs / rhs - 1 otherwise
+    return -math.expm1(-ln_ratio) if ln_ratio > 0.0 else math.expm1(ln_ratio)
+
+
+def _face_argument_from_logs(thermal: ThermalCoefficients, boundary: BoundaryData, face: Face) -> float:
+    """:func:`face_argument` from the logarithms of the data.  The
+    attenuation 1 - t, t = q0 / (h0 d_inf), is taken as 1 - t for t < 1 and
+    as -t (1 - 1/t) for t > 1.  A face argument that leaves the range of a
+    double raises NumericalError."""
+    ln_q0 = math.log(boundary.q0)
+    ln_arg = (math.log(boundary.d_inf) - ln_q0
+              + 0.5 * (math.log(thermal.k) + math.log(thermal.rho) + math.log(thermal.c) - _LN_PI))
+    sign = 1.0
+    if face is not _DIRICHLET:
+        ln_t = ln_q0 - math.log(boundary.h0) - math.log(boundary.d_inf)
+        if ln_t < 0.0:
+            ln_arg += math.log(-math.expm1(ln_t))
+        elif ln_t > 0.0:
+            sign, ln_arg = -1.0, ln_arg + ln_t + math.log(-math.expm1(-ln_t))
+        else:
+            return 0.0
+    if ln_arg > _LN_MAX:
+        raise NumericalError("the face argument (d_inf / q0) sqrt(k rho c / pi) (1 - q0 / (h0 d_inf)) "
+                             "leaves the range of a double")
+    return sign * math.exp(ln_arg)

@@ -104,11 +104,19 @@ def test_solve_recovers_latent_heat(case_l_path, capsys):
     assert abs(doc["residuals"]["face"]) <= 1e-14
 
 
-def test_solve_writes_output_file(case_l_path, tmp_path, capsys):
-    out_path = tmp_path / "result.json"
-    code, out, _ = run(["solve", str(case_l_path), "--out", str(out_path)], capsys)
-    assert code == EXIT_OK and out == ""
-    assert math.isclose(json.loads(out_path.read_text())["value"], L_REF, rel_tol=1e-12)
+@pytest.mark.parametrize("sub", ["solve", "check-restrictions", "verify", "profile", "limit", "manufacture"])
+def test_out_file_holds_the_stdout_bytes(case_l_path, request, tmp_path, capsys, sub):
+    if sub == "manufacture":
+        argv = MANUFACTURE_ARGV
+    else:
+        argv = [sub, str(request.getfixturevalue("dirichlet_gamma_path") if sub == "limit" else case_l_path)]
+    inputs = sorted(tmp_path.iterdir())
+    code, stdout, err = run(argv, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    out_path = tmp_path / "out.txt"
+    assert run([*argv, "--out", str(out_path)], capsys) == (EXIT_OK, "", "")
+    assert out_path.read_bytes() == stdout.encode()
+    assert sorted(tmp_path.iterdir()) == sorted([*inputs, out_path])
 
 
 @pytest.mark.parametrize("sub", ["solve", "profile", "manufacture"])
@@ -278,16 +286,9 @@ def test_profile_stdout_contains_both_tables(case_l_path, capsys):
     s1, r1 = (float(v) for v in front_rows[1][1:])
     assert math.isclose(s1, 1.0, rel_tol=1e-13)
     assert r1 > s1
-
-
-def test_profile_out_file_holds_the_stdout_bytes(case_l_path, tmp_path, capsys):
-    code, stdout, _ = run(["profile", str(case_l_path)], capsys)
+    code, out, _ = run(["profile", str(case_l_path)], capsys)
     assert code == EXIT_OK
-    assert len(stdout.split("\n\n")[0].splitlines()) == 51  # header + default 50 points
-    out_path = tmp_path / "profile.csv"
-    assert run(["profile", str(case_l_path), "--out", str(out_path)], capsys) == (EXIT_OK, "", "")
-    assert out_path.read_text() == stdout
-    assert sorted(p.name for p in tmp_path.iterdir()) == [case_l_path.name, out_path.name]
+    assert len(out.split("\n\n")[0].splitlines()) == 51  # header + default 50 points
 
 
 def test_profile_rejects_nonpositive_time(case_l_path, capsys):
@@ -734,15 +735,26 @@ FD_STEP_UNDERFLOW_ROW = (
     MushyCoefficients(epsilon=0.13065986204265423),
     BoundaryData(q0=2.624098373972576e-17, d_inf=1.9146477759761452e-260))
 
+# A direct scenario that solves (xi = 11.1), whose face argument, and so its
+# face residual, is -3.3e376 (q0 / (h0 d_inf) overflows): solve cannot print
+# it, and verify's step underflows.
+FACE_ARGUMENT_OVERFLOW_ROW = (
+    Face.CONVECTIVE, None,
+    ThermalCoefficients(l=2.552964153638182, k=5.018256092643702e-59, rho=2.5764937623793767e+259,
+                        c=1.18648380624629),
+    MushyCoefficients(epsilon=0.5581584136865895, gamma=55457.065957314604),
+    BoundaryData(q0=3.958694033159616e+156, d_inf=6.394029238797965e+56, h0=6.613652447241081e-277))
+
 
 @pytest.mark.parametrize("row", [*OUT_OF_RANGE_ROWS, DIRECT_UNDERFLOW_ROW, *RESTRICTION_UNDERFLOW_ROWS,
                                  INFINITE_MU_ROW, CONDUCTED_FLUX_UNDERFLOW_ROW, *SOLUTION_OUT_OF_RANGE_ROWS,
-                                 FD_STEP_UNDERFLOW_ROW],
+                                 FD_STEP_UNDERFLOW_ROW, FACE_ARGUMENT_OVERFLOW_ROW],
                          ids=["value-inf", "rho-k-underflow", "direct-underflow", "r3-rho-k-underflow",
                               "r2-k-rho-c-underflow", "r6-k-rho-c-underflow", "r9-q0-squared-underflow",
                               "r5-q0-squared-underflow", "r9-rho-l-k-underflow", "r6-face-argument-nan",
                               "r7-stefan-target-nan", "mu-inf", "conducted-flux-underflow", "b-coef-underflow",
-                              "face-argument-underflow", "mu-equals-xi", "fd-step-underflow"])
+                              "face-argument-underflow", "mu-equals-xi", "fd-step-underflow",
+                              "face-argument-overflow"])
 def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
     path = tmp_path / "range.ini"
     path.write_text(scenario_to_ini(ProblemInstance(*row)))
@@ -753,6 +765,8 @@ def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
         code, _, err = run(["solve", str(path)], capsys)
         assert (code, err) == (EXIT_OK, "")
         subs = ("verify",)
+    if row is FACE_ARGUMENT_OVERFLOW_ROW:
+        subs = ("solve", "verify")
     for sub in subs:
         code, out, err = run([sub, str(path)], capsys)
         assert (code, out) == (EXIT_NUMERICAL, "")
@@ -819,13 +833,35 @@ def test_wide_range_data_keep_the_exit_code_contract(tmp_path, capsys):
                            if key in doc}
                 assert all(type(v) is float and math.isfinite(v) for v in numbers.values()), (
                     json.dumps(scenario), numbers)
+                residuals = doc["residuals"]
+                assert all(type(v) is float and math.isfinite(v) for v in residuals.values()), (
+                    json.dumps(scenario), residuals)
                 # A k, rho or c root below 1 is certified relative to its own
-                # scale, so the front balance holds at the printed xi where
-                # the residual itself is a number (its own arithmetic can
-                # leave the double range: "nan").
-                stefan = doc.get("residuals", {}).get("stefan")
-                if scenario["problem"]["case"] in ("k", "rho", "c") and doc["xi"] < 1.0 and type(stefan) is float:
-                    assert abs(stefan) <= 1e-6, (json.dumps(scenario), stefan)
+                # scale, so the front balance holds at the printed xi.
+                if scenario["problem"]["case"] in ("k", "rho", "c") and doc["xi"] < 1.0:
+                    assert abs(residuals["stefan"]) <= 1e-6, (json.dumps(scenario), residuals)
+
+
+#: Draw 677 of the wide-range recipe (random.Random(1)): a Dirichlet rho whose
+#: Stefan target (q0 / l) sqrt(c / (rho k)) overflows, although the answer
+#: rho = 4.159e-164 is right to 3e-16 (mpmath at 60 digits).
+RIGHT_ANSWER_OVERFLOWING_TARGET = {
+    "problem": {"type": "dirichlet", "case": "rho"},
+    "coefficients": {"l": 3.3047353089544846e+194, "k": 21.701473402767245, "c": 2.4884795463403926e+269,
+                     "gamma": 9.035248245398827e-37, "epsilon": 0.6883447778270636},
+    "boundary": {"q0": 0.006480541798207844, "d_inf": 1.046895312271176e-120},
+}
+
+
+def test_residuals_of_a_right_answer_stay_finite_past_the_double_range(tmp_path, capsys):
+    path = tmp_path / "overflowing-target.json"
+    path.write_text(json.dumps(RIGHT_ANSWER_OVERFLOWING_TARGET))
+    code, out, err = run(["solve", str(path)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert math.isclose(doc["value"], 4.159e-164, rel_tol=1e-3)
+    stefan = doc["residuals"]["stefan"]
+    assert type(stefan) is float and abs(stefan) <= 1e-6, stefan
 
 
 # alpha = k / (rho c) = 1e308 while k rho c = 1, so pi alpha overflows while
@@ -1223,19 +1259,20 @@ def test_output_numbers_are_shortest_round_trip(case_l_path, dirichlet_gamma_pat
 
 # sha256 of stdout, and the exit code, of each report on five scenarios: the
 # README case-l scenario and a manufactured Dirichlet gamma one, each also
-# restated for the unknown k, and case-l restated for the Dirichlet face.  A
-# change to any byte these commands print changes a digest.
+# restated for the unknown k with the former unknown at its true value, and
+# case-l restated for the Dirichlet face.  A change to any byte these
+# commands print changes a digest; limit refuses the two convective ones.
 REPORT_DIGESTS = {
     "solve case-l": (0, "cd0e5d71f3d3880803adee7f844d7a06dc4d0b929789fc8103acdeac98c68193"),
     "check-restrictions case-l": (0, "31c997a646b21e328ae88a733ecb1c9527b2327f5ac077a1393cc33ffa3e5799"),
     "verify case-l": (0, "ef89e11f036e8e8cb6627fc17b24798b85591034921b25f93ad8a7b23b6d1000"),
     "limit case-l": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "profile case-l": (0, "8f51d992d615da74eba2c1dc3fa3b9e096459c4c250705858b83d4b349640dbf"),
-    "solve case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "check-restrictions case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "verify case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "solve case-l-k": (0, "f7fbe1311e08dbcaf6be4767168549c601808f5fdaa693379f778fd9f0b9b85f"),
+    "check-restrictions case-l-k": (0, "ed6105a322ca2efd4dafa8fa01c1ba39603a1974281fc788cbc0d6daf9cc42c1"),
+    "verify case-l-k": (0, "95e4c7140955f00adb430b3426a6a255832b3d1dd93bfda6d1cf7aa2e09f8862"),
     "limit case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "profile case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "profile case-l-k": (0, "31a048a8a127b08d579b1c3d860f82d5c35fc79a81d03e11ef186bc1433eab95"),
     "solve case-l-dirichlet": (0, "1e793290c3ddd0f6a4c61ba8446c1a1537feafa83cf6c13d650c8f818cd982b5"),
     "check-restrictions case-l-dirichlet": (0, "5c54fa26a232f31a0ed90592710f7d56b7174562c6580b41265d941cfdaedcd4"),
     "verify case-l-dirichlet": (0, "a7bf9b6e282da27ede68217cef2d648c717d58295513d8b437ebeee86e99d306"),
@@ -1246,20 +1283,21 @@ REPORT_DIGESTS = {
     "verify dirichlet-gamma": (0, "5813d865addd9623dc3339679cc05ee785ea17d48b30dfdc2e959640feb42556"),
     "limit dirichlet-gamma": (0, "4d5b377864bdccc017d2fe7059074dba24d36bf63ed5bce36979c328d0b556dd"),
     "profile dirichlet-gamma": (0, "348b5afc7f8afc430931f4084d373ec0e847522a78c07fa076d06f31ce209793"),
-    "solve dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "check-restrictions dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "verify dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "limit dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "profile dirichlet-gamma-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "solve dirichlet-gamma-k": (0, "9cfd4bd512633d6c2b6bad4c64c34271614ae845c31fccc7a3f29be2ec1d5675"),
+    "check-restrictions dirichlet-gamma-k": (0, "de4523c5376f76c1ffd7d4b1ce0656899b514ac934cc9561898f33e015a9b594"),
+    "verify dirichlet-gamma-k": (0, "a7cc284b1ff48fdbc1651218ab6a80f7923bfb77254afa1ee1598f2cc962b4a1"),
+    "limit dirichlet-gamma-k": (0, "22ae4ac339d3ccbdd5a650a3bc25f4776cec6a6b37e99c83089cd953386d9bd0"),
+    "profile dirichlet-gamma-k": (0, "ca67294a87613e52bd59a84079fc7692a7cce3050b65376ff344375cfd6384e5"),
 }
 
 
 def test_report_bytes_are_pinned(case_l_path, dirichlet_gamma_path, tmp_path, capsys):
     scenarios = {}
-    for label, path in (("case-l", case_l_path), ("dirichlet-gamma", dirichlet_gamma_path)):
+    for label, path, known in (("case-l", case_l_path, f"l = {L_REF!r}"),
+                               ("dirichlet-gamma", dirichlet_gamma_path, "gamma = 1.72")):
         text = path.read_text()
         scenarios[label] = text
-        scenarios[f"{label}-k"] = restate(text, case="k")
+        scenarios[f"{label}-k"] = restate(text.replace("[coefficients]\n", f"[coefficients]\n{known}\n"), case="k")
     scenarios["case-l-dirichlet"] = restate(case_l_path.read_text(), problem="dirichlet")
     digests = {}
     for label, text in scenarios.items():

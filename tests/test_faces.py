@@ -1,0 +1,167 @@
+"""Behaviours that do not depend on the face condition.
+
+Each test runs on the convective face and on its h0 -> inf limit, the
+Dirichlet face, with the two session examples: xi = 0.5, unit thermal
+coefficients, epsilon = 0.5, gamma = 0.1, q0 = 1 (and h0 = 2 on the
+convective face).  Behaviours of one face stay in ``test_convective.py``
+and ``test_dirichlet.py``.
+"""
+
+import math
+import warnings
+from dataclasses import replace
+
+import pytest
+
+from mushy import inverse_convective as conv
+from mushy import inverse_dirichlet as diri
+from mushy.errors import IllConditionedWarning, RestrictionError
+from mushy.manufacture import manufacture
+from mushy.model import BoundaryData, Face, ThermalCoefficients, UnknownCase
+from mushy.rootfind import solve_increasing
+
+from conftest import REF_KWARGS, XI_REF
+
+#: Each face's inverse module and case solver.
+INVERSE = {Face.CONVECTIVE: conv, Face.DIRICHLET: diri}
+SOLVE = {Face.CONVECTIVE: conv.solve_case, Face.DIRICHLET: diri.solve_dirichlet_case}
+
+# The restrictions of each case, as the paper lists them.  R6-R9 are R2-R5
+# at h0 -> inf; the Dirichlet k and rho cases carry none.
+CASE_RESTRICTIONS = {
+    Face.CONVECTIVE: {
+        UnknownCase.L: ("R1", "R2"),
+        UnknownCase.GAMMA: ("R1", "R2", "R3"),
+        UnknownCase.EPSILON: ("R1", "R2", "R3", "R4"),
+        UnknownCase.K: ("R1",),
+        UnknownCase.RHO: ("R1",),
+        UnknownCase.C: ("R1", "R5"),
+    },
+    Face.DIRICHLET: {
+        UnknownCase.L: ("R6",),
+        UnknownCase.GAMMA: ("R7",),
+        UnknownCase.EPSILON: ("R7", "R8"),
+        UnknownCase.K: (),
+        UnknownCase.RHO: (),
+        UnknownCase.C: ("R9",),
+    },
+}
+
+# Frozen from the forward construction: d_inf = sqrt(pi) erf(0.5), plus
+# q0 / h0 = 0.5 on the convective face.
+D_INF_REF = {Face.CONVECTIVE: 1.4225620128255847, Face.DIRICHLET: 0.9225620128255848}
+# The 0+ limit sqrt(pi)/2 + gamma (1 - epsilon) sqrt(pi) / (2 beta d_inf) of
+# the specific-heat xi equation; beta d_inf is sqrt(pi) erf(0.5) on both faces.
+F6_LOWER_REF = 0.9342576764013288
+
+
+@pytest.fixture(params=list(Face), ids=[face.value for face in Face])
+def face(request):
+    return request.param
+
+
+@pytest.fixture()
+def example(face, convective_example, dirichlet_example):
+    return convective_example if face is Face.CONVECTIVE else dirichlet_example
+
+
+def _attenuation(boundary):
+    """q0 / h0, which the convective face takes off d_inf (beta d_inf =
+    d_inf - q0 / h0); 0 on the Dirichlet face."""
+    return 0.0 if boundary.h0 is None else boundary.q0 / boundary.h0
+
+
+def test_reference_face_datum(face, example):
+    assert example.boundary.d_inf == pytest.approx(D_INF_REF[face], rel=0, abs=1e-16)
+    assert (example.boundary.h0 is None) == (face is Face.DIRICHLET)
+
+
+def test_every_case_round_trips(face, example):
+    for case in UnknownCase:
+        thermal, mushy, truth = example.hide(case)
+        result = SOLVE[face](case, thermal, mushy, example.boundary)
+        assert result.case is case
+        assert math.isclose(result.value, truth, rel_tol=1e-11), case
+        assert abs(result.xi - XI_REF) <= 1e-12, case
+        assert tuple(r.restriction_id for r in result.reports) == CASE_RESTRICTIONS[face][case]
+
+
+def test_face_argument_above_unity_rejected(face, example):
+    # d_inf placed so that the argument of the inverse error function is 1 + 1e-9
+    thermal, mushy, _ = example.hide(UnknownCase.L)
+    b = example.boundary
+    boundary = replace(b, d_inf=_attenuation(b) + math.sqrt(math.pi) * (1.0 + 1e-9))
+    with pytest.raises(RestrictionError) as err:
+        SOLVE[face](UnknownCase.L, thermal, mushy, boundary)
+    assert err.value.failed_ids() == CASE_RESTRICTIONS[face][UnknownCase.L][-1:]  # R2 / R6
+
+
+def test_face_determined_front_is_shared_bitwise(face, example):
+    xis = []
+    for case in conv.FACE_CASES:
+        thermal, mushy, _ = example.hide(case)
+        xis.append(SOLVE[face](case, thermal, mushy, example.boundary).xi)
+    assert xis[0] == xis[1] == xis[2]
+
+
+def test_density_recovery_shares_the_front_equation(face, example):
+    thermal_k, mushy, _ = example.hide(UnknownCase.K)
+    thermal_rho, _, truth_rho = example.hide(UnknownCase.RHO)
+    k_result = SOLVE[face](UnknownCase.K, thermal_k, mushy, example.boundary)
+    rho_result = SOLVE[face](UnknownCase.RHO, thermal_rho, mushy, example.boundary)
+    assert rho_result.xi == k_result.xi  # identical equation, identical root
+    assert math.isclose(rho_result.value, truth_rho, rel_tol=1e-12)
+
+
+def test_specific_heat_existence_boundary(face, example):
+    _, mushy, _ = example.hide(UnknownCase.C)
+    b = example.boundary
+    l_boundary = 2.0 * b.q0 * b.q0 / (b.d_inf - _attenuation(b) + 0.05)  # unit k, rho
+    good = ThermalCoefficients(l=l_boundary * (1.0 - 1e-9), k=1.0, rho=1.0, c=None)
+    bad = ThermalCoefficients(l=l_boundary * (1.0 + 1e-9), k=1.0, rho=1.0, c=None)
+    assert SOLVE[face](UnknownCase.C, good, mushy, b).value > 0.0
+    with pytest.raises(RestrictionError) as err:
+        SOLVE[face](UnknownCase.C, bad, mushy, b)
+    assert err.value.failed_ids() == CASE_RESTRICTIONS[face][UnknownCase.C][-1:]  # R5 / R9
+
+
+@pytest.mark.parametrize("case, lower", [(UnknownCase.K, 0.0), (UnknownCase.C, F6_LOWER_REF)], ids=["kr", "c"])
+def test_front_equation_root_and_lower_limit(face, example, case, lower):
+    thermal, mushy, _ = example.hide(case)
+    build = INVERSE[face].xi_equation_kr if case is UnknownCase.K else INVERSE[face].xi_equation_c
+    eq = build(thermal, mushy, example.boundary)
+    assert abs(solve_increasing(eq) - XI_REF) <= 1e-12
+    assert eq.lower_limit == lower
+    # f starts at its limit at 0+: for k and rho that is 0, so any positive
+    # target admits a root
+    assert 0.0 < eq.f(1e-8) and abs(eq.f(1e-8) - eq.lower_limit) < 1e-15
+
+
+@pytest.mark.parametrize("xi", [5.05, 5.3])
+def test_saturated_face_warns_once_per_solve(face, example, xi):
+    # Near erf saturation the face equation is ill conditioned; each l,
+    # gamma and epsilon solve says so once, however many restrictions use xi.
+    problem = manufacture(**dict(REF_KWARGS, xi=xi), h0=example.boundary.h0, face=face)
+    for case in conv.FACE_CASES:
+        thermal, mushy, _ = problem.hide(case)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            SOLVE[face](case, thermal, mushy, problem.boundary)
+        assert [w.category for w in caught] == [IllConditionedWarning], case
+
+
+@pytest.mark.parametrize("face, l_scale, boundary, ids", [
+    (Face.CONVECTIVE, 1.0, BoundaryData(q0=2.5, d_inf=1.25, h0=2.0), ("R1",)),
+    (Face.CONVECTIVE, 1.5, None, ("R1", "R2", "R3")),
+    (Face.DIRICHLET, 1.5, None, ("R7",)),
+], ids=["convective-R1", "convective-R3", "dirichlet-R7"])
+def test_restriction_checks_stop_at_first_failure(face, example, l_scale, boundary, ids):
+    thermal, mushy, _ = example.hide(UnknownCase.EPSILON)
+    thermal = replace(thermal, l=l_scale * thermal.l)
+    boundary = boundary or example.boundary
+    reports = INVERSE[face].check_all(UnknownCase.EPSILON, thermal, mushy, boundary)
+    assert tuple(r.restriction_id for r in reports) == ids
+    assert not reports[-1].satisfied
+    with pytest.raises(RestrictionError) as err:
+        SOLVE[face](UnknownCase.EPSILON, thermal, mushy, boundary)
+    assert err.value.reports == reports

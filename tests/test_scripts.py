@@ -46,30 +46,28 @@ def test_recovery_sweep_digest_follows_the_seed(tmp_path):
     assert digest("2") != first
 
 
-def test_recovery_sweep_digest_is_pinned(tmp_path):
-    # Every result of 12 000 recoveries, bit for bit: a change to any number
-    # a solve returns, or to its reports, changes this digest.
-    last = _run("recovery_sweep.py", ["--n", "1000", "--seed", "7", "--xi-max", "3.0"], tmp_path).splitlines()[-1]
-    assert last == "sha256 bca801efa489c0f5cfd131d5ba314786ce0809c87a5666edd881a1c0c444093d (0 raised)"
-
-
-def test_recovery_sweep_digest_at_large_xi_is_pinned(tmp_path):
-    # 3600 recoveries with xi up to 5.5, where the root solves take the most
-    # Newton steps: pins the iterates that the xi <= 3 digest never reaches.
-    # erf_inv warns in 153 of them; the sweep counts the warnings.
-    lines = _run("recovery_sweep.py", ["--n", "300", "--seed", "3", "--xi-max", "5.5"], tmp_path).splitlines()
-    assert lines[-2].endswith("/s; 153 ill-conditioned warnings)"), lines[-2]
-    assert lines[-1] == "sha256 e4f445c3d5eed152ea7241eea5a03d075e7a16abe3037897df95a1035d704438 (0 raised)"
-
-
-def test_recovery_sweep_digest_near_erf_saturation_is_pinned(tmp_path):
-    # 18 000 recoveries with xi up to 5.8, the only sweep that reaches
-    # xi in (5.5, 5.8], where erf_inv works within 1e-12 of saturation and
-    # rounding decides 59 restriction verdicts: pins the kernel's values
-    # there and the reports of every restriction failure.
-    lines = _run("recovery_sweep.py", ["--n", "1500", "--seed", "5", "--xi-max", "5.8"], tmp_path).splitlines()
-    assert lines[-2].endswith("/s; 1217 ill-conditioned warnings)"), lines[-2]
-    assert lines[-1] == "sha256 31a70dca9ce7e6acc05e0973c385c696562673fd28f5889a6d82e1093ca84ae2 (59 raised)"
+# Every result of each sweep, bit for bit: a change to any number a solve
+# returns, or to its reports, changes the digest.  The sweep also counts
+# erf_inv's ill-conditioned warnings.
+#  - 12,000 recoveries with xi <= 3.
+#  - 3,600 with xi up to 5.5, where the root solves take the most Newton
+#    steps: the iterates that the xi <= 3 sweep never reaches.
+#  - 18,000 with xi up to 5.8, the only sweep that reaches xi in (5.5, 5.8],
+#    where erf_inv works within 1e-12 of saturation and rounding decides
+#    59 restriction verdicts: the kernel's values there and the reports of
+#    every restriction failure.
+@pytest.mark.parametrize("args, warnings, last", [
+    (["--n", "1000", "--seed", "7", "--xi-max", "3.0"], 0,
+     "sha256 bca801efa489c0f5cfd131d5ba314786ce0809c87a5666edd881a1c0c444093d (0 raised)"),
+    (["--n", "300", "--seed", "3", "--xi-max", "5.5"], 153,
+     "sha256 e4f445c3d5eed152ea7241eea5a03d075e7a16abe3037897df95a1035d704438 (0 raised)"),
+    (["--n", "1500", "--seed", "5", "--xi-max", "5.8"], 1217,
+     "sha256 31a70dca9ce7e6acc05e0973c385c696562673fd28f5889a6d82e1093ca84ae2 (59 raised)"),
+], ids=["xi-3", "xi-5.5", "xi-5.8"])
+def test_recovery_sweep_digest_is_pinned(tmp_path, args, warnings, last):
+    lines = _run("recovery_sweep.py", args, tmp_path).splitlines()
+    assert lines[-2].endswith(f"/s; {warnings} ill-conditioned warnings)"), lines[-2]
+    assert lines[-1] == last
 
 
 def test_readme_limit_recipe_runs(tmp_path):
