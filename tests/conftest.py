@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
-from mushy import Face
+from mushy import Face, inverse_convective, inverse_dirichlet, solve_convective_case, solve_dirichlet_case
+from mushy.errors import ConvergenceError, SolverError
 from mushy.manufacture import manufacture
 from mushy.model import BoundaryData, MushyCoefficients, ThermalCoefficients, UnknownCase
 
@@ -21,6 +24,27 @@ OUT_OF_RANGE_ROWS = [
     (Face.CONVECTIVE, UnknownCase.L, ThermalCoefficients(k=1e-300, rho=1e-300, c=1.0),
      MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1.0, d_inf=1.0, h0=2.0)),
 ]
+
+
+def assert_value_or_solver_error(rows) -> None:
+    """Each (face, case, thermal, mushy, boundary) row solves to a positive
+    finite value or raises a SolverError other than ConvergenceError, and its
+    restriction pass raises nothing but a SolverError."""
+    for face, case, thermal, mushy, boundary in rows:
+        inverse = inverse_convective if face is Face.CONVECTIVE else inverse_dirichlet
+        solver = solve_convective_case if face is Face.CONVECTIVE else solve_dirichlet_case
+        try:
+            value = solver(case, thermal, mushy, boundary).value
+        except ConvergenceError:
+            pytest.fail(f"ConvergenceError: {face.value} {case.value} {thermal} {mushy} {boundary}")
+        except SolverError:
+            pass
+        else:
+            assert 0.0 < value < math.inf, (face, case, thermal, mushy, boundary)
+        try:
+            inverse.check_all(case, thermal, mushy, boundary)
+        except SolverError:
+            pass
 
 
 @pytest.fixture(scope="session")

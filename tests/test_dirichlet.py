@@ -12,7 +12,7 @@ from mushy.errors import IllConditionedWarning, NoRootError
 from mushy.manufacture import manufacture, random_problem
 from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
 
-from conftest import XI_REF
+from conftest import OUT_OF_RANGE_ROWS, XI_REF, assert_value_or_solver_error
 
 ETA_UNIT_TARGET = 0.6529186404192053  # root of x e**x^2 = 1, frozen by bisection
 ETA_R8_FAR = 20.082304769727949912  # root of (x + 5e-151 e**x^2) e**x^2 = 1e200, 50 digits (mpmath), rounded
@@ -190,3 +190,10 @@ def test_no_case_solve_copies_a_coefficient_record(monkeypatch):
         solve = conv.solve_case if face is Face.CONVECTIVE else diri.solve_dirichlet_case
         assert math.isclose(solve(case, thermal, mushy, boundary).value, truth, rel_tol=1e-10)
 
+
+@pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
+def test_a_solve_returns_a_positive_finite_value_or_raises():
+    # Data whose arithmetic leaves the double range meet the wide-range
+    # property of test_rootfind: a positive finite value or a SolverError
+    # other than ConvergenceError, and no ZeroDivisionError or inf.
+    assert_value_or_solver_error(OUT_OF_RANGE_ROWS)
