@@ -26,6 +26,8 @@ from .model import (
     MushyCoefficients,
     SimilaritySolution,
     ThermalCoefficients,
+    _check_front,
+    _check_solution,
 )
 from .rootfind import MonotoneEquation
 
@@ -115,18 +117,28 @@ def mushy_strength(thermal: ThermalCoefficients, mushy: MushyCoefficients, bound
     Weights the contribution of the liquid-front release of latent heat in
     the front balance; 0 would mean all latent heat released at s(t).
     """
-    return mushy.gamma * (1.0 - mushy.epsilon) * math.sqrt(thermal.k * thermal.rho * thermal.c) / (2.0 * boundary.q0)
+    return _strength(mushy.gamma * (1.0 - mushy.epsilon), math.sqrt(thermal.k * thermal.rho * thermal.c), boundary.q0)
 
 
 def zone_strength(thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData) -> float:
     """Full zone strength g = gamma sqrt(k rho c) / (2 q0), the mushy
     strength at epsilon = 0, at which R4 and R8 evaluate the front balance."""
-    return mushy.gamma * math.sqrt(thermal.k * thermal.rho * thermal.c) / (2.0 * boundary.q0)
+    return _strength(mushy.gamma, math.sqrt(thermal.k * thermal.rho * thermal.c), boundary.q0)
+
+
+def _strength(weight: float, krc: float, q0: float) -> float:
+    """weight sqrt(k rho c) / (2 q0) from krc = sqrt(k rho c): the zone
+    strength at weight gamma, the mushy strength at gamma (1 - epsilon)."""
+    return weight * krc / (2.0 * q0)
 
 
 def stefan_lhs(xi: float, strength: float) -> float:
     """Left side (xi + strength e**xi^2) e**xi^2 of the front balance."""
-    e = math.exp(xi * xi)
+    return _balance_lhs(xi, math.exp(xi * xi), strength)
+
+
+def _balance_lhs(xi: float, e: float, strength: float) -> float:
+    """:func:`stefan_lhs` from e = e**xi^2."""
     return (xi + strength * e) * e
 
 
@@ -170,13 +182,20 @@ def specific_heat_products(thermal: ThermalCoefficients, boundary: BoundaryData)
 def balance_equation(strength: float, target: float, name: str) -> MonotoneEquation:
     """The front balance stefan_lhs(x, strength) = target as an equation
     for x; its left side starts at the strength at 0+."""
-    return MonotoneEquation(f=lambda x: stefan_lhs(x, strength), target=target, lower_limit=strength,
-                            df=lambda x: stefan_lhs_derivative(x, strength), name=name,
-                            start=_balance_start(strength, target))
+    return _balance_equation(strength, target, name, xexp_sq_start(target))
 
 
-def _balance_start(g: float, s: float) -> float:
-    """A start for (x + g e**x^2) e**x^2 = s, g >= 0.
+def _balance_equation(strength: float, target: float, name: str, x0: float) -> MonotoneEquation:
+    """:func:`balance_equation` from x0 = xexp_sq_start(target), the start
+    of the same balance at zero strength."""
+    return MonotoneEquation(f=lambda x: _balance_lhs(x, math.exp(x * x), strength), target=target,
+                            lower_limit=strength, df=lambda x: stefan_lhs_derivative(x, strength), name=name,
+                            start=_balance_start(strength, target, x0))
+
+
+def _balance_start(g: float, s: float, x: float) -> float:
+    """A start for (x + g e**x^2) e**x^2 = s, g >= 0, from x =
+    xexp_sq_start(s).
 
     Dropping either term of the left side leaves an equation whose root
     lies above this one: x e**x^2 = s (:func:`xexp_sq_start`) and
@@ -185,7 +204,6 @@ def _balance_start(g: float, s: float) -> float:
     on ln(x + g e**x^2) + x^2 = ln s from the least of the three lands
     within 2% of the root (200 random_problem draws).
     """
-    x = xexp_sq_start(s)
     if s > g > 0.0:
         d = s - g
         small = 2.0 * d / (1.0 + math.sqrt(1.0 + 8.0 * g * d))
@@ -225,14 +243,20 @@ def face_argument(thermal: ThermalCoefficients, boundary: BoundaryData, face: Fa
     """The value erf(xi) must take to meet the fixed-face condition:
     (d_inf / q0) sqrt(k rho c / pi) scaled by the convective attenuation.
 
-    Valid data whose k rho c underflows to 0, or whose factors are 0 and
-    inf, raise NumericalError.
+    Valid data whose k rho c underflows to 0, then those whose h0 d_inf
+    does (:func:`face_factor`), or whose factors are 0 and inf, raise
+    NumericalError.
     """
     k_rho_c = thermal.k * thermal.rho * thermal.c
+    beta = face_factor(boundary, face) if k_rho_c != 0.0 else 1.0  # k rho c's guard comes first
+    return _face_argument(k_rho_c, boundary.d_inf, boundary.q0, beta)
+
+
+def _face_argument(k_rho_c: float, d_inf: float, q0: float, beta: float) -> float:
+    """:func:`face_argument` from the product k rho c and the attenuation beta."""
     if k_rho_c == 0.0:
         raise NumericalError("k rho c underflows to 0, outside the range of a double")
-    base = (boundary.d_inf / boundary.q0) * math.sqrt(k_rho_c / math.pi)
-    arg = base * face_factor(boundary, face)
+    arg = (d_inf / q0) * math.sqrt(k_rho_c / math.pi) * beta
     if arg != arg:
         raise NumericalError("the face argument (d_inf / q0) sqrt(k rho c / pi) is 0 times inf, "
                              "outside the range of a double")
@@ -261,8 +285,7 @@ def build_solution(
     not copy a record to hand its recovered value in.  The solution reads
     no other coefficient, so for the l and epsilon cases it is unused.
     """
-    if not (xi > 0.0 and math.isfinite(xi)):
-        raise DomainError(f"xi must be positive and finite, got {xi!r}")
+    _check_front(xi, DomainError)  # before any figure is computed from xi
     k, rho, c, gamma, q0 = thermal.k, thermal.rho, thermal.c, mushy.gamma, boundary.q0
     if value is not None:
         if k is None:
@@ -277,10 +300,10 @@ def build_solution(
     b_coef = q0 * _sqrt_product(math.pi, alpha) / k
     a_coef = -b_coef * math.erf(xi)  # xi is checked above
     mu = xi + gamma * math.sqrt(k * rho * c) * math.exp(xi * xi) / (2.0 * q0)
-    solution = SimilaritySolution(a_coef, b_coef, xi, mu, alpha)
+    _check_solution(b_coef, xi, mu, alpha)
     if mu == _INF:  # after the record's checks, whose ValidationErrors (a NaN mu's too) come first
         raise NumericalError("the liquid front mu leaves the range of a double")
-    return solution
+    return tuple.__new__(SimilaritySolution, (a_coef, b_coef, xi, mu, alpha))
 
 
 def _similarity_variable(sol: SimilaritySolution, x: float, t: float) -> float:

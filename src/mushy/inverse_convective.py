@@ -28,10 +28,12 @@ from .direct import (
     _LN2,
     _NORMAL_MIN,
     SQRT_PI,
+    _balance_lhs,
+    _face_argument,
+    _strength,
     build_solution,
     face_argument,
     face_factor,
-    mushy_strength,
     specific_heat_products,
     stefan_lhs,
     stefan_rhs,
@@ -88,7 +90,11 @@ def check_r1(boundary: BoundaryData) -> RestrictionReport:
 
 def check_r2(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R2: the face argument (d_inf/q0) sqrt(k rho c/pi) (1 - q0/(h0 d_inf)) < 1."""
-    arg = face_argument(thermal, boundary, _CONVECTIVE)
+    return _r2(face_argument(thermal, boundary, _CONVECTIVE))
+
+
+def _r2(arg: float) -> RestrictionReport:
+    """R2's report from the face argument."""
     return tuple.__new__(RestrictionReport, ("R2", arg < 1.0, arg, 1.0, ""))
 
 
@@ -100,9 +106,12 @@ def check_r3(thermal: ThermalCoefficients, boundary: BoundaryData, xi: float) ->
     argument, which R1 and R2 make well defined; :func:`_evaluate` computes
     it once R2 holds.
     """
-    lhs = xexp_sq(xi)
-    rhs = stefan_rhs(thermal, boundary)
-    return tuple.__new__(RestrictionReport, ("R3", lhs < rhs, lhs, rhs, ""))
+    return _r3(xexp_sq(xi), stefan_rhs(thermal, boundary))
+
+
+def _r3(xe: float, s: float) -> RestrictionReport:
+    """R3's report from its sides xe = xi e**xi^2 and the Stefan target s."""
+    return tuple.__new__(RestrictionReport, ("R3", xe < s, xe, s, ""))
 
 
 def check_r4(
@@ -115,9 +124,13 @@ def check_r4(
     ``xi`` is the face-determined front position of :func:`check_r3`, so
     R1 and R2 must hold.  ``mushy.gamma`` must be known; epsilon is not used.
     """
-    lhs = stefan_rhs(thermal, boundary)
-    rhs = stefan_lhs(xi, zone_strength(thermal, mushy, boundary))
-    return tuple.__new__(RestrictionReport, ("R4", lhs < rhs, lhs, rhs, ""))
+    return _r4(stefan_rhs(thermal, boundary), stefan_lhs(xi, zone_strength(thermal, mushy, boundary)))
+
+
+def _r4(s: float, balance: float) -> RestrictionReport:
+    """R4's report from its sides: the Stefan target s and the front balance
+    at the full zone strength."""
+    return tuple.__new__(RestrictionReport, ("R4", s < balance, s, balance, ""))
 
 
 def check_r5(
@@ -131,10 +144,15 @@ def check_r5(
     :func:`~mushy.direct.face_factor`), then rho l k or 2 q0^2 (in
     :func:`~mushy.direct.specific_heat_products`) raise NumericalError.
     """
-    lhs = face_factor(boundary, _CONVECTIVE)
+    return _r5(face_factor(boundary, _CONVECTIVE), thermal, mushy, boundary)
+
+
+def _r5(beta: float, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData
+        ) -> RestrictionReport:
+    """R5's report from its lhs, the attenuation beta."""
     rho_l_k, two_q0_sq = specific_heat_products(thermal, boundary)
     rhs = (two_q0_sq / rho_l_k - mushy.gamma * (1.0 - mushy.epsilon)) / boundary.d_inf
-    return tuple.__new__(RestrictionReport, ("R5", lhs < rhs, lhs, rhs, ""))
+    return tuple.__new__(RestrictionReport, ("R5", beta < rhs, beta, rhs, ""))
 
 
 #: Why a solve of valid data can still fail: a product of them leaves the
@@ -166,8 +184,9 @@ def _evaluate(
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
-) -> tuple[tuple[RestrictionReport, ...], float | None]:
-    """:func:`check_all` on data that are already validated, plus xi.
+) -> tuple[tuple[RestrictionReport, ...], float | None, float | None, float | None, float | None]:
+    """:func:`check_all` on data that are already validated, plus the
+    figures of the recovery.
 
     The restrictions of each case, run in this order up to the first
     failure:
@@ -178,26 +197,44 @@ def _evaluate(
     * gamma: R1, R2, R3;
     * epsilon: R1, R2, R3, R4.
 
-    Once R2 holds, the face-determined front position xi = erf_inv(R2's
-    face argument) is computed, once, and handed to R3 and R4.  It is
-    returned for the face-equation cases l, gamma and epsilon, and is None
-    for k, rho and c or when R1 or R2 failed.
+    Each figure is computed once, where the restrictions first need it, and
+    returned after the reports, None where the case does not reach it:
+
+    * xi, the face-determined front position erf_inv(R2's face argument),
+      for l, gamma and epsilon once R2 holds;
+    * beta = 1 - q0/(h0 d_inf), once R1 holds: R2's attenuation, R5's lhs
+      and the k, rho and c recoveries' factor;
+    * the gap (q0/l) sqrt(c/(rho k)) - xi e**xi^2 of R3's sides, for gamma
+      and epsilon once R2 holds;
+    * sqrt(k rho c), for l, gamma and epsilon once R2 holds.
+
+    R2 and sqrt(k rho c) share the product k rho c, and R4 reads R3's
+    Stefan target and e**xi^2.
     """
     r1 = check_r1(boundary)
-    if not r1.satisfied or case is _K or case is _RHO:
-        return (r1,), None
+    if not r1.satisfied:
+        return (r1,), None, None, None, None
+    beta = face_factor(boundary, _CONVECTIVE)  # R1 holds: h0 d_inf > q0, so no underflow
+    if case is _K or case is _RHO:
+        return (r1,), None, beta, None, None
     if case is _C:
-        return (r1, check_r5(thermal, mushy, boundary)), None
-    r2 = check_r2(thermal, boundary)
+        return (r1, _r5(beta, thermal, mushy, boundary)), None, beta, None, None
+    k_rho_c = thermal.k * thermal.rho * thermal.c
+    r2 = _r2(_face_argument(k_rho_c, boundary.d_inf, boundary.q0, beta))
     if not r2.satisfied:
-        return (r1, r2), None
+        return (r1, r2), None, beta, None, None
     xi = specfun.erf_inv(r2.lhs)
+    krc = math.sqrt(k_rho_c)
     if case is _L:
-        return (r1, r2), xi
-    r3 = check_r3(thermal, boundary, xi)
+        return (r1, r2), xi, beta, None, krc
+    s = stefan_rhs(thermal, boundary)
+    e = math.exp(xi * xi)
+    xe = xi * e  # xexp_sq(xi)
+    r3 = _r3(xe, s)
     if not r3.satisfied or case is _GAMMA:
-        return (r1, r2, r3), xi
-    return (r1, r2, r3, check_r4(thermal, mushy, boundary, xi)), xi
+        return (r1, r2, r3), xi, beta, s - xe, krc
+    r4 = _r4(s, _balance_lhs(xi, e, _strength(mushy.gamma, krc, boundary.q0)))
+    return (r1, r2, r3, r4), xi, beta, s - xe, krc
 
 
 def require_satisfied(reports: tuple[RestrictionReport, ...]) -> None:
@@ -398,19 +435,42 @@ def closed_form(
     keeps positive.  ``xi`` is a front position the recovery computed,
     positive and finite, so erf is taken by math.erf without a check.  A
     value that is not a positive finite double raises NumericalError: the
-    data, each valid, leave the double range together.
+    data, each valid, leave the double range together.  So does an epsilon
+    that rounds to 1, which no double in (0, 1) represents.
     """
-    if case is _L:
-        value = boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / stefan_lhs(
-            xi, mushy_strength(thermal, mushy, boundary)
-        )
-    elif case is _GAMMA or case is _EPSILON:
-        gap = stefan_rhs(thermal, boundary) - xexp_sq(xi)
+    gap = krc = None
+    if case in FACE_CASES:
+        if case is not _L:
+            gap = stefan_rhs(thermal, boundary) - xexp_sq(xi)
         krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
-        if case is _GAMMA:
-            value = (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
-        else:
-            value = 1.0 - (2.0 * boundary.q0 / (mushy.gamma * krc)) * gap * math.exp(-2.0 * xi * xi)
+    return _closed_form(case, thermal, mushy, boundary, xi, beta, gap, krc)
+
+
+def _closed_form(
+    case: UnknownCase,
+    thermal: ThermalCoefficients,
+    mushy: MushyCoefficients,
+    boundary: BoundaryData,
+    xi: float,
+    beta: float | None,
+    gap: float | None,
+    krc: float | None,
+) -> float:
+    """:func:`closed_form` from the figures the restriction pass computed:
+    the gap of R3's sides (gamma, epsilon) and sqrt(k rho c) (l, gamma,
+    epsilon)."""
+    if case is _L:
+        strength = _strength(mushy.gamma * (1.0 - mushy.epsilon), krc, boundary.q0)
+        value = boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / _balance_lhs(
+            xi, math.exp(xi * xi), strength
+        )
+    elif case is _GAMMA:
+        value = (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
+    elif case is _EPSILON:
+        value = 1.0 - (2.0 * boundary.q0 / (mushy.gamma * krc)) * gap * math.exp(-2.0 * xi * xi)
+        if value >= 1.0:  # 1 - epsilon is below half an ulp of 1
+            raise NumericalError(f"the recovered epsilon = {value!r} is not representable in (0, 1); "
+                                 "the data leave the range of a double")
     else:
         erf_xi = math.erf(xi)
         amp = boundary.q0 * erf_xi
@@ -448,17 +508,15 @@ def solve_case(
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    reports, xi = _evaluate(case, thermal, mushy, boundary)
+    reports, xi, beta, gap, krc = _evaluate(case, thermal, mushy, boundary)
     require_satisfied(reports)
 
-    beta = None
     try:
         if xi is None:  # k, rho or c: every restriction held, none of them R2
-            beta = face_factor(boundary, _CONVECTIVE)
             equation = xi_equation_c if case is _C else xi_equation_kr
             xi = solve_increasing(equation(thermal, mushy, boundary, beta))
 
-        value = closed_form(case, thermal, mushy, boundary, xi, beta)
+        value = _closed_form(case, thermal, mushy, boundary, xi, beta, gap, krc)
         solution = build_solution(thermal, mushy, boundary, xi, value)
     except ZeroDivisionError:
         raise NumericalError(f"case {case.value}: {UNDERFLOW}") from None

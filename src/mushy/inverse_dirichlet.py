@@ -39,7 +39,9 @@ from collections import namedtuple
 
 from . import inverse_convective, specfun
 from .direct import (
-    balance_equation,
+    _balance_equation,
+    _face_argument,
+    _strength,
     build_solution,
     dxexp_sq,
     face_argument,
@@ -93,13 +95,18 @@ def solve_eta_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
     positive data.
     """
     target = stefan_rhs(thermal, boundary)
+    return _solve_eta_r7(target, xexp_sq_start(target))
+
+
+def _solve_eta_r7(target: float, start: float) -> float:
+    """:func:`solve_eta_r7` from its target, the Stefan target, and its start."""
     eq = MonotoneEquation(
         f=xexp_sq,
         target=target,
         lower_limit=0.0,
         df=dxexp_sq,
         name="eta equation (positive-gamma bound)",
-        start=xexp_sq_start(target),
+        start=start,
     )
     return solve_increasing(eq)
 
@@ -115,12 +122,18 @@ def solve_eta_r8(
     ``mushy.gamma`` must be known; epsilon is not used.
     """
     g, target = zone_strength(thermal, mushy, boundary), stefan_rhs(thermal, boundary)
-    return solve_increasing(balance_equation(g, target, "eta equation (positive-epsilon bound)"))
+    return _solve_eta_r8(g, target, xexp_sq_start(target))
+
+
+def _solve_eta_r8(g: float, target: float, start_r7: float) -> float:
+    """:func:`solve_eta_r8` from the zone strength g, the Stefan target and
+    the start of eta_r7's equation, from which its own start is found."""
+    return solve_increasing(_balance_equation(g, target, "eta equation (positive-epsilon bound)", start_r7))
 
 
 def check_r6(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R6: (d_inf/q0) sqrt(k rho c / pi) < 1."""
-    arg = face_argument(thermal, boundary, _DIRICHLET)
+    arg = _face_argument(thermal.k * thermal.rho * thermal.c, boundary.d_inf, boundary.q0, 1.0)
     return tuple.__new__(RestrictionReport, ("R6", arg < 1.0, arg, 1.0, ""))
 
 
@@ -131,8 +144,13 @@ def check_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> Restrictio
     the h0 -> infinity limit, but evaluated through the auxiliary root as
     the restriction is phrased in its source.
     """
-    bound = math.erf(solve_eta_r7(thermal, boundary))  # a certified root: finite
-    arg = face_argument(thermal, boundary, _DIRICHLET)
+    eta = solve_eta_r7(thermal, boundary)
+    return _r7(face_argument(thermal, boundary, _DIRICHLET), eta)
+
+
+def _r7(arg: float, eta: float) -> RestrictionReport:
+    """R7's report from the face argument and eta_r7."""
+    bound = math.erf(eta)  # a certified root: finite
     return tuple.__new__(RestrictionReport, ("R7", arg < bound, arg, bound, ""))
 
 
@@ -146,9 +164,18 @@ def check_r8(
     for every admissible xi, so the restriction is satisfied vacuously; the
     report says so and uses the degenerate limit erf(0) = 0 as the bound.
     Any other NoRootError (a target that is not finite) propagates, as R7's.
+    The face argument is computed before eta_r8.
     """
+    target = stefan_rhs(thermal, boundary)
+    arg = face_argument(thermal, boundary, _DIRICHLET)
+    return _r8(zone_strength(thermal, mushy, boundary), target, xexp_sq_start(target), arg)
+
+
+def _r8(g: float, target: float, start_r7: float, arg: float) -> RestrictionReport:
+    """R8's report from the zone strength g, the Stefan target, the start of
+    eta_r7's equation and the face argument."""
     try:
-        bound = math.erf(solve_eta_r8(thermal, mushy, boundary))
+        bound = math.erf(_solve_eta_r8(g, target, start_r7))
         note = ""
     except NoRootError as err:
         if not err.target <= err.lower_limit:
@@ -156,7 +183,6 @@ def check_r8(
         bound = 0.0
         note = ("the auxiliary equation has no positive root (gamma sqrt(k rho c)/(2 q0) already reaches "
                 "the front balance), so the bound holds for every xi")
-    arg = face_argument(thermal, boundary, _DIRICHLET)
     return tuple.__new__(RestrictionReport, ("R8", bound < arg, bound, arg, note))
 
 
@@ -197,7 +223,8 @@ def check_all(
     * gamma: R7;
     * epsilon: R7, R8.
 
-    Data whose products underflow to 0 raise NumericalError.
+    R8 reads R7's Stefan target, face argument, root start and product
+    k rho c.  Data whose products underflow to 0 raise NumericalError.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
@@ -207,10 +234,15 @@ def check_all(
         return (check_r9(thermal, mushy, boundary),)
     if case is _K or case is _RHO:
         return ()
-    r7 = check_r7(thermal, boundary)
+    target = stefan_rhs(thermal, boundary)
+    start = xexp_sq_start(target)
+    eta = _solve_eta_r7(target, start)
+    k_rho_c = thermal.k * thermal.rho * thermal.c
+    arg = _face_argument(k_rho_c, boundary.d_inf, boundary.q0, 1.0)
+    r7 = _r7(arg, eta)
     if not r7.satisfied or case is _GAMMA:
         return (r7,)
-    return (r7, check_r8(thermal, mushy, boundary))
+    return (r7, _r8(_strength(mushy.gamma, math.sqrt(k_rho_c), boundary.q0), target, start, arg))
 
 
 # --- the recovery at beta = 1 ----------------------------------------------

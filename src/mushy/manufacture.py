@@ -15,7 +15,7 @@ import random
 from collections import namedtuple
 
 from . import specfun
-from .direct import stefan_lhs
+from .direct import _strength, stefan_lhs
 from .errors import ValidationError
 from .model import (
     BoundaryData,
@@ -83,7 +83,7 @@ def manufacture(
         raise ValidationError(f"q0 = {q0!r} and {other} make the face datum d_inf = {d_inf!r}, "
                               "not a positive finite number")
 
-    strength = gamma * (1.0 - epsilon) * krc / (2.0 * q0)
+    strength = _strength(gamma * (1.0 - epsilon), krc, q0)
     try:
         balance = stefan_lhs(xi, strength)
     except OverflowError:  # xi past ≈26.6; l is then 0 and rejected below

@@ -202,19 +202,31 @@ class SimilaritySolution(namedtuple("SimilaritySolution", "a_coef b_coef xi mu a
     __slots__ = ()
 
     def __new__(cls, a_coef: float, b_coef: float, xi: float, mu: float, alpha: float) -> SimilaritySolution:
-        if not (xi > 0.0 and math.isfinite(xi)):
-            raise ValidationError(f"xi must be positive and finite, got {xi!r}")
-        if not mu > xi:
-            raise ValidationError(f"mu must exceed xi, got mu={mu!r} xi={xi!r}")
-        if not (b_coef > 0.0 and math.isfinite(b_coef)):
-            raise ValidationError(f"b_coef must be positive and finite, got {b_coef!r}")
-        if not (alpha > 0.0 and math.isfinite(alpha)):
-            raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
+        _check_front(xi, ValidationError)
+        _check_solution(b_coef, xi, mu, alpha)
         return tuple.__new__(cls, (a_coef, b_coef, xi, mu, alpha))
 
     @classmethod
     def _make(cls, iterable) -> SimilaritySolution:  # _replace builds through _make, so it is checked too
         return cls(*iterable)
+
+
+def _check_front(xi: float, error: type[Exception]) -> None:
+    """The first check of a solution record: ``error`` unless the front
+    position xi is positive and finite."""
+    if not (xi > 0.0 and math.isfinite(xi)):
+        raise error(f"xi must be positive and finite, got {xi!r}")
+
+
+def _check_solution(b_coef: float, xi: float, mu: float, alpha: float) -> None:
+    """The checks of a solution record after xi's, in order: mu > xi, then
+    b_coef and alpha positive and finite; each raises ValidationError."""
+    if not mu > xi:
+        raise ValidationError(f"mu must exceed xi, got mu={mu!r} xi={xi!r}")
+    if not (b_coef > 0.0 and math.isfinite(b_coef)):
+        raise ValidationError(f"b_coef must be positive and finite, got {b_coef!r}")
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
 
 
 class RestrictionReport(namedtuple("RestrictionReport", "restriction_id satisfied lhs rhs note", defaults=("",))):

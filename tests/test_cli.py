@@ -745,16 +745,31 @@ FACE_ARGUMENT_OVERFLOW_ROW = (
     MushyCoefficients(epsilon=0.5581584136865895, gamma=55457.065957314604),
     BoundaryData(q0=3.958694033159616e+156, d_inf=6.394029238797965e+56, h0=6.613652447241081e-277))
 
+# Scenarios 1660 (Dirichlet) and 2301 (convective) of the wide-range probe
+# (wide_range_scenario on random.Random(1)): 1 - epsilon lies below half an
+# ulp of 1, so the recovered epsilon rounds to 1.0, outside (0, 1).
+EPSILON_ROUNDS_TO_ONE_ROWS = [
+    (Face.DIRICHLET, UnknownCase.EPSILON,
+     ThermalCoefficients(l=1.286596340633006e-134, k=8.510263637591234e-140, rho=1.0074295972224085e-67,
+                         c=3.1825198100822516e-87),
+     MushyCoefficients(gamma=6.786616359461075e+231), BoundaryData(q0=1.325725708825394e-85, d_inf=1.0)),
+    (Face.CONVECTIVE, UnknownCase.EPSILON,
+     ThermalCoefficients(l=2.0, k=67.40899116745612, rho=4871.645760848639, c=3.9373042158671724e-200),
+     MushyCoefficients(gamma=1.0),
+     BoundaryData(q0=1.989268250308328e-83, d_inf=3.0620097981048868e-201, h0=1.0239938108594061e+243)),
+]
+
 
 @pytest.mark.parametrize("row", [*OUT_OF_RANGE_ROWS, DIRECT_UNDERFLOW_ROW, *RESTRICTION_UNDERFLOW_ROWS,
                                  INFINITE_MU_ROW, CONDUCTED_FLUX_UNDERFLOW_ROW, *SOLUTION_OUT_OF_RANGE_ROWS,
-                                 FD_STEP_UNDERFLOW_ROW, FACE_ARGUMENT_OVERFLOW_ROW],
+                                 FD_STEP_UNDERFLOW_ROW, FACE_ARGUMENT_OVERFLOW_ROW, *EPSILON_ROUNDS_TO_ONE_ROWS],
                          ids=["value-inf", "rho-k-underflow", "direct-underflow", "r3-rho-k-underflow",
                               "r2-k-rho-c-underflow", "r6-k-rho-c-underflow", "r9-q0-squared-underflow",
                               "r5-q0-squared-underflow", "r9-rho-l-k-underflow", "r6-face-argument-nan",
                               "r7-stefan-target-nan", "mu-inf", "conducted-flux-underflow", "b-coef-underflow",
                               "face-argument-underflow", "mu-equals-xi", "fd-step-underflow",
-                              "face-argument-overflow"])
+                              "face-argument-overflow", "epsilon-rounds-to-one-dirichlet",
+                              "epsilon-rounds-to-one-convective"])
 def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
     path = tmp_path / "range.ini"
     path.write_text(scenario_to_ini(ProblemInstance(*row)))
@@ -771,6 +786,8 @@ def test_data_out_of_double_range_exit_numerical(row, tmp_path, capsys):
         code, out, err = run([sub, str(path)], capsys)
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "range of a double" in err
+        if row in EPSILON_ROUNDS_TO_ONE_ROWS:
+            assert "epsilon = 1.0 is not representable in (0, 1)" in err
 
 
 #: The edge values of a wide-range draw; see :func:`wide_range_scenario`.

@@ -21,7 +21,15 @@ from mushy.direct import (
 )
 from mushy.errors import DomainError, NumericalError, ValidationError
 from mushy.manufacture import random_problem
-from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase, with_coefficient
+from mushy.model import (
+    BoundaryData,
+    Face,
+    MushyCoefficients,
+    SimilaritySolution,
+    ThermalCoefficients,
+    UnknownCase,
+    with_coefficient,
+)
 from mushy.rootfind import solve_increasing
 from mushy.specfun import erf
 
@@ -66,15 +74,6 @@ def test_vanishing_zone_strength_collapses_the_zone():
         build_solution(thermal, mushy, boundary, 0.5)
 
 
-def test_an_infinite_liquid_front_is_a_numerical_error():
-    # k rho c overflows, so mu = xi + gamma sqrt(k rho c) e^{xi^2} / (2 q0)
-    # is inf although alpha and b_coef are doubles.
-    thermal = ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1.0)
-    boundary = BoundaryData(q0=1.0, d_inf=1.0)
-    with pytest.raises(NumericalError, match="the liquid front mu leaves the range of a double"):
-        build_solution(thermal, MushyCoefficients(epsilon=0.5, gamma=1.0), boundary, 0.5)
-
-
 def test_amplitude_ratio_identity():
     for prob in _random_cases(20):
         sol = build_solution(prob.thermal, prob.mushy, prob.boundary, prob.xi)
@@ -99,11 +98,71 @@ def test_value_fills_the_unknown_as_the_completed_record_does():
             assert [x.hex() for x in filled] == [x.hex() for x in completed], (prob, case)
 
 
-@pytest.mark.parametrize("xi", [0.0, -0.5, math.nan, math.inf])
-def test_build_solution_rejects_bad_front(xi, convective_example):
-    p = convective_example
-    with pytest.raises(DomainError):
-        build_solution(p.thermal, p.mushy, p.boundary, xi)
+_UNIT_THERMAL = ThermalCoefficients(l=1.0, k=1.0, rho=1.0, c=1.0)
+_UNIT_MUSHY = MushyCoefficients(epsilon=0.5, gamma=0.1)
+_UNIT_BOUNDARY = BoundaryData(q0=1.0, d_inf=1.0)
+_B_COEF_INF = (ThermalCoefficients(l=1.0, k=1e-200, rho=1e-100, c=1.0), MushyCoefficients(epsilon=0.5, gamma=1e300),
+               BoundaryData(q0=1e160, d_inf=1.0))
+_XI_MESSAGE = "xi must be positive and finite, got "
+
+# build_solution's data and xi, its error and message, and the figures
+# (b_coef, xi, mu, alpha) of a SimilaritySolution that fails the same check
+# (None where the record holds).  Where two figures fail, the first of xi,
+# mu > xi, b_coef and alpha is named; k rho c = 1e400 gives mu = inf.
+BAD_FIGURE_ROWS = {
+    "0.0": (_UNIT_THERMAL, _UNIT_MUSHY, _UNIT_BOUNDARY, 0.0, DomainError, _XI_MESSAGE + "0.0", (1.0, 0.0, 0.6, 1.0)),
+    "-0.5": (_UNIT_THERMAL, _UNIT_MUSHY, _UNIT_BOUNDARY, -0.5, DomainError, _XI_MESSAGE + "-0.5",
+             (1.0, -0.5, 0.6, 1.0)),
+    "nan": (_UNIT_THERMAL, _UNIT_MUSHY, _UNIT_BOUNDARY, math.nan, DomainError, _XI_MESSAGE + "nan",
+            (1.0, math.nan, 0.6, 1.0)),
+    "inf": (_UNIT_THERMAL, _UNIT_MUSHY, _UNIT_BOUNDARY, math.inf, DomainError, _XI_MESSAGE + "inf",
+            (1.0, math.inf, 0.6, 1.0)),
+    # e**(xi^2) overflows at xi = -30: xi is checked before any figure
+    "xi-before-figures": (_UNIT_THERMAL, _UNIT_MUSHY, _UNIT_BOUNDARY, -30.0, DomainError, _XI_MESSAGE + "-30.0",
+                          (1.0, -30.0, 0.6, 1.0)),
+    "xi-before-b-coef": (*_B_COEF_INF, math.nan, DomainError, _XI_MESSAGE + "nan", (math.inf, math.nan, 0.6, 1.0)),
+    "mu-equals-xi": (_UNIT_THERMAL, MushyCoefficients(epsilon=0.5, gamma=1e-300), _UNIT_BOUNDARY, 0.5,
+                     ValidationError, "mu must exceed xi, got mu=0.5 xi=0.5", (1.0, 0.5, 0.5, 1.0)),
+    "mu-nan": (ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1.0), MushyCoefficients(epsilon=0.5, gamma=1.0),
+               BoundaryData(q0=1e308, d_inf=1.0), 0.5, ValidationError, "mu must exceed xi, got mu=nan xi=0.5",
+               (1.0, 0.5, math.nan, 1.0)),
+    "mu-before-b-coef": (_B_COEF_INF[0], MushyCoefficients(epsilon=0.5, gamma=1e-300), _B_COEF_INF[2], 0.5,
+                         ValidationError, "mu must exceed xi, got mu=0.5 xi=0.5", (math.inf, 0.5, 0.5, 1.0)),
+    "b-coef-inf": (*_B_COEF_INF, 0.5, ValidationError, "b_coef must be positive and finite, got inf",
+                   (math.inf, 0.5, 0.6, 1.0)),
+    "b-coef-zero": (ThermalCoefficients(l=1.0, k=1e150, rho=1e150, c=1.0), MushyCoefficients(epsilon=0.5, gamma=1e-200),
+                    BoundaryData(q0=1e-180, d_inf=1.0), 0.5, ValidationError,
+                    "b_coef must be positive and finite, got 0.0", (0.0, 0.5, 0.6, 1.0)),
+    # alpha = 0 or inf takes b_coef = q0 sqrt(pi alpha) / k with it
+    "b-coef-before-alpha-zero": (ThermalCoefficients(l=1.0, k=1e-300, rho=1e100, c=1e100),
+                                 MushyCoefficients(epsilon=0.5, gamma=1e300), _UNIT_BOUNDARY, 0.5, ValidationError,
+                                 "b_coef must be positive and finite, got 0.0", (0.0, 0.5, 0.6, 0.0)),
+    "b-coef-before-alpha-inf": (ThermalCoefficients(l=1.0, k=1e300, rho=1e-10, c=1e-10),
+                                MushyCoefficients(epsilon=0.5, gamma=1.0), _UNIT_BOUNDARY, 0.5, ValidationError,
+                                "b_coef must be positive and finite, got inf", (math.inf, 0.5, 0.6, math.inf)),
+    "b-coef-before-mu-inf": (ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1.0),
+                             MushyCoefficients(epsilon=0.5, gamma=1.0), BoundaryData(q0=1e-130, d_inf=1.0), 0.5,
+                             ValidationError, "b_coef must be positive and finite, got 0.0",
+                             (0.0, 0.5, math.inf, 1.0)),
+    "mu-inf": (ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1.0), MushyCoefficients(epsilon=0.5, gamma=1.0),
+               _UNIT_BOUNDARY, 0.5, NumericalError, "the liquid front mu leaves the range of a double", None),
+}
+
+
+@pytest.mark.parametrize("name", BAD_FIGURE_ROWS)
+def test_build_solution_rejects_bad_front(name):
+    # build_solution checks each figure of the record once, in the record's
+    # order; the record itself raises the same ValidationError for the same
+    # figure, whatever build_solution raises for it.
+    thermal, mushy, boundary, xi, error, message, figures = BAD_FIGURE_ROWS[name]
+    with pytest.raises(error) as built:
+        build_solution(thermal, mushy, boundary, xi)
+    assert type(built.value) is error and str(built.value) == message
+    if figures is not None:
+        b_coef, xi, mu, alpha = figures
+        with pytest.raises(ValidationError) as recorded:
+            SimilaritySolution(a_coef=-1.0, b_coef=b_coef, xi=xi, mu=mu, alpha=alpha)
+        assert str(recorded.value) == message
 
 
 def test_temperature_vanishes_on_the_front(ref_solution):

@@ -10,8 +10,9 @@ import pytest
 
 from mushy import inverse_convective as conv
 from mushy import inverse_dirichlet as diri
-from mushy.errors import IllConditionedWarning, NumericalError, SolverError
+from mushy.errors import IllConditionedWarning, NumericalError, RestrictionError, SolverError
 from mushy.manufacture import random_problem
+from mushy.specfun import erf_inv
 from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase, with_coefficient
 
 UNIT_THERMAL = ThermalCoefficients(l=1.0, k=1.0, rho=1.0, c=1.0)
@@ -122,3 +123,64 @@ def test_public_checks_raise_numerical_error_naming_the_product(name):
     with pytest.raises(NumericalError, match="range of a double") as err:
         UNDERFLOW_CALLS[name]()
     assert product in str(err.value)
+
+
+
+def _report_bits(reports):
+    return [(r.restriction_id, r.satisfied, r.lhs.hex(), r.rhs.hex(), r.note) for r in reports]
+
+
+def _public_checks(face, case, thermal, mushy, boundary):
+    """The reports of one cell from the public check_r* functions, in the
+    order and with the early stop that check_all documents."""
+    if face is Face.DIRICHLET:
+        if case is UnknownCase.L:
+            return (diri.check_r6(thermal, boundary),)
+        if case is UnknownCase.C:
+            return (diri.check_r9(thermal, mushy, boundary),)
+        if case in (UnknownCase.K, UnknownCase.RHO):
+            return ()
+        r7 = diri.check_r7(thermal, boundary)
+        if not r7.satisfied or case is UnknownCase.GAMMA:
+            return (r7,)
+        return (r7, diri.check_r8(thermal, mushy, boundary))
+    r1 = conv.check_r1(boundary)
+    if not r1.satisfied or case in (UnknownCase.K, UnknownCase.RHO):
+        return (r1,)
+    if case is UnknownCase.C:
+        return (r1, conv.check_r5(thermal, mushy, boundary))
+    r2 = conv.check_r2(thermal, boundary)
+    if not r2.satisfied or case is UnknownCase.L:
+        return (r1, r2)
+    xi = erf_inv(r2.lhs)
+    r3 = conv.check_r3(thermal, boundary, xi)
+    if not r3.satisfied or case is UnknownCase.GAMMA:
+        return (r1, r2, r3)
+    return (r1, r2, r3, conv.check_r4(thermal, mushy, boundary, xi))
+
+
+def test_a_solve_reports_what_the_public_checks_report():
+    # A restriction pass computes each figure once and shares it between its
+    # restrictions and the recovery.  The reports of a case solve, passing or
+    # failing, and of check_all are still those of the public check_r*
+    # functions, field for field and bit for bit.  Each face runs every cell
+    # on 200 random_problem draws and on 200 stressed ones.
+    rng = random.Random(41)
+    failed = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for face in Face:
+            inverse, solve = (conv, conv.solve_case) if face is Face.CONVECTIVE else (diri, diri.solve_dirichlet_case)
+            draws = [(p.thermal, p.mushy, p.boundary) for p in (random_problem(rng, face=face) for _ in range(200))]
+            for thermal, mushy, boundary in draws + list(_stressed(face, 200, 43)):
+                for case in UnknownCase:
+                    given = (*with_coefficient(thermal, mushy, case, None), boundary)
+                    try:
+                        reports = solve(case, *given).reports
+                    except RestrictionError as err:
+                        reports = err.reports
+                        failed.add((face, case))
+                    expected = _report_bits(_public_checks(face, case, *given))
+                    assert _report_bits(reports) == expected, (face, case, given)
+                    assert _report_bits(inverse.check_all(case, *given)) == expected, (face, case, given)
+    assert len(failed) == 10, failed  # every cell that has a restriction fails somewhere

@@ -280,7 +280,7 @@ def test_the_starts_take_any_parameters_without_raising(weight, target):
     starts = (
         inverse_convective._kr_start(weight, target),
         inverse_convective._c_start(weight, target, 0.5 * math.sqrt(math.pi) + weight),
-        direct._balance_start(weight, target),
+        direct._balance_start(weight, target, direct.xexp_sq_start(target)),
         direct.xexp_sq_start(target),
     )
     assert all(type(start) is float for start in starts), starts
