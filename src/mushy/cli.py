@@ -45,8 +45,6 @@ the same double; in JSON a non-finite number is the string "inf", "-inf" or
 "nan".
 """
 
-from __future__ import annotations
-
 import io
 import json
 import math

@@ -10,8 +10,6 @@ equations that a solution of the full free-boundary problem must satisfy:
 * the fixed-face condition (convective or prescribed-temperature).
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple
@@ -299,7 +297,11 @@ def build_solution(
     alpha = k / (rho * c)  # the expression of ThermalCoefficients.alpha
     b_coef = q0 * _sqrt_product(math.pi, alpha) / k
     a_coef = -b_coef * math.erf(xi)  # xi is checked above
-    mu = xi + gamma * math.sqrt(k * rho * c) * math.exp(xi * xi) / (2.0 * q0)
+    try:
+        e_xi2 = math.exp(xi * xi)
+    except OverflowError:  # xi past about 26.64: mu is inf, or NaN if its factor underflows
+        e_xi2 = _INF
+    mu = xi + gamma * math.sqrt(k * rho * c) * e_xi2 / (2.0 * q0)
     _check_solution(b_coef, xi, mu, alpha)
     if mu == _INF:  # after the record's checks, whose ValidationErrors (a NaN mu's too) come first
         raise NumericalError("the liquid front mu leaves the range of a double")

@@ -6,8 +6,6 @@ common set of errors without importing each other.  The one test of what
 counts as a number, :func:`as_number`, lives here for the same reason.
 """
 
-from __future__ import annotations
-
 
 class SolverError(Exception):
     """Base class for every error raised by this package."""

@@ -19,8 +19,6 @@ general attenuation beta = 1 - q0/(h0 d_inf); the Dirichlet face is its
 beta = 1 instance (:mod:`mushy.inverse_dirichlet`).
 """
 
-from __future__ import annotations
-
 import math
 
 from . import specfun

@@ -32,8 +32,6 @@ rho l k (d_inf + gamma (1 - epsilon)) / (2 q0^2) < 1.  This is exactly the
 condition for the specific-heat equation's target to exceed its 0+ limit.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

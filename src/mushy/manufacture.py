@@ -8,8 +8,6 @@ must recover its hidden coefficient exactly, which is what the round-trip
 tests and the experiment scripts live on.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from collections import namedtuple

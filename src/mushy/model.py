@@ -19,8 +19,6 @@ those never imports ``dataclasses``.  Output records, which the library
 builds, are ``collections.namedtuple`` subclasses.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from enum import Enum
@@ -201,13 +199,13 @@ class SimilaritySolution(namedtuple("SimilaritySolution", "a_coef b_coef xi mu a
 
     __slots__ = ()
 
-    def __new__(cls, a_coef: float, b_coef: float, xi: float, mu: float, alpha: float) -> SimilaritySolution:
+    def __new__(cls, a_coef: float, b_coef: float, xi: float, mu: float, alpha: float) -> "SimilaritySolution":
         _check_front(xi, ValidationError)
         _check_solution(b_coef, xi, mu, alpha)
         return tuple.__new__(cls, (a_coef, b_coef, xi, mu, alpha))
 
     @classmethod
-    def _make(cls, iterable) -> SimilaritySolution:  # _replace builds through _make, so it is checked too
+    def _make(cls, iterable) -> "SimilaritySolution":  # _replace builds through _make, so it is checked too
         return cls(*iterable)
 
 

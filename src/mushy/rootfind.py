@@ -16,8 +16,6 @@ halving finishes the solve, so convergence is guaranteed whatever the
 derivative or the start does; both only accelerate it.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections.abc import Callable

@@ -20,8 +20,6 @@ fits in a double; a bool, text or an over-range int raises
 :class:`~mushy.errors.DomainError`.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 

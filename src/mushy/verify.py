@@ -10,8 +10,6 @@ analytic derivative formulas to the five physical conditions that define
 the free-boundary problem.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Sequence

@@ -1,5 +1,6 @@
-"""50-digit references for the tests: erf and erf_inv from mpmath, and the
-roots of the package's four equation families.
+"""50-digit references for the tests: erf and erf_inv from mpmath, the
+roots of the package's four equation families, and the l, gamma and epsilon
+cells of both faces.
 
 Test-only: mpmath never enters ``src/``, and the runtime stays stdlib-only.
 The module works in its own mpmath context, so it leaves ``mpmath.mp``'s
@@ -212,3 +213,54 @@ def balance_root(strength: float, target: float, start: float):
         return e * (1 + 2 * x * x + 4 * x * strength * e)
 
     return _newton_root(lhs, dlhs, target, start)
+
+
+# --- the face-equation cells ------------------------------------------------
+
+
+def face_cell(case: str, data: dict, start: float):
+    """The unknown ``case`` ('l', 'gamma' or 'epsilon') at 60 digits from the
+    other data as given: ``data`` maps l, k, rho, c, epsilon, gamma, q0,
+    d_inf and h0 (absent or None on the Dirichlet face) to numbers, the
+    unknown to None.
+
+    xi solves erf(xi) = (d_inf - q0/h0) sqrt(k rho c / pi) / q0, the face
+    argument, by Newton's method from ``start``, such as the library's xi;
+    the closed forms then follow with the Stefan target
+    S = (q0/l) sqrt(c/(rho k)) and E = e**xi^2:
+
+        l = q0 sqrt(c/(rho k)) / ((xi + gamma (1 - epsilon) sqrt(k rho c) E / (2 q0)) E),
+        gamma (1 - epsilon) = 2 q0 (S - xi E) / (sqrt(k rho c) E^2).
+    """
+    ctx = MP60
+    d = {name: ctx.mpf(v) for name, v in data.items() if v is not None}
+    q0, krc = d["q0"], ctx.sqrt(d["k"] * d["rho"] * d["c"])
+    face = d["d_inf"] - q0 / d["h0"] if "h0" in d else d["d_inf"]
+    two_over_sqrt_pi = 2 / ctx.sqrt(ctx.pi)
+    xi = _newton_root(lambda ctx, x: ctx.erf(x), lambda ctx, x: two_over_sqrt_pi * ctx.exp(-x * x),
+                      face * krc / (q0 * ctx.sqrt(ctx.pi)), start)
+    e = ctx.exp(xi * xi)
+    if case == "l":
+        strength = d["gamma"] * (1 - d["epsilon"]) * krc / (2 * q0)
+        return q0 * ctx.sqrt(d["c"] / (d["rho"] * d["k"])) / ((xi + strength * e) * e)
+    zone = 2 * q0 * (q0 / d["l"] * ctx.sqrt(d["c"] / (d["rho"] * d["k"])) - xi * e) / (krc * e * e)
+    if case == "gamma":
+        return zone / (1 - d["epsilon"])
+    return 1 - zone / d["gamma"]
+
+
+def face_cell_condition(case: str, data: dict, start: float):
+    """kappa = sum over the known data d of |d ln theta / d ln d| for the
+    :func:`face_cell` theta, by central differences at 60 digits: a relative
+    step of 1e-20 leaves an error near 1e-40 and keeps 40 digits."""
+    ctx = MP60
+    h = ctx.mpf(10) ** -20
+    theta = face_cell(case, data, start)
+    kappa = 0
+    for name, v in data.items():
+        if v is None:
+            continue
+        up = face_cell(case, {**data, name: ctx.mpf(v) * ctx.exp(h)}, start)
+        down = face_cell(case, {**data, name: ctx.mpf(v) * ctx.exp(-h)}, start)
+        kappa += abs((up - down) / (2 * h * theta))
+    return theta, kappa

@@ -1158,8 +1158,9 @@ def _run_python(code, cwd):
 
 
 #: What no mushy process imports: typing and pathlib, argparse and its
-#: gettext, dataclasses and its inspect.
-FORBIDDEN_IMPORTS = {"typing", "pathlib", "argparse", "gettext", "dataclasses", "inspect"}
+#: gettext, dataclasses and its inspect, and __future__, whose deferred
+#: annotations Python 3.10 does not need.
+FORBIDDEN_IMPORTS = {"typing", "pathlib", "argparse", "gettext", "dataclasses", "inspect", "__future__"}
 
 #: What a mushy process imports only when its subcommand or scenario needs it.
 LAZY_IMPORTS = {"configparser", "mushy.inverse_dirichlet", "mushy.verify", "mushy.manufacture"}

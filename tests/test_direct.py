@@ -146,6 +146,13 @@ BAD_FIGURE_ROWS = {
                              (0.0, 0.5, math.inf, 1.0)),
     "mu-inf": (ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1.0), MushyCoefficients(epsilon=0.5, gamma=1.0),
                _UNIT_BOUNDARY, 0.5, NumericalError, "the liquid front mu leaves the range of a double", None),
+    # e**(xi^2) overflows past xi = 26.64: mu is inf, raised after the record's checks
+    "mu-inf-from-xi": (_UNIT_THERMAL, _UNIT_MUSHY, _UNIT_BOUNDARY, 27.0, NumericalError,
+                       "the liquid front mu leaves the range of a double", None),
+    "b-coef-before-mu-inf-from-xi": (ThermalCoefficients(l=1.0, k=1e150, rho=1e150, c=1.0),
+                                     MushyCoefficients(epsilon=0.5, gamma=1e-200), BoundaryData(q0=1e-180, d_inf=1.0),
+                                     27.0, ValidationError, "b_coef must be positive and finite, got 0.0",
+                                     (0.0, 27.0, math.inf, 1.0)),
 }
 
 

@@ -3,21 +3,23 @@
 Each test runs on the convective face and on its h0 -> inf limit, the
 Dirichlet face, with the two session examples: xi = 0.5, unit thermal
 coefficients, epsilon = 0.5, gamma = 0.1, q0 = 1 (and h0 = 2 on the
-convective face).  Behaviours of one face stay in ``test_convective.py``
-and ``test_dirichlet.py``.
+convective face), or, at the end, with random_problem draws.  Behaviours
+of one face stay in ``test_convective.py`` and ``test_dirichlet.py``.
 """
 
 import math
+import random
 import warnings
 from dataclasses import replace
 
+import oracle
 import pytest
 
 from mushy import inverse_convective as conv
 from mushy import inverse_dirichlet as diri
-from mushy.errors import IllConditionedWarning, RestrictionError
-from mushy.manufacture import manufacture
-from mushy.model import BoundaryData, Face, ThermalCoefficients, UnknownCase
+from mushy.errors import IllConditionedWarning, RestrictionError, SolverError
+from mushy.manufacture import manufacture, random_problem
+from mushy.model import BoundaryData, CaseResult, Face, ThermalCoefficients, UnknownCase
 from mushy.rootfind import solve_increasing
 
 from conftest import REF_KWARGS, XI_REF
@@ -165,3 +167,108 @@ def test_restriction_checks_stop_at_first_failure(face, example, l_scale, bounda
     with pytest.raises(RestrictionError) as err:
         SOLVE[face](UnknownCase.EPSILON, thermal, mushy, boundary)
     assert err.value.reports == reports
+
+
+#: The dimensions of each datum and solution field as exponents of mass,
+#: length, half-time and temperature: q0 and h0 carry T^(-5/2), so time
+#: counts in halves and its unit changes by powers of 4.  Every report but
+#: R1 is a number.
+DIMENSIONS = {
+    "l": (0, 2, -4, 0),
+    "k": (1, 1, -6, -1),
+    "rho": (1, -3, 0, 0),
+    "c": (0, 2, -4, -1),
+    "q0": (1, 0, -5, 0),
+    "h0": (1, 0, -5, -1),
+    "d_inf": (0, 0, 0, 1),
+    "gamma": (0, 0, 0, 1),
+    "epsilon": (0, 0, 0, 0),
+    "xi": (0, 0, 0, 0),
+    "mu": (0, 0, 0, 0),
+    "alpha": (0, 2, -2, 0),
+    "a_coef": (0, 0, 0, 1),
+    "b_coef": (0, 0, 0, 1),
+}
+
+#: Units M 2^a, L 2^b, T 4^c and Theta 2^d as (a, b, c, d): each datum
+#: changes by an exact power of two.
+UNIT_CHANGES = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-40, 25, 9, 60), (13, -7, -4, -21)]
+
+
+def _rescale(units, name, value):
+    """``value`` of the datum or figure ``name`` in the units ``units``."""
+    if value is None:
+        return None
+    return math.ldexp(value, sum(u * e for u, e in zip(units, DIMENSIONS[name])))
+
+
+def _rescale_record(units, record):
+    """An input record or a SimilaritySolution in the units ``units``."""
+    fields = record._asdict() if isinstance(record, tuple) else vars(record)
+    return type(record)(**{name: _rescale(units, name, value) for name, value in fields.items()})
+
+
+def _rescale_reports(units, reports):
+    """R1's sides q0 and h0 d_inf scale as q0; every other side is a number."""
+    return tuple(r._replace(lhs=_rescale(units, "q0", r.lhs), rhs=_rescale(units, "q0", r.rhs))
+                 if r.restriction_id == "R1" else r for r in reports)
+
+
+def _outcome(face, case, thermal, mushy, boundary):
+    try:
+        return SOLVE[face](case, thermal, mushy, boundary)
+    except SolverError as err:
+        return err
+
+
+@pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
+def test_cells_commute_with_exact_unit_changes(face):
+    # random_problem seeds 3 and 4, 100 draws each, xi alternating between
+    # (0.05, 2) and (1e-4, 5.5), l scaled by 1, 0.3 or 3 so that restrictions
+    # also fail: every case under every unit change (7,200 solves a face).
+    # A success is bit-identical after the rescale, a failure raises the
+    # same type with the same reports.
+    outcomes = set()
+    for seed in (3, 4):
+        rng = random.Random(seed)
+        for i in range(100):
+            prob = random_problem(rng, face=face, xi_range=((0.05, 2.0), (1e-4, 5.5))[i % 2])
+            prob = prob._replace(thermal=replace(prob.thermal, l=prob.thermal.l * (1.0, 0.3, 3.0)[i % 3]))
+            for case in UnknownCase:
+                thermal, mushy, _ = prob.hide(case)
+                base = _outcome(face, case, thermal, mushy, prob.boundary)
+                outcomes.add(type(base))
+                for units in UNIT_CHANGES:
+                    data = (_rescale_record(units, record) for record in (thermal, mushy, prob.boundary))
+                    got = _outcome(face, case, *data)
+                    assert type(got) is type(base), (seed, i, case, units)
+                    if isinstance(base, RestrictionError):
+                        assert got.reports == _rescale_reports(units, base.reports), (seed, i, case, units)
+                    elif not isinstance(base, SolverError):
+                        expected = (_rescale(units, case.value, base.value), base.xi,
+                                    _rescale_record(units, base.solution), _rescale_reports(units, base.reports))
+                        assert (got.value, got.xi, got.solution, got.reports) == expected, (seed, i, case, units)
+    assert {CaseResult, RestrictionError} <= outcomes
+
+
+#: Bound on a face cell's relative error in units of kappa u, with kappa its
+#: 60-digit condition number over the known data.  The worst measured over
+#: 1,500 cases (seeds 1-5, 50 draws a face) is 1.07.
+FACE_CELL_ERROR_UNITS = 2.0
+
+
+def test_face_cells_match_a_60_digit_oracle(face):
+    # l, gamma and epsilon of 50 random_problem draws, against the answer for
+    # the same double data at 60 digits: the library's error is its own, not
+    # the data's rounding.
+    rng = random.Random(1)
+    u = 2.0**-53
+    for _ in range(50):
+        prob = random_problem(rng, face=face)
+        for case in conv.FACE_CASES:
+            thermal, mushy, _ = prob.hide(case)
+            result = SOLVE[face](case, thermal, mushy, prob.boundary)
+            data = {**vars(thermal), **vars(mushy), **vars(prob.boundary)}
+            exact, kappa = oracle.face_cell_condition(case.value, data, result.xi)
+            error = abs(float((result.value - exact) / exact))
+            assert error <= FACE_CELL_ERROR_UNITS * float(kappa) * u, (case, prob)
