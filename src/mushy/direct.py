@@ -131,12 +131,9 @@ def _strength(weight: float, krc: float, q0: float) -> float:
 
 
 def stefan_lhs(xi: float, strength: float) -> float:
-    """Left side (xi + strength e**xi^2) e**xi^2 of the front balance."""
-    return _balance_lhs(xi, math.exp(xi * xi), strength)
-
-
-def _balance_lhs(xi: float, e: float, strength: float) -> float:
-    """:func:`stefan_lhs` from e = e**xi^2."""
+    """Left side (xi + strength e**xi^2) e**xi^2 of the front balance: its
+    one spelling."""
+    e = math.exp(xi * xi)
     return (xi + strength * e) * e
 
 
@@ -177,17 +174,13 @@ def specific_heat_products(thermal: ThermalCoefficients, boundary: BoundaryData)
     return rho_l_k, two_q0_sq
 
 
-def balance_equation(strength: float, target: float, name: str) -> MonotoneEquation:
+def balance_equation(strength: float, target: float, name: str, x0: float) -> MonotoneEquation:
     """The front balance stefan_lhs(x, strength) = target as an equation
-    for x; its left side starts at the strength at 0+."""
-    return _balance_equation(strength, target, name, xexp_sq_start(target))
-
-
-def _balance_equation(strength: float, target: float, name: str, x0: float) -> MonotoneEquation:
-    """:func:`balance_equation` from x0 = xexp_sq_start(target), the start
-    of the same balance at zero strength."""
-    return MonotoneEquation(f=lambda x: _balance_lhs(x, math.exp(x * x), strength), target=target,
-                            lower_limit=strength, df=lambda x: stefan_lhs_derivative(x, strength), name=name,
+    for x; its left side starts at the strength at 0+.  x0 is
+    xexp_sq_start(target), the start of the same balance at zero strength,
+    from which its own start is found."""
+    return MonotoneEquation(f=lambda x: stefan_lhs(x, strength), target=target, lower_limit=strength,
+                            df=lambda x: stefan_lhs_derivative(x, strength), name=name,
                             start=_balance_start(strength, target, x0))
 
 
@@ -219,7 +212,8 @@ def front_balance(thermal: ThermalCoefficients, mushy: MushyCoefficients, bounda
     """The direct problem's equation for xi: the front balance at the mushy
     strength.  The face condition is then a derived quantity, whose
     residual shows whether the data are consistent."""
-    return balance_equation(mushy_strength(thermal, mushy, boundary), stefan_rhs(thermal, boundary), "front balance")
+    strength, target = mushy_strength(thermal, mushy, boundary), stefan_rhs(thermal, boundary)
+    return balance_equation(strength, target, "front balance", xexp_sq_start(target))
 
 
 def face_factor(boundary: BoundaryData, face: Face) -> float:
@@ -282,6 +276,8 @@ def build_solution(
     k, rho, c and gamma that is None, the case's unknown, so a solver need
     not copy a record to hand its recovered value in.  The solution reads
     no other coefficient, so for the l and epsilon cases it is unused.
+    Valid data whose rho c underflows to 0 raise NumericalError, after
+    xi's check.
     """
     _check_front(xi, DomainError)  # before any figure is computed from xi
     k, rho, c, gamma, q0 = thermal.k, thermal.rho, thermal.c, mushy.gamma, boundary.q0
@@ -294,7 +290,10 @@ def build_solution(
             c = value
         elif gamma is None:
             gamma = value
-    alpha = k / (rho * c)  # the expression of ThermalCoefficients.alpha
+    rho_c = rho * c
+    if rho_c == 0.0:
+        raise NumericalError("rho c underflows to 0, outside the range of a double")
+    alpha = k / rho_c  # the expression of ThermalCoefficients.alpha
     b_coef = q0 * _sqrt_product(math.pi, alpha) / k
     a_coef = -b_coef * math.erf(xi)  # xi is checked above
     try:

@@ -26,7 +26,6 @@ from .direct import (
     _LN2,
     _NORMAL_MIN,
     SQRT_PI,
-    _balance_lhs,
     _face_argument,
     _strength,
     build_solution,
@@ -53,6 +52,7 @@ from .model import (
     RestrictionReport,
     ThermalCoefficients,
     UnknownCase,
+    _report,
     validate,
 )
 from .rootfind import MonotoneEquation, solve_increasing
@@ -82,18 +82,12 @@ __all__ = [
 
 def check_r1(boundary: BoundaryData) -> RestrictionReport:
     """R1: q0 < h0 d_inf, i.e. the face actually cools below the datum."""
-    q0, rhs = boundary.q0, boundary.h0 * boundary.d_inf
-    return tuple.__new__(RestrictionReport, ("R1", q0 < rhs, q0, rhs, ""))
+    return _report("R1", boundary.q0, boundary.h0 * boundary.d_inf)
 
 
 def check_r2(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R2: the face argument (d_inf/q0) sqrt(k rho c/pi) (1 - q0/(h0 d_inf)) < 1."""
-    return _r2(face_argument(thermal, boundary, _CONVECTIVE))
-
-
-def _r2(arg: float) -> RestrictionReport:
-    """R2's report from the face argument."""
-    return tuple.__new__(RestrictionReport, ("R2", arg < 1.0, arg, 1.0, ""))
+    return _report("R2", face_argument(thermal, boundary, _CONVECTIVE), 1.0)
 
 
 def check_r3(thermal: ThermalCoefficients, boundary: BoundaryData, xi: float) -> RestrictionReport:
@@ -104,12 +98,7 @@ def check_r3(thermal: ThermalCoefficients, boundary: BoundaryData, xi: float) ->
     argument, which R1 and R2 make well defined; :func:`_evaluate` computes
     it once R2 holds.
     """
-    return _r3(xexp_sq(xi), stefan_rhs(thermal, boundary))
-
-
-def _r3(xe: float, s: float) -> RestrictionReport:
-    """R3's report from its sides xe = xi e**xi^2 and the Stefan target s."""
-    return tuple.__new__(RestrictionReport, ("R3", xe < s, xe, s, ""))
+    return _report("R3", xexp_sq(xi), stefan_rhs(thermal, boundary))
 
 
 def check_r4(
@@ -122,13 +111,7 @@ def check_r4(
     ``xi`` is the face-determined front position of :func:`check_r3`, so
     R1 and R2 must hold.  ``mushy.gamma`` must be known; epsilon is not used.
     """
-    return _r4(stefan_rhs(thermal, boundary), stefan_lhs(xi, zone_strength(thermal, mushy, boundary)))
-
-
-def _r4(s: float, balance: float) -> RestrictionReport:
-    """R4's report from its sides: the Stefan target s and the front balance
-    at the full zone strength."""
-    return tuple.__new__(RestrictionReport, ("R4", s < balance, s, balance, ""))
+    return _report("R4", stefan_rhs(thermal, boundary), stefan_lhs(xi, zone_strength(thermal, mushy, boundary)))
 
 
 def check_r5(
@@ -150,7 +133,7 @@ def _r5(beta: float, thermal: ThermalCoefficients, mushy: MushyCoefficients, bou
     """R5's report from its lhs, the attenuation beta."""
     rho_l_k, two_q0_sq = specific_heat_products(thermal, boundary)
     rhs = (two_q0_sq / rho_l_k - mushy.gamma * (1.0 - mushy.epsilon)) / boundary.d_inf
-    return tuple.__new__(RestrictionReport, ("R5", beta < rhs, beta, rhs, ""))
+    return _report("R5", beta, rhs)
 
 
 #: Why a solve of valid data can still fail: a product of them leaves the
@@ -207,7 +190,7 @@ def _evaluate(
     * sqrt(k rho c), for l, gamma and epsilon once R2 holds.
 
     R2 and sqrt(k rho c) share the product k rho c, and R4 reads R3's
-    Stefan target and e**xi^2.
+    Stefan target.
     """
     r1 = check_r1(boundary)
     if not r1.satisfied:
@@ -218,7 +201,7 @@ def _evaluate(
     if case is _C:
         return (r1, _r5(beta, thermal, mushy, boundary)), None, beta, None, None
     k_rho_c = thermal.k * thermal.rho * thermal.c
-    r2 = _r2(_face_argument(k_rho_c, boundary.d_inf, boundary.q0, beta))
+    r2 = _report("R2", _face_argument(k_rho_c, boundary.d_inf, boundary.q0, beta), 1.0)
     if not r2.satisfied:
         return (r1, r2), None, beta, None, None
     xi = specfun.erf_inv(r2.lhs)
@@ -226,12 +209,11 @@ def _evaluate(
     if case is _L:
         return (r1, r2), xi, beta, None, krc
     s = stefan_rhs(thermal, boundary)
-    e = math.exp(xi * xi)
-    xe = xi * e  # xexp_sq(xi)
-    r3 = _r3(xe, s)
+    xe = xi * math.exp(xi * xi)  # xexp_sq(xi), inline on the solve path
+    r3 = _report("R3", xe, s)
     if not r3.satisfied or case is _GAMMA:
         return (r1, r2, r3), xi, beta, s - xe, krc
-    r4 = _r4(s, _balance_lhs(xi, e, _strength(mushy.gamma, krc, boundary.q0)))
+    r4 = _report("R4", s, stefan_lhs(xi, _strength(mushy.gamma, krc, boundary.q0)))
     return (r1, r2, r3, r4), xi, beta, s - xe, krc
 
 
@@ -248,9 +230,13 @@ def require_satisfied(reports: tuple[RestrictionReport, ...]) -> None:
 
 def _zone_weight(mushy: MushyCoefficients, boundary: BoundaryData, beta: float) -> float:
     """cf = gamma sqrt(pi) (1 - epsilon) / (2 d_inf beta), the weight of the
-    zone term in both xi equations.  Valid data whose cf overflows raise
-    NumericalError: no x makes the equation finite."""
-    cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / (2.0 * boundary.d_inf * beta)
+    zone term in both xi equations.  Valid data whose 2 d_inf beta
+    underflows to 0, or whose cf overflows, raise NumericalError: no x makes
+    the equation finite."""
+    two_d_inf_beta = 2.0 * boundary.d_inf * beta
+    if two_d_inf_beta == 0.0:
+        raise NumericalError("2 d_inf beta underflows to 0, outside the range of a double")
+    cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / two_d_inf_beta
     if cf == math.inf:
         raise NumericalError("gamma sqrt(pi) (1 - epsilon) / (2 d_inf beta) overflows, outside the range of a double")
     return cf
@@ -273,7 +259,8 @@ def xi_equation_kr(
     with beta the convective attenuation.  The function vanishes at 0+ and
     grows unboundedly, so a positive target always has exactly one root;
     only R1 (beta > 0) is needed.  ``factor`` is beta when given; 1.0 gives
-    the Dirichlet face, the h0 -> infinity limit.
+    the Dirichlet face, the h0 -> infinity limit.  Valid data whose
+    2 d_inf beta underflows to 0 raise NumericalError.
     """
     beta = face_factor(boundary, _CONVECTIVE) if factor is None else factor
     cf = _zone_weight(mushy, boundary, beta)
@@ -349,11 +336,16 @@ def xi_equation_c(
 
     with the same cf and ``factor`` as :func:`xi_equation_kr`.  x/erf(x)
     tends to sqrt(pi)/2 at 0+, so the left side starts at sqrt(pi)/2 + cf;
-    the target exceeding that limit is restriction R5.
+    the target exceeding that limit is restriction R5.  Valid data whose
+    2 d_inf beta, then rho l k d_inf beta, underflows to 0 raise
+    NumericalError.
     """
     beta = face_factor(boundary, _CONVECTIVE) if factor is None else factor
     cf = _zone_weight(mushy, boundary, beta)
-    target = boundary.q0 * boundary.q0 * SQRT_PI / (thermal.rho * thermal.l * thermal.k * boundary.d_inf * beta)
+    rho_l_k_d_inf_beta = thermal.rho * thermal.l * thermal.k * boundary.d_inf * beta
+    if rho_l_k_d_inf_beta == 0.0:
+        raise NumericalError("rho l k d_inf beta underflows to 0, outside the range of a double")
+    target = boundary.q0 * boundary.q0 * SQRT_PI / rho_l_k_d_inf_beta
     lower = 0.5 * SQRT_PI + cf
 
     def f(x: float) -> float:  # math.erf: as in xi_equation_kr
@@ -459,9 +451,7 @@ def _closed_form(
     epsilon)."""
     if case is _L:
         strength = _strength(mushy.gamma * (1.0 - mushy.epsilon), krc, boundary.q0)
-        value = boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / _balance_lhs(
-            xi, math.exp(xi * xi), strength
-        )
+        value = boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / stefan_lhs(xi, strength)
     elif case is _GAMMA:
         value = (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
     elif case is _EPSILON:

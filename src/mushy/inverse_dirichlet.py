@@ -37,9 +37,9 @@ from collections import namedtuple
 
 from . import inverse_convective, specfun
 from .direct import (
-    _balance_equation,
     _face_argument,
     _strength,
+    balance_equation,
     build_solution,
     dxexp_sq,
     face_argument,
@@ -63,6 +63,7 @@ from .model import (
     RestrictionReport,
     ThermalCoefficients,
     UnknownCase,
+    _report,
     validate,
 )
 from .rootfind import MonotoneEquation, solve_increasing
@@ -126,13 +127,13 @@ def solve_eta_r8(
 def _solve_eta_r8(g: float, target: float, start_r7: float) -> float:
     """:func:`solve_eta_r8` from the zone strength g, the Stefan target and
     the start of eta_r7's equation, from which its own start is found."""
-    return solve_increasing(_balance_equation(g, target, "eta equation (positive-epsilon bound)", start_r7))
+    return solve_increasing(balance_equation(g, target, "eta equation (positive-epsilon bound)", start_r7))
 
 
 def check_r6(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
     """R6: (d_inf/q0) sqrt(k rho c / pi) < 1."""
     arg = _face_argument(thermal.k * thermal.rho * thermal.c, boundary.d_inf, boundary.q0, 1.0)
-    return tuple.__new__(RestrictionReport, ("R6", arg < 1.0, arg, 1.0, ""))
+    return _report("R6", arg, 1.0)
 
 
 def check_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
@@ -143,13 +144,7 @@ def check_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> Restrictio
     the restriction is phrased in its source.
     """
     eta = solve_eta_r7(thermal, boundary)
-    return _r7(face_argument(thermal, boundary, _DIRICHLET), eta)
-
-
-def _r7(arg: float, eta: float) -> RestrictionReport:
-    """R7's report from the face argument and eta_r7."""
-    bound = math.erf(eta)  # a certified root: finite
-    return tuple.__new__(RestrictionReport, ("R7", arg < bound, arg, bound, ""))
+    return _report("R7", face_argument(thermal, boundary, _DIRICHLET), math.erf(eta))
 
 
 def check_r8(
@@ -181,7 +176,7 @@ def _r8(g: float, target: float, start_r7: float, arg: float) -> RestrictionRepo
         bound = 0.0
         note = ("the auxiliary equation has no positive root (gamma sqrt(k rho c)/(2 q0) already reaches "
                 "the front balance), so the bound holds for every xi")
-    return tuple.__new__(RestrictionReport, ("R8", bound < arg, bound, arg, note))
+    return _report("R8", bound, arg, note)
 
 
 #: R9's note: how the unknown-specific-heat existence condition was printed
@@ -203,7 +198,7 @@ def check_r9(
     """
     rho_l_k, two_q0_sq = specific_heat_products(thermal, boundary)
     lhs = rho_l_k * (boundary.d_inf + mushy.gamma * (1.0 - mushy.epsilon)) / two_q0_sq
-    return tuple.__new__(RestrictionReport, ("R9", lhs < 1.0, lhs, 1.0, _R9_NOTE))
+    return _report("R9", lhs, 1.0, _R9_NOTE)
 
 
 def check_all(
@@ -237,7 +232,7 @@ def check_all(
     eta = _solve_eta_r7(target, start)
     k_rho_c = thermal.k * thermal.rho * thermal.c
     arg = _face_argument(k_rho_c, boundary.d_inf, boundary.q0, 1.0)
-    r7 = _r7(arg, eta)
+    r7 = _report("R7", arg, math.erf(eta))
     if not r7.satisfied or case is _GAMMA:
         return (r7,)
     return (r7, _r8(_strength(mushy.gamma, math.sqrt(k_rho_c), boundary.q0), target, start, arg))

@@ -243,6 +243,13 @@ class RestrictionReport(namedtuple("RestrictionReport", "restriction_id satisfie
         return self.rhs - self.lhs
 
 
+def _report(restriction_id: str, lhs: float, rhs: float, note: str = "") -> RestrictionReport:
+    """The report of restriction ``restriction_id`` from its sides: the one
+    place that states the verdict, ``lhs < rhs``, so that equality (or a
+    NaN side) is a violation."""
+    return tuple.__new__(RestrictionReport, (restriction_id, lhs < rhs, lhs, rhs, note))
+
+
 class CaseResult(namedtuple("CaseResult", "case value xi solution reports")):
     """Recovered coefficient (``value``, for the unknown ``case``) together
     with ``xi``, the full solution and the restriction reports."""

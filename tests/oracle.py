@@ -1,6 +1,6 @@
 """50-digit references for the tests: erf and erf_inv from mpmath, the
-roots of the package's four equation families, and the l, gamma and epsilon
-cells of both faces.
+roots of the package's four equation families, and all 12 face x case
+cells.
 
 Test-only: mpmath never enters ``src/``, and the runtime stays stdlib-only.
 The module works in its own mpmath context, so it leaves ``mpmath.mp``'s
@@ -154,12 +154,16 @@ def erf_inv_error(y: float, x: float) -> float:
 # ulps Newton converges in two or three steps.
 
 
-def _newton_root(lhs, dlhs, target, start: float):
+def _newton_root(lhs_and_slope, target, start: float):
+    """Newton's method at 60 digits from ``start`` on lhs(x) = target, where
+    ``lhs_and_slope(ctx, x)`` gives the left side and its derivative from
+    one evaluation of the functions they share."""
     ctx = MP60
     t = ctx.mpf(target)
     x = ctx.mpf(start)
     for _ in range(100):
-        step = (lhs(ctx, x) - t) / dlhs(ctx, x)
+        lhs, slope = lhs_and_slope(ctx, x)
+        step = (lhs - t) / slope
         x -= step
         if abs(step) <= ctx.mpf(10) ** -45 * abs(x):
             return x
@@ -170,52 +174,40 @@ def kr_root(cf: float, target: float, start: float):
     """The root of (x + cf D) D = target, D = erf(x) e**x^2: the k/rho
     xi equation."""
 
-    def lhs(ctx, x):
-        d = ctx.erf(x) * ctx.exp(x * x)
-        return (x + cf * d) * d
-
-    def dlhs(ctx, x):
+    def lhs_and_slope(ctx, x):
         d = ctx.erf(x) * ctx.exp(x * x)
         dd = 2 / ctx.sqrt(ctx.pi) + 2 * x * d
-        return (1 + cf * dd) * d + (x + cf * d) * dd
+        return (x + cf * d) * d, (1 + cf * dd) * d + (x + cf * d) * dd
 
-    return _newton_root(lhs, dlhs, target, start)
+    return _newton_root(lhs_and_slope, target, start)
 
 
 def c_root(cf: float, target: float, start: float):
     """The root of (x/erf(x) + cf E) E = target, E = e**x^2: the c xi
     equation."""
 
-    def lhs(ctx, x):
-        e = ctx.exp(x * x)
-        return (x / ctx.erf(x) + cf * e) * e
-
-    def dlhs(ctx, x):
+    def lhs_and_slope(ctx, x):
         e = ctx.exp(x * x)
         erf_x = ctx.erf(x)
         r = x / erf_x
         dr = (erf_x - x * 2 / ctx.sqrt(ctx.pi) / e) / (erf_x * erf_x)
-        return (dr + 2 * x * cf * e) * e + (r + cf * e) * 2 * x * e
+        return (r + cf * e) * e, (dr + 2 * x * cf * e) * e + (r + cf * e) * 2 * x * e
 
-    return _newton_root(lhs, dlhs, target, start)
+    return _newton_root(lhs_and_slope, target, start)
 
 
 def balance_root(strength: float, target: float, start: float):
     """The root of (x + strength E) E = target, E = e**x^2: the front
     balance; at strength 0 the eta_r7 equation x e**x^2 = target."""
 
-    def lhs(ctx, x):
+    def lhs_and_slope(ctx, x):
         e = ctx.exp(x * x)
-        return (x + strength * e) * e
+        return (x + strength * e) * e, e * (1 + 2 * x * x + 4 * x * strength * e)
 
-    def dlhs(ctx, x):
-        e = ctx.exp(x * x)
-        return e * (1 + 2 * x * x + 4 * x * strength * e)
-
-    return _newton_root(lhs, dlhs, target, start)
+    return _newton_root(lhs_and_slope, target, start)
 
 
-# --- the face-equation cells ------------------------------------------------
+# --- the 12 cells ------------------------------------------------------------
 
 
 def face_cell(case: str, data: dict, start: float):
@@ -237,7 +229,7 @@ def face_cell(case: str, data: dict, start: float):
     q0, krc = d["q0"], ctx.sqrt(d["k"] * d["rho"] * d["c"])
     face = d["d_inf"] - q0 / d["h0"] if "h0" in d else d["d_inf"]
     two_over_sqrt_pi = 2 / ctx.sqrt(ctx.pi)
-    xi = _newton_root(lambda ctx, x: ctx.erf(x), lambda ctx, x: two_over_sqrt_pi * ctx.exp(-x * x),
+    xi = _newton_root(lambda ctx, x: (ctx.erf(x), two_over_sqrt_pi * ctx.exp(-x * x)),
                       face * krc / (q0 * ctx.sqrt(ctx.pi)), start)
     e = ctx.exp(xi * xi)
     if case == "l":
@@ -249,18 +241,53 @@ def face_cell(case: str, data: dict, start: float):
     return 1 - zone / d["gamma"]
 
 
+def root_cell(case: str, data: dict, start: float):
+    """The unknown ``case`` ('k', 'rho' or 'c') at 60 digits from the other
+    data as given, ``data`` as in :func:`face_cell`.
+
+    With beta = 1 - q0/(h0 d_inf) (1 on the Dirichlet face) and the zone
+    weight cf = gamma sqrt(pi) (1 - epsilon) / (2 d_inf beta), xi is the
+    root of the cell's xi equation from ``start``, such as the library's xi:
+    :func:`kr_root` at the target c d_inf beta / (l sqrt(pi)) for k and rho,
+    :func:`c_root` at q0^2 sqrt(pi) / (rho l k d_inf beta) for c.  The
+    closed form then divides pi amp^2, amp = q0 erf(xi) / (d_inf beta), by
+    the product of the other two of k, rho and c.
+    """
+    ctx = MP60
+    d = {name: ctx.mpf(v) for name, v in data.items() if v is not None}
+    q0, d_inf, sqrt_pi = d["q0"], d["d_inf"], ctx.sqrt(ctx.pi)
+    beta = 1 - q0 / (d["h0"] * d_inf) if "h0" in d else 1
+    cf = d["gamma"] * sqrt_pi * (1 - d["epsilon"]) / (2 * d_inf * beta)
+    if case == "c":
+        xi = c_root(cf, q0 * q0 * sqrt_pi / (d["rho"] * d["l"] * d["k"] * d_inf * beta), start)
+    else:
+        xi = kr_root(cf, d["c"] * d_inf * beta / (d["l"] * sqrt_pi), start)
+    amp = q0 * ctx.erf(xi) / (d_inf * beta)
+    return ctx.pi * amp * amp / ctx.fprod(d[name] for name in ("k", "rho", "c") if name in d)
+
+
 def face_cell_condition(case: str, data: dict, start: float):
     """kappa = sum over the known data d of |d ln theta / d ln d| for the
     :func:`face_cell` theta, by central differences at 60 digits: a relative
     step of 1e-20 leaves an error near 1e-40 and keeps 40 digits."""
+    return _condition(face_cell, case, data, start)
+
+
+def root_cell_condition(case: str, data: dict, start: float):
+    """:func:`face_cell_condition` for the :func:`root_cell` theta."""
+    return _condition(root_cell, case, data, start)
+
+
+def _condition(cell, case: str, data: dict, start: float):
+    """theta = cell(case, data, start) and its kappa over the known data."""
     ctx = MP60
     h = ctx.mpf(10) ** -20
-    theta = face_cell(case, data, start)
+    theta = cell(case, data, start)
     kappa = 0
     for name, v in data.items():
         if v is None:
             continue
-        up = face_cell(case, {**data, name: ctx.mpf(v) * ctx.exp(h)}, start)
-        down = face_cell(case, {**data, name: ctx.mpf(v) * ctx.exp(-h)}, start)
+        up = cell(case, {**data, name: ctx.mpf(v) * ctx.exp(h)}, start)
+        down = cell(case, {**data, name: ctx.mpf(v) * ctx.exp(-h)}, start)
         kappa += abs((up - down) / (2 * h * theta))
     return theta, kappa

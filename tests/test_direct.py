@@ -103,6 +103,7 @@ _UNIT_MUSHY = MushyCoefficients(epsilon=0.5, gamma=0.1)
 _UNIT_BOUNDARY = BoundaryData(q0=1.0, d_inf=1.0)
 _B_COEF_INF = (ThermalCoefficients(l=1.0, k=1e-200, rho=1e-100, c=1.0), MushyCoefficients(epsilon=0.5, gamma=1e300),
                BoundaryData(q0=1e160, d_inf=1.0))
+_TINY_RHO_C = ThermalCoefficients(l=1.0, k=1.0, rho=1e-200, c=1e-200)
 _XI_MESSAGE = "xi must be positive and finite, got "
 
 # build_solution's data and xi, its error and message, and the figures
@@ -121,6 +122,11 @@ BAD_FIGURE_ROWS = {
     "xi-before-figures": (_UNIT_THERMAL, _UNIT_MUSHY, _UNIT_BOUNDARY, -30.0, DomainError, _XI_MESSAGE + "-30.0",
                           (1.0, -30.0, 0.6, 1.0)),
     "xi-before-b-coef": (*_B_COEF_INF, math.nan, DomainError, _XI_MESSAGE + "nan", (math.inf, math.nan, 0.6, 1.0)),
+    # rho c underflows to 0, which alpha = k / (rho c) divides by
+    "xi-before-rho-c": (_TINY_RHO_C, _UNIT_MUSHY, _UNIT_BOUNDARY, math.nan, DomainError, _XI_MESSAGE + "nan",
+                        (1.0, math.nan, 0.6, 1.0)),
+    "rho-c-underflow": (_TINY_RHO_C, _UNIT_MUSHY, _UNIT_BOUNDARY, 0.5, NumericalError,
+                        "rho c underflows to 0, outside the range of a double", None),
     "mu-equals-xi": (_UNIT_THERMAL, MushyCoefficients(epsilon=0.5, gamma=1e-300), _UNIT_BOUNDARY, 0.5,
                      ValidationError, "mu must exceed xi, got mu=0.5 xi=0.5", (1.0, 0.5, 0.5, 1.0)),
     "mu-nan": (ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1.0), MushyCoefficients(epsilon=0.5, gamma=1.0),

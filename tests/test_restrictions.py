@@ -24,6 +24,9 @@ TINY_RHO_K = ThermalCoefficients(l=1.0, k=1e-200, rho=1e-200, c=1.0)
 TINY_H0_D_INF = BoundaryData(q0=1.0, d_inf=1e-200, h0=1e-200)
 TINY_Q0 = BoundaryData(q0=1e-200, d_inf=1.0, h0=2.0)
 UNDERFLOWING = [(TINY_RHO_K, UNIT_BOUNDARY), (UNIT_THERMAL, TINY_H0_D_INF), (UNIT_THERMAL, TINY_Q0)]
+# The products of the xi equations: rho l k, and 2 d_inf beta at beta ~ 0.19.
+TINY_L_K = ThermalCoefficients(l=1e-200, k=1e-200, rho=1.0, c=1.0)
+TINY_D_INF_BETA = BoundaryData(q0=1e-300, d_inf=5e-324, h0=2.5e23)
 
 # Data on which a group is 0 times inf: d_inf/q0 underflows where k rho c
 # overflows (the face argument), and q0/l where c/(rho k) does (the Stefan
@@ -92,8 +95,8 @@ def test_check_all_outcomes_are_pinned():
 
 XI = 0.5  # a face-determined front position, for R3 and R4
 
-# Each public check or auxiliary root on data whose named product underflows,
-# or whose named group is 0 times inf.
+# Each public check, auxiliary root or xi equation on data whose named
+# product underflows, or whose named group is 0 times inf.
 UNDERFLOW_CALLS = {
     "check_r2 k rho c": lambda: conv.check_r2(TINY_RHO_K, UNIT_BOUNDARY),
     "check_r2 h0 d_inf": lambda: conv.check_r2(UNIT_THERMAL, TINY_H0_D_INF),
@@ -112,6 +115,10 @@ UNDERFLOW_CALLS = {
     "check_r7 Stefan target": lambda: diri.check_r7(*ZERO_INF_STEFAN),
     "solve_eta_r7 rho k": lambda: diri.solve_eta_r7(TINY_RHO_K, UNIT_BOUNDARY),
     "solve_eta_r8 rho k": lambda: diri.solve_eta_r8(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
+    "conv.xi_equation_kr 2 d_inf beta": lambda: conv.xi_equation_kr(UNIT_THERMAL, UNIT_MUSHY, TINY_D_INF_BETA),
+    "conv.xi_equation_c 2 d_inf beta": lambda: conv.xi_equation_c(UNIT_THERMAL, UNIT_MUSHY, TINY_D_INF_BETA),
+    "conv.xi_equation_c rho l k d_inf beta": lambda: conv.xi_equation_c(TINY_L_K, UNIT_MUSHY, UNIT_BOUNDARY),
+    "diri.xi_equation_c rho l k d_inf beta": lambda: diri.xi_equation_c(TINY_L_K, UNIT_MUSHY, UNIT_BOUNDARY),
 }
 
 
