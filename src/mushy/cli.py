@@ -87,6 +87,9 @@ from .model import (
     SimilaritySolution,
     ThermalCoefficients,
     UnknownCase,
+    rescaled,
+    restored,
+    unit_exponents,
     validate,
     with_coefficient,
 )
@@ -299,13 +302,16 @@ def _solve(args: SimpleNamespace) -> tuple[ProblemInstance, CaseResult | None, S
     instance = load_scenario(args.scenario)
     case = instance.case
     if case is None:
+        thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
+        if instance.units is not None:  # as in the case solvers: data outside the band are solved in their units
+            thermal, mushy, boundary = rescaled(instance.units, thermal, mushy, boundary)
         try:
-            xi = solve_increasing(front_balance(instance.thermal, instance.mushy, instance.boundary))
-            solution = build_solution(instance.thermal, instance.mushy, instance.boundary, xi)
-        except ZeroDivisionError:  # as in the case solvers: a product of valid data underflowed
-            raise NumericalError(f"case direct: {inverse_convective.UNDERFLOW}") from None
+            xi = solve_increasing(front_balance(thermal, mushy, boundary))
+            solution = build_solution(thermal, mushy, boundary, xi)
         except (ValidationError, DomainError) as err:  # as in the case solvers: the solution left the range
             raise NumericalError(f"case direct: {inverse_convective.SOLUTION_OUT_OF_RANGE}: {err}") from None
+        if instance.units is not None:
+            solution = restored(instance.units, None, None, solution)[1]
         return instance, None, solution
     if instance.face is Face.CONVECTIVE:
         solve_case = inverse_convective.solve_case
@@ -465,10 +471,15 @@ def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
     from . import verify
 
     instance, result, solution = _solve(args)
+    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
+    units = unit_exponents(None, thermal, mushy, boundary)
+    if units is not None:
+        # Checked in the units the solve worked in, at VERIFY_TIMES of those
+        # units: the solution is self-similar and every residual relative.
+        thermal, mushy, boundary = rescaled(units, thermal, mushy, boundary)
+        solution = restored(tuple(-u for u in units), None, None, solution)[1]
     xs = [f * front_s(solution, VERIFY_TIMES[0]) for f in VERIFY_X_FRACS]
-    conditions = verify.condition_residuals(
-        solution, instance.thermal, instance.mushy, instance.boundary, VERIFY_TIMES, instance.face
-    )
+    conditions = verify.condition_residuals(solution, thermal, mushy, boundary, VERIFY_TIMES, instance.face)
     # The space step is widest at the last time, and the stencil around the
     # nearest point must stay in the solid there.  Below xi of about 6.7e-4
     # the fixed step would leave it, so half the widest step that stays is used.

@@ -11,7 +11,6 @@ equations that a solution of the full free-boundary problem must satisfy:
 """
 
 import math
-import sys
 from collections import namedtuple
 from enum import Enum
 
@@ -19,6 +18,7 @@ from . import specfun
 from .errors import DomainError, NumericalError
 from .model import (
     _DIRICHLET,
+    _NORMAL_MIN,
     BoundaryData,
     Face,
     MushyCoefficients,
@@ -26,6 +26,9 @@ from .model import (
     ThermalCoefficients,
     _check_front,
     _check_solution,
+    out_of_range,
+    rescaled,
+    unit_exponents,
 )
 from .rootfind import MonotoneEquation
 
@@ -59,12 +62,6 @@ SQRT_PI = math.sqrt(math.pi)
 #: ln 2.  The starts take ln v as ln 2 log2(v): math.log parses an optional
 #: base and costs three times what math.log2 does.
 _LN2 = math.log(2.0)
-_LN_PI = math.log(math.pi)
-#: ln of the largest double: math.exp raises OverflowError above it.
-_LN_MAX = math.log(sys.float_info.max)
-
-#: The least positive normal double: below it a product has lost digits.
-_NORMAL_MIN = sys.float_info.min
 
 _INF = math.inf  # a module global: cheaper to read than math.inf on every solve
 
@@ -143,18 +140,16 @@ def stefan_lhs_derivative(xi: float, strength: float) -> float:
 
 
 def stefan_rhs(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
-    """Right side (q0 / l) sqrt(c / (rho k)) of the front balance.
-
-    Valid data whose rho k underflows to 0, or whose factors are 0 and inf,
-    raise NumericalError.
+    """Right side S = (q0 / l) sqrt(c / (rho k)) of the front balance, the
+    Stefan target.  A rho k, then an S, that is not a positive normal double
+    raises NumericalError (the range rule of :func:`~mushy.model.in_range`).
     """
     rho_k = thermal.rho * thermal.k
-    if rho_k == 0.0:
-        raise NumericalError("rho k underflows to 0, outside the range of a double")
+    if not rho_k >= _NORMAL_MIN:  # an inf makes S 0, which the next test meets
+        raise out_of_range("rho k", rho_k)
     rhs = (boundary.q0 / thermal.l) * math.sqrt(thermal.c / rho_k)
-    if rhs != rhs:
-        raise NumericalError("the Stefan target (q0 / l) sqrt(c / (rho k)) is 0 times inf, "
-                             "outside the range of a double")
+    if not _NORMAL_MIN <= rhs < _INF:
+        raise out_of_range("the Stefan target S", rhs)
     return rhs
 
 
@@ -162,15 +157,16 @@ def specific_heat_products(thermal: ThermalCoefficients, boundary: BoundaryData)
     """The products rho l k and 2 q0^2 that R5 and R9, the root-existence
     conditions of the specific-heat equation, compare.
 
-    Valid data whose rho l k or 2 q0^2 underflows to 0 raise
-    NumericalError, in that order.
+    A rho l k, then a 2 q0^2, that underflows to 0 raises NumericalError.
+    Each is compared with 0 itself, so that the formulas also read
+    symbolically.
     """
     rho_l_k = thermal.rho * thermal.l * thermal.k
     if rho_l_k == 0.0:
-        raise NumericalError("rho l k underflows to 0, outside the range of a double")
+        raise out_of_range("rho l k", rho_l_k)
     two_q0_sq = 2.0 * boundary.q0 * boundary.q0
     if two_q0_sq == 0.0:
-        raise NumericalError("2 q0^2 underflows to 0, outside the range of a double")
+        raise out_of_range("2 q0^2", two_q0_sq)
     return rho_l_k, two_q0_sq
 
 
@@ -217,42 +213,43 @@ def front_balance(thermal: ThermalCoefficients, mushy: MushyCoefficients, bounda
 
 
 def face_factor(boundary: BoundaryData, face: Face) -> float:
-    """Convective attenuation 1 - q0 / (h0 d_inf); exactly 1 for Dirichlet.
+    """Convective attenuation beta = 1 - q0 / (h0 d_inf); exactly 1 for
+    Dirichlet.
 
-    Positive exactly when the convective data admit a cooling face; the
-    Dirichlet problem is its h0 -> inf limit.  Valid data whose h0 d_inf
-    underflows to 0 raise NumericalError.
+    Positive exactly when the convective data admit a cooling face (R1);
+    the Dirichlet problem is its h0 -> inf limit.  An h0 d_inf that
+    underflows to 0, which only data that fail R1 reach, raises
+    NumericalError.  It is compared with 0 itself, so that the formula also
+    reads symbolically.
     """
     if face is _DIRICHLET:
         return 1.0
     h0_d_inf = boundary.h0 * boundary.d_inf
     if h0_d_inf == 0.0:
-        raise NumericalError("h0 d_inf underflows to 0, outside the range of a double")
+        raise out_of_range("h0 d_inf", h0_d_inf)
     return 1.0 - boundary.q0 / h0_d_inf
 
 
 def face_argument(thermal: ThermalCoefficients, boundary: BoundaryData, face: Face) -> float:
-    """The value erf(xi) must take to meet the fixed-face condition:
-    (d_inf / q0) sqrt(k rho c / pi) scaled by the convective attenuation.
+    """The value A beta that erf(xi) must take to meet the fixed-face
+    condition: the face group A = (d_inf / q0) sqrt(k rho c / pi) scaled by
+    the convective attenuation beta.
 
-    Valid data whose k rho c underflows to 0, then those whose h0 d_inf
-    does (:func:`face_factor`), or whose factors are 0 and inf, raise
-    NumericalError.
+    An h0 d_inf that underflows to 0 (:func:`face_factor`), then a k rho c
+    or an A that is not a positive normal double, raises NumericalError.
     """
     k_rho_c = thermal.k * thermal.rho * thermal.c
-    beta = face_factor(boundary, face) if k_rho_c != 0.0 else 1.0  # k rho c's guard comes first
-    return _face_argument(k_rho_c, boundary.d_inf, boundary.q0, beta)
+    return _face_argument(k_rho_c, boundary.d_inf, boundary.q0, face_factor(boundary, face))
 
 
 def _face_argument(k_rho_c: float, d_inf: float, q0: float, beta: float) -> float:
     """:func:`face_argument` from the product k rho c and the attenuation beta."""
-    if k_rho_c == 0.0:
-        raise NumericalError("k rho c underflows to 0, outside the range of a double")
-    arg = (d_inf / q0) * math.sqrt(k_rho_c / math.pi) * beta
-    if arg != arg:
-        raise NumericalError("the face argument (d_inf / q0) sqrt(k rho c / pi) is 0 times inf, "
-                             "outside the range of a double")
-    return arg
+    if not k_rho_c >= _NORMAL_MIN:  # an inf makes A inf or NaN, which the next test meets
+        raise out_of_range("k rho c", k_rho_c)
+    arg = (d_inf / q0) * math.sqrt(k_rho_c / math.pi)
+    if not _NORMAL_MIN <= arg < _INF:
+        raise out_of_range("the face group A", arg)
+    return arg * beta
 
 
 def build_solution(
@@ -379,14 +376,13 @@ def front_r_velocity(sol: SimilaritySolution, t: float) -> float:
 
 
 class ConsistencyResiduals(namedtuple("ConsistencyResiduals", "res_stefan res_face")):
-    """Residuals of the two consistency equations.
+    """Residuals of the two consistency equations, each relative to the
+    size of its sides.
 
     res_stefan is the front balance residual scaled by the magnitude of its
-    dominant side: the raw difference spans many orders of magnitude across
-    unit systems, so only the relative value is meaningful against a fixed
-    tolerance.  res_face is the raw difference of the face equation; both of
-    its sides already lie in (0, 1) whenever the data are solvable, so no
-    scaling is needed there.
+    larger side; res_face is (erf(xi) - A beta) / (A beta), the face
+    equation's residual relative to its data side, so that a wrong xi shows
+    at any size of xi.
     """
 
     __slots__ = ()
@@ -401,66 +397,18 @@ def consistency_residuals(
 ) -> ConsistencyResiduals:
     """Evaluate both consistency equations at xi for a complete data set.
 
-    Where a product that a residual forms (rho k, k rho c, the mushy
-    strength, the Stefan target, either side of the front balance, or the
-    face argument) leaves the range of a positive normal double, that
-    residual comes from the logarithms of the data instead, so that it
-    stays right at the ends of the double range.  A face residual that
-    itself leaves the range of a double raises NumericalError.
+    Data that leave the band are evaluated in the units of
+    :func:`~mushy.model.unit_exponents`, where each residual keeps its bits.
+    A product or group that is not a positive normal double there raises
+    NumericalError (:func:`~mushy.model.in_range`).
     """
-    res_stefan = res_face = math.nan
-    if _NORMAL_MIN <= thermal.k * thermal.rho * thermal.c < _INF:
-        res_face = specfun.erf(xi) - face_argument(thermal, boundary, face)
-        if _NORMAL_MIN <= thermal.rho * thermal.k < _INF:
-            strength = mushy_strength(thermal, mushy, boundary)
-            lhs = stefan_lhs(xi, strength)
-            rhs = stefan_rhs(thermal, boundary)
-            if _NORMAL_MIN <= strength < _INF and _NORMAL_MIN <= lhs < _INF and _NORMAL_MIN <= rhs < _INF:
-                res_stefan = (lhs - rhs) / max(abs(lhs), abs(rhs))
-    if not -_INF < res_stefan < _INF:
-        res_stefan = _stefan_residual_from_logs(thermal, mushy, boundary, xi)
-    if not -_INF < res_face < _INF:
-        res_face = specfun.erf(xi) - _face_argument_from_logs(thermal, boundary, face)
-    return ConsistencyResiduals(res_stefan=res_stefan, res_face=res_face)
-
-
-def _stefan_residual_from_logs(
-    thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData, xi: float
-) -> float:
-    """(lhs - rhs) / max(lhs, rhs) of the front balance from ln lhs - ln rhs,
-    lhs = (xi + strength e**xi^2) e**xi^2 and rhs = (q0 / l) sqrt(c / (rho k))."""
-    ln_k, ln_rho, ln_c, ln_q0 = (math.log(v) for v in (thermal.k, thermal.rho, thermal.c, boundary.q0))
-    x2 = xi * xi
-    ln_rhs = ln_q0 - math.log(thermal.l) + 0.5 * (ln_c - ln_rho - ln_k)
-    # The first factor of lhs is its larger term times 1 + the ratio of the
-    # two.  A recovered epsilon can round to 1, and the zone term is then 0.
-    ln_xi, ln_zone = math.log(xi), -_INF
-    if mushy.epsilon < 1.0:
-        ln_zone = math.log(mushy.gamma) + math.log1p(-mushy.epsilon) + 0.5 * (ln_k + ln_rho + ln_c) - _LN2 - ln_q0 + x2
-    big, small = max(ln_xi, ln_zone), min(ln_xi, ln_zone)
-    ln_ratio = big + math.log1p(math.exp(small - big)) + x2 - ln_rhs
-    # 1 - rhs / lhs where lhs is the larger side, lhs / rhs - 1 otherwise
-    return -math.expm1(-ln_ratio) if ln_ratio > 0.0 else math.expm1(ln_ratio)
-
-
-def _face_argument_from_logs(thermal: ThermalCoefficients, boundary: BoundaryData, face: Face) -> float:
-    """:func:`face_argument` from the logarithms of the data.  The
-    attenuation 1 - t, t = q0 / (h0 d_inf), is taken as 1 - t for t < 1 and
-    as -t (1 - 1/t) for t > 1.  A face argument that leaves the range of a
-    double raises NumericalError."""
-    ln_q0 = math.log(boundary.q0)
-    ln_arg = (math.log(boundary.d_inf) - ln_q0
-              + 0.5 * (math.log(thermal.k) + math.log(thermal.rho) + math.log(thermal.c) - _LN_PI))
-    sign = 1.0
-    if face is not _DIRICHLET:
-        ln_t = ln_q0 - math.log(boundary.h0) - math.log(boundary.d_inf)
-        if ln_t < 0.0:
-            ln_arg += math.log(-math.expm1(ln_t))
-        elif ln_t > 0.0:
-            sign, ln_arg = -1.0, ln_arg + ln_t + math.log(-math.expm1(-ln_t))
-        else:
-            return 0.0
-    if ln_arg > _LN_MAX:
-        raise NumericalError("the face argument (d_inf / q0) sqrt(k rho c / pi) (1 - q0 / (h0 d_inf)) "
-                             "leaves the range of a double")
-    return sign * math.exp(ln_arg)
+    units = unit_exponents(None, thermal, mushy, boundary)
+    if units is not None:
+        thermal, mushy, boundary = rescaled(units, thermal, mushy, boundary)
+    arg = face_argument(thermal, boundary, face)
+    if not _NORMAL_MIN <= abs(arg) < _INF:  # negative where the data fail R1
+        raise out_of_range("the face argument A beta", arg)
+    lhs = stefan_lhs(xi, mushy_strength(thermal, mushy, boundary))
+    rhs = stefan_rhs(thermal, boundary)
+    return ConsistencyResiduals(res_stefan=(lhs - rhs) / max(abs(lhs), abs(rhs)),
+                                res_face=(specfun.erf(xi) - arg) / arg)

@@ -24,7 +24,6 @@ import math
 from . import specfun
 from .direct import (
     _LN2,
-    _NORMAL_MIN,
     SQRT_PI,
     _face_argument,
     _strength,
@@ -45,7 +44,9 @@ from .model import (
     _GAMMA,
     _K,
     _L,
+    _NORMAL_MIN,
     _RHO,
+    SOLUTION_OUT_OF_RANGE,
     BoundaryData,
     CaseResult,
     MushyCoefficients,
@@ -53,11 +54,17 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     _report,
+    in_range,
+    out_of_range,
+    rescaled,
+    restored,
+    unit_exponents,
     validate,
 )
 from .rootfind import MonotoneEquation, solve_increasing
 from .specfun import TWO_OVER_SQRT_PI
 
+_INF = math.inf  # as in mushy.direct
 _FOUR_OVER_PI = 4.0 / math.pi
 _R_AT_ONE = 1.0 / math.erf(1.0)  # x / erf(x) at x = 1
 
@@ -136,14 +143,6 @@ def _r5(beta: float, thermal: ThermalCoefficients, mushy: MushyCoefficients, bou
     return _report("R5", beta, rhs)
 
 
-#: Why a solve of valid data can still fail: a product of them leaves the
-#: double range, or a figure of the solution built from them does (an xi,
-#: b_coef or mu the solution record refuses).  The restriction checks name
-#: the product they meet.
-UNDERFLOW = "a product of the data underflows to 0, outside the range of a double"
-SOLUTION_OUT_OF_RANGE = "the solution leaves the range of a double"
-
-
 def check_all(
     case: UnknownCase,
     thermal: ThermalCoefficients,
@@ -153,11 +152,17 @@ def check_all(
     """Evaluate the restrictions of one case in dependency order.
 
     Stops at the first failure, which makes the later ones undefined (R3
-    and R4 need the face-determined xi, hence R1 and R2).  Data whose
-    products underflow to 0 raise NumericalError.
+    and R4 need the face-determined xi, hence R1 and R2).  Data that leave
+    the band are checked in the units of the validated instance, but for
+    R1, whose sides are dimensional; a product or group that is not a
+    positive normal double there raises NumericalError.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
-    return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)[0]
+    units = instance.units
+    if units is None:
+        return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)[0]
+    reports = _evaluate(case, *rescaled(units, instance.thermal, instance.mushy, instance.boundary))[0]
+    return (check_r1(instance.boundary), *reports[1:])
 
 
 def _evaluate(
@@ -205,6 +210,8 @@ def _evaluate(
     if not r2.satisfied:
         return (r1, r2), None, beta, None, None
     xi = specfun.erf_inv(r2.lhs)
+    if not _NORMAL_MIN <= xi:
+        raise out_of_range("xi", xi)
     krc = math.sqrt(k_rho_c)
     if case is _L:
         return (r1, r2), xi, beta, None, krc
@@ -230,14 +237,14 @@ def require_satisfied(reports: tuple[RestrictionReport, ...]) -> None:
 
 def _zone_weight(mushy: MushyCoefficients, boundary: BoundaryData, beta: float) -> float:
     """cf = gamma sqrt(pi) (1 - epsilon) / (2 d_inf beta), the weight of the
-    zone term in both xi equations.  Valid data whose 2 d_inf beta
-    underflows to 0, or whose cf overflows, raise NumericalError: no x makes
-    the equation finite."""
+    zone term in both xi equations.  A 2 d_inf beta that is not a positive
+    normal double, or a cf that overflows, raises NumericalError: no x
+    makes the equation finite."""
     two_d_inf_beta = 2.0 * boundary.d_inf * beta
-    if two_d_inf_beta == 0.0:
-        raise NumericalError("2 d_inf beta underflows to 0, outside the range of a double")
+    if not _NORMAL_MIN <= two_d_inf_beta < _INF:
+        raise out_of_range("2 d_inf beta", two_d_inf_beta)
     cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / two_d_inf_beta
-    if cf == math.inf:
+    if cf == _INF:
         raise NumericalError("gamma sqrt(pi) (1 - epsilon) / (2 d_inf beta) overflows, outside the range of a double")
     return cf
 
@@ -259,12 +266,16 @@ def xi_equation_kr(
     with beta the convective attenuation.  The function vanishes at 0+ and
     grows unboundedly, so a positive target always has exactly one root;
     only R1 (beta > 0) is needed.  ``factor`` is beta when given; 1.0 gives
-    the Dirichlet face, the h0 -> infinity limit.  Valid data whose
-    2 d_inf beta underflows to 0 raise NumericalError.
+    the Dirichlet face, the h0 -> infinity limit.  A 2 d_inf beta, then a
+    c d_inf beta, that is not a positive normal double raises
+    NumericalError.
     """
     beta = face_factor(boundary, _CONVECTIVE) if factor is None else factor
     cf = _zone_weight(mushy, boundary, beta)
-    target = thermal.c * boundary.d_inf * beta / (thermal.l * SQRT_PI)
+    c_d_inf_beta = thermal.c * boundary.d_inf * beta
+    if not _NORMAL_MIN <= c_d_inf_beta < _INF:
+        raise out_of_range("c d_inf beta", c_d_inf_beta)
+    target = c_d_inf_beta / (thermal.l * SQRT_PI)
 
     # f and df are evaluated at finite x > 0 (the root finder's iterates lie
     # in (0, 40]), so they call math.erf directly.
@@ -336,15 +347,15 @@ def xi_equation_c(
 
     with the same cf and ``factor`` as :func:`xi_equation_kr`.  x/erf(x)
     tends to sqrt(pi)/2 at 0+, so the left side starts at sqrt(pi)/2 + cf;
-    the target exceeding that limit is restriction R5.  Valid data whose
-    2 d_inf beta, then rho l k d_inf beta, underflows to 0 raise
-    NumericalError.
+    the target exceeding that limit is restriction R5.  A 2 d_inf beta,
+    then a rho l k d_inf beta or a rho l k, that is not a positive normal
+    double raises NumericalError.
     """
     beta = face_factor(boundary, _CONVECTIVE) if factor is None else factor
     cf = _zone_weight(mushy, boundary, beta)
-    rho_l_k_d_inf_beta = thermal.rho * thermal.l * thermal.k * boundary.d_inf * beta
-    if rho_l_k_d_inf_beta == 0.0:
-        raise NumericalError("rho l k d_inf beta underflows to 0, outside the range of a double")
+    rho_l_k = thermal.rho * thermal.l * thermal.k
+    rho_l_k_d_inf_beta = in_range("rho l k d_inf beta", rho_l_k * boundary.d_inf * beta)
+    in_range("rho l k", rho_l_k)  # below the range it has lost digits that the product then carries
     target = boundary.q0 * boundary.q0 * SQRT_PI / rho_l_k_d_inf_beta
     lower = 0.5 * SQRT_PI + cf
 
@@ -423,17 +434,17 @@ def closed_form(
     square root of k rho c / pi.  gamma and epsilon share the
     cancellation-prone gap (q0/l) sqrt(c/(rho k)) - xi e**xi^2 that R3 (R7)
     keeps positive.  ``xi`` is a front position the recovery computed,
-    positive and finite, so erf is taken by math.erf without a check.  A
-    value that is not a positive finite double raises NumericalError: the
-    data, each valid, leave the double range together.  So does an epsilon
-    that rounds to 1, which no double in (0, 1) represents.
+    positive and finite, so erf is taken by math.erf without a check.
+    Data that leave the band are worked in the units of
+    :func:`~mushy.model.unit_exponents`, and the value comes back in the
+    caller's.  A product, group or value that is not a positive normal
+    double raises NumericalError (:func:`~mushy.model.in_range`), and so
+    does an epsilon that rounds to 1, which no double in (0, 1) represents.
     """
-    gap = krc = None
-    if case in FACE_CASES:
-        if case is not _L:
-            gap = stefan_rhs(thermal, boundary) - xexp_sq(xi)
-        krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
-    return _closed_form(case, thermal, mushy, boundary, xi, beta, gap, krc)
+    units = unit_exponents(case, thermal, mushy, boundary)
+    if units is None:
+        return _closed_form(case, thermal, mushy, boundary, xi, beta)
+    return restored(units, case, _closed_form(case, *rescaled(units, thermal, mushy, boundary), xi, beta), None)[0]
 
 
 def _closed_form(
@@ -443,38 +454,51 @@ def _closed_form(
     boundary: BoundaryData,
     xi: float,
     beta: float | None,
-    gap: float | None,
-    krc: float | None,
+    gap: float | None = None,
+    krc: float | None = None,
 ) -> float:
-    """:func:`closed_form` from the figures the restriction pass computed:
-    the gap of R3's sides (gamma, epsilon) and sqrt(k rho c) (l, gamma,
-    epsilon)."""
+    """:func:`closed_form` in the units of the data as given, from the
+    figures a restriction pass computed where it did: the gap of R3's sides
+    (gamma, epsilon) and sqrt(k rho c) (l, gamma, epsilon)."""
+    if krc is None and case in FACE_CASES:
+        if case is not _L:
+            gap = stefan_rhs(thermal, boundary) - xexp_sq(xi)
+        k_rho_c = thermal.k * thermal.rho * thermal.c
+        if not _NORMAL_MIN <= k_rho_c < _INF:
+            raise out_of_range("k rho c", k_rho_c)
+        krc = math.sqrt(k_rho_c)
     if case is _L:
         strength = _strength(mushy.gamma * (1.0 - mushy.epsilon), krc, boundary.q0)
-        value = boundary.q0 * math.sqrt(thermal.c / (thermal.rho * thermal.k)) / stefan_lhs(xi, strength)
+        rho_k = thermal.rho * thermal.k
+        if not rho_k >= _NORMAL_MIN:  # an inf makes the value 0, which the last test meets
+            raise out_of_range("rho k", rho_k)
+        value = boundary.q0 * math.sqrt(thermal.c / rho_k) / stefan_lhs(xi, strength)
     elif case is _GAMMA:
         value = (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
     elif case is _EPSILON:
-        value = 1.0 - (2.0 * boundary.q0 / (mushy.gamma * krc)) * gap * math.exp(-2.0 * xi * xi)
+        zone = mushy.gamma * krc
+        if not _NORMAL_MIN <= zone < _INF:
+            raise out_of_range("gamma sqrt(k rho c)", zone)
+        value = 1.0 - (2.0 * boundary.q0 / zone) * gap * math.exp(-2.0 * xi * xi)
         if value >= 1.0:  # 1 - epsilon is below half an ulp of 1
             raise NumericalError(f"the recovered epsilon = {value!r} is not representable in (0, 1); "
                                  "the data leave the range of a double")
     else:
-        erf_xi = math.erf(xi)
-        amp = boundary.q0 * erf_xi
-        if amp >= _NORMAL_MIN:
-            amp /= boundary.d_inf * beta
-        else:  # below the normal range q0 erf(xi) has lost digits: divide first
-            amp = boundary.q0 / (boundary.d_inf * beta) * erf_xi
+        amp = boundary.q0 * math.erf(xi)
+        if not _NORMAL_MIN <= amp < _INF:
+            raise out_of_range("q0 erf(xi)", amp)
+        amp /= boundary.d_inf * beta
         if case is _K:
-            value = math.pi / (thermal.rho * thermal.c) * amp * amp
+            name, product = "rho c", thermal.rho * thermal.c
         elif case is _RHO:
-            value = math.pi / (thermal.k * thermal.c) * amp * amp
+            name, product = "k c", thermal.k * thermal.c
         else:
-            value = math.pi / (thermal.rho * thermal.k) * amp * amp
-    if not 0.0 < value < math.inf:
-        raise NumericalError(f"the recovered {case.value} = {value!r} is not a positive finite number; "
-                             "the data leave the range of a double")
+            name, product = "rho k", thermal.rho * thermal.k
+        if not _NORMAL_MIN <= product < _INF:
+            raise out_of_range(name, product)
+        value = math.pi / product * amp * amp
+    if not _NORMAL_MIN <= value < _INF:
+        raise out_of_range(f"the recovered {case.value}", value)
     return value
 
 
@@ -492,22 +516,30 @@ def solve_case(
     :func:`xi_equation_c`.  The restrictions are checked first, in the
     order and with the early stop of :func:`check_all`, and a failure
     raises RestrictionError with exactly those reports.  Data whose
-    arithmetic leaves the double range raise NumericalError.
+    arithmetic leaves the double range raise NumericalError.  Data that
+    leave the band are solved in the units of the validated instance
+    (:func:`~mushy.model.unit_exponents`), and the value, the solution and
+    R1's sides come back in the caller's.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
+    units = instance.units
+    if units is not None:
+        thermal, mushy, boundary = rescaled(units, thermal, mushy, boundary)
     reports, xi, beta, gap, krc = _evaluate(case, thermal, mushy, boundary)
+    if units is not None:  # R1, the one dimensional report, in the caller's units
+        reports = (check_r1(instance.boundary), *reports[1:])
     require_satisfied(reports)
 
     try:
         if xi is None:  # k, rho or c: every restriction held, none of them R2
             equation = xi_equation_c if case is _C else xi_equation_kr
-            xi = solve_increasing(equation(thermal, mushy, boundary, beta))
+            xi = solve_increasing(equation(thermal, mushy, boundary, beta))  # a normal double, or it raises
 
         value = _closed_form(case, thermal, mushy, boundary, xi, beta, gap, krc)
         solution = build_solution(thermal, mushy, boundary, xi, value)
-    except ZeroDivisionError:
-        raise NumericalError(f"case {case.value}: {UNDERFLOW}") from None
     except (ValidationError, DomainError) as err:  # build_solution's checks of xi and the record
         raise NumericalError(f"case {case.value}: {SOLUTION_OUT_OF_RANGE}: {err}") from None
+    if units is not None:
+        value, solution = restored(units, case, value, solution)
     return tuple.__new__(CaseResult, (case, value, xi, solution, reports))

@@ -56,6 +56,7 @@ from .model import (
     _GAMMA,
     _K,
     _L,
+    _NORMAL_MIN,
     _RHO,
     BoundaryData,
     CaseResult,
@@ -64,6 +65,9 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     _report,
+    out_of_range,
+    rescaled,
+    restored,
     validate,
 )
 from .rootfind import MonotoneEquation, solve_increasing
@@ -217,10 +221,14 @@ def check_all(
     * epsilon: R7, R8.
 
     R8 reads R7's Stefan target, face argument, root start and product
-    k rho c.  Data whose products underflow to 0 raise NumericalError.
+    k rho c.  Data that leave the band are checked in the units of the
+    validated instance; every report is a number.  A product or group that
+    is not a positive normal double there raises NumericalError.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
+    if instance.units is not None:
+        thermal, mushy, boundary = rescaled(instance.units, thermal, mushy, boundary)
     if case is _L:
         return (check_r6(thermal, boundary),)
     if case is _C:
@@ -277,10 +285,13 @@ def solve_dirichlet_case(
 
     The restrictions R6-R9 of the case are checked first; the recovery is
     then that of :func:`mushy.inverse_convective.solve_case` at beta = 1,
-    NumericalError included.
+    NumericalError and the units of data that leave the band included.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
+    units = instance.units
+    if units is not None:
+        thermal, mushy, boundary = rescaled(units, thermal, mushy, boundary)
     # check_all validates a second time; the benchmark pins that count
     reports = check_all(case, thermal, mushy, boundary)
     inverse_convective.require_satisfied(reports)
@@ -288,16 +299,18 @@ def solve_dirichlet_case(
     try:
         if case is _K or case is _RHO or case is _C:
             equation = xi_equation_c if case is _C else xi_equation_kr
-            xi = solve_increasing(equation(thermal, mushy, boundary))
+            xi = solve_increasing(equation(thermal, mushy, boundary))  # a normal double, or it raises
         else:  # l, gamma, epsilon: R6's or R7's lhs is the face argument
             xi = specfun.erf_inv(reports[0].lhs)
+            if not _NORMAL_MIN <= xi:
+                raise out_of_range("xi", xi)
 
-        value = inverse_convective.closed_form(case, thermal, mushy, boundary, xi, 1.0)
+        value = inverse_convective._closed_form(case, thermal, mushy, boundary, xi, 1.0)
         solution = build_solution(thermal, mushy, boundary, xi, value)
-    except ZeroDivisionError:
-        raise NumericalError(f"case {case.value}: {inverse_convective.UNDERFLOW}") from None
     except (ValidationError, DomainError) as err:  # build_solution's checks of xi and the record
         raise NumericalError(f"case {case.value}: {inverse_convective.SOLUTION_OUT_OF_RANGE}: {err}") from None
+    if units is not None:
+        value, solution = restored(units, case, value, solution)
     return tuple.__new__(CaseResult, (case, value, xi, solution, reports))
 
 

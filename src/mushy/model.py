@@ -20,10 +20,11 @@ builds, are ``collections.namedtuple`` subclasses.
 """
 
 import math
+import sys
 from collections import namedtuple
 from enum import Enum
 
-from .errors import ValidationError, as_number
+from .errors import NumericalError, ValidationError, as_number
 
 __all__ = [
     "Face",
@@ -37,6 +38,10 @@ __all__ = [
     "ProblemInstance",
     "validate",
     "with_coefficient",
+    "DIMENSIONS",
+    "unit_exponents",
+    "in_range",
+    "out_of_range",
 ]
 
 
@@ -262,9 +267,153 @@ class ProblemInstance(namedtuple("ProblemInstance", "face case thermal mushy bou
 
     Exactly the slot named by ``case`` is None among the six coefficients
     (or none of them for ``case=None``, the fully specified direct mode).
+    ``units`` are those of :func:`unit_exponents`, None for data in the band.
     """
 
     __slots__ = ()
+    units = None
+
+
+class _Rescaled(ProblemInstance):
+    """A ProblemInstance whose instance dict holds its ``units``; it prints as its base."""
+
+    def __repr__(self) -> str:
+        return repr(ProblemInstance._make(self))
+
+
+# --- units and the range rule -------------------------------------------------
+
+#: Each datum's dimensions as exponents of mass, length, half-time (q0 and h0
+#: carry T^(-5/2)) and temperature.  In the units M 2^a, L 2^b, T 4^c and
+#: Theta 2^d a datum with the row (m, n, t, o) is its value times
+#: 2^(m a + n b + t c + o d), an exact change; epsilon, xi and mu are numbers.
+DIMENSIONS = {"l": (0, 2, -4, 0), "k": (1, 1, -6, -1), "rho": (1, -3, 0, 0), "c": (0, 2, -4, -1),
+              "gamma": (0, 0, 0, 1), "q0": (1, 0, -5, 0), "d_inf": (0, 0, 0, 1), "h0": (1, 0, -5, -1)}
+_ALPHA = (0, 2, -2, 0)  # k / (rho c)
+
+#: The band: a product of four data inside it is a normal double, so such
+#: data are solved in their own units.
+_BAND_MIN, _BAND_MAX = 2.0**-250, 2.0**250
+_NORMAL_MIN = sys.float_info.min  # the least positive normal double
+
+#: Why a solve of valid data can still fail where no product or group the
+#: range rule names does: a figure of the solution built from them leaves
+#: the double range (an xi, b_coef or mu the solution record refuses).
+SOLUTION_OUT_OF_RANGE = "the solution leaves the range of a double"
+
+
+def in_range(name: str, value: float) -> float:
+    """The range rule, stated once: ``value`` if it is a positive normal
+    double, else the NumericalError of :func:`out_of_range`."""
+    if _NORMAL_MIN <= value < math.inf:
+        return value
+    raise out_of_range(name, value)
+
+
+def out_of_range(name: str, value: float) -> NumericalError:
+    return NumericalError(f"{name} = {value!r} is not a positive normal double, outside the range of a double")
+
+
+def unit_exponents(case, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData):
+    """The units (a, b, c, d) in which validated data are solved: None when
+    every datum lies in the band, else the integers that bring the binary
+    exponents of the data, and of k rho c and rho k, nearest 0 by least
+    squares.  The unknown ``case`` takes part with the exponent that makes
+    its group about 1 (:func:`_predicted_exponent`), h0 only up to q0/d_inf,
+    past which it no longer moves the attenuation 1 - q0/(h0 d_inf).
+    """
+    data = {**thermal.__dict__, "gamma": mushy.gamma, "q0": boundary.q0, "d_inf": boundary.d_inf, "h0": boundary.h0}
+    known = {name: value for name, value in data.items() if value is not None and value != math.inf}
+    if all(_BAND_MIN < value < _BAND_MAX for value in known.values()):
+        return None
+    own = {name: math.frexp(value)[1] for name, value in known.items()}
+    e = dict(own)
+    if data["h0"] is not None:
+        e["h0"] = min(e.get("h0", math.inf), e["q0"] - e["d_inf"])
+    if case is not None and case._value_ != "epsilon":
+        e[case._value_] = _predicted_exponent(case._value_, e)
+    rows = [(*DIMENSIONS[name], -exponent) for name, exponent in e.items()]
+    for names in (("k", "rho", "c"), ("rho", "k")):  # the products the solves divide by or take roots of
+        rows.append((*map(sum, zip(*(DIMENSIONS[name] for name in names))), -sum(e[name] for name in names)))
+    units = _least_squares(rows)
+    # Units in which a datum, or the unknown as predicted, leaves the normal range do not serve, but
+    # for an h0 past it, where q0 / (h0 d_inf) < 2^-60 leaves the attenuation at 1.
+    for name, exponent in {**e, **own}.items():
+        exponent += sum(u * n for u, n in zip(units, DIMENSIONS[name]))
+        negligible = name == "h0" and own["h0"] + e["d_inf"] - e["q0"] > 62
+        if not (-1021 <= exponent <= 1024 or negligible and exponent > 0):
+            return None
+    return units if any(units) else None
+
+
+def _least_squares(rows: list) -> tuple[int, int, int, int]:
+    """The integers nearest the least-squares solution u of row[:4] . u =
+    row[4] over ``rows``, by Gauss-Jordan on the normal equations, which
+    the dimension table makes positive definite."""
+    normal = [[sum(row[i] * row[j] for row in rows) for j in range(5)] for i in range(4)]
+    for i in range(4):
+        normal[i] = [x / normal[i][i] for x in normal[i]]
+        for j in range(4):
+            if j != i:
+                normal[j] = [x - normal[j][i] * y for x, y in zip(normal[j], normal[i])]
+    return tuple(round(row[4]) for row in normal)
+
+
+def _predicted_exponent(name: str, e: dict) -> float:
+    """The binary exponent of the unknown ``name`` that its group predicts:
+    the face group (d_inf/q0) sqrt(k rho c) near xi for k, rho and c, with
+    xi near the root of the k/rho equation's leading term, xi^2 (1 + cf) =
+    c d_inf / l, below 1; the zone term 2 q0 S / sqrt(k rho c) for gamma;
+    and for l the Stefan target S = (q0/l) sqrt(c/(rho k)) near the larger
+    of xi and the mushy strength."""
+    if name in ("k", "rho", "c"):
+        xi = 0 if name == "c" else min(0, (e["c"] + e["d_inf"] - e["l"] - max(0, e["gamma"] - e["d_inf"])) / 2)
+        return 2 * (e["q0"] + xi - e["d_inf"]) - sum(e[other] for other in ("k", "rho", "c") if other != name)
+    if name == "gamma":
+        return 2 * e["q0"] - e["l"] - e["rho"] - e["k"]
+    half_krc = (e["k"] + e["rho"] + e["c"]) / 2
+    face, strength = e["d_inf"] + half_krc - e["q0"], e["gamma"] + half_krc - e["q0"]
+    return e["q0"] + (e["c"] - e["rho"] - e["k"]) / 2 - max(min(face, 0), strength)
+
+
+def _in_units(units, dimensions: tuple[int, int, int, int], value: float) -> float:
+    """``value``, of the dimensions ``dimensions``, in the units ``units``;
+    past the largest double it is inf."""
+    try:
+        return math.ldexp(value, sum(u * n for u, n in zip(units, dimensions)))
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+def rescaled(units, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData
+             ) -> tuple[ThermalCoefficients, MushyCoefficients, BoundaryData]:
+    """The records in the units ``units`` of :func:`unit_exponents`, where
+    every datum is a normal double but an h0 whose q0 / (h0 d_inf) is below
+    2^-60, which may be inf: the attenuation rounds to 1 either way."""
+    def scale(name, value):
+        return None if value is None else _in_units(units, DIMENSIONS[name], value)
+
+    return (ThermalCoefficients(**{name: scale(name, v) for name, v in thermal.__dict__.items()}),
+            MushyCoefficients(epsilon=mushy.epsilon, gamma=scale("gamma", mushy.gamma)),
+            BoundaryData(q0=scale("q0", boundary.q0), d_inf=scale("d_inf", boundary.d_inf), h0=scale("h0", boundary.h0)))
+
+
+def restored(units, case, value: float | None, solution: SimilaritySolution | None) -> tuple:
+    """A solve's value (None in direct mode) and solution (or None) from the
+    units ``units`` back to the caller's.  A value that is then no positive
+    normal double raises NumericalError, as does a figure the solution
+    record refuses (a b_coef or alpha of 0 or inf)."""
+    back = tuple(-u for u in units)
+    if case is not None and case._value_ != "epsilon":
+        value = in_range(f"the recovered {case._value_}", _in_units(back, DIMENSIONS[case._value_], value))
+    if solution is None:
+        return value, None
+    a_coef, b_coef = (_in_units(back, DIMENSIONS["d_inf"], figure) for figure in solution[:2])
+    alpha = _in_units(back, _ALPHA, solution.alpha)
+    try:
+        return value, SimilaritySolution(a_coef, b_coef, solution.xi, solution.mu, alpha)
+    except ValidationError as err:
+        raise NumericalError(f"{SOLUTION_OUT_OF_RANGE}: {err}") from None
 
 
 def with_coefficient(
@@ -340,26 +489,28 @@ def validate(
     record is built only when a field changes, e.g. an ``int`` or a float
     subclass, or the ``h0`` that the Dirichlet face drops.  Validation is
     idempotent: re-validating the parts of a returned instance returns them.
+    When a datum leaves the band, the instance carries the ``units`` of
+    :func:`unit_exponents` that the solvers work in.
     """
     unknown = None if case is None else case._value_  # as in with_coefficient
     l, k, rho, c = thermal.l, thermal.k, thermal.rho, thermal.c
     epsilon, gamma = mushy.epsilon, mushy.gamma
     q0, d_inf, h0 = boundary.q0, boundary.d_inf, boundary.h0
 
-    # The normal form in one pass: the caller's records, untouched.  Any
-    # other input takes the per-field path below, which owns the messages,
-    # their order and the normalisation.
-    inf = math.inf
+    # The normal form in one pass, every datum in the band: the caller's
+    # records, untouched.  Any other input takes the per-field path below,
+    # which owns the messages, their order, the normalisation and the units.
+    lo, hi = _BAND_MIN, _BAND_MAX
     if (
-        (l is None if unknown == "l" else type(l) is float and 0.0 < l < inf)
-        and (k is None if unknown == "k" else type(k) is float and 0.0 < k < inf)
-        and (rho is None if unknown == "rho" else type(rho) is float and 0.0 < rho < inf)
-        and (c is None if unknown == "c" else type(c) is float and 0.0 < c < inf)
+        (l is None if unknown == "l" else type(l) is float and lo < l < hi)
+        and (k is None if unknown == "k" else type(k) is float and lo < k < hi)
+        and (rho is None if unknown == "rho" else type(rho) is float and lo < rho < hi)
+        and (c is None if unknown == "c" else type(c) is float and lo < c < hi)
         and (epsilon is None if unknown == "epsilon" else type(epsilon) is float and 0.0 < epsilon < 1.0)
-        and (gamma is None if unknown == "gamma" else type(gamma) is float and 0.0 < gamma < inf)
-        and type(q0) is float and 0.0 < q0 < inf
-        and type(d_inf) is float and 0.0 < d_inf < inf
-        and (type(h0) is float and h0 > 0.0 if face is _CONVECTIVE else h0 is None)
+        and (gamma is None if unknown == "gamma" else type(gamma) is float and lo < gamma < hi)
+        and type(q0) is float and lo < q0 < hi
+        and type(d_inf) is float and lo < d_inf < hi
+        and (type(h0) is float and lo < h0 < hi if face is _CONVECTIVE else h0 is None)
     ):
         return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))
 
@@ -393,4 +544,9 @@ def validate(
     if not (q0 is boundary.q0 and d_inf is boundary.d_inf and h0 is boundary.h0):
         boundary = BoundaryData(q0=q0, d_inf=d_inf, h0=h0)
 
-    return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))
+    units = unit_exponents(case, thermal, mushy, boundary)
+    if units is None:
+        return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))
+    instance = tuple.__new__(_Rescaled, (face, case, thermal, mushy, boundary))
+    instance.units = units
+    return instance

@@ -24,13 +24,14 @@ from .direct import (
     temperature,
     temperature_gradient,
 )
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .model import (
     BoundaryData,
     Face,
     MushyCoefficients,
     SimilaritySolution,
     ThermalCoefficients,
+    in_range,
 )
 from .rootfind import MonotoneEquation
 
@@ -207,9 +208,9 @@ def condition_residuals(
 
     Each residual is divided by the magnitude of its dominant term at the
     same t, so the map is dimensionless and unit-system independent.  A
-    conducted flux k dT/dx at s(t) that underflows to 0 (it carries the
-    factor e**-xi^2) leaves the Stefan residual without a scale and
-    raises NumericalError.
+    conducted flux k dT/dx at s(t) that is not a positive normal double (it
+    carries the factor e**-xi^2) leaves the Stefan residual without a
+    scale and raises NumericalError (:func:`~mushy.model.in_range`).
     """
     if not t_points:
         raise DomainError("t_points must be nonempty")
@@ -233,10 +234,7 @@ def condition_residuals(
             mushy.epsilon * front_s_velocity(sol, t)
             + (1.0 - mushy.epsilon) * front_r_velocity(sol, t)
         )
-        conducted = thermal.k * grad_s
-        if conducted == 0.0:
-            raise NumericalError("the conducted flux k dT/dx at s(t) underflows to 0, "
-                                 "outside the range of a double")
+        conducted = in_range("the conducted flux k dT/dx at s(t)", thermal.k * grad_s)
         res["stefan"] = max(res["stefan"], abs(conducted - melt) / abs(conducted))
         res["mushy_width"] = max(res["mushy_width"], abs(grad_s * (r_t - s_t) - mushy.gamma) / mushy.gamma)
         res["flux"] = max(res["flux"], abs(thermal.k * grad_0 - flux_scale) / flux_scale)

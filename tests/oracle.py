@@ -16,6 +16,8 @@ once, summed in 200-bit fixed point with Python integers.
 
 import functools
 import math
+import random
+import sys
 
 import mpmath
 
@@ -291,3 +293,54 @@ def _condition(cell, case: str, data: dict, start: float):
         down = cell(case, {**data, name: ctx.mpf(v) * ctx.exp(-h)}, start)
         kappa += abs((up - down) / (2 * h * theta))
     return theta, kappa
+
+
+# --- the wide-range recipe ---------------------------------------------------
+
+
+def wide_range_draws(n: int, seed: int):
+    """``n`` data sets of the wide-range recipe, each a dict of l, k, rho, c,
+    gamma, q0, d_inf and h0, drawn in that order from
+    exp(U(ln 1e-200, ln 1e200)), then epsilon from U(0.01, 0.99)."""
+    rng = random.Random(seed)
+    lo, hi = math.log(1e-200), math.log(1e200)
+    for _ in range(n):
+        data = {name: math.exp(rng.uniform(lo, hi)) for name in ("l", "k", "rho", "c", "gamma", "q0", "d_inf", "h0")}
+        data["epsilon"] = rng.uniform(0.01, 0.99)
+        yield data
+
+
+def recipe_face_cell(case: str, data: dict, convective: bool):
+    """The exact unknown ``case`` ('l', 'gamma' or 'epsilon') of a recipe
+    draw, at 60 digits on the double data, or None where the exact R1 or R2
+    (R6 on the Dirichlet face) fails."""
+    ctx = MP60
+    q0, h0 = ctx.mpf(data["q0"]), ctx.mpf(data["h0"])
+    beta_d = ctx.mpf(data["d_inf"]) - (q0 / h0 if convective else 0)
+    if not beta_d > 0:
+        return None  # R1
+    arg = beta_d * ctx.sqrt(ctx.mpf(data["k"]) * data["rho"] * data["c"] / ctx.pi) / q0
+    if not arg < 1:
+        return None  # R2 or R6
+    given = {name: value for name, value in data.items() if name != case and (convective or name != "h0")}
+    return face_cell(case, given, erf_inv_start(min(float(arg), 1.0 - 2.0**-53)))
+
+
+def recipe_verdicts(case: str, theta) -> tuple[bool, bool]:
+    """Whether every exact restriction of the case holds for the answer
+    ``theta`` of :func:`recipe_face_cell` (for gamma and epsilon, R3 and R4,
+    or R7 and R8, are the signs of gamma, epsilon and 1 - epsilon), and
+    whether the case is kept: its answer is also a positive normal double."""
+    holds = theta is not None and theta > 0 and (case != "epsilon" or theta < 1)
+    top = 1 if case == "epsilon" else sys.float_info.max
+    return holds, holds and sys.float_info.min <= theta < top
+
+
+def erf_inv_start(y: float) -> float:
+    """A double within 0.2% of erfinv(y) for 0 <= y < 1: the leading term
+    of the series below 1e-3, Winitzki's closed form (a = 0.147) above."""
+    if y < 1e-3:
+        return 0.5 * math.sqrt(math.pi) * y
+    ln = math.log1p(-y * y)
+    b = 2.0 / (math.pi * 0.147) + 0.5 * ln
+    return math.sqrt(math.sqrt(b * b - ln / 0.147) - b)

@@ -4,7 +4,7 @@ import pytest
 
 from mushy import inverse_convective as conv
 from mushy.direct import face_argument, xexp_sq
-from mushy.errors import RestrictionError
+from mushy.errors import NumericalError, RestrictionError
 from mushy.model import BoundaryData, Face, MushyCoefficients, RestrictionReport, ThermalCoefficients, UnknownCase
 from mushy.rootfind import solve_increasing
 from mushy.specfun import erf_inv
@@ -165,3 +165,26 @@ def test_require_satisfied_names_every_failed_restriction(verdicts, message):
     assert err.value.failed_ids() == tuple(r.restriction_id for r in reports if not r.satisfied)
     assert conv.require_satisfied(reports[:1] if verdicts[0] else ()) is None
 
+
+
+# The public closed form on valid data whose products leave the double range
+# (unit l, epsilon = 0.5, gamma = 0.1, q0 = d_inf = 1, h0 = 2, at xi = 0.5 and
+# beta = 0.5), with the answer at 60 digits or None where it is no double.
+CLOSED_FORM_RANGE_ROWS = [
+    (UnknownCase.K, ThermalCoefficients(l=1.0, k=None, rho=1e-200, c=1e-200), None),  # k = 3.4e400
+    (UnknownCase.L, ThermalCoefficients(k=1e-200, rho=1e-200, c=1.0), 1.5576015661428097644e+200),
+    (UnknownCase.GAMMA, ThermalCoefficients(l=1.0, k=1e-120, rho=1e-120, c=1e-120), 2.4261226388505337982e+240),
+]
+
+
+@pytest.mark.parametrize("case, thermal, exact", CLOSED_FORM_RANGE_ROWS, ids=["k", "l", "gamma"])
+def test_closed_form_answers_in_normalised_units_or_names_the_value(case, thermal, exact):
+    # Each once raised a bare ZeroDivisionError: rho c, rho k or k rho c
+    # underflows to 0 in the caller's units, but not in the closed form's.
+    mushy = MushyCoefficients(epsilon=0.5, gamma=None if case is UnknownCase.GAMMA else 0.1)
+    boundary = BoundaryData(q0=1.0, d_inf=1.0, h0=2.0)
+    if exact is None:
+        with pytest.raises(NumericalError, match=f"the recovered {case.value} = inf is not a positive normal double"):
+            conv.closed_form(case, thermal, mushy, boundary, 0.5, 0.5)
+    else:
+        assert math.isclose(conv.closed_form(case, thermal, mushy, boundary, 0.5, 0.5), exact, rel_tol=2.0**-52)

@@ -300,7 +300,7 @@ def test_manufactured_data_have_tiny_residuals():
 def test_front_perturbation_shows_up_as_face_residual(convective_example):
     p = convective_example
     res = consistency_residuals(p.thermal, p.mushy, p.boundary, p.xi + 0.1, Face.CONVECTIVE)
-    expected = erf(p.xi + 0.1) - erf(p.xi)
+    expected = (erf(p.xi + 0.1) - erf(p.xi)) / erf(p.xi)  # relative to the face argument, erf(xi)
     assert res.res_face > 0.0
     assert math.isclose(res.res_face, expected, rel_tol=0, abs_tol=1e-13)
 

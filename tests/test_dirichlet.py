@@ -8,7 +8,7 @@ from mushy import inverse_convective as conv
 from mushy import inverse_dirichlet as diri
 from mushy import specfun
 from mushy.direct import face_argument
-from mushy.errors import IllConditionedWarning, NoRootError
+from mushy.errors import IllConditionedWarning, NoRootError, NumericalError
 from mushy.manufacture import manufacture, random_problem
 from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
 
@@ -61,13 +61,14 @@ def test_positive_fraction_bound_root_past_the_doubled_exponent():
 
 def test_fraction_bound_raises_for_a_target_that_is_not_finite():
     # (q0/l) sqrt(c/(rho k)) = 1e10/1e-300 overflows: the equation has no
-    # root, but not because g reaches the target, so R8 raises as R7 does.
+    # root, but not because g reaches the target, so R8 raises as R7 does,
+    # with the range rule's error for the Stefan target.
     thermal = ThermalCoefficients(l=1e-300, k=1.0, rho=1.0, c=1.0)
     mushy = MushyCoefficients(epsilon=0.5, gamma=1e-150)
     boundary = BoundaryData(q0=1e10, d_inf=1.0, h0=None)
-    with pytest.raises(NoRootError, match="target must be finite"):
+    with pytest.raises(NumericalError, match="the Stefan target S = inf is not a positive normal double"):
         diri.check_r7(thermal, boundary)
-    with pytest.raises(NoRootError, match="target must be finite"):
+    with pytest.raises(NumericalError, match="the Stefan target S = inf is not a positive normal double"):
         diri.check_r8(thermal, mushy, boundary)
 
 
@@ -197,3 +198,16 @@ def test_a_solve_returns_a_positive_finite_value_or_raises():
     # property of test_rootfind: a positive finite value or a SolverError
     # other than ConvergenceError, and no ZeroDivisionError or inf.
     assert_value_or_solver_error(OUT_OF_RANGE_ROWS)
+
+
+def test_a_subnormal_k_rho_c_is_solved_in_normalised_units():
+    # k rho c = 3.1e-320 is subnormal in the caller's units, where sqrt(k rho c)
+    # keeps about four digits and l came back 3.3e-5 off (2.796159e-106).  In
+    # the units the solve picks every product is a normal double; the
+    # 60-digit answer is 2.7962519443961097654e-106 (kappa 6.0), at
+    # xi = 1.5076422103546561458e-4.
+    thermal = ThermalCoefficients(k=1.1e-107, rho=1.3e-107, c=2.2e-106)
+    mushy = MushyCoefficients(epsilon=0.5, gamma=1.0)
+    result = diri.solve_dirichlet_case(UnknownCase.L, thermal, mushy, BoundaryData(q0=1e-160, d_inf=1.7e-4))
+    assert math.isclose(result.value, 2.7962519443961097654e-106, rel_tol=2 * 6.0 * 2.0**-53)
+    assert math.isclose(result.xi, 1.5076422103546561458e-4, rel_tol=2.0**-53)

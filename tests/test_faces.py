@@ -17,9 +17,9 @@ import pytest
 
 from mushy import inverse_convective as conv
 from mushy import inverse_dirichlet as diri
-from mushy.errors import IllConditionedWarning, RestrictionError, SolverError
+from mushy.errors import IllConditionedWarning, NoRootError, NumericalError, RestrictionError, SolverError
 from mushy.manufacture import manufacture, random_problem
-from mushy.model import BoundaryData, CaseResult, Face, ThermalCoefficients, UnknownCase
+from mushy.model import BoundaryData, CaseResult, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
 from mushy.rootfind import solve_increasing
 
 from conftest import REF_KWARGS, XI_REF
@@ -191,8 +191,11 @@ DIMENSIONS = {
 }
 
 #: Units M 2^a, L 2^b, T 4^c and Theta 2^d as (a, b, c, d): each datum
-#: changes by an exact power of two.
-UNIT_CHANGES = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-40, 25, 9, 60), (13, -7, -4, -21)]
+#: changes by an exact power of two.  The last takes k, rho, q0 and h0 past
+#: 2^250, out of the band, so that the solve in the units of
+#: mushy.model.unit_exponents is compared bit for bit with the plain one.
+UNIT_CHANGES = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-40, 25, 9, 60), (13, -7, -4, -21),
+                (300, 0, 0, 0)]
 
 
 def _rescale(units, name, value):
@@ -225,7 +228,7 @@ def _outcome(face, case, thermal, mushy, boundary):
 def test_cells_commute_with_exact_unit_changes(face):
     # random_problem seeds 3 and 4, 100 draws each, xi alternating between
     # (0.05, 2) and (1e-4, 5.5), l scaled by 1, 0.3 or 3 so that restrictions
-    # also fail: every case under every unit change (7,200 solves a face).
+    # also fail: every case under every unit change (8,400 solves a face).
     # A success is bit-identical after the rescale, a failure raises the
     # same type with the same reports.
     outcomes = set()
@@ -275,3 +278,43 @@ def test_face_cells_match_a_60_digit_oracle(face):
             exact, kappa = condition(case.value, data, result.xi)
             error = abs(float((result.value - exact) / exact))
             assert error <= FACE_CELL_ERROR_UNITS * float(kappa) * u, (case, prob)
+
+
+@pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
+def test_wide_range_face_cells_are_right_or_refused(face):
+    # 300 draws of the wide-range recipe (oracle.wide_range_draws: every
+    # datum exp(U(ln 1e-200, ln 1e200))), the l, gamma and epsilon cells.
+    # Where the exact restrictions hold, no solve raises RestrictionError or
+    # NoRootError; where the exact answer is also a positive normal double,
+    # an answer is within 2 kappa u of it at 60 digits, or the solve raises
+    # a NumericalError.  An error within u is the rounding of the exact
+    # answer itself, and its kappa is not computed.
+    u = 2.0**-53
+    convective = face is Face.CONVECTIVE
+    outcomes = {"answered": 0, "refused": 0}
+    for data in oracle.wide_range_draws(300, 1):
+        for case in conv.FACE_CASES:
+            theta = oracle.recipe_face_cell(case.value, data, convective)
+            holds, kept = oracle.recipe_verdicts(case.value, theta)
+            given = {name: None if name == case.value else value for name, value in data.items()}
+            thermal = ThermalCoefficients(**{name: given[name] for name in ("l", "k", "rho", "c")})
+            mushy = MushyCoefficients(epsilon=given["epsilon"], gamma=given["gamma"])
+            boundary = BoundaryData(q0=data["q0"], d_inf=data["d_inf"], h0=data["h0"] if convective else None)
+            try:
+                result = SOLVE[face](case, thermal, mushy, boundary)
+            except (RestrictionError, NoRootError) as err:
+                assert not holds, (case, data, err)
+                continue
+            except NumericalError:
+                outcomes["refused"] += kept
+                continue
+            assert kept, (case, data, result.value)
+            outcomes["answered"] += 1
+            error = abs(float((result.value - theta) / theta))
+            if error > u:
+                known = {name: value for name, value in given.items() if value is not None}
+                if not convective:
+                    del known["h0"]
+                kappa = oracle.face_cell_condition(case.value, known, result.xi)[1]
+                assert error <= 2.0 * float(kappa) * u, (case, data, error, kappa)
+    assert min(outcomes.values()) > 0, outcomes

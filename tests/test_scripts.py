@@ -70,6 +70,15 @@ def test_recovery_sweep_digest_is_pinned(tmp_path, args, warnings, last):
     assert lines[-1] == last
 
 
+def test_range_probe_finds_no_wrong_answer(tmp_path):
+    # The wide-range recipe on 100 draws: every kept case is answered within
+    # 1e-10, or refused with a NumericalError; none is answered wrong.
+    table = _run("range_probe.py", ["--n", "100"], tmp_path).split("\n\n")[0].splitlines()[1:]
+    counts = {label.strip(): int(count) for label, count in (line.rsplit(None, 1) for line in table)}
+    assert counts["returned but wrong"] == 0
+    assert counts["within 1e-10"] > 0
+
+
 def test_readme_limit_recipe_runs(tmp_path):
     # The commands of the README's Experiments block, as a user would paste them.
     readme = (SCRIPTS.parent / "README.md").read_text()
