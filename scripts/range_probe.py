@@ -65,39 +65,50 @@ def solve(face: Face, case: UnknownCase, data: dict):
         return err
 
 
+def outcomes(n: int, seed: int, faces=tuple(Face)):
+    """Each l, gamma and epsilon case of ``n`` recipe draws on ``faces``:
+    (face, case, data, the library's result or the SolverError it raised,
+    the exact answer, whether the exact restrictions hold, whether the case
+    is kept)."""
+    for data in oracle.wide_range_draws(n, seed):
+        for face in faces:
+            for case in CASES:
+                theta = oracle.recipe_face_cell(case.value, data, face is Face.CONVECTIVE)
+                yield (face, case, data, solve(face, case, data), theta, *oracle.recipe_verdicts(case.value, theta))
+
+
+def condition(face: Face, case: UnknownCase, data: dict, xi: float) -> float:
+    """The 60-digit condition number kappa of the case's answer at ``xi``."""
+    known = {name: value for name, value in data.items()
+             if name != case.value and (face is Face.CONVECTIVE or name != "h0")}
+    return float(oracle.face_cell_condition(case.value, known, xi)[1])
+
+
 def probe(n: int, seed: int) -> collections.Counter:
     """The outcome counts of the kept cases, and of two outcomes of the rest."""
     counts = collections.Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for data in oracle.wide_range_draws(n, seed):
-            for face in Face:
-                for case in CASES:
-                    outcome = solve(face, case, data)
-                    theta = oracle.recipe_face_cell(case.value, data, face is Face.CONVECTIVE)
-                    holds, kept = oracle.recipe_verdicts(case.value, theta)
-                    if not kept:
-                        if not isinstance(outcome, SolverError):
-                            counts["returned, not kept"] += 1
-                        elif holds and isinstance(outcome, (RestrictionError, NoRootError)):
-                            counts["RestrictionError or NoRootError, not kept"] += 1
-                        continue
-                    counts["kept"] += 1
-                    if isinstance(outcome, SolverError):
-                        counts[outcome_label(outcome)] += 1
-                        continue
-                    error = abs(float((outcome.value - theta) / theta))
-                    if error <= TOLERANCE:
-                        counts["within 1e-10"] += 1
-                        continue
-                    counts["returned but wrong"] += 1
-                    known = {name: value for name, value in data.items()
-                             if name != case.value and (face is Face.CONVECTIVE or name != "h0")}
-                    _, kappa = oracle.face_cell_condition(case.value, known, outcome.xi)
-                    if error <= 2.0 * float(kappa) * U:
-                        counts["returned but wrong, within 2 kappa u"] += 1
-                    else:
-                        print(f"wrong: {face.value} {case.value} error {error:.3g} {data}", file=sys.stderr)
+        for face, case, data, outcome, theta, holds, kept in outcomes(n, seed):
+            if not kept:
+                if not isinstance(outcome, SolverError):
+                    counts["returned, not kept"] += 1
+                elif holds and isinstance(outcome, (RestrictionError, NoRootError)):
+                    counts["RestrictionError or NoRootError, not kept"] += 1
+                continue
+            counts["kept"] += 1
+            if isinstance(outcome, SolverError):
+                counts[outcome_label(outcome)] += 1
+                continue
+            error = abs(float((outcome.value - theta) / theta))
+            if error <= TOLERANCE:
+                counts["within 1e-10"] += 1
+                continue
+            counts["returned but wrong"] += 1
+            if error <= 2.0 * condition(face, case, data, outcome.xi) * U:
+                counts["returned but wrong, within 2 kappa u"] += 1
+            else:
+                print(f"wrong: {face.value} {case.value} error {error:.3g} {data}", file=sys.stderr)
     return counts
 
 

@@ -87,8 +87,8 @@ from .model import (
     SimilaritySolution,
     ThermalCoefficients,
     UnknownCase,
-    rescaled,
-    restored,
+    normalised,
+    solution_in_units,
     unit_exponents,
     validate,
     with_coefficient,
@@ -301,18 +301,8 @@ def _solve(args: SimpleNamespace) -> tuple[ProblemInstance, CaseResult | None, S
     """
     instance = load_scenario(args.scenario)
     case = instance.case
-    if case is None:
-        thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-        if instance.units is not None:  # as in the case solvers: data outside the band are solved in their units
-            thermal, mushy, boundary = rescaled(instance.units, thermal, mushy, boundary)
-        try:
-            xi = solve_increasing(front_balance(thermal, mushy, boundary))
-            solution = build_solution(thermal, mushy, boundary, xi)
-        except (ValidationError, DomainError) as err:  # as in the case solvers: the solution left the range
-            raise NumericalError(f"case direct: {inverse_convective.SOLUTION_OUT_OF_RANGE}: {err}") from None
-        if instance.units is not None:
-            solution = restored(instance.units, None, None, solution)[1]
-        return instance, None, solution
+    if case is None:  # as in the case solvers, data outside the band are solved in their units
+        return instance, None, normalised(instance.units, None, _solve_direct, *instance[2:])
     if instance.face is Face.CONVECTIVE:
         solve_case = inverse_convective.solve_case
     else:
@@ -322,6 +312,14 @@ def _solve(args: SimpleNamespace) -> tuple[ProblemInstance, CaseResult | None, S
     result = solve_case(case, instance.thermal, instance.mushy, instance.boundary)
     thermal, mushy = with_coefficient(instance.thermal, instance.mushy, case, result.value)
     return instance._replace(case=None, thermal=thermal, mushy=mushy), result, result.solution
+
+
+def _solve_direct(_, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData
+                  ) -> SimilaritySolution:
+    try:
+        return build_solution(thermal, mushy, boundary, solve_increasing(front_balance(thermal, mushy, boundary)))
+    except (ValidationError, DomainError) as err:  # as in the case solvers: the solution left the range
+        raise NumericalError(f"case direct: {inverse_convective.SOLUTION_OUT_OF_RANGE}: {err}") from None
 
 
 def _report_doc(report: RestrictionReport) -> dict:
@@ -467,19 +465,13 @@ def cmd_limit(args: SimpleNamespace) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
+def _verify(_, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData,
+            solution: SimilaritySolution, face: Face) -> tuple:
+    """The condition residuals, the PDE residual and its step of ``solution``."""
     from . import verify
 
-    instance, result, solution = _solve(args)
-    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    units = unit_exponents(None, thermal, mushy, boundary)
-    if units is not None:
-        # Checked in the units the solve worked in, at VERIFY_TIMES of those
-        # units: the solution is self-similar and every residual relative.
-        thermal, mushy, boundary = rescaled(units, thermal, mushy, boundary)
-        solution = restored(tuple(-u for u in units), None, None, solution)[1]
     xs = [f * front_s(solution, VERIFY_TIMES[0]) for f in VERIFY_X_FRACS]
-    conditions = verify.condition_residuals(solution, thermal, mushy, boundary, VERIFY_TIMES, instance.face)
+    conditions = verify.condition_residuals(solution, thermal, mushy, boundary, VERIFY_TIMES, face)
     # The space step is widest at the last time, and the stencil around the
     # nearest point must stay in the solid there.  Below xi of about 6.7e-4
     # the fixed step would leave it, so half the widest step that stays is used.
@@ -489,6 +481,17 @@ def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
         fd = verify.pde_residual(solution, xs, VERIFY_TIMES, fd_step=fd_step)
     except DomainError as err:  # the step or the stencil left the double range with the solution's scales
         raise NumericalError(f"the finite-difference check leaves the range of a double: {err}") from None
+    return conditions, fd, fd_step
+
+
+def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
+    instance, result, solution = _solve(args)
+    # Checked in the units the residuals are taken in, at VERIFY_TIMES of
+    # those units: the solution is self-similar and every residual relative.
+    units = unit_exponents(None, *instance[2:])
+    if units is not None:
+        solution = solution_in_units(units, solution)
+    conditions, fd, fd_step = normalised(units, None, _verify, *instance[2:], solution, instance.face)
 
     failures = sorted(
         name for name, value in conditions.condition_residuals.items() if value > VERIFY_CONDITION_TOL

@@ -26,8 +26,8 @@ from .model import (
     ThermalCoefficients,
     _check_front,
     _check_solution,
+    normalised,
     out_of_range,
-    rescaled,
     unit_exponents,
 )
 from .rootfind import MonotoneEquation
@@ -157,9 +157,8 @@ def specific_heat_products(thermal: ThermalCoefficients, boundary: BoundaryData)
     """The products rho l k and 2 q0^2 that R5 and R9, the root-existence
     conditions of the specific-heat equation, compare.
 
-    A rho l k, then a 2 q0^2, that underflows to 0 raises NumericalError.
-    Each is compared with 0 itself, so that the formulas also read
-    symbolically.
+    A rho l k, then a 2 q0^2, that underflows to 0 (compared with 0 itself,
+    so that the formulas also read symbolically) raises NumericalError.
     """
     rho_l_k = thermal.rho * thermal.l * thermal.k
     if rho_l_k == 0.0:
@@ -214,13 +213,11 @@ def front_balance(thermal: ThermalCoefficients, mushy: MushyCoefficients, bounda
 
 def face_factor(boundary: BoundaryData, face: Face) -> float:
     """Convective attenuation beta = 1 - q0 / (h0 d_inf); exactly 1 for
-    Dirichlet.
+    Dirichlet, the h0 -> inf limit.
 
-    Positive exactly when the convective data admit a cooling face (R1);
-    the Dirichlet problem is its h0 -> inf limit.  An h0 d_inf that
-    underflows to 0, which only data that fail R1 reach, raises
-    NumericalError.  It is compared with 0 itself, so that the formula also
-    reads symbolically.
+    Positive exactly when the convective data admit a cooling face (R1).
+    An h0 d_inf that underflows to 0 (compared with 0 itself, so that the
+    formula also reads symbolically) raises NumericalError.
     """
     if face is _DIRICHLET:
         return 1.0
@@ -382,7 +379,8 @@ class ConsistencyResiduals(namedtuple("ConsistencyResiduals", "res_stefan res_fa
     res_stefan is the front balance residual scaled by the magnitude of its
     larger side; res_face is (erf(xi) - A beta) / (A beta), the face
     equation's residual relative to its data side, so that a wrong xi shows
-    at any size of xi.
+    at any size of xi.  Where A beta (or k rho c) lies below the normal
+    range it is no scale, and res_face is the absolute erf(xi) - A beta.
     """
 
     __slots__ = ()
@@ -395,20 +393,22 @@ def consistency_residuals(
     xi: float,
     face: Face,
 ) -> ConsistencyResiduals:
-    """Evaluate both consistency equations at xi for a complete data set.
+    """Evaluate both consistency equations at xi for a complete data set,
+    in the data's units (:func:`~mushy.model.normalised`), where a product
+    or group the Stefan residual forms must be a positive normal double."""
+    return normalised(unit_exponents(None, thermal, mushy, boundary), None, _residuals, thermal, mushy, boundary,
+                      xi, face)
 
-    Data that leave the band are evaluated in the units of
-    :func:`~mushy.model.unit_exponents`, where each residual keeps its bits.
-    A product or group that is not a positive normal double there raises
-    NumericalError (:func:`~mushy.model.in_range`).
-    """
-    units = unit_exponents(None, thermal, mushy, boundary)
-    if units is not None:
-        thermal, mushy, boundary = rescaled(units, thermal, mushy, boundary)
-    arg = face_argument(thermal, boundary, face)
-    if not _NORMAL_MIN <= abs(arg) < _INF:  # negative where the data fail R1
+
+def _residuals(_, thermal, mushy, boundary, xi: float, face: Face) -> ConsistencyResiduals:
+    # A beta as face_argument forms it, negative where the data fail R1
+    k_rho_c = thermal.k * thermal.rho * thermal.c
+    arg = (boundary.d_inf / boundary.q0) * math.sqrt(k_rho_c / math.pi) * face_factor(boundary, face)
+    if abs(arg) == _INF:
         raise out_of_range("the face argument A beta", arg)
     lhs = stefan_lhs(xi, mushy_strength(thermal, mushy, boundary))
     rhs = stefan_rhs(thermal, boundary)
-    return ConsistencyResiduals(res_stefan=(lhs - rhs) / max(abs(lhs), abs(rhs)),
-                                res_face=(specfun.erf(xi) - arg) / arg)
+    res_face = specfun.erf(xi) - arg
+    if k_rho_c >= _NORMAL_MIN and abs(arg) >= _NORMAL_MIN:
+        res_face /= arg
+    return ConsistencyResiduals(res_stefan=(lhs - rhs) / max(abs(lhs), abs(rhs)), res_face=res_face)

@@ -54,10 +54,8 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     _report,
-    in_range,
+    normalised,
     out_of_range,
-    rescaled,
-    restored,
     unit_exponents,
     validate,
 )
@@ -128,9 +126,7 @@ def check_r5(
 
     Root-existence condition for the unknown-specific-heat equation: it is
     algebraically equivalent to the equation's target exceeding its value
-    at xi -> 0+.  Valid data that underflow h0 d_inf (in
-    :func:`~mushy.direct.face_factor`), then rho l k or 2 q0^2 (in
-    :func:`~mushy.direct.specific_heat_products`) raise NumericalError.
+    at xi -> 0+.
     """
     return _r5(face_factor(boundary, _CONVECTIVE), thermal, mushy, boundary)
 
@@ -152,17 +148,13 @@ def check_all(
     """Evaluate the restrictions of one case in dependency order.
 
     Stops at the first failure, which makes the later ones undefined (R3
-    and R4 need the face-determined xi, hence R1 and R2).  Data that leave
-    the band are checked in the units of the validated instance, but for
-    R1, whose sides are dimensional; a product or group that is not a
-    positive normal double there raises NumericalError.
+    and R4 need the face-determined xi, hence R1 and R2).  Data outside the
+    band are checked in their units (:func:`~mushy.model.normalised`).
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
-    units = instance.units
-    if units is None:
-        return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)[0]
-    reports = _evaluate(case, *rescaled(units, instance.thermal, instance.mushy, instance.boundary))[0]
-    return (check_r1(instance.boundary), *reports[1:])
+    if (units := instance.units) is not None:  # the same checks in the data's units, but for R1's sides
+        return (check_r1(instance.boundary), *normalised(units, case, check_all, *instance[2:])[1:])
+    return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)[0]
 
 
 def _evaluate(
@@ -172,35 +164,19 @@ def _evaluate(
     boundary: BoundaryData,
 ) -> tuple[tuple[RestrictionReport, ...], float | None, float | None, float | None, float | None]:
     """:func:`check_all` on data that are already validated, plus the
-    figures of the recovery.
-
-    The restrictions of each case, run in this order up to the first
-    failure:
-
-    * k, rho: R1;
-    * c: R1, R5;
-    * l: R1, R2;
-    * gamma: R1, R2, R3;
-    * epsilon: R1, R2, R3, R4.
-
-    Each figure is computed once, where the restrictions first need it, and
-    returned after the reports, None where the case does not reach it:
-
-    * xi, the face-determined front position erf_inv(R2's face argument),
-      for l, gamma and epsilon once R2 holds;
-    * beta = 1 - q0/(h0 d_inf), once R1 holds: R2's attenuation, R5's lhs
-      and the k, rho and c recoveries' factor;
-    * the gap (q0/l) sqrt(c/(rho k)) - xi e**xi^2 of R3's sides, for gamma
-      and epsilon once R2 holds;
-    * sqrt(k rho c), for l, gamma and epsilon once R2 holds.
-
-    R2 and sqrt(k rho c) share the product k rho c, and R4 reads R3's
-    Stefan target.
+    figures of the recovery.  The restrictions run in order up to the first
+    failure: R1 for k and rho, R1 and R5 for c, R1 and R2 for l, then R3
+    for gamma, and R3 and R4 for epsilon.  Each figure of the recovery is
+    computed once, where the restrictions first need it, and returned after
+    the reports, None where the case does not reach it: xi = erf_inv(R2's
+    face argument), beta = 1 - q0/(h0 d_inf), the gap (q0/l) sqrt(c/(rho k))
+    - xi e**xi^2 of R3's sides, and sqrt(k rho c), which shares k rho c
+    with R2.
     """
     r1 = check_r1(boundary)
     if not r1.satisfied:
         return (r1,), None, None, None, None
-    beta = face_factor(boundary, _CONVECTIVE)  # R1 holds: h0 d_inf > q0, so no underflow
+    beta = 1.0 - r1.lhs / r1.rhs  # face_factor from R1's sides q0 and h0 d_inf > q0
     if case is _K or case is _RHO:
         return (r1,), None, beta, None, None
     if case is _C:
@@ -354,8 +330,11 @@ def xi_equation_c(
     beta = face_factor(boundary, _CONVECTIVE) if factor is None else factor
     cf = _zone_weight(mushy, boundary, beta)
     rho_l_k = thermal.rho * thermal.l * thermal.k
-    rho_l_k_d_inf_beta = in_range("rho l k d_inf beta", rho_l_k * boundary.d_inf * beta)
-    in_range("rho l k", rho_l_k)  # below the range it has lost digits that the product then carries
+    rho_l_k_d_inf_beta = rho_l_k * boundary.d_inf * beta
+    if not _NORMAL_MIN <= rho_l_k_d_inf_beta < _INF:
+        raise out_of_range("rho l k d_inf beta", rho_l_k_d_inf_beta)
+    if not rho_l_k >= _NORMAL_MIN:  # below the range it has lost digits that the product then carries
+        raise out_of_range("rho l k", rho_l_k)
     target = boundary.q0 * boundary.q0 * SQRT_PI / rho_l_k_d_inf_beta
     lower = 0.5 * SQRT_PI + cf
 
@@ -434,17 +413,13 @@ def closed_form(
     square root of k rho c / pi.  gamma and epsilon share the
     cancellation-prone gap (q0/l) sqrt(c/(rho k)) - xi e**xi^2 that R3 (R7)
     keeps positive.  ``xi`` is a front position the recovery computed,
-    positive and finite, so erf is taken by math.erf without a check.
-    Data that leave the band are worked in the units of
-    :func:`~mushy.model.unit_exponents`, and the value comes back in the
-    caller's.  A product, group or value that is not a positive normal
-    double raises NumericalError (:func:`~mushy.model.in_range`), and so
-    does an epsilon that rounds to 1, which no double in (0, 1) represents.
+    positive and finite, so erf is taken by math.erf without a check.  The
+    data are worked in their units (:func:`~mushy.model.normalised`); a
+    product, group or value that is not a positive normal double raises
+    NumericalError, as does an epsilon that rounds to 1.
     """
-    units = unit_exponents(case, thermal, mushy, boundary)
-    if units is None:
-        return _closed_form(case, thermal, mushy, boundary, xi, beta)
-    return restored(units, case, _closed_form(case, *rescaled(units, thermal, mushy, boundary), xi, beta), None)[0]
+    return normalised(unit_exponents(case, thermal, mushy, boundary), case, _closed_form, thermal, mushy, boundary,
+                      xi, beta)
 
 
 def _closed_form(
@@ -457,14 +432,14 @@ def _closed_form(
     gap: float | None = None,
     krc: float | None = None,
 ) -> float:
-    """:func:`closed_form` in the units of the data as given, from the
-    figures a restriction pass computed where it did: the gap of R3's sides
-    (gamma, epsilon) and sqrt(k rho c) (l, gamma, epsilon)."""
+    """:func:`closed_form` on the data as given, from the figures a solve's
+    restriction pass computed where it did: the gap of R3's sides (gamma,
+    epsilon) and sqrt(k rho c) (l, gamma, epsilon)."""
     if krc is None and case in FACE_CASES:
         if case is not _L:
             gap = stefan_rhs(thermal, boundary) - xexp_sq(xi)
         k_rho_c = thermal.k * thermal.rho * thermal.c
-        if not _NORMAL_MIN <= k_rho_c < _INF:
+        if not k_rho_c >= _NORMAL_MIN:  # an inf makes the value 0 or NaN, which the last test meets
             raise out_of_range("k rho c", k_rho_c)
         krc = math.sqrt(k_rho_c)
     if case is _L:
@@ -484,18 +459,18 @@ def _closed_form(
             raise NumericalError(f"the recovered epsilon = {value!r} is not representable in (0, 1); "
                                  "the data leave the range of a double")
     else:
-        amp = boundary.q0 * math.erf(xi)
-        if not _NORMAL_MIN <= amp < _INF:
+        amp = boundary.q0 * math.erf(xi)  # at most q0
+        if not amp >= _NORMAL_MIN:
             raise out_of_range("q0 erf(xi)", amp)
         amp /= boundary.d_inf * beta
         if case is _K:
-            name, product = "rho c", thermal.rho * thermal.c
+            product = thermal.rho * thermal.c
         elif case is _RHO:
-            name, product = "k c", thermal.k * thermal.c
+            product = thermal.k * thermal.c
         else:
-            name, product = "rho k", thermal.rho * thermal.k
+            product = thermal.rho * thermal.k
         if not _NORMAL_MIN <= product < _INF:
-            raise out_of_range(name, product)
+            raise out_of_range({_K: "rho c", _RHO: "k c"}.get(case, "rho k"), product)
         value = math.pi / product * amp * amp
     if not _NORMAL_MIN <= value < _INF:
         raise out_of_range(f"the recovered {case.value}", value)
@@ -515,21 +490,23 @@ def solve_case(
     and rho solve :func:`xi_equation_kr` for it and case c
     :func:`xi_equation_c`.  The restrictions are checked first, in the
     order and with the early stop of :func:`check_all`, and a failure
-    raises RestrictionError with exactly those reports.  Data whose
-    arithmetic leaves the double range raise NumericalError.  Data that
-    leave the band are solved in the units of the validated instance
-    (:func:`~mushy.model.unit_exponents`), and the value, the solution and
-    R1's sides come back in the caller's.
+    raises RestrictionError with exactly those reports.  Data outside the
+    band are solved in their units (:func:`~mushy.model.normalised`); a
+    product, group or value that is not a positive normal double there
+    raises NumericalError.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
+    if (units := instance.units) is not None:  # the same solve in the data's units, but for R1's sides
+        r1 = check_r1(instance.boundary)
+        try:
+            result = normalised(units, case, solve_case, *instance[2:])
+        except RestrictionError as err:
+            raise RestrictionError(str(err), (r1, *err.reports[1:])) from None
+        return result._replace(reports=(r1, *result.reports[1:]))
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    units = instance.units
-    if units is not None:
-        thermal, mushy, boundary = rescaled(units, thermal, mushy, boundary)
     reports, xi, beta, gap, krc = _evaluate(case, thermal, mushy, boundary)
-    if units is not None:  # R1, the one dimensional report, in the caller's units
-        reports = (check_r1(instance.boundary), *reports[1:])
-    require_satisfied(reports)
+    if not reports[-1].satisfied:  # the pass stops at its first failure
+        require_satisfied(reports)
 
     try:
         if xi is None:  # k, rho or c: every restriction held, none of them R2
@@ -540,6 +517,4 @@ def solve_case(
         solution = build_solution(thermal, mushy, boundary, xi, value)
     except (ValidationError, DomainError) as err:  # build_solution's checks of xi and the record
         raise NumericalError(f"case {case.value}: {SOLUTION_OUT_OF_RANGE}: {err}") from None
-    if units is not None:
-        value, solution = restored(units, case, value, solution)
     return tuple.__new__(CaseResult, (case, value, xi, solution, reports))

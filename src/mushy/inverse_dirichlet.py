@@ -6,11 +6,7 @@ of the convective problem, where the attenuation 1 - q0/(h0 d_inf) becomes
 beta = 1, and the module solves it as that instance: the front-position
 equations and the closed forms are those of
 :mod:`mushy.inverse_convective` at beta = 1.  What the two faces do not
-share are their restrictions, below, and the face datum.  The recovery is
-checked independently of its own formulas by the consistency residuals
-(:func:`mushy.direct.consistency_residuals`) and the per-condition
-residuals (:func:`mushy.verify.condition_residuals`) that acceptance
-criteria 3 and 4 evaluate at every output of both faces.
+share are their restrictions, below, and the face datum.
 
 Restrictions:
 
@@ -65,9 +61,8 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     _report,
+    normalised,
     out_of_range,
-    rescaled,
-    restored,
     validate,
 )
 from .rootfind import MonotoneEquation, solve_increasing
@@ -196,9 +191,7 @@ def check_r9(
     """R9: rho l k (d_inf + gamma (1 - epsilon)) / (2 q0^2) < 1.
 
     Exactly the condition for the specific-heat equation's target to exceed
-    its 0+ limit, and the h0 -> infinity limit of the convective R5.  Valid
-    data that underflow rho l k or 2 q0^2 raise NumericalError, from R5's
-    guard :func:`~mushy.direct.specific_heat_products`.
+    its 0+ limit, and the h0 -> infinity limit of the convective R5.
     """
     rho_l_k, two_q0_sq = specific_heat_products(thermal, boundary)
     lhs = rho_l_k * (boundary.d_inf + mushy.gamma * (1.0 - mushy.epsilon)) / two_q0_sq
@@ -221,14 +214,13 @@ def check_all(
     * epsilon: R7, R8.
 
     R8 reads R7's Stefan target, face argument, root start and product
-    k rho c.  Data that leave the band are checked in the units of the
-    validated instance; every report is a number.  A product or group that
-    is not a positive normal double there raises NumericalError.
+    k rho c.  Data outside the band are checked in their units
+    (:func:`~mushy.model.normalised`).
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
+    if (units := instance.units) is not None:  # the same checks in the data's units
+        return normalised(units, case, check_all, *instance[2:])
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    if instance.units is not None:
-        thermal, mushy, boundary = rescaled(instance.units, thermal, mushy, boundary)
     if case is _L:
         return (check_r6(thermal, boundary),)
     if case is _C:
@@ -285,16 +277,16 @@ def solve_dirichlet_case(
 
     The restrictions R6-R9 of the case are checked first; the recovery is
     then that of :func:`mushy.inverse_convective.solve_case` at beta = 1,
-    NumericalError and the units of data that leave the band included.
+    NumericalError and the units of data outside the band included.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
+    if (units := instance.units) is not None:  # the same solve in the data's units
+        return normalised(units, case, solve_dirichlet_case, *instance[2:])
     thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
-    units = instance.units
-    if units is not None:
-        thermal, mushy, boundary = rescaled(units, thermal, mushy, boundary)
     # check_all validates a second time; the benchmark pins that count
     reports = check_all(case, thermal, mushy, boundary)
-    inverse_convective.require_satisfied(reports)
+    if reports and not reports[-1].satisfied:  # the checks stop at their first failure
+        inverse_convective.require_satisfied(reports)
 
     try:
         if case is _K or case is _RHO or case is _C:
@@ -309,8 +301,6 @@ def solve_dirichlet_case(
         solution = build_solution(thermal, mushy, boundary, xi, value)
     except (ValidationError, DomainError) as err:  # build_solution's checks of xi and the record
         raise NumericalError(f"case {case.value}: {inverse_convective.SOLUTION_OUT_OF_RANGE}: {err}") from None
-    if units is not None:
-        value, solution = restored(units, case, value, solution)
     return tuple.__new__(CaseResult, (case, value, xi, solution, reports))
 
 

@@ -19,10 +19,12 @@ those never imports ``dataclasses``.  Output records, which the library
 builds, are ``collections.namedtuple`` subclasses.
 """
 
+import functools
 import math
 import sys
 from collections import namedtuple
 from enum import Enum
+from operator import mul
 
 from .errors import NumericalError, ValidationError, as_number
 
@@ -40,6 +42,7 @@ __all__ = [
     "with_coefficient",
     "DIMENSIONS",
     "unit_exponents",
+    "normalised",
     "in_range",
     "out_of_range",
 ]
@@ -274,8 +277,15 @@ class ProblemInstance(namedtuple("ProblemInstance", "face case thermal mushy bou
     units = None
 
 
-class _Rescaled(ProblemInstance):
-    """A ProblemInstance whose instance dict holds its ``units``; it prints as its base."""
+class _OutOfBand(ProblemInstance):
+    """:func:`validate`'s instance for data with a datum outside the band;
+    its units are read off its data, and it prints as its base."""
+
+    __slots__ = ()
+
+    @property
+    def units(self):
+        return unit_exponents(self.case, self.thermal, self.mushy, self.boundary)
 
     def __repr__(self) -> str:
         return repr(ProblemInstance._make(self))
@@ -290,15 +300,16 @@ class _Rescaled(ProblemInstance):
 DIMENSIONS = {"l": (0, 2, -4, 0), "k": (1, 1, -6, -1), "rho": (1, -3, 0, 0), "c": (0, 2, -4, -1),
               "gamma": (0, 0, 0, 1), "q0": (1, 0, -5, 0), "d_inf": (0, 0, 0, 1), "h0": (1, 0, -5, -1)}
 _ALPHA = (0, 2, -2, 0)  # k / (rho c)
+#: The products that the solves divide by or take roots of, with their dimensions.
+_PRODUCTS = {names: tuple(map(sum, zip(*map(DIMENSIONS.get, names)))) for names in (("k", "rho", "c"), ("rho", "k"))}
 
 #: The band: a product of four data inside it is a normal double, so such
 #: data are solved in their own units.
 _BAND_MIN, _BAND_MAX = 2.0**-250, 2.0**250
 _NORMAL_MIN = sys.float_info.min  # the least positive normal double
 
-#: Why a solve of valid data can still fail where no product or group the
-#: range rule names does: a figure of the solution built from them leaves
-#: the double range (an xi, b_coef or mu the solution record refuses).
+#: Why a solve can fail where no product or group does: a figure of the
+#: solution (an xi, b_coef or mu the record refuses) leaves the double range.
 SOLUTION_OUT_OF_RANGE = "the solution leaves the range of a double"
 
 
@@ -314,49 +325,67 @@ def out_of_range(name: str, value: float) -> NumericalError:
     return NumericalError(f"{name} = {value!r} is not a positive normal double, outside the range of a double")
 
 
+def _in_band(l, k, rho, c, gamma, q0, d_inf, h0=None) -> bool:
+    """Whether each datum but the unknown (None) lies in the band.  h0 need
+    not: with the other data there, an h0 d_inf below the normal range
+    fails R1, and one above it leaves q0 / (h0 d_inf) below 2^-700."""
+    return all(_BAND_MIN < value < _BAND_MAX for value in (l, k, rho, c, gamma, q0, d_inf) if value is not None)
+
+
 def unit_exponents(case, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData):
-    """The units (a, b, c, d) in which validated data are solved: None when
-    every datum lies in the band, else the integers that bring the binary
-    exponents of the data, and of k rho c and rho k, nearest 0 by least
-    squares.  The unknown ``case`` takes part with the exponent that makes
-    its group about 1 (:func:`_predicted_exponent`), h0 only up to q0/d_inf,
-    past which it no longer moves the attenuation 1 - q0/(h0 d_inf).
-    """
+    """The units (a, b, c, d) in which validated data are solved: None in
+    the band (:func:`_in_band`), else the integers that bring the binary
+    exponents of the data, of k rho c and rho k, and of the unknown at the
+    size its group predicts (:func:`_predicted_exponent`) nearest 0 by
+    least squares; a finite h0 takes part only up to q0/d_inf, past which it
+    no longer moves the attenuation 1 - q0/(h0 d_inf)."""
     data = {**thermal.__dict__, "gamma": mushy.gamma, "q0": boundary.q0, "d_inf": boundary.d_inf, "h0": boundary.h0}
-    known = {name: value for name, value in data.items() if value is not None and value != math.inf}
-    if all(_BAND_MIN < value < _BAND_MAX for value in known.values()):
+    if _in_band(**data):
         return None
-    own = {name: math.frexp(value)[1] for name, value in known.items()}
+    own = {name: math.frexp(value)[1] for name, value in data.items() if value is not None and value != math.inf}
     e = dict(own)
-    if data["h0"] is not None:
-        e["h0"] = min(e.get("h0", math.inf), e["q0"] - e["d_inf"])
+    if "h0" in e:
+        e["h0"] = min(e["h0"], e["q0"] - e["d_inf"])
     if case is not None and case._value_ != "epsilon":
         e[case._value_] = _predicted_exponent(case._value_, e)
-    rows = [(*DIMENSIONS[name], -exponent) for name, exponent in e.items()]
-    for names in (("k", "rho", "c"), ("rho", "k")):  # the products the solves divide by or take roots of
-        rows.append((*map(sum, zip(*(DIMENSIONS[name] for name in names))), -sum(e[name] for name in names)))
-    units = _least_squares(rows)
+    dims = (*(DIMENSIONS[name] for name in e), *_PRODUCTS.values())
+    units = _least_squares(dims, [*e.values(), *(sum(e[name] for name in names) for names in _PRODUCTS)])
     # Units in which a datum, or the unknown as predicted, leaves the normal range do not serve, but
     # for an h0 past it, where q0 / (h0 d_inf) < 2^-60 leaves the attenuation at 1.
     for name, exponent in {**e, **own}.items():
-        exponent += sum(u * n for u, n in zip(units, DIMENSIONS[name]))
+        exponent += sum(map(mul, units, DIMENSIONS[name]))
         negligible = name == "h0" and own["h0"] + e["d_inf"] - e["q0"] > 62
         if not (-1021 <= exponent <= 1024 or negligible and exponent > 0):
             return None
     return units if any(units) else None
 
 
-def _least_squares(rows: list) -> tuple[int, int, int, int]:
-    """The integers nearest the least-squares solution u of row[:4] . u =
-    row[4] over ``rows``, by Gauss-Jordan on the normal equations, which
-    the dimension table makes positive definite."""
-    normal = [[sum(row[i] * row[j] for row in rows) for j in range(5)] for i in range(4)]
+def _least_squares(dims: tuple, exponents: list) -> tuple[int, int, int, int]:
+    """The integers nearest (halves to even) the least-squares solution u of
+    dims[i] . u = -exponents[i], each exponent a half, in exact arithmetic:
+    data already in the units it picks get (0, 0, 0, 0)."""
+    from fractions import Fraction
+
+    inverse, den = _normal_inverse(dims)
+    rhs = [sum(row[j] * round(-2 * exponent) for row, exponent in zip(dims, exponents)) for j in range(4)]
+    return tuple(round(Fraction(sum(map(mul, line, rhs)), 2 * den)) for line in inverse)
+
+
+@functools.cache
+def _normal_inverse(dims: tuple) -> tuple[list, int]:
+    """(A, den): integers with A / den the inverse of the normal matrix of
+    the rows ``dims``, positive definite by the dimension table."""
+    from fractions import Fraction
+
+    m = [[Fraction(sum(r[i] * r[j] for r in dims)) for j in range(4)] + [Fraction(i == j) for j in range(4)]
+         for i in range(4)]
     for i in range(4):
-        normal[i] = [x / normal[i][i] for x in normal[i]]
+        m[i] = [x / m[i][i] for x in m[i]]
         for j in range(4):
             if j != i:
-                normal[j] = [x - normal[j][i] * y for x, y in zip(normal[j], normal[i])]
-    return tuple(round(row[4]) for row in normal)
+                m[j] = [x - m[j][i] * y for x, y in zip(m[j], m[i])]
+    den = math.lcm(*(x.denominator for row in m for x in row[4:]))
+    return [[int(x * den) for x in row[4:]] for row in m], den
 
 
 def _predicted_exponent(name: str, e: dict) -> float:
@@ -380,38 +409,55 @@ def _in_units(units, dimensions: tuple[int, int, int, int], value: float) -> flo
     """``value``, of the dimensions ``dimensions``, in the units ``units``;
     past the largest double it is inf."""
     try:
-        return math.ldexp(value, sum(u * n for u, n in zip(units, dimensions)))
+        return math.ldexp(value, sum(map(mul, units, dimensions)))
     except OverflowError:
         return math.copysign(math.inf, value)
 
 
-def rescaled(units, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData
-             ) -> tuple[ThermalCoefficients, MushyCoefficients, BoundaryData]:
-    """The records in the units ``units`` of :func:`unit_exponents`, where
-    every datum is a normal double but an h0 whose q0 / (h0 d_inf) is below
-    2^-60, which may be inf: the attenuation rounds to 1 either way."""
+def normalised(units, case, run, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData,
+               *args):
+    """``run(case, thermal, mushy, boundary, *args)`` in the units ``units``
+    of :func:`unit_exponents` (None: as given), with its result in the
+    caller's units: the one place that scales data in and results back.  A
+    float result is the value of ``case``; a SimilaritySolution has its
+    a_coef, b_coef and alpha scaled back, a CaseResult its value and
+    solution; any other result is dimensionless.  A value or solution
+    figure that the caller's units cannot hold raises NumericalError.
+    """
+    if units is None:
+        return run(case, thermal, mushy, boundary, *args)
+
     def scale(name, value):
         return None if value is None else _in_units(units, DIMENSIONS[name], value)
 
-    return (ThermalCoefficients(**{name: scale(name, v) for name, v in thermal.__dict__.items()}),
-            MushyCoefficients(epsilon=mushy.epsilon, gamma=scale("gamma", mushy.gamma)),
-            BoundaryData(q0=scale("q0", boundary.q0), d_inf=scale("d_inf", boundary.d_inf), h0=scale("h0", boundary.h0)))
-
-
-def restored(units, case, value: float | None, solution: SimilaritySolution | None) -> tuple:
-    """A solve's value (None in direct mode) and solution (or None) from the
-    units ``units`` back to the caller's.  A value that is then no positive
-    normal double raises NumericalError, as does a figure the solution
-    record refuses (a b_coef or alpha of 0 or inf)."""
+    result = run(case, ThermalCoefficients(**{name: scale(name, v) for name, v in thermal.__dict__.items()}),
+                 MushyCoefficients(epsilon=mushy.epsilon, gamma=scale("gamma", mushy.gamma)),
+                 BoundaryData(q0=scale("q0", boundary.q0), d_inf=scale("d_inf", boundary.d_inf),
+                              h0=scale("h0", boundary.h0)), *args)
     back = tuple(-u for u in units)
-    if case is not None and case._value_ != "epsilon":
-        value = in_range(f"the recovered {case._value_}", _in_units(back, DIMENSIONS[case._value_], value))
-    if solution is None:
-        return value, None
-    a_coef, b_coef = (_in_units(back, DIMENSIONS["d_inf"], figure) for figure in solution[:2])
-    alpha = _in_units(back, _ALPHA, solution.alpha)
+    if type(result) is float:
+        return _value_in(back, case, result)
+    if type(result) is SimilaritySolution:
+        return solution_in_units(back, result)
+    if type(result) is CaseResult:
+        return tuple.__new__(CaseResult, (case, _value_in(back, case, result.value), result.xi,
+                                          solution_in_units(back, result.solution), result.reports))
+    return result
+
+
+def _value_in(units, case: UnknownCase, value: float) -> float:
+    """A recovered ``value`` of ``case`` in the units ``units``, a positive normal double there."""
+    if case._value_ == "epsilon":
+        return value
+    return in_range(f"the recovered {case._value_}", _in_units(units, DIMENSIONS[case._value_], value))
+
+
+def solution_in_units(units, solution: SimilaritySolution) -> SimilaritySolution:
+    """``solution`` in the units ``units``; a figure the record refuses there
+    (a b_coef or alpha of 0 or inf) raises NumericalError."""
+    a_coef, b_coef = (_in_units(units, DIMENSIONS["d_inf"], figure) for figure in solution[:2])
     try:
-        return value, SimilaritySolution(a_coef, b_coef, solution.xi, solution.mu, alpha)
+        return SimilaritySolution(a_coef, b_coef, solution.xi, solution.mu, _in_units(units, _ALPHA, solution.alpha))
     except ValidationError as err:
         raise NumericalError(f"{SOLUTION_OUT_OF_RANGE}: {err}") from None
 
@@ -489,8 +535,8 @@ def validate(
     record is built only when a field changes, e.g. an ``int`` or a float
     subclass, or the ``h0`` that the Dirichlet face drops.  Validation is
     idempotent: re-validating the parts of a returned instance returns them.
-    When a datum leaves the band, the instance carries the ``units`` of
-    :func:`unit_exponents` that the solvers work in.
+    When a datum lies outside the band, the instance reads the ``units`` of
+    :func:`unit_exponents` that the solvers work in off its data.
     """
     unknown = None if case is None else case._value_  # as in with_coefficient
     l, k, rho, c = thermal.l, thermal.k, thermal.rho, thermal.c
@@ -510,7 +556,7 @@ def validate(
         and (gamma is None if unknown == "gamma" else type(gamma) is float and lo < gamma < hi)
         and type(q0) is float and lo < q0 < hi
         and type(d_inf) is float and lo < d_inf < hi
-        and (type(h0) is float and lo < h0 < hi if face is _CONVECTIVE else h0 is None)
+        and (type(h0) is float and h0 > 0.0 if face is _CONVECTIVE else h0 is None)
     ):
         return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))
 
@@ -544,9 +590,5 @@ def validate(
     if not (q0 is boundary.q0 and d_inf is boundary.d_inf and h0 is boundary.h0):
         boundary = BoundaryData(q0=q0, d_inf=d_inf, h0=h0)
 
-    units = unit_exponents(case, thermal, mushy, boundary)
-    if units is None:
-        return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))
-    instance = tuple.__new__(_Rescaled, (face, case, thermal, mushy, boundary))
-    instance.units = units
-    return instance
+    in_band = _in_band(l, k, rho, c, gamma, q0, d_inf)
+    return tuple.__new__(ProblemInstance if in_band else _OutOfBand, (face, case, thermal, mushy, boundary))

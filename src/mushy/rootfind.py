@@ -3,17 +3,12 @@
 All transcendental equations in this package share one shape: a strictly
 increasing f on (0, inf) with a known limit at 0+ must hit a positive
 target.  Each equation carries a start, an estimate of its root from its
-own asymptotics.  The solver below expands a geometric bracket from the
-start, then runs Newton steps (when a derivative is supplied) from the
-bracket end nearer the target until Newton has converged, polishes once,
-and certifies the root with one evaluation just beyond it on the far side:
-a sign change there closes the bracket to the certified width.  Newton
-steps are safeguarded as in rtsafe (Press et al., *Numerical Recipes*,
-sec. 9.4): a step that would leave the bracket, or that is not at most half
-the step of two iterations before, is replaced by bisection.  When the
-far-side evaluation does not change sign, Newton is switched off and
-halving finishes the solve, so convergence is guaranteed whatever the
-derivative or the start does; both only accelerate it.
+own asymptotics.  :func:`solve_increasing` brackets the root from the
+start and runs Newton steps safeguarded as in rtsafe (Press et al.,
+*Numerical Recipes*, sec. 9.4): a step that would leave the bracket, or
+that is not at most half the step of two iterations before, is replaced by
+bisection, so convergence is guaranteed whatever the derivative or the
+start does; both only accelerate it.
 """
 
 import math

@@ -8,12 +8,8 @@ check's cost.  :func:`erf` delegates to the C library via :mod:`math`,
 which is accurate to about one unit in the last place; an independent
 series evaluation lives in :mod:`mushy.verify` and the test suite
 cross-checks the two paths.  The standard library has no ``erfinv``, so
-the inverse is computed here: M. Giles' single-precision polynomial
-("Approximating the erfinv function", GPU Computing Gems, 2011), or above
-x ~ 4.1 the asymptotic inverse of erfc, starts a Halley iteration kept
-inside a bisection bracket.  Below x = 3.5 the start
-is within ~1e-7 relatively, and one Halley step, one erf evaluation, ends
-within the rounding floor ulp(y)/erf'(x) + ulp(x).
+:func:`erf_inv` computes it from M. Giles' single-precision polynomial
+("Approximating the erfinv function", GPU Computing Gems, 2011).
 
 Both public functions take a float, or an int or other real number that
 fits in a double; a bool, text or an over-range int raises

@@ -819,7 +819,11 @@ def test_data_out_of_double_range_exit_numerical(row, request, tmp_path, capsys)
             assert err.startswith("error: ") and err.count("\n") == 1 and "range of a double" in err
             if row in EPSILON_ROUNDS_TO_ONE_ROWS:
                 assert "epsilon = 1.0 is not representable in (0, 1)" in err
-        elif sub == "solve" and row_id in NOW_ANSWERED_VALUES:
+        elif code == EXIT_RESTRICTION and sub != "check-restrictions":
+            assert err.startswith("error: restriction(s) ") and err.count("\n") == 1, (sub, err)
+        else:
+            assert err == "", (sub, err)  # check-restrictions, and exit 0 and 4, write no error or warning
+        if code == EXIT_OK and sub == "solve" and row_id in NOW_ANSWERED_VALUES:
             value, reference = NOW_ANSWERED_VALUES[row_id]
             assert json.loads(out)["value"] == value
             assert math.isclose(value, float(reference), rel_tol=4e-16)
@@ -916,6 +920,31 @@ def test_residuals_of_a_right_answer_stay_finite_past_the_double_range(tmp_path,
     assert type(stefan) is float and abs(stefan) <= 1e-6, stefan
 
 
+#: Scenario 775 of the wide-range draws (wide_range_scenario on
+#: random.Random(1)): a direct solve at xi = 14.4 whose face argument
+#: A beta, about 1e-361, lies below the double range.
+FACE_ARGUMENT_BELOW_RANGE = {
+    "problem": {"type": "dirichlet", "case": "direct"},
+    "coefficients": {"l": 1.008885712190131e-117, "k": 2.0355619939677977e-207, "rho": 58431.14195671333,
+                     "c": 1.1827654818081418e-63, "gamma": 1.0, "epsilon": 0.3984183549146433},
+    "boundary": {"q0": 5.7730704104373e-70, "d_inf": 1.0614366180412117e-298},
+}
+
+
+def test_face_residual_without_a_scale_is_absolute(tmp_path, capsys):
+    # (erf(xi) - A beta) / (A beta) has no double where A beta underflows:
+    # the solve still answers, and the face residual is the absolute
+    # erf(xi) - A beta = 1 - 0.
+    path = tmp_path / "face-below-range.json"
+    path.write_text(json.dumps(FACE_ARGUMENT_BELOW_RANGE))
+    code, out, err = run(["solve", str(path)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["xi"] == 14.43412939464398
+    assert doc["residuals"]["face"] == 1.0
+    assert abs(doc["residuals"]["stefan"]) <= 1e-12
+
+
 # alpha = k / (rho c) = 1e308 while k rho c = 1, so pi alpha overflows while
 # every figure but alpha and the lengths is that of the unit scenario.
 LARGE_ALPHA_INI = CASE_L_INI.replace("k = 1.0", "k = 1e154").replace("rho = 1.0", "rho = 1e-154")
@@ -942,10 +971,15 @@ def test_large_diffusivity_is_the_unit_scenario_rescaled(tmp_path, capsys, probl
     assert docs["unit"].pop("alpha") == 1.0
     # b_coef = sqrt(pi / (k rho)), and k rho = 1e154 * 1e-154 is not 1: the
     # correctly rounded value (60 digits: 1.7724538509055160186) is the
-    # double above sqrt(pi), and a_coef = -b_coef erf(xi) moves with it
+    # double above sqrt(pi), and a_coef = -b_coef erf(xi) moves with it.  At
+    # 60 digits -sqrt(pi / (k rho)) erf(xi) is -0.92256201282558480650
+    # (convective) and -1.4225620128255846578 (Dirichlet); the product of
+    # the rounded b_coef and erf(xi) is the double one ulp past each.
     assert docs["large"].pop("b_coef") == 1.772453850905516
     assert docs["unit"].pop("b_coef") == 1.7724538509055159  # sqrt(pi)
-    assert math.isclose(docs["large"].pop("a_coef"), docs["unit"].pop("a_coef"), rel_tol=2.3e-16)
+    a_coef = {"convective": (-0.9225620128255849, -0.9225620128255848),
+              "dirichlet": (-1.422562012825585, -1.4225620128255847)}[problem]
+    assert (docs["large"].pop("a_coef"), docs["unit"].pop("a_coef")) == a_coef
     # l comes from sqrt(c / (rho k)) = 1e-154 times 1e154, one ulp off
     assert math.isclose(docs["large"].pop("value"), docs["unit"].pop("value"), rel_tol=4e-16)
     # the profile's x grid is the unit one times 1e154, rounded

@@ -188,3 +188,25 @@ def test_closed_form_answers_in_normalised_units_or_names_the_value(case, therma
             conv.closed_form(case, thermal, mushy, boundary, 0.5, 0.5)
     else:
         assert math.isclose(conv.closed_form(case, thermal, mushy, boundary, 0.5, 0.5), exact, rel_tol=2.0**-52)
+
+
+@pytest.mark.parametrize("case", list(UnknownCase), ids=lambda case: case.value)
+def test_infinite_h0_outside_the_band_is_the_dirichlet_face(case):
+    # h0 = inf is the Dirichlet limit that validate admits; with k = 1e100
+    # outside the band the data are solved in units that leave h0 out, so
+    # each convective figure is the Dirichlet one bit for bit (beta = 1).
+    from mushy import inverse_dirichlet as diri
+    from mushy.direct import consistency_residuals
+    from mushy.manufacture import manufacture
+
+    prob = manufacture(xi=0.5, k=1e100, rho=1.0, c=1.0, epsilon=0.5, gamma=0.1, q0=1.0, face=Face.DIRICHLET)
+    thermal, mushy, _ = prob.hide(case)
+    boundary = BoundaryData(q0=prob.boundary.q0, d_inf=prob.boundary.d_inf, h0=math.inf)
+    got = conv.solve_case(case, thermal, mushy, boundary)
+    expected = diri.solve_dirichlet_case(case, thermal, mushy, prob.boundary)
+    assert (got.value, got.xi, got.solution) == (expected.value, expected.xi, expected.solution)
+    assert all(report.satisfied for report in conv.check_all(case, thermal, mushy, boundary))
+    assert consistency_residuals(prob.thermal, prob.mushy, boundary, got.xi, Face.CONVECTIVE) == consistency_residuals(
+        prob.thermal, prob.mushy, prob.boundary, got.xi, Face.DIRICHLET)
+    if case in conv.FACE_CASES:
+        assert conv.closed_form(case, thermal, mushy, boundary, got.xi, None) == got.value

@@ -7,10 +7,12 @@ convective face), or, at the end, with random_problem draws.  Behaviours
 of one face stay in ``test_convective.py`` and ``test_dirichlet.py``.
 """
 
+import importlib.util
 import math
 import random
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import oracle
 import pytest
@@ -19,7 +21,7 @@ from mushy import inverse_convective as conv
 from mushy import inverse_dirichlet as diri
 from mushy.errors import IllConditionedWarning, NoRootError, NumericalError, RestrictionError, SolverError
 from mushy.manufacture import manufacture, random_problem
-from mushy.model import BoundaryData, CaseResult, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
+from mushy.model import BoundaryData, CaseResult, Face, ThermalCoefficients, UnknownCase
 from mushy.rootfind import solve_increasing
 
 from conftest import REF_KWARGS, XI_REF
@@ -280,41 +282,39 @@ def test_face_cells_match_a_60_digit_oracle(face):
             assert error <= FACE_CELL_ERROR_UNITS * float(kappa) * u, (case, prob)
 
 
+def _range_probe():
+    """scripts/range_probe.py as a module: the wide-range recipe's cases."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "range_probe.py"
+    spec = importlib.util.spec_from_file_location("range_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
 def test_wide_range_face_cells_are_right_or_refused(face):
     # 300 draws of the wide-range recipe (oracle.wide_range_draws: every
-    # datum exp(U(ln 1e-200, ln 1e200))), the l, gamma and epsilon cells.
-    # Where the exact restrictions hold, no solve raises RestrictionError or
-    # NoRootError; where the exact answer is also a positive normal double,
-    # an answer is within 2 kappa u of it at 60 digits, or the solve raises
-    # a NumericalError.  An error within u is the rounding of the exact
-    # answer itself, and its kappa is not computed.
+    # datum exp(U(ln 1e-200, ln 1e200))), the l, gamma and epsilon cells,
+    # through the range probe's own loop.  Where the exact restrictions
+    # hold, no solve raises RestrictionError or NoRootError; where the exact
+    # answer is also a positive normal double, an answer is within 2 kappa u
+    # of it at 60 digits, or the solve raises a NumericalError.  An error
+    # within u is the rounding of the exact answer itself, and its kappa is
+    # not computed.
+    probe = _range_probe()
     u = 2.0**-53
-    convective = face is Face.CONVECTIVE
     outcomes = {"answered": 0, "refused": 0}
-    for data in oracle.wide_range_draws(300, 1):
-        for case in conv.FACE_CASES:
-            theta = oracle.recipe_face_cell(case.value, data, convective)
-            holds, kept = oracle.recipe_verdicts(case.value, theta)
-            given = {name: None if name == case.value else value for name, value in data.items()}
-            thermal = ThermalCoefficients(**{name: given[name] for name in ("l", "k", "rho", "c")})
-            mushy = MushyCoefficients(epsilon=given["epsilon"], gamma=given["gamma"])
-            boundary = BoundaryData(q0=data["q0"], d_inf=data["d_inf"], h0=data["h0"] if convective else None)
-            try:
-                result = SOLVE[face](case, thermal, mushy, boundary)
-            except (RestrictionError, NoRootError) as err:
-                assert not holds, (case, data, err)
-                continue
-            except NumericalError:
-                outcomes["refused"] += kept
-                continue
-            assert kept, (case, data, result.value)
-            outcomes["answered"] += 1
-            error = abs(float((result.value - theta) / theta))
-            if error > u:
-                known = {name: value for name, value in given.items() if value is not None}
-                if not convective:
-                    del known["h0"]
-                kappa = oracle.face_cell_condition(case.value, known, result.xi)[1]
-                assert error <= 2.0 * float(kappa) * u, (case, data, error, kappa)
+    for _, case, data, result, theta, holds, kept in probe.outcomes(300, 1, faces=(face,)):
+        if isinstance(result, (RestrictionError, NoRootError)):
+            assert not holds, (case, data, result)
+            continue
+        if isinstance(result, NumericalError):
+            outcomes["refused"] += kept
+            continue
+        assert kept, (case, data, result.value)
+        outcomes["answered"] += 1
+        error = abs(float((result.value - theta) / theta))
+        if error > u:
+            kappa = probe.condition(face, case, data, result.xi)
+            assert error <= 2.0 * kappa * u, (case, data, error, kappa)
     assert min(outcomes.values()) > 0, outcomes

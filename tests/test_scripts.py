@@ -71,9 +71,10 @@ def test_recovery_sweep_digest_is_pinned(tmp_path, args, warnings, last):
 
 
 def test_range_probe_finds_no_wrong_answer(tmp_path):
-    # The wide-range recipe on 100 draws: every kept case is answered within
-    # 1e-10, or refused with a NumericalError; none is answered wrong.
-    table = _run("range_probe.py", ["--n", "100"], tmp_path).split("\n\n")[0].splitlines()[1:]
+    # The wide-range recipe on 60 draws of seed 2 (the property test of
+    # test_faces.py runs seed 1): every kept case is answered within 1e-10,
+    # or refused with a NumericalError; none is answered wrong.
+    table = _run("range_probe.py", ["--n", "60", "--seed", "2"], tmp_path).split("\n\n")[0].splitlines()[1:]
     counts = {label.strip(): int(count) for label, count in (line.rsplit(None, 1) for line in table)}
     assert counts["returned but wrong"] == 0
     assert counts["within 1e-10"] > 0
