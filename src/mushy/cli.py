@@ -88,8 +88,6 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     normalised,
-    solution_in_units,
-    unit_exponents,
     validate,
     with_coefficient,
 )
@@ -302,7 +300,7 @@ def _solve(args: SimpleNamespace) -> tuple[ProblemInstance, CaseResult | None, S
     instance = load_scenario(args.scenario)
     case = instance.case
     if case is None:  # as in the case solvers, data outside the band are solved in their units
-        return instance, None, normalised(instance.units, None, _solve_direct, *instance[2:])
+        return instance, None, normalised(None, _solve_direct, *instance[2:])
     if instance.face is Face.CONVECTIVE:
         solve_case = inverse_convective.solve_case
     else:
@@ -488,10 +486,7 @@ def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
     instance, result, solution = _solve(args)
     # Checked in the units the residuals are taken in, at VERIFY_TIMES of
     # those units: the solution is self-similar and every residual relative.
-    units = unit_exponents(None, *instance[2:])
-    if units is not None:
-        solution = solution_in_units(units, solution)
-    conditions, fd, fd_step = normalised(units, None, _verify, *instance[2:], solution, instance.face)
+    conditions, fd, fd_step = normalised(None, _verify, *instance[2:], solution, instance.face)
 
     failures = sorted(
         name for name, value in conditions.condition_residuals.items() if value > VERIFY_CONDITION_TOL

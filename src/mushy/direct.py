@@ -28,7 +28,6 @@ from .model import (
     _check_solution,
     normalised,
     out_of_range,
-    unit_exponents,
 )
 from .rootfind import MonotoneEquation
 
@@ -396,8 +395,7 @@ def consistency_residuals(
     """Evaluate both consistency equations at xi for a complete data set,
     in the data's units (:func:`~mushy.model.normalised`), where a product
     or group the Stefan residual forms must be a positive normal double."""
-    return normalised(unit_exponents(None, thermal, mushy, boundary), None, _residuals, thermal, mushy, boundary,
-                      xi, face)
+    return normalised(None, _residuals, thermal, mushy, boundary, xi, face)
 
 
 def _residuals(_, thermal, mushy, boundary, xi: float, face: Face) -> ConsistencyResiduals:

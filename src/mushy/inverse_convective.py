@@ -50,13 +50,13 @@ from .model import (
     BoundaryData,
     CaseResult,
     MushyCoefficients,
+    ProblemInstance,
     RestrictionReport,
     ThermalCoefficients,
     UnknownCase,
     _report,
     normalised,
     out_of_range,
-    unit_exponents,
     validate,
 )
 from .rootfind import MonotoneEquation, solve_increasing
@@ -152,9 +152,9 @@ def check_all(
     band are checked in their units (:func:`~mushy.model.normalised`).
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
-    if (units := instance.units) is not None:  # the same checks in the data's units, but for R1's sides
-        return (check_r1(instance.boundary), *normalised(units, case, check_all, *instance[2:])[1:])
-    return _evaluate(case, instance.thermal, instance.mushy, instance.boundary)[0]
+    if type(instance) is ProblemInstance:  # every datum in the band
+        return _evaluate(case, *instance[2:])[0]
+    return normalised(case, lambda *data: _evaluate(*data)[0], *instance[2:])
 
 
 def _evaluate(
@@ -173,7 +173,7 @@ def _evaluate(
     - xi e**xi^2 of R3's sides, and sqrt(k rho c), which shares k rho c
     with R2.
     """
-    r1 = check_r1(boundary)
+    r1 = _report("R1", boundary.q0, boundary.h0 * boundary.d_inf)  # check_r1, inline on the solve path
     if not r1.satisfied:
         return (r1,), None, None, None, None
     beta = 1.0 - r1.lhs / r1.rhs  # face_factor from R1's sides q0 and h0 d_inf > q0
@@ -289,8 +289,8 @@ def _kr_start(cf: float, target: float) -> float:
         return 1.0
     a = TWO_OVER_SQRT_PI + _FOUR_OVER_PI * cf
     x = math.sqrt(target) / math.sqrt(a)
-    if not x > 1e-4:
-        return x
+    if not x > 1e-4:  # past the largest double a is inf, but not its root sqrt(4/pi) sqrt(cf)
+        return x if a < _INF else math.sqrt(target) / (math.sqrt(_FOUR_OVER_PI) * math.sqrt(cf))
     if x < 26.0:
         # the terms to x^4: a x^2 + b x^4 = T, b = (2/3) (2a - 2/sqrt(pi))
         x *= math.sqrt(2.0 / (1.0 + math.sqrt(1.0 + 8.0 / 3.0 * (2.0 - TWO_OVER_SQRT_PI / a) * x * x)))
@@ -367,7 +367,9 @@ def _c_start(cf: float, target: float, lower: float) -> float:
     """
     if not (target > 0.0 and cf >= 0.0):
         return 1.0
-    y = (target - lower) / (2.0 / 3.0 * SQRT_PI + 2.0 * cf)
+    den = 2.0 / 3.0 * SQRT_PI + 2.0 * cf
+    # past the largest double den is inf, but not den / 2
+    y = (target - lower) / den if den < _INF else 0.5 * (target - lower) / (SQRT_PI / 3.0 + cf)
     if not y > 1e-4:
         return math.sqrt(y) if y > 0.0 else y
     q = 4.0 * cf * target
@@ -418,8 +420,7 @@ def closed_form(
     product, group or value that is not a positive normal double raises
     NumericalError, as does an epsilon that rounds to 1.
     """
-    return normalised(unit_exponents(case, thermal, mushy, boundary), case, _closed_form, thermal, mushy, boundary,
-                      xi, beta)
+    return normalised(case, _closed_form, thermal, mushy, boundary, xi, beta)
 
 
 def _closed_form(
@@ -496,14 +497,14 @@ def solve_case(
     raises NumericalError.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
-    if (units := instance.units) is not None:  # the same solve in the data's units, but for R1's sides
-        r1 = check_r1(instance.boundary)
-        try:
-            result = normalised(units, case, solve_case, *instance[2:])
-        except RestrictionError as err:
-            raise RestrictionError(str(err), (r1, *err.reports[1:])) from None
-        return result._replace(reports=(r1, *result.reports[1:]))
-    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
+    _, _, thermal, mushy, boundary = instance
+    if type(instance) is ProblemInstance:  # every datum in the band
+        return _solve(case, thermal, mushy, boundary)
+    return normalised(case, _solve, thermal, mushy, boundary)
+
+
+def _solve(case, thermal, mushy, boundary) -> CaseResult:
+    """:func:`solve_case` on validated data."""
     reports, xi, beta, gap, krc = _evaluate(case, thermal, mushy, boundary)
     if not reports[-1].satisfied:  # the pass stops at its first failure
         require_satisfied(reports)

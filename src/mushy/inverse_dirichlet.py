@@ -30,6 +30,7 @@ condition for the specific-heat equation's target to exceed its 0+ limit.
 
 import math
 from collections import namedtuple
+from functools import partial
 
 from . import inverse_convective, specfun
 from .direct import (
@@ -46,6 +47,7 @@ from .direct import (
     zone_strength,
 )
 from .errors import DomainError, NoRootError, NumericalError, RestrictionError, ValidationError
+from .inverse_convective import _closed_form
 from .model import (
     _C,
     _DIRICHLET,
@@ -57,6 +59,7 @@ from .model import (
     BoundaryData,
     CaseResult,
     MushyCoefficients,
+    ProblemInstance,
     RestrictionReport,
     ThermalCoefficients,
     UnknownCase,
@@ -218,11 +221,17 @@ def check_all(
     (:func:`~mushy.model.normalised`).
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
-    if (units := instance.units) is not None:  # the same checks in the data's units
-        return normalised(units, case, check_all, *instance[2:])
-    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
+    _, _, thermal, mushy, boundary = instance
+    if type(instance) is ProblemInstance:  # every datum in the band
+        return _check_all(case, thermal, mushy, boundary)
+    return normalised(case, _check_all, thermal, mushy, boundary)
+
+
+def _check_all(case, thermal, mushy, boundary) -> tuple[RestrictionReport, ...]:
+    """:func:`check_all` on validated data."""
     if case is _L:
-        return (check_r6(thermal, boundary),)
+        return (_report("R6", _face_argument(thermal.k * thermal.rho * thermal.c, boundary.d_inf, boundary.q0, 1.0),
+                        1.0),)  # check_r6, inline on the solve path
     if case is _C:
         return (check_r9(thermal, mushy, boundary),)
     if case is _K or case is _RHO:
@@ -241,30 +250,14 @@ def check_all(
 # --- the recovery at beta = 1 ----------------------------------------------
 
 
-def xi_equation_kr(
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-) -> MonotoneEquation:
-    """Front-position equation for the unknown-conductivity/density cases:
-    :func:`mushy.inverse_convective.xi_equation_kr` at beta = 1.
-
-    It vanishes at 0+ and grows unboundedly, so the positive target always
-    has exactly one root; the case carries no restriction.
-    """
-    return inverse_convective.xi_equation_kr(thermal, mushy, boundary, factor=1.0)
-
-
-def xi_equation_c(
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-) -> MonotoneEquation:
-    """Front-position equation for the unknown-specific-heat case:
-    :func:`mushy.inverse_convective.xi_equation_c` at beta = 1, whose
-    target exceeding its 0+ limit sqrt(pi)/2 + cf is restriction R9.
-    """
-    return inverse_convective.xi_equation_c(thermal, mushy, boundary, factor=1.0)
+#: The front-position equations of the unknown-conductivity/density and the
+#: unknown-specific-heat cases: :func:`mushy.inverse_convective.xi_equation_kr`
+#: and :func:`~mushy.inverse_convective.xi_equation_c` at beta = 1, called
+#: with thermal, mushy and boundary.  The first has exactly one positive root
+#: for every admissible data set, so k and rho carry no restriction; the
+#: second's target exceeding its 0+ limit sqrt(pi)/2 + cf is R9.
+xi_equation_kr = partial(inverse_convective.xi_equation_kr, factor=1.0)
+xi_equation_c = partial(inverse_convective.xi_equation_c, factor=1.0)
 
 
 def solve_dirichlet_case(
@@ -280,9 +273,14 @@ def solve_dirichlet_case(
     NumericalError and the units of data outside the band included.
     """
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
-    if (units := instance.units) is not None:  # the same solve in the data's units
-        return normalised(units, case, solve_dirichlet_case, *instance[2:])
-    thermal, mushy, boundary = instance.thermal, instance.mushy, instance.boundary
+    _, _, thermal, mushy, boundary = instance
+    if type(instance) is ProblemInstance:  # every datum in the band
+        return _solve(case, thermal, mushy, boundary)
+    return normalised(case, _solve, thermal, mushy, boundary)
+
+
+def _solve(case, thermal, mushy, boundary) -> CaseResult:
+    """:func:`solve_dirichlet_case` on validated data."""
     # check_all validates a second time; the benchmark pins that count
     reports = check_all(case, thermal, mushy, boundary)
     if reports and not reports[-1].satisfied:  # the checks stop at their first failure
@@ -290,14 +288,14 @@ def solve_dirichlet_case(
 
     try:
         if case is _K or case is _RHO or case is _C:
-            equation = xi_equation_c if case is _C else xi_equation_kr
-            xi = solve_increasing(equation(thermal, mushy, boundary))  # a normal double, or it raises
+            equation = inverse_convective.xi_equation_c if case is _C else inverse_convective.xi_equation_kr
+            xi = solve_increasing(equation(thermal, mushy, boundary, 1.0))  # a normal double, or it raises
         else:  # l, gamma, epsilon: R6's or R7's lhs is the face argument
             xi = specfun.erf_inv(reports[0].lhs)
             if not _NORMAL_MIN <= xi:
                 raise out_of_range("xi", xi)
 
-        value = inverse_convective._closed_form(case, thermal, mushy, boundary, xi, 1.0)
+        value = _closed_form(case, thermal, mushy, boundary, xi, 1.0)
         solution = build_solution(thermal, mushy, boundary, xi, value)
     except (ValidationError, DomainError) as err:  # build_solution's checks of xi and the record
         raise NumericalError(f"case {case.value}: {inverse_convective.SOLUTION_OUT_OF_RANGE}: {err}") from None
@@ -339,25 +337,21 @@ def limit_study(
     """
     dirichlet = solve_dirichlet_case(case, thermal, mushy, boundary)
 
-    grid = tuple(sorted(float(h) for h in h0_grid))
-    kept: list[float] = []
-    xi_conv: list[float] = []
-    coeff_conv: list[float] = []
+    rows: list[tuple[float, float, float]] = []  # (h0, xi, coefficient) of each convective solve
     excluded: list[tuple[float, tuple[RestrictionReport, ...]]] = []
-    for h0 in grid:
+    for h0 in sorted(float(h) for h in h0_grid):
         conv_boundary = BoundaryData(q0=boundary.q0, d_inf=boundary.d_inf, h0=h0)
         try:
             result = inverse_convective.solve_case(case, thermal, mushy, conv_boundary)
         except RestrictionError as err:
             excluded.append((h0, err.reports))
             continue
-        kept.append(h0)
-        xi_conv.append(result.xi)
-        coeff_conv.append(result.value)
+        rows.append((h0, result.xi, result.value))
+    kept, xi_conv, coeff_conv = zip(*rows) if rows else ((), (), ())
 
     points = [
         (math.log10(h0), math.log10(abs(xi - dirichlet.xi)))
-        for h0, xi in zip(kept, xi_conv)
+        for h0, xi, _ in rows
         if abs(xi - dirichlet.xi) > 0.0
     ]
     slope: float | None = None
@@ -369,9 +363,9 @@ def limit_study(
             slope = sum((u - mean_u) * (v - mean_v) for u, v in points) / den
 
     return LimitStudy(
-        h0_grid=tuple(kept),
-        xi_conv=tuple(xi_conv),
-        coeff_conv=tuple(coeff_conv),
+        h0_grid=kept,
+        xi_conv=xi_conv,
+        coeff_conv=coeff_conv,
         xi_dirichlet=dirichlet.xi,
         coeff_dirichlet=dirichlet.value,
         fitted_slope=slope,

@@ -26,7 +26,7 @@ from collections import namedtuple
 from enum import Enum
 from operator import mul
 
-from .errors import NumericalError, ValidationError, as_number
+from .errors import NumericalError, RestrictionError, ValidationError, as_number
 
 __all__ = [
     "Face",
@@ -270,22 +270,16 @@ class ProblemInstance(namedtuple("ProblemInstance", "face case thermal mushy bou
 
     Exactly the slot named by ``case`` is None among the six coefficients
     (or none of them for ``case=None``, the fully specified direct mode).
-    ``units`` are those of :func:`unit_exponents`, None for data in the band.
     """
 
     __slots__ = ()
-    units = None
 
 
 class _OutOfBand(ProblemInstance):
-    """:func:`validate`'s instance for data with a datum outside the band;
-    its units are read off its data, and it prints as its base."""
+    """:func:`validate`'s instance for data with a datum outside the band,
+    which a solver hands to :func:`normalised`; it prints as its base."""
 
     __slots__ = ()
-
-    @property
-    def units(self):
-        return unit_exponents(self.case, self.thermal, self.mushy, self.boundary)
 
     def __repr__(self) -> str:
         return repr(ProblemInstance._make(self))
@@ -367,7 +361,8 @@ def _least_squares(dims: tuple, exponents: list) -> tuple[int, int, int, int]:
     from fractions import Fraction
 
     inverse, den = _normal_inverse(dims)
-    rhs = [sum(row[j] * round(-2 * exponent) for row, exponent in zip(dims, exponents)) for j in range(4)]
+    twice = [round(-2 * exponent) for exponent in exponents]
+    rhs = [sum(row[j] * b for row, b in zip(dims, twice)) for j in range(4)]
     return tuple(round(Fraction(sum(map(mul, line, rhs)), 2 * den)) for line in inverse)
 
 
@@ -414,26 +409,32 @@ def _in_units(units, dimensions: tuple[int, int, int, int], value: float) -> flo
         return math.copysign(math.inf, value)
 
 
-def normalised(units, case, run, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData,
-               *args):
-    """``run(case, thermal, mushy, boundary, *args)`` in the units ``units``
-    of :func:`unit_exponents` (None: as given), with its result in the
-    caller's units: the one place that scales data in and results back.  A
-    float result is the value of ``case``; a SimilaritySolution has its
-    a_coef, b_coef and alpha scaled back, a CaseResult its value and
-    solution; any other result is dimensionless.  A value or solution
-    figure that the caller's units cannot hold raises NumericalError.
+def normalised(case, run, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData, *args):
+    """``run(case, thermal, mushy, boundary, *args)`` in the units of
+    :func:`unit_exponents`, fitted here once, with its result in the
+    caller's units: the one place that handles a unit.  A SimilaritySolution
+    among ``args`` is scaled into those units with the data.  A float result
+    is the value of ``case``; a SimilaritySolution has its a_coef, b_coef and
+    alpha scaled back, a CaseResult its value and solution; reports, also
+    those of a RestrictionError, keep R1's sides in the caller's units; any
+    other result is dimensionless.  A value or solution figure that the
+    caller's units cannot hold raises NumericalError.
     """
+    units = unit_exponents(case, thermal, mushy, boundary)
     if units is None:
         return run(case, thermal, mushy, boundary, *args)
 
     def scale(name, value):
         return None if value is None else _in_units(units, DIMENSIONS[name], value)
 
-    result = run(case, ThermalCoefficients(**{name: scale(name, v) for name, v in thermal.__dict__.items()}),
-                 MushyCoefficients(epsilon=mushy.epsilon, gamma=scale("gamma", mushy.gamma)),
-                 BoundaryData(q0=scale("q0", boundary.q0), d_inf=scale("d_inf", boundary.d_inf),
-                              h0=scale("h0", boundary.h0)), *args)
+    args = [solution_in_units(units, arg) if type(arg) is SimilaritySolution else arg for arg in args]
+    try:
+        result = run(case, ThermalCoefficients(**{name: scale(name, v) for name, v in thermal.__dict__.items()}),
+                     MushyCoefficients(epsilon=mushy.epsilon, gamma=scale("gamma", mushy.gamma)),
+                     BoundaryData(q0=scale("q0", boundary.q0), d_inf=scale("d_inf", boundary.d_inf),
+                                  h0=scale("h0", boundary.h0)), *args)
+    except RestrictionError as err:
+        raise RestrictionError(str(err), _reports_back(err.reports, boundary)) from None
     back = tuple(-u for u in units)
     if type(result) is float:
         return _value_in(back, case, result)
@@ -441,8 +442,18 @@ def normalised(units, case, run, thermal: ThermalCoefficients, mushy: MushyCoeff
         return solution_in_units(back, result)
     if type(result) is CaseResult:
         return tuple.__new__(CaseResult, (case, _value_in(back, case, result.value), result.xi,
-                                          solution_in_units(back, result.solution), result.reports))
+                                          solution_in_units(back, result.solution),
+                                          _reports_back(result.reports, boundary)))
+    if type(result) is tuple:
+        return _reports_back(result, boundary)
     return result
+
+
+def _reports_back(reports: tuple, boundary: BoundaryData) -> tuple:
+    """``reports`` with R1's sides, q0 and h0 d_inf, the caller's; every other side is a number."""
+    if reports and type(reports[0]) is RestrictionReport and reports[0].restriction_id == "R1":
+        return (_report("R1", boundary.q0, boundary.h0 * boundary.d_inf), *reports[1:])
+    return reports
 
 
 def _value_in(units, case: UnknownCase, value: float) -> float:
@@ -535,31 +546,31 @@ def validate(
     record is built only when a field changes, e.g. an ``int`` or a float
     subclass, or the ``h0`` that the Dirichlet face drops.  Validation is
     idempotent: re-validating the parts of a returned instance returns them.
-    When a datum lies outside the band, the instance reads the ``units`` of
-    :func:`unit_exponents` that the solvers work in off its data.
+    When a datum lies outside the band, the instance is an ``_OutOfBand``,
+    which the solvers hand to :func:`normalised`.
     """
-    unknown = None if case is None else case._value_  # as in with_coefficient
     l, k, rho, c = thermal.l, thermal.k, thermal.rho, thermal.c
     epsilon, gamma = mushy.epsilon, mushy.gamma
     q0, d_inf, h0 = boundary.q0, boundary.d_inf, boundary.h0
 
     # The normal form in one pass, every datum in the band: the caller's
     # records, untouched.  Any other input takes the per-field path below,
-    # which owns the messages, their order, the normalisation and the units.
+    # which owns the messages, their order, the normalisation and the band verdict.
     lo, hi = _BAND_MIN, _BAND_MAX
     if (
-        (l is None if unknown == "l" else type(l) is float and lo < l < hi)
-        and (k is None if unknown == "k" else type(k) is float and lo < k < hi)
-        and (rho is None if unknown == "rho" else type(rho) is float and lo < rho < hi)
-        and (c is None if unknown == "c" else type(c) is float and lo < c < hi)
-        and (epsilon is None if unknown == "epsilon" else type(epsilon) is float and 0.0 < epsilon < 1.0)
-        and (gamma is None if unknown == "gamma" else type(gamma) is float and lo < gamma < hi)
+        (l is None if case is _L else type(l) is float and lo < l < hi)
+        and (k is None if case is _K else type(k) is float and lo < k < hi)
+        and (rho is None if case is _RHO else type(rho) is float and lo < rho < hi)
+        and (c is None if case is _C else type(c) is float and lo < c < hi)
+        and (epsilon is None if case is _EPSILON else type(epsilon) is float and 0.0 < epsilon < 1.0)
+        and (gamma is None if case is _GAMMA else type(gamma) is float and lo < gamma < hi)
         and type(q0) is float and lo < q0 < hi
         and type(d_inf) is float and lo < d_inf < hi
         and (type(h0) is float and h0 > 0.0 if face is _CONVECTIVE else h0 is None)
     ):
         return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))
 
+    unknown = None if case is None else case._value_  # as in with_coefficient
     l = _coefficient("l", l, unknown)
     k = _coefficient("k", k, unknown)
     rho = _coefficient("rho", rho, unknown)

@@ -204,10 +204,13 @@ def condition_residuals(
     * stefan:       k dT/dx at s(t) = rho l (epsilon ds/dt + (1-epsilon) dr/dt);
     * mushy_width:  dT/dx at s(t) times (r(t) - s(t)) = gamma;
     * flux:         k dT/dx at 0 = q0 / sqrt(t);
-    * face:         convective exchange or prescribed temperature at x = 0.
+    * face:         T(0,t) + d_inf = k dT/dx at 0 times sqrt(t)/h0, the
+                    convective exchange in temperature form, whose right
+                    side is 0 for the prescribed temperature (and h0 = inf).
 
     Each residual is divided by the magnitude of its dominant term at the
-    same t, so the map is dimensionless and unit-system independent.  A
+    same t (the face residual by d_inf), so the map is dimensionless and
+    unit-system independent.  A
     conducted flux k dT/dx at s(t) that is not a positive normal double (it
     carries the factor e**-xi^2) leaves the Stefan residual without a
     scale and raises NumericalError (:func:`~mushy.model.in_range`).
@@ -238,12 +241,9 @@ def condition_residuals(
         res["stefan"] = max(res["stefan"], abs(conducted - melt) / abs(conducted))
         res["mushy_width"] = max(res["mushy_width"], abs(grad_s * (r_t - s_t) - mushy.gamma) / mushy.gamma)
         res["flux"] = max(res["flux"], abs(thermal.k * grad_0 - flux_scale) / flux_scale)
-        if face is Face.CONVECTIVE and boundary.h0 != math.inf:
-            exchange = (boundary.h0 / math.sqrt(t)) * (t_face + boundary.d_inf)
-            res["face"] = max(res["face"], abs(thermal.k * grad_0 - exchange) / flux_scale)
-        else:
-            # prescribed temperature, or its infinite-exchange limit where
-            # the product h0 (T(0,t) + d_inf) would be inf times roundoff
-            res["face"] = max(res["face"], abs(t_face + boundary.d_inf) / boundary.d_inf)
+        # the face condition in its temperature form, T(0,t) + d_inf = k T_x(0,t) sqrt(t) / h0, whose
+        # right side is 0 on the Dirichlet face and at h0 = inf
+        lag = 0.0 if face is Face.DIRICHLET else thermal.k * grad_0 * math.sqrt(t) / boundary.h0
+        res["face"] = max(res["face"], abs(t_face + boundary.d_inf - lag) / boundary.d_inf)
 
     return ConditionResiduals(condition_residuals=res)

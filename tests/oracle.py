@@ -243,29 +243,80 @@ def face_cell(case: str, data: dict, start: float):
     return 1 - zone / d["gamma"]
 
 
-def root_cell(case: str, data: dict, start: float):
+def root_cell(case: str, data: dict, start: float = None):
     """The unknown ``case`` ('k', 'rho' or 'c') at 60 digits from the other
     data as given, ``data`` as in :func:`face_cell`.
 
     With beta = 1 - q0/(h0 d_inf) (1 on the Dirichlet face) and the zone
     weight cf = gamma sqrt(pi) (1 - epsilon) / (2 d_inf beta), xi is the
-    root of the cell's xi equation from ``start``, such as the library's xi:
-    :func:`kr_root` at the target c d_inf beta / (l sqrt(pi)) for k and rho,
-    :func:`c_root` at q0^2 sqrt(pi) / (rho l k d_inf beta) for c.  The
-    closed form then divides pi amp^2, amp = q0 erf(xi) / (d_inf beta), by
-    the product of the other two of k, rho and c.
+    root of the cell's xi equation from ``start``, such as the library's xi,
+    or with none from :func:`root_start`: :func:`kr_root` at the target
+    c d_inf beta / (l sqrt(pi)) for k and rho, :func:`c_root` at
+    q0^2 sqrt(pi) / (rho l k d_inf beta) for c.  The closed form then
+    divides pi amp^2, amp = q0 erf(xi) / (d_inf beta), by the product of the
+    other two of k, rho and c.
     """
     ctx = MP60
     d = {name: ctx.mpf(v) for name, v in data.items() if v is not None}
+    beta, cf, target = _xi_equation(case, d)
+    if start is None:
+        start = root_start(case, cf, target)
+    xi = (c_root if case == "c" else kr_root)(cf, target, start)
+    amp = d["q0"] * ctx.erf(xi) / (d["d_inf"] * beta)
+    return ctx.pi * amp * amp / ctx.fprod(d[name] for name in ("k", "rho", "c") if name in d)
+
+
+def _xi_equation(case: str, d: dict) -> tuple:
+    """beta, cf and the target of the xi equation of ``case`` ('k', 'rho' or
+    'c') at 60 digits, for the data ``d`` of :func:`root_cell` as mpf."""
+    ctx = MP60
     q0, d_inf, sqrt_pi = d["q0"], d["d_inf"], ctx.sqrt(ctx.pi)
     beta = 1 - q0 / (d["h0"] * d_inf) if "h0" in d else 1
     cf = d["gamma"] * sqrt_pi * (1 - d["epsilon"]) / (2 * d_inf * beta)
     if case == "c":
-        xi = c_root(cf, q0 * q0 * sqrt_pi / (d["rho"] * d["l"] * d["k"] * d_inf * beta), start)
-    else:
-        xi = kr_root(cf, d["c"] * d_inf * beta / (d["l"] * sqrt_pi), start)
-    amp = q0 * ctx.erf(xi) / (d_inf * beta)
-    return ctx.pi * amp * amp / ctx.fprod(d[name] for name in ("k", "rho", "c") if name in d)
+        return beta, cf, q0 * q0 * sqrt_pi / (d["rho"] * d["l"] * d["k"] * d_inf * beta)
+    return beta, cf, d["c"] * d_inf * beta / (d["l"] * sqrt_pi)
+
+
+def _log_add(a: float, b: float) -> float:
+    """ln(e**a + e**b)."""
+    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+
+def root_start(case: str, cf, target):
+    """A start for Newton's method on the xi equation of ``case`` at the
+    zone weight ``cf`` and ``target`` (60-digit numbers), found without the
+    library.  The left side, lower + s x^2 + ... (lower sqrt(pi)/2 + cf and
+    s = 2 sqrt(pi)/3 + 2 cf for c, 0 and 2/sqrt(pi) + (4/pi) cf for k and
+    rho), has a series with positive terms, so the root of its leading
+    terms lies above the root, within x^2 of it relatively: below 1e-3
+    that is the start.  Above, 64 halvings of ln x in doubles, with the
+    left side in logarithms, from [5e-4, sqrt(ln target) + 1], where the
+    left side exceeds target (it is at least 0.84 x e**x^2 for k and rho
+    and (sqrt(pi)/2) e**x^2 for c, x >= 1), end within 1e-9 of the root."""
+    ctx = MP60
+    c_case = case == "c"
+    lower = ctx.sqrt(ctx.pi) / 2 + cf if c_case else 0
+    slope = 2 * ctx.sqrt(ctx.pi) / 3 + 2 * cf if c_case else 2 / ctx.sqrt(ctx.pi) + 4 * cf / ctx.pi
+    x0 = ctx.sqrt((target - lower) / slope)
+    if x0 < 1e-3:
+        return x0
+    ln_cf, ln_target = float(ctx.ln(cf)), float(ctx.ln(target))
+
+    def ln_lhs(x: float) -> float:
+        if c_case:  # (x/erf(x) + cf e**x^2) e**x^2
+            return x * x + _log_add(math.log(x / math.erf(x)), ln_cf + x * x)
+        ln_d = math.log(math.erf(x)) + x * x  # (x + cf D) D, D = erf(x) e**x^2
+        return ln_d + _log_add(math.log(x), ln_cf + ln_d)
+
+    lo, hi = 5e-4, min(float(x0), math.sqrt(max(ln_target, 0.0)) + 1.0)
+    for _ in range(64):
+        mid = math.sqrt(lo * hi)
+        if ln_lhs(mid) < ln_target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def face_cell_condition(case: str, data: dict, start: float):
@@ -326,11 +377,25 @@ def recipe_face_cell(case: str, data: dict, convective: bool):
     return face_cell(case, given, erf_inv_start(min(float(arg), 1.0 - 2.0**-53)))
 
 
+def recipe_root_cell(case: str, data: dict, convective: bool):
+    """The exact unknown ``case`` ('k', 'rho' or 'c') of a recipe draw, at 60
+    digits on the double data, or None where the exact R1 (beta > 0) or,
+    for c, R5 (R9 on the Dirichlet face: the target exceeds the equation's
+    0+ limit sqrt(pi)/2 + cf) fails."""
+    ctx = MP60
+    given = {name: value for name, value in data.items() if name != case and (convective or name != "h0")}
+    beta, cf, target = _xi_equation(case, {name: ctx.mpf(v) for name, v in given.items()})
+    if not beta > 0 or case == "c" and not target > ctx.sqrt(ctx.pi) / 2 + cf:
+        return None
+    return root_cell(case, given)
+
+
 def recipe_verdicts(case: str, theta) -> tuple[bool, bool]:
     """Whether every exact restriction of the case holds for the answer
-    ``theta`` of :func:`recipe_face_cell` (for gamma and epsilon, R3 and R4,
-    or R7 and R8, are the signs of gamma, epsilon and 1 - epsilon), and
-    whether the case is kept: its answer is also a positive normal double."""
+    ``theta`` of :func:`recipe_face_cell` or :func:`recipe_root_cell` (for
+    gamma and epsilon, R3 and R4, or R7 and R8, are the signs of gamma,
+    epsilon and 1 - epsilon), and whether the case is kept: its answer is
+    also a positive normal double."""
     holds = theta is not None and theta > 0 and (case != "epsilon" or theta < 1)
     top = 1 if case == "epsilon" else sys.float_info.max
     return holds, holds and sys.float_info.min <= theta < top

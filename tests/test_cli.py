@@ -248,13 +248,24 @@ def test_direct_mode_surfaces_inconsistency(tmp_path, capsys):
     assert json.loads(out)["failures"] == ["face"]
 
 
-def test_verify_consistent_scenario_passes(case_l_path, capsys):
+def test_verify_consistent_scenario_passes(case_l_path, tmp_path, capsys):
     code, out, _ = run(["verify", str(case_l_path)], capsys)
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["pde_residual_max"] < 1e-6
     assert set(doc["condition_residuals"]) == {"fusion_at_s", "stefan", "mushy_width", "flux", "face"}
+    # At a large h0 the face residual is taken in temperature form, scaled by
+    # d_inf: as an exchange scaled by the flux it multiplied the cancellation
+    # in T(0,t) + d_inf by h0 and read 1.6e-9 at h0 = 1e7 and 1.1e14 at 1e30.
+    for h0 in ("1e7", "1e30"):
+        path = tmp_path / f"h0-{h0}.ini"
+        argv = ["manufacture", "--xi", "0.5", "--k", "1", "--rho", "1", "--c", "1", "--epsilon", "0.5",
+                "--gamma", "1", "--q0", "1", "--h0", h0, "--case", "k", "--out", str(path)]
+        assert run(argv, capsys)[0] == EXIT_OK
+        code, out, err = run(["verify", str(path)], capsys)
+        assert (code, err) == (EXIT_OK, ""), h0
+        assert json.loads(out)["condition_residuals"]["face"] <= 1e-15, h0
 
 
 @pytest.mark.parametrize("problem", ["convective", "dirichlet"])
@@ -1357,12 +1368,12 @@ def test_output_numbers_are_shortest_round_trip(case_l_path, dirichlet_gamma_pat
 REPORT_DIGESTS = {
     "solve case-l": (0, "cd0e5d71f3d3880803adee7f844d7a06dc4d0b929789fc8103acdeac98c68193"),
     "check-restrictions case-l": (0, "31c997a646b21e328ae88a733ecb1c9527b2327f5ac077a1393cc33ffa3e5799"),
-    "verify case-l": (0, "ef89e11f036e8e8cb6627fc17b24798b85591034921b25f93ad8a7b23b6d1000"),
+    "verify case-l": (0, "dcf585caa64fb52e616486c58415ee5882ff313de73379ae1009b0ae99bfbb1d"),
     "limit case-l": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "profile case-l": (0, "8f51d992d615da74eba2c1dc3fa3b9e096459c4c250705858b83d4b349640dbf"),
     "solve case-l-k": (0, "f7fbe1311e08dbcaf6be4767168549c601808f5fdaa693379f778fd9f0b9b85f"),
     "check-restrictions case-l-k": (0, "ed6105a322ca2efd4dafa8fa01c1ba39603a1974281fc788cbc0d6daf9cc42c1"),
-    "verify case-l-k": (0, "95e4c7140955f00adb430b3426a6a255832b3d1dd93bfda6d1cf7aa2e09f8862"),
+    "verify case-l-k": (0, "ab0e7b22c4e53bceea17ba8d014ef080cccf180e10736ae3da8889dec495091f"),
     "limit case-l-k": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "profile case-l-k": (0, "31a048a8a127b08d579b1c3d860f82d5c35fc79a81d03e11ef186bc1433eab95"),
     "solve case-l-dirichlet": (0, "1e793290c3ddd0f6a4c61ba8446c1a1537feafa83cf6c13d650c8f818cd982b5"),

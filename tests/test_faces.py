@@ -19,9 +19,18 @@ import pytest
 
 from mushy import inverse_convective as conv
 from mushy import inverse_dirichlet as diri
+from mushy import model
 from mushy.errors import IllConditionedWarning, NoRootError, NumericalError, RestrictionError, SolverError
 from mushy.manufacture import manufacture, random_problem
-from mushy.model import BoundaryData, CaseResult, Face, ThermalCoefficients, UnknownCase
+from mushy.model import (
+    BoundaryData,
+    CaseResult,
+    Face,
+    MushyCoefficients,
+    ProblemInstance,
+    ThermalCoefficients,
+    UnknownCase,
+)
 from mushy.rootfind import solve_increasing
 
 from conftest import REF_KWARGS, XI_REF
@@ -254,6 +263,42 @@ def test_cells_commute_with_exact_unit_changes(face):
                                     _rescale_record(units, base.solution), _rescale_reports(units, base.reports))
                         assert (got.value, got.xi, got.solution, got.reports) == expected, (seed, i, case, units)
     assert {CaseResult, RestrictionError} <= outcomes
+
+
+#: The most unit fits (mushy.model.unit_exponents) that one solve may make
+#: of data outside the band: the Dirichlet solve's check_all validates the
+#: data again in their units, and fits again where they are still outside.
+FITS_PER_SOLVE = {Face.CONVECTIVE: 1, Face.DIRICHLET: 2}
+
+
+@pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
+def test_data_outside_the_band_fit_their_units_once(face, monkeypatch):
+    # Every case of 50 wide-range recipe draws (oracle.wide_range_draws on
+    # seed 1).  mushy.model.normalised fits the units of the data it is
+    # handed once, so each solve or restriction pass of data outside the
+    # band fits at least once and at most FITS_PER_SOLVE (check_all: once).
+    fits = []
+    fit = model.unit_exponents
+    monkeypatch.setattr(model, "unit_exponents", lambda *args: fits.append(args) or fit(*args))
+    outside = 0
+    for data in oracle.wide_range_draws(50, 1):
+        for case in UnknownCase:
+            given = {name: None if name == case.value else value for name, value in data.items()}
+            thermal = ThermalCoefficients(**{name: given[name] for name in ("l", "k", "rho", "c")})
+            mushy = MushyCoefficients(epsilon=given["epsilon"], gamma=given["gamma"])
+            boundary = BoundaryData(q0=data["q0"], d_inf=data["d_inf"],
+                                    h0=data["h0"] if face is Face.CONVECTIVE else None)
+            if type(model.validate(thermal, mushy, boundary, case=case, face=face)) is ProblemInstance:
+                continue
+            outside += 1
+            for run, most in ((SOLVE[face], FITS_PER_SOLVE[face]), (INVERSE[face].check_all, 1)):
+                fits.clear()
+                try:
+                    run(case, thermal, mushy, boundary)
+                except SolverError:
+                    pass
+                assert 1 <= len(fits) <= most, (run.__name__, case, data, len(fits))
+    assert outside > 250
 
 
 #: Bound on a cell's relative error in units of kappa u, with kappa its

@@ -313,19 +313,52 @@ def _log_uniform_draws(n: int) -> list:
     return rows
 
 
+#: Draw 19972 (counted from 0) of oracle.wide_range_draws(20000, 1) on the
+#: Dirichlet face, k and rho unknown: the zone weight cf = 1.8e308 sits at the
+#: top of the double range and the xi-equation target 1.6e-263 near the
+#: bottom.  The start's 2/sqrt(pi) + (4/pi) cf overflowed, so the start read
+#: 0.0 and the solve halved from 1 toward the root near 2.7e-286 until it
+#: raised ConvergenceError.
+ZONE_WEIGHT_AT_THE_TOP = (
+    ThermalCoefficients(l=3.6988958216786957e+67, k=4.3279448533326554e+191, rho=5.796978166229207e-144,
+                        c=1.8316649121997645e-60),
+    MushyCoefficients(epsilon=0.5243490048159825, gamma=2.4495402550847373e+173),
+    BoundaryData(q0=1.1255381068497322e+93, d_inf=5.786850667967079e-136))
+
+
 @pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
 def test_wide_range_data_never_exhaust_the_budget():
-    # Every case of 3,000 wide-range draws on both faces (36,000 solves).  A
-    # tiny root is certified relative to its scale, and a root or target
-    # outside the normal range is a NumericalError, so no solve raises
-    # ConvergenceError (an absolute certificate raised it 1,422 times, all
-    # from the k/rho xi equations).  A solve that returns gives a positive
-    # finite value, never inf, and neither a solve nor a restriction pass
-    # raises anything but a SolverError.
-    assert_value_or_solver_error(
-        [(face, case, *with_coefficient(thermal, mushy, case, None),
-          BoundaryData(q0=q0, d_inf=d_inf, h0=h0 if face is Face.CONVECTIVE else None))
-         for thermal, mushy, q0, d_inf, h0 in _log_uniform_draws(3000) for face in Face for case in UnknownCase])
+    # Every case of 3,000 wide-range draws on both faces (36,000 solves),
+    # and the two Dirichlet cases of ZONE_WEIGHT_AT_THE_TOP.  A tiny root is
+    # certified relative to its scale, and a root or target outside the
+    # normal range is a NumericalError, so no solve raises ConvergenceError
+    # (an absolute certificate raised it 1,422 times, all from the k/rho xi
+    # equations).  A solve that returns gives a positive finite value, never
+    # inf, and neither a solve nor a restriction pass raises anything but a
+    # SolverError.
+    rows = [(face, case, *with_coefficient(thermal, mushy, case, None),
+             BoundaryData(q0=q0, d_inf=d_inf, h0=h0 if face is Face.CONVECTIVE else None))
+            for thermal, mushy, q0, d_inf, h0 in _log_uniform_draws(3000) for face in Face for case in UnknownCase]
+    thermal, mushy, boundary = ZONE_WEIGHT_AT_THE_TOP
+    rows += [(Face.DIRICHLET, case, *with_coefficient(thermal, mushy, case, None), boundary)
+             for case in (UnknownCase.K, UnknownCase.RHO)]
+    assert_value_or_solver_error(rows)
+
+
+def test_a_zone_weight_at_the_top_of_the_range_gets_a_start():
+    # The k/rho start takes sqrt(T) / sqrt(2/sqrt(pi) + (4/pi) cf) without
+    # forming the sum where it overflows.  k is then right to the rounding
+    # of its 60-digit value (oracle.root_cell); rho's alpha = k / (rho c)
+    # is past the double range, which the solve names.
+    thermal, mushy, boundary = ZONE_WEIGHT_AT_THE_TOP
+    result = solve_dirichlet_case(UnknownCase.K, with_coefficient(thermal, mushy, UnknownCase.K, None)[0], mushy,
+                                  boundary)
+    exact = oracle.root_cell("k", {**vars(thermal), "k": None, **vars(mushy), "q0": boundary.q0,
+                                   "d_inf": boundary.d_inf}, result.xi)
+    assert result.value == 1.0141533912622565e+89 == float(exact)
+    with pytest.raises(NumericalError, match="alpha must be positive and finite, got inf"):
+        solve_dirichlet_case(UnknownCase.RHO, with_coefficient(thermal, mushy, UnknownCase.RHO, None)[0], mushy,
+                             boundary)
 
 
 #: The FOUND example of a wrong answer at exit 0: Dirichlet k whose

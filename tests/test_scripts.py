@@ -72,12 +72,18 @@ def test_recovery_sweep_digest_is_pinned(tmp_path, args, warnings, last):
 
 def test_range_probe_finds_no_wrong_answer(tmp_path):
     # The wide-range recipe on 60 draws of seed 2 (the property test of
-    # test_faces.py runs seed 1): every kept case is answered within 1e-10,
-    # or refused with a NumericalError; none is answered wrong.
-    table = _run("range_probe.py", ["--n", "60", "--seed", "2"], tmp_path).split("\n\n")[0].splitlines()[1:]
-    counts = {label.strip(): int(count) for label, count in (line.rsplit(None, 1) for line in table)}
-    assert counts["returned but wrong"] == 0
-    assert counts["within 1e-10"] > 0
+    # test_faces.py runs seed 1), the l/gamma/epsilon table, then the
+    # k/rho/c one: every kept case is answered within 1e-10, or refused
+    # with a NumericalError; none is answered wrong, and no solve exhausts
+    # its root solve's budget.
+    blocks = _run("range_probe.py", ["--n", "60", "--seed", "2"], tmp_path).split("\n\n")
+    tables = [block.splitlines()[1:] for block in blocks if block.startswith("outcome")]
+    assert len(tables) == 2
+    for table in tables:
+        counts = {label.strip(): int(count) for label, count in (line.rsplit(None, 1) for line in table)}
+        assert counts["returned but wrong"] == 0
+        assert counts["within 1e-10"] > 0
+    assert counts["ConvergenceError"] == 0  # a row of the k/rho/c table
 
 
 def test_readme_limit_recipe_runs(tmp_path):
