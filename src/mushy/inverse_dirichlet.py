@@ -275,14 +275,16 @@ def solve_dirichlet_case(
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
     _, _, thermal, mushy, boundary = instance
     if type(instance) is ProblemInstance:  # every datum in the band
-        return _solve(case, thermal, mushy, boundary)
-    return normalised(case, _solve, thermal, mushy, boundary)
+        return _solve(case, thermal, mushy, boundary, check_all)
+    return normalised(case, _solve, thermal, mushy, boundary, _check_all)
 
 
-def _solve(case, thermal, mushy, boundary) -> CaseResult:
-    """:func:`solve_dirichlet_case` on validated data."""
-    # check_all validates a second time; the benchmark pins that count
-    reports = check_all(case, thermal, mushy, boundary)
+def _solve(case, thermal, mushy, boundary, check) -> CaseResult:
+    """:func:`solve_dirichlet_case` on validated data, whose restrictions
+    ``check`` evaluates: :func:`check_all`, which validates a second time
+    (the benchmark pins that count), or on data already in their units
+    :func:`_check_all`, which does not fit them again."""
+    reports = check(case, thermal, mushy, boundary)
     if reports and not reports[-1].satisfied:  # the checks stop at their first failure
         inverse_convective.require_satisfied(reports)
 

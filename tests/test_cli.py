@@ -1233,6 +1233,105 @@ def test_full_stdout_is_an_input_error(tmp_path, sub, scenario):
     assert (proc.returncode, proc.stderr) == (EXIT_INPUT, f"error: cannot write <stdout>: {message}\n")
 
 
+#: The process entries, which end through os._exit once main has flushed:
+#: the console script's call (perfbench's cli-oneshot entry) and the module's.
+ENTRIES = {
+    "script": ["-c", "import sys; from mushy.cli import main; sys.exit(main())"],
+    "module": ["-m", "mushy"],
+}
+
+#: One command line per exit code; {name} is a file of _entry_files.
+ENTRY_CASES = {
+    "solve": ["solve", "{l}"],
+    "help": ["--help"],  # main's only write that it does not flush itself
+    "unknown-flag": ["solve", "{l}", "--bogus"],
+    "unreadable-scenario": ["solve", "{missing}"],
+    "restriction-failure": ["solve", "{q0_99}"],  # its document goes to stdout
+    "mu-equals-xi": ["solve", "{gamma_1e-20}"],
+    "verify-residual": ["verify", "{gamma_1e-6}"],  # mushy_width 1.56e-10 against 1e-10
+    "solve-out": ["solve", "{l}", "--out", "{out}"],
+}
+ENTRY_EXIT_CODES = {"solve": EXIT_OK, "help": EXIT_OK, "unknown-flag": EXIT_INPUT, "unreadable-scenario": EXIT_INPUT,
+                    "restriction-failure": EXIT_RESTRICTION, "mu-equals-xi": EXIT_NUMERICAL,
+                    "verify-residual": EXIT_RESIDUAL, "solve-out": EXIT_OK}
+
+
+def _entry_files(tmp_path, capsys) -> dict:
+    """The paths that ENTRY_CASES name: the case-l scenario, the same with
+    q0 = 99, the k cases of `manufacture` at gamma 1e-20 and 1e-6, a file
+    that does not exist and an --out target."""
+    paths = {name: str(tmp_path / f"{name}.ini") for name in ("l", "q0_99", "gamma_1e-20", "gamma_1e-6", "missing")}
+    paths["out"] = str(tmp_path / "out.json")
+    Path(paths["l"]).write_text(CASE_L_INI)
+    Path(paths["q0_99"]).write_text(CASE_L_INI.replace("q0 = 1.0", "q0 = 99.0"))
+    for gamma in ("1e-20", "1e-6"):
+        argv = ["manufacture", "--xi", "0.5", "--k", "1", "--rho", "1", "--c", "1", "--epsilon", "0.5",
+                "--gamma", gamma, "--q0", "1", "--h0", "2", "--case", "k", "--out", paths[f"gamma_{gamma}"]]
+        assert run(argv, capsys) == (EXIT_OK, "", "")
+    return paths
+
+
+def _take(path: Path) -> bytes | None:
+    """The bytes of ``path``, which is then removed, or None where it is absent."""
+    if not path.exists():
+        return None
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+@pytest.mark.parametrize("case", ENTRY_CASES)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_process_entry_writes_what_main_returns(tmp_path, capsys, entry, case):
+    # The process ends through os._exit, with no interpreter teardown, so
+    # everything main wrote must be flushed first: its exit code, stdout,
+    # stderr and --out file are byte for byte those of main(argv) in process.
+    # Its stdout is buffered, as it is by default, whatever this one's is.
+    paths = _entry_files(tmp_path, capsys)
+    argv = [token.format(**paths) for token in ENTRY_CASES[case]]
+    out = Path(paths["out"])
+    code, stdout, stderr = run(argv, capsys)
+    written = _take(out)
+    assert code == ENTRY_EXIT_CODES[case], stderr
+    assert (written is not None) == (case == "solve-out")
+    env = _python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, *ENTRIES[entry], *argv], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout.encode(), stderr.encode())
+    assert _take(out) == written
+
+
+#: Ends a process as the console script does, with an atexit handler that
+#: reports whether the interpreter's exit ran; TRACED installs a tracer first.
+ATEXIT_ENTRY = ("import atexit, sys; {}atexit.register(print, 'atexit ran', file=sys.stderr); "
+                "from mushy.cli import main; sys.exit(main())")
+TRACED = "sys.settrace(lambda frame, event, arg: None); "
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "settrace"])
+def test_a_traced_process_exits_through_sys_exit(case_l_path, traced):
+    # Untraced, main ends the process and no atexit handler runs; under a
+    # tracer (coverage) it returns, and the interpreter exits as usual.
+    code = ATEXIT_ENTRY.format(TRACED if traced else "")
+    proc = subprocess.run([sys.executable, "-c", code, "solve", str(case_l_path)], capture_output=True, text=True,
+                          env=_python_env(), timeout=60)
+    assert proc.returncode == EXIT_OK and json.loads(proc.stdout)["case"] == "l"
+    assert proc.stderr == ("atexit ran\n" if traced else "")
+
+
+def test_a_profiled_process_prints_its_profile(case_l_path, capsys):
+    # python -m cProfile -m mushy: the profiler (sys.setprofile, or from
+    # Python 3.12 a sys.monitoring tool) prints its table after main returns.
+    path = case_l_path.with_suffix(".json")
+    path.write_text(scenario_to_json(parse_scenario(CASE_L_INI)))
+    _, stdout, _ = run(["solve", str(path)], capsys)
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "mushy", "solve", str(path)],
+                          capture_output=True, text=True, env=_python_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.startswith(stdout)
+    assert proc.stdout[len(stdout):].count(" function calls ") == 1
+
+
 def _run_python(code, cwd):
     """Run ``code`` in a fresh interpreter importing this ``mushy``; its
     last stdout line is JSON."""

@@ -2,15 +2,23 @@ import math
 import random
 import warnings
 
+import oracle
 import pytest
 
 from mushy import inverse_convective as conv
 from mushy import inverse_dirichlet as diri
-from mushy import specfun
+from mushy import model, specfun
 from mushy.direct import face_argument
-from mushy.errors import IllConditionedWarning, NoRootError, NumericalError
+from mushy.errors import IllConditionedWarning, NoRootError, NumericalError, SolverError
 from mushy.manufacture import manufacture, random_problem
-from mushy.model import BoundaryData, Face, MushyCoefficients, ThermalCoefficients, UnknownCase
+from mushy.model import (
+    BoundaryData,
+    Face,
+    MushyCoefficients,
+    ProblemInstance,
+    ThermalCoefficients,
+    UnknownCase,
+)
 
 from conftest import OUT_OF_RANGE_ROWS, XI_REF, assert_value_or_solver_error
 
@@ -211,3 +219,43 @@ def test_a_subnormal_k_rho_c_is_solved_in_normalised_units():
     result = diri.solve_dirichlet_case(UnknownCase.L, thermal, mushy, BoundaryData(q0=1e-160, d_inf=1.7e-4))
     assert math.isclose(result.value, 2.7962519443961097654e-106, rel_tol=2 * 6.0 * 2.0**-53)
     assert math.isclose(result.xi, 1.5076422103546561458e-4, rel_tol=2.0**-53)
+
+
+def _outcome(solve, *args) -> str:
+    """The repr of ``solve(*args)``, or of the SolverError it raises with
+    its message and reports: equal strings are equal bits."""
+    try:
+        return repr(solve(*args))
+    except SolverError as err:
+        return repr((type(err), str(err), getattr(err, "reports", None)))
+
+
+@pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
+def test_an_out_of_band_solve_fits_its_units_once(monkeypatch):
+    # Every case of the 300 wide-range recipe draws of the face property
+    # (oracle.wide_range_draws on seed 1) whose data leave the band.  The
+    # solve runs its restriction pass on the data already in their units,
+    # so mushy.model.unit_exponents fits once.  The route through the public
+    # check_all, which validates the data again in their units and fits
+    # again where they are still outside the band, gives the same bits.
+    fits = []
+    fit = model.unit_exponents
+    monkeypatch.setattr(model, "unit_exponents", lambda *args: fits.append(args) or fit(*args))
+    outside = refits = 0
+    for data in oracle.wide_range_draws(300, 1):
+        for case in UnknownCase:
+            given = {name: None if name == case.value else value for name, value in data.items()}
+            thermal = ThermalCoefficients(**{name: given[name] for name in ("l", "k", "rho", "c")})
+            mushy = MushyCoefficients(epsilon=given["epsilon"], gamma=given["gamma"])
+            boundary = BoundaryData(q0=data["q0"], d_inf=data["d_inf"])
+            instance = model.validate(thermal, mushy, boundary, case=case, face=Face.DIRICHLET)
+            if type(instance) is ProblemInstance:
+                continue
+            outside += 1
+            fits.clear()
+            got = _outcome(diri.solve_dirichlet_case, case, thermal, mushy, boundary)
+            assert len(fits) == 1, (case, data, len(fits))
+            fits.clear()
+            assert got == _outcome(model.normalised, case, diri._solve, *instance[2:], diri.check_all), (case, data)
+            refits += len(fits) > 1
+    assert outside > 1500 and refits > outside // 2, (outside, refits)

@@ -265,18 +265,12 @@ def test_cells_commute_with_exact_unit_changes(face):
     assert {CaseResult, RestrictionError} <= outcomes
 
 
-#: The most unit fits (mushy.model.unit_exponents) that one solve may make
-#: of data outside the band: the Dirichlet solve's check_all validates the
-#: data again in their units, and fits again where they are still outside.
-FITS_PER_SOLVE = {Face.CONVECTIVE: 1, Face.DIRICHLET: 2}
-
-
 @pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
 def test_data_outside_the_band_fit_their_units_once(face, monkeypatch):
     # Every case of 50 wide-range recipe draws (oracle.wide_range_draws on
     # seed 1).  mushy.model.normalised fits the units of the data it is
     # handed once, so each solve or restriction pass of data outside the
-    # band fits at least once and at most FITS_PER_SOLVE (check_all: once).
+    # band fits exactly once.
     fits = []
     fit = model.unit_exponents
     monkeypatch.setattr(model, "unit_exponents", lambda *args: fits.append(args) or fit(*args))
@@ -291,13 +285,13 @@ def test_data_outside_the_band_fit_their_units_once(face, monkeypatch):
             if type(model.validate(thermal, mushy, boundary, case=case, face=face)) is ProblemInstance:
                 continue
             outside += 1
-            for run, most in ((SOLVE[face], FITS_PER_SOLVE[face]), (INVERSE[face].check_all, 1)):
+            for run in (SOLVE[face], INVERSE[face].check_all):
                 fits.clear()
                 try:
                     run(case, thermal, mushy, boundary)
                 except SolverError:
                     pass
-                assert 1 <= len(fits) <= most, (run.__name__, case, data, len(fits))
+                assert len(fits) == 1, (run.__name__, case, data, len(fits))
     assert outside > 250
 
 
