@@ -19,14 +19,19 @@ many of those 2 kappa u explains, kappa the 60-digit condition number), a
 false restriction failure (exit 2, by restriction), a NoRootError, a
 ConvergenceError, and each other NumericalError message with its numbers
 blanked.  Answers the library returns for cases that are not kept are
-counted below each table.  The exit status is 1 when an answer is returned
-but wrong or a solve raises ConvergenceError, else 0.  Needs mpmath.
+counted below each table.  The last line is a sha256 over every outcome of
+both tables in order: the value and xi of an answer (each as ``float.hex``),
+or the type and message of the error raised; two checkouts that print the
+same digest for the same arguments returned the same bits and the same
+errors.  The exit status is 1 when an answer is returned but wrong or a
+solve raises ConvergenceError, else 0.  Needs mpmath.
 
     python3 scripts/range_probe.py --n 20000
 """
 
 import argparse
 import collections
+import hashlib
 import re
 import sys
 import time
@@ -92,12 +97,17 @@ def condition(face: Face, case: UnknownCase, data: dict, xi: float) -> float:
     return float(cell_condition(case.value, known, xi)[1])
 
 
-def probe(n: int, seed: int, cases=CASES) -> collections.Counter:
-    """The outcome counts of the kept cases, and of two outcomes of the rest."""
+def probe(n: int, seed: int, cases, digest) -> collections.Counter:
+    """The outcome counts of the kept cases, and of two outcomes of the rest;
+    every outcome also updates the sha256 ``digest``."""
     counts = collections.Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for face, case, data, outcome, theta, holds, kept in outcomes(n, seed, cases=cases):
+            if isinstance(outcome, SolverError):
+                digest.update(f"{type(outcome).__name__}: {outcome}\n".encode())
+            else:
+                digest.update(f"{outcome.value.hex()} {outcome.xi.hex()}\n".encode())
             if not kept:
                 if not isinstance(outcome, SolverError):
                     counts["returned, not kept"] += 1
@@ -145,13 +155,15 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     failed = False
+    digest = hashlib.sha256()
     for cases in (CASES, ROOT_CASES):
         if cases is ROOT_CASES:
             print(f"\nThe {', '.join(case.value for case in cases)} cells:\n")
         start = time.perf_counter()
-        counts = probe(args.n, args.seed, cases)
+        counts = probe(args.n, args.seed, cases, digest)
         table(counts, args.n, cases, time.perf_counter() - start)
         failed = failed or counts["returned but wrong"] or counts["ConvergenceError"]
+    print(f"sha256 {digest.hexdigest()}")
     sys.exit(1 if failed else 0)
 
 

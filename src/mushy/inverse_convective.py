@@ -14,9 +14,10 @@ R5  root existence for the unknown-specific-heat equation.
 
 :func:`solve_case` returns the evaluated reports alongside the recovered
 coefficient, the front position and the assembled solution.  Its recovery,
-the two front-position equations and :func:`closed_form`, is written for a
-general attenuation beta = 1 - q0/(h0 d_inf); the Dirichlet face is its
-beta = 1 instance (:mod:`mushy.inverse_dirichlet`).
+the two front-position equations and one closed form per unknown, is
+written for a general attenuation beta = 1 - q0/(h0 d_inf), and starts
+from the figures of the restriction pass; the Dirichlet face is its beta = 1
+instance (:mod:`mushy.inverse_dirichlet`), which starts from its own pass.
 """
 
 import math
@@ -54,6 +55,7 @@ from .model import (
     RestrictionReport,
     ThermalCoefficients,
     UnknownCase,
+    _not_a_case,
     _report,
     normalised,
     out_of_range,
@@ -75,7 +77,6 @@ __all__ = [
     "check_all",
     "require_satisfied",
     "FACE_CASES",
-    "closed_form",
     "solve_case",
     "xi_equation_kr",
     "xi_equation_c",
@@ -151,6 +152,8 @@ def check_all(
     and R4 need the face-determined xi, hence R1 and R2).  Data outside the
     band are checked in their units (:func:`~mushy.model.normalised`).
     """
+    if type(case) is not UnknownCase:
+        raise _not_a_case(case)
     instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
     if type(instance) is ProblemInstance:  # every datum in the band
         return _evaluate(case, *instance[2:])[0]
@@ -399,50 +402,26 @@ def _c_start(cf: float, target: float, lower: float) -> float:
 FACE_CASES = (_L, _GAMMA, _EPSILON)
 
 
-def closed_form(
-    case: UnknownCase,
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-    xi: float,
-    beta: float | None,
-) -> float:
-    """The unknown coefficient of ``case`` once the front position xi is known.
-
-    ``beta`` is the face attenuation 1 - q0/(h0 d_inf), 1 for the Dirichlet
-    face.  Only the k, rho and c forms read it, so the face-equation cases
-    may pass None; those three share amp = q0 erf(xi) / (d_inf beta), the
-    square root of k rho c / pi.  gamma and epsilon share the
-    cancellation-prone gap (q0/l) sqrt(c/(rho k)) - xi e**xi^2 that R3 (R7)
-    keeps positive.  ``xi`` is a front position the recovery computed,
-    positive and finite, so erf is taken by math.erf without a check.  The
-    data are worked in their units (:func:`~mushy.model.normalised`); a
-    product, group or value that is not a positive normal double raises
-    NumericalError, as does an epsilon that rounds to 1.
-    """
-    return normalised(case, _closed_form, thermal, mushy, boundary, xi, beta)
-
-
 def _closed_form(
     case: UnknownCase,
     thermal: ThermalCoefficients,
     mushy: MushyCoefficients,
     boundary: BoundaryData,
     xi: float,
-    beta: float | None,
-    gap: float | None = None,
-    krc: float | None = None,
+    beta: float,
+    gap: float | None,
+    krc: float | None,
 ) -> float:
-    """:func:`closed_form` on the data as given, from the figures a solve's
-    restriction pass computed where it did: the gap of R3's sides (gamma,
-    epsilon) and sqrt(k rho c) (l, gamma, epsilon)."""
-    if krc is None and case in FACE_CASES:
-        if case is not _L:
-            gap = stefan_rhs(thermal, boundary) - xexp_sq(xi)
-        k_rho_c = thermal.k * thermal.rho * thermal.c
-        if not k_rho_c >= _NORMAL_MIN:  # an inf makes the value 0 or NaN, which the last test meets
-            raise out_of_range("k rho c", k_rho_c)
-        krc = math.sqrt(k_rho_c)
+    """The unknown coefficient of ``case`` at the front position xi, from
+    the figures of a solve's restriction pass: the face attenuation beta
+    (1 for the Dirichlet face), which the k, rho and c forms read through
+    amp = q0 erf(xi) / (d_inf beta), the square root of k rho c / pi;
+    ``krc`` = sqrt(k rho c) for l, gamma and epsilon; and for gamma and
+    epsilon the cancellation-prone ``gap`` (q0/l) sqrt(c/(rho k)) - xi e**xi^2
+    of R3's (R7's) sides.  A figure a form does not read is None.  A
+    product, group or value that is not a positive normal double raises
+    NumericalError, as does an epsilon that rounds to 1.
+    """
     if case is _L:
         strength = _strength(mushy.gamma * (1.0 - mushy.epsilon), krc, boundary.q0)
         rho_k = thermal.rho * thermal.k
@@ -496,6 +475,8 @@ def solve_case(
     product, group or value that is not a positive normal double there
     raises NumericalError.
     """
+    if type(case) is not UnknownCase:
+        raise _not_a_case(case)
     instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
     _, _, thermal, mushy, boundary = instance
     if type(instance) is ProblemInstance:  # every datum in the band

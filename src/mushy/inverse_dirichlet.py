@@ -63,6 +63,7 @@ from .model import (
     RestrictionReport,
     ThermalCoefficients,
     UnknownCase,
+    _not_a_case,
     _report,
     normalised,
     out_of_range,
@@ -133,20 +134,18 @@ def _solve_eta_r8(g: float, target: float, start_r7: float) -> float:
 
 
 def check_r6(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
-    """R6: (d_inf/q0) sqrt(k rho c / pi) < 1."""
-    arg = _face_argument(thermal.k * thermal.rho * thermal.c, boundary.d_inf, boundary.q0, 1.0)
-    return _report("R6", arg, 1.0)
+    """R6: (d_inf/q0) sqrt(k rho c / pi) < 1, the restriction pass of case l."""
+    return _check_all(_L, thermal, None, boundary)[0]
 
 
 def check_r7(thermal: ThermalCoefficients, boundary: BoundaryData) -> RestrictionReport:
-    """R7: the face argument stays below erf(eta_r7).
+    """R7: the face argument stays below erf(eta_r7), the restriction pass of case gamma.
 
     Implies R6 since erf(eta_r7) < 1.  Equivalent to the convective R3 in
     the h0 -> infinity limit, but evaluated through the auxiliary root as
     the restriction is phrased in its source.
     """
-    eta = solve_eta_r7(thermal, boundary)
-    return _report("R7", face_argument(thermal, boundary, _DIRICHLET), math.erf(eta))
+    return _check_all(_GAMMA, thermal, None, boundary)[0]
 
 
 def check_r8(
@@ -220,6 +219,8 @@ def check_all(
     k rho c.  Data outside the band are checked in their units
     (:func:`~mushy.model.normalised`).
     """
+    if type(case) is not UnknownCase:
+        raise _not_a_case(case)
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
     _, _, thermal, mushy, boundary = instance
     if type(instance) is ProblemInstance:  # every datum in the band
@@ -231,7 +232,7 @@ def _check_all(case, thermal, mushy, boundary) -> tuple[RestrictionReport, ...]:
     """:func:`check_all` on validated data."""
     if case is _L:
         return (_report("R6", _face_argument(thermal.k * thermal.rho * thermal.c, boundary.d_inf, boundary.q0, 1.0),
-                        1.0),)  # check_r6, inline on the solve path
+                        1.0),)
     if case is _C:
         return (check_r9(thermal, mushy, boundary),)
     if case is _K or case is _RHO:
@@ -272,6 +273,8 @@ def solve_dirichlet_case(
     then that of :func:`mushy.inverse_convective.solve_case` at beta = 1,
     NumericalError and the units of data outside the band included.
     """
+    if type(case) is not UnknownCase:
+        raise _not_a_case(case)
     instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
     _, _, thermal, mushy, boundary = instance
     if type(instance) is ProblemInstance:  # every datum in the band
@@ -292,12 +295,15 @@ def _solve(case, thermal, mushy, boundary, check) -> CaseResult:
         if case is _K or case is _RHO or case is _C:
             equation = inverse_convective.xi_equation_c if case is _C else inverse_convective.xi_equation_kr
             xi = solve_increasing(equation(thermal, mushy, boundary, 1.0))  # a normal double, or it raises
-        else:  # l, gamma, epsilon: R6's or R7's lhs is the face argument
+            gap = krc = None
+        else:  # l, gamma, epsilon: R6's or R7's lhs is the face argument, from a normal k rho c
             xi = specfun.erf_inv(reports[0].lhs)
             if not _NORMAL_MIN <= xi:
                 raise out_of_range("xi", xi)
+            krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
+            gap = None if case is _L else stefan_rhs(thermal, boundary) - xexp_sq(xi)
 
-        value = _closed_form(case, thermal, mushy, boundary, xi, 1.0)
+        value = _closed_form(case, thermal, mushy, boundary, xi, 1.0, gap, krc)
         solution = build_solution(thermal, mushy, boundary, xi, value)
     except (ValidationError, DomainError) as err:  # build_solution's checks of xi and the record
         raise NumericalError(f"case {case.value}: {inverse_convective.SOLUTION_OUT_OF_RANGE}: {err}") from None

@@ -319,6 +319,10 @@ def out_of_range(name: str, value: float) -> NumericalError:
     return NumericalError(f"{name} = {value!r} is not a positive normal double, outside the range of a double")
 
 
+def _not_a_case(case) -> ValidationError:
+    return ValidationError(f"case must be an UnknownCase member, got {case!r}")
+
+
 def _in_band(l, k, rho, c, gamma, q0, d_inf, h0=None) -> bool:
     """Whether each datum but the unknown (None) lies in the band.  h0 need
     not: with the other data there, an h0 d_inf below the normal range
@@ -413,9 +417,9 @@ def normalised(case, run, thermal: ThermalCoefficients, mushy: MushyCoefficients
     """``run(case, thermal, mushy, boundary, *args)`` in the units of
     :func:`unit_exponents`, fitted here once, with its result in the
     caller's units: the one place that handles a unit.  A SimilaritySolution
-    among ``args`` is scaled into those units with the data.  A float result
-    is the value of ``case``; a SimilaritySolution has its a_coef, b_coef and
-    alpha scaled back, a CaseResult its value and solution; reports, also
+    among ``args`` is scaled into those units with the data.  A
+    SimilaritySolution result has its a_coef, b_coef and alpha scaled back,
+    a CaseResult its solution and its value, that of ``case``; reports, also
     those of a RestrictionError, keep R1's sides in the caller's units; any
     other result is dimensionless.  A value or solution figure that the
     caller's units cannot hold raises NumericalError.
@@ -436,13 +440,13 @@ def normalised(case, run, thermal: ThermalCoefficients, mushy: MushyCoefficients
     except RestrictionError as err:
         raise RestrictionError(str(err), _reports_back(err.reports, boundary)) from None
     back = tuple(-u for u in units)
-    if type(result) is float:
-        return _value_in(back, case, result)
     if type(result) is SimilaritySolution:
         return solution_in_units(back, result)
-    if type(result) is CaseResult:
-        return tuple.__new__(CaseResult, (case, _value_in(back, case, result.value), result.xi,
-                                          solution_in_units(back, result.solution),
+    if type(result) is CaseResult:  # epsilon is a number
+        name, value = case._value_, result.value
+        if name != "epsilon":
+            value = in_range(f"the recovered {name}", _in_units(back, DIMENSIONS[name], value))
+        return tuple.__new__(CaseResult, (case, value, result.xi, solution_in_units(back, result.solution),
                                           _reports_back(result.reports, boundary)))
     if type(result) is tuple:
         return _reports_back(result, boundary)
@@ -454,13 +458,6 @@ def _reports_back(reports: tuple, boundary: BoundaryData) -> tuple:
     if reports and type(reports[0]) is RestrictionReport and reports[0].restriction_id == "R1":
         return (_report("R1", boundary.q0, boundary.h0 * boundary.d_inf), *reports[1:])
     return reports
-
-
-def _value_in(units, case: UnknownCase, value: float) -> float:
-    """A recovered ``value`` of ``case`` in the units ``units``, a positive normal double there."""
-    if case._value_ == "epsilon":
-        return value
-    return in_range(f"the recovered {case._value_}", _in_units(units, DIMENSIONS[case._value_], value))
 
 
 def solution_in_units(units, solution: SimilaritySolution) -> SimilaritySolution:
@@ -539,7 +536,9 @@ def validate(
     * the unknown slot itself is absent - supplying it is an error, since a
       value there would silently be ignored by the solvers;
     * epsilon lies strictly inside (0, 1) whenever present;
-    * the convective problem carries h0 > 0; the Dirichlet problem ignores h0.
+    * the convective problem carries h0 > 0; the Dirichlet problem ignores h0;
+    * ``face`` is a Face member, and ``case`` an UnknownCase member or None
+      (the inline pass below admits another case only on complete data).
 
     The instance holds exact floats.  A record whose fields are already in
     that normal form is returned as the caller's own (frozen) object; a new
@@ -566,10 +565,14 @@ def validate(
         and (gamma is None if case is _GAMMA else type(gamma) is float and lo < gamma < hi)
         and type(q0) is float and lo < q0 < hi
         and type(d_inf) is float and lo < d_inf < hi
-        and (type(h0) is float and h0 > 0.0 if face is _CONVECTIVE else h0 is None)
+        and (type(h0) is float and h0 > 0.0 if face is _CONVECTIVE else h0 is None and face is _DIRICHLET)
     ):
         return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))
 
+    if case is not None and type(case) is not UnknownCase:
+        raise _not_a_case(case)
+    if type(face) is not Face:
+        raise ValidationError(f"face must be a Face member, got {face!r}")
     unknown = None if case is None else case._value_  # as in with_coefficient
     l = _coefficient("l", l, unknown)
     k = _coefficient("k", k, unknown)

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import oracle
 import pytest
 
 from mushy import inverse_convective as conv
@@ -166,28 +168,34 @@ def test_require_satisfied_names_every_failed_restriction(verdicts, message):
     assert conv.require_satisfied(reports[:1] if verdicts[0] else ()) is None
 
 
-
-# The public closed form on valid data whose products leave the double range
-# (unit l, epsilon = 0.5, gamma = 0.1, q0 = d_inf = 1, h0 = 2, at xi = 0.5 and
-# beta = 0.5), with the answer at 60 digits or None where it is no double.
-CLOSED_FORM_RANGE_ROWS = [
-    (UnknownCase.K, ThermalCoefficients(l=1.0, k=None, rho=1e-200, c=1e-200), None),  # k = 3.4e400
-    (UnknownCase.L, ThermalCoefficients(k=1e-200, rho=1e-200, c=1.0), 1.5576015661428097644e+200),
-    (UnknownCase.GAMMA, ThermalCoefficients(l=1.0, k=1e-120, rho=1e-120, c=1e-120), 2.4261226388505337982e+240),
+# Valid data whose product rho c (k), rho k (l) or k rho c (gamma) underflows
+# to 0 in the caller's units but not in the units the solve works in; each
+# once raised a bare ZeroDivisionError in the closed form.  The exact answer
+# for k, at 60 digits, is 2.8e400, past the largest double.
+PRODUCT_UNDERFLOW_ROWS = [
+    (UnknownCase.K, ThermalCoefficients(l=1e-200, k=None, rho=1e-200, c=1e-200),
+     MushyCoefficients(epsilon=0.5, gamma=0.1), BoundaryData(q0=1.0, d_inf=1.0, h0=2.0)),
+    (UnknownCase.L, ThermalCoefficients(k=1e-200, rho=1e-200, c=1.0),
+     MushyCoefficients(epsilon=0.5, gamma=1e199), BoundaryData(q0=1.0, d_inf=1e200, h0=2e-200)),
+    (UnknownCase.GAMMA, ThermalCoefficients(l=1.0, k=1e-120, rho=1e-120, c=1e-120),
+     MushyCoefficients(epsilon=0.5), BoundaryData(q0=1.0, d_inf=1.0, h0=2.0)),
 ]
 
 
-@pytest.mark.parametrize("case, thermal, exact", CLOSED_FORM_RANGE_ROWS, ids=["k", "l", "gamma"])
-def test_closed_form_answers_in_normalised_units_or_names_the_value(case, thermal, exact):
-    # Each once raised a bare ZeroDivisionError: rho c, rho k or k rho c
-    # underflows to 0 in the caller's units, but not in the closed form's.
-    mushy = MushyCoefficients(epsilon=0.5, gamma=None if case is UnknownCase.GAMMA else 0.1)
-    boundary = BoundaryData(q0=1.0, d_inf=1.0, h0=2.0)
-    if exact is None:
+@pytest.mark.parametrize("case, thermal, mushy, boundary", PRODUCT_UNDERFLOW_ROWS, ids=["k", "l", "gamma"])
+def test_a_product_that_underflows_is_solved_or_names_the_value(case, thermal, mushy, boundary):
+    # An answer is within 2 kappa u of the 60-digit one (kappa its condition
+    # number over the known data); an exact answer that is no double is the
+    # NumericalError naming the recovered value.
+    data = {**vars(thermal), **vars(mushy), **vars(boundary)}
+    if case is UnknownCase.K:
+        assert oracle.root_cell(case.value, data) > sys.float_info.max
         with pytest.raises(NumericalError, match=f"the recovered {case.value} = inf is not a positive normal double"):
-            conv.closed_form(case, thermal, mushy, boundary, 0.5, 0.5)
-    else:
-        assert math.isclose(conv.closed_form(case, thermal, mushy, boundary, 0.5, 0.5), exact, rel_tol=2.0**-52)
+            conv.solve_case(case, thermal, mushy, boundary)
+        return
+    got = conv.solve_case(case, thermal, mushy, boundary)
+    exact, kappa = oracle.face_cell_condition(case.value, data, got.xi)
+    assert abs(float((got.value - exact) / exact)) <= 2.0 * float(kappa) * 2.0**-53
 
 
 @pytest.mark.parametrize("case", list(UnknownCase), ids=lambda case: case.value)
@@ -208,5 +216,3 @@ def test_infinite_h0_outside_the_band_is_the_dirichlet_face(case):
     assert all(report.satisfied for report in conv.check_all(case, thermal, mushy, boundary))
     assert consistency_residuals(prob.thermal, prob.mushy, boundary, got.xi, Face.CONVECTIVE) == consistency_residuals(
         prob.thermal, prob.mushy, prob.boundary, got.xi, Face.DIRICHLET)
-    if case in conv.FACE_CASES:
-        assert conv.closed_form(case, thermal, mushy, boundary, got.xi, None) == got.value

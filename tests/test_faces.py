@@ -20,7 +20,15 @@ import pytest
 from mushy import inverse_convective as conv
 from mushy import inverse_dirichlet as diri
 from mushy import model
-from mushy.errors import IllConditionedWarning, NoRootError, NumericalError, RestrictionError, SolverError
+from mushy.errors import (
+    ConvergenceError,
+    IllConditionedWarning,
+    NoRootError,
+    NumericalError,
+    RestrictionError,
+    SolverError,
+    ValidationError,
+)
 from mushy.manufacture import manufacture, random_problem
 from mushy.model import (
     BoundaryData,
@@ -178,6 +186,18 @@ def test_restriction_checks_stop_at_first_failure(face, example, l_scale, bounda
     with pytest.raises(RestrictionError) as err:
         SOLVE[face](UnknownCase.EPSILON, thermal, mushy, boundary)
     assert err.value.reports == reports
+
+
+@pytest.mark.parametrize("case", [None, "l", 3])
+@pytest.mark.parametrize("entry", ["solve", "check_all"])
+def test_a_case_that_is_no_member_is_refused_before_any_restriction(face, example, entry, case):
+    # On complete data, None (validate's direct mode) and "l" (a member's
+    # value) pass validate; each entry refuses them, before a restriction
+    # pass whose reports, or whose recovery, it would otherwise return.
+    run = SOLVE[face] if entry == "solve" else INVERSE[face].check_all
+    with pytest.raises(ValidationError) as err:
+        run(case, example.thermal, example.mushy, example.boundary)
+    assert str(err.value) == f"case must be an UnknownCase member, got {case!r}"
 
 
 #: The dimensions of each datum and solution field as exponents of mass,
@@ -348,6 +368,37 @@ def test_wide_range_face_cells_are_right_or_refused(face):
             assert not holds, (case, data, result)
             continue
         if isinstance(result, NumericalError):
+            outcomes["refused"] += kept
+            continue
+        assert kept, (case, data, result.value)
+        outcomes["answered"] += 1
+        error = abs(float((result.value - theta) / theta))
+        if error > u:
+            kappa = probe.condition(face, case, data, result.xi)
+            assert error <= 2.0 * kappa * u, (case, data, error, kappa)
+    assert min(outcomes.values()) > 0, outcomes
+
+
+@pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
+def test_wide_range_root_cells_are_right_or_refused(face):
+    # 200 draws of the wide-range recipe, the k, rho and c cells, through
+    # the range probe's own loop.  A solve raises RestrictionError only
+    # where the exact restrictions fail.  Where they hold, a NoRootError is
+    # the known refusal of a xi-equation target that is 0 or inf as a double
+    # (ROADMAP item 22): the target is a dimensionless group, which no change
+    # of units brings into range.  No solve exhausts its root solve's
+    # budget.  An answer is kept, and within u or 2 kappa u of the 60-digit
+    # one, as in the l, gamma and epsilon test above.
+    probe = _range_probe()
+    u = 2.0**-53
+    outcomes = {"answered": 0, "refused": 0}
+    for _, case, data, result, theta, holds, kept in probe.outcomes(200, 1, faces=(face,), cases=probe.ROOT_CASES):
+        assert not isinstance(result, ConvergenceError), (case, data)
+        if isinstance(result, RestrictionError):
+            assert not holds, (case, data, result)
+        if isinstance(result, NoRootError) and holds:
+            assert result.target in (0.0, math.inf), (case, data, result)
+        if isinstance(result, SolverError):
             outcomes["refused"] += kept
             continue
         assert kept, (case, data, result.value)

@@ -200,6 +200,24 @@ def test_validate_rejects_a_value_in_the_unknown_slot(case):
 
 
 @pytest.mark.parametrize("face", list(Face))
+def test_validate_refuses_a_case_that_is_no_member(face):
+    # A member's value is not the member: validate's direct mode is None.
+    boundary = BOUNDARY if face is Face.CONVECTIVE else replace(BOUNDARY, h0=None)
+    with pytest.raises(ValidationError) as err:
+        validate(THERMAL_NO_L, MUSHY, boundary, case="l", face=face)
+    assert str(err.value) == "case must be an UnknownCase member, got 'l'"
+
+
+@pytest.mark.parametrize("face", ["convective", None])
+@pytest.mark.parametrize("h0", [2.0, None])
+def test_validate_refuses_a_face_that_is_no_member(face, h0):
+    # Neither spelling takes the Dirichlet branch, which would drop h0.
+    with pytest.raises(ValidationError) as err:
+        validate(THERMAL_NO_L, MUSHY, replace(BOUNDARY, h0=h0), case=UnknownCase.L, face=face)
+    assert str(err.value) == f"face must be a Face member, got {face!r}"
+
+
+@pytest.mark.parametrize("face", list(Face))
 def test_validate_returns_normal_records_unchanged(face):
     boundary = BOUNDARY if face is Face.CONVECTIVE else replace(BOUNDARY, h0=None)
     instance = validate(THERMAL_NO_L, MUSHY, boundary, case=UnknownCase.L, face=face)

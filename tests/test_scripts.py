@@ -75,8 +75,10 @@ def test_range_probe_finds_no_wrong_answer(tmp_path):
     # test_faces.py runs seed 1), the l/gamma/epsilon table, then the
     # k/rho/c one: every kept case is answered within 1e-10, or refused
     # with a NumericalError; none is answered wrong, and no solve exhausts
-    # its root solve's budget.
-    blocks = _run("range_probe.py", ["--n", "60", "--seed", "2"], tmp_path).split("\n\n")
+    # its root solve's budget.  The last line is the digest of every outcome.
+    out = _run("range_probe.py", ["--n", "60", "--seed", "2"], tmp_path)
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}", out.splitlines()[-1]), out.splitlines()[-1]
+    blocks = out.split("\n\n")
     tables = [block.splitlines()[1:] for block in blocks if block.startswith("outcome")]
     assert len(tables) == 2
     for table in tables:
