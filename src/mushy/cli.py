@@ -42,7 +42,10 @@ the ``"warnings"`` the library raised, when it raised any; profile writes
 two CSV tables separated by a blank line.  Every
 float is written as Python's repr, the shortest string that reads back as
 the same double; in JSON a non-finite number is the string "inf", "-inf" or
-"nan".
+"nan".  JSON is read by ``_json_loads`` and written by ``_json_text``, which
+use ``_json``, the C accelerator of the standard library's ``json``: they
+give what ``json.loads`` and ``json.dumps(..., indent=2)`` give, without
+importing ``json``, whose import compiles regular expressions.
 
 The process entry, ``main()`` with no ``argv`` as the ``mushy`` script and
 ``python -m mushy`` call it, ends the process itself: once its output and
@@ -54,8 +57,8 @@ profiler is installed.  A caller in process passes ``argv``, and
 ``main(argv)`` always returns.
 """
 
+import _json
 import io
-import json
 import math
 import os
 import reprlib
@@ -132,20 +135,59 @@ MAX_STDERR_LINE = 1_000
 _SECTIONS = ("problem", "coefficients", "boundary")
 
 
-def _strict(obj):
-    """``obj`` with each non-finite float replaced by its repr, "inf", "-inf"
-    or "nan", which strict JSON can carry and the scenario parser reads back."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+# --- JSON -------------------------------------------------------------------
+
+#: json.loads's scanner: its constants, NaN and the infinities, and no hooks.
+_scan = _json.make_scanner(SimpleNamespace(
+    strict=True, object_hook=None, object_pairs_hook=None, parse_float=float, parse_int=int,
+    parse_constant={"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}.__getitem__,
+))
+
+_JSON_SPACE = " \t\n\r"
+
+
+def _json_loads(text: str):
+    """``json.loads(text)``: the value, or, for a text that is not one JSON
+    value, json's own error, for which json is imported."""
+    try:
+        doc, end = _scan(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+    except (StopIteration, SystemError):  # no value where one starts, or a malformed one:
+        pass  # before Python 3.12 the scanner raises its JSONDecodeError only once json is loaded
+    else:
+        if end == len(text.rstrip(_JSON_SPACE)):  # only space follows; no value ends in one
+            return doc
+    import json
+
+    return json.loads(text)
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` of a document of
+    dicts with string keys, lists, tuples, strings, numbers, booleans and
+    None, except that a non-finite float is written as the string of its
+    repr, "inf", "-inf" or "nan", which strict JSON can carry and the
+    scenario parser reads back.  ``indent`` is the line break and the
+    indentation of ``obj``'s level."""
+    if isinstance(obj, str):
+        return _json.encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else f'"{float.__repr__(obj)}"'
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {key: _strict(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict(value) for value in obj]
-    return obj
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(_strict(doc), indent=2, allow_nan=False)
+        items = [f"{_json.encode_basestring_ascii(key)}: {_json_text(value, inner)}" for key, value in obj.items()]
+        brackets = "{}"
+    else:  # a list or a tuple
+        items = [_json_text(value, inner) for value in obj]
+        brackets = "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1] if items else brackets
 
 
 # --- scenario files ---------------------------------------------------------
@@ -210,7 +252,7 @@ def parse_scenario(text: str) -> ProblemInstance:
         raise ValidationError("scenario file is empty")
     if stripped.startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = _json_loads(text)
         except (ValueError, RecursionError) as err:  # a JSONDecodeError, an int past the digit limit, or nesting
             raise ValidationError(f"invalid JSON scenario: {err}") from None
         sections = {name: {} if doc.get(name) is None else doc[name] for name in _SECTIONS}

@@ -446,8 +446,11 @@ def normalised(case, run, thermal: ThermalCoefficients, mushy: MushyCoefficients
         name, value = case._value_, result.value
         if name != "epsilon":
             value = in_range(f"the recovered {name}", _in_units(back, DIMENSIONS[name], value))
-        return tuple.__new__(CaseResult, (case, value, result.xi, solution_in_units(back, result.solution),
-                                          _reports_back(result.reports, boundary)))
+        try:
+            solution = solution_in_units(back, result.solution)
+        except NumericalError as err:  # named as the case solvers name it in their units
+            raise NumericalError(f"case {name}: {err}") from None
+        return tuple.__new__(CaseResult, (case, value, result.xi, solution, _reports_back(result.reports, boundary)))
     if type(result) is tuple:
         return _reports_back(result, boundary)
     return result

@@ -13,7 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mushy.cli import (
     EXIT_INPUT,
@@ -23,6 +23,8 @@ from mushy.cli import (
     EXIT_RESTRICTION,
     MAX_STDERR_LINE,
     VERIFY_FD_STEP,
+    _json_loads,
+    _json_text,
     main,
     parse_scenario,
     scenario_to_ini,
@@ -493,6 +495,88 @@ def test_malformed_scenario_is_one_error_line(tmp_path, capsys, text, message):
     assert err.startswith(f"error: {message}")
 
 
+def _strict(obj):
+    """``obj`` with each non-finite float replaced by its repr: what the
+    JSON writer handed ``json.dumps(..., indent=2, allow_nan=False)``."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
+#: Strings with non-ASCII characters, lone surrogates and control characters.
+json_strings = st.text(st.characters(exclude_categories=()) | st.sampled_from("\x00\x1f\x7f\"\\é\u2028\ud800\udfff"))
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | json_strings,
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(json_strings, children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=json_documents)
+def test_json_text_is_what_json_dumps_wrote(doc):
+    assert _json_text(doc) == json.dumps(_strict(doc), indent=2, allow_nan=False)
+
+
+def _outcome(loads, text):
+    """What ``loads(text)`` returns, by repr (a NaN is not equal to
+    itself), or the type and message of the error it raises."""
+    try:
+        return repr(loads(text))
+    except (ValueError, RecursionError) as err:  # a JSONDecodeError is a ValueError
+        return type(err), str(err)
+
+
+@st.composite
+def json_texts(draw):
+    """The text of a document, maybe cut short, with JSON and other white
+    space before it and white space or data after it."""
+    text = json.dumps(draw(json_documents), indent=draw(st.sampled_from([None, 0, 2])), ensure_ascii=draw(st.booleans()))
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    before = draw(st.text(st.sampled_from(" \t\n\r\x0b\x0c\xa0\u2028\ufeff"), max_size=3))
+    return before + text + draw(st.text(st.sampled_from(" \t\n\r\x0c\xa0x}1"), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=json_texts())
+@example(text='{"a": 1, "a": 2}')
+@example(text='{"a": NaN, "b": Infinity, "c": -Infinity, "d": -0.0, "e": 1e400}')
+@example(text='{"a": 1} x')
+@example(text='{"a": 1}{}')
+@example(text=' {"a": 1}')
+@example(text='\x0c{"a": 1}')
+@example(text='{"a": 1}\x0c')
+@example(text="\ufeff{}")
+@example(text=" \t\n\r")
+@example(text='{"problem": }')
+@example(text='{"problem": ' + "[" * 100_000 + "]" * 100_000 + "}")
+@example(text="[" + "1" * 5_000 + "]")
+def test_json_loads_is_json_loads(text):
+    assert _outcome(_json_loads, text) == _outcome(json.loads, text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"problem": }', '{"problem" }', '{problem: 1}', '{"problem": {"type": "dirichlet",}}', '{"a": "\x01"}',
+    '{"a": "b', '{"a": "\\x"}', '{"a": -}', '{"a": 1,', '{"a": 1} x', '{"a": ' + "1" * 5_000 + "}",
+], ids=["no-value", "no-colon", "bare-key", "trailing-comma", "control-character", "unterminated-string",
+        "bad-escape", "bare-minus", "cut-short", "extra-data", "digits-past-the-limit"])
+def test_a_process_reports_a_json_error_as_json_loads_does(tmp_path, text):
+    # A fresh process, where json is not loaded: before Python 3.12 the C
+    # scanner raises its JSONDecodeError only when json.decoder is.
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        json.loads(text)
+    proc = subprocess.run([sys.executable, "-S", "-m", "mushy", "solve", str(path)], capture_output=True, text=True,
+                          env=_python_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INPUT, "", f"error: invalid JSON scenario: {err.value}\n")
+
+
 def test_null_byte_in_a_path_is_an_input_error(case_l_path, capsys):
     # the NUL reaches stderr as its escape, a backslash and x00
     code, out, err = run(["solve", "case\0l.ini"], capsys)
@@ -838,6 +922,23 @@ def test_data_out_of_double_range_exit_numerical(row, request, tmp_path, capsys)
             value, reference = NOW_ANSWERED_VALUES[row_id]
             assert json.loads(out)["value"] == value
             assert math.isclose(value, float(reference), rel_tol=4e-16)
+
+
+@pytest.mark.parametrize("face", list(Face))
+def test_a_solution_past_the_callers_range_names_its_case(face, tmp_path, capsys):
+    # Draw 1 of the wide-range recipe (tests/oracle.wide_range_draws(n, 1)):
+    # rho solves in the data's own units, and its alpha overflows in the
+    # caller's.  The error names the case, as one in the solve's units does.
+    row = (face, UnknownCase.RHO,
+           ThermalCoefficients(l=5.567979722130627e-147, k=9.40794511031426e+138, c=1.0656394648496912e-98),
+           MushyCoefficients(epsilon=0.10198239503875019, gamma=0.014929141583508831),
+           BoundaryData(q0=6.2578610454487596e-21, d_inf=4.3369966741241404e+60,
+                        h0=3.0856058852941595e+115 if face is Face.CONVECTIVE else None))
+    path = tmp_path / "rho.ini"
+    path.write_text(scenario_to_ini(ProblemInstance(*row)))
+    assert run(["solve", str(path)], capsys) == (
+        EXIT_NUMERICAL, "", "error: case rho: the solution leaves the range of a double: "
+                            "alpha must be positive and finite, got inf\n")
 
 
 #: The edge values of a wide-range draw; see :func:`wide_range_scenario`.
@@ -1346,43 +1447,54 @@ def _run_python(code, cwd):
 #: annotations Python 3.10 does not need.
 FORBIDDEN_IMPORTS = {"typing", "pathlib", "argparse", "gettext", "dataclasses", "inspect", "__future__"}
 
-#: What a mushy process imports only when its subcommand or scenario needs it.
-LAZY_IMPORTS = {"configparser", "mushy.inverse_dirichlet", "mushy.verify", "mushy.manufacture"}
+#: What a mushy process imports only when its subcommand or scenario needs
+#: it.  configparser, for an INI scenario, brings in re; json, which also
+#: brings in re, is imported only to report a text that is not JSON.
+LAZY_IMPORTS = {"configparser", "json", "re", "mushy.inverse_dirichlet", "mushy.verify", "mushy.manufacture"}
 
 STDLIB_OR_MUSHY = sys.stdlib_module_names | {"mushy"}
 
 
 def _modules_imported_by(args, cwd):
-    """The modules that the process ``python -S *args`` imports, once it
-    has exited 0.  Without ``site`` no installed package is importable, and
-    no ``.pth`` file imports typing or pathlib before mushy starts."""
+    """The exit code of the process ``python -S *args``, the modules it
+    imports and the rest of its stderr.  Without ``site`` no installed
+    package is importable, and no ``.pth`` file imports typing, pathlib or
+    re before mushy starts."""
     proc = subprocess.run([sys.executable, "-S", "-X", "importtime", *args], capture_output=True, text=True,
                           cwd=cwd, env=_python_env(), timeout=60)
-    assert proc.returncode == 0, (args, proc.stderr)
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    return names - {"imported package"}  # importtime's header line
+    lines = proc.stderr.splitlines(keepends=True)
+    names = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    names -= {"imported package"}  # importtime's header line
+    rest = "".join(line for line in lines if not line.startswith("import time:"))
+    return proc.returncode, names, rest
 
 
 def test_no_subcommand_imports_typing_or_pathlib(tmp_path):
     # Every subcommand on manufactured scenarios of both faces, in INI and
-    # JSON, and the bare import: 23 processes, each with its own lazy set.
-    runs = [(["-c", "import mushy.cli"], set())]
+    # JSON, the bare import, and a JSON text with no value where one must
+    # be: 24 processes, each with its own lazy set.  Only that last one
+    # imports json, for its error.
+    runs = [(["-c", "import mushy.cli"], set(), "")]
     for fmt in ("ini", "json"):
         for face, case in (("convective", "l"), ("dirichlet", "k")):
             options = ["--problem", face, "--case", case, "--format", fmt, "--out", f"{face}.{fmt}"]
-            runs.append((["-m", "mushy", *MANUFACTURE_ARGV, *options], {"mushy.manufacture"}))
+            runs.append((["-m", "mushy", *MANUFACTURE_ARGV, *options], {"mushy.manufacture"}, ""))
         for face in ("convective", "dirichlet"):
-            reads = {"configparser"} if fmt == "ini" else set()
+            reads = {"configparser", "re"} if fmt == "ini" else set()
             subcommands = [["solve"], ["check-restrictions"], ["verify"], ["profile", "--nx", "5"]]
             if face == "dirichlet":
                 reads.add("mushy.inverse_dirichlet")
                 subcommands.append(["limit"])
             for sub, *options in subcommands:
                 lazy = reads | {"mushy.verify"} if sub == "verify" else reads
-                runs.append((["-m", "mushy", sub, f"{face}.{fmt}", *options], lazy))
-    assert len(runs) == 23
-    for args, lazy in runs:
-        imported = _modules_imported_by(args, tmp_path)
+                runs.append((["-m", "mushy", sub, f"{face}.{fmt}", *options], lazy, ""))
+    (tmp_path / "malformed.json").write_text('{"problem": }')
+    runs.append((["-m", "mushy", "solve", "malformed.json"], {"json", "re"},
+                 "error: invalid JSON scenario: Expecting value: line 1 column 13 (char 12)\n"))
+    assert len(runs) == 24
+    for args, lazy, error in runs:
+        code, imported, err = _modules_imported_by(args, tmp_path)
+        assert (code, err) == (EXIT_INPUT if error else EXIT_OK, error), args
         assert "mushy.cli" in imported, args
         assert sorted(name for name in imported if name.partition(".")[0] not in STDLIB_OR_MUSHY) == [], args
         assert not FORBIDDEN_IMPORTS & imported, args
