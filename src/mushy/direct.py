@@ -11,7 +11,6 @@ equations that a solution of the full free-boundary problem must satisfy:
 """
 
 import math
-from collections import namedtuple
 from enum import Enum
 
 from . import specfun
@@ -22,6 +21,7 @@ from .model import (
     BoundaryData,
     Face,
     MushyCoefficients,
+    OutputRecord,
     SimilaritySolution,
     ThermalCoefficients,
     _check_front,
@@ -371,7 +371,7 @@ def front_r_velocity(sol: SimilaritySolution, t: float) -> float:
     return front_r(sol, t) / (2.0 * t)
 
 
-class ConsistencyResiduals(namedtuple("ConsistencyResiduals", "res_stefan res_face")):
+class ConsistencyResiduals(OutputRecord):
     """Residuals of the two consistency equations, each relative to the
     size of its sides.
 
@@ -383,6 +383,9 @@ class ConsistencyResiduals(namedtuple("ConsistencyResiduals", "res_stefan res_fa
     """
 
     __slots__ = ()
+
+    def __new__(cls, res_stefan, res_face):
+        return tuple.__new__(cls, (res_stefan, res_face))
 
 
 def consistency_residuals(

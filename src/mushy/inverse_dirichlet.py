@@ -29,7 +29,6 @@ condition for the specific-heat equation's target to exceed its 0+ limit.
 """
 
 import math
-from collections import namedtuple
 from functools import partial
 
 from . import inverse_convective, specfun
@@ -59,6 +58,7 @@ from .model import (
     BoundaryData,
     CaseResult,
     MushyCoefficients,
+    OutputRecord,
     ProblemInstance,
     RestrictionReport,
     ThermalCoefficients,
@@ -313,9 +313,7 @@ def _solve(case, thermal, mushy, boundary, check) -> CaseResult:
 # --- convective-to-Dirichlet limit study ------------------------------------
 
 
-class LimitStudy(namedtuple(
-    "LimitStudy", "h0_grid xi_conv coeff_conv xi_dirichlet coeff_dirichlet fitted_slope excluded"
-)):
+class LimitStudy(OutputRecord):
     """Convergence record of convective solutions toward the Dirichlet one.
 
     The same data (q0, d_inf, known coefficients) are solved convectively
@@ -328,6 +326,10 @@ class LimitStudy(namedtuple(
     """
 
     __slots__ = ()
+
+    def __new__(cls, h0_grid, xi_conv, coeff_conv, xi_dirichlet, coeff_dirichlet, fitted_slope, excluded):
+        return tuple.__new__(cls, (h0_grid, xi_conv, coeff_conv, xi_dirichlet, coeff_dirichlet, fitted_slope,
+                                   excluded))
 
 
 def limit_study(

@@ -10,7 +10,6 @@ tests and the experiment scripts live on.
 
 import math
 import random
-from collections import namedtuple
 
 from . import specfun
 from .direct import _strength, stefan_lhs
@@ -19,6 +18,7 @@ from .model import (
     BoundaryData,
     Face,
     MushyCoefficients,
+    OutputRecord,
     ThermalCoefficients,
     UnknownCase,
     validate,
@@ -28,10 +28,13 @@ from .model import (
 __all__ = ["ManufacturedProblem", "manufacture", "random_problem"]
 
 
-class ManufacturedProblem(namedtuple("ManufacturedProblem", "face thermal mushy boundary xi")):
+class ManufacturedProblem(OutputRecord):
     """A complete, consistent data set together with the xi that built it."""
 
     __slots__ = ()
+
+    def __new__(cls, face, thermal, mushy, boundary, xi):
+        return tuple.__new__(cls, (face, thermal, mushy, boundary, xi))
 
     def hide(self, case: UnknownCase) -> tuple[ThermalCoefficients, MushyCoefficients, float]:
         """Blank out one coefficient; returns the partial data and the truth."""

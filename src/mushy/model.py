@@ -16,13 +16,15 @@ Input records, which callers build (coefficients, boundary data), are frozen
 values with a written ``__init__`` on one base, :class:`FrozenRecord`; the
 ``dataclasses`` functions accept them, and a process that does not call
 those never imports ``dataclasses``.  Output records, which the library
-builds, are ``collections.namedtuple`` subclasses.
+builds, are tuples on one base, :class:`OutputRecord`, with the interface of
+a ``collections.namedtuple``; each writes its ``__new__``, and no code is
+generated for them at import either.
 """
 
 import functools
 import math
 import sys
-from collections import namedtuple
+from collections import _tuplegetter
 from enum import Enum
 from operator import mul
 
@@ -196,7 +198,63 @@ class BoundaryData(FrozenRecord):
         self.__dict__.update(q0=q0, d_inf=d_inf, h0=h0)
 
 
-class SimilaritySolution(namedtuple("SimilaritySolution", "a_coef b_coef xi mu alpha")):
+#: namedtuple's error for an unknown field name in ``_replace``: TypeError
+#: from Python 3.13, where ``copy.replace`` calls it, ValueError before.
+_UNKNOWN_FIELD = TypeError if sys.version_info >= (3, 13) else ValueError
+
+
+class OutputRecord(tuple):
+    """Base of the output records: the interface of a ``collections.namedtuple``.
+
+    A subclass writes ``__new__(cls, <fields>)``, with the fields' defaults,
+    which returns ``tuple.__new__(cls, (<fields>))``.  The fields are read
+    once from that signature: the class gets ``_fields``, ``__match_args__``,
+    ``_field_defaults`` and, per field, the C descriptor a namedtuple reads
+    it through.  A subclass that writes no ``__new__`` keeps its base's
+    fields.  ``_make``, ``_replace`` (also as ``__replace__``), ``_asdict``,
+    ``__getnewargs__`` and ``repr`` are those namedtuple generates.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        new = cls.__dict__.get("__new__")
+        if new is None:
+            return
+        code, defaults = new.__func__.__code__, new.__func__.__defaults__ or ()
+        fields = code.co_varnames[1:code.co_argcount]
+        cls._fields = cls.__match_args__ = fields
+        cls._field_defaults = dict(zip(fields[len(fields) - len(defaults):], defaults))
+        for index, name in enumerate(fields):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+
+    @classmethod
+    def _make(cls, iterable):
+        result = tuple.__new__(cls, iterable)
+        if len(result) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(result)}")
+        return result
+
+    def _replace(self, /, **kwds):
+        result = self._make(map(kwds.pop, self._fields, self))
+        if kwds:
+            raise _UNKNOWN_FIELD(f"Got unexpected field names: {list(kwds)!r}")
+        return result
+
+    __replace__ = _replace  # copy.replace, from Python 3.13
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class SimilaritySolution(OutputRecord):
     """Closed-form solution of the one-phase problem.
 
     The solid temperature is T(x, t) = a_coef + b_coef * erf(x / (2 sqrt(alpha t)))
@@ -235,7 +293,7 @@ def _check_solution(b_coef: float, xi: float, mu: float, alpha: float) -> None:
         raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
 
 
-class RestrictionReport(namedtuple("RestrictionReport", "restriction_id satisfied lhs rhs note", defaults=("",))):
+class RestrictionReport(OutputRecord):
     """Outcome of one solvability restriction, oriented as ``lhs < rhs``.
 
     ``margin = rhs - lhs`` is positive exactly when the restriction is
@@ -245,6 +303,9 @@ class RestrictionReport(namedtuple("RestrictionReport", "restriction_id satisfie
     """
 
     __slots__ = ()
+
+    def __new__(cls, restriction_id, satisfied, lhs, rhs, note=""):
+        return tuple.__new__(cls, (restriction_id, satisfied, lhs, rhs, note))
 
     @property
     def margin(self) -> float:
@@ -258,14 +319,17 @@ def _report(restriction_id: str, lhs: float, rhs: float, note: str = "") -> Rest
     return tuple.__new__(RestrictionReport, (restriction_id, lhs < rhs, lhs, rhs, note))
 
 
-class CaseResult(namedtuple("CaseResult", "case value xi solution reports")):
+class CaseResult(OutputRecord):
     """Recovered coefficient (``value``, for the unknown ``case``) together
     with ``xi``, the full solution and the restriction reports."""
 
     __slots__ = ()
 
+    def __new__(cls, case, value, xi, solution, reports):
+        return tuple.__new__(cls, (case, value, xi, solution, reports))
 
-class ProblemInstance(namedtuple("ProblemInstance", "face case thermal mushy boundary")):
+
+class ProblemInstance(OutputRecord):
     """A validated problem description.
 
     Exactly the slot named by ``case`` is None among the six coefficients
@@ -273,6 +337,9 @@ class ProblemInstance(namedtuple("ProblemInstance", "face case thermal mushy bou
     """
 
     __slots__ = ()
+
+    def __new__(cls, face, case, thermal, mushy, boundary):
+        return tuple.__new__(cls, (face, case, thermal, mushy, boundary))
 
 
 class _OutOfBand(ProblemInstance):
@@ -418,11 +485,12 @@ def normalised(case, run, thermal: ThermalCoefficients, mushy: MushyCoefficients
     :func:`unit_exponents`, fitted here once, with its result in the
     caller's units: the one place that handles a unit.  A SimilaritySolution
     among ``args`` is scaled into those units with the data.  A
-    SimilaritySolution result has its a_coef, b_coef and alpha scaled back,
-    a CaseResult its solution and its value, that of ``case``; reports, also
-    those of a RestrictionError, keep R1's sides in the caller's units; any
-    other result is dimensionless.  A value or solution figure that the
-    caller's units cannot hold raises NumericalError.
+    SimilaritySolution result (a direct solve's) has its a_coef, b_coef and
+    alpha scaled back, a CaseResult its solution and its value, that of
+    ``case``; reports, also those of a RestrictionError, keep R1's sides in
+    the caller's units; any other result is dimensionless.  A value or
+    solution figure that the caller's units cannot hold raises
+    NumericalError, which names the case ("direct" for a direct solve).
     """
     units = unit_exponents(case, thermal, mushy, boundary)
     if units is None:
@@ -441,15 +509,12 @@ def normalised(case, run, thermal: ThermalCoefficients, mushy: MushyCoefficients
         raise RestrictionError(str(err), _reports_back(err.reports, boundary)) from None
     back = tuple(-u for u in units)
     if type(result) is SimilaritySolution:
-        return solution_in_units(back, result)
+        return _named_solution("direct", back, result)
     if type(result) is CaseResult:  # epsilon is a number
         name, value = case._value_, result.value
         if name != "epsilon":
             value = in_range(f"the recovered {name}", _in_units(back, DIMENSIONS[name], value))
-        try:
-            solution = solution_in_units(back, result.solution)
-        except NumericalError as err:  # named as the case solvers name it in their units
-            raise NumericalError(f"case {name}: {err}") from None
+        solution = _named_solution(name, back, result.solution)
         return tuple.__new__(CaseResult, (case, value, result.xi, solution, _reports_back(result.reports, boundary)))
     if type(result) is tuple:
         return _reports_back(result, boundary)
@@ -461,6 +526,15 @@ def _reports_back(reports: tuple, boundary: BoundaryData) -> tuple:
     if reports and type(reports[0]) is RestrictionReport and reports[0].restriction_id == "R1":
         return (_report("R1", boundary.q0, boundary.h0 * boundary.d_inf), *reports[1:])
     return reports
+
+
+def _named_solution(name: str, units, solution: SimilaritySolution) -> SimilaritySolution:
+    """:func:`solution_in_units`, its NumericalError named as the solvers
+    name it in their units, "case <name>: ..."."""
+    try:
+        return solution_in_units(units, solution)
+    except NumericalError as err:
+        raise NumericalError(f"case {name}: {err}") from None
 
 
 def solution_in_units(units, solution: SimilaritySolution) -> SimilaritySolution:
@@ -540,8 +614,7 @@ def validate(
       value there would silently be ignored by the solvers;
     * epsilon lies strictly inside (0, 1) whenever present;
     * the convective problem carries h0 > 0; the Dirichlet problem ignores h0;
-    * ``face`` is a Face member, and ``case`` an UnknownCase member or None
-      (the inline pass below admits another case only on complete data).
+    * ``face`` is a Face member, and ``case`` an UnknownCase member or None.
 
     The instance holds exact floats.  A record whose fields are already in
     that normal form is returned as the caller's own (frozen) object; a new
@@ -560,7 +633,8 @@ def validate(
     # which owns the messages, their order, the normalisation and the band verdict.
     lo, hi = _BAND_MIN, _BAND_MAX
     if (
-        (l is None if case is _L else type(l) is float and lo < l < hi)
+        (type(case) is UnknownCase or case is None)
+        and (l is None if case is _L else type(l) is float and lo < l < hi)
         and (k is None if case is _K else type(k) is float and lo < k < hi)
         and (rho is None if case is _RHO else type(rho) is float and lo < rho < hi)
         and (c is None if case is _C else type(c) is float and lo < c < hi)

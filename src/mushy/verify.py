@@ -11,7 +11,6 @@ the free-boundary problem.
 """
 
 import math
-from collections import namedtuple
 from collections.abc import Sequence
 
 from .direct import (
@@ -29,6 +28,7 @@ from .model import (
     BoundaryData,
     Face,
     MushyCoefficients,
+    OutputRecord,
     SimilaritySolution,
     ThermalCoefficients,
     in_range,
@@ -121,7 +121,7 @@ def brute_bisect(eq: MonotoneEquation, lo: float, hi: float, width: float = 1e-1
     return 0.5 * (lo + hi)
 
 
-class PdeResidual(namedtuple("PdeResidual", "pde_residual_max fd_step")):
+class PdeResidual(OutputRecord):
     """:func:`pde_residual`'s report: the largest finite-difference
     heat-equation residual over the sample, normalized by the natural scale
     (peak temperature magnitude over smallest sampled time), and the
@@ -129,13 +129,19 @@ class PdeResidual(namedtuple("PdeResidual", "pde_residual_max fd_step")):
 
     __slots__ = ()
 
+    def __new__(cls, pde_residual_max, fd_step):
+        return tuple.__new__(cls, (pde_residual_max, fd_step))
 
-class ConditionResiduals(namedtuple("ConditionResiduals", "condition_residuals")):
+
+class ConditionResiduals(OutputRecord):
     """:func:`condition_residuals`' report: each condition identifier of
     :data:`CONDITION_IDS` after ``pde`` mapped to its largest relative
     residual over the sampled times."""
 
     __slots__ = ()
+
+    def __new__(cls, condition_residuals):
+        return tuple.__new__(cls, (condition_residuals,))
 
 
 def pde_residual(

@@ -941,6 +941,26 @@ def test_a_solution_past_the_callers_range_names_its_case(face, tmp_path, capsys
                             "alpha must be positive and finite, got inf\n")
 
 
+#: A wide-range direct scenario, two data at the recipe's edge values (rho =
+#: 1e-310, gamma = 1.7e308): it solves in the data's own units, and its alpha
+#: overflows in the caller's.
+DIRECT_ALPHA_PAST_RANGE = {
+    "problem": {"type": "dirichlet", "case": "direct"},
+    "coefficients": {"l": 0.0015617841832365254, "k": 5.6277371418857445e-05, "rho": 1e-310,
+                     "c": 5.3799041406319547e-45, "gamma": 1.7e+308, "epsilon": 0.10003781731246071},
+    "boundary": {"q0": 5.089941596725677e+33, "d_inf": 7.1350985001936375e+267},
+}
+
+
+@pytest.mark.parametrize("sub", ["solve", "verify", "profile"])
+def test_a_direct_solution_past_the_callers_range_names_its_case(sub, tmp_path, capsys):
+    path = tmp_path / "direct.json"
+    path.write_text(json.dumps(DIRECT_ALPHA_PAST_RANGE))
+    assert run([sub, str(path)], capsys) == (
+        EXIT_NUMERICAL, "", "error: case direct: the solution leaves the range of a double: "
+                            "alpha must be positive and finite, got inf\n")
+
+
 #: The edge values of a wide-range draw; see :func:`wide_range_scenario`.
 WIDE_RANGE_EDGES = (5e-324, 1.7e308, 1e-310, 1.0, 2.0)
 
