@@ -99,6 +99,7 @@ from .model import (
     SimilaritySolution,
     ThermalCoefficients,
     UnknownCase,
+    _refused_solution,
     normalised,
     validate,
     with_coefficient,
@@ -368,7 +369,7 @@ def _solve_direct(_, thermal: ThermalCoefficients, mushy: MushyCoefficients, bou
     try:
         return build_solution(thermal, mushy, boundary, solve_increasing(front_balance(thermal, mushy, boundary)))
     except (ValidationError, DomainError) as err:  # as in the case solvers: the solution left the range
-        raise NumericalError(f"case direct: {inverse_convective.SOLUTION_OUT_OF_RANGE}: {err}") from None
+        raise _refused_solution("direct", err) from None
 
 
 def _report_doc(report: RestrictionReport) -> dict:

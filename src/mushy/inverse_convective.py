@@ -14,16 +14,17 @@ R5  root existence for the unknown-specific-heat equation.
 
 :func:`solve_case` returns the evaluated reports alongside the recovered
 coefficient, the front position and the assembled solution.  Its recovery,
-the two front-position equations and one closed form per unknown, is
-written for a general attenuation beta = 1 - q0/(h0 d_inf), and starts
-from the figures of the restriction pass; the Dirichlet face is its beta = 1
-instance (:mod:`mushy.inverse_dirichlet`), which starts from its own pass.
+two front-position equations and the tail ``_recover`` (one closed form per
+unknown, then the solution record), is written for a general attenuation
+beta = 1 - q0/(h0 d_inf); the Dirichlet face is its beta = 1 instance
+(:mod:`mushy.inverse_dirichlet`), which writes only its restriction pass.
 """
 
 import math
 
 from . import specfun
 from .direct import (
+    _INF,
     _LN2,
     SQRT_PI,
     _face_argument,
@@ -47,7 +48,6 @@ from .model import (
     _L,
     _NORMAL_MIN,
     _RHO,
-    SOLUTION_OUT_OF_RANGE,
     BoundaryData,
     CaseResult,
     MushyCoefficients,
@@ -56,6 +56,7 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     _not_a_case,
+    _refused_solution,
     _report,
     normalised,
     out_of_range,
@@ -64,7 +65,6 @@ from .model import (
 from .rootfind import MonotoneEquation, solve_increasing
 from .specfun import TWO_OVER_SQRT_PI
 
-_INF = math.inf  # as in mushy.direct
 _FOUR_OVER_PI = 4.0 / math.pi
 _R_AT_ONE = 1.0 / math.erf(1.0)  # x / erf(x) at x = 1
 
@@ -402,25 +402,18 @@ def _c_start(cf: float, target: float, lower: float) -> float:
 FACE_CASES = (_L, _GAMMA, _EPSILON)
 
 
-def _closed_form(
-    case: UnknownCase,
-    thermal: ThermalCoefficients,
-    mushy: MushyCoefficients,
-    boundary: BoundaryData,
-    xi: float,
-    beta: float,
-    gap: float | None,
-    krc: float | None,
-) -> float:
-    """The unknown coefficient of ``case`` at the front position xi, from
-    the figures of a solve's restriction pass: the face attenuation beta
-    (1 for the Dirichlet face), which the k, rho and c forms read through
-    amp = q0 erf(xi) / (d_inf beta), the square root of k rho c / pi;
-    ``krc`` = sqrt(k rho c) for l, gamma and epsilon; and for gamma and
-    epsilon the cancellation-prone ``gap`` (q0/l) sqrt(c/(rho k)) - xi e**xi^2
-    of R3's (R7's) sides.  A figure a form does not read is None.  A
-    product, group or value that is not a positive normal double raises
-    NumericalError, as does an epsilon that rounds to 1.
+def _recover(case, thermal, mushy, boundary, reports, xi, beta, gap, krc) -> CaseResult:
+    """The CaseResult of ``case`` at the front position xi, with its
+    restriction ``reports``: the recovery tail of both faces.  The closed
+    forms read the figures of a solve's restriction pass: the face
+    attenuation beta (1 for the Dirichlet face), which the k, rho and c
+    forms read through amp = q0 erf(xi) / (d_inf beta), the square root of
+    k rho c / pi; ``krc`` = sqrt(k rho c) for l, gamma and epsilon; and for
+    gamma and epsilon the cancellation-prone ``gap``, the difference
+    (q0/l) sqrt(c/(rho k)) - xi e**xi^2 of R3's (R7's) sides.  A figure a
+    form does not read is None.  A product, group or value that is not a
+    positive normal double, an epsilon that rounds to 1 and a figure that
+    the solution record refuses raise NumericalError.
     """
     if case is _L:
         strength = _strength(mushy.gamma * (1.0 - mushy.epsilon), krc, boundary.q0)
@@ -454,7 +447,11 @@ def _closed_form(
         value = math.pi / product * amp * amp
     if not _NORMAL_MIN <= value < _INF:
         raise out_of_range(f"the recovered {case.value}", value)
-    return value
+    try:
+        solution = build_solution(thermal, mushy, boundary, xi, value)
+    except (ValidationError, DomainError) as err:  # build_solution's checks of xi and the record
+        raise _refused_solution(case.value, err) from None
+    return tuple.__new__(CaseResult, (case, value, xi, solution, reports))
 
 
 def solve_case(
@@ -489,14 +486,7 @@ def _solve(case, thermal, mushy, boundary) -> CaseResult:
     reports, xi, beta, gap, krc = _evaluate(case, thermal, mushy, boundary)
     if not reports[-1].satisfied:  # the pass stops at its first failure
         require_satisfied(reports)
-
-    try:
-        if xi is None:  # k, rho or c: every restriction held, none of them R2
-            equation = xi_equation_c if case is _C else xi_equation_kr
-            xi = solve_increasing(equation(thermal, mushy, boundary, beta))  # a normal double, or it raises
-
-        value = _closed_form(case, thermal, mushy, boundary, xi, beta, gap, krc)
-        solution = build_solution(thermal, mushy, boundary, xi, value)
-    except (ValidationError, DomainError) as err:  # build_solution's checks of xi and the record
-        raise NumericalError(f"case {case.value}: {SOLUTION_OUT_OF_RANGE}: {err}") from None
-    return tuple.__new__(CaseResult, (case, value, xi, solution, reports))
+    if xi is None:  # k, rho or c: every restriction held, none of them R2
+        equation = xi_equation_c if case is _C else xi_equation_kr
+        xi = solve_increasing(equation(thermal, mushy, boundary, beta))  # a normal double, or it raises
+    return _recover(case, thermal, mushy, boundary, reports, xi, beta, gap, krc)

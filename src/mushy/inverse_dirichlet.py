@@ -3,9 +3,9 @@
 Here the flux condition is overspecified by a prescribed face temperature
 -d_inf instead of a convective exchange.  This is the h0 -> infinity limit
 of the convective problem, where the attenuation 1 - q0/(h0 d_inf) becomes
-beta = 1, and the module solves it as that instance: the front-position
-equations and the closed forms are those of
-:mod:`mushy.inverse_convective` at beta = 1.  What the two faces do not
+beta = 1, and the module solves it as that instance: it calls the
+front-position equations of :mod:`mushy.inverse_convective` at beta = 1 and
+ends each solve in that module's recovery tail.  What the two faces do not
 share are their restrictions, below, and the face datum.
 
 Restrictions:
@@ -36,7 +36,7 @@ from .direct import (
     _face_argument,
     _strength,
     balance_equation,
-    build_solution,
+    build_solution,  # unused: perfbench's tracer rebinds it here (ROADMAP item 8)
     dxexp_sq,
     face_argument,
     specific_heat_products,
@@ -45,8 +45,8 @@ from .direct import (
     xexp_sq_start,
     zone_strength,
 )
-from .errors import DomainError, NoRootError, NumericalError, RestrictionError, ValidationError
-from .inverse_convective import _closed_form
+from .errors import NoRootError, RestrictionError
+from .inverse_convective import _recover
 from .model import (
     _C,
     _DIRICHLET,
@@ -290,24 +290,17 @@ def _solve(case, thermal, mushy, boundary, check) -> CaseResult:
     reports = check(case, thermal, mushy, boundary)
     if reports and not reports[-1].satisfied:  # the checks stop at their first failure
         inverse_convective.require_satisfied(reports)
-
-    try:
-        if case is _K or case is _RHO or case is _C:
-            equation = inverse_convective.xi_equation_c if case is _C else inverse_convective.xi_equation_kr
-            xi = solve_increasing(equation(thermal, mushy, boundary, 1.0))  # a normal double, or it raises
-            gap = krc = None
-        else:  # l, gamma, epsilon: R6's or R7's lhs is the face argument, from a normal k rho c
-            xi = specfun.erf_inv(reports[0].lhs)
-            if not _NORMAL_MIN <= xi:
-                raise out_of_range("xi", xi)
-            krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
-            gap = None if case is _L else stefan_rhs(thermal, boundary) - xexp_sq(xi)
-
-        value = _closed_form(case, thermal, mushy, boundary, xi, 1.0, gap, krc)
-        solution = build_solution(thermal, mushy, boundary, xi, value)
-    except (ValidationError, DomainError) as err:  # build_solution's checks of xi and the record
-        raise NumericalError(f"case {case.value}: {inverse_convective.SOLUTION_OUT_OF_RANGE}: {err}") from None
-    return tuple.__new__(CaseResult, (case, value, xi, solution, reports))
+    if case is _K or case is _RHO or case is _C:
+        equation = inverse_convective.xi_equation_c if case is _C else inverse_convective.xi_equation_kr
+        xi = solve_increasing(equation(thermal, mushy, boundary, 1.0))  # a normal double, or it raises
+        gap = krc = None
+    else:  # l, gamma, epsilon: R6's or R7's lhs is the face argument, from a normal k rho c
+        xi = specfun.erf_inv(reports[0].lhs)
+        if not _NORMAL_MIN <= xi:
+            raise out_of_range("xi", xi)
+        krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
+        gap = None if case is _L else stefan_rhs(thermal, boundary) - xexp_sq(xi)
+    return _recover(case, thermal, mushy, boundary, reports, xi, 1.0, gap, krc)
 
 
 # --- convective-to-Dirichlet limit study ------------------------------------

@@ -386,6 +386,11 @@ def out_of_range(name: str, value: float) -> NumericalError:
     return NumericalError(f"{name} = {value!r} is not a positive normal double, outside the range of a double")
 
 
+def _refused_solution(name: str, err: Exception) -> NumericalError:
+    """The error of case ``name``, or "direct", whose solution record refused a figure with ``err``."""
+    return NumericalError(f"case {name}: {SOLUTION_OUT_OF_RANGE}: {err}")
+
+
 def _not_a_case(case) -> ValidationError:
     return ValidationError(f"case must be an UnknownCase member, got {case!r}")
 

@@ -12,11 +12,10 @@ start does; both only accelerate it.
 """
 
 import math
-import sys
 from collections.abc import Callable
 
 from .errors import BracketOverflowError, ConvergenceError, NoRootError, NumericalError
-from .model import FrozenRecord
+from .model import _NORMAL_MIN, FrozenRecord
 
 __all__ = ["MonotoneEquation", "solve_increasing", "REL_TOL", "MAX_EVALS", "BRACKET_CAP"]
 
@@ -31,10 +30,6 @@ MAX_EVALS = 200
 #: equation of the family handled here that is still below target at 40 has
 #: no representable root.  A start must lie below it.
 BRACKET_CAP = 40.0
-
-#: The least positive normal double.  A target or root below it cannot meet
-#: a relative certificate: its own spacing is coarser than REL_TOL of it.
-_NORMAL_MIN = sys.float_info.min
 
 
 class MonotoneEquation(FrozenRecord):
@@ -102,7 +97,7 @@ def solve_increasing(eq: MonotoneEquation) -> float:
             eq.lower_limit,
             target,
         )
-    if not (target >= _NORMAL_MIN or target <= -_NORMAL_MIN):
+    if not (target >= _NORMAL_MIN or target <= -_NORMAL_MIN):  # its spacing is coarser than REL_TOL of it
         raise NumericalError(f"{label}: target {target!r} is not a normal double")
 
     # The loops below run once per evaluation, so they read only locals and

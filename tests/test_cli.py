@@ -214,7 +214,7 @@ def test_manufacture_requires_h0_for_convective(capsys):
     "options",
     [["--k", "-1"], ["--k", "0"], ["--q0", "0"], ["--xi", "30"], ["--k", "nan"], ["--k", "inf"], ["--xi", "20"],
      ["--epsilon", "1"], ["--h0", "0"], ["--gamma", "nan"], ["--k", "1e-120", "--rho", "1e-120", "--c", "1e-120"],
-     ["--q0", "1e300", "--h0", "1e-10"]],
+     ["--q0", "1e300", "--h0", "1e-10"], ["--xi", "0"]],
     ids=" ".join,
 )
 def test_manufacture_rejects_what_it_cannot_compute_with(capsys, options):
@@ -376,10 +376,23 @@ def test_limit_study_json_reports_exclusions(dirichlet_gamma_path, capsys):
     assert abs(doc["fitted_slope"] + 1.0) < 0.15
 
 
-def test_limit_requires_dirichlet_scenario(case_l_path, capsys):
+def test_limit_study_notes_an_unsorted_grid(dirichlet_gamma_path, capsys):
+    code, out, _ = run(["limit", str(dirichlet_gamma_path), "--h0-grid", "1000,10"], capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert [row["h0"] for row in doc["rows"]] == [10.0, 1000.0]
+    assert list(doc.items())[-1] == ("note", "h0 grid was unsorted; processed in ascending order")
+
+
+def test_limit_requires_dirichlet_scenario(case_l_path, direct_path, tmp_path, capsys):
     code, _, err = run(["limit", str(case_l_path)], capsys)
     assert code == EXIT_INPUT
     assert "dirichlet" in err
+    # a Dirichlet scenario with no unknown has nothing to study
+    path = tmp_path / "dirichlet_direct.ini"
+    path.write_text(restate(direct_path.read_text(), problem="dirichlet"))
+    assert run(["limit", str(path)], capsys) == (
+        EXIT_INPUT, "", "error: the limit study needs an unknown coefficient, not a direct scenario\n")
 
 
 def test_check_restrictions_pass(case_l_path, capsys):
@@ -483,8 +496,10 @@ def test_leading_byte_order_mark_is_ignored(case_l_path, tmp_path, capsys, fmt):
         ('{"problem": ' + "[" * 900 + "]" * 900 + "}", "[problem] section must be a JSON object, got [[[[[[[...]]]]]]]"),
         ("garbage\n", "invalid scenario file: File contains no section headers. file: '<string>', line: 1"),
         (CASE_L_INI + "k = 2.0\n[broken\n", "invalid scenario file: Source contains parsing errors: '<string>' "),
+        (CASE_L_INI.replace("type = convective\n", ""), "[problem] section must set `type`"),
     ],
-    ids=["nested-past-the-recursion-limit", "nested-below-it", "no-section-header", "parsing-errors"],
+    ids=["nested-past-the-recursion-limit", "nested-below-it", "no-section-header", "parsing-errors",
+         "problem-without-type"],
 )
 def test_malformed_scenario_is_one_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "malformed"

@@ -117,6 +117,27 @@ def test_face_argument_above_unity_rejected(face, example):
     assert err.value.failed_ids() == CASE_RESTRICTIONS[face][UnknownCase.L][-1:]  # R2 / R6
 
 
+# The face-determined xi of unit l, k, rho, c and q0, gamma = 0.1, epsilon = 0.5
+# and d_inf = 2.3e-308 sqrt(pi) (h0 = 1e308 on the convective face): erf_inv
+# of a face argument below the normal range, a subnormal double.
+SUBNORMAL_XI = {Face.CONVECTIVE: 1.538321928541343e-308, Face.DIRICHLET: 2.0383219285413435e-308}
+
+
+@pytest.mark.parametrize("case", conv.FACE_CASES, ids=lambda case: case.value)
+def test_a_subnormal_face_front_is_refused(face, case):
+    boundary = BoundaryData(q0=1.0, d_inf=2.3e-308 * math.sqrt(math.pi), h0=1e308 if face is Face.CONVECTIVE else None)
+    thermal, mushy = model.with_coefficient(ThermalCoefficients(l=1.0, k=1.0, rho=1.0, c=1.0),
+                                            MushyCoefficients(epsilon=0.5, gamma=0.1), case, None)
+    if face is Face.DIRICHLET and case is UnknownCase.EPSILON:  # R8 fails before the solve reads xi
+        with pytest.raises(RestrictionError) as err:
+            SOLVE[face](case, thermal, mushy, boundary)
+        assert err.value.failed_ids() == ("R8",)
+        return
+    with pytest.raises(NumericalError) as err:
+        SOLVE[face](case, thermal, mushy, boundary)
+    assert str(err.value).startswith(f"xi = {SUBNORMAL_XI[face]!r} is not a positive normal double")
+
+
 def test_face_determined_front_is_shared_bitwise(face, example):
     xis = []
     for case in conv.FACE_CASES:

@@ -75,9 +75,11 @@ def test_range_probe_finds_no_wrong_answer(tmp_path):
     # test_faces.py runs seed 1), the l/gamma/epsilon table, then the
     # k/rho/c one: every kept case is answered within 1e-10, or refused
     # with a NumericalError; none is answered wrong, and no solve exhausts
-    # its root solve's budget.  The last line is the digest of every outcome.
+    # its root solve's budget.  The last line is the digest of every outcome,
+    # pinned: a change that moves any out-of-band outcome, a value's bits, an
+    # error's type or its message, must say which and update it.
     out = _run("range_probe.py", ["--n", "60", "--seed", "2"], tmp_path)
-    assert re.fullmatch(r"sha256 [0-9a-f]{64}", out.splitlines()[-1]), out.splitlines()[-1]
+    assert out.splitlines()[-1] == "sha256 703a729bb5f16bde437acf51ba1593259edc5f6da0e587659228d6825dc99136"
     blocks = out.split("\n\n")
     tables = [block.splitlines()[1:] for block in blocks if block.startswith("outcome")]
     assert len(tables) == 2
