@@ -100,7 +100,6 @@ from .model import (
     ThermalCoefficients,
     UnknownCase,
     _refused_solution,
-    normalised,
     validate,
     with_coefficient,
 )
@@ -120,7 +119,7 @@ MAX_GRID_POINTS = 10_000
 LIMIT_H0_GRID = "1e1,1e2,1e3,1e4,1e5,1e6"
 
 #: ``verify``'s fixed check: the sample times (ascending), the interior
-#: sample positions (ascending) as fractions of s at the first time, the
+#: sample positions (ascending) as shares of s at the first time, the
 #: relative finite-difference step, and the bounds on the condition
 #: residuals and on the PDE residual.
 VERIFY_TIMES = (0.5, 1.0, 2.0)
@@ -351,8 +350,8 @@ def _solve(args: SimpleNamespace) -> tuple[ProblemInstance, CaseResult | None, S
     """
     instance = load_scenario(args.scenario)
     case = instance.case
-    if case is None:  # as in the case solvers, data outside the band are solved in their units
-        return instance, None, normalised(None, _solve_direct, *instance[2:])
+    if case is None:
+        return instance, None, _solve_direct(*instance[2:])
     if instance.face is Face.CONVECTIVE:
         solve_case = inverse_convective.solve_case
     else:
@@ -364,8 +363,7 @@ def _solve(args: SimpleNamespace) -> tuple[ProblemInstance, CaseResult | None, S
     return instance._replace(case=None, thermal=thermal, mushy=mushy), result, result.solution
 
 
-def _solve_direct(_, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData
-                  ) -> SimilaritySolution:
+def _solve_direct(thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData) -> SimilaritySolution:
     try:
         return build_solution(thermal, mushy, boundary, solve_increasing(front_balance(thermal, mushy, boundary)))
     except (ValidationError, DomainError) as err:  # as in the case solvers: the solution left the range
@@ -515,7 +513,49 @@ def cmd_limit(args: SimpleNamespace) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def _verify(_, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData,
+#: verify's band: data that all lie inside it are checked as given.
+_VERIFY_BAND_MIN, _VERIFY_BAND_MAX = 2.0**-250, 2.0**250
+
+#: The dimensions of each datum and solution figure as exponents of mass,
+#: length, half-time (q0 and h0 carry T^(-5/2)) and temperature.  In the
+#: units M 2^a, L 2^b, T 4^c and Theta 2^d a quantity with the row (m, n, t,
+#: o) is its value times 2^(m a + n b + t c + o d), an exact change.
+_DIMENSIONS = {"l": (0, 2, -4, 0), "k": (1, 1, -6, -1), "rho": (1, -3, 0, 0), "c": (0, 2, -4, -1),
+               "gamma": (0, 0, 0, 1), "q0": (1, 0, -5, 0), "d_inf": (0, 0, 0, 1), "h0": (1, 0, -5, -1),
+               "a_coef": (0, 0, 0, 1), "b_coef": (0, 0, 0, 1), "alpha": (0, 2, -2, 0)}
+
+
+def _record_units(thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData,
+                  solution: SimilaritySolution) -> tuple:
+    """The data and ``solution`` in the units where k and c lie in [0.5, 2)
+    and rho and b_coef in [0.5, 1).  With e the binary exponents of k, rho,
+    c and b_coef, the units (a, b, c, d) solve the integer system, of
+    determinant 4, that takes k, rho, c and b_coef to the exponents r_k, 0,
+    r_c and 0, where r_k and r_c, each 0 or 1, are the parities that the
+    system needs.  A figure past the largest double is inf."""
+    e_k, e_rho, e_c, e_b = (math.frexp(value)[1] for value in (thermal.k, thermal.rho, thermal.c, solution.b_coef))
+    k_gap, c_gap = e_k - e_rho + e_b, e_c + e_b  # 4 b - 6 c and 2 b - 4 c must bring these to r_k and r_c
+    time = (k_gap % 2 - k_gap) // 2 - (c_gap % 2 - c_gap)
+    length = (c_gap % 2 - c_gap) // 2 + 2 * time
+    units = (3 * length - e_rho, length, time, -e_b)
+
+    def scaled(record) -> dict:
+        fields = record._asdict() if isinstance(record, tuple) else record.__dict__
+        out = {}
+        for name, value in fields.items():
+            if name in _DIMENSIONS and value is not None:
+                try:
+                    value = math.ldexp(value, sum(u * e for u, e in zip(units, _DIMENSIONS[name])))
+                except OverflowError:
+                    value = math.inf
+            out[name] = value
+        return out
+
+    return (ThermalCoefficients(**scaled(thermal)), MushyCoefficients(**scaled(mushy)),
+            BoundaryData(**scaled(boundary)), SimilaritySolution(**scaled(solution)))
+
+
+def _verify(thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData,
             solution: SimilaritySolution, face: Face) -> tuple:
     """The condition residuals, the PDE residual and its step of ``solution``."""
     from . import verify
@@ -536,9 +576,13 @@ def _verify(_, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary:
 
 def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
     instance, result, solution = _solve(args)
-    # Checked in the units the residuals are taken in, at VERIFY_TIMES of
-    # those units: the solution is self-similar and every residual relative.
-    conditions, fd, fd_step = normalised(None, _verify, *instance[2:], solution, instance.face)
+    thermal, mushy, boundary = instance[2:]
+    values = (*thermal.__dict__.values(), mushy.gamma, boundary.q0, boundary.d_inf)
+    if not all(_VERIFY_BAND_MIN < value < _VERIFY_BAND_MAX for value in values):
+        # Checked at VERIFY_TIMES of the solution's own units: the solution is
+        # self-similar and every residual relative.
+        thermal, mushy, boundary, solution = _record_units(thermal, mushy, boundary, solution)
+    conditions, fd, fd_step = _verify(thermal, mushy, boundary, solution, instance.face)
 
     failures = sorted(
         name for name, value in conditions.condition_residuals.items() if value > VERIFY_CONDITION_TOL

@@ -17,6 +17,7 @@ from . import specfun
 from .errors import DomainError, NumericalError
 from .model import (
     _DIRICHLET,
+    _INF,
     _NORMAL_MIN,
     BoundaryData,
     Face,
@@ -26,7 +27,8 @@ from .model import (
     ThermalCoefficients,
     _check_front,
     _check_solution,
-    normalised,
+    _split,
+    in_range,
     out_of_range,
 )
 from .rootfind import MonotoneEquation
@@ -40,7 +42,6 @@ __all__ = [
     "stefan_lhs",
     "stefan_lhs_derivative",
     "stefan_rhs",
-    "specific_heat_products",
     "mushy_strength",
     "zone_strength",
     "balance_equation",
@@ -61,8 +62,6 @@ SQRT_PI = math.sqrt(math.pi)
 #: ln 2.  The starts take ln v as ln 2 log2(v): math.log parses an optional
 #: base and costs three times what math.log2 does.
 _LN2 = math.log(2.0)
-
-_INF = math.inf  # a module global: cheaper to read than math.inf on every solve
 
 
 class Region(Enum):
@@ -111,19 +110,34 @@ def mushy_strength(thermal: ThermalCoefficients, mushy: MushyCoefficients, bound
     Weights the contribution of the liquid-front release of latent heat in
     the front balance; 0 would mean all latent heat released at s(t).
     """
-    return _strength(mushy.gamma * (1.0 - mushy.epsilon), math.sqrt(thermal.k * thermal.rho * thermal.c), boundary.q0)
+    return _strength(mushy.gamma * (1.0 - mushy.epsilon), _root_krc(thermal), boundary.q0)
 
 
 def zone_strength(thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData) -> float:
     """Full zone strength g = gamma sqrt(k rho c) / (2 q0), the mushy
     strength at epsilon = 0, at which R4 and R8 evaluate the front balance."""
-    return _strength(mushy.gamma, math.sqrt(thermal.k * thermal.rho * thermal.c), boundary.q0)
+    return _strength(mushy.gamma, _root_krc(thermal), boundary.q0)
+
+
+def _root_krc(thermal: ThermalCoefficients) -> float:
+    """sqrt(k rho c), split where k rho or k rho c is not a positive normal
+    double; a root that is not one raises NumericalError."""
+    k_rho = thermal.k * thermal.rho
+    k_rho_c = k_rho * thermal.c
+    if k_rho >= _NORMAL_MIN and _NORMAL_MIN <= k_rho_c < _INF:  # an inf k rho makes k rho c inf
+        return math.sqrt(k_rho_c)
+    return in_range("sqrt(k rho c)", _split(lambda k, rho, c: math.sqrt(k * rho * c), (1, 1, 1),
+                                            thermal.k, thermal.rho, thermal.c))
 
 
 def _strength(weight: float, krc: float, q0: float) -> float:
     """weight sqrt(k rho c) / (2 q0) from krc = sqrt(k rho c): the zone
     strength at weight gamma, the mushy strength at gamma (1 - epsilon)."""
-    return weight * krc / (2.0 * q0)
+    zone = weight * krc
+    strength = zone / (2.0 * q0)
+    if zone >= _NORMAL_MIN and _NORMAL_MIN <= strength < _INF:  # an inf zone makes the strength inf or NaN
+        return strength
+    return _split(lambda weight, krc, q0: weight * krc / (2.0 * q0), (2, 2, -2), weight, krc, q0)
 
 
 def stefan_lhs(xi: float, strength: float) -> float:
@@ -140,32 +154,19 @@ def stefan_lhs_derivative(xi: float, strength: float) -> float:
 
 def stefan_rhs(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
     """Right side S = (q0 / l) sqrt(c / (rho k)) of the front balance, the
-    Stefan target.  A rho k, then an S, that is not a positive normal double
-    raises NumericalError (the range rule of :func:`~mushy.model.in_range`).
+    Stefan target, split where it or one of rho k, c / (rho k) and q0 / l
+    is not a positive normal double.  An S that is not one raises
+    NumericalError (the range rule of :func:`~mushy.model.in_range`).
     """
     rho_k = thermal.rho * thermal.k
-    if not rho_k >= _NORMAL_MIN:  # an inf makes S 0, which the next test meets
-        raise out_of_range("rho k", rho_k)
-    rhs = (boundary.q0 / thermal.l) * math.sqrt(thermal.c / rho_k)
-    if not _NORMAL_MIN <= rhs < _INF:
-        raise out_of_range("the Stefan target S", rhs)
-    return rhs
-
-
-def specific_heat_products(thermal: ThermalCoefficients, boundary: BoundaryData) -> tuple[float, float]:
-    """The products rho l k and 2 q0^2 that R5 and R9, the root-existence
-    conditions of the specific-heat equation, compare.
-
-    A rho l k, then a 2 q0^2, that underflows to 0 (compared with 0 itself,
-    so that the formulas also read symbolically) raises NumericalError.
-    """
-    rho_l_k = thermal.rho * thermal.l * thermal.k
-    if rho_l_k == 0.0:
-        raise out_of_range("rho l k", rho_l_k)
-    two_q0_sq = 2.0 * boundary.q0 * boundary.q0
-    if two_q0_sq == 0.0:
-        raise out_of_range("2 q0^2", two_q0_sq)
-    return rho_l_k, two_q0_sq
+    if _NORMAL_MIN <= rho_k < _INF:
+        ratio, q0_l = thermal.c / rho_k, boundary.q0 / thermal.l
+        rhs = q0_l * math.sqrt(ratio)
+        if ratio >= _NORMAL_MIN and q0_l >= _NORMAL_MIN and _NORMAL_MIN <= rhs < _INF:  # an inf factor makes S inf
+            return rhs
+    return in_range("the Stefan target S", _split(lambda q0, l, c, rho, k: (q0 / l) * math.sqrt(c / (rho * k)),
+                                                  (2, -2, 1, -1, -1),
+                                                  boundary.q0, thermal.l, thermal.c, thermal.rho, thermal.k))
 
 
 def balance_equation(strength: float, target: float, name: str, x0: float) -> MonotoneEquation:
@@ -215,15 +216,22 @@ def face_factor(boundary: BoundaryData, face: Face) -> float:
     Dirichlet, the h0 -> inf limit.
 
     Positive exactly when the convective data admit a cooling face (R1).
-    An h0 d_inf that underflows to 0 (compared with 0 itself, so that the
-    formula also reads symbolically) raises NumericalError.
     """
     if face is _DIRICHLET:
         return 1.0
-    h0_d_inf = boundary.h0 * boundary.d_inf
-    if h0_d_inf == 0.0:
-        raise out_of_range("h0 d_inf", h0_d_inf)
-    return 1.0 - boundary.q0 / h0_d_inf
+    return _attenuation(boundary.h0 * boundary.d_inf, boundary)
+
+
+def _attenuation(h0_d_inf: float, boundary: BoundaryData) -> float:
+    """:func:`face_factor` from R1's rhs h0 d_inf.  Where h0 d_inf is not a
+    positive normal double, q0 / (h0 d_inf) is split, and one past the
+    largest double raises NumericalError."""
+    if _NORMAL_MIN <= h0_d_inf < _INF:
+        return 1.0 - boundary.q0 / h0_d_inf
+    ratio = _split(lambda q0, h0, d_inf: q0 / (h0 * d_inf), (2, -2, -2), boundary.q0, boundary.h0, boundary.d_inf)
+    if ratio == _INF:
+        raise out_of_range("q0 / (h0 d_inf)", ratio)
+    return 1.0 - ratio
 
 
 def face_argument(thermal: ThermalCoefficients, boundary: BoundaryData, face: Face) -> float:
@@ -231,21 +239,33 @@ def face_argument(thermal: ThermalCoefficients, boundary: BoundaryData, face: Fa
     condition: the face group A = (d_inf / q0) sqrt(k rho c / pi) scaled by
     the convective attenuation beta.
 
-    An h0 d_inf that underflows to 0 (:func:`face_factor`), then a k rho c
-    or an A that is not a positive normal double, raises NumericalError.
+    A q0 / (h0 d_inf) past the largest double (:func:`face_factor`), then
+    an A that is not a positive normal double, raises NumericalError.
     """
-    k_rho_c = thermal.k * thermal.rho * thermal.c
-    return _face_argument(k_rho_c, boundary.d_inf, boundary.q0, face_factor(boundary, face))
+    beta = face_factor(boundary, face)
+    return _face_argument(thermal, boundary, beta)
 
 
-def _face_argument(k_rho_c: float, d_inf: float, q0: float, beta: float) -> float:
-    """:func:`face_argument` from the product k rho c and the attenuation beta."""
-    if not k_rho_c >= _NORMAL_MIN:  # an inf makes A inf or NaN, which the next test meets
-        raise out_of_range("k rho c", k_rho_c)
-    arg = (d_inf / q0) * math.sqrt(k_rho_c / math.pi)
-    if not _NORMAL_MIN <= arg < _INF:
-        raise out_of_range("the face group A", arg)
-    return arg * beta
+def _face_argument(thermal: ThermalCoefficients, boundary: BoundaryData, beta: float) -> float:
+    """:func:`face_argument` at the attenuation beta."""
+    arg = _face_group(thermal, boundary)
+    if _NORMAL_MIN <= arg < _INF:
+        return arg * beta
+    raise out_of_range("the face group A", arg)
+
+
+def _face_group(thermal: ThermalCoefficients, boundary: BoundaryData) -> float:
+    """The face group A, split where one of k rho, k rho c / pi, d_inf / q0
+    and A is not a positive normal double; past the largest double it is
+    inf, below the normal range subnormal or 0."""
+    k_rho = thermal.k * thermal.rho
+    ratio, k_rho_c_pi = boundary.d_inf / boundary.q0, k_rho * thermal.c / math.pi
+    arg = ratio * math.sqrt(k_rho_c_pi)
+    # an inf among k rho, k rho c / pi and d_inf / q0 makes A inf
+    if k_rho >= _NORMAL_MIN and k_rho_c_pi >= _NORMAL_MIN and ratio >= _NORMAL_MIN and _NORMAL_MIN <= arg < _INF:
+        return arg
+    return _split(lambda d_inf, q0, k, rho, c: (d_inf / q0) * math.sqrt(k * rho * c / math.pi), (2, -2, 1, 1, 1),
+                  boundary.d_inf, boundary.q0, thermal.k, thermal.rho, thermal.c)
 
 
 def build_solution(
@@ -269,8 +289,8 @@ def build_solution(
     k, rho, c and gamma that is None, the case's unknown, so a solver need
     not copy a record to hand its recovered value in.  The solution reads
     no other coefficient, so for the l and epsilon cases it is unused.
-    Valid data whose rho c underflows to 0 raise NumericalError, after
-    xi's check.
+    alpha, b_coef and the zone term of mu are split where a product or
+    quotient they form is not a positive normal double.
     """
     _check_front(xi, DomainError)  # before any figure is computed from xi
     k, rho, c, gamma, q0 = thermal.k, thermal.rho, thermal.c, mushy.gamma, boundary.q0
@@ -284,16 +304,32 @@ def build_solution(
         elif gamma is None:
             gamma = value
     rho_c = rho * c
-    if rho_c == 0.0:
-        raise NumericalError("rho c underflows to 0, outside the range of a double")
-    alpha = k / rho_c  # the expression of ThermalCoefficients.alpha
-    b_coef = q0 * _sqrt_product(math.pi, alpha) / k
+    alpha = pi_alpha = 0.0
+    if rho_c >= _NORMAL_MIN:  # an inf rho c makes alpha 0, which the test below meets
+        alpha = k / rho_c  # the expression of ThermalCoefficients.alpha
+        pi_alpha = math.pi * alpha
+    amplitude = q0 * math.sqrt(pi_alpha)
+    b_coef = amplitude / k
+    if not (alpha >= _NORMAL_MIN and pi_alpha < _INF and _NORMAL_MIN <= amplitude < _INF):
+        alpha = _split(lambda k, rho, c: k / (rho * c), (2, -2, -2), k, rho, c)
+        b_coef = _split(lambda q0, k, rho, c: q0 * math.sqrt(math.pi * (k / (rho * c))) / k, (2, -1, -1, -1),
+                        q0, k, rho, c)
     a_coef = -b_coef * math.erf(xi)  # xi is checked above
     try:
         e_xi2 = math.exp(xi * xi)
     except OverflowError:  # xi past about 26.64: mu is inf, or NaN if its factor underflows
         e_xi2 = _INF
-    mu = xi + gamma * math.sqrt(k * rho * c) * e_xi2 / (2.0 * q0)
+    k_rho = k * rho
+    k_rho_c = k_rho * c
+    strength = gamma * math.sqrt(k_rho_c)
+    zone = strength * e_xi2
+    term = zone / (2.0 * q0)
+    # an inf k rho or k rho c makes the strength inf
+    if not (k_rho >= _NORMAL_MIN and k_rho_c >= _NORMAL_MIN and _NORMAL_MIN <= strength < _INF and zone < _INF
+            and term >= _NORMAL_MIN):
+        term = _split(lambda gamma, k, rho, c, e, q0: gamma * math.sqrt(k * rho * c) * e / (2.0 * q0),
+                      (2, 1, 1, 1, 2, -2), gamma, k, rho, c, e_xi2, q0)
+    mu = xi + term
     _check_solution(b_coef, xi, mu, alpha)
     if mu == _INF:  # after the record's checks, whose ValidationErrors (a NaN mu's too) come first
         raise NumericalError("the liquid front mu leaves the range of a double")
@@ -396,20 +432,15 @@ def consistency_residuals(
     face: Face,
 ) -> ConsistencyResiduals:
     """Evaluate both consistency equations at xi for a complete data set,
-    in the data's units (:func:`~mushy.model.normalised`), where a product
-    or group the Stefan residual forms must be a positive normal double."""
-    return normalised(None, _residuals, thermal, mushy, boundary, xi, face)
-
-
-def _residuals(_, thermal, mushy, boundary, xi: float, face: Face) -> ConsistencyResiduals:
+    where the Stefan target S and the root sqrt(k rho c) must be positive
+    normal doubles."""
     # A beta as face_argument forms it, negative where the data fail R1
-    k_rho_c = thermal.k * thermal.rho * thermal.c
-    arg = (boundary.d_inf / boundary.q0) * math.sqrt(k_rho_c / math.pi) * face_factor(boundary, face)
+    arg = _face_group(thermal, boundary) * face_factor(boundary, face)
     if abs(arg) == _INF:
         raise out_of_range("the face argument A beta", arg)
     lhs = stefan_lhs(xi, mushy_strength(thermal, mushy, boundary))
     rhs = stefan_rhs(thermal, boundary)
     res_face = specfun.erf(xi) - arg
-    if k_rho_c >= _NORMAL_MIN and abs(arg) >= _NORMAL_MIN:
+    if abs(arg) >= _NORMAL_MIN:
         res_face /= arg
     return ConsistencyResiduals(res_stefan=(lhs - rhs) / max(abs(lhs), abs(rhs)), res_face=res_face)

@@ -24,15 +24,15 @@ import math
 
 from . import specfun
 from .direct import (
-    _INF,
     _LN2,
     SQRT_PI,
-    _face_argument,
+    _attenuation,
+    _face_group,
+    _root_krc,
     _strength,
     build_solution,
     face_argument,
     face_factor,
-    specific_heat_products,
     stefan_lhs,
     stefan_rhs,
     xexp_sq,
@@ -44,6 +44,7 @@ from .model import (
     _CONVECTIVE,
     _EPSILON,
     _GAMMA,
+    _INF,
     _K,
     _L,
     _NORMAL_MIN,
@@ -51,14 +52,13 @@ from .model import (
     BoundaryData,
     CaseResult,
     MushyCoefficients,
-    ProblemInstance,
     RestrictionReport,
     ThermalCoefficients,
     UnknownCase,
     _not_a_case,
     _refused_solution,
     _report,
-    normalised,
+    _split,
     out_of_range,
     validate,
 )
@@ -134,9 +134,27 @@ def check_r5(
 
 def _r5(beta: float, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData
         ) -> RestrictionReport:
-    """R5's report from its lhs, the attenuation beta."""
-    rho_l_k, two_q0_sq = specific_heat_products(thermal, boundary)
-    rhs = (two_q0_sq / rho_l_k - mushy.gamma * (1.0 - mushy.epsilon)) / boundary.d_inf
+    """R5's report from its lhs, the attenuation beta.  The quotient
+    2 q0^2 / (rho l k) is split where it or a product it forms is not a
+    positive normal double; where it is still not one, the two terms of the
+    rhs are formed apart, the first split, and two terms past the largest
+    double raise NumericalError."""
+    q0, rho, l, k, d_inf = boundary.q0, thermal.rho, thermal.l, thermal.k, boundary.d_inf
+    rho_l, two_q0_sq = rho * l, 2.0 * q0 * q0
+    rho_l_k = rho_l * k
+    ratio = two_q0_sq / rho_l_k if _NORMAL_MIN <= rho_l < _INF and _NORMAL_MIN <= rho_l_k < _INF else 0.0
+    if not (_NORMAL_MIN <= two_q0_sq < _INF and _NORMAL_MIN <= ratio < _INF):
+        ratio = _split(lambda q0, rho, l, k: 2.0 * q0 * q0 / (rho * l * k), (4, -2, -2, -2), q0, rho, l, k)
+    weight = mushy.gamma * (1.0 - mushy.epsilon)
+    if _NORMAL_MIN <= ratio < _INF:
+        rhs = (ratio - weight) / d_inf
+    else:  # 2 q0^2 / (rho l k) past the range: its term is formed divided by d_inf
+        rhs = (_split(lambda q0, rho, l, k, d_inf: 2.0 * q0 * q0 / (rho * l * k * d_inf), (4, -2, -2, -2, -2),
+                      q0, rho, l, k, d_inf)
+               - weight / d_inf)
+        if rhs != rhs:  # both terms past the largest double
+            raise NumericalError("R5's bound 2 q0^2 / (rho l k d_inf) - gamma (1 - epsilon) / d_inf is inf - inf, "
+                                 "outside the range of a double")
     return _report("R5", beta, rhs)
 
 
@@ -149,15 +167,12 @@ def check_all(
     """Evaluate the restrictions of one case in dependency order.
 
     Stops at the first failure, which makes the later ones undefined (R3
-    and R4 need the face-determined xi, hence R1 and R2).  Data outside the
-    band are checked in their units (:func:`~mushy.model.normalised`).
+    and R4 need the face-determined xi, hence R1 and R2).
     """
     if type(case) is not UnknownCase:
         raise _not_a_case(case)
-    instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
-    if type(instance) is ProblemInstance:  # every datum in the band
-        return _evaluate(case, *instance[2:])[0]
-    return normalised(case, lambda *data: _evaluate(*data)[0], *instance[2:])
+    _, _, thermal, mushy, boundary = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
+    return _evaluate(case, thermal, mushy, boundary)[0]
 
 
 def _evaluate(
@@ -173,25 +188,28 @@ def _evaluate(
     computed once, where the restrictions first need it, and returned after
     the reports, None where the case does not reach it: xi = erf_inv(R2's
     face argument), beta = 1 - q0/(h0 d_inf), the gap (q0/l) sqrt(c/(rho k))
-    - xi e**xi^2 of R3's sides, and sqrt(k rho c), which shares k rho c
-    with R2.
+    - xi e**xi^2 of R3's sides, and sqrt(k rho c).
     """
-    r1 = _report("R1", boundary.q0, boundary.h0 * boundary.d_inf)  # check_r1, inline on the solve path
+    q0, h0_d_inf = boundary.q0, boundary.h0 * boundary.d_inf
+    r1 = _report("R1", q0, h0_d_inf)  # check_r1, inline on the solve path
     if not r1.satisfied:
         return (r1,), None, None, None, None
-    beta = 1.0 - r1.lhs / r1.rhs  # face_factor from R1's sides q0 and h0 d_inf > q0
+    # face_factor from R1's sides q0 and h0 d_inf > q0
+    beta = 1.0 - q0 / h0_d_inf if _NORMAL_MIN <= h0_d_inf < _INF else _attenuation(h0_d_inf, boundary)
     if case is _K or case is _RHO:
         return (r1,), None, beta, None, None
     if case is _C:
         return (r1, _r5(beta, thermal, mushy, boundary)), None, beta, None, None
-    k_rho_c = thermal.k * thermal.rho * thermal.c
-    r2 = _report("R2", _face_argument(k_rho_c, boundary.d_inf, boundary.q0, beta), 1.0)
+    arg = _face_group(thermal, boundary)  # _face_argument, inline on the solve path
+    if not _NORMAL_MIN <= arg < _INF:
+        raise out_of_range("the face group A", arg)
+    r2 = _report("R2", arg * beta, 1.0)
     if not r2.satisfied:
         return (r1, r2), None, beta, None, None
     xi = specfun.erf_inv(r2.lhs)
     if not _NORMAL_MIN <= xi:
         raise out_of_range("xi", xi)
-    krc = math.sqrt(k_rho_c)
+    krc = _root_krc(thermal)
     if case is _L:
         return (r1, r2), xi, beta, None, krc
     s = stefan_rhs(thermal, boundary)
@@ -216,13 +234,15 @@ def require_satisfied(reports: tuple[RestrictionReport, ...]) -> None:
 
 def _zone_weight(mushy: MushyCoefficients, boundary: BoundaryData, beta: float) -> float:
     """cf = gamma sqrt(pi) (1 - epsilon) / (2 d_inf beta), the weight of the
-    zone term in both xi equations.  A 2 d_inf beta that is not a positive
-    normal double, or a cf that overflows, raises NumericalError: no x
-    makes the equation finite."""
+    zone term in both xi equations, split where 2 d_inf beta or cf is not
+    a positive normal double.  A cf that overflows raises NumericalError:
+    no x makes the equation finite."""
     two_d_inf_beta = 2.0 * boundary.d_inf * beta
-    if not _NORMAL_MIN <= two_d_inf_beta < _INF:
-        raise out_of_range("2 d_inf beta", two_d_inf_beta)
-    cf = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon) / two_d_inf_beta
+    top = mushy.gamma * SQRT_PI * (1.0 - mushy.epsilon)
+    cf = top / two_d_inf_beta if _NORMAL_MIN <= two_d_inf_beta < _INF else 0.0
+    if not (top >= _NORMAL_MIN and _NORMAL_MIN <= cf < _INF):
+        cf = _split(lambda gamma, weight, d_inf, beta: gamma * SQRT_PI * weight / (2.0 * d_inf * beta),
+                    (2, 2, -2, -2), mushy.gamma, 1.0 - mushy.epsilon, boundary.d_inf, beta)
     if cf == _INF:
         raise NumericalError("gamma sqrt(pi) (1 - epsilon) / (2 d_inf beta) overflows, outside the range of a double")
     return cf
@@ -245,16 +265,18 @@ def xi_equation_kr(
     with beta the convective attenuation.  The function vanishes at 0+ and
     grows unboundedly, so a positive target always has exactly one root;
     only R1 (beta > 0) is needed.  ``factor`` is beta when given; 1.0 gives
-    the Dirichlet face, the h0 -> infinity limit.  A 2 d_inf beta, then a
-    c d_inf beta, that is not a positive normal double raises
-    NumericalError.
+    the Dirichlet face, the h0 -> infinity limit.  The target is split
+    where it or c d_inf beta is not a positive normal double; a cf that
+    overflows raises NumericalError.
     """
     beta = face_factor(boundary, _CONVECTIVE) if factor is None else factor
     cf = _zone_weight(mushy, boundary, beta)
-    c_d_inf_beta = thermal.c * boundary.d_inf * beta
-    if not _NORMAL_MIN <= c_d_inf_beta < _INF:
-        raise out_of_range("c d_inf beta", c_d_inf_beta)
+    c_d_inf = thermal.c * boundary.d_inf
+    c_d_inf_beta = c_d_inf * beta
     target = c_d_inf_beta / (thermal.l * SQRT_PI)
+    if not (_NORMAL_MIN <= c_d_inf < _INF and _NORMAL_MIN <= c_d_inf_beta < _INF and _NORMAL_MIN <= target < _INF):
+        target = _split(lambda c, d_inf, beta, l: c * d_inf * beta / (l * SQRT_PI), (2, 2, 2, -2),
+                        thermal.c, boundary.d_inf, beta, thermal.l)
 
     # f and df are evaluated at finite x > 0 (the root finder's iterates lie
     # in (0, 40]), so they call math.erf directly.
@@ -326,19 +348,24 @@ def xi_equation_c(
 
     with the same cf and ``factor`` as :func:`xi_equation_kr`.  x/erf(x)
     tends to sqrt(pi)/2 at 0+, so the left side starts at sqrt(pi)/2 + cf;
-    the target exceeding that limit is restriction R5.  A 2 d_inf beta,
-    then a rho l k d_inf beta or a rho l k, that is not a positive normal
-    double raises NumericalError.
+    the target exceeding that limit is restriction R5.  The target is split
+    where it or one of rho l k, rho l k d_inf beta and q0^2 sqrt(pi) is not
+    a positive normal double; a cf that overflows raises NumericalError.
     """
     beta = face_factor(boundary, _CONVECTIVE) if factor is None else factor
     cf = _zone_weight(mushy, boundary, beta)
-    rho_l_k = thermal.rho * thermal.l * thermal.k
-    rho_l_k_d_inf_beta = rho_l_k * boundary.d_inf * beta
-    if not _NORMAL_MIN <= rho_l_k_d_inf_beta < _INF:
-        raise out_of_range("rho l k d_inf beta", rho_l_k_d_inf_beta)
-    if not rho_l_k >= _NORMAL_MIN:  # below the range it has lost digits that the product then carries
-        raise out_of_range("rho l k", rho_l_k)
-    target = boundary.q0 * boundary.q0 * SQRT_PI / rho_l_k_d_inf_beta
+    q0, rho, l, k, d_inf = boundary.q0, thermal.rho, thermal.l, thermal.k, boundary.d_inf
+    rho_l = rho * l
+    rho_l_k = rho_l * k
+    rho_l_k_d_inf = rho_l_k * d_inf
+    rho_l_k_d_inf_beta = rho_l_k_d_inf * beta
+    q0_sq = q0 * q0
+    top = q0_sq * SQRT_PI
+    target = top / rho_l_k_d_inf_beta if _NORMAL_MIN <= rho_l_k_d_inf_beta < _INF else 0.0
+    if not (_NORMAL_MIN <= rho_l < _INF and _NORMAL_MIN <= rho_l_k < _INF and _NORMAL_MIN <= rho_l_k_d_inf < _INF
+            and _NORMAL_MIN <= q0_sq < _INF and _NORMAL_MIN <= target < _INF):
+        target = _split(lambda q0, rho, l, k, d_inf, beta: q0 * q0 * SQRT_PI / (rho * l * k * d_inf * beta),
+                        (4, -2, -2, -2, -2, -2), q0, rho, l, k, d_inf, beta)
     lower = 0.5 * SQRT_PI + cf
 
     def f(x: float) -> float:  # math.erf: as in xi_equation_kr
@@ -411,40 +438,58 @@ def _recover(case, thermal, mushy, boundary, reports, xi, beta, gap, krc) -> Cas
     k rho c / pi; ``krc`` = sqrt(k rho c) for l, gamma and epsilon; and for
     gamma and epsilon the cancellation-prone ``gap``, the difference
     (q0/l) sqrt(c/(rho k)) - xi e**xi^2 of R3's (R7's) sides.  A figure a
-    form does not read is None.  A product, group or value that is not a
-    positive normal double, an epsilon that rounds to 1 and a figure that
-    the solution record refuses raise NumericalError.
+    form does not read is None.  Each form is split where a product or
+    quotient it forms is not a positive normal double.  A value that is not
+    one, an epsilon that rounds to 1 and a figure that the solution record
+    refuses raise NumericalError.
     """
+    q0 = boundary.q0
     if case is _L:
-        strength = _strength(mushy.gamma * (1.0 - mushy.epsilon), krc, boundary.q0)
+        lhs = stefan_lhs(xi, _strength(mushy.gamma * (1.0 - mushy.epsilon), krc, q0))
         rho_k = thermal.rho * thermal.k
-        if not rho_k >= _NORMAL_MIN:  # an inf makes the value 0, which the last test meets
-            raise out_of_range("rho k", rho_k)
-        value = boundary.q0 * math.sqrt(thermal.c / rho_k) / stefan_lhs(xi, strength)
-    elif case is _GAMMA:
-        value = (2.0 * boundary.q0 / ((1.0 - mushy.epsilon) * krc)) * gap * math.exp(-2.0 * xi * xi)
-    elif case is _EPSILON:
-        zone = mushy.gamma * krc
-        if not _NORMAL_MIN <= zone < _INF:
-            raise out_of_range("gamma sqrt(k rho c)", zone)
-        value = 1.0 - (2.0 * boundary.q0 / zone) * gap * math.exp(-2.0 * xi * xi)
-        if value >= 1.0:  # 1 - epsilon is below half an ulp of 1
-            raise NumericalError(f"the recovered epsilon = {value!r} is not representable in (0, 1); "
-                                 "the data leave the range of a double")
+        ratio = thermal.c / rho_k if rho_k >= _NORMAL_MIN else 0.0  # an inf rho k makes the ratio 0
+        top = q0 * math.sqrt(ratio)
+        value = top / lhs
+        if not (ratio >= _NORMAL_MIN and _NORMAL_MIN <= top < _INF):  # an inf ratio makes top inf
+            value = _split(lambda q0, c, rho, k, lhs: q0 * math.sqrt(c / (rho * k)) / lhs, (2, 1, -1, -1, -2),
+                           q0, thermal.c, thermal.rho, thermal.k, lhs)
+    elif case is _GAMMA or case is _EPSILON:
+        # (2 q0 / zone) gap e**(-2 xi^2), with zone = (1 - epsilon) sqrt(k rho c) for gamma, and for
+        # epsilon gamma sqrt(k rho c) and the value 1 less it
+        weight = 1.0 - mushy.epsilon if case is _GAMMA else mushy.gamma
+        two_q0, zone, decay = 2.0 * q0, weight * krc, math.exp(-2.0 * xi * xi)
+        group = two_q0 / zone if zone >= _NORMAL_MIN else 0.0  # an inf zone makes the group 0
+        scaled = group * gap
+        value = scaled * decay
+        # 2 q0 is exact even below the normal range, and an inf group makes the scaled group inf
+        if not (two_q0 < _INF and group >= _NORMAL_MIN and _NORMAL_MIN <= scaled < _INF and decay >= _NORMAL_MIN):
+            power = 1 if _NORMAL_MIN <= decay else 2  # below the range, e**(-2 xi^2) is e**(-xi^2) squared
+            factor = decay if power == 1 else math.exp(-xi * xi)
+            value = _split(lambda q0, weight, krc, gap, factor: (2.0 * q0 / (weight * krc)) * gap * factor**power,
+                           (2, -2, -2, 2, 2 * power), q0, weight, krc, gap, factor)
+        if case is _EPSILON:
+            value = 1.0 - value
+            if value >= 1.0:  # 1 - epsilon is below half an ulp of 1
+                raise NumericalError(f"the recovered epsilon = {value!r} is not representable in (0, 1); "
+                                     "the data leave the range of a double")
     else:
-        amp = boundary.q0 * math.erf(xi)  # at most q0
-        if not amp >= _NORMAL_MIN:
-            raise out_of_range("q0 erf(xi)", amp)
-        amp /= boundary.d_inf * beta
         if case is _K:
-            product = thermal.rho * thermal.c
+            first, second = thermal.rho, thermal.c
         elif case is _RHO:
-            product = thermal.k * thermal.c
+            first, second = thermal.k, thermal.c
         else:
-            product = thermal.rho * thermal.k
-        if not _NORMAL_MIN <= product < _INF:
-            raise out_of_range({_K: "rho c", _RHO: "k c"}.get(case, "rho k"), product)
-        value = math.pi / product * amp * amp
+            first, second = thermal.rho, thermal.k
+        product, erf_xi, d_beta = first * second, math.erf(xi), boundary.d_inf * beta
+        top = q0 * erf_xi  # at most q0
+        # an inf d_inf beta or product makes its quotient 0, and an inf quotient makes scale amp inf
+        amp = top / d_beta if d_beta >= _NORMAL_MIN else 0.0
+        scale = math.pi / product if product >= _NORMAL_MIN else 0.0
+        scaled = scale * amp
+        value = scaled * amp
+        if not (top >= _NORMAL_MIN and amp >= _NORMAL_MIN and scale >= _NORMAL_MIN and _NORMAL_MIN <= scaled < _INF):
+            value = _split(lambda first, second, q0, erf_xi, d_inf, beta:
+                           math.pi / (first * second) * (q0 * erf_xi / (d_inf * beta)) * (q0 * erf_xi / (d_inf * beta)),
+                           (-2, -2, 4, 4, -4, -4), first, second, q0, erf_xi, boundary.d_inf, beta)
     if not _NORMAL_MIN <= value < _INF:
         raise out_of_range(f"the recovered {case.value}", value)
     try:
@@ -467,22 +512,13 @@ def solve_case(
     and rho solve :func:`xi_equation_kr` for it and case c
     :func:`xi_equation_c`.  The restrictions are checked first, in the
     order and with the early stop of :func:`check_all`, and a failure
-    raises RestrictionError with exactly those reports.  Data outside the
-    band are solved in their units (:func:`~mushy.model.normalised`); a
-    product, group or value that is not a positive normal double there
-    raises NumericalError.
+    raises RestrictionError with exactly those reports.  The solve runs in
+    the caller's units; a group or value that is not a positive normal
+    double raises NumericalError.
     """
     if type(case) is not UnknownCase:
         raise _not_a_case(case)
-    instance = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
-    _, _, thermal, mushy, boundary = instance
-    if type(instance) is ProblemInstance:  # every datum in the band
-        return _solve(case, thermal, mushy, boundary)
-    return normalised(case, _solve, thermal, mushy, boundary)
-
-
-def _solve(case, thermal, mushy, boundary) -> CaseResult:
-    """:func:`solve_case` on validated data."""
+    _, _, thermal, mushy, boundary = validate(thermal, mushy, boundary, case=case, face=_CONVECTIVE)
     reports, xi, beta, gap, krc = _evaluate(case, thermal, mushy, boundary)
     if not reports[-1].satisfied:  # the pass stops at its first failure
         require_satisfied(reports)

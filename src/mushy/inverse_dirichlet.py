@@ -34,12 +34,12 @@ from functools import partial
 from . import inverse_convective, specfun
 from .direct import (
     _face_argument,
+    _root_krc,
     _strength,
     balance_equation,
     build_solution,  # unused: perfbench's tracer rebinds it here (ROADMAP item 8)
     dxexp_sq,
     face_argument,
-    specific_heat_products,
     stefan_rhs,
     xexp_sq,
     xexp_sq_start,
@@ -51,6 +51,7 @@ from .model import (
     _C,
     _DIRICHLET,
     _GAMMA,
+    _INF,
     _K,
     _L,
     _NORMAL_MIN,
@@ -59,13 +60,12 @@ from .model import (
     CaseResult,
     MushyCoefficients,
     OutputRecord,
-    ProblemInstance,
     RestrictionReport,
     ThermalCoefficients,
     UnknownCase,
     _not_a_case,
     _report,
-    normalised,
+    _split,
     out_of_range,
     validate,
 )
@@ -193,10 +193,20 @@ def check_r9(
     """R9: rho l k (d_inf + gamma (1 - epsilon)) / (2 q0^2) < 1.
 
     Exactly the condition for the specific-heat equation's target to exceed
-    its 0+ limit, and the h0 -> infinity limit of the convective R5.
+    its 0+ limit, and the h0 -> infinity limit of the convective R5.  The
+    lhs is split where rho l k, 2 q0^2 or the product of rho l k with the
+    bracket is not a positive normal double.
     """
-    rho_l_k, two_q0_sq = specific_heat_products(thermal, boundary)
-    lhs = rho_l_k * (boundary.d_inf + mushy.gamma * (1.0 - mushy.epsilon)) / two_q0_sq
+    q0, rho, l, k = boundary.q0, thermal.rho, thermal.l, thermal.k
+    bracket = boundary.d_inf + mushy.gamma * (1.0 - mushy.epsilon)
+    rho_l, two_q0_sq = rho * l, 2.0 * q0 * q0
+    rho_l_k = rho_l * k
+    top = rho_l_k * bracket
+    lhs = top / two_q0_sq if _NORMAL_MIN <= two_q0_sq < _INF else 0.0
+    if not (_NORMAL_MIN <= rho_l < _INF and _NORMAL_MIN <= rho_l_k < _INF and _NORMAL_MIN <= top < _INF
+            and _NORMAL_MIN <= two_q0_sq < _INF):
+        lhs = _split(lambda rho, l, k, bracket, q0: rho * l * k * bracket / (2.0 * q0 * q0), (2, 2, 2, 2, -4),
+                     rho, l, k, bracket, q0)
     return _report("R9", lhs, 1.0, _R9_NOTE)
 
 
@@ -216,23 +226,18 @@ def check_all(
     * epsilon: R7, R8.
 
     R8 reads R7's Stefan target, face argument, root start and product
-    k rho c.  Data outside the band are checked in their units
-    (:func:`~mushy.model.normalised`).
+    k rho c.
     """
     if type(case) is not UnknownCase:
         raise _not_a_case(case)
-    instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
-    _, _, thermal, mushy, boundary = instance
-    if type(instance) is ProblemInstance:  # every datum in the band
-        return _check_all(case, thermal, mushy, boundary)
-    return normalised(case, _check_all, thermal, mushy, boundary)
+    _, _, thermal, mushy, boundary = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
+    return _check_all(case, thermal, mushy, boundary)
 
 
 def _check_all(case, thermal, mushy, boundary) -> tuple[RestrictionReport, ...]:
     """:func:`check_all` on validated data."""
     if case is _L:
-        return (_report("R6", _face_argument(thermal.k * thermal.rho * thermal.c, boundary.d_inf, boundary.q0, 1.0),
-                        1.0),)
+        return (_report("R6", _face_argument(thermal, boundary, 1.0), 1.0),)
     if case is _C:
         return (check_r9(thermal, mushy, boundary),)
     if case is _K or case is _RHO:
@@ -240,12 +245,11 @@ def _check_all(case, thermal, mushy, boundary) -> tuple[RestrictionReport, ...]:
     target = stefan_rhs(thermal, boundary)
     start = xexp_sq_start(target)
     eta = _solve_eta_r7(target, start)
-    k_rho_c = thermal.k * thermal.rho * thermal.c
-    arg = _face_argument(k_rho_c, boundary.d_inf, boundary.q0, 1.0)
+    arg = _face_argument(thermal, boundary, 1.0)
     r7 = _report("R7", arg, math.erf(eta))
     if not r7.satisfied or case is _GAMMA:
         return (r7,)
-    return (r7, _r8(_strength(mushy.gamma, math.sqrt(k_rho_c), boundary.q0), target, start, arg))
+    return (r7, _r8(_strength(mushy.gamma, _root_krc(thermal), boundary.q0), target, start, arg))
 
 
 # --- the recovery at beta = 1 ----------------------------------------------
@@ -271,34 +275,23 @@ def solve_dirichlet_case(
 
     The restrictions R6-R9 of the case are checked first; the recovery is
     then that of :func:`mushy.inverse_convective.solve_case` at beta = 1,
-    NumericalError and the units of data outside the band included.
+    NumericalError included.
     """
     if type(case) is not UnknownCase:
         raise _not_a_case(case)
-    instance = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
-    _, _, thermal, mushy, boundary = instance
-    if type(instance) is ProblemInstance:  # every datum in the band
-        return _solve(case, thermal, mushy, boundary, check_all)
-    return normalised(case, _solve, thermal, mushy, boundary, _check_all)
-
-
-def _solve(case, thermal, mushy, boundary, check) -> CaseResult:
-    """:func:`solve_dirichlet_case` on validated data, whose restrictions
-    ``check`` evaluates: :func:`check_all`, which validates a second time
-    (the benchmark pins that count), or on data already in their units
-    :func:`_check_all`, which does not fit them again."""
-    reports = check(case, thermal, mushy, boundary)
+    _, _, thermal, mushy, boundary = validate(thermal, mushy, boundary, case=case, face=_DIRICHLET)
+    reports = check_all(case, thermal, mushy, boundary)  # the public pass validates again: the benchmark pins that
     if reports and not reports[-1].satisfied:  # the checks stop at their first failure
         inverse_convective.require_satisfied(reports)
     if case is _K or case is _RHO or case is _C:
         equation = inverse_convective.xi_equation_c if case is _C else inverse_convective.xi_equation_kr
         xi = solve_increasing(equation(thermal, mushy, boundary, 1.0))  # a normal double, or it raises
         gap = krc = None
-    else:  # l, gamma, epsilon: R6's or R7's lhs is the face argument, from a normal k rho c
+    else:  # l, gamma, epsilon: R6's or R7's lhs is the face argument
         xi = specfun.erf_inv(reports[0].lhs)
         if not _NORMAL_MIN <= xi:
             raise out_of_range("xi", xi)
-        krc = math.sqrt(thermal.k * thermal.rho * thermal.c)
+        krc = _root_krc(thermal)
         gap = None if case is _L else stefan_rhs(thermal, boundary) - xexp_sq(xi)
     return _recover(case, thermal, mushy, boundary, reports, xi, 1.0, gap, krc)
 

@@ -21,14 +21,12 @@ a ``collections.namedtuple``; each writes its ``__new__``, and no code is
 generated for them at import either.
 """
 
-import functools
 import math
 import sys
 from collections import _tuplegetter
 from enum import Enum
-from operator import mul
 
-from .errors import NumericalError, RestrictionError, ValidationError, as_number
+from .errors import NumericalError, ValidationError, as_number
 
 __all__ = [
     "Face",
@@ -42,9 +40,6 @@ __all__ = [
     "ProblemInstance",
     "validate",
     "with_coefficient",
-    "DIMENSIONS",
-    "unit_exponents",
-    "normalised",
     "in_range",
     "out_of_range",
 ]
@@ -342,32 +337,10 @@ class ProblemInstance(OutputRecord):
         return tuple.__new__(cls, (face, case, thermal, mushy, boundary))
 
 
-class _OutOfBand(ProblemInstance):
-    """:func:`validate`'s instance for data with a datum outside the band,
-    which a solver hands to :func:`normalised`; it prints as its base."""
+# --- the range rule ------------------------------------------------------------
 
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return repr(ProblemInstance._make(self))
-
-
-# --- units and the range rule -------------------------------------------------
-
-#: Each datum's dimensions as exponents of mass, length, half-time (q0 and h0
-#: carry T^(-5/2)) and temperature.  In the units M 2^a, L 2^b, T 4^c and
-#: Theta 2^d a datum with the row (m, n, t, o) is its value times
-#: 2^(m a + n b + t c + o d), an exact change; epsilon, xi and mu are numbers.
-DIMENSIONS = {"l": (0, 2, -4, 0), "k": (1, 1, -6, -1), "rho": (1, -3, 0, 0), "c": (0, 2, -4, -1),
-              "gamma": (0, 0, 0, 1), "q0": (1, 0, -5, 0), "d_inf": (0, 0, 0, 1), "h0": (1, 0, -5, -1)}
-_ALPHA = (0, 2, -2, 0)  # k / (rho c)
-#: The products that the solves divide by or take roots of, with their dimensions.
-_PRODUCTS = {names: tuple(map(sum, zip(*map(DIMENSIONS.get, names)))) for names in (("k", "rho", "c"), ("rho", "k"))}
-
-#: The band: a product of four data inside it is a normal double, so such
-#: data are solved in their own units.
-_BAND_MIN, _BAND_MAX = 2.0**-250, 2.0**250
 _NORMAL_MIN = sys.float_info.min  # the least positive normal double
+_INF = math.inf  # a module global: cheaper to read than math.inf on every solve
 
 #: Why a solve can fail where no product or group does: a figure of the
 #: solution (an xi, b_coef or mu the record refuses) leaves the double range.
@@ -386,6 +359,31 @@ def out_of_range(name: str, value: float) -> NumericalError:
     return NumericalError(f"{name} = {value!r} is not a positive normal double, outside the range of a double")
 
 
+def _split(form, halves: tuple, *data: float) -> float:
+    """``form(*data)`` where its plain evaluation leaves the double range:
+    ``form`` is a monomial in the data, each datum raised to its entry of
+    ``halves`` over 2, times a constant, written as the plain formula.  It
+    is evaluated on the data's mantissas and scaled by the summed powers of
+    their exponents with one ldexp, so no intermediate leaves the range; a
+    datum raised to an odd number of halves sits under the root, and its
+    mantissa is taken with an even exponent.  Scaling by a power of two is
+    exact, so where the plain evaluation stays normal the bits are the
+    same.  A result past the largest double is inf, one below the normal
+    range subnormal or 0; an inf datum makes it inf or 0.
+    """
+    mantissas, exponent = [], 0
+    for half, value in zip(halves, data):
+        m, e = math.frexp(value)
+        if half % 2 and e % 2:
+            m, e = 2.0 * m, e - 1
+        mantissas.append(m)
+        exponent += half * e // 2
+    try:
+        return math.ldexp(form(*mantissas), exponent)
+    except OverflowError:
+        return _INF
+
+
 def _refused_solution(name: str, err: Exception) -> NumericalError:
     """The error of case ``name``, or "direct", whose solution record refused a figure with ``err``."""
     return NumericalError(f"case {name}: {SOLUTION_OUT_OF_RANGE}: {err}")
@@ -393,163 +391,6 @@ def _refused_solution(name: str, err: Exception) -> NumericalError:
 
 def _not_a_case(case) -> ValidationError:
     return ValidationError(f"case must be an UnknownCase member, got {case!r}")
-
-
-def _in_band(l, k, rho, c, gamma, q0, d_inf, h0=None) -> bool:
-    """Whether each datum but the unknown (None) lies in the band.  h0 need
-    not: with the other data there, an h0 d_inf below the normal range
-    fails R1, and one above it leaves q0 / (h0 d_inf) below 2^-700."""
-    return all(_BAND_MIN < value < _BAND_MAX for value in (l, k, rho, c, gamma, q0, d_inf) if value is not None)
-
-
-def unit_exponents(case, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData):
-    """The units (a, b, c, d) in which validated data are solved: None in
-    the band (:func:`_in_band`), else the integers that bring the binary
-    exponents of the data, of k rho c and rho k, and of the unknown at the
-    size its group predicts (:func:`_predicted_exponent`) nearest 0 by
-    least squares; a finite h0 takes part only up to q0/d_inf, past which it
-    no longer moves the attenuation 1 - q0/(h0 d_inf)."""
-    data = {**thermal.__dict__, "gamma": mushy.gamma, "q0": boundary.q0, "d_inf": boundary.d_inf, "h0": boundary.h0}
-    if _in_band(**data):
-        return None
-    own = {name: math.frexp(value)[1] for name, value in data.items() if value is not None and value != math.inf}
-    e = dict(own)
-    if "h0" in e:
-        e["h0"] = min(e["h0"], e["q0"] - e["d_inf"])
-    if case is not None and case._value_ != "epsilon":
-        e[case._value_] = _predicted_exponent(case._value_, e)
-    dims = (*(DIMENSIONS[name] for name in e), *_PRODUCTS.values())
-    units = _least_squares(dims, [*e.values(), *(sum(e[name] for name in names) for names in _PRODUCTS)])
-    # Units in which a datum, or the unknown as predicted, leaves the normal range do not serve, but
-    # for an h0 past it, where q0 / (h0 d_inf) < 2^-60 leaves the attenuation at 1.
-    for name, exponent in {**e, **own}.items():
-        exponent += sum(map(mul, units, DIMENSIONS[name]))
-        negligible = name == "h0" and own["h0"] + e["d_inf"] - e["q0"] > 62
-        if not (-1021 <= exponent <= 1024 or negligible and exponent > 0):
-            return None
-    return units if any(units) else None
-
-
-def _least_squares(dims: tuple, exponents: list) -> tuple[int, int, int, int]:
-    """The integers nearest (halves to even) the least-squares solution u of
-    dims[i] . u = -exponents[i], each exponent a half, in exact arithmetic:
-    data already in the units it picks get (0, 0, 0, 0)."""
-    from fractions import Fraction
-
-    inverse, den = _normal_inverse(dims)
-    twice = [round(-2 * exponent) for exponent in exponents]
-    rhs = [sum(row[j] * b for row, b in zip(dims, twice)) for j in range(4)]
-    return tuple(round(Fraction(sum(map(mul, line, rhs)), 2 * den)) for line in inverse)
-
-
-@functools.cache
-def _normal_inverse(dims: tuple) -> tuple[list, int]:
-    """(A, den): integers with A / den the inverse of the normal matrix of
-    the rows ``dims``, positive definite by the dimension table."""
-    from fractions import Fraction
-
-    m = [[Fraction(sum(r[i] * r[j] for r in dims)) for j in range(4)] + [Fraction(i == j) for j in range(4)]
-         for i in range(4)]
-    for i in range(4):
-        m[i] = [x / m[i][i] for x in m[i]]
-        for j in range(4):
-            if j != i:
-                m[j] = [x - m[j][i] * y for x, y in zip(m[j], m[i])]
-    den = math.lcm(*(x.denominator for row in m for x in row[4:]))
-    return [[int(x * den) for x in row[4:]] for row in m], den
-
-
-def _predicted_exponent(name: str, e: dict) -> float:
-    """The binary exponent of the unknown ``name`` that its group predicts:
-    the face group (d_inf/q0) sqrt(k rho c) near xi for k, rho and c, with
-    xi near the root of the k/rho equation's leading term, xi^2 (1 + cf) =
-    c d_inf / l, below 1; the zone term 2 q0 S / sqrt(k rho c) for gamma;
-    and for l the Stefan target S = (q0/l) sqrt(c/(rho k)) near the larger
-    of xi and the mushy strength."""
-    if name in ("k", "rho", "c"):
-        xi = 0 if name == "c" else min(0, (e["c"] + e["d_inf"] - e["l"] - max(0, e["gamma"] - e["d_inf"])) / 2)
-        return 2 * (e["q0"] + xi - e["d_inf"]) - sum(e[other] for other in ("k", "rho", "c") if other != name)
-    if name == "gamma":
-        return 2 * e["q0"] - e["l"] - e["rho"] - e["k"]
-    half_krc = (e["k"] + e["rho"] + e["c"]) / 2
-    face, strength = e["d_inf"] + half_krc - e["q0"], e["gamma"] + half_krc - e["q0"]
-    return e["q0"] + (e["c"] - e["rho"] - e["k"]) / 2 - max(min(face, 0), strength)
-
-
-def _in_units(units, dimensions: tuple[int, int, int, int], value: float) -> float:
-    """``value``, of the dimensions ``dimensions``, in the units ``units``;
-    past the largest double it is inf."""
-    try:
-        return math.ldexp(value, sum(map(mul, units, dimensions)))
-    except OverflowError:
-        return math.copysign(math.inf, value)
-
-
-def normalised(case, run, thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData, *args):
-    """``run(case, thermal, mushy, boundary, *args)`` in the units of
-    :func:`unit_exponents`, fitted here once, with its result in the
-    caller's units: the one place that handles a unit.  A SimilaritySolution
-    among ``args`` is scaled into those units with the data.  A
-    SimilaritySolution result (a direct solve's) has its a_coef, b_coef and
-    alpha scaled back, a CaseResult its solution and its value, that of
-    ``case``; reports, also those of a RestrictionError, keep R1's sides in
-    the caller's units; any other result is dimensionless.  A value or
-    solution figure that the caller's units cannot hold raises
-    NumericalError, which names the case ("direct" for a direct solve).
-    """
-    units = unit_exponents(case, thermal, mushy, boundary)
-    if units is None:
-        return run(case, thermal, mushy, boundary, *args)
-
-    def scale(name, value):
-        return None if value is None else _in_units(units, DIMENSIONS[name], value)
-
-    args = [solution_in_units(units, arg) if type(arg) is SimilaritySolution else arg for arg in args]
-    try:
-        result = run(case, ThermalCoefficients(**{name: scale(name, v) for name, v in thermal.__dict__.items()}),
-                     MushyCoefficients(epsilon=mushy.epsilon, gamma=scale("gamma", mushy.gamma)),
-                     BoundaryData(q0=scale("q0", boundary.q0), d_inf=scale("d_inf", boundary.d_inf),
-                                  h0=scale("h0", boundary.h0)), *args)
-    except RestrictionError as err:
-        raise RestrictionError(str(err), _reports_back(err.reports, boundary)) from None
-    back = tuple(-u for u in units)
-    if type(result) is SimilaritySolution:
-        return _named_solution("direct", back, result)
-    if type(result) is CaseResult:  # epsilon is a number
-        name, value = case._value_, result.value
-        if name != "epsilon":
-            value = in_range(f"the recovered {name}", _in_units(back, DIMENSIONS[name], value))
-        solution = _named_solution(name, back, result.solution)
-        return tuple.__new__(CaseResult, (case, value, result.xi, solution, _reports_back(result.reports, boundary)))
-    if type(result) is tuple:
-        return _reports_back(result, boundary)
-    return result
-
-
-def _reports_back(reports: tuple, boundary: BoundaryData) -> tuple:
-    """``reports`` with R1's sides, q0 and h0 d_inf, the caller's; every other side is a number."""
-    if reports and type(reports[0]) is RestrictionReport and reports[0].restriction_id == "R1":
-        return (_report("R1", boundary.q0, boundary.h0 * boundary.d_inf), *reports[1:])
-    return reports
-
-
-def _named_solution(name: str, units, solution: SimilaritySolution) -> SimilaritySolution:
-    """:func:`solution_in_units`, its NumericalError named as the solvers
-    name it in their units, "case <name>: ..."."""
-    try:
-        return solution_in_units(units, solution)
-    except NumericalError as err:
-        raise NumericalError(f"case {name}: {err}") from None
-
-
-def solution_in_units(units, solution: SimilaritySolution) -> SimilaritySolution:
-    """``solution`` in the units ``units``; a figure the record refuses there
-    (a b_coef or alpha of 0 or inf) raises NumericalError."""
-    a_coef, b_coef = (_in_units(units, DIMENSIONS["d_inf"], figure) for figure in solution[:2])
-    try:
-        return SimilaritySolution(a_coef, b_coef, solution.xi, solution.mu, _in_units(units, _ALPHA, solution.alpha))
-    except ValidationError as err:
-        raise NumericalError(f"{SOLUTION_OUT_OF_RANGE}: {err}") from None
 
 
 def with_coefficient(
@@ -626,27 +467,25 @@ def validate(
     record is built only when a field changes, e.g. an ``int`` or a float
     subclass, or the ``h0`` that the Dirichlet face drops.  Validation is
     idempotent: re-validating the parts of a returned instance returns them.
-    When a datum lies outside the band, the instance is an ``_OutOfBand``,
-    which the solvers hand to :func:`normalised`.
     """
     l, k, rho, c = thermal.l, thermal.k, thermal.rho, thermal.c
     epsilon, gamma = mushy.epsilon, mushy.gamma
     q0, d_inf, h0 = boundary.q0, boundary.d_inf, boundary.h0
 
-    # The normal form in one pass, every datum in the band: the caller's
-    # records, untouched.  Any other input takes the per-field path below,
-    # which owns the messages, their order, the normalisation and the band verdict.
-    lo, hi = _BAND_MIN, _BAND_MAX
+    # The normal form in one pass: the caller's records, untouched.  Any
+    # other input takes the per-field path below, which owns the messages,
+    # their order and the normalisation.
+    hi = _INF
     if (
         (type(case) is UnknownCase or case is None)
-        and (l is None if case is _L else type(l) is float and lo < l < hi)
-        and (k is None if case is _K else type(k) is float and lo < k < hi)
-        and (rho is None if case is _RHO else type(rho) is float and lo < rho < hi)
-        and (c is None if case is _C else type(c) is float and lo < c < hi)
+        and (l is None if case is _L else type(l) is float and 0.0 < l < hi)
+        and (k is None if case is _K else type(k) is float and 0.0 < k < hi)
+        and (rho is None if case is _RHO else type(rho) is float and 0.0 < rho < hi)
+        and (c is None if case is _C else type(c) is float and 0.0 < c < hi)
         and (epsilon is None if case is _EPSILON else type(epsilon) is float and 0.0 < epsilon < 1.0)
-        and (gamma is None if case is _GAMMA else type(gamma) is float and lo < gamma < hi)
-        and type(q0) is float and lo < q0 < hi
-        and type(d_inf) is float and lo < d_inf < hi
+        and (gamma is None if case is _GAMMA else type(gamma) is float and 0.0 < gamma < hi)
+        and type(q0) is float and 0.0 < q0 < hi
+        and type(d_inf) is float and 0.0 < d_inf < hi
         and (type(h0) is float and h0 > 0.0 if face is _CONVECTIVE else h0 is None and face is _DIRICHLET)
     ):
         return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))
@@ -685,6 +524,4 @@ def validate(
         h0 = None  # ignored for the Dirichlet problem
     if not (q0 is boundary.q0 and d_inf is boundary.d_inf and h0 is boundary.h0):
         boundary = BoundaryData(q0=q0, d_inf=d_inf, h0=h0)
-
-    in_band = _in_band(l, k, rho, c, gamma, q0, d_inf)
-    return tuple.__new__(ProblemInstance if in_band else _OutOfBand, (face, case, thermal, mushy, boundary))
+    return tuple.__new__(ProblemInstance, (face, case, thermal, mushy, boundary))

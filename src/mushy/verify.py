@@ -32,6 +32,7 @@ from .model import (
     SimilaritySolution,
     ThermalCoefficients,
     in_range,
+    out_of_range,
 )
 from .rootfind import MonotoneEquation
 
@@ -161,7 +162,9 @@ def pde_residual(
     zero.  The reported maximum of
     |dT/dt - alpha d2T/dx2| is normalized by |T|_max / t_min, so it is
     dimensionless and scale-invariant; it shrinks at second order in
-    fd_step until roundoff takes over.
+    fd_step until roundoff takes over.  A normalizing scale that is not a
+    positive normal double raises NumericalError
+    (:func:`~mushy.model.in_range`).
     """
     if not (0.0 < fd_step < 0.5):
         raise DomainError(f"fd_step must lie in (0, 0.5), got {fd_step!r}")
@@ -191,7 +194,8 @@ def pde_residual(
             d2_dx2 = (t_xp - 2.0 * t_c + t_xm) / (dx * dx)
             worst = max(worst, abs(d_dt - sol.alpha * d2_dx2))
 
-    return PdeResidual(pde_residual_max=worst / scale, fd_step=fd_step)
+    return PdeResidual(pde_residual_max=worst / in_range("the residual scale |a_coef| / t_min", scale),
+                       fd_step=fd_step)
 
 
 def condition_residuals(
@@ -216,15 +220,19 @@ def condition_residuals(
 
     Each residual is divided by the magnitude of its dominant term at the
     same t (the face residual by d_inf), so the map is dimensionless and
-    unit-system independent.  A
-    conducted flux k dT/dx at s(t) that is not a positive normal double (it
-    carries the factor e**-xi^2) leaves the Stefan residual without a
-    scale and raises NumericalError (:func:`~mushy.model.in_range`).
+    unit-system independent.  A scale that is not a positive normal double
+    (the profile amplitude |a_coef|, q0 / sqrt(t), gamma, d_inf, or the
+    conducted flux k dT/dx at s(t), which carries the factor e**-xi^2)
+    leaves its residual without a scale and raises NumericalError
+    (:func:`~mushy.model.in_range`), as does a convective h0 of 0.
     """
     if not t_points:
         raise DomainError("t_points must be nonempty")
     res = {key: 0.0 for key in CONDITION_IDS[1:]}
-    amplitude = abs(sol.a_coef)
+    amplitude = in_range("the profile amplitude |a_coef|", abs(sol.a_coef))
+    gamma, d_inf = in_range("gamma", mushy.gamma), in_range("d_inf", boundary.d_inf)
+    if face is not Face.DIRICHLET and not boundary.h0 > 0.0:  # a finite h0 divides the face condition's lag
+        raise out_of_range("h0", boundary.h0)
     for t in t_points:
         if not (t > 0.0 and math.isfinite(t)):
             raise DomainError(f"t must be positive and finite, got {t!r}")
@@ -236,7 +244,7 @@ def condition_residuals(
         grad_0 = temperature_gradient(sol, 0.0, t)
         t_face, _ = temperature(sol, 0.0, t)
         t_s, _ = temperature(sol, s_t, t)
-        flux_scale = boundary.q0 / math.sqrt(t)
+        flux_scale = in_range("the flux scale q0 / sqrt(t)", boundary.q0 / math.sqrt(t))
 
         res["fusion_at_s"] = max(res["fusion_at_s"], abs(t_s) / amplitude)
         melt = thermal.rho * thermal.l * (
@@ -245,11 +253,11 @@ def condition_residuals(
         )
         conducted = in_range("the conducted flux k dT/dx at s(t)", thermal.k * grad_s)
         res["stefan"] = max(res["stefan"], abs(conducted - melt) / abs(conducted))
-        res["mushy_width"] = max(res["mushy_width"], abs(grad_s * (r_t - s_t) - mushy.gamma) / mushy.gamma)
+        res["mushy_width"] = max(res["mushy_width"], abs(grad_s * (r_t - s_t) - gamma) / gamma)
         res["flux"] = max(res["flux"], abs(thermal.k * grad_0 - flux_scale) / flux_scale)
         # the face condition in its temperature form, T(0,t) + d_inf = k T_x(0,t) sqrt(t) / h0, whose
         # right side is 0 on the Dirichlet face and at h0 = inf
         lag = 0.0 if face is Face.DIRICHLET else thermal.k * grad_0 * math.sqrt(t) / boundary.h0
-        res["face"] = max(res["face"], abs(t_face + boundary.d_inf - lag) / boundary.d_inf)
+        res["face"] = max(res["face"], abs(t_face + d_inf - lag) / d_inf)
 
     return ConditionResiduals(condition_residuals=res)

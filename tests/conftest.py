@@ -5,7 +5,7 @@ import pytest
 from mushy import Face, inverse_convective, inverse_dirichlet, solve_convective_case, solve_dirichlet_case
 from mushy.errors import ConvergenceError, SolverError
 from mushy.manufacture import manufacture
-from mushy.model import BoundaryData, MushyCoefficients, ThermalCoefficients, UnknownCase
+from mushy.model import BoundaryData, MushyCoefficients, ProblemInstance, ThermalCoefficients, UnknownCase
 
 # Shared reference data set: unit thermal coefficients, mid-range mushy
 # parameters, front position chosen first and the latent heat / face datum
@@ -55,3 +55,38 @@ def convective_example():
 @pytest.fixture(scope="session")
 def dirichlet_example():
     return manufacture(face=Face.DIRICHLET, **REF_KWARGS)
+
+
+def verify_exits(draws, faces, tmp_path, monkeypatch) -> dict:
+    """``mushy verify`` on every cell of ``draws`` on ``faces`` that the
+    case solver answers: the count of each exit code and of the cells
+    answered, and the calls into cli._record_units, whose count must be
+    that of the cells whose data leave verify's band."""
+    from mushy import cli
+
+    fits, fit = [], cli._record_units
+    monkeypatch.setattr(cli, "_record_units", lambda *args: fits.append(args) or fit(*args))
+    exits, outside = {}, 0
+    path = tmp_path / "draw.ini"
+    for data in draws:
+        for face in faces:
+            solve = inverse_convective.solve_case if face is Face.CONVECTIVE else inverse_dirichlet.solve_dirichlet_case
+            for case in UnknownCase:
+                given = {name: None if name == case.value else value for name, value in data.items()}
+                thermal = ThermalCoefficients(**{name: given[name] for name in ("l", "k", "rho", "c")})
+                mushy = MushyCoefficients(epsilon=given["epsilon"], gamma=given["gamma"])
+                boundary = BoundaryData(q0=data["q0"], d_inf=data["d_inf"],
+                                        h0=data["h0"] if face is Face.CONVECTIVE else None)
+                try:
+                    value = solve(case, thermal, mushy, boundary).value
+                except SolverError:
+                    continue
+                exits["answered"] = exits.get("answered", 0) + 1
+                solved = {**data, case.value: value}
+                outside += not all(2.0**-250 < solved[name] < 2.0**250
+                                   for name in ("l", "k", "rho", "c", "gamma", "q0", "d_inf"))
+                path.write_text(cli.scenario_to_ini(ProblemInstance(face, case, thermal, mushy, boundary)))
+                code = cli.main(["verify", str(path)])  # any error but a SolverError propagates
+                exits[code] = exits.get(code, 0) + 1
+    assert len(fits) == outside, (len(fits), outside)
+    return exits

@@ -871,14 +871,16 @@ EPSILON_ROUNDS_TO_ONE_ROWS = [
 
 
 # The rows above were all valid data whose arithmetic left the double range
-# (exit 3 from every subcommand the test ran) until the solves worked in
-# normalised units.  These now exit otherwise, each checked at 60 digits on
-# the double data: an answer that is right (solve exit 0, the value within
-# 3.2e-16 of the reference), a restriction that fails in exact arithmetic
-# (exit 2), or direct data whose face condition the solution cannot meet
-# (verify exit 4).  A subcommand not named exits 3.
+# (exit 3 from every subcommand the test ran) until the solves formed the
+# groups whose products leave the range apart.  These now exit otherwise,
+# each checked at 60 digits on the double data: an answer that is right
+# (solve exit 0, the value within 3.2e-16 of the reference), a restriction
+# that fails in exact arithmetic (exit 2), or direct data whose face
+# condition the solution cannot meet (verify exit 4).  A subcommand not
+# named exits 3.
 NOW_ANSWERED = {
     "direct-underflow": {"solve": EXIT_OK, "verify": EXIT_RESIDUAL, "profile": EXIT_OK},
+    "r3-rho-k-underflow": {"check-restrictions": EXIT_OK},
     "r2-k-rho-c-underflow": {"check-restrictions": EXIT_OK},
     "r6-k-rho-c-underflow": {"check-restrictions": EXIT_OK},
     "r9-q0-squared-underflow": dict.fromkeys(("solve", "verify", "profile", "check-restrictions"), EXIT_RESTRICTION),
@@ -942,8 +944,8 @@ def test_data_out_of_double_range_exit_numerical(row, request, tmp_path, capsys)
 @pytest.mark.parametrize("face", list(Face))
 def test_a_solution_past_the_callers_range_names_its_case(face, tmp_path, capsys):
     # Draw 1 of the wide-range recipe (tests/oracle.wide_range_draws(n, 1)):
-    # rho solves in the data's own units, and its alpha overflows in the
-    # caller's.  The error names the case, as one in the solve's units does.
+    # rho solves, and its alpha overflows.  The error names the case, as a
+    # refusal of mu does.
     row = (face, UnknownCase.RHO,
            ThermalCoefficients(l=5.567979722130627e-147, k=9.40794511031426e+138, c=1.0656394648496912e-98),
            MushyCoefficients(epsilon=0.10198239503875019, gamma=0.014929141583508831),
@@ -957,8 +959,8 @@ def test_a_solution_past_the_callers_range_names_its_case(face, tmp_path, capsys
 
 
 #: A wide-range direct scenario, two data at the recipe's edge values (rho =
-#: 1e-310, gamma = 1.7e308): it solves in the data's own units, and its alpha
-#: overflows in the caller's.
+#: 1e-310, gamma = 1.7e308): its front balance solves, and its alpha
+#: overflows.
 DIRECT_ALPHA_PAST_RANGE = {
     "problem": {"type": "dirichlet", "case": "direct"},
     "coefficients": {"l": 0.0015617841832365254, "k": 5.6277371418857445e-05, "rho": 1e-310,

@@ -169,8 +169,9 @@ def test_require_satisfied_names_every_failed_restriction(verdicts, message):
 
 
 # Valid data whose product rho c (k), rho k (l) or k rho c (gamma) underflows
-# to 0 in the caller's units but not in the units the solve works in; each
-# once raised a bare ZeroDivisionError in the closed form.  The exact answer
+# to 0, while the group it feeds, formed from the data's mantissas and
+# exponents, need not; each once raised a bare ZeroDivisionError in the
+# closed form.  The exact answer
 # for k, at 60 digits, is 2.8e400, past the largest double.
 PRODUCT_UNDERFLOW_ROWS = [
     (UnknownCase.K, ThermalCoefficients(l=1e-200, k=None, rho=1e-200, c=1e-200),
@@ -200,9 +201,10 @@ def test_a_product_that_underflows_is_solved_or_names_the_value(case, thermal, m
 
 @pytest.mark.parametrize("case", list(UnknownCase), ids=lambda case: case.value)
 def test_infinite_h0_outside_the_band_is_the_dirichlet_face(case):
-    # h0 = inf is the Dirichlet limit that validate admits; with k = 1e100
-    # outside the band the data are solved in units that leave h0 out, so
-    # each convective figure is the Dirichlet one bit for bit (beta = 1).
+    # h0 = inf is the Dirichlet limit that validate admits; with k = 1e100,
+    # whose products reach past 2^250, h0 d_inf is inf and q0 / (h0 d_inf) is
+    # split to 0, so each convective figure is the Dirichlet one bit for bit
+    # (beta = 1).
     from mushy import inverse_dirichlet as diri
     from mushy.direct import consistency_residuals
     from mushy.manufacture import manufacture

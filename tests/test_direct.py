@@ -109,7 +109,8 @@ _XI_MESSAGE = "xi must be positive and finite, got "
 # build_solution's data and xi, its error and message, and the figures
 # (b_coef, xi, mu, alpha) of a SimilaritySolution that fails the same check
 # (None where the record holds).  Where two figures fail, the first of xi,
-# mu > xi, b_coef and alpha is named; k rho c = 1e400 gives mu = inf.
+# mu > xi, b_coef and alpha is named.  A figure whose products leave the
+# range is split, so each row's failing figures are past the range exactly.
 BAD_FIGURE_ROWS = {
     "0.0": (_UNIT_THERMAL, _UNIT_MUSHY, _UNIT_BOUNDARY, 0.0, DomainError, _XI_MESSAGE + "0.0", (1.0, 0.0, 0.6, 1.0)),
     "-0.5": (_UNIT_THERMAL, _UNIT_MUSHY, _UNIT_BOUNDARY, -0.5, DomainError, _XI_MESSAGE + "-0.5",
@@ -125,13 +126,15 @@ BAD_FIGURE_ROWS = {
     # rho c underflows to 0, which alpha = k / (rho c) divides by
     "xi-before-rho-c": (_TINY_RHO_C, _UNIT_MUSHY, _UNIT_BOUNDARY, math.nan, DomainError, _XI_MESSAGE + "nan",
                         (1.0, math.nan, 0.6, 1.0)),
-    "rho-c-underflow": (_TINY_RHO_C, _UNIT_MUSHY, _UNIT_BOUNDARY, 0.5, NumericalError,
-                        "rho c underflows to 0, outside the range of a double", None),
+    # there alpha is split, and its 1e400 is past the range (b_coef = 1.8e200, mu = 1.14)
+    "rho-c-underflow": (_TINY_RHO_C, MushyCoefficients(epsilon=0.5, gamma=1e200), _UNIT_BOUNDARY, 0.5,
+                        ValidationError, "alpha must be positive and finite, got inf", (1.0, 0.5, 0.6, math.inf)),
     "mu-equals-xi": (_UNIT_THERMAL, MushyCoefficients(epsilon=0.5, gamma=1e-300), _UNIT_BOUNDARY, 0.5,
                      ValidationError, "mu must exceed xi, got mu=0.5 xi=0.5", (1.0, 0.5, 0.5, 1.0)),
-    "mu-nan": (ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1.0), MushyCoefficients(epsilon=0.5, gamma=1.0),
-               BoundaryData(q0=1e308, d_inf=1.0), 0.5, ValidationError, "mu must exceed xi, got mu=nan xi=0.5",
-               (1.0, 0.5, math.nan, 1.0)),
+    # k rho c and 2 q0 overflow: the zone term is split, 6.4e-109, below half an ulp of xi
+    "mu-split-below-an-ulp": (ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1.0),
+                              MushyCoefficients(epsilon=0.5, gamma=1.0), BoundaryData(q0=1e308, d_inf=1.0), 0.5,
+                              ValidationError, "mu must exceed xi, got mu=0.5 xi=0.5", (1.0, 0.5, 0.5, 1.0)),
     "mu-before-b-coef": (_B_COEF_INF[0], MushyCoefficients(epsilon=0.5, gamma=1e-300), _B_COEF_INF[2], 0.5,
                          ValidationError, "mu must exceed xi, got mu=0.5 xi=0.5", (math.inf, 0.5, 0.5, 1.0)),
     "b-coef-inf": (*_B_COEF_INF, 0.5, ValidationError, "b_coef must be positive and finite, got inf",
@@ -139,18 +142,21 @@ BAD_FIGURE_ROWS = {
     "b-coef-zero": (ThermalCoefficients(l=1.0, k=1e150, rho=1e150, c=1.0), MushyCoefficients(epsilon=0.5, gamma=1e-200),
                     BoundaryData(q0=1e-180, d_inf=1.0), 0.5, ValidationError,
                     "b_coef must be positive and finite, got 0.0", (0.0, 0.5, 0.6, 1.0)),
-    # alpha = 0 or inf takes b_coef = q0 sqrt(pi alpha) / k with it
-    "b-coef-before-alpha-zero": (ThermalCoefficients(l=1.0, k=1e-300, rho=1e100, c=1e100),
-                                 MushyCoefficients(epsilon=0.5, gamma=1e300), _UNIT_BOUNDARY, 0.5, ValidationError,
-                                 "b_coef must be positive and finite, got 0.0", (0.0, 0.5, 0.6, 0.0)),
-    "b-coef-before-alpha-inf": (ThermalCoefficients(l=1.0, k=1e300, rho=1e-10, c=1e-10),
-                                MushyCoefficients(epsilon=0.5, gamma=1.0), _UNIT_BOUNDARY, 0.5, ValidationError,
-                                "b_coef must be positive and finite, got inf", (math.inf, 0.5, 0.6, math.inf)),
+    # alpha and b_coef both past the range: alpha = 1e-700 and b_coef = 1.8e-330, then alpha =
+    # 1e310 and b_coef = 1.8e309
+    "b-coef-before-alpha-zero": (ThermalCoefficients(l=1.0, k=1e-300, rho=1e200, c=1e200),
+                                 MushyCoefficients(epsilon=0.5, gamma=1e300), BoundaryData(q0=1e-280, d_inf=1.0), 0.5,
+                                 ValidationError, "b_coef must be positive and finite, got 0.0", (0.0, 0.5, 0.6, 0.0)),
+    "b-coef-before-alpha-inf": (ThermalCoefficients(l=1.0, k=1e-10, rho=1e-160, c=1e-160),
+                                MushyCoefficients(epsilon=0.5, gamma=1e300), BoundaryData(q0=1e144, d_inf=1.0), 0.5,
+                                ValidationError, "b_coef must be positive and finite, got inf",
+                                (math.inf, 0.5, 0.6, math.inf)),
     "b-coef-before-mu-inf": (ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1.0),
                              MushyCoefficients(epsilon=0.5, gamma=1.0), BoundaryData(q0=1e-130, d_inf=1.0), 0.5,
                              ValidationError, "b_coef must be positive and finite, got 0.0",
                              (0.0, 0.5, math.inf, 1.0)),
-    "mu-inf": (ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1.0), MushyCoefficients(epsilon=0.5, gamma=1.0),
+    # the zone term gamma sqrt(k rho c) e**xi^2 / (2 q0) is 6.4e309
+    "mu-inf": (ThermalCoefficients(l=1.0, k=1e200, rho=1e200, c=1e200), MushyCoefficients(epsilon=0.5, gamma=1e10),
                _UNIT_BOUNDARY, 0.5, NumericalError, "the liquid front mu leaves the range of a double", None),
     # e**(xi^2) overflows past xi = 26.64: mu is inf, raised after the record's checks
     "mu-inf-from-xi": (_UNIT_THERMAL, _UNIT_MUSHY, _UNIT_BOUNDARY, 27.0, NumericalError,

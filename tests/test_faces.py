@@ -35,13 +35,12 @@ from mushy.model import (
     CaseResult,
     Face,
     MushyCoefficients,
-    ProblemInstance,
     ThermalCoefficients,
     UnknownCase,
 )
 from mushy.rootfind import solve_increasing
 
-from conftest import REF_KWARGS, XI_REF
+from conftest import REF_KWARGS, XI_REF, verify_exits
 
 #: Each face's inverse module and case solver.
 INVERSE = {Face.CONVECTIVE: conv, Face.DIRICHLET: diri}
@@ -244,10 +243,11 @@ DIMENSIONS = {
 
 #: Units M 2^a, L 2^b, T 4^c and Theta 2^d as (a, b, c, d): each datum
 #: changes by an exact power of two.  The last takes k, rho, q0 and h0 past
-#: 2^250, out of the band, so that the solve in the units of
-#: mushy.model.unit_exponents is compared bit for bit with the plain one.
+#: 2^250, so that products of four data would leave the double range: the
+#: solve there, which splits a group whose products leave it, is compared
+#: bit for bit with the plain one.
 UNIT_CHANGES = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-40, 25, 9, 60), (13, -7, -4, -21),
-                (300, 0, 0, 0)]
+                (300, 0, 0, 0), (600, 0, 0, 0), (0, 0, 0, 700), (-300, 200, 0, 0)]
 
 
 def _rescale(units, name, value):
@@ -307,33 +307,17 @@ def test_cells_commute_with_exact_unit_changes(face):
 
 
 @pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
-def test_data_outside_the_band_fit_their_units_once(face, monkeypatch):
+def test_data_outside_the_band_fit_their_units_once(face, tmp_path, monkeypatch, capsys):
     # Every case of 50 wide-range recipe draws (oracle.wide_range_draws on
-    # seed 1).  mushy.model.normalised fits the units of the data it is
-    # handed once, so each solve or restriction pass of data outside the
-    # band fits exactly once.
-    fits = []
-    fit = model.unit_exponents
-    monkeypatch.setattr(model, "unit_exponents", lambda *args: fits.append(args) or fit(*args))
-    outside = 0
-    for data in oracle.wide_range_draws(50, 1):
-        for case in UnknownCase:
-            given = {name: None if name == case.value else value for name, value in data.items()}
-            thermal = ThermalCoefficients(**{name: given[name] for name in ("l", "k", "rho", "c")})
-            mushy = MushyCoefficients(epsilon=given["epsilon"], gamma=given["gamma"])
-            boundary = BoundaryData(q0=data["q0"], d_inf=data["d_inf"],
-                                    h0=data["h0"] if face is Face.CONVECTIVE else None)
-            if type(model.validate(thermal, mushy, boundary, case=case, face=face)) is ProblemInstance:
-                continue
-            outside += 1
-            for run in (SOLVE[face], INVERSE[face].check_all):
-                fits.clear()
-                try:
-                    run(case, thermal, mushy, boundary)
-                except SolverError:
-                    pass
-                assert len(fits) == 1, (run.__name__, case, data, len(fits))
-    assert outside > 250
+    # seed 1), which all leave verify's band.  The solves and restriction
+    # passes fit no units; mushy verify fits the units of each answered
+    # cell's solution record exactly once, and no verify raises anything
+    # but a SolverError.  The passes are those of verify in units fitted to
+    # all the data.
+    exits = verify_exits(oracle.wide_range_draws(50, 1), (face,), tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert exits == {Face.CONVECTIVE: {"answered": 18, 0: 5, 3: 2, 4: 11},
+                     Face.DIRICHLET: {"answered": 64, 0: 11, 3: 21, 4: 32}}[face], exits
 
 
 #: Bound on a cell's relative error in units of kappa u, with kappa its
@@ -360,6 +344,30 @@ def test_face_cells_match_a_60_digit_oracle(face):
             exact, kappa = condition(case.value, data, result.xi)
             error = abs(float((result.value - exact) / exact))
             assert error <= FACE_CELL_ERROR_UNITS * float(kappa) * u, (case, prob)
+
+
+#: The wide-range recipe draw hardest to solve in the caller's units
+#: (Dirichlet face): c / (rho k) = 7.8e-322 is subnormal there, and the l and
+#: gamma cells came back 7.7e-4 off where S was formed from it plainly.
+SUBNORMAL_STEFAN_RATIO_DRAW = dict(
+    l=1.64150286888797e-14, k=7.940466328879303e+110, rho=1.8783791320007578e+45, c=1.1661160135180394e-165,
+    gamma=1.9409557904534767e-197, q0=1.496734200598179e+107, d_inf=2.8413589816388474e-194,
+    epsilon=0.37192921831943543)
+
+
+@pytest.mark.parametrize("case", [UnknownCase.L, UnknownCase.GAMMA])
+def test_a_subnormal_stefan_ratio_is_right_or_refused(case):
+    data = SUBNORMAL_STEFAN_RATIO_DRAW
+    given = {name: None if name == case.value else value for name, value in data.items()}
+    thermal = ThermalCoefficients(**{name: given[name] for name in ("l", "k", "rho", "c")})
+    mushy = MushyCoefficients(epsilon=given["epsilon"], gamma=given["gamma"])
+    try:
+        result = diri.solve_dirichlet_case(case, thermal, mushy, BoundaryData(q0=data["q0"], d_inf=data["d_inf"]))
+    except NumericalError:
+        return
+    exact = oracle.face_cell(case.value, {name: value for name, value in data.items() if name != case.value},
+                             result.xi)
+    assert abs(float((result.value - exact) / exact)) <= 1e-10, (result.value, exact)
 
 
 def _range_probe():

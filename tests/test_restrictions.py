@@ -3,9 +3,11 @@ stressed data, and their errors on data whose products leave the range of
 a double."""
 
 import hashlib
+import math
 import random
 import warnings
 
+import mpmath
 import pytest
 
 from mushy import inverse_convective as conv
@@ -31,12 +33,28 @@ UNDERFLOWING = [(TINY_RHO_K, UNIT_BOUNDARY), (UNIT_THERMAL, TINY_H0_D_INF), (UNI
 # The products of the xi equations: rho l k, and 2 d_inf beta at beta ~ 0.19.
 TINY_L_K = ThermalCoefficients(l=1e-200, k=1e-200, rho=1.0, c=1.0)
 TINY_D_INF_BETA = BoundaryData(q0=1e-300, d_inf=5e-324, h0=2.5e23)
+TINY_D_INF = BoundaryData(q0=1e-300, d_inf=5e-324)  # the Dirichlet face's 2 d_inf beta = 1e-323
 
 # Data on which a group is 0 times inf: d_inf/q0 underflows where k rho c
 # overflows (the face argument), and q0/l where c/(rho k) does (the Stefan
 # target).  At 50 digits both groups are positive doubles.
 ZERO_INF_FACE = (ThermalCoefficients(k=1e150, rho=1e150, c=1e150), BoundaryData(q0=1e200, d_inf=1e-200))
 ZERO_INF_STEFAN = (ThermalCoefficients(l=1e200, k=1e-100, rho=1e-100, c=1e200), BoundaryData(q0=1e-200, d_inf=1.0))
+
+# Data whose product leaves the range and takes the group it feeds along:
+# k rho c = 1e-900 and A = 5.6e-451; rho k = 1e-600 and S = 1e310; rho l k =
+# 1e-600, and 1e-720 with q0^2 = 1e-400, where 2 q0^2 / (rho l k) and both
+# terms of R5's bound overflow; and the 0-times-inf groups again, A =
+# 5.6e-376 and S = 1e-400.
+TINY_K_RHO_C = ThermalCoefficients(l=1.0, k=1e-300, rho=1e-300, c=1e-300)
+HUGE_STEFAN = ThermalCoefficients(l=1e-10, k=1e-300, rho=1e-300, c=1.0)
+TINY_L_K_RHO, HUGE_GAMMA = ThermalCoefficients(l=1e-200, k=1e-200, rho=1e-200, c=1.0), MushyCoefficients(0.5, 1e300)
+R5_INF_MINUS_INF = BoundaryData(q0=1.0, d_inf=1e-100, h0=1e200)
+TINIER_L_K_RHO = ThermalCoefficients(l=1e-240, k=1e-240, rho=1e-240, c=1.0)
+R5_INF_MINUS_INF_TINY_Q0 = BoundaryData(q0=1e-200, d_inf=1e-10, h0=1e200)
+ZERO_INF_FACE_PAST = (ThermalCoefficients(k=1e150, rho=1e150, c=1e150), BoundaryData(q0=1e300, d_inf=1e-300))
+ZERO_INF_STEFAN_PAST = (ThermalCoefficients(l=1e300, k=1e-100, rho=1e-100, c=1e200),
+                        BoundaryData(q0=1e-300, d_inf=1.0))
 
 
 def _stressed(face, n, seed):
@@ -72,7 +90,7 @@ def _outcome(check_all, case, thermal, mushy, boundary):
 
 
 # sha256 over the outcome of every check_all call below, one repr a line.
-CHECK_ALL_DIGEST = "791f91c92527781363ad8f3de555a60411c6bdc45969f7c5a3447ac26ae3b432"
+CHECK_ALL_DIGEST = "cb780ff8e76b7786390fa921676041c304510752c4eedb6b76906b91cf66b135"
 
 
 def test_check_all_outcomes_are_pinned():
@@ -100,45 +118,147 @@ def test_check_all_outcomes_are_pinned():
 XI = 0.5  # a face-determined front position, for R3 and R4
 
 # Each public check, auxiliary root or xi equation on data whose named
-# product underflows, or whose named group is 0 times inf.
+# product leaves the range and takes the group it feeds along, or whose
+# named group is 0 times inf and past the range.  A product alone no longer
+# refuses: each group is split where a product it forms leaves the range.
 UNDERFLOW_CALLS = {
-    "check_r2 k rho c": lambda: conv.check_r2(TINY_RHO_K, UNIT_BOUNDARY),
+    "check_r2 k rho c": lambda: conv.check_r2(TINY_K_RHO_C, UNIT_BOUNDARY),
     "check_r2 h0 d_inf": lambda: conv.check_r2(UNIT_THERMAL, TINY_H0_D_INF),
-    "check_r3 rho k": lambda: conv.check_r3(TINY_RHO_K, UNIT_BOUNDARY, XI),
-    "check_r4 rho k": lambda: conv.check_r4(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY, XI),
-    "check_r5 rho l k": lambda: conv.check_r5(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
+    "check_r3 rho k": lambda: conv.check_r3(HUGE_STEFAN, UNIT_BOUNDARY, XI),
+    "check_r4 rho k": lambda: conv.check_r4(HUGE_STEFAN, UNIT_MUSHY, UNIT_BOUNDARY, XI),
+    "check_r5 rho l k": lambda: conv.check_r5(TINY_L_K_RHO, HUGE_GAMMA, R5_INF_MINUS_INF),
     "check_r5 h0 d_inf": lambda: conv.check_r5(UNIT_THERMAL, UNIT_MUSHY, TINY_H0_D_INF),
-    "check_r5 2 q0^2": lambda: conv.check_r5(UNIT_THERMAL, UNIT_MUSHY, TINY_Q0),
-    "check_r6 k rho c": lambda: diri.check_r6(TINY_RHO_K, UNIT_BOUNDARY),
-    "check_r7 rho k": lambda: diri.check_r7(TINY_RHO_K, UNIT_BOUNDARY),
-    "check_r8 rho k": lambda: diri.check_r8(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
-    "check_r9 2 q0^2": lambda: diri.check_r9(UNIT_THERMAL, UNIT_MUSHY, TINY_Q0),
-    "check_r9 rho l k": lambda: diri.check_r9(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
-    "check_r6 face argument": lambda: diri.check_r6(*ZERO_INF_FACE),
-    "check_r3 Stefan target": lambda: conv.check_r3(*ZERO_INF_STEFAN, XI),
-    "check_r7 Stefan target": lambda: diri.check_r7(*ZERO_INF_STEFAN),
-    "solve_eta_r7 rho k": lambda: diri.solve_eta_r7(TINY_RHO_K, UNIT_BOUNDARY),
-    "solve_eta_r8 rho k": lambda: diri.solve_eta_r8(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
+    "check_r5 2 q0^2": lambda: conv.check_r5(TINIER_L_K_RHO, HUGE_GAMMA, R5_INF_MINUS_INF_TINY_Q0),
+    "check_r6 k rho c": lambda: diri.check_r6(TINY_K_RHO_C, UNIT_BOUNDARY),
+    "check_r7 rho k": lambda: diri.check_r7(HUGE_STEFAN, UNIT_BOUNDARY),
+    "check_r8 rho k": lambda: diri.check_r8(HUGE_STEFAN, UNIT_MUSHY, UNIT_BOUNDARY),
+    "check_r6 face argument": lambda: diri.check_r6(*ZERO_INF_FACE_PAST),
+    "check_r3 Stefan target": lambda: conv.check_r3(*ZERO_INF_STEFAN_PAST, XI),
+    "check_r7 Stefan target": lambda: diri.check_r7(*ZERO_INF_STEFAN_PAST),
+    "solve_eta_r7 rho k": lambda: diri.solve_eta_r7(HUGE_STEFAN, UNIT_BOUNDARY),
+    "solve_eta_r8 rho k": lambda: diri.solve_eta_r8(HUGE_STEFAN, UNIT_MUSHY, UNIT_BOUNDARY),
     "conv.xi_equation_kr 2 d_inf beta": lambda: conv.xi_equation_kr(UNIT_THERMAL, UNIT_MUSHY, TINY_D_INF_BETA),
     "conv.xi_equation_c 2 d_inf beta": lambda: conv.xi_equation_c(UNIT_THERMAL, UNIT_MUSHY, TINY_D_INF_BETA),
-    "conv.xi_equation_c rho l k d_inf beta": lambda: conv.xi_equation_c(TINY_L_K, UNIT_MUSHY, UNIT_BOUNDARY),
-    "diri.xi_equation_c rho l k d_inf beta": lambda: diri.xi_equation_c(TINY_L_K, UNIT_MUSHY, UNIT_BOUNDARY),
+    "diri.xi_equation_c 2 d_inf beta": lambda: diri.xi_equation_c(UNIT_THERMAL, UNIT_MUSHY, TINY_D_INF),
 }
 
 
-#: The quantity the range rule names where the call's name says it otherwise:
-#: the face argument of R6 is the face group A.
-NAMED = {"check_r6 face argument": "face group A"}
+#: The group the range rule names, which the product of the call's name
+#: took out of the range; q0 / (h0 d_inf) and R5's bound name the product.
+NAMED = {"check_r2 k rho c": "face group A", "check_r6 k rho c": "face group A",
+         "check_r6 face argument": "face group A", **dict.fromkeys(
+             ("check_r3 rho k", "check_r4 rho k", "check_r7 rho k", "check_r8 rho k", "check_r3 Stefan target",
+              "check_r7 Stefan target", "solve_eta_r7 rho k", "solve_eta_r8 rho k"), "Stefan target S")}
 
 
 @pytest.mark.parametrize("name", UNDERFLOW_CALLS)
 def test_public_checks_raise_numerical_error_naming_the_product(name):
-    # Valid data whose product leaves the double range are a NumericalError
-    # at every public entry, not a ZeroDivisionError only check_all converts.
+    # Valid data whose product leaves the double range, with the group it
+    # feeds, are a NumericalError at every public entry, not a
+    # ZeroDivisionError only check_all converts.
     product = NAMED.get(name, name.split(" ", 1)[1])
     with pytest.raises(NumericalError, match="range of a double") as err:
         UNDERFLOW_CALLS[name]()
     assert product in str(err.value)
+
+
+def _mp(record) -> dict:
+    return {name: mpmath.mpf(value) for name, value in vars(record).items() if value is not None}
+
+
+def _exact_groups(thermal, mushy, boundary) -> dict:
+    """The groups of the public checks at 50 digits: A (times beta on the
+    convective face, h0 given), S, the zone strength g, R5's bound, R9's
+    lhs and the c equation's target at beta."""
+    with mpmath.workdps(50):
+        d = {**_mp(thermal), **_mp(mushy), **_mp(boundary)}
+        beta = 1 - d["q0"] / (d["h0"] * d["d_inf"]) if "h0" in d else mpmath.mpf(1)
+        krc = mpmath.sqrt(d["k"] * d["rho"] * d["c"])
+        groups = {"A": d["d_inf"] / d["q0"] * krc / mpmath.sqrt(mpmath.pi) * beta, "beta": beta}
+        if "l" in d:
+            rho_l_k = d["rho"] * d["l"] * d["k"]
+            groups["S"] = d["q0"] / d["l"] * mpmath.sqrt(d["c"] / (d["rho"] * d["k"]))
+            groups["target_c"] = d["q0"] ** 2 * mpmath.sqrt(mpmath.pi) / (rho_l_k * d["d_inf"] * beta)
+            if "gamma" in d:
+                weight = d["gamma"] * (1 - d["epsilon"])
+                groups["g"] = d["gamma"] * krc / (2 * d["q0"])
+                groups["R5"] = (2 * d["q0"] ** 2 / rho_l_k - weight) / d["d_inf"]
+                groups["R9"] = rho_l_k * (d["d_inf"] + weight) / (2 * d["q0"] ** 2)
+        return groups
+
+
+def _root(lhs, target):
+    with mpmath.workdps(50):
+        start = mpmath.sqrt(mpmath.log(target)) if target > 1 else target
+        return mpmath.findroot(lambda x: mpmath.log(lhs(x) / target), start)
+
+
+def _eta_r7(thermal, boundary):
+    return _root(lambda x: x * mpmath.exp(x * x), _exact_groups(thermal, UNIT_MUSHY, boundary)["S"])
+
+
+def _eta_r8(thermal, mushy, boundary):
+    groups = _exact_groups(thermal, mushy, boundary)
+    return _root(lambda x: (x + groups["g"] * mpmath.exp(x * x)) * mpmath.exp(x * x), groups["S"])
+
+
+# Each public check, auxiliary root or xi equation on data whose named
+# product underflows or overflows, or whose named group is 0 times inf, while
+# the group itself is a double: the call's figure, and the 50-digit one it
+# must round to (inf or 0 where the exact one is past the range).
+ANSWERED_CALLS = {
+    "check_r2 k rho c": (lambda: conv.check_r2(TINY_RHO_K, UNIT_BOUNDARY).lhs,
+                         lambda: _exact_groups(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY)["A"]),
+    "check_r3 rho k": (lambda: conv.check_r3(TINY_RHO_K, UNIT_BOUNDARY, XI).rhs,
+                       lambda: _exact_groups(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY)["S"]),
+    "check_r4 rho k": (lambda: conv.check_r4(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY, XI).lhs,
+                       lambda: _exact_groups(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY)["S"]),
+    "check_r4 zone strength": (
+        lambda: conv.check_r4(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY, XI).rhs,
+        lambda: (XI + _exact_groups(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY)["g"] * mpmath.exp(XI**2))
+        * mpmath.exp(XI**2)),
+    "check_r5 rho l k": (lambda: conv.check_r5(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY).rhs,
+                         lambda: _exact_groups(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY)["R5"]),
+    "check_r5 2 q0^2": (lambda: conv.check_r5(UNIT_THERMAL, UNIT_MUSHY, TINY_Q0).rhs,
+                        lambda: _exact_groups(UNIT_THERMAL, UNIT_MUSHY, TINY_Q0)["R5"]),
+    "check_r6 k rho c": (lambda: diri.check_r6(TINY_RHO_K, UNIT_BOUNDARY).lhs,
+                         lambda: _exact_groups(TINY_RHO_K, UNIT_MUSHY, DIRICHLET_UNIT)["A"]),
+    "check_r7 rho k": (lambda: diri.check_r7(TINY_RHO_K, UNIT_BOUNDARY).rhs,
+                       lambda: mpmath.erf(_eta_r7(TINY_RHO_K, UNIT_BOUNDARY))),
+    "check_r8 rho k": (lambda: diri.check_r8(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY).lhs,
+                       lambda: mpmath.erf(_eta_r8(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY))),
+    "check_r9 2 q0^2": (lambda: diri.check_r9(UNIT_THERMAL, UNIT_MUSHY, TINY_Q0).lhs,
+                        lambda: _exact_groups(UNIT_THERMAL, UNIT_MUSHY, TINY_Q0)["R9"]),
+    "check_r9 rho l k": (lambda: diri.check_r9(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY).lhs,
+                         lambda: _exact_groups(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY)["R9"]),
+    "check_r6 face argument": (lambda: diri.check_r6(*ZERO_INF_FACE).lhs,
+                               lambda: _exact_groups(ZERO_INF_FACE[0], UNIT_MUSHY, ZERO_INF_FACE[1])["A"]),
+    "check_r3 Stefan target": (lambda: conv.check_r3(*ZERO_INF_STEFAN, XI).rhs,
+                               lambda: _exact_groups(*ZERO_INF_STEFAN[:1], UNIT_MUSHY, ZERO_INF_STEFAN[1])["S"]),
+    "check_r7 Stefan target": (lambda: diri.check_r7(*ZERO_INF_STEFAN).rhs,
+                               lambda: mpmath.erf(_eta_r7(*ZERO_INF_STEFAN))),
+    "solve_eta_r7 rho k": (lambda: diri.solve_eta_r7(TINY_RHO_K, UNIT_BOUNDARY),
+                           lambda: _eta_r7(TINY_RHO_K, UNIT_BOUNDARY)),
+    "solve_eta_r8 rho k": (lambda: diri.solve_eta_r8(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY),
+                           lambda: _eta_r8(TINY_RHO_K, UNIT_MUSHY, UNIT_BOUNDARY)),
+    "conv.xi_equation_c rho l k d_inf beta": (
+        lambda: conv.xi_equation_c(TINY_L_K, UNIT_MUSHY, UNIT_BOUNDARY).target,
+        lambda: _exact_groups(TINY_L_K, UNIT_MUSHY, UNIT_BOUNDARY)["target_c"]),
+    "diri.xi_equation_c rho l k d_inf beta": (
+        lambda: diri.xi_equation_c(TINY_L_K, UNIT_MUSHY, UNIT_BOUNDARY).target,
+        lambda: _exact_groups(TINY_L_K, UNIT_MUSHY, DIRICHLET_UNIT)["target_c"]),
+}
+DIRICHLET_UNIT = BoundaryData(q0=1.0, d_inf=1.0)
+
+
+@pytest.mark.parametrize("name", ANSWERED_CALLS)
+def test_public_checks_answer_where_only_a_product_leaves_the_range(name):
+    # Where only a product leaves the double range, and not the group it
+    # feeds, each group is formed from the data's mantissas and exponents:
+    # the call answers within a few ulps of the 50-digit figure.
+    call, exact = ANSWERED_CALLS[name]
+    got, want = call(), float(exact())
+    assert got == want or math.isclose(got, want, rel_tol=8 * 2.0**-53), (got, want)
 
 
 

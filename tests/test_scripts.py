@@ -79,7 +79,7 @@ def test_range_probe_finds_no_wrong_answer(tmp_path):
     # pinned: a change that moves any out-of-band outcome, a value's bits, an
     # error's type or its message, must say which and update it.
     out = _run("range_probe.py", ["--n", "60", "--seed", "2"], tmp_path)
-    assert out.splitlines()[-1] == "sha256 703a729bb5f16bde437acf51ba1593259edc5f6da0e587659228d6825dc99136"
+    assert out.splitlines()[-1] == "sha256 3965762ad463e02710b93eb8e711aaa24b8029ae74a52f20a8df8ea491954ca3"
     blocks = out.split("\n\n")
     tables = [block.splitlines()[1:] for block in blocks if block.startswith("outcome")]
     assert len(tables) == 2

@@ -170,3 +170,26 @@ def test_series_erf_odd_and_bounded(x):
     value = reference_erf(x)
     assert reference_erf(-x) == -value
     assert 0.0 < value < 1.0
+
+
+def test_a_zero_profile_amplitude_is_a_numerical_error():
+    # q0 = 1e-300 and xi = 1e-30 give a valid record whose a_coef = -b_coef
+    # erf(xi) underflows to -0.0, the scale of the fusion residual.
+    thermal = ThermalCoefficients(l=1.0, k=1.0, rho=1.0, c=1.0)
+    mushy = MushyCoefficients(epsilon=0.5, gamma=0.1)
+    boundary = BoundaryData(q0=1e-300, d_inf=1.0, h0=2.0)
+    sol = build_solution(thermal, mushy, boundary, 1e-30)
+    assert sol.a_coef == 0.0
+    with pytest.raises(NumericalError, match=r"amplitude \|a_coef\| = 0.0 .* range of a double"):
+        condition_residuals(sol, thermal, mushy, boundary, [1.0], Face.CONVECTIVE)
+
+
+@pytest.mark.parametrize("t", [1e305, 1e300])
+def test_a_residual_scale_out_of_range_is_a_numerical_error(t):
+    # |a_coef| / t_min, the PDE residual's scale, underflows to 0 at t =
+    # 1e305, which it divides by, and is subnormal at t = 1e300, where every
+    # difference quotient underflows too and the residual read a false 0.0.
+    b_coef = 1e-20
+    sol = SimilaritySolution(a_coef=-b_coef * math.erf(0.5), b_coef=b_coef, xi=0.5, mu=0.6, alpha=1.0)
+    with pytest.raises(NumericalError, match=r"residual scale \|a_coef\| / t_min = .* range of a double"):
+        pde_residual(sol, [0.5 * front_s(sol, t)], [t])
