@@ -74,7 +74,6 @@ from types import SimpleNamespace
 # the case solvers through their modules' attributes.
 from . import inverse_convective
 from .direct import (
-    _sqrt_product,
     build_solution,
     consistency_residuals,
     front_balance,
@@ -118,10 +117,10 @@ MAX_GRID_POINTS = 10_000
 #: ``limit``'s default h0 grid, one point per decade.
 LIMIT_H0_GRID = "1e1,1e2,1e3,1e4,1e5,1e6"
 
-#: ``verify``'s fixed check: the sample times (ascending), the interior
-#: sample positions (ascending) as shares of s at the first time, the
-#: relative finite-difference step, and the bounds on the condition
-#: residuals and on the PDE residual.
+#: ``verify``'s fixed check: the sample times (ascending, in the units of
+#: ``_record_units``), the interior sample positions (ascending) as shares
+#: of s at the first time, the relative finite-difference step, and the
+#: bounds on the condition residuals and on the PDE residual.
 VERIFY_TIMES = (0.5, 1.0, 2.0)
 VERIFY_X_FRACS = (0.3, 0.5, 0.7)
 VERIFY_FD_STEP = 1e-4
@@ -513,9 +512,6 @@ def cmd_limit(args: SimpleNamespace) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-#: verify's band: data that all lie inside it are checked as given.
-_VERIFY_BAND_MIN, _VERIFY_BAND_MAX = 2.0**-250, 2.0**250
-
 #: The dimensions of each datum and solution figure as exponents of mass,
 #: length, half-time (q0 and h0 carry T^(-5/2)) and temperature.  In the
 #: units M 2^a, L 2^b, T 4^c and Theta 2^d a quantity with the row (m, n, t,
@@ -555,34 +551,26 @@ def _record_units(thermal: ThermalCoefficients, mushy: MushyCoefficients, bounda
             BoundaryData(**scaled(boundary)), SimilaritySolution(**scaled(solution)))
 
 
-def _verify(thermal: ThermalCoefficients, mushy: MushyCoefficients, boundary: BoundaryData,
-            solution: SimilaritySolution, face: Face) -> tuple:
-    """The condition residuals, the PDE residual and its step of ``solution``."""
+def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
     from . import verify
 
+    instance, result, solution = _solve(args)
+    # Checked at VERIFY_TIMES of the solution's own units: the solution is
+    # self-similar and every residual relative, so the verdict does not
+    # depend on the caller's units.
+    thermal, mushy, boundary, solution = _record_units(*instance[2:], solution)
     xs = [f * front_s(solution, VERIFY_TIMES[0]) for f in VERIFY_X_FRACS]
-    conditions = verify.condition_residuals(solution, thermal, mushy, boundary, VERIFY_TIMES, face)
+    conditions = verify.condition_residuals(solution, thermal, mushy, boundary, VERIFY_TIMES, instance.face)
     # The space step is widest at the last time, and the stencil around the
     # nearest point must stay in the solid there.  Below xi of about 6.7e-4
-    # the fixed step would leave it, so half the widest step that stays is used.
-    reach = 2.0 * _sqrt_product(solution.alpha, VERIFY_TIMES[-1])
+    # the fixed step would leave it, so half the widest step that stays is
+    # used.  In these units alpha lies in (1/4, 8).
+    reach = 2.0 * math.sqrt(solution.alpha * VERIFY_TIMES[-1])
     fd_step = VERIFY_FD_STEP if VERIFY_FD_STEP * reach <= xs[0] else 0.5 * xs[0] / reach
     try:
         fd = verify.pde_residual(solution, xs, VERIFY_TIMES, fd_step=fd_step)
     except DomainError as err:  # the step or the stencil left the double range with the solution's scales
         raise NumericalError(f"the finite-difference check leaves the range of a double: {err}") from None
-    return conditions, fd, fd_step
-
-
-def cmd_verify(args: SimpleNamespace) -> tuple[dict, int]:
-    instance, result, solution = _solve(args)
-    thermal, mushy, boundary = instance[2:]
-    values = (*thermal.__dict__.values(), mushy.gamma, boundary.q0, boundary.d_inf)
-    if not all(_VERIFY_BAND_MIN < value < _VERIFY_BAND_MAX for value in values):
-        # Checked at VERIFY_TIMES of the solution's own units: the solution is
-        # self-similar and every residual relative.
-        thermal, mushy, boundary, solution = _record_units(thermal, mushy, boundary, solution)
-    conditions, fd, fd_step = _verify(thermal, mushy, boundary, solution, instance.face)
 
     failures = sorted(
         name for name, value in conditions.condition_residuals.items() if value > VERIFY_CONDITION_TOL

@@ -37,7 +37,7 @@ from .direct import (
     _root_krc,
     _strength,
     balance_equation,
-    build_solution,  # unused: perfbench's tracer rebinds it here (ROADMAP item 8)
+    build_solution,  # unused: perfbench's tracer rebinds it here (ROADMAP item 25)
     dxexp_sq,
     face_argument,
     stefan_rhs,

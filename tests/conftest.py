@@ -60,13 +60,13 @@ def dirichlet_example():
 def verify_exits(draws, faces, tmp_path, monkeypatch) -> dict:
     """``mushy verify`` on every cell of ``draws`` on ``faces`` that the
     case solver answers: the count of each exit code and of the cells
-    answered, and the calls into cli._record_units, whose count must be
-    that of the cells whose data leave verify's band."""
+    answered, and the calls into cli._record_units: verify checks every
+    answered cell in the units of its solution record, one fit each."""
     from mushy import cli
 
     fits, fit = [], cli._record_units
     monkeypatch.setattr(cli, "_record_units", lambda *args: fits.append(args) or fit(*args))
-    exits, outside = {}, 0
+    exits = {}
     path = tmp_path / "draw.ini"
     for data in draws:
         for face in faces:
@@ -78,15 +78,12 @@ def verify_exits(draws, faces, tmp_path, monkeypatch) -> dict:
                 boundary = BoundaryData(q0=data["q0"], d_inf=data["d_inf"],
                                         h0=data["h0"] if face is Face.CONVECTIVE else None)
                 try:
-                    value = solve(case, thermal, mushy, boundary).value
+                    solve(case, thermal, mushy, boundary)
                 except SolverError:
                     continue
                 exits["answered"] = exits.get("answered", 0) + 1
-                solved = {**data, case.value: value}
-                outside += not all(2.0**-250 < solved[name] < 2.0**250
-                                   for name in ("l", "k", "rho", "c", "gamma", "q0", "d_inf"))
                 path.write_text(cli.scenario_to_ini(ProblemInstance(face, case, thermal, mushy, boundary)))
                 code = cli.main(["verify", str(path)])  # any error but a SolverError propagates
                 exits[code] = exits.get(code, 0) + 1
-    assert len(fits) == outside, (len(fits), outside)
+    assert len(fits) == exits.get("answered", 0), (len(fits), exits)
     return exits

@@ -4,14 +4,15 @@ Each record behaves as the ``collections.namedtuple`` subclass it once
 was: its fields, their order and defaults, ``repr``, immutability,
 pickling, copying, ``_make``, ``_replace``, ``_asdict``, class patterns and
 the ``TypeError`` of a missing argument.  ``tests/test_model.py`` checks
-every record with :func:`check`.  The module needs only the standard
+every record with :func:`check`, and with :func:`check_against_namedtuple`
+what a subclass and a wrong-length ``_make`` do.  The module needs only the standard
 library, so it also runs as a script under any supported interpreter::
 
     PYTHONPATH=src python tests/output_record_contract.py
 
 Run so, it first makes ``collections.namedtuple`` raise when a ``mushy``
 module calls it, then imports every module that defines a record, checks
-each and prints ``ok``.
+each, then those two behaviours, and prints ``ok``.
 """
 
 import collections
@@ -149,7 +150,26 @@ def check(record, names: tuple, text: str) -> None:
     assert missing == f"{cls.__name__}.__new__() missing 1 required positional argument: {required[-1]!r}", missing
 
 
+def check_against_namedtuple() -> None:
+    """Two behaviours that RestrictionReport shares with the namedtuple of
+    its fields and default: a subclass that writes no ``__new__`` keeps its
+    base's fields and repr, and ``_make`` of the wrong length raises a
+    ``TypeError`` that names both lengths."""
+    twin = collections.namedtuple("RestrictionReport", REPORT._fields, defaults=("",))
+    seen = []
+    for base in (RestrictionReport, twin):
+        class Sub(base):
+            pass
+
+        sub = Sub(*REPORT)
+        assert Sub._fields == REPORT._fields and sub == REPORT, base
+        made = _raises(TypeError, lambda: base._make(REPORT[:2]))
+        seen.append((repr(sub), made))
+    assert seen[0] == seen[1] == (f"Sub{_REPORT_REPR[len('RestrictionReport'):]}", "Expected 5 arguments, got 2"), seen
+
+
 if __name__ == "__main__":
     for record, names, text in OUTPUT_RECORDS:
         check(record, names, text)
+    check_against_namedtuple()
     print("ok")

@@ -106,10 +106,19 @@ def test_solve_recovers_latent_heat(case_l_path, capsys):
     assert abs(doc["residuals"]["face"]) <= 1e-14
 
 
-@pytest.mark.parametrize("sub", ["solve", "check-restrictions", "verify", "profile", "limit", "manufacture"])
-def test_out_file_holds_the_stdout_bytes(case_l_path, request, tmp_path, capsys, sub):
+#: check-restrictions on a direct scenario, in the order of its keys: no
+#: restriction applies, and the note precedes the verdict.
+DIRECT_CHECK_DOC = [("problem", "convective"), ("case", "direct"), ("restrictions", []),
+                    ("note", "no restrictions apply to a fully specified data set"), ("all_satisfied", True)]
+
+
+@pytest.mark.parametrize("sub", ["solve", "check-restrictions", "verify", "profile", "limit", "manufacture",
+                                 "check-restrictions-direct"])
+def test_out_file_holds_the_stdout_bytes(case_l_path, direct_path, request, tmp_path, capsys, sub):
     if sub == "manufacture":
         argv = MANUFACTURE_ARGV
+    elif sub == "check-restrictions-direct":
+        argv = ["check-restrictions", str(direct_path)]
     else:
         argv = [sub, str(request.getfixturevalue("dirichlet_gamma_path") if sub == "limit" else case_l_path)]
     inputs = sorted(tmp_path.iterdir())
@@ -119,6 +128,8 @@ def test_out_file_holds_the_stdout_bytes(case_l_path, request, tmp_path, capsys,
     assert run([*argv, "--out", str(out_path)], capsys) == (EXIT_OK, "", "")
     assert out_path.read_bytes() == stdout.encode()
     assert sorted(tmp_path.iterdir()) == sorted([*inputs, out_path])
+    if sub == "check-restrictions-direct":
+        assert list(json.loads(stdout).items()) == DIRECT_CHECK_DOC
 
 
 @pytest.mark.parametrize("sub", ["solve", "profile", "manufacture"])

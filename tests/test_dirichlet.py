@@ -225,14 +225,14 @@ def test_a_subnormal_k_rho_c_is_solved_in_normalised_units():
 
 
 @pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
-def test_an_out_of_band_solve_fits_its_units_once(tmp_path, monkeypatch, capsys):
-    # The solves run in the caller's units and fit none.  mushy verify of
-    # data outside its band fits the units of the solution record once,
-    # those in which k, rho, c and b_coef lie within a factor 2 of 1.  Over
-    # 150 wide-range recipe draws (oracle.wide_range_draws on seed 1) the
-    # two faces answer 216 cells, 52 of which pass verify, as when verify
-    # checked in units fitted to all the data; the rest exit 3 or 4, and
-    # no verify raises anything but a SolverError.
+def test_a_wide_range_verify_fits_its_units_once(tmp_path, monkeypatch, capsys):
+    # The solves run in the caller's units and fit none.  mushy verify fits
+    # the units of the solution record once, those in which k, rho, c and
+    # b_coef lie within a factor 2 of 1.  Over 150 wide-range recipe draws
+    # (oracle.wide_range_draws on seed 1) the two faces answer 216 cells, 52
+    # of which pass verify, as when verify checked in units fitted to all
+    # the data; the rest exit 3 or 4, and no verify raises anything but a
+    # SolverError.
     exits = verify_exits(oracle.wide_range_draws(150, 1), tuple(Face), tmp_path, monkeypatch)
     capsys.readouterr()
     assert exits == {"answered": 216, 0: 52, 3: 52, 4: 112}, exits

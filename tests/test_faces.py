@@ -35,6 +35,7 @@ from mushy.model import (
     CaseResult,
     Face,
     MushyCoefficients,
+    ProblemInstance,
     ThermalCoefficients,
     UnknownCase,
 )
@@ -307,17 +308,66 @@ def test_cells_commute_with_exact_unit_changes(face):
 
 
 @pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
-def test_data_outside_the_band_fit_their_units_once(face, tmp_path, monkeypatch, capsys):
+def test_wide_range_verifies_fit_their_units_once(face, tmp_path, monkeypatch, capsys):
     # Every case of 50 wide-range recipe draws (oracle.wide_range_draws on
-    # seed 1), which all leave verify's band.  The solves and restriction
-    # passes fit no units; mushy verify fits the units of each answered
-    # cell's solution record exactly once, and no verify raises anything
-    # but a SolverError.  The passes are those of verify in units fitted to
-    # all the data.
+    # seed 1).  The solves and restriction passes fit no units; mushy verify
+    # fits the units of each answered cell's solution record exactly once,
+    # and no verify raises anything but a SolverError.  The passes are those
+    # of verify in units fitted to all the data.
     exits = verify_exits(oracle.wide_range_draws(50, 1), (face,), tmp_path, monkeypatch)
     capsys.readouterr()
     assert exits == {Face.CONVECTIVE: {"answered": 18, 0: 5, 3: 2, 4: 11},
                      Face.DIRICHLET: {"answered": 64, 0: 11, 3: 21, 4: 32}}[face], exits
+
+
+#: Draw 187 of 3,000 from random.Random(1) with l, k, rho, c, gamma, q0,
+#: d_inf and h0 each log-uniform in 2^+-249 and epsilon uniform in (0.01,
+#: 0.99): a Dirichlet rho cell whose data all lie within 2^+-250.  Checked
+#: at times of the caller's units, its finite-difference step underflows at
+#: t = 0.5 (exit 3); in a mass unit of 2^300, or in the units of its
+#: solution record, its condition residuals fail (exit 4).
+IN_RANGE_RHO_ROW = (
+    Face.DIRICHLET, UnknownCase.RHO,
+    ThermalCoefficients(l=5.418194473330453e+71, k=1.9207008965961493e-65, c=2.031164055928657e-66),
+    MushyCoefficients(epsilon=0.5371877110924368, gamma=5.487674098878382e+34),
+    BoundaryData(q0=7.039119295285086e+52, d_inf=9.178246728982442e-66))
+
+#: Unit changes that take k, rho and q0 (and h0) past 2^250: a mass unit of
+#: 2^300, and a smaller mass unit with a larger length unit.
+VERIFY_UNIT_CHANGES = [(300, 0, 0, 0), (-300, 200, 0, 0)]
+
+
+@pytest.mark.filterwarnings("ignore::mushy.errors.IllConditionedWarning")
+def test_verify_does_not_depend_on_the_callers_units(face, tmp_path, capsys):
+    # Every case of 30 random_problem draws (seed 5), and on the Dirichlet
+    # face the row above: mushy verify writes the same exit code, stdout and
+    # stderr after each exact unit change.  Its residuals are unit-free, and
+    # it checks them at fixed times of the solution's own units.  No cell
+    # fails a restriction, whose message gives R1's sides in the caller's
+    # units.
+    from mushy import cli
+
+    assert {name: DIMENSIONS[name] for name in cli._DIMENSIONS} == cli._DIMENSIONS
+    rng = random.Random(5)
+    cells = []
+    for _ in range(30):
+        prob = random_problem(rng, face=face)
+        cells += [(face, case, *prob.hide(case)[:2], prob.boundary) for case in UnknownCase]
+    if face is Face.DIRICHLET:
+        cells.append(IN_RANGE_RHO_ROW)
+    path = tmp_path / "cell.ini"
+    codes = []
+    for face_, case, *data in cells:
+        reports = []
+        for units in [(0, 0, 0, 0), *VERIFY_UNIT_CHANGES]:
+            scaled = (_rescale_record(units, record) for record in data)
+            path.write_text(cli.scenario_to_ini(ProblemInstance(face_, case, *scaled)))
+            reports.append((cli.main(["verify", str(path)]), *capsys.readouterr()))
+        assert reports[1:] == reports[:1] * len(VERIFY_UNIT_CHANGES), (case, data, reports)
+        codes.append(reports[0][0])
+    assert cli.EXIT_OK in codes, codes
+    if face is Face.DIRICHLET:
+        assert codes[-1] == cli.EXIT_RESIDUAL
 
 
 #: Bound on a cell's relative error in units of kappa u, with kappa its

@@ -24,7 +24,7 @@ from mushy.model import (
     validate,
     with_coefficient,
 )
-from output_record_contract import OUTPUT_RECORDS, SOLUTION, check as check_output_record
+from output_record_contract import OUTPUT_RECORDS, SOLUTION, check as check_output_record, check_against_namedtuple
 
 THERMAL_NO_L = ThermalCoefficients(l=None, k=1.0, rho=1.0, c=1.0)
 MUSHY = MushyCoefficients(epsilon=0.5, gamma=0.1)
@@ -198,7 +198,7 @@ def test_validate_rejects_a_value_in_the_unknown_slot(case):
 @pytest.mark.parametrize("face", list(Face))
 def test_validate_refuses_a_case_that_is_no_member(face):
     # A member's value is not the member: validate's direct mode is None.
-    # Complete data in the band take the inline pass, which refuses it too.
+    # Complete data in normal form take the one-pass check, which refuses it too.
     boundary = BOUNDARY if face is Face.CONVECTIVE else replace(BOUNDARY, h0=None)
     for thermal, case in ((THERMAL_NO_L, "l"), (FULL_THERMAL, "l"), (FULL_THERMAL, "k"), (FULL_THERMAL, 1)):
         with pytest.raises(ValidationError) as err:
@@ -363,6 +363,10 @@ def test_similarity_solution_shape_checks(kwargs):
 )
 def test_output_records_keep_their_contract(record, names, text):
     check_output_record(record, names, text)
+
+
+def test_a_subclass_and_a_wrong_length_make_act_as_a_namedtuple():
+    check_against_namedtuple()
 
 
 def test_no_mushy_module_calls_namedtuple(tmp_path):
