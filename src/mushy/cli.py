@@ -463,7 +463,7 @@ def cmd_profile(args: SimpleNamespace) -> tuple[str, int]:
         for i in range(args.nx):
             x = i * step
             value, region = temperature(solution, x, t)
-            buf.write(f"{t!r},{x!r},{value!r},{region.value}\n")
+            buf.write(f"{t!r},{x!r},{value!r},{region}\n")
     buf.write("\nt,s,r\n")
     for t in times:
         buf.write(f"{t!r},{front_s(solution, t)!r},{front_r(solution, t)!r}\n")

@@ -11,7 +11,6 @@ equations that a solution of the full free-boundary problem must satisfy:
 """
 
 import math
-from enum import Enum
 
 from . import specfun
 from .errors import DomainError, NumericalError
@@ -34,7 +33,6 @@ from .model import (
 from .rootfind import MonotoneEquation
 
 __all__ = [
-    "Region",
     "ConsistencyResiduals",
     "xexp_sq",
     "dxexp_sq",
@@ -62,14 +60,6 @@ SQRT_PI = math.sqrt(math.pi)
 #: ln 2.  The starts take ln v as ln 2 log2(v): math.log parses an optional
 #: base and costs three times what math.log2 does.
 _LN2 = math.log(2.0)
-
-
-class Region(Enum):
-    """Phase membership of a point (x, t): solid, mushy or liquid."""
-
-    SOLID = "solid"
-    MUSHY = "mushy"
-    LIQUID = "liquid"
 
 
 def xexp_sq(x: float) -> float:
@@ -216,16 +206,12 @@ def face_factor(boundary: BoundaryData, face: Face) -> float:
     Dirichlet, the h0 -> inf limit.
 
     Positive exactly when the convective data admit a cooling face (R1).
+    Where R1's rhs h0 d_inf is not a positive normal double, q0 / (h0 d_inf)
+    is split, and one past the largest double raises NumericalError.
     """
     if face is _DIRICHLET:
         return 1.0
-    return _attenuation(boundary.h0 * boundary.d_inf, boundary)
-
-
-def _attenuation(h0_d_inf: float, boundary: BoundaryData) -> float:
-    """:func:`face_factor` from R1's rhs h0 d_inf.  Where h0 d_inf is not a
-    positive normal double, q0 / (h0 d_inf) is split, and one past the
-    largest double raises NumericalError."""
+    h0_d_inf = boundary.h0 * boundary.d_inf
     if _NORMAL_MIN <= h0_d_inf < _INF:
         return 1.0 - boundary.q0 / h0_d_inf
     ratio = _split(lambda q0, h0, d_inf: q0 / (h0 * d_inf), (2, -2, -2), boundary.q0, boundary.h0, boundary.d_inf)
@@ -243,11 +229,6 @@ def face_argument(thermal: ThermalCoefficients, boundary: BoundaryData, face: Fa
     an A that is not a positive normal double, raises NumericalError.
     """
     beta = face_factor(boundary, face)
-    return _face_argument(thermal, boundary, beta)
-
-
-def _face_argument(thermal: ThermalCoefficients, boundary: BoundaryData, beta: float) -> float:
-    """:func:`face_argument` at the attenuation beta."""
     arg = _face_group(thermal, boundary)
     if _NORMAL_MIN <= arg < _INF:
         return arg * beta
@@ -355,8 +336,9 @@ def _sqrt_product(alpha: float, t: float) -> float:
     return math.sqrt(alpha) * math.sqrt(t)
 
 
-def temperature(sol: SimilaritySolution, x: float, t: float) -> tuple[float, Region]:
-    """Temperature and region tag at (x, t), t > 0.
+def temperature(sol: SimilaritySolution, x: float, t: float) -> tuple[float, str]:
+    """Temperature and region tag, "solid", "mushy" or "liquid", at (x, t),
+    t > 0.
 
     Inside the solid the similarity profile applies; the mushy zone and the
     liquid sit at the fusion temperature 0, so instead of rejecting
@@ -365,10 +347,10 @@ def temperature(sol: SimilaritySolution, x: float, t: float) -> tuple[float, Reg
     """
     eta = _similarity_variable(sol, x, t)
     if eta <= sol.xi:
-        return sol.a_coef + sol.b_coef * specfun.erf(eta), Region.SOLID
+        return sol.a_coef + sol.b_coef * specfun.erf(eta), "solid"
     if eta <= sol.mu:
-        return 0.0, Region.MUSHY
-    return 0.0, Region.LIQUID
+        return 0.0, "mushy"
+    return 0.0, "liquid"
 
 
 def temperature_gradient(sol: SimilaritySolution, x: float, t: float) -> float:

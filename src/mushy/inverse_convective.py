@@ -26,7 +26,6 @@ from . import specfun
 from .direct import (
     _LN2,
     SQRT_PI,
-    _attenuation,
     _face_group,
     _root_krc,
     _strength,
@@ -195,12 +194,12 @@ def _evaluate(
     if not r1.satisfied:
         return (r1,), None, None, None, None
     # face_factor from R1's sides q0 and h0 d_inf > q0
-    beta = 1.0 - q0 / h0_d_inf if _NORMAL_MIN <= h0_d_inf < _INF else _attenuation(h0_d_inf, boundary)
+    beta = 1.0 - q0 / h0_d_inf if _NORMAL_MIN <= h0_d_inf < _INF else face_factor(boundary, _CONVECTIVE)
     if case is _K or case is _RHO:
         return (r1,), None, beta, None, None
     if case is _C:
         return (r1, _r5(beta, thermal, mushy, boundary)), None, beta, None, None
-    arg = _face_group(thermal, boundary)  # _face_argument, inline on the solve path
+    arg = _face_group(thermal, boundary)  # face_argument, inline on the solve path
     if not _NORMAL_MIN <= arg < _INF:
         raise out_of_range("the face group A", arg)
     r2 = _report("R2", arg * beta, 1.0)
@@ -462,11 +461,9 @@ def _recover(case, thermal, mushy, boundary, reports, xi, beta, gap, krc) -> Cas
         scaled = group * gap
         value = scaled * decay
         # 2 q0 is exact even below the normal range, and an inf group makes the scaled group inf
-        if not (two_q0 < _INF and group >= _NORMAL_MIN and _NORMAL_MIN <= scaled < _INF and decay >= _NORMAL_MIN):
-            power = 1 if _NORMAL_MIN <= decay else 2  # below the range, e**(-2 xi^2) is e**(-xi^2) squared
-            factor = decay if power == 1 else math.exp(-xi * xi)
-            value = _split(lambda q0, weight, krc, gap, factor: (2.0 * q0 / (weight * krc)) * gap * factor**power,
-                           (2, -2, -2, 2, 2 * power), q0, weight, krc, gap, factor)
+        if not (two_q0 < _INF and group >= _NORMAL_MIN and _NORMAL_MIN <= scaled < _INF):
+            value = _split(lambda q0, weight, krc, gap, decay: (2.0 * q0 / (weight * krc)) * gap * decay,
+                           (2, -2, -2, 2, 2), q0, weight, krc, gap, decay)
         if case is _EPSILON:
             value = 1.0 - value
             if value >= 1.0:  # 1 - epsilon is below half an ulp of 1

@@ -33,7 +33,6 @@ from functools import partial
 
 from . import inverse_convective, specfun
 from .direct import (
-    _face_argument,
     _root_krc,
     _strength,
     balance_equation,
@@ -237,7 +236,7 @@ def check_all(
 def _check_all(case, thermal, mushy, boundary) -> tuple[RestrictionReport, ...]:
     """:func:`check_all` on validated data."""
     if case is _L:
-        return (_report("R6", _face_argument(thermal, boundary, 1.0), 1.0),)
+        return (_report("R6", face_argument(thermal, boundary, _DIRICHLET), 1.0),)
     if case is _C:
         return (check_r9(thermal, mushy, boundary),)
     if case is _K or case is _RHO:
@@ -245,7 +244,7 @@ def _check_all(case, thermal, mushy, boundary) -> tuple[RestrictionReport, ...]:
     target = stefan_rhs(thermal, boundary)
     start = xexp_sq_start(target)
     eta = _solve_eta_r7(target, start)
-    arg = _face_argument(thermal, boundary, 1.0)
+    arg = face_argument(thermal, boundary, _DIRICHLET)
     r7 = _report("R7", arg, math.erf(eta))
     if not r7.satisfied or case is _GAMMA:
         return (r7,)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mushy.direct import (
-    Region,
     build_solution,
     consistency_residuals,
     face_argument,
@@ -187,20 +186,21 @@ def test_build_solution_rejects_bad_front(name):
 def test_temperature_vanishes_on_the_front(ref_solution):
     value, region = temperature(ref_solution, front_s(ref_solution, 1.0), 1.0)
     assert value == 0.0
-    assert region is Region.SOLID
+    assert type(region) is str
+    assert region == "solid"
 
 
 def test_face_temperature_equals_attenuated_datum(convective_example, ref_solution):
     value, region = temperature(ref_solution, 0.0, 1.0)
     b = convective_example.boundary
-    assert region is Region.SOLID
+    assert region == "solid"
     assert math.isclose(value, -(b.d_inf - b.q0 / b.h0), rel_tol=1e-14)
     assert value == ref_solution.a_coef
 
 
 def test_mid_solid_profile_frozen(ref_solution):
     value, region = temperature(ref_solution, front_s(ref_solution, 1.0) / 2.0, 1.0)
-    assert region is Region.SOLID
+    assert region == "solid"
     assert abs(value - T_MID_REF) <= 1e-15
     assert value < 0.0
 
@@ -209,11 +209,11 @@ def test_region_tags_cover_the_three_zones(ref_solution):
     t = 2.0
     s, r = front_s(ref_solution, t), front_r(ref_solution, t)
     assert 0.0 < s < r
-    assert temperature(ref_solution, 0.5 * s, t)[1] is Region.SOLID
+    assert temperature(ref_solution, 0.5 * s, t)[1] == "solid"
     mid_value, mid_region = temperature(ref_solution, 0.5 * (s + r), t)
-    assert (mid_value, mid_region) == (0.0, Region.MUSHY)
+    assert (mid_value, mid_region) == (0.0, "mushy")
     far_value, far_region = temperature(ref_solution, 2.0 * r, t)
-    assert (far_value, far_region) == (0.0, Region.LIQUID)
+    assert (far_value, far_region) == (0.0, "liquid")
 
 
 def test_fronts_start_at_zero_and_scale_with_sqrt_t(ref_solution):

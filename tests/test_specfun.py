@@ -141,6 +141,16 @@ def test_erf_inv_monotone():
     assert all(a < b for a, b in zip(xs, xs[1:]))
 
 
+def test_erf_inv_stays_below_six_so_the_decay_of_recover_is_normal():
+    # inverse_convective._recover forms e**(-2 xi^2) for gamma and epsilon
+    # from xi = erf_inv of a face argument below 1, and splits no power of
+    # it: that holds while xi < 6, where e**(-2 xi^2) > e**-72 is normal.
+    with pytest.warns(IllConditionedWarning):
+        top = erf_inv(math.nextafter(1.0, 0.0))
+    assert top < 6.0
+    assert math.exp(-72.0) >= sys.float_info.min
+
+
 def test_erf_inv_runs_once_per_face_case_solve(monkeypatch):
     # l, gamma and epsilon read xi off the face equation once; k, rho and c
     # solve a front equation and never invert erf.
