@@ -47,7 +47,7 @@ def _fingerprint(result: CaseResult) -> str:
 
 def sweep(n: int, seed: int, xi_max: float) -> None:
     rng = random.Random(seed)
-    worst: dict[tuple[str, str], float] = {}
+    worst: dict[tuple[Face, UnknownCase], float] = {}
     digest = hashlib.sha256()
     solves = raised = 0
     start = time.perf_counter()
@@ -70,13 +70,14 @@ def sweep(n: int, seed: int, xi_max: float) -> None:
                         continue
                     digest.update((_fingerprint(result) + "\n").encode())
                     rel = abs(result.value - truth) / abs(truth)
-                    key = (face.value, case.value)
+                    key = (face, case)
                     worst[key] = max(worst.get(key, 0.0), rel)
     elapsed = time.perf_counter() - start
     ill = sum(issubclass(w.category, IllConditionedWarning) for w in caught)
 
     print(f"{'face':<12}{'case':<10}{'worst rel error':>18}")
-    for (face, case), rel in sorted(worst.items()):
+    rows = sorted((face.value, case.value, rel) for (face, case), rel in worst.items())
+    for face, case, rel in rows:
         print(f"{face:<12}{case:<10}{rel:>18.3e}")
     print(f"\n{solves} recoveries in {elapsed:.2f} s ({solves / elapsed:,.0f}/s; {ill} ill-conditioned warnings)")
     print(f"sha256 {digest.hexdigest()} ({raised} raised)")

@@ -15,6 +15,8 @@ from . import specfun
 from .direct import _strength, stefan_lhs
 from .errors import ValidationError
 from .model import (
+    _CONVECTIVE,
+    _L,
     BoundaryData,
     Face,
     MushyCoefficients,
@@ -26,6 +28,11 @@ from .model import (
 )
 
 __all__ = ["ManufacturedProblem", "manufacture", "random_problem"]
+
+_SQRT_PI = math.sqrt(math.pi)
+# The natural logs of the bounds random_problem draws over, formed once.
+_LOG_DECADE_LOW, _LOG_DECADE_HIGH = math.log(1e-2), math.log(1e2)
+_LOG_H_REL_LOW, _LOG_H_REL_HIGH = math.log(5e-2), math.log(5e2)
 
 
 class ManufacturedProblem(OutputRecord):
@@ -39,7 +46,13 @@ class ManufacturedProblem(OutputRecord):
     def hide(self, case: UnknownCase) -> tuple[ThermalCoefficients, MushyCoefficients, float]:
         """Blank out one coefficient; returns the partial data and the truth."""
         thermal, mushy = with_coefficient(self.thermal, self.mushy, case, None)
-        return thermal, mushy, getattr(self.thermal if mushy is self.mushy else self.mushy, case.value)
+        truth = (self.thermal if mushy is self.mushy else self.mushy).__dict__[case._value_]  # as in with_coefficient
+        return thermal, mushy, truth
+
+
+def _check_xi(xi: float) -> None:
+    if not (xi > 0.0 and math.isfinite(xi)):
+        raise ValidationError(f"xi must be positive and finite, got {xi!r}")
 
 
 def manufacture(
@@ -63,20 +76,20 @@ def manufacture(
     returned data.  The given values are checked, by ``validate``'s rules,
     before any arithmetic; a ``ValidationError`` names the offending input.
     """
-    if not (xi > 0.0 and math.isfinite(xi)):
-        raise ValidationError(f"xi must be positive and finite, got {xi!r}")
+    _check_xi(xi)
     # validate's rules on the given values; d_inf and l, computed below, are left to the checks here
-    given = validate(ThermalCoefficients(k=k, rho=rho, c=c), MushyCoefficients(epsilon=epsilon, gamma=gamma),
-                     BoundaryData(q0=q0, d_inf=1.0, h0=h0), case=UnknownCase.L, face=face)
-    k, rho, c = given.thermal.k, given.thermal.rho, given.thermal.c
-    epsilon, gamma = given.mushy.epsilon, given.mushy.gamma
-    q0, h0 = given.boundary.q0, given.boundary.h0  # h0 is None on the Dirichlet face
+    given = validate(ThermalCoefficients(None, k, rho, c), MushyCoefficients(epsilon, gamma),
+                     BoundaryData(q0, 1.0, h0), _L, face)
+    thermal, mushy, boundary = given.thermal, given.mushy, given.boundary
+    k, rho, c = thermal.k, thermal.rho, thermal.c
+    epsilon, gamma = mushy.epsilon, mushy.gamma
+    q0, h0 = boundary.q0, boundary.h0  # h0 is None on the Dirichlet face
 
     inf = math.inf
     krc = math.sqrt(k * rho * c)
     if not 0.0 < krc < inf:
         raise ValidationError(f"the product k rho c = {k * rho * c!r} must be a positive finite number")
-    d_inf = q0 * specfun.erf(xi) * math.sqrt(math.pi) / krc
+    d_inf = q0 * specfun.erf(xi) * _SQRT_PI / krc
     if h0 is not None:
         d_inf += q0 / h0
     if not 0.0 < d_inf < inf:  # validate would name d_inf, a value the caller did not give
@@ -94,12 +107,11 @@ def manufacture(
         raise ValidationError(f"xi = {xi!r} and the given coefficients make the latent heat l = {l!r}, "
                               "not a positive finite number")
 
-    thermal, mushy = with_coefficient(given.thermal, given.mushy, UnknownCase.L, l)
-    return ManufacturedProblem(face, thermal, mushy, BoundaryData(q0=q0, d_inf=d_inf, h0=h0), xi)
-
-
-def _log_uniform(rng: random.Random, low: float, high: float) -> float:
-    return math.exp(rng.uniform(math.log(low), math.log(high)))
+    # The records were built above, by this call or by validate, and no
+    # caller holds them yet: l and d_inf go into them, not into copies.
+    thermal.__dict__["l"] = l
+    boundary.__dict__["d_inf"] = d_inf
+    return tuple.__new__(ManufacturedProblem, (face, thermal, mushy, boundary, xi))
 
 
 def random_problem(
@@ -124,20 +136,23 @@ def random_problem(
     algorithm can recover a coefficient the data barely depend on, so the
     groups, not the raw values, are what must span the decades.
     """
-    xi = rng.uniform(*xi_range)
-    k = _log_uniform(rng, 1e-2, 1e2)
-    rho = _log_uniform(rng, 1e-2, 1e2)
-    c = _log_uniform(rng, 1e-2, 1e2)
-    q0 = _log_uniform(rng, 1e-2, 1e2)
-    epsilon = rng.uniform(0.05, 0.95)
+    uniform, exp = rng.uniform, math.exp
+    xi = uniform(*xi_range)
+    _check_xi(xi)  # before erf(xi) and 1 / erf(xi) are formed
+    low, high = _LOG_DECADE_LOW, _LOG_DECADE_HIGH
+    k = exp(uniform(low, high))
+    rho = exp(uniform(low, high))
+    c = exp(uniform(low, high))
+    q0 = exp(uniform(low, high))
+    epsilon = uniform(0.05, 0.95)
 
     krc = math.sqrt(k * rho * c)
-    w = _log_uniform(rng, 1e-2, 1e2)
-    gamma = w * xi * math.exp(-xi * xi) * 2.0 * q0 / ((1.0 - epsilon) * krc)
+    w = exp(uniform(low, high))
+    gamma = w * xi * exp(-xi * xi) * 2.0 * q0 / ((1.0 - epsilon) * krc)
 
     h0 = None
-    if face is Face.CONVECTIVE:
-        h_rel = _log_uniform(rng, 5e-2, 5e2)
-        h0 = h_rel * krc / (specfun.erf(xi) * math.sqrt(math.pi))
+    if face is _CONVECTIVE:
+        h_rel = exp(uniform(_LOG_H_REL_LOW, _LOG_H_REL_HIGH))
+        h0 = h_rel * krc / (math.erf(xi) * _SQRT_PI)
 
-    return manufacture(xi, k, rho, c, epsilon, gamma, q0, h0=h0, face=face)
+    return manufacture(xi, k, rho, c, epsilon, gamma, q0, h0, face)

@@ -51,6 +51,11 @@ class Face(Enum):
     CONVECTIVE = "convective"
     DIRICHLET = "dirichlet"
 
+    # Enum's own hash, of the member's name, is Python code; a member is
+    # equal only to itself, so the identity hash agrees with ``==`` and
+    # keys a dict or set in C.
+    __hash__ = object.__hash__
+
 
 class UnknownCase(Enum):
     """Which single coefficient is treated as unknown."""
@@ -61,6 +66,8 @@ class UnknownCase(Enum):
     K = "k"  # thermal conductivity
     RHO = "rho"  # density
     C = "c"  # specific heat
+
+    __hash__ = object.__hash__  # as Face's
 
 
 # A member read through its class goes through the enum metaclass, about ten

@@ -1,7 +1,10 @@
+import copy
 import enum
 import hashlib
+import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -328,6 +331,38 @@ def test_case_solves_run_no_enum_code(face):
         finally:
             sys.setprofile(None)
         assert ran == [], (face, case)
+
+
+def test_set_up_runs_no_enum_code():
+    # A set-up (drawing a problem on each face, hiding each case, keying the
+    # result by (face, case)) runs no Python frame of the enum module either:
+    # the members hash by identity, and the draw reads no member through its
+    # class and no ``value`` property.
+    faces, cases = list(Face), list(UnknownCase)  # iterating a class runs enum code
+    members = [*faces, *cases]
+    cells = {(face, case): index for index, (face, case) in enumerate(itertools.product(faces, cases))}
+    rng = random.Random(3)
+    ran = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == enum.__file__:
+            ran.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        problems = [random_problem(rng, face=face) for face in faces]
+        hidden = [problem.hide(case) for problem in problems for case in cases]
+        hashes = [hash(member) for member in members]
+        found = [cells[face, case] for face in faces for case in cases]
+    finally:
+        sys.setprofile(None)
+    assert ran == []
+    assert len(hidden) == len(found) == 12 and found == list(range(12))
+    assert len(set(hashes)) == len(members)
+    for member in members:
+        table = {member: member.value}
+        for twin in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member), copy.copy(member)):
+            assert twin is member and hash(twin) == hash(member) and table[twin] == member.value
 
 
 def test_unknown_case_tokens():
